@@ -21,7 +21,8 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Optional
+from types import MappingProxyType
+from typing import Mapping, Optional
 
 from repro.core.concurrency import ConcurrencyAnalysis, LocalStateId, analyze
 from repro.core.fsa import CommitProtocolSpec, MASTER_ROLE, SLAVE_ROLE
@@ -34,9 +35,12 @@ class FinalAction(enum.Enum):
     ABORT = "abort"
 
 
-@dataclass
+@dataclass(frozen=True)
 class AugmentedProtocol:
     """A commit protocol plus Rule (a)/(b) timeout and UD transitions.
+
+    Immutable (read-only copies of the tables): one instance per
+    (protocol, n) is shared process-wide, see :mod:`repro.protocols.plan`.
 
     Attributes:
         spec: the underlying commit protocol.
@@ -52,9 +56,14 @@ class AugmentedProtocol:
 
     spec: CommitProtocolSpec
     n_sites: int
-    timeout_action: dict[LocalStateId, FinalAction] = field(default_factory=dict)
-    undeliverable_action: dict[LocalStateId, FinalAction] = field(default_factory=dict)
-    ambiguous: set[LocalStateId] = field(default_factory=set)
+    timeout_action: Mapping[LocalStateId, FinalAction] = field(default_factory=dict)
+    undeliverable_action: Mapping[LocalStateId, FinalAction] = field(default_factory=dict)
+    ambiguous: frozenset[LocalStateId] = frozenset()
+
+    def __post_init__(self) -> None:
+        for name in ("timeout_action", "undeliverable_action"):
+            object.__setattr__(self, name, MappingProxyType(dict(getattr(self, name))))
+        object.__setattr__(self, "ambiguous", frozenset(self.ambiguous))
 
     def timeout_target(self, role: str, state: str) -> Optional[FinalAction]:
         """Rule (a) action for ``(role, state)`` or ``None``."""

@@ -4,10 +4,11 @@ The simulator registry (:mod:`repro.protocols.registry`) and the FSA
 catalog (:mod:`repro.core.catalog`) use different vocabularies: the
 simulator's ``extended-two-phase-commit`` is the catalog's 2PC automata
 *plus* the Rule (a)/(b) augmentation of :mod:`repro.core.rules`.  This
-module is the bridge: it maps each checkable simulator name to its FSA
-spec factory and whether the rules augmentation applies, so
+module is the bridge: it names the simulator protocols that have a finite
+FSA model and hands the checker the *same* compiled plan
+(:mod:`repro.protocols.plan`) the simulator's roles execute, so
 ``repro modelcheck`` and the differential harness accept exactly the names
-``repro sweep`` does.
+``repro sweep`` does and check exactly the tables it runs.
 
 The terminating protocols (cooperative termination via surviving-site
 probes) are out of scope: their probe exchange is a timed gossip loop, not
@@ -18,20 +19,22 @@ naming the checkable alternatives.
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Optional
 
-from repro.core import catalog
 from repro.core.fsa import CommitProtocolSpec
-from repro.core.rules import AugmentedProtocol, augment_with_rules
+from repro.core.rules import AugmentedProtocol
+from repro.protocols.registry import create_protocol
 
-#: simulator-registry name -> (FSA spec factory, apply Rule (a)/(b) tables)
-_CHECKABLE: dict[str, tuple[Callable[[], CommitProtocolSpec], bool]] = {
-    "two-phase-commit": (catalog.two_phase_commit, False),
-    "extended-two-phase-commit": (catalog.two_phase_commit, True),
-    "three-phase-commit": (catalog.three_phase_commit, False),
-    "naive-extended-three-phase-commit": (catalog.three_phase_commit, True),
-    "quorum-commit": (catalog.quorum_commit, False),
-}
+#: The simulator-registry names whose roles execute an FSA spec.
+_CHECKABLE = frozenset(
+    {
+        "two-phase-commit",
+        "extended-two-phase-commit",
+        "three-phase-commit",
+        "naive-extended-three-phase-commit",
+        "quorum-commit",
+    }
+)
 
 
 class UncheckableProtocolError(ValueError):
@@ -58,11 +61,9 @@ def resolve_protocol(
     Returns the FSA protocol spec and, for the extended variants, the
     Rule (a)/(b) augmentation instantiated for ``n_sites`` (``None`` for the
     plain protocols, whose simulator roles ignore timeouts and bounces).
+    Both are the shared objects of the protocol's compiled plan.
     """
-    entry = _CHECKABLE.get(name)
-    if entry is None:
+    if name not in _CHECKABLE:
         raise UncheckableProtocolError(name)
-    factory, augmented = entry
-    spec = factory()
-    augmentation = augment_with_rules(spec, n_sites) if augmented else None
-    return spec, augmentation
+    plan = create_protocol(name).plan(n_sites)
+    return plan.spec, plan.augmentation

@@ -6,7 +6,8 @@ timeout / undeliverable-message augmentation applied to them, so they share
 one implementation: a coordinator role and a participant role that *execute*
 a :class:`~repro.core.fsa.CommitProtocolSpec`, optionally consulting an
 :class:`~repro.core.rules.AugmentedProtocol` when a timer fires or a bounced
-message arrives.
+message arrives.  Both come from the shared, immutable
+:class:`~repro.protocols.plan.ProtocolPlan`; a role builds only its own state.
 
 The paper's own termination protocol is deliberately *not* expressed this
 way -- it needs probe messages, the UD/PB bookkeeping and slave-to-slave
@@ -16,22 +17,21 @@ commits, which go beyond the augmentation rules; see
 
 from __future__ import annotations
 
-from typing import Any, Optional
+from typing import Any
 
 from repro.core import messages as m
 from repro.core.fsa import (
     ANY_SLAVE,
-    CommitProtocolSpec,
     EACH_SLAVE,
     MASTER,
     MASTER_ROLE,
     OPERATOR,
-    RoleAutomaton,
     SLAVE_ROLE,
     Transition,
 )
-from repro.core.rules import AugmentedProtocol, FinalAction
+from repro.core.rules import FinalAction
 from repro.protocols.base import Decision, ProtocolContext, ProtocolMessage, RoleBase
+from repro.protocols.plan import ProtocolPlan, compiled_plan
 
 #: Message kinds whose receipt corresponds to journalling the prepared state.
 _PROMOTION_KINDS = frozenset({m.PREPARE, m.PRE_COMMIT})
@@ -50,28 +50,19 @@ def _final_action_to_decision(action: FinalAction) -> Decision:
 class FSARole(RoleBase):
     """Executes one role automaton of a commit protocol specification."""
 
-    def __init__(
-        self,
-        ctx: ProtocolContext,
-        spec: CommitProtocolSpec,
-        role: str,
-        *,
-        augmentation: Optional[AugmentedProtocol] = None,
-    ) -> None:
-        self.spec = spec
+    def __init__(self, ctx: ProtocolContext, plan: ProtocolPlan, role: str) -> None:
+        tables = plan.role(role)
+        self.spec = plan.spec
         self.role = role
-        self.automaton: RoleAutomaton = spec.automaton(role)
-        self.augmentation = augmentation
+        self.automaton = plan.spec.automaton(role)
+        self.augmentation = plan.augmentation
         self.received: dict[str, set[int]] = {}
-        # The automaton is immutable, so index its transitions by source
-        # state once: `transitions_from` rescans every transition per call,
-        # and `_try_fire` runs on every delivery.
-        automaton = self.automaton
-        self._transitions_from: dict[str, tuple[Transition, ...]] = {
-            state: automaton.transitions_from(state) for state in automaton.states
-        }
-        self._final_states = automaton.commit_states | automaton.abort_states
-        super().__init__(ctx, initial_state=automaton.initial)
+        self._transitions_from = tables.transitions_from
+        self._final_states = tables.final_states
+        # Every slave but this site: whom EACH_SLAVE reads wait for and
+        # all-slaves sends go to.
+        self._peer_slaves = tuple(s for s in ctx.slaves if s != ctx.site)
+        super().__init__(ctx, initial_state=self.automaton.initial)
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -193,8 +184,7 @@ class FSARole(RoleBase):
         if read.source == ANY_SLAVE:
             return any(sender != self.ctx.master for sender in senders)
         if read.source == EACH_SLAVE:
-            expected = {s for s in self.ctx.slaves if s != self.site}
-            return expected.issubset(senders)
+            return senders.issuperset(self._peer_slaves)
         return False
 
     def _consume(self, transition: Transition) -> None:
@@ -231,9 +221,7 @@ class FSARole(RoleBase):
             elif send.target == OPERATOR:
                 continue
             else:  # all slaves
-                self.broadcast(
-                    [s for s in self.ctx.slaves if s != self.site], send.kind, payload
-                )
+                self.broadcast(self._peer_slaves, send.kind, payload)
 
 
 class FSAProtocolDefinition:
@@ -249,31 +237,15 @@ class FSAProtocolDefinition:
         self.name = name
         self._spec_factory = spec_factory
         self._augment = augment
-        self._augmentation_cache: dict[int, AugmentedProtocol] = {}
-        self._spec: Optional[CommitProtocolSpec] = None
 
-    @property
-    def spec(self) -> CommitProtocolSpec:
-        """The underlying formal specification."""
-        if self._spec is None:
-            self._spec = self._spec_factory()
-        return self._spec
-
-    def _augmentation_for(self, n_sites: int) -> Optional[AugmentedProtocol]:
-        if not self._augment:
-            return None
-        if n_sites not in self._augmentation_cache:
-            from repro.core.rules import augment_with_rules
-
-            self._augmentation_cache[n_sites] = augment_with_rules(self.spec, n_sites)
-        return self._augmentation_cache[n_sites]
+    def plan(self, n_sites: int) -> ProtocolPlan:
+        """The shared compiled plan of this protocol for ``n_sites`` sites."""
+        return compiled_plan(self.name, n_sites, self._spec_factory, augment=self._augment)
 
     def coordinator(self, ctx: ProtocolContext) -> FSARole:
         """Build the master role for ``ctx``."""
-        augmentation = self._augmentation_for(len(ctx.participants))
-        return FSARole(ctx, self.spec, MASTER_ROLE, augmentation=augmentation)
+        return FSARole(ctx, self.plan(len(ctx.participants)), MASTER_ROLE)
 
     def participant(self, ctx: ProtocolContext) -> FSARole:
         """Build a slave role for ``ctx``."""
-        augmentation = self._augmentation_for(len(ctx.participants))
-        return FSARole(ctx, self.spec, SLAVE_ROLE, augmentation=augmentation)
+        return FSARole(ctx, self.plan(len(ctx.participants)), SLAVE_ROLE)

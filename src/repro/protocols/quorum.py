@@ -9,20 +9,24 @@ satisfies the Lemma 1/2 conditions, the Section 5.3 termination protocol
 carries over by substituting the protocol's own promotion message
 (``pre-commit``) for 3PC's ``prepare``.  The promotion message is not
 hard-coded -- it is discovered by
-:func:`repro.core.generalize.derive_termination_plan`, which is the point of
-the Theorem 10 experiment.
+:func:`repro.core.generalize.derive_termination_plan` (once per process, via
+the compiled plan), which is the point of the Theorem 10 experiment.
 """
 
 from __future__ import annotations
 
 from repro.core.catalog import quorum_commit
-from repro.core.generalize import derive_termination_plan
 from repro.protocols.base import ProtocolContext
 from repro.protocols.fsa_role import FSAProtocolDefinition
+from repro.protocols.plan import compiled_plan
 from repro.protocols.three_phase_terminating import (
     TerminatingMasterRole,
     TerminatingSlaveRole,
 )
+
+#: Theorem 10's promotion message is a property of the role automata, not of
+#: the cluster size, so it is derived on the smallest multi-slave instance.
+_DERIVATION_SITES = 3
 
 
 class QuorumCommit(FSAProtocolDefinition):
@@ -38,12 +42,12 @@ class TerminatingQuorumCommit:
     def __init__(self, *, transient_rule: bool = True) -> None:
         self.name = "terminating-quorum-commit"
         self.transient_rule = transient_rule
-        self._plan = derive_termination_plan(quorum_commit(), 3)
 
     @property
     def promotion_kind(self) -> str:
         """The message m selected by the generic construction (``pre-commit``)."""
-        return self._plan.promotion_message
+        plan = compiled_plan(self.name, _DERIVATION_SITES, quorum_commit, terminate=True)
+        return plan.termination.promotion_message
 
     def coordinator(self, ctx: ProtocolContext) -> TerminatingMasterRole:
         """Build the master role."""

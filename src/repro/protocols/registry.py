@@ -11,9 +11,11 @@ Invariants:
   (renaming a protocol invalidates its cached sweeps, by design).
 * :func:`available_protocols` enumerates in sorted name order, which fixes
   the protocol axis order of every ``--protocol all`` sweep.
-* Every entry constructs a fresh, stateless-between-runs
-  :class:`~repro.protocols.base.ProtocolDefinition`; registry lookups never
-  share role state across scenarios.
+* Definitions are fresh; compiled plans are shared, immutable, one per
+  (name, n) per process.  Every lookup constructs a new, trivially cheap
+  :class:`~repro.protocols.base.ProtocolDefinition` and no role state
+  crosses scenarios; the spec, its transition index and the Rule (a)/(b) /
+  Theorem 10 tables come from :func:`repro.protocols.plan.compiled_plan`.
 
 The names cover the paper's protocol cast: 2PC (Fig. 1), extended 2PC
 (Fig. 2), 3PC (Fig. 3), the naive extended 3PC of Section 3, the

@@ -4,9 +4,28 @@ import itertools
 
 import pytest
 
+from repro.core.termination import TerminationTimers
+from repro.db.site import DatabaseSite
+from repro.db.transactions import Transaction
+from repro.protocols.base import ProtocolContext
 from repro.protocols.registry import create_protocol
 from repro.protocols.runner import ScenarioSpec, run_scenario
+from repro.sim.cluster import Cluster
 from repro.sim.partition import PartitionSchedule
+
+
+def make_context(site=1, n_sites=3):
+    cluster = Cluster(n_sites)
+    transaction = Transaction.simple_update(1, cluster.site_ids(), "k", 1, transaction_id="t-ctx")
+    ctx = ProtocolContext(
+        node=cluster.node(site),
+        db=DatabaseSite(site),
+        transaction=transaction,
+        participants=tuple(cluster.site_ids()),
+        master=1,
+        timers=TerminationTimers(1.0),
+    )
+    return cluster, ctx
 
 
 def simple_splits(n_sites):

@@ -4,30 +4,14 @@ import pytest
 
 from repro.core import messages as m
 from repro.core.fsa import MASTER_ROLE, SLAVE_ROLE
-from repro.core.termination import TerminationTimers
-from repro.db.site import DatabaseSite
-from repro.db.transactions import Transaction
-from repro.protocols.base import Decision, ProtocolContext, ProtocolMessage, RoleBase
+from repro.protocols.base import Decision, ProtocolMessage, RoleBase
 from repro.protocols.extended_two_phase import ExtendedTwoPhaseCommit
 from repro.protocols.fsa_role import FSAProtocolDefinition
 from repro.protocols.two_phase import TwoPhaseCommit
 from repro.protocols.registry import create_protocol
 from repro.protocols.runner import ScenarioSpec, run_scenario
-from repro.sim.cluster import Cluster
 
-
-def make_context(site=1, n_sites=3):
-    cluster = Cluster(n_sites)
-    transaction = Transaction.simple_update(1, cluster.site_ids(), "k", 1, transaction_id="t-ctx")
-    ctx = ProtocolContext(
-        node=cluster.node(site),
-        db=DatabaseSite(site),
-        transaction=transaction,
-        participants=tuple(cluster.site_ids()),
-        master=1,
-        timers=TerminationTimers(1.0),
-    )
-    return cluster, ctx
+from tests.protocols.conftest import make_context
 
 
 class TestProtocolContext:
@@ -92,18 +76,16 @@ class TestRoleBase:
 
 class TestFSAProtocolDefinition:
     def test_spec_is_cached(self):
-        definition = TwoPhaseCommit()
-        assert definition.spec is definition.spec
+        assert TwoPhaseCommit().plan(3).spec is TwoPhaseCommit().plan(3).spec
 
     def test_augmentation_cached_per_size(self):
-        definition = ExtendedTwoPhaseCommit()
-        first = definition._augmentation_for(3)
-        second = definition._augmentation_for(3)
-        assert first is second
-        assert definition._augmentation_for(2) is not first
+        first = ExtendedTwoPhaseCommit().plan(3).augmentation
+        second = ExtendedTwoPhaseCommit().plan(3).augmentation
+        assert first is second and first.n_sites == 3
+        assert ExtendedTwoPhaseCommit().plan(2).augmentation.n_sites == 2
 
     def test_unaugmented_definition_returns_none(self):
-        assert TwoPhaseCommit()._augmentation_for(3) is None
+        assert TwoPhaseCommit().plan(3).augmentation is None
 
     def test_roles_follow_protocol_spec_states(self):
         definition = TwoPhaseCommit()
