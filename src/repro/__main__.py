@@ -28,13 +28,11 @@ Usage::
     python -m repro modelcheck --protocol all --faults loss=0.5 \\
         --faults loss=0.5,retransmit=on
     python -m repro shard --shard-index 0 --shard-count 3 \\
-        --out shard-0.jsonl --protocol all --cache .sweep-cache
-    python -m repro merge shard-0.jsonl shard-1.jsonl shard-2.jsonl \\
-        --jsonl merged.jsonl --stats-json merge-stats.json
+        --log results/ --protocol all --cache .sweep-cache
     python -m repro shard --shard-index 0 --shard-count 3 \\
-        --log results/ --protocol all --segment-records 64
-    python -m repro shard --shard-index 0 --shard-count 3 \\
-        --log results/ --manifest grids.json
+        --log results/ --manifest grids.json --segment-records 64
+    python -m repro merge --log results/ --jsonl merged.jsonl \\
+        --stats-json merge-stats.json
     python -m repro merge --log results/ --resume --jsonl merged.jsonl
 
 ``sweep --stream`` executes through the constant-memory streaming path
@@ -48,12 +46,11 @@ bounded-exhaustive exploration: every reachable global state of a protocol
 under a fault envelope is enumerated and the paper's invariants checked,
 printing minimal counterexample traces for the ones that fail.  ``shard``
 runs one deterministic slice of a sweep, throughput or modelcheck
-grid (or of a mixed-kind ``--manifest`` task list) to a self-describing
-JSONL spill -- or, with ``--log DIR``, appends it to a durable result log
-as atomically sealed segments, so an interrupted shard re-run resumes
-from its last sealed segment.  ``merge`` folds any set of shard spills
-(or, with ``--log DIR``, a whole result log, checkpointing its progress
-so ``--resume`` continues an interrupted merge exactly-once) back into
+grid (or of a mixed-kind ``--manifest`` task list), appending it to the
+durable result log ``--log DIR`` as atomically sealed segments, so an
+interrupted shard re-run resumes from its last sealed segment.  ``merge``
+folds a whole result log (checkpointing its progress so ``--resume``
+continues an interrupted merge exactly-once) back into
 aggregates byte-identical to a single-machine run -- the distribution
 surface the matrix-sharded CI pipeline drives.  Every mode reports cache hit/miss counts and
 scenarios/sec at completion; ``--stats-json PATH`` additionally writes the
@@ -737,14 +734,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
     shard = sub.add_parser(
         "shard",
-        help="run one deterministic shard of a grid to a JSONL spill",
+        help="run one deterministic shard of a grid into a result log",
         description=(
             "Partition a sweep or throughput grid into --shard-count "
             "content-addressed slices (stable under task reordering, "
             "cache-compatible with single-machine runs), execute slice "
-            "--shard-index on this machine, and spill its summaries to a "
-            "self-describing JSONL file that 'repro merge' folds back into "
-            "single-machine-identical aggregates."
+            "--shard-index on this machine, and append its summaries to a "
+            "result-log directory as sealed segments that 'repro merge' "
+            "folds back into single-machine-identical aggregates."
         ),
     )
     shard.add_argument(
@@ -762,26 +759,19 @@ def _build_parser() -> argparse.ArgumentParser:
         help="total number of slices the grid is partitioned into",
     )
     shard.add_argument(
-        "--out",
-        default=None,
-        metavar="PATH",
-        help="shard spill destination (self-describing JSON lines); "
-        "exactly one of --out / --log",
-    )
-    shard.add_argument(
         "--log",
-        default=None,
+        required=True,
         metavar="DIR",
-        help="append the shard to a durable result-log directory as sealed "
-        "segments instead of a one-shot spill; an interrupted shard re-run "
-        "against the same DIR resumes from its last sealed segment",
+        help="result-log directory the shard appends its sealed segments "
+        "to; an interrupted shard re-run against the same DIR resumes from "
+        "its last sealed segment",
     )
     shard.add_argument(
         "--segment-records",
         type=int,
         default=None,
         metavar="N",
-        help="records per sealed --log segment (default 64; the shard's "
+        help="records per sealed segment (default 64; the shard's "
         "durability granularity)",
     )
     shard.add_argument(
@@ -808,45 +798,40 @@ def _build_parser() -> argparse.ArgumentParser:
 
     merge = sub.add_parser(
         "merge",
-        help="fold shard spills into single-machine-identical aggregates",
+        help="fold a result log into single-machine-identical aggregates",
         description=(
-            "Read a set of 'repro shard' spill files, restore global task "
-            "order, and fold every summary through the registered spec "
-            "kinds' aggregation sinks.  The resulting tables (and the "
-            "optional --jsonl spill) are byte-identical to a single-machine "
-            "streaming run of the whole grid."
+            "Read the sealed segments of a 'repro shard' result log, "
+            "restore global task order, and fold every summary exactly "
+            "once through the registered spec kinds' aggregation sinks.  "
+            "The resulting tables (and the optional --jsonl spill) are "
+            "byte-identical to a single-machine streaming run of the whole "
+            "grid."
         ),
     )
     merge.add_argument(
-        "spills", nargs="*", metavar="SPILL", help="shard spill files to merge"
-    )
-    merge.add_argument(
         "--log",
-        default=None,
+        required=True,
         metavar="DIR",
-        help="merge a 'repro shard --log' result-log directory instead of "
-        "spill files (exactly one of SPILL... / --log)",
+        help="the 'repro shard --log' result-log directory to merge",
     )
     merge.add_argument(
         "--resume",
         action="store_true",
-        help="with --log: resume an interrupted merge from its checkpoint "
+        help="resume an interrupted merge from its checkpoint "
         "(committed prefix is replayed, merged JSONL bytes are kept)",
     )
     merge.add_argument(
         "--checkpoint",
         default=None,
         metavar="PATH",
-        help="with --log: merge-checkpoint location "
-        "(default: DIR/merge-checkpoint.json)",
+        help="merge-checkpoint location (default: DIR/merge-checkpoint.json)",
     )
     merge.add_argument(
         "--batch-records",
         type=int,
         default=None,
         metavar="N",
-        help="with --log: records folded between checkpoint commits "
-        "(default 256)",
+        help="records folded between checkpoint commits (default 256)",
     )
     merge.add_argument(
         "--jsonl",
@@ -1758,7 +1743,7 @@ def _manifest_tasks(args: argparse.Namespace):
                     "0",
                     "--shard-count",
                     "1",
-                    "--out",
+                    "--log",
                     os.devnull,
                     "--kind",
                     kind,
@@ -1783,10 +1768,13 @@ def _manifest_tasks(args: argparse.Namespace):
     return tasks
 
 
-def _run_shard(args: argparse.Namespace) -> int:
+def _run_shard_cmd(args: argparse.Namespace) -> int:
     from repro.engine import SweepEngine
-    from repro.engine.resultlog import DEFAULT_SEGMENT_RECORDS, run_shard_log
-    from repro.engine.shard import ShardFormatError, run_shard
+    from repro.engine.resultlog import (
+        DEFAULT_SEGMENT_RECORDS,
+        ResultLogError,
+        run_shard_log,
+    )
 
     checks = [
         (args.workers < 1, f"--workers must be >= 1, got {args.workers}"),
@@ -1798,15 +1786,6 @@ def _run_shard(args: argparse.Namespace) -> int:
         (
             not 0 <= args.shard_index < max(args.shard_count, 1),
             f"--shard-index must be in [0, {args.shard_count}), got {args.shard_index}",
-        ),
-        (
-            (args.out is None) == (args.log is None),
-            "pass exactly one of --out PATH (one-shot spill) or --log DIR "
-            "(durable result log)",
-        ),
-        (
-            args.segment_records is not None and args.log is None,
-            "--segment-records applies to --log shards only",
         ),
         (
             args.segment_records is not None and args.segment_records < 1,
@@ -1856,40 +1835,25 @@ def _run_shard(args: argparse.Namespace) -> int:
         metrics=obs_metrics,
         spans=obs_spans,
     )
-    extra_fields: dict = {}
-    if args.log is not None:
-        try:
-            result = run_shard_log(
-                tasks,
-                args.shard_index,
-                args.shard_count,
-                args.log,
-                engine=engine,
-                segment_records=args.segment_records or DEFAULT_SEGMENT_RECORDS,
-            )
-        except (ShardFormatError, OSError) as exc:
-            print(f"shard failed: {exc}", file=sys.stderr)
-            return 2
-        stats = result.stats
-        print(
-            f"shard {args.shard_index}/{args.shard_count} ({kind_label} "
-            f"grid): {result.appended} of {result.shard_tasks} task(s) "
-            f"appended to {args.log} ({result.skipped} already sealed, "
-            f"{result.segments_sealed} segment(s) sealed)"
+    try:
+        result = run_shard_log(
+            tasks,
+            args.shard_index,
+            args.shard_count,
+            args.log,
+            engine=engine,
+            segment_records=args.segment_records or DEFAULT_SEGMENT_RECORDS,
         )
-        extra_fields = {
-            "resumed_skips": result.skipped,
-            "records_appended": result.appended,
-            "segments_sealed": result.segments_sealed,
-        }
-    else:
-        stats = run_shard(
-            tasks, args.shard_index, args.shard_count, args.out, engine=engine
-        )
-        print(
-            f"shard {args.shard_index}/{args.shard_count} ({kind_label} grid): "
-            f"{stats.total} of {len(tasks)} task(s) spilled to {args.out}"
-        )
+    except (ResultLogError, OSError) as exc:
+        print(f"shard failed: {exc}", file=sys.stderr)
+        return 2
+    stats = result.stats
+    print(
+        f"shard {args.shard_index}/{args.shard_count} ({kind_label} "
+        f"grid): {result.appended} of {result.shard_tasks} task(s) "
+        f"appended to {args.log} ({result.skipped} already sealed, "
+        f"{result.segments_sealed} segment(s) sealed)"
+    )
     _print_stats(stats, args.workers, engine.cache)
     payload = _run_stats_payload("shard", stats, engine.cache)
     payload.update(
@@ -1898,7 +1862,9 @@ def _run_shard(args: argparse.Namespace) -> int:
             "shard_index": args.shard_index,
             "shard_count": args.shard_count,
             "total_tasks": len(tasks),
-            **extra_fields,
+            "resumed_skips": result.skipped,
+            "records_appended": result.appended,
+            "segments_sealed": result.segments_sealed,
         }
     )
     _write_stats_json(args.stats_json, payload)
@@ -1914,38 +1880,18 @@ def _run_merge(args: argparse.Namespace) -> int:
     from repro.engine.resultlog import (
         DEFAULT_BATCH_RECORDS,
         InjectedMergeCrash,
+        ResultLogError,
         merge_result_log,
     )
-    from repro.engine.shard import ShardFormatError, merge_shards
     from repro.metrics.reporting import format_table
     from repro.obs.metrics import activate
 
-    checks = [
-        (
-            bool(args.spills) == (args.log is not None),
-            "pass exactly one source: SPILL files or --log DIR",
-        ),
-        (
-            args.log is None and args.resume,
-            "--resume applies to --log merges only",
-        ),
-        (
-            args.log is None and args.checkpoint is not None,
-            "--checkpoint applies to --log merges only",
-        ),
-        (
-            args.log is None and args.batch_records is not None,
-            "--batch-records applies to --log merges only",
-        ),
-        (
-            args.batch_records is not None and args.batch_records < 1,
+    if args.batch_records is not None and args.batch_records < 1:
+        print(
             f"--batch-records must be >= 1, got {args.batch_records}",
-        ),
-    ]
-    for failed, message in checks:
-        if failed:
-            print(message, file=sys.stderr)
-            return 2
+            file=sys.stderr,
+        )
+        return 2
     crash_env = os.environ.get("REPRO_MERGE_CRASH_AFTER")
     try:
         crash_after = int(crash_env) if crash_env else None
@@ -1956,39 +1902,27 @@ def _run_merge(args: argparse.Namespace) -> int:
         )
         return 2
     obs_metrics, obs_spans = _make_obs(args)
-    span_fields = (
-        {"log": str(args.log)}
-        if args.log is not None
-        else {"spills": len(args.spills)}
-    )
     try:
         with (
             activate(obs_metrics) if obs_metrics is not None else nullcontext()
         ), (
-            obs_spans.span("merge", **span_fields)
+            obs_spans.span("merge", log=str(args.log))
             if obs_spans is not None
             else nullcontext()
         ):
-            if args.log is not None:
-                result = merge_result_log(
-                    args.log,
-                    jsonl=args.jsonl,
-                    checkpoint=args.checkpoint,
-                    resume=args.resume,
-                    require_complete=not args.allow_partial,
-                    batch_records=args.batch_records or DEFAULT_BATCH_RECORDS,
-                    crash_after=crash_after,
-                )
-            else:
-                result = merge_shards(
-                    args.spills,
-                    jsonl=args.jsonl,
-                    require_complete=not args.allow_partial,
-                )
+            result = merge_result_log(
+                args.log,
+                jsonl=args.jsonl,
+                checkpoint=args.checkpoint,
+                resume=args.resume,
+                require_complete=not args.allow_partial,
+                batch_records=args.batch_records or DEFAULT_BATCH_RECORDS,
+                crash_after=crash_after,
+            )
     except InjectedMergeCrash as exc:
         print(f"merge interrupted: {exc}", file=sys.stderr)
         return 3
-    except (ShardFormatError, UnknownSpecKindError, OSError) as exc:
+    except (ResultLogError, UnknownSpecKindError, OSError) as exc:
         print(f"merge failed: {exc}", file=sys.stderr)
         return 2
     for sink in result.kind_sinks.values():
@@ -1997,40 +1931,29 @@ def _run_merge(args: argparse.Namespace) -> int:
             print(format_table(rows))
     if args.jsonl is not None:
         print(f"spilled {result.records} merged summaries to {args.jsonl}")
-    if args.log is not None:
-        print(
-            f"merged {result.records} record(s) from {result.segments} "
-            f"sealed segment(s) across {len(result.headers)} shard(s) "
-            f"(grid of {result.total_tasks} task(s), {result.deduped} "
-            f"deduped, {result.replayed} replayed from checkpoint, "
-            f"{result.elapsed:.2f}s)"
-        )
-    else:
-        print(
-            f"merged {result.records} record(s) from {len(result.headers)} "
-            f"shard spill(s) (grid of {result.total_tasks} task(s), "
-            f"{result.elapsed:.2f}s)"
-        )
+    print(
+        f"merged {result.records} record(s) from {result.segments} "
+        f"sealed segment(s) across {len(result.shard_records)} shard(s) "
+        f"(grid of {result.total_tasks} task(s), {result.deduped} "
+        f"deduped, {result.replayed} replayed from checkpoint, "
+        f"{result.elapsed:.2f}s)"
+    )
     # Deliberately excluded from the stats payload: the replayed count,
     # which differs between a resumed and an uninterrupted merge of the
     # same log -- everything written here is a property of the log itself,
     # so resumed stats match single-shot stats (modulo elapsed).
-    log_fields = (
-        {"segments": result.segments, "records_deduped": result.deduped}
-        if args.log is not None
-        else {}
-    )
     _write_stats_json(
         args.stats_json,
         _stats_payload(
             "merge",
-            shards=len(result.headers),
+            shards=len(result.shard_records),
             shard_count=result.shard_count,
             records=result.records,
             total_tasks=result.total_tasks,
             kinds=sorted(result.kind_sinks),
             elapsed=round(result.elapsed, 6),
-            **log_fields,
+            segments=result.segments,
+            records_deduped=result.deduped,
         ),
     )
     if obs_metrics is not None:
@@ -2222,7 +2145,7 @@ def main(argv: list[str] | None = None) -> int:
     if args.command == "modelcheck":
         return _run_modelcheck(args)
     if args.command == "shard":
-        return _run_shard(args)
+        return _run_shard_cmd(args)
     if args.command == "merge":
         return _run_merge(args)
     if args.command == "boundaries":

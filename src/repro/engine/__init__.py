@@ -22,15 +22,14 @@ Scenario families are open: :mod:`~repro.engine.registry` is a spec-kind
 registration point (spec dataclass + task executor + summary codec +
 default sink factory) the engine, cache, sinks and CLI all resolve
 through, so new spec types plug in with one ``register_spec_kind`` call.
-:mod:`~repro.engine.shard` distributes a sweep across machines: a
-deterministic, content-addressed shard partition, self-describing JSONL
-spills, and a merge that reproduces single-machine aggregates
-byte-identically.  :mod:`~repro.engine.resultlog` makes that pipeline
-durable: shards append atomically-sealed segments to a shared log
-directory (interrupted shards resume from their last sealed segment) and
-:func:`~repro.engine.resultlog.merge_result_log` folds the log through
-checkpointed, outbox-committed batches so an interrupted merge resumes
-exactly-once.
+:mod:`~repro.engine.resultlog` distributes a sweep across machines: a
+deterministic, content-addressed shard partition; shards that append
+atomically-sealed segments to a shared log directory (interrupted shards
+resume from their last sealed segment); and
+:func:`~repro.engine.resultlog.merge_result_log`, which folds the log
+through checkpointed, outbox-committed batches -- an interrupted merge
+resumes exactly-once -- into aggregates byte-identical to a
+single-machine run.
 
 Every experiment sweep, benchmark and the ``repro sweep`` / ``repro
 boundaries`` / ``repro shard`` / ``repro merge`` CLI subcommands run on
@@ -63,8 +62,8 @@ from repro.engine.registry import (
 )
 from repro.engine.resultlog import (
     InjectedMergeCrash,
-    LogMergeResult,
     MergeCursor,
+    MergeResult,
     ResultLogError,
     ResultLogWriter,
     ShardLogResult,
@@ -72,17 +71,9 @@ from repro.engine.resultlog import (
     merge_result_log,
     read_segment,
     run_shard_log,
-    write_segment,
-)
-from repro.engine.shard import (
-    MergeResult,
-    ShardFormatError,
-    ShardHeader,
-    merge_shards,
-    read_shard,
-    run_shard,
     shard_of,
     shard_tasks,
+    write_segment,
 )
 from repro.engine.sink import (
     AtomicitySink,
@@ -108,7 +99,6 @@ __all__ = [
     "InjectedMergeCrash",
     "JsonlSink",
     "ListSink",
-    "LogMergeResult",
     "MergeCursor",
     "MergeResult",
     "OnsetLine",
@@ -119,8 +109,6 @@ __all__ = [
     "ResultLogWriter",
     "RunSummary",
     "ScenarioGrid",
-    "ShardFormatError",
-    "ShardHeader",
     "ShardLogResult",
     "SpecKind",
     "StreamStats",
@@ -138,14 +126,11 @@ __all__ = [
     "kind_for_spec",
     "kind_for_tag",
     "merge_result_log",
-    "merge_shards",
     "read_jsonl",
     "read_segment",
-    "read_shard",
     "register_measure",
     "register_spec_kind",
     "registered_kinds",
-    "run_shard",
     "run_shard_log",
     "shard_of",
     "shard_tasks",

@@ -27,7 +27,7 @@ from repro.protocols.runner import ScenarioSpec
 #: hash-optional field still at its default is omitted from the canonical
 #: text entirely, so specs that grow new optional knobs (``faults``,
 #: ``lock_transport``) keep hashing byte-identically to the format that
-#: predates them -- existing caches, golden tables and shard spills carry
+#: predates them -- existing caches, golden tables and shard result logs carry
 #: over unchanged.
 _FIELD_NAMES: dict[type, tuple[tuple[str, ...], bool, dict[str, Any]]] = {}
 

@@ -1,10 +1,20 @@
-"""Durable, log-structured result log with incremental, resumable merge.
+"""Distributed sweeps: shard partition, durable result log, resumable merge.
 
-:mod:`repro.engine.shard`'s one-shot spills make sharded runs all-or-nothing:
-a killed shard re-executes from scratch and an interrupted ``repro merge``
-restarts from record zero.  This module replaces the spill with the
-outbox / commit-offset pattern (the Kafka notes ROADMAP item 3 cites):
+A sweep that outgrows one machine splits into *shards*: deterministic
+slices of the task list that any number of machines (or CI jobs) run
+independently, each appending its results to a shared log directory.
+:func:`merge_result_log` then folds the log -- in global task order --
+through the registered spec kinds' aggregation sinks, producing aggregates
+(and an optional merged JSONL spill) **byte-identical** to a single-machine
+streaming run of the whole task list.  The sealed segment is the only
+on-disk result unit; producer and consumer follow the outbox /
+commit-offset pattern:
 
+* **Membership is content-addressed.**  A task belongs to shard
+  ``int(spec_hash[:16], 16) % shard_count`` (:func:`shard_of`), so the
+  partition is stable under task-list reordering and is
+  cache-compatible: shards share the same ``(spec-hash, seed)`` result
+  cache keys as single-machine runs, and a warm cache serves any shard.
 * **Sealed segments.**  A shard appends fixed-size *segment* files to a
   shared log directory.  Each segment is a header line, up to
   ``segment_records`` record lines, and a footer carrying the record count
@@ -34,9 +44,10 @@ outbox / commit-offset pattern (the Kafka notes ROADMAP item 3 cites):
   hashes (shards run against different grids) is rejected with an error
   naming the index.
 
-Every spec kind registered with :mod:`repro.engine.registry` gets this
-resumability for free -- sweep, throughput and modelcheck grids all log and
-merge through the same record format the spills already use.
+Every spec kind registered with :mod:`repro.engine.registry` shards, logs
+and merges with no code here changing -- sweep, throughput and modelcheck
+grids share one record framing; the CI pipeline's matrix-sharded sweep is
+the first multi-machine consumer.
 """
 
 from __future__ import annotations
@@ -47,15 +58,16 @@ import os
 import pathlib
 import re
 import time
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Any, IO, Mapping, Optional, Sequence, Union
 
 from repro.core.canonical import canonical_json_bytes
 from repro.engine.engine import StreamStats, SweepEngine, TaskBatch
+from repro.engine.grid import SweepTask
 from repro.engine.registry import kind_for_payload
-from repro.engine.shard import MergeResult, ShardFormatError, ShardHeader, shard_tasks
 from repro.engine.sink import SummarySink
-from repro.obs.metrics import COUNT_BUCKETS, get_active as _active_metrics
+from repro.obs.metrics import COUNT_BUCKETS, activate, get_active as _active_metrics
 
 #: Version stamp of the segment / checkpoint format; bumped on
 #: incompatible layout changes.
@@ -77,12 +89,8 @@ _CHECKPOINT_KIND = "merge-checkpoint"
 _SEGMENT_RE = re.compile(r"^shard-(\d{4})-seg-(\d{6})\.jsonl$")
 
 
-class ResultLogError(ShardFormatError):
-    """A result-log artifact (segment, checkpoint, or set) is invalid.
-
-    Subclasses :class:`~repro.engine.shard.ShardFormatError` so callers
-    handling spill-format failures handle log failures the same way.
-    """
+class ResultLogError(ValueError):
+    """A result-log artifact (segment, checkpoint, or set) is invalid."""
 
 
 class InjectedMergeCrash(RuntimeError):
@@ -91,6 +99,40 @@ class InjectedMergeCrash(RuntimeError):
     Raised only when a crash point was explicitly requested (tests, the
     ``REPRO_MERGE_CRASH_AFTER`` CI smoke); never during normal merges.
     """
+
+
+def shard_of(spec_hash: str, shard_count: int) -> int:
+    """The shard owning one task, derived from its stable spec hash alone.
+
+    Content-addressed assignment keeps the partition independent of task
+    order: reordering or interleaving grids never moves a task between
+    shards, and the assignment is reproducible on any machine.
+    """
+    if shard_count < 1:
+        raise ValueError(f"shard_count must be >= 1, got {shard_count}")
+    return int(spec_hash[:16], 16) % shard_count
+
+
+def shard_tasks(
+    tasks: TaskBatch, shard_index: int, shard_count: int
+) -> list[tuple[int, SweepTask]]:
+    """The ``(global index, task)`` pairs belonging to one shard.
+
+    Global indices refer to positions in the *full* task list; the merge
+    step uses them to restore global task order across shards.
+    """
+    if shard_count < 1:
+        raise ValueError(f"shard_count must be >= 1, got {shard_count}")
+    if not 0 <= shard_index < shard_count:
+        raise ValueError(
+            f"shard_index must be in [0, {shard_count}), got {shard_index}"
+        )
+    task_list = SweepEngine._materialize(tasks)
+    return [
+        (index, task)
+        for index, task in enumerate(task_list)
+        if shard_of(task.spec_hash, shard_count) == shard_index
+    ]
 
 
 def segment_name(shard_index: int, segment_index: int) -> str:
@@ -112,6 +154,24 @@ def _atomic_write(path: pathlib.Path, data: bytes) -> None:
         handle.flush()
         os.fsync(handle.fileno())
     os.replace(tmp, path)
+
+
+def _json_object(text: bytes, where: str) -> dict[str, Any]:
+    """Decode one artifact line, which must hold a JSON object.
+
+    Segments and checkpoints arrive from other machines; anything that is
+    not an object is a :class:`ResultLogError` naming ``where``, never an
+    ``AttributeError`` further down.
+    """
+    try:
+        payload = json.loads(text)
+    except ValueError as exc:
+        raise ResultLogError(f"{where}: not JSON ({exc})") from exc
+    if not isinstance(payload, dict):
+        raise ResultLogError(
+            f"{where}: expected a JSON object, got {type(payload).__name__}"
+        )
+    return payload
 
 
 def _content_hash(record_lines: Sequence[bytes]) -> str:
@@ -256,10 +316,7 @@ def read_segment(
                 continue
             if footer is not None:
                 raise ResultLogError(f"{path}:{number}: data after the footer")
-            try:
-                payload = json.loads(line.decode("utf-8"))
-            except ValueError as exc:
-                raise ResultLogError(f"{path}:{number}: not JSON ({exc})") from exc
+            payload = _json_object(line, f"{path}:{number}")
             if header is None:
                 header = SegmentHeader.from_json_dict(payload)
                 continue
@@ -286,6 +343,11 @@ def read_segment(
                     f"one segment"
                 )
             seen.add(index)
+            if not isinstance(payload["summary"], dict):
+                raise ResultLogError(
+                    f"{path}:{number}: summary of task index {index} is not "
+                    f"a JSON object"
+                )
             records.append((index, payload["summary"]))
             record_lines.append(raw if raw.endswith(b"\n") else raw + b"\n")
     if header is None:
@@ -497,6 +559,12 @@ def run_shard_log(
     if metrics is not None:
         metrics.counter("resultlog.resume.skipped").inc(len(covered))
         metrics.counter("shard.tasks").inc(len(remaining))
+        # Skew: this shard's load relative to a perfectly even partition
+        # (1.0 = exactly its fair share).  Content-addressed assignment is
+        # balanced only in expectation; this gauge shows the actual spread.
+        ideal = len(task_list) / shard_count
+        if ideal > 0:
+            metrics.gauge("shard.skew").set(len(selected) / ideal)
     writer = ResultLogWriter(
         log_dir,
         shard_index=shard_index,
@@ -506,9 +574,12 @@ def run_shard_log(
         segment_records=segment_records,
         start_segment=next_segment,
     )
-    stats = engine.run_streaming(
-        [task for _, task in remaining], sinks=writer, measures=measures
-    )
+    # The engine keeps its registry active only while the stream runs; the
+    # writer seals its trailing segment in close(), after that.
+    with activate(metrics) if metrics is not None else nullcontext():
+        stats = engine.run_streaming(
+            [task for _, task in remaining], sinks=writer, measures=measures
+        )
     return ShardLogResult(
         stats=stats,
         shard_tasks=len(selected),
@@ -569,6 +640,14 @@ class MergeCursor:
                 raise ResultLogError(
                     f"malformed {_CHECKPOINT_KIND}: {name}={payload.get(name)!r}"
                 )
+        offsets = payload.get("offsets", {})
+        if not isinstance(offsets, dict) or not all(
+            isinstance(segments, dict) for segments in offsets.values()
+        ):
+            raise ResultLogError(
+                f"malformed {_CHECKPOINT_KIND}: offsets={offsets!r} "
+                f"(expected an object of per-shard objects)"
+            )
         return cls(
             shard_count=payload["shard_count"],
             total_tasks=payload["total_tasks"],
@@ -576,8 +655,7 @@ class MergeCursor:
             jsonl_bytes=payload["jsonl_bytes"],
             fold_hash=payload.get("fold_hash", ""),
             offsets={
-                str(shard): dict(segments)
-                for shard, segments in payload.get("offsets", {}).items()
+                str(shard): dict(segments) for shard, segments in offsets.items()
             },
             format=payload["format"],
         )
@@ -588,11 +666,7 @@ class MergeCursor:
         path = pathlib.Path(path)
         if not path.exists():
             return None
-        try:
-            payload = json.loads(path.read_text("utf-8"))
-        except ValueError as exc:
-            raise ResultLogError(f"{path}: checkpoint is not JSON ({exc})") from exc
-        return cls.from_json_dict(payload)
+        return cls.from_json_dict(_json_object(path.read_bytes(), f"{path}"))
 
     def save(self, path: Union[str, os.PathLike]) -> None:
         """Commit the checkpoint atomically (temp-then-rename, fsynced)."""
@@ -602,9 +676,23 @@ class MergeCursor:
 
 
 @dataclass
-class LogMergeResult(MergeResult):
-    """A :class:`~repro.engine.shard.MergeResult` plus log-merge accounting."""
+class MergeResult:
+    """The outcome of folding a result log back together.
 
+    ``kind_sinks`` maps each spec kind seen in the log to its registered
+    default sink, fully folded in global task order -- the same aggregates
+    a single-machine streaming run of the whole task list would leave.
+    ``shard_records`` counts, per shard present in the log, the records it
+    contributed to the fold (duplicates count for the shard sealed first).
+    """
+
+    records: int
+    kind_sinks: dict[str, Any]
+    shard_count: int
+    total_tasks: int
+    shard_records: dict[int, int]
+    jsonl_path: Optional[pathlib.Path] = None
+    elapsed: float = 0.0
     deduped: int = 0
     replayed: int = 0
     segments: int = 0
@@ -632,7 +720,7 @@ def merge_result_log(
     require_complete: bool = True,
     batch_records: int = DEFAULT_BATCH_RECORDS,
     crash_after: Optional[int] = None,
-) -> LogMergeResult:
+) -> MergeResult:
     """Fold a result log into single-machine-identical aggregates, resumably.
 
     Records from every sealed segment are deduplicated by ``(global task
@@ -640,8 +728,13 @@ def merge_result_log(
     index under two *different* spec hashes is an error -- then sorted by
     global index and folded through (a) the registered default sink of each
     record's spec kind, (b) every sink in ``sinks``, and (c) the optional
-    merged JSONL spill, exactly like
-    :func:`~repro.engine.shard.merge_shards`.
+    merged JSONL spill whose bytes equal a single-machine
+    :class:`~repro.engine.sink.JsonlSink` spill of the same task list.
+
+    With ``require_complete`` (the default), the log must cover every shard
+    and every task index; errors name the missing shards or indices.  Pass
+    ``require_complete=False`` to fold a partial log (aggregates then cover
+    only the shards present).
 
     After every ``batch_records`` folded records the merged JSONL is flushed
     and a :class:`MergeCursor` checkpoint is committed atomically (the
@@ -671,13 +764,11 @@ def merge_result_log(
     first_header: Optional[SegmentHeader] = None
     merged: dict[int, dict[str, Any]] = {}
     source: dict[int, tuple[int, int]] = {}  # index -> (shard, segment)
-    shard_kinds: dict[int, set[str]] = {}
     shard_records: dict[int, int] = {}
     deduped = 0
     segment_count = 0
     for shard_index in sorted(by_shard):
-        shard_kinds.setdefault(shard_index, set())
-        shard_records.setdefault(shard_index, 0)
+        shard_records[shard_index] = 0
         for segment_index, path in by_shard[shard_index]:
             before = time.perf_counter()
             header, _, records = read_segment(path)
@@ -700,8 +791,9 @@ def merge_result_log(
                 )
             segment_count += 1
             for index, payload in records:
-                kind_name = kind_for_payload(payload).name
-                shard_kinds[shard_index].add(kind_name)
+                # An unregistered kind fails here, before the fold has
+                # written or committed anything.
+                kind_for_payload(payload)
                 if index in merged:
                     previous = merged[index].get("spec_hash")
                     current = payload.get("spec_hash")
@@ -797,10 +889,14 @@ def merge_result_log(
             handle = open(jsonl_path, "ab")
         else:
             handle = open(jsonl_path, "wb")
-    elif replay_count == 0 and cursor.jsonl_bytes > 0:
+    elif cursor.jsonl_bytes > 0:
+        # Folding on would commit a "complete" checkpoint beside the
+        # partial spill the interrupted merge left behind.
         raise ResultLogError(
-            f"{checkpoint_path}: checkpoint committed jsonl bytes but this "
-            f"merge has no --jsonl target"
+            f"{checkpoint_path}: resuming a merge that committed "
+            f"{cursor.jsonl_bytes} byte(s) of merged JSONL but this merge "
+            f"has no --jsonl target; pass the same --jsonl or restart the "
+            f"merge without resume"
         )
 
     kind_sinks: dict[str, Any] = {}
@@ -880,24 +976,21 @@ def merge_result_log(
         metrics.counter("merge.shards").inc(len(by_shard))
         metrics.counter("resultlog.records.deduped").inc(deduped)
         metrics.counter("resultlog.resume.replayed").inc(replay_count)
+        mean = len(order) / len(by_shard)
         metrics.histogram(
             "merge.records_per_shard", bounds=COUNT_BUCKETS
-        ).observe(float(len(order) / max(1, len(by_shard))))
-
-    headers = [
-        ShardHeader(
-            shard_index=shard_index,
-            shard_count=shard_count,
-            total_tasks=total_tasks,
-            shard_tasks=shard_records[shard_index],
-            spec_kinds=tuple(sorted(shard_kinds[shard_index])),
-        )
-        for shard_index in sorted(by_shard)
-    ]
-    return LogMergeResult(
-        headers=headers,
+        ).observe(mean)
+        if mean > 0:
+            # Skew across the merged shards: heaviest shard over the mean
+            # (1.0 = perfectly even).  The number that says whether the
+            # matrix's wall clock is gated on one overloaded shard.
+            metrics.gauge("merge.skew").set(max(shard_records.values()) / mean)
+    return MergeResult(
         records=len(order),
         kind_sinks=kind_sinks,
+        shard_count=shard_count,
+        total_tasks=total_tasks,
+        shard_records=shard_records,
         jsonl_path=jsonl_path,
         elapsed=time.perf_counter() - started,
         deduped=deduped,

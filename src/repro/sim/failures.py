@@ -399,7 +399,7 @@ def normalize_fault_plan(plan: Optional["FaultPlan"]) -> Optional["FaultPlan"]:
     """Collapse the identity plan to ``None``.
 
     Specs store ``None`` for "no faults" so their canonical hash -- and every
-    golden table, cache key and shard spill derived from it -- is
+    golden table, cache key and sealed shard record derived from it -- is
     byte-identical to the pre-FaultPlan format.
     """
     if plan is not None and plan.is_none():

@@ -15,8 +15,7 @@ single-machine streaming run.
 import pytest
 
 from repro.core.reachability import FAILURE_FREE, PARTITION, SINGLE_CRASH
-from repro.engine import JsonlSink, SweepEngine
-from repro.engine.shard import merge_shards, run_shard
+from repro.engine import JsonlSink, SweepEngine, merge_result_log, run_shard_log
 from repro.experiments.modelcheck import modelcheck_tasks
 from repro.modelcheck.checker import check_model
 from repro.modelcheck.differential import (
@@ -159,13 +158,10 @@ def test_modelcheck_shard_merge_matches_single_machine(tmp_path):
     tasks = _grid()
     single = tmp_path / "single.jsonl"
     _spill(single, workers=1)
-    spills = []
     for index in range(3):
-        out = tmp_path / f"shard-{index}.jsonl"
-        run_shard(tasks, index, 3, out, engine=SweepEngine())
-        spills.append(out)
+        run_shard_log(tasks, index, 3, tmp_path / "log", engine=SweepEngine())
     merged = tmp_path / "merged.jsonl"
-    result = merge_shards([str(s) for s in spills], jsonl=str(merged))
+    result = merge_result_log(tmp_path / "log", jsonl=merged)
     assert merged.read_bytes() == single.read_bytes()
     assert result.records == len(tasks)
     assert "modelcheck" in result.kind_sinks

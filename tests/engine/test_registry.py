@@ -32,11 +32,11 @@ from repro.engine import (
     kind_for_payload,
     kind_for_spec,
     kind_for_tag,
-    merge_shards,
+    merge_result_log,
     read_jsonl,
     register_spec_kind,
     registered_kinds,
-    run_shard,
+    run_shard_log,
     summary_from_json_dict,
     unregister_spec_kind,
 )
@@ -299,13 +299,12 @@ class TestToyThirdKind:
     def test_shard_merge_matches_single_machine_run(self, toy_kind, toy_tasks, tmp_path):
         single = tmp_path / "single.jsonl"
         SweepEngine(workers=1).run_streaming(toy_tasks, sinks=JsonlSink(single))
-        spills = []
         for index in range(3):
-            spill = tmp_path / f"shard-{index}.jsonl"
-            run_shard(toy_tasks, index, 3, spill, engine=SweepEngine(workers=1))
-            spills.append(spill)
+            run_shard_log(
+                toy_tasks, index, 3, tmp_path / "log", engine=SweepEngine(workers=1)
+            )
         merged = tmp_path / "merged.jsonl"
-        result = merge_shards(spills, jsonl=merged)
+        result = merge_result_log(tmp_path / "log", jsonl=merged)
         assert merged.read_bytes() == single.read_bytes()
         assert result.kind_sinks["toy"].rows() == [{"records": 6, "total": 42}]
 

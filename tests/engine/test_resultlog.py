@@ -1,9 +1,11 @@
 """Durable result log: sealed segments, shard resume, resumable merge.
 
-The acceptance bar of the crash-safe pipeline: an interrupted
-``merge_result_log`` resumed from its checkpoint must reproduce -- byte
-for byte -- the merged JSONL and sink aggregates of an uninterrupted
-single-machine run, for the sweep, throughput AND modelcheck kinds, at
+The acceptance bar of the distributed runner: ``merge_result_log`` over
+any complete log must reproduce -- byte for byte -- the JSONL spill and
+sink aggregates of a single-machine streaming run of the whole task list,
+for the sweep, throughput AND modelcheck kinds, at any worker count, with
+warm or cold caches.  And of the crash-safe pipeline: an interrupted merge
+resumed from its checkpoint must reproduce the same bytes at
 every possible interruption point, with late or re-run shards folded
 exactly once.  Segments must never exist half-written: any file matching
 the segment name pattern is complete and verifiable.
@@ -21,7 +23,6 @@ from repro.engine import (
     ResultLogError,
     ResultLogWriter,
     ScenarioGrid,
-    ShardFormatError,
     SweepEngine,
     SweepTask,
     discover_segments,
@@ -35,7 +36,15 @@ from repro.engine.resultlog import CHECKPOINT_NAME, SegmentHeader, segment_name
 from repro.engine.sink import VerdictCounterSink
 from repro.modelcheck.sink import ModelCheckSink
 from repro.modelcheck.spec import ModelCheckSpec
-from repro.txn import ThroughputSpec
+from repro.protocols.runner import ScenarioSpec
+from repro.sim.failures import (
+    ByzantineSpec,
+    CrashSchedule,
+    FaultPlan,
+    LinkFault,
+    RetransmitPolicy,
+)
+from repro.txn import DeadlockPolicy, RetryPolicy, ThroughputSpec
 from repro.txn.sink import ThroughputSink
 
 N_SHARDS = 3
@@ -53,15 +62,69 @@ def sweep_tasks():
 
 @pytest.fixture(scope="module")
 def tput_tasks():
-    """2 protocols x 2 seeds of a small closed-loop workload."""
-    return [
+    """2 protocols x (closed-loop + open-loop retry/Poisson/crash) x 2 seeds."""
+    tasks = []
+    for protocol in ("two-phase-commit", "terminating-three-phase-commit"):
+        for seed in (0, 1):
+            tasks.append(
+                SweepTask(
+                    protocol=protocol,
+                    spec=ThroughputSpec(n_transactions=10, tx_rate=1.0, seed=seed),
+                )
+            )
+            tasks.append(
+                SweepTask(
+                    protocol=protocol,
+                    spec=ThroughputSpec(
+                        n_transactions=10,
+                        tx_rate=2.0,
+                        arrival="poisson",
+                        hotspot=1.0,
+                        n_keys=3,
+                        op_delay=0.2,
+                        seed=seed,
+                        crashes=CrashSchedule.single(2, 4.0, recover_at=8.0),
+                        deadlock=DeadlockPolicy(wait_timeout=3.0),
+                        retry=RetryPolicy(max_attempts=2, backoff=0.5),
+                    ),
+                )
+            )
+    return tasks
+
+
+@pytest.fixture(scope="module")
+def fault_tasks():
+    """Mixed-kind grid under fault plans: lossy scenarios with and without
+    the retransmission layer, a Byzantine master, and a lossy-retransmit
+    throughput workload over the network lock transport."""
+    lossy = FaultPlan(links=(LinkFault(loss=0.3),), seed=11)
+    lossy_rtx = FaultPlan(
+        links=(LinkFault(loss=0.3),), retransmit=RetransmitPolicy(), seed=11
+    )
+    byzantine = FaultPlan(byzantine=(ByzantineSpec(site=1),), seed=13)
+    tasks = [
         SweepTask(
             protocol=protocol,
-            spec=ThroughputSpec(n_transactions=8, tx_rate=1.0, seed=seed),
+            spec=ScenarioSpec(n_sites=3, seed=seed, faults=plan),
         )
         for protocol in ("two-phase-commit", "terminating-three-phase-commit")
+        for plan in (lossy, lossy_rtx, byzantine)
         for seed in (0, 1)
     ]
+    for seed in (0, 1):
+        tasks.append(
+            SweepTask(
+                protocol="two-phase-commit",
+                spec=ThroughputSpec(
+                    n_transactions=8,
+                    tx_rate=2.0,
+                    seed=seed,
+                    faults=lossy_rtx,
+                    retry=RetryPolicy(max_attempts=2, backoff=0.5),
+                ),
+            )
+        )
+    return tasks
 
 
 @pytest.fixture(scope="module")
@@ -79,14 +142,17 @@ def _single_machine(tasks, path, sinks=()):
     return path
 
 
-def _log_all(tasks, log_dir, *, n_shards=N_SHARDS, segment_records=4):
+def _log_all(
+    tasks, log_dir, *, n_shards=N_SHARDS, segment_records=4, workers=1, cache=None
+):
     for index in range(n_shards):
         run_shard_log(
             tasks,
             index,
             n_shards,
             log_dir,
-            engine=SweepEngine(workers=1),
+            # chunk_size=1 so a multi-worker shard really interleaves workers.
+            engine=SweepEngine(workers=workers, cache=cache, chunk_size=1),
             segment_records=segment_records,
         )
     return log_dir
@@ -154,6 +220,30 @@ class TestSegmentFormat:
         data = path.read_bytes().replace(b'"format":1', b'"format":99')
         path.write_bytes(data)
         with pytest.raises(ResultLogError, match="format 99"):
+            read_segment(path)
+
+    @pytest.mark.parametrize(
+        "number, line, match",
+        [
+            # Valid JSON that is not an object, at every line role.
+            (1, b"[1]", r":1: expected a JSON object, got list"),
+            (2, b"3", r":2: expected a JSON object, got int"),
+            (4, b'"footer"', r":4: expected a JSON object, got str"),
+            (2, b"{not json", r":2: not JSON"),
+            (1, b'{"kind":"segment-header","format":1}', r"shard_index=None"),
+            (1, b'{"index":0,"summary":{}}', r"expected a 'segment-header'"),
+            (2, b'{"index":"0","summary":{}}', r":2: task index '0' is not an integer"),
+            (2, b'{"index":0,"summary":[1]}', r":2: summary of task index 0 is not"),
+        ],
+    )
+    def test_malformed_line_is_a_typed_error_naming_it(
+        self, number, line, match, tmp_path
+    ):
+        path = _fake_segment(tmp_path / segment_name(0, 0), indices=[0, 1])
+        lines = path.read_bytes().splitlines()  # header, 2 records, footer
+        lines[number - 1] = line
+        path.write_bytes(b"\n".join(lines) + b"\n")
+        with pytest.raises(ResultLogError, match=match):
             read_segment(path)
 
     def test_discovery_ignores_non_segment_files(self, tmp_path):
@@ -247,10 +337,13 @@ class TestShardResume:
 class TestLogMergeByteIdentity:
     """Uninterrupted log merges equal single-machine runs, per kind."""
 
-    def test_sweep_kind(self, sweep_tasks, tmp_path):
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_sweep_kind(self, workers, sweep_tasks, tmp_path):
+        # The single-machine reference is always serial: sharded workers
+        # must not change a byte.
         counter = VerdictCounterSink()
         single = _single_machine(sweep_tasks, tmp_path / "single.jsonl", [counter])
-        log = _log_all(sweep_tasks, tmp_path / "log")
+        log = _log_all(sweep_tasks, tmp_path / "log", workers=workers)
         result = merge_result_log(log, jsonl=tmp_path / "merged.jsonl")
         assert (tmp_path / "merged.jsonl").read_bytes() == single.read_bytes()
         assert result.kind_sinks["scenario"].rows() == counter.rows()
@@ -279,6 +372,27 @@ class TestLogMergeByteIdentity:
         result = merge_result_log(log, jsonl=tmp_path / "merged.jsonl")
         assert (tmp_path / "merged.jsonl").read_bytes() == single.read_bytes()
         assert set(result.kind_sinks) == {"scenario", "throughput", "modelcheck"}
+
+    def test_fault_plan_grid(self, fault_tasks, tmp_path):
+        # Fault realizations come from the plan's seeded RNG, so sharding a
+        # lossy/Byzantine grid must stay byte-identical to one machine --
+        # and the mixed scenario+throughput log must interleave stably.
+        single = _single_machine(fault_tasks, tmp_path / "single.jsonl")
+        log = _log_all(fault_tasks, tmp_path / "log", workers=2)
+        result = merge_result_log(log, jsonl=tmp_path / "merged.jsonl")
+        assert (tmp_path / "merged.jsonl").read_bytes() == single.read_bytes()
+        assert set(result.kind_sinks) == {"scenario", "throughput"}
+
+    def test_shards_share_the_result_cache_with_single_runs(
+        self, sweep_tasks, tmp_path
+    ):
+        cache = tmp_path / "cache"
+        _log_all(sweep_tasks, tmp_path / "log", cache=cache)
+        warm = SweepEngine(workers=1, cache=cache).run_streaming(
+            sweep_tasks, sinks=JsonlSink(tmp_path / "warm.jsonl")
+        )
+        assert warm.executed == 0
+        assert warm.cache_hits == len(sweep_tasks)
 
 
 class TestMergeCrashResume:
@@ -422,16 +536,66 @@ class TestMergeCrashResume:
         with pytest.raises(ResultLogError, match="missing"):
             merge_result_log(log, jsonl=merged, resume=True)
 
+    def test_resume_without_the_jsonl_target_is_rejected(
+        self, sweep_tasks, tmp_path
+    ):
+        # The interrupted merge committed JSONL bytes; resuming it with no
+        # JSONL target must not fold on and commit a "complete" checkpoint
+        # beside the partial spill.
+        log = _log_all(sweep_tasks, tmp_path / "log")
+        merged = tmp_path / "merged.jsonl"
+        with pytest.raises(InjectedMergeCrash):
+            merge_result_log(log, jsonl=merged, batch_records=2, crash_after=5)
+        committed = (log / CHECKPOINT_NAME).read_bytes()
+        with pytest.raises(ResultLogError, match="no --jsonl target"):
+            merge_result_log(log, resume=True)
+        assert (log / CHECKPOINT_NAME).read_bytes() == committed
+        # The same resume with its target still completes byte-identically.
+        single = _single_machine(sweep_tasks, tmp_path / "single.jsonl")
+        merge_result_log(log, jsonl=merged, batch_records=2, resume=True)
+        assert merged.read_bytes() == single.read_bytes()
+
     def test_missing_shard_is_named(self, sweep_tasks, tmp_path):
         log = tmp_path / "log"
         for index in (0, 2):
             run_shard_log(
                 sweep_tasks, index, N_SHARDS, log, engine=SweepEngine(workers=1)
             )
-        with pytest.raises(ShardFormatError, match=r"missing shard\(s\) 1"):
+        with pytest.raises(ResultLogError, match=r"missing shard\(s\) 1"):
             merge_result_log(log)
         partial = merge_result_log(log, require_complete=False)
         assert 0 < partial.records < len(sweep_tasks)
+        assert sorted(partial.shard_records) == [0, 2]
+
+    def test_complete_shards_with_missing_tasks_are_rejected(self, tmp_path):
+        # Every shard is present (an empty marker segment each) but the
+        # records jointly cover none of the 4 task indices -- the shape of
+        # shards re-run against a different grid of the same size.
+        for shard in range(2):
+            write_segment(
+                tmp_path / segment_name(shard, 0),
+                SegmentHeader(
+                    shard_index=shard, shard_count=2, total_tasks=4,
+                    segment_index=0,
+                ),
+                [],
+            )
+        with pytest.raises(
+            ResultLogError, match=r"4 of 4 task\(s\) have no sealed record"
+        ):
+            merge_result_log(tmp_path)
+        partial = merge_result_log(tmp_path, require_complete=False)
+        assert partial.records == 0
+        assert partial.shard_records == {0: 0, 1: 0}
+
+    def test_segments_of_mismatched_grids_are_rejected(
+        self, sweep_tasks, tput_tasks, tmp_path
+    ):
+        log = tmp_path / "log"
+        run_shard_log(sweep_tasks, 0, N_SHARDS, log, engine=SweepEngine(workers=1))
+        run_shard_log(tput_tasks, 1, N_SHARDS, log, engine=SweepEngine(workers=1))
+        with pytest.raises(ResultLogError, match="total_tasks=.* disagrees"):
+            merge_result_log(log, require_complete=False)
 
     def test_empty_log_directory_is_rejected(self, tmp_path):
         with pytest.raises(ResultLogError, match="no sealed segments"):
@@ -452,9 +616,22 @@ class TestMergeCursor:
     def test_load_missing_returns_none(self, tmp_path):
         assert MergeCursor.load(tmp_path / "absent.json") is None
 
-    def test_corrupt_checkpoint_is_rejected(self, tmp_path):
-        (tmp_path / "ckpt.json").write_text("{not json")
-        with pytest.raises(ResultLogError, match="not JSON"):
+    @pytest.mark.parametrize(
+        "text, match",
+        [
+            ("{not json", r"not JSON"),
+            ("[1]", r"ckpt\.json: expected a JSON object, got list"),
+            ("3", r"ckpt\.json: expected a JSON object, got int"),
+            ({"offsets": [1]}, r"offsets=\[1\]"),
+            ({"offsets": {"0": [1]}}, r"offsets=\{'0': \[1\]\}"),
+        ],
+    )
+    def test_corrupt_checkpoint_is_rejected(self, text, match, tmp_path):
+        if isinstance(text, dict):
+            payload = MergeCursor(shard_count=1, total_tasks=1).to_json_dict()
+            text = json.dumps({**payload, **text})
+        (tmp_path / "ckpt.json").write_text(text)
+        with pytest.raises(ResultLogError, match=match):
             MergeCursor.load(tmp_path / "ckpt.json")
 
     def test_foreign_grid_checkpoint_is_rejected(self, sweep_tasks, tmp_path):
@@ -495,3 +672,12 @@ class TestObsCounters:
         assert "resultlog.resume.skipped" in snapshot
         assert "resultlog.checkpoint.commits" in snapshot
         assert "resultlog.records.deduped" in snapshot
+        # 18 tasks over 3 shards: skew is a shard's load over the even
+        # share of 6; gauges snapshot their high watermark, so both read
+        # the heaviest shard's.
+        heaviest = max(
+            len(shard_tasks(sweep_tasks, index, N_SHARDS)) for index in range(N_SHARDS)
+        )
+        gauges = registry.snapshot()["gauges"]
+        assert gauges["shard.skew"] == pytest.approx(heaviest / 6)
+        assert gauges["merge.skew"] == pytest.approx(heaviest / 6)

@@ -1,41 +1,16 @@
-"""Shard partition + spill/merge: byte-identical to single-machine runs.
+"""Shard partition: content-addressed, order-independent, exhaustive.
 
-The acceptance bar of the distributed runner: ``merge_shards`` over any
-complete set of shard spills must reproduce -- byte for byte -- the JSONL
-spill and sink aggregates of a single-machine streaming run of the whole
-task list, for both built-in spec kinds, at any worker count, with warm or
-cold caches.  Partitioning is content-addressed, so it must also be stable
-under task-list reordering and share cache keys with unsharded runs.
+A task's shard comes from its spec hash alone, so the partition must be
+stable under task-list reordering (and therefore share cache keys with
+unsharded runs) and cover every task exactly once.  What shards write and
+how the merge folds it is ``test_resultlog.py``'s subject.
 """
 
 import random
 
 import pytest
 
-from repro.engine import (
-    JsonlSink,
-    ScenarioGrid,
-    ShardFormatError,
-    ShardHeader,
-    SweepEngine,
-    SweepTask,
-    merge_shards,
-    read_shard,
-    run_shard,
-    shard_of,
-    shard_tasks,
-)
-from repro.engine.sink import VerdictCounterSink
-from repro.protocols.runner import ScenarioSpec
-from repro.sim.failures import (
-    ByzantineSpec,
-    CrashSchedule,
-    FaultPlan,
-    LinkFault,
-    RetransmitPolicy,
-)
-from repro.txn import DeadlockPolicy, RetryPolicy, ThroughputSpec
-from repro.txn.sink import ThroughputSink
+from repro.engine import ScenarioGrid, shard_of, shard_tasks
 
 N_SHARDS = 3
 
@@ -49,73 +24,6 @@ def sweep_tasks():
             protocol, 3, times=[0.5, 1.5, 2.5]
         )
         tasks.extend(grid.tasks())
-    return tasks
-
-
-@pytest.fixture(scope="module")
-def tput_tasks():
-    """2 protocols x (closed-loop + open-loop retry/Poisson/crash) x 2 seeds."""
-    tasks = []
-    for protocol in ("two-phase-commit", "terminating-three-phase-commit"):
-        for seed in (0, 1):
-            tasks.append(
-                SweepTask(
-                    protocol=protocol,
-                    spec=ThroughputSpec(n_transactions=10, tx_rate=1.0, seed=seed),
-                )
-            )
-            tasks.append(
-                SweepTask(
-                    protocol=protocol,
-                    spec=ThroughputSpec(
-                        n_transactions=10,
-                        tx_rate=2.0,
-                        arrival="poisson",
-                        hotspot=1.0,
-                        n_keys=3,
-                        op_delay=0.2,
-                        seed=seed,
-                        crashes=CrashSchedule.single(2, 4.0, recover_at=8.0),
-                        deadlock=DeadlockPolicy(wait_timeout=3.0),
-                        retry=RetryPolicy(max_attempts=2, backoff=0.5),
-                    ),
-                )
-            )
-    return tasks
-
-
-@pytest.fixture(scope="module")
-def fault_tasks():
-    """Mixed-kind grid under fault plans: lossy scenarios with and without
-    the retransmission layer, a Byzantine master, and a lossy-retransmit
-    throughput workload over the network lock transport."""
-    lossy = FaultPlan(links=(LinkFault(loss=0.3),), seed=11)
-    lossy_rtx = FaultPlan(
-        links=(LinkFault(loss=0.3),), retransmit=RetransmitPolicy(), seed=11
-    )
-    byzantine = FaultPlan(byzantine=(ByzantineSpec(site=1),), seed=13)
-    tasks = [
-        SweepTask(
-            protocol=protocol,
-            spec=ScenarioSpec(n_sites=3, seed=seed, faults=plan),
-        )
-        for protocol in ("two-phase-commit", "terminating-three-phase-commit")
-        for plan in (lossy, lossy_rtx, byzantine)
-        for seed in (0, 1)
-    ]
-    for seed in (0, 1):
-        tasks.append(
-            SweepTask(
-                protocol="two-phase-commit",
-                spec=ThroughputSpec(
-                    n_transactions=8,
-                    tx_rate=2.0,
-                    seed=seed,
-                    faults=lossy_rtx,
-                    retry=RetryPolicy(max_attempts=2, backoff=0.5),
-                ),
-            )
-        )
     return tasks
 
 
@@ -152,235 +60,3 @@ class TestShardPartition:
             shard_tasks(sweep_tasks, -1, 3)
         with pytest.raises(ValueError, match="shard_count"):
             shard_of("ff", 0)
-
-
-def _shard_all(tasks, tmp_path, *, workers=1, cache=None):
-    spills = []
-    for index in range(N_SHARDS):
-        spill = tmp_path / f"shard-{index}.jsonl"
-        engine = SweepEngine(workers=workers, cache=cache, chunk_size=1)
-        run_shard(tasks, index, N_SHARDS, spill, engine=engine)
-        spills.append(spill)
-    return spills
-
-
-class TestMergeByteIdentity:
-    """The ISSUE acceptance criterion, for both built-in spec kinds."""
-
-    def test_sweep_kind_merge_equals_single_machine_run(self, sweep_tasks, tmp_path):
-        single = tmp_path / "single.jsonl"
-        counter = VerdictCounterSink()
-        SweepEngine(workers=1).run_streaming(
-            sweep_tasks, sinks=[counter, JsonlSink(single)]
-        )
-        spills = _shard_all(sweep_tasks, tmp_path)
-        merged = tmp_path / "merged.jsonl"
-        result = merge_shards(spills, jsonl=merged)
-        assert merged.read_bytes() == single.read_bytes()
-        assert result.kind_sinks["scenario"].rows() == counter.rows()
-
-    def test_throughput_kind_merge_equals_single_machine_run(self, tput_tasks, tmp_path):
-        single = tmp_path / "single.jsonl"
-        sink = ThroughputSink()
-        SweepEngine(workers=1).run_streaming(
-            tput_tasks, sinks=[sink, JsonlSink(single)]
-        )
-        spills = _shard_all(tput_tasks, tmp_path)
-        merged = tmp_path / "merged.jsonl"
-        result = merge_shards(spills, jsonl=merged)
-        assert merged.read_bytes() == single.read_bytes()
-        assert result.kind_sinks["throughput"].rows() == sink.rows()
-
-    def test_fault_plan_merge_equals_single_machine_run(self, fault_tasks, tmp_path):
-        # Fault realizations come from the plan's seeded RNG, so sharding a
-        # lossy/Byzantine grid must stay byte-identical to one machine --
-        # and the mixed scenario+throughput spill must interleave stably.
-        single = tmp_path / "single.jsonl"
-        SweepEngine(workers=1).run_streaming(fault_tasks, sinks=JsonlSink(single))
-        spills = _shard_all(fault_tasks, tmp_path, workers=2)
-        merged = tmp_path / "merged.jsonl"
-        result = merge_shards(spills, jsonl=merged)
-        assert merged.read_bytes() == single.read_bytes()
-        assert set(result.kind_sinks) == {"scenario", "throughput"}
-
-    def test_merge_is_independent_of_spill_argument_order(self, sweep_tasks, tmp_path):
-        spills = _shard_all(sweep_tasks, tmp_path)
-        forward = merge_shards(spills, jsonl=tmp_path / "fwd.jsonl")
-        backward = merge_shards(list(reversed(spills)), jsonl=tmp_path / "bwd.jsonl")
-        assert (tmp_path / "fwd.jsonl").read_bytes() == (
-            tmp_path / "bwd.jsonl"
-        ).read_bytes()
-        assert forward.records == backward.records
-
-    def test_sharded_workers_match_serial_single_machine(self, sweep_tasks, tmp_path):
-        single = tmp_path / "single.jsonl"
-        SweepEngine(workers=1).run_streaming(sweep_tasks, sinks=JsonlSink(single))
-        spills = _shard_all(sweep_tasks, tmp_path, workers=2)
-        merged = tmp_path / "merged.jsonl"
-        merge_shards(spills, jsonl=merged)
-        assert merged.read_bytes() == single.read_bytes()
-
-    def test_shards_share_the_result_cache_with_single_runs(self, sweep_tasks, tmp_path):
-        cache = tmp_path / "cache"
-        _shard_all(sweep_tasks, tmp_path, cache=cache)
-        warm = SweepEngine(workers=1, cache=cache).run_streaming(
-            sweep_tasks, sinks=JsonlSink(tmp_path / "warm.jsonl")
-        )
-        assert warm.executed == 0
-        assert warm.cache_hits == len(sweep_tasks)
-
-
-class TestSpillFormat:
-    def test_header_is_self_describing(self, sweep_tasks, tmp_path):
-        spill = tmp_path / "shard-1.jsonl"
-        run_shard(sweep_tasks, 1, N_SHARDS, spill, engine=SweepEngine(workers=1))
-        header, records = read_shard(spill)
-        assert header.shard_index == 1
-        assert header.shard_count == N_SHARDS
-        assert header.total_tasks == len(sweep_tasks)
-        assert header.shard_tasks == len(records)
-        assert header.spec_kinds == ("scenario",)
-
-    def test_empty_shard_still_writes_a_header(self, tput_tasks, tmp_path):
-        # 4 tasks over many shards: some shard is necessarily empty.
-        counts = {
-            index: len(shard_tasks(tput_tasks, index, 16)) for index in range(16)
-        }
-        empty = next(index for index, count in counts.items() if count == 0)
-        spill = tmp_path / "empty.jsonl"
-        run_shard(tput_tasks, empty, 16, spill, engine=SweepEngine(workers=1))
-        header, records = read_shard(spill)
-        assert header.shard_tasks == 0
-        assert records == []
-
-    def test_truncated_spill_is_rejected(self, sweep_tasks, tmp_path):
-        spill = tmp_path / "shard-0.jsonl"
-        run_shard(sweep_tasks, 0, N_SHARDS, spill, engine=SweepEngine(workers=1))
-        lines = spill.read_bytes().splitlines(keepends=True)
-        assert len(lines) > 2
-        (tmp_path / "cut.jsonl").write_bytes(b"".join(lines[:-1]))
-        with pytest.raises(ShardFormatError, match="truncated"):
-            read_shard(tmp_path / "cut.jsonl")
-
-    def test_headerless_file_is_rejected(self, tmp_path):
-        (tmp_path / "noheader.jsonl").write_bytes(b'{"index": 0, "summary": {}}\n')
-        with pytest.raises(ShardFormatError, match="shard-header"):
-            read_shard(tmp_path / "noheader.jsonl")
-
-    def test_future_format_version_is_rejected(self, tmp_path):
-        header = ShardHeader(0, 1, 0, 0, (), format=99)
-        payload = header.to_json_dict()
-        import json
-
-        (tmp_path / "future.jsonl").write_text(json.dumps(payload) + "\n")
-        with pytest.raises(ShardFormatError, match="format 99"):
-            read_shard(tmp_path / "future.jsonl")
-
-    def test_duplicated_index_masking_a_missing_one_is_rejected(self, sweep_tasks, tmp_path):
-        # The record count still matches the header, so only an explicit
-        # duplicate check catches this corruption -- naming the index.
-        spill = tmp_path / "shard-0.jsonl"
-        run_shard(sweep_tasks, 0, N_SHARDS, spill, engine=SweepEngine(workers=1))
-        lines = spill.read_bytes().splitlines(keepends=True)
-        assert len(lines) > 3
-        (tmp_path / "dup.jsonl").write_bytes(
-            b"".join(lines[:-1]) + lines[-2]  # last record replaced by a dup
-        )
-        import json
-
-        duplicated = json.loads(lines[-2])["index"]
-        with pytest.raises(
-            ShardFormatError, match=f"index {duplicated} appears twice"
-        ):
-            read_shard(tmp_path / "dup.jsonl")
-
-    def test_spill_appears_atomically_on_close(self, sweep_tasks, tmp_path):
-        # A killed run_shard must never leave a truncated spill at the
-        # final path: the spill is written to a temp sibling and renamed
-        # into place only on close().
-        from repro.engine import ListSink
-        from repro.engine.shard import _ShardSpillSink
-
-        header = ShardHeader(0, 1, len(sweep_tasks), 1, ("scenario",))
-        spill = tmp_path / "atomic.jsonl"
-        sink = _ShardSpillSink(spill, header, [0])
-        collector = ListSink()
-        SweepEngine(workers=1).run_streaming(sweep_tasks[:1], sinks=[collector])
-        sink.accept(0, collector.summaries[0])
-        assert not spill.exists()  # mid-run: nothing at the final path
-        sink.close()
-        assert spill.exists()
-        header_back, records = read_shard(spill)
-        assert header_back == header
-        assert len(records) == 1
-        # No temp debris left behind after the rename.
-        assert list(tmp_path.iterdir()) == [spill]
-
-
-class TestMergeValidation:
-    def test_missing_shard_is_named(self, sweep_tasks, tmp_path):
-        spills = _shard_all(sweep_tasks, tmp_path)
-        with pytest.raises(ShardFormatError, match=r"missing shard\(s\) 1"):
-            merge_shards([spills[0], spills[2]])
-
-    def test_allow_partial_merges_what_is_there(self, sweep_tasks, tmp_path):
-        spills = _shard_all(sweep_tasks, tmp_path)
-        partial = merge_shards([spills[0], spills[2]], require_complete=False)
-        full = merge_shards(spills)
-        assert 0 < partial.records < full.records
-
-    def test_duplicate_shard_is_rejected(self, sweep_tasks, tmp_path):
-        spills = _shard_all(sweep_tasks, tmp_path)
-        with pytest.raises(ShardFormatError, match="twice"):
-            merge_shards([spills[0], spills[0], spills[1]])
-
-    def test_mismatched_grids_are_rejected(self, sweep_tasks, tput_tasks, tmp_path):
-        sweep_spill = tmp_path / "sweep-0.jsonl"
-        run_shard(sweep_tasks, 0, N_SHARDS, sweep_spill, engine=SweepEngine(workers=1))
-        tput_spill = tmp_path / "tput-1.jsonl"
-        run_shard(tput_tasks, 1, N_SHARDS, tput_spill, engine=SweepEngine(workers=1))
-        with pytest.raises(ShardFormatError, match="total_tasks"):
-            merge_shards([sweep_spill, tput_spill])
-
-    def test_empty_merge_set_is_rejected(self):
-        with pytest.raises(ShardFormatError, match="no shard spills"):
-            merge_shards([])
-
-    def test_complete_shards_with_missing_tasks_are_rejected(self, tmp_path):
-        # Headers are internally consistent (every shard present) but the
-        # records jointly cover none of the 4 task indices -- the shape of
-        # spills re-run against a different grid of the same size.
-        import json
-
-        for index in range(2):
-            header = ShardHeader(index, 2, 4, 0, ())
-            (tmp_path / f"s{index}.jsonl").write_text(
-                json.dumps(header.to_json_dict()) + "\n"
-            )
-        with pytest.raises(ShardFormatError, match="4 of 4 task"):
-            merge_shards([tmp_path / "s0.jsonl", tmp_path / "s1.jsonl"])
-        partial = merge_shards(
-            [tmp_path / "s0.jsonl", tmp_path / "s1.jsonl"], require_complete=False
-        )
-        assert partial.records == 0
-
-    def test_malformed_header_fields_are_format_errors(self, tmp_path):
-        import json
-
-        (tmp_path / "bad.jsonl").write_text(
-            json.dumps({"kind": "shard-header", "format": 1}) + "\n"
-        )
-        with pytest.raises(ShardFormatError, match="shard_index"):
-            read_shard(tmp_path / "bad.jsonl")
-
-    def test_non_integer_record_index_is_a_format_error(self, tmp_path):
-        import json
-
-        header = ShardHeader(0, 1, 1, 1, ("scenario",))
-        lines = [
-            json.dumps(header.to_json_dict()),
-            json.dumps({"index": "0", "summary": {}}),
-        ]
-        (tmp_path / "bad.jsonl").write_text("\n".join(lines) + "\n")
-        with pytest.raises(ShardFormatError, match="not an integer"):
-            read_shard(tmp_path / "bad.jsonl")

@@ -73,34 +73,32 @@ class TestSweepCli:
         assert "--refine cannot be combined" in capsys.readouterr().err
 
 
+def _log_shards(log_dir, grid, shards=range(3)):
+    """Run the given shards of a 3-way partition of ``grid`` into ``log_dir``."""
+    for index in shards:
+        assert main(
+            [
+                "shard",
+                "--shard-index", str(index),
+                "--shard-count", "3",
+                "--log", str(log_dir),
+                *grid,
+            ]
+        ) == 0
+    return log_dir
+
+
 class TestShardMergeCli:
     SWEEP = ["--protocol", "two-phase-commit", "--times", "0.5", "1.5"]
-
-    def _shard_all(self, tmp_path, *extra):
-        spills = []
-        for index in range(3):
-            spill = tmp_path / f"shard-{index}.jsonl"
-            assert main(
-                [
-                    "shard",
-                    "--shard-index", str(index),
-                    "--shard-count", "3",
-                    "--out", str(spill),
-                    *self.SWEEP,
-                    *extra,
-                ]
-            ) == 0
-            spills.append(spill)
-        return spills
 
     def test_merge_reproduces_the_single_machine_spill(self, capsys, tmp_path):
         single = tmp_path / "single.jsonl"
         assert main(["sweep", *self.SWEEP, "--stream", "--jsonl", str(single)]) == 0
         single_table = capsys.readouterr().out.splitlines()[:3]
-        spills = self._shard_all(tmp_path)
+        log = _log_shards(tmp_path / "log", self.SWEEP)
         capsys.readouterr()
         merged = tmp_path / "merged.jsonl"
-        assert main(["merge", *map(str, spills), "--jsonl", str(merged)]) == 0
+        assert main(["merge", "--log", str(log), "--jsonl", str(merged)]) == 0
         merge_out = capsys.readouterr().out
         assert merged.read_bytes() == single.read_bytes()
         # The aggregate table equals the single-shot one, line for line.
@@ -109,7 +107,9 @@ class TestShardMergeCli:
     def test_shards_and_single_runs_share_the_cache(self, capsys, tmp_path):
         import json
 
-        self._shard_all(tmp_path, "--cache", str(tmp_path / "cache"))
+        _log_shards(
+            tmp_path / "log", [*self.SWEEP, "--cache", str(tmp_path / "cache")]
+        )
         stats = tmp_path / "stats.json"
         assert main(
             [
@@ -142,34 +142,31 @@ class TestShardMergeCli:
         assert warm["command"] == "throughput"
 
     def test_throughput_kind_shards_build_the_throughput_grid(self, capsys, tmp_path):
-        spill = tmp_path / "tput-0.jsonl"
+        log = tmp_path / "log"
         assert main(
             [
                 "shard",
                 "--kind", "throughput",
                 "--shard-index", "0",
                 "--shard-count", "1",
-                "--out", str(spill),
+                "--log", str(log),
                 "--protocols", "two-phase-commit",
                 "--transactions", "10",
             ]
         ) == 0
         capsys.readouterr()
-        assert main(["merge", str(spill)]) == 0
+        assert main(["merge", "--log", str(log)]) == 0
         assert "goodput (/T)" in capsys.readouterr().out
 
     def test_incomplete_merge_names_the_missing_shard(self, capsys, tmp_path):
-        spills = self._shard_all(tmp_path)
+        log = _log_shards(tmp_path / "log", self.SWEEP, shards=(0, 2))
         capsys.readouterr()
-        assert main(["merge", str(spills[0]), str(spills[2])]) == 2
+        assert main(["merge", "--log", str(log)]) == 2
         assert "missing shard(s) 1" in capsys.readouterr().err
-        assert main(
-            ["merge", str(spills[0]), str(spills[2]), "--allow-partial"]
-        ) == 0
+        assert main(["merge", "--log", str(log), "--allow-partial"]) == 0
 
     def test_bad_shard_parameters_exit_2(self, capsys, tmp_path):
-        out = str(tmp_path / "s.jsonl")
-        base = ["shard", "--out", out, *self.SWEEP]
+        base = ["shard", "--log", str(tmp_path / "log"), *self.SWEEP]
         assert main(base + ["--shard-index", "3", "--shard-count", "3"]) == 2
         assert "--shard-index" in capsys.readouterr().err
         assert main(base + ["--shard-index", "0", "--shard-count", "0"]) == 2
@@ -182,7 +179,7 @@ class TestShardMergeCli:
     def test_flags_of_the_other_grid_kind_are_rejected(self, capsys, tmp_path):
         base = [
             "shard", "--shard-index", "0", "--shard-count", "2",
-            "--out", str(tmp_path / "s.jsonl"),
+            "--log", str(tmp_path / "log"),
         ]
         assert main(base + ["--protocols", "all"]) == 2
         assert "--protocols applies to --kind throughput" in capsys.readouterr().err
@@ -203,36 +200,23 @@ class TestShardMergeCli:
     def test_faults_flag_is_shared_by_every_shard_kind(self, capsys, tmp_path):
         # --faults is NOT kind-specific: a lossy-retransmit sweep shard and
         # a lossy modelcheck shard must both build.
-        base = [
-            "shard", "--shard-index", "0", "--shard-count", "1",
-            "--out", str(tmp_path / "s.jsonl"),
-        ]
+        base = ["shard", "--shard-index", "0", "--shard-count", "1"]
         assert main(
             base
-            + ["--times", "0.5", "--faults", "loss=0.2,retransmit=on,seed=7"]
+            + ["--log", str(tmp_path / "sweep-log"),
+               "--times", "0.5", "--faults", "loss=0.2,retransmit=on,seed=7"]
         ) == 0
         capsys.readouterr()
         assert main(
             base
-            + ["--kind", "modelcheck", "--protocol", "two-phase-commit",
+            + ["--log", str(tmp_path / "mc-log"),
+               "--kind", "modelcheck", "--protocol", "two-phase-commit",
                "--faults", "loss=0.5"]
         ) == 0
 
 
 class TestResultLogCli:
     SWEEP = ["--protocol", "two-phase-commit", "--times", "0.5", "1.5"]
-
-    def _log_all(self, log_dir, *extra):
-        for index in range(3):
-            assert main(
-                [
-                    "shard",
-                    "--shard-index", str(index),
-                    "--shard-count", "3",
-                    "--log", str(log_dir),
-                    *(extra or self.SWEEP),
-                ]
-            ) == 0
 
     def test_interrupted_merge_resumes_byte_identical(
         self, capsys, tmp_path, monkeypatch
@@ -241,7 +225,7 @@ class TestResultLogCli:
 
         single = tmp_path / "single.jsonl"
         assert main(["sweep", *self.SWEEP, "--stream", "--jsonl", str(single)]) == 0
-        self._log_all(tmp_path / "log")
+        _log_shards(tmp_path / "log", self.SWEEP)
         merged = tmp_path / "merged.jsonl"
         base = [
             "merge", "--log", str(tmp_path / "log"),
@@ -275,7 +259,7 @@ class TestResultLogCli:
         assert (tmp_path / "fresh.jsonl").read_bytes() == single.read_bytes()
 
     def test_shard_rerun_resumes_from_the_log(self, capsys, tmp_path):
-        self._log_all(tmp_path / "log")
+        _log_shards(tmp_path / "log", self.SWEEP)
         capsys.readouterr()
         assert main(
             [
@@ -360,22 +344,50 @@ class TestResultLogCli:
         ) == 2
         assert "grids[0]" in capsys.readouterr().err
 
-    def test_source_flag_validation_exits_2(self, capsys, tmp_path):
+    def test_resume_without_the_jsonl_target_exits_2(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        log = _log_shards(tmp_path / "log", self.SWEEP)
+        merged = tmp_path / "merged.jsonl"
+        monkeypatch.setenv("REPRO_MERGE_CRASH_AFTER", "3")
+        assert main(
+            ["merge", "--log", str(log), "--jsonl", str(merged),
+             "--batch-records", "2"]
+        ) == 3
+        monkeypatch.delenv("REPRO_MERGE_CRASH_AFTER")
+        capsys.readouterr()
+        assert main(["merge", "--log", str(log), "--resume"]) == 2
+        err = capsys.readouterr().err
+        assert "merge failed" in err
+        assert "no --jsonl target" in err
+
+    @pytest.mark.parametrize(
+        "argv, needle",
+        [
+            # The log directory is the one destination / source of each verb.
+            (["shard", "--shard-index", "0", "--shard-count", "1"], "--log"),
+            (["merge"], "--log"),
+            (["merge", "--jsonl", "m.jsonl"], "--log"),
+            # The spill spellings are gone, not aliased.
+            (
+                ["shard", "--shard-index", "0", "--shard-count", "1",
+                 "--log", "log", "--out", "s.jsonl"],
+                "--out",
+            ),
+            (["merge", "--log", "log", "s.jsonl"], "s.jsonl"),
+        ],
+    )
+    def test_usage_errors_exit_2(self, argv, needle, capsys):
+        with pytest.raises(SystemExit) as usage:
+            main(argv)
+        assert usage.value.code == 2
+        assert needle in capsys.readouterr().err
+
+    def test_granularity_flag_validation_exits_2(self, capsys, tmp_path):
         log = str(tmp_path / "log")
-        out = str(tmp_path / "s.jsonl")
         base = ["shard", "--shard-index", "0", "--shard-count", "1", *self.SWEEP]
-        assert main(base + ["--out", out, "--log", log]) == 2
-        assert "exactly one of --out" in capsys.readouterr().err
-        assert main(base) == 2
-        assert "exactly one of --out" in capsys.readouterr().err
-        assert main(base + ["--out", out, "--segment-records", "8"]) == 2
-        assert "--segment-records applies to --log" in capsys.readouterr().err
-        assert main(["merge"]) == 2
-        assert "exactly one source" in capsys.readouterr().err
-        assert main(["merge", out, "--log", log]) == 2
-        assert "exactly one source" in capsys.readouterr().err
-        assert main(["merge", out, "--resume"]) == 2
-        assert "--resume applies to --log" in capsys.readouterr().err
+        assert main(base + ["--log", log, "--segment-records", "0"]) == 2
+        assert "--segment-records must be >= 1" in capsys.readouterr().err
         assert main(["merge", "--log", log, "--batch-records", "0"]) == 2
         assert "--batch-records must be >= 1" in capsys.readouterr().err
 
@@ -434,26 +446,31 @@ class TestFaultsCli:
         assert "no exhaustive envelope" in err
         assert "duplicate" in err
 
-    def test_merging_a_non_spill_file_exits_2(self, capsys, tmp_path):
-        bogus = tmp_path / "bogus.jsonl"
-        bogus.write_text("not json\n")
-        assert main(["merge", str(bogus)]) == 2
-        assert "merge failed" in capsys.readouterr().err
+    @pytest.mark.parametrize("text", ["not json\n", "[1]\n", "3\n"])
+    def test_merging_a_non_segment_file_exits_2(self, text, capsys, tmp_path):
+        # Not JSON, or JSON that is not an object: a typed error naming the
+        # file and line, never a traceback.
+        bogus = tmp_path / "shard-0000-seg-000000.jsonl"
+        bogus.write_text(text)
+        assert main(["merge", "--log", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "merge failed" in err
+        assert f"{bogus}:1:" in err
 
     def test_merging_an_unregistered_kind_exits_2(self, capsys, tmp_path):
-        # A spill from a machine with an extra spec kind registered must
+        # A segment from a machine with an extra spec kind registered must
         # fail cleanly here, not with an UnknownSpecKindError traceback.
-        import json
+        from repro.engine import write_segment
+        from repro.engine.resultlog import SegmentHeader
 
-        spill = tmp_path / "alien.jsonl"
-        header = {
-            "kind": "shard-header", "format": 1, "shard_index": 0,
-            "shard_count": 1, "total_tasks": 1, "shard_tasks": 1,
-            "spec_kinds": ["alien"],
-        }
-        record = {"index": 0, "summary": {"kind": "alien-kind"}}
-        spill.write_text(json.dumps(header) + "\n" + json.dumps(record) + "\n")
-        assert main(["merge", str(spill)]) == 2
+        write_segment(
+            tmp_path / "shard-0000-seg-000000.jsonl",
+            SegmentHeader(
+                shard_index=0, shard_count=1, total_tasks=1, segment_index=0
+            ),
+            [(0, {"kind": "alien-kind"})],
+        )
+        assert main(["merge", "--log", str(tmp_path)]) == 2
         err = capsys.readouterr().err
         assert "merge failed" in err
         assert "alien-kind" in err

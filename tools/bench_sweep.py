@@ -7,7 +7,7 @@ by commit:
 * **cold throughput** -- scenarios/s of a cold streaming sweep;
 * **warm cache** -- scenarios/s and hit rate of the identical re-sweep
   (must be 100% hits, zero executions);
-* **shard-merge** -- seconds to fold a 3-shard spill set back into
+* **shard-merge** -- seconds to fold a 3-shard result log back into
   aggregates, plus a byte-identity check against the single-machine spill;
 * **open-loop txn throughput** -- simulated transactions/s of the
   concurrent-transaction scheduler under Poisson arrivals, hot-spot skew,
@@ -152,7 +152,7 @@ def worker_metrics(snapshot: dict) -> dict:
 
 def main(argv=None) -> int:
     """Run the timed passes and write the JSON snapshot."""
-    from repro.engine import JsonlSink, SweepEngine, merge_shards, run_shard
+    from repro.engine import JsonlSink, SweepEngine, merge_result_log, run_shard_log
     from repro.obs.metrics import MetricsRegistry
 
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
@@ -193,22 +193,19 @@ def main(argv=None) -> int:
         cold_snapshot = cold_metrics.snapshot()
         warm = engine.run_streaming(tasks, sinks=JsonlSink(scratch / "warm.jsonl"))
 
-        spills = []
         shard_started = time.perf_counter()
         for index in range(SHARD_COUNT):
-            spill = scratch / f"shard-{index}.jsonl"
-            run_shard(
+            run_shard_log(
                 tasks,
                 index,
                 SHARD_COUNT,
-                spill,
+                scratch / "log",
                 engine=SweepEngine(workers=args.workers, cache=cache),
             )
-            spills.append(spill)
         shard_elapsed = time.perf_counter() - shard_started
 
         merge_started = time.perf_counter()
-        result = merge_shards(spills, jsonl=scratch / "merged.jsonl")
+        result = merge_result_log(scratch / "log", jsonl=scratch / "merged.jsonl")
         merge_elapsed = time.perf_counter() - merge_started
         byte_identical = (
             (scratch / "merged.jsonl").read_bytes()
@@ -260,7 +257,7 @@ def main(argv=None) -> int:
     if warm.executed != 0:
         failures.append(f"warm re-sweep executed {warm.executed} scenario(s)")
     if not byte_identical:
-        failures.append("shard-merge spill differs from the single-machine spill")
+        failures.append("merged result log differs from the single-machine spill")
     if args.check is not None:
         error = check_against_baseline(payload, pathlib.Path(args.check), args.tolerance)
         if error is not None:
