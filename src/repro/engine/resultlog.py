@@ -868,6 +868,15 @@ def merge_result_log(
     jsonl_path = pathlib.Path(jsonl) if jsonl is not None else None
     handle: Optional[IO[bytes]] = None
     if jsonl_path is not None:
+        if replay_count > 0 and cursor.jsonl_bytes == 0:
+            # The mirror of the no-target guard below: appending only the
+            # un-replayed suffix would leave a spill missing its prefix.
+            raise ResultLogError(
+                f"{checkpoint_path}: resuming a merge that folded "
+                f"{replay_count} record(s) with no --jsonl target, so "
+                f"{jsonl_path} cannot be completed from the checkpoint; drop "
+                f"--jsonl or restart the merge without resume"
+            )
         jsonl_path.parent.mkdir(parents=True, exist_ok=True)
         if replay_count > 0:
             if not jsonl_path.exists():

@@ -104,7 +104,7 @@ def throughput_tasks(
     An onset fraction of ``None`` yields a failure-free (no-partition)
     scenario.  ``arrival`` / ``hotspot`` / ``retry`` / ``crashes`` shape
     the open-loop variants (RETRY panel, ``repro throughput --arrival
-    poisson --retries ... --crash-schedule ...``); ``faults`` /
+    poisson --retries ... --faults crash=...``); ``faults`` /
     ``lock_transport`` thread the unified
     :class:`~repro.sim.failures.FaultPlan` and the lock-message transport
     through every grid point (``repro throughput --faults

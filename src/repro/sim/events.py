@@ -15,7 +15,6 @@ state, not comparison logic.
 from __future__ import annotations
 
 import enum
-import itertools
 from typing import Any, Callable, Optional
 
 
@@ -30,21 +29,6 @@ class EventKind(enum.Enum):
     CRASH = "crash"
     RECOVER = "recover"
     GENERIC = "generic"
-
-
-_sequence = itertools.count()
-
-
-def next_sequence() -> int:
-    """Return the next *process-global* scheduling sequence number.
-
-    Retained for backwards compatibility only: the kernel now assigns
-    sequence numbers from a per-:class:`~repro.sim.kernel.Simulator` counter,
-    so interleaving two simulators in one process cannot perturb either
-    simulator's event order (and a run's trace no longer depends on what ran
-    before it in the same process).
-    """
-    return next(_sequence)
 
 
 def _noop() -> None:

@@ -88,7 +88,7 @@ class CrashSchedule:
 
         The single source of truth shared by
         :class:`~repro.txn.runner.ThroughputSpec` validation and the CLI's
-        ``--crash-schedule`` checks, so both always reject the same inputs.
+        ``--faults crash=`` checks, so both always reject the same inputs.
         """
         out_of_range = sorted(
             site for site in self.sites() if not 1 <= site <= n_sites

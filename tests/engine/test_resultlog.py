@@ -555,6 +555,27 @@ class TestMergeCrashResume:
         merge_result_log(log, jsonl=merged, batch_records=2, resume=True)
         assert merged.read_bytes() == single.read_bytes()
 
+    def test_resume_onto_a_new_jsonl_target_is_rejected(
+        self, sweep_tasks, tmp_path
+    ):
+        # The mirror image: the interrupted merge had no JSONL target, so a
+        # resume given one could only append the un-replayed suffix -- it
+        # must refuse instead of truncating an existing file to a partial
+        # spill.
+        log = _log_all(sweep_tasks, tmp_path / "log")
+        with pytest.raises(InjectedMergeCrash):
+            merge_result_log(log, batch_records=2, crash_after=5)
+        committed = (log / CHECKPOINT_NAME).read_bytes()
+        target = tmp_path / "merged.jsonl"
+        target.write_bytes(b"precious\n")
+        with pytest.raises(ResultLogError, match=CHECKPOINT_NAME) as refused:
+            merge_result_log(log, jsonl=target, resume=True)
+        assert str(target) in str(refused.value)
+        assert target.read_bytes() == b"precious\n"
+        assert (log / CHECKPOINT_NAME).read_bytes() == committed
+        # Resuming the way the merge was started still completes.
+        assert merge_result_log(log, resume=True).records == len(sweep_tasks)
+
     def test_missing_shard_is_named(self, sweep_tasks, tmp_path):
         log = tmp_path / "log"
         for index in (0, 2):

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.__main__ import EXPERIMENTS, main
+from repro.cli import EXPERIMENTS, main
 from repro.experiments.multiple_partitioning import run_multiple_partitioning, three_way_splits
 
 
@@ -41,19 +41,11 @@ class TestCli:
 class TestSweepCli:
     SWEEP = ["sweep", "--protocol", "two-phase-commit", "--times", "0.5", "1.5"]
 
-    def test_stream_prints_the_same_verdict_table(self, capsys):
-        assert main(self.SWEEP) == 0
-        materialized = capsys.readouterr().out
-        assert main(self.SWEEP + ["--stream"]) == 0
-        streamed = capsys.readouterr().out
-        # Same table; only the stats footer may differ.
-        assert materialized.splitlines()[:3] == streamed.splitlines()[:3]
-
-    def test_stream_spills_jsonl(self, capsys, tmp_path):
+    def test_sweep_spills_jsonl(self, capsys, tmp_path):
         from repro.engine import read_jsonl
 
         spill = tmp_path / "spill.jsonl"
-        assert main(self.SWEEP + ["--stream", "--jsonl", str(spill)]) == 0
+        assert main(self.SWEEP + ["--jsonl", str(spill)]) == 0
         assert "spilled" in capsys.readouterr().out
         assert sum(1 for _ in read_jsonl(spill)) == 6  # 2 onsets x 3 splits
 
@@ -63,14 +55,6 @@ class TestSweepCli:
         assert "cache: 0 hit(s) / 6 miss(es)" in capsys.readouterr().out
         assert main(cached) == 0
         assert "cache: 6 hit(s) / 0 miss(es)" in capsys.readouterr().out
-
-    def test_jsonl_requires_stream(self, capsys):
-        assert main(self.SWEEP + ["--jsonl", "x.jsonl"]) == 2
-        assert "--jsonl requires --stream" in capsys.readouterr().err
-
-    def test_refine_conflicts_with_stream(self, capsys):
-        assert main(self.SWEEP + ["--refine", "--stream"]) == 2
-        assert "--refine cannot be combined" in capsys.readouterr().err
 
 
 def _log_shards(log_dir, grid, shards=range(3)):
@@ -93,7 +77,7 @@ class TestShardMergeCli:
 
     def test_merge_reproduces_the_single_machine_spill(self, capsys, tmp_path):
         single = tmp_path / "single.jsonl"
-        assert main(["sweep", *self.SWEEP, "--stream", "--jsonl", str(single)]) == 0
+        assert main(["sweep", *self.SWEEP, "--jsonl", str(single)]) == 0
         single_table = capsys.readouterr().out.splitlines()[:3]
         log = _log_shards(tmp_path / "log", self.SWEEP)
         capsys.readouterr()
@@ -176,27 +160,6 @@ class TestShardMergeCli:
         ) == 2
         assert "unknown protocol" in capsys.readouterr().err
 
-    def test_flags_of_the_other_grid_kind_are_rejected(self, capsys, tmp_path):
-        base = [
-            "shard", "--shard-index", "0", "--shard-count", "2",
-            "--log", str(tmp_path / "log"),
-        ]
-        assert main(base + ["--protocols", "all"]) == 2
-        assert "--protocols applies to --kind throughput" in capsys.readouterr().err
-        assert main(base + ["--kind", "throughput", "--times", "0.5"]) == 2
-        assert "--times applies to --kind sweep" in capsys.readouterr().err
-        assert main(base + ["--kind", "throughput", "--protocol", "all"]) == 2
-        assert "--protocol applies to --kind sweep" in capsys.readouterr().err
-        # The open-loop flags are throughput-only too: a sweep shard must
-        # not silently cover a different grid than the user asked for.
-        assert main(base + ["--retries", "3", "--crash-schedule", "2:20:26"]) == 2
-        err = capsys.readouterr().err
-        assert "--retries, --crash-schedule apply to --kind throughput" in err
-        assert main(base + ["--arrival", "poisson"]) == 2
-        assert "--arrival applies to --kind throughput" in capsys.readouterr().err
-        assert main(base + ["--lock-transport", "network"]) == 2
-        assert "--lock-transport applies to --kind throughput" in capsys.readouterr().err
-
     def test_faults_flag_is_shared_by_every_shard_kind(self, capsys, tmp_path):
         # --faults is NOT kind-specific: a lossy-retransmit sweep shard and
         # a lossy modelcheck shard must both build.
@@ -224,7 +187,7 @@ class TestResultLogCli:
         import json
 
         single = tmp_path / "single.jsonl"
-        assert main(["sweep", *self.SWEEP, "--stream", "--jsonl", str(single)]) == 0
+        assert main(["sweep", *self.SWEEP, "--jsonl", str(single)]) == 0
         _log_shards(tmp_path / "log", self.SWEEP)
         merged = tmp_path / "merged.jsonl"
         base = [
@@ -361,6 +324,24 @@ class TestResultLogCli:
         assert "merge failed" in err
         assert "no --jsonl target" in err
 
+    def test_resume_onto_a_new_jsonl_target_exits_2(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        log = _log_shards(tmp_path / "log", self.SWEEP)
+        monkeypatch.setenv("REPRO_MERGE_CRASH_AFTER", "3")
+        assert main(["merge", "--log", str(log), "--batch-records", "2"]) == 3
+        monkeypatch.delenv("REPRO_MERGE_CRASH_AFTER")
+        capsys.readouterr()
+        merged = tmp_path / "merged.jsonl"
+        assert main(
+            ["merge", "--log", str(log), "--resume", "--jsonl", str(merged)]
+        ) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("merge failed: ")
+        assert "merge-checkpoint.json" in err and str(merged) in err
+        assert len(err.splitlines()) == 1
+        assert not merged.exists()
+
     @pytest.mark.parametrize(
         "argv, needle",
         [
@@ -411,18 +392,17 @@ class TestFaultsCli:
         assert main(self.SWEEP + ["--faults", "byzantine=9"]) == 2
         assert "site" in capsys.readouterr().err
 
-    def test_crash_schedule_warns_but_still_works(self, capsys):
+    def test_throughput_accepts_crash_clauses(self, capsys):
         assert main(
             [
                 "throughput",
                 "--transactions", "5",
                 "--protocols", "two-phase-commit",
-                "--crash-schedule", "2:20:26",
+                "--faults", "crash=2:20:26",
             ]
         ) == 0
         captured = capsys.readouterr()
-        assert "deprecated" in captured.err
-        assert "--faults crash=SITE:AT[:RECOVER_AT]" in captured.err
+        assert captured.err == ""
         assert "goodput (/T)" in captured.out
 
     def test_modelcheck_maps_clauses_onto_envelopes(self, capsys):
@@ -476,6 +456,194 @@ class TestFaultsCli:
         assert "alien-kind" in err
 
 
+SMALL_GRIDS = {
+    "sweep": ["--protocol", "two-phase-commit", "--times", "0.5"],
+    "throughput": [
+        "--protocols", "two-phase-commit", "--transactions", "5",
+        "--faults", "crash=2:20:26",
+    ],
+    "modelcheck": ["--protocol", "two-phase-commit", "--sites", "2"],
+}
+
+# (kind, grid flags, stderr needle): values the kind's task builder rejects
+# with ONE stderr line naming the flag.
+REJECTED_VALUES = [
+    ("sweep", ["--times", "-1"], "--times"),
+    ("sweep", ["--times", "nan"], "--times"),
+    ("sweep", ["--heal-after", "0"], "--heal-after"),
+    ("sweep", ["--sites", "0"], "--sites"),
+    ("sweep", ["--protocol", "nope"], "unknown protocol"),
+    ("sweep", ["--no-voters", "x"], "--no-voters"),
+    ("sweep", ["--no-voters", "9"], "--no-voters"),
+    ("sweep", ["--faults", "warp=1"], "clause 'warp=1'"),
+    ("throughput", ["--sites", "0"], "--sites"),
+    ("throughput", ["--read-fraction", "1.5"], "--read-fraction"),
+    ("throughput", ["--ops-per-site", "0"], "--ops-per-site"),
+    ("throughput", ["--tx-rate", "0"], "--tx-rate"),
+    ("throughput", ["--transactions", "0"], "--transactions"),
+    ("throughput", ["--keys", "0"], "--keys"),
+    ("throughput", ["--lock-timeout", "0"], "--lock-timeout"),
+    ("throughput", ["--partition-at", "2.0"], "--partition-at"),
+    ("throughput", ["--heal-after", "0"], "--heal-after"),
+    ("throughput", ["--no-partition", "--permanent"], "--no-partition"),
+    ("throughput", ["--hotspot", "-0.5"], "--hotspot"),
+    ("throughput", ["--retries", "-1"], "--retries"),
+    ("throughput", ["--retry-backoff", "0"], "--retry-backoff"),
+    ("throughput", ["--faults", "crash=nonsense"], "--faults"),
+    ("throughput", ["--faults", "crash=9:5.0"], "--faults"),
+    ("throughput", ["--faults", "crash=2:-5"], "--faults"),
+    ("throughput", ["--protocols", "nope"], "unknown protocol"),
+    ("modelcheck", ["--sites", "1"], "--sites"),
+    ("modelcheck", ["--max-states", "0"], "--max-states"),
+    ("modelcheck", ["--max-depth", "0"], "--max-depth"),
+    ("modelcheck", ["--no-voters", "1"], "--no-voters"),
+    ("modelcheck", ["--protocol", "nope"], "uncheckable protocol"),
+    ("modelcheck", ["--faults", "dup=0.5"], "no exhaustive envelope"),
+]
+
+# (kind, grid flags, flag): spellings no parser of that kind declares --
+# removed options and flags that belong to another kind's grid.  Ordinary
+# argparse usage errors naming the flag.
+UNKNOWN_FLAGS = [
+    ("sweep", ["--stream"], "--stream"),
+    ("sweep", ["--refine"], "--refine"),
+    ("sweep", ["--resolution", "0.01"], "--resolution"),
+    ("throughput", ["--crash-schedule", "2:20:26"], "--crash-schedule"),
+    ("sweep", ["--protocols", "all"], "--protocols"),
+    ("sweep", ["--retries", "3"], "--retries"),
+    ("sweep", ["--arrival", "poisson"], "--arrival"),
+    ("sweep", ["--lock-transport", "network"], "--lock-transport"),
+    ("sweep", ["--max-states", "9"], "--max-states"),
+    ("throughput", ["--times", "0.5"], "--times"),
+    ("throughput", ["--no-voters", "2"], "--no-voters"),
+    ("throughput", ["--max-depth", "3"], "--max-depth"),
+    ("modelcheck", ["--times", "0.5"], "--times"),
+    ("modelcheck", ["--heal-after", "2"], "--heal-after"),
+    ("modelcheck", ["--transactions", "5"], "--transactions"),
+]
+
+ROUTES = ("verb", "shard", "manifest")
+
+
+def _case_id(case):
+    return case if isinstance(case, str) else " ".join(case)
+
+
+def _run_route(route, kind, flags, tmp_path):
+    """Exit code of a kind's grid ``flags`` through one entry route: the
+    kind's verb, ``shard --kind`` or a one-entry manifest (usage exits too)."""
+    import json
+
+    shard = [
+        "shard", "--shard-index", "0", "--shard-count", "1",
+        "--log", str(tmp_path / "log"),
+    ]
+    if route == "verb":
+        argv = [kind, *flags]
+    elif route == "shard":
+        argv = [*shard, "--kind", kind, *flags]
+    else:
+        manifest = tmp_path / "grids.json"
+        manifest.write_text(json.dumps({"grids": [{"kind": kind, "args": flags}]}))
+        argv = [*shard, "--manifest", str(manifest)]
+    try:
+        return main(argv)
+    except SystemExit as usage:
+        return usage.code
+
+
+@pytest.mark.parametrize("route", ROUTES)
+class TestGridFlagMatrix:
+    """One declaration per kind: its verb, ``shard --kind`` and a manifest
+    entry accept and reject exactly the same grid flags."""
+
+    @pytest.mark.parametrize("kind", sorted(SMALL_GRIDS))
+    def test_every_route_runs_the_kinds_grid(self, route, kind, capsys, tmp_path):
+        assert _run_route(route, kind, SMALL_GRIDS[kind], tmp_path) == 0
+        assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("kind, flags, needle", REJECTED_VALUES, ids=_case_id)
+    def test_rejected_values_are_one_line_naming_the_flag(
+        self, route, kind, flags, needle, capsys, tmp_path
+    ):
+        assert _run_route(route, kind, flags, tmp_path) == 2
+        err = capsys.readouterr().err
+        assert needle in err
+        assert len(err.splitlines()) == 1, err
+        if route == "manifest":
+            assert "grids[0]" in err
+
+    @pytest.mark.parametrize("kind, flags, flag", UNKNOWN_FLAGS, ids=_case_id)
+    def test_unknown_flags_are_usage_errors_naming_the_flag(
+        self, route, kind, flags, flag, capsys, tmp_path
+    ):
+        assert _run_route(route, kind, flags, tmp_path) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert f"error: unrecognized arguments: {flag}" in err.splitlines()[-1]
+        if route == "manifest":
+            assert "grids[0]" in err
+
+
+class TestRunFailuresExitCleanly:
+    """Failures past validation: one ``<verb> failed:`` line, exit 2."""
+
+    SHARD = ["shard", "--shard-index", "0", "--shard-count", "1"]
+
+    @pytest.mark.parametrize(
+        "verb, flag",
+        [
+            (verb, flag)
+            for verb in ("sweep", "throughput", "modelcheck", "shard", "boundaries")
+            for flag in ("--cache", "--stats-json", "--metrics-json")
+            if (verb, flag) != ("boundaries", "--stats-json")  # has no such flag
+        ],
+    )
+    def test_unwritable_path_names_the_file(self, verb, flag, capsys, tmp_path):
+        argv = {
+            "shard": [*self.SHARD, "--log", str(tmp_path / "log"), *SMALL_GRIDS["sweep"]],
+            "boundaries": ["boundaries", "--lo", "2.5", "--hi", "3.0"],
+        }.get(verb) or [verb, *SMALL_GRIDS[verb]]
+        target = "/proc/nope" if flag == "--cache" else "/proc/nope/x.json"
+        assert main([*argv, flag, target]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"{verb} failed: ")
+        assert "/proc/nope" in err
+        assert len(err.splitlines()) == 1, err
+
+    @pytest.mark.parametrize("verb", sorted(SMALL_GRIDS))
+    def test_unwritable_jsonl_names_the_file(self, verb, capsys):
+        assert main([verb, *SMALL_GRIDS[verb], "--jsonl", "/proc/nope/x"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"{verb} failed: ")
+        assert "/proc/nope" in err
+        assert len(err.splitlines()) == 1, err
+
+    @pytest.mark.parametrize("route", ROUTES)
+    def test_exhausted_budget_prints_the_hint(self, route, capsys, tmp_path):
+        assert _run_route(route, "modelcheck", ["--max-states", "5"], tmp_path) == 2
+        err = capsys.readouterr().err
+        assert "exploration budget exceeded" in err
+        assert "raise --max-states" in err
+        assert len(err.splitlines()) == 1, err
+
+    @pytest.mark.parametrize(
+        "flags, needle",
+        [(["--workers", "0"], "--workers"), (["--chunk-size", "0"], "--chunk-size")],
+    )
+    def test_engine_flags_are_checked_once_for_verb_and_shard(
+        self, flags, needle, capsys, tmp_path
+    ):
+        for argv in (
+            ["sweep", *flags],
+            ["modelcheck", *flags],
+            [*self.SHARD, "--log", str(tmp_path / "log"), *flags],
+        ):
+            assert main(argv) == 2
+            err = capsys.readouterr().err
+            assert needle in err and len(err.splitlines()) == 1, err
+
+
 class TestBoundariesCli:
     def test_locates_the_commit_point_flip(self, capsys):
         assert main(
@@ -515,6 +683,12 @@ class TestBoundariesCli:
         assert "--resolution" in capsys.readouterr().err
         assert main(["boundaries", "--protocol", "nope"]) == 2
         assert "unknown protocol" in capsys.readouterr().err
+        assert main(["boundaries", "--lo", "-1"]) == 2
+        assert "--lo must be >= 0" in capsys.readouterr().err
+        assert main(["boundaries", "--heal-after", "0"]) == 2
+        assert "--heal-after must be > 0" in capsys.readouterr().err
+        assert main(["boundaries", "--workers", "0"]) == 2
+        assert "--workers" in capsys.readouterr().err
 
 
 class TestThreeWaySplits:

@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from repro.__main__ import STATS_SCHEMA_VERSION, main
+from repro.cli import STATS_SCHEMA_VERSION, main
 
 SWEEP = ["sweep", "--protocol", "two-phase-commit", "--times", "0.5", "1.5"]
 
@@ -26,17 +26,6 @@ class TestMetricsJson:
         assert counters["engine.tasks.total"] == 6
         assert counters["engine.tasks.executed"] == 6
         assert counters["sim.events_executed"] > 0
-
-    def test_streamed_and_materialized_sweeps_report_the_same_counters(
-        self, capsys, tmp_path
-    ):
-        plain, streamed = tmp_path / "plain.json", tmp_path / "streamed.json"
-        assert main(SWEEP + ["--metrics-json", str(plain)]) == 0
-        assert main(SWEEP + ["--stream", "--metrics-json", str(streamed)]) == 0
-        assert (
-            load(plain)["metrics"]["counters"]
-            == load(streamed)["metrics"]["counters"]
-        )
 
     def test_throughput_reports_txn_instruments(self, capsys, tmp_path):
         out = tmp_path / "metrics.json"
@@ -127,7 +116,7 @@ class TestMetricsJson:
 class TestTraceNdjson:
     def test_sweep_writes_spans(self, capsys, tmp_path):
         trace = tmp_path / "trace.ndjson"
-        assert main(SWEEP + ["--stream", "--trace-ndjson", str(trace)]) == 0
+        assert main(SWEEP + ["--trace-ndjson", str(trace)]) == 0
         records = [
             json.loads(line) for line in trace.read_text().splitlines()
         ]
@@ -138,15 +127,10 @@ class TestTraceNdjson:
 
 class TestProgress:
     def test_progress_paints_stderr_only(self, capsys):
-        assert main(SWEEP + ["--stream", "--progress"]) == 0
-        captured = capsys.readouterr()
-        assert "6/6" in captured.err
-        assert "\r" not in captured.out
-
-    def test_materialized_sweep_also_supports_progress(self, capsys):
         assert main(SWEEP + ["--progress"]) == 0
         captured = capsys.readouterr()
         assert "6/6" in captured.err
+        assert "\r" not in captured.out
 
 
 class TestReportCommand:

@@ -43,3 +43,29 @@ def test_doc_code_blocks_run_verbatim():
     assert blocks, "expected executable python blocks in README/docs"
     failures = CHECKER.run_code_blocks()
     assert failures == [], "\n\n".join(failures)
+
+
+def test_documented_command_lines_parse():
+    commands = list(CHECKER.iter_cli_commands())
+    assert len(commands) > 50, "expected the docs / CI workflow to show CLI commands"
+    failures = CHECKER.check_cli_commands()
+    assert failures == [], "\n".join(failures)
+
+
+def test_a_removed_flag_in_a_doc_fails_the_check(tmp_path):
+    doc = tmp_path / "doc.md"
+    doc.write_text(
+        "```bash\n"
+        "for i in 0 1; do PYTHONPATH=src python -m repro shard --shard-index $i \\\n"
+        "    --shard-count 2 --log out/ --protocol all --retries 3; done\n"
+        "python -m repro sweep --protocol all --stream | tee table.txt\n"
+        "python -m repro sweep --protocol all --jsonl s.jsonl   # fine\n"
+        "```\n"
+        "Sketches only name a verb: `python -m repro merge ...`, "
+        "`python -m repro frobnicate ...`.\n"
+    )
+    failures = CHECKER.check_cli_commands([doc])
+    assert len(failures) == 3, failures
+    assert "doc.md:2" in failures[0] and "--retries 3" in failures[0]
+    assert "doc.md:4" in failures[1] and "--stream" in failures[1]
+    assert "doc.md:7" in failures[2] and "frobnicate" in failures[2]

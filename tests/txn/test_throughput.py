@@ -8,7 +8,7 @@ executing a scenario.
 
 import pytest
 
-from repro.__main__ import main
+from repro.cli import main
 from repro.engine import JsonlSink, SweepEngine, SweepTask, read_jsonl
 from repro.txn.sink import ThroughputSink
 from repro.experiments.throughput import (
@@ -315,30 +315,6 @@ class TestThroughputCli:
         assert main(cached) == 0
         assert "cache: 2 hit(s) / 0 miss(es)" in capsys.readouterr().out
 
-    @pytest.mark.parametrize(
-        "flags, flag_name",
-        [
-            (["--sites", "0"], "--sites"),
-            (["--read-fraction", "1.5"], "--read-fraction"),
-            (["--ops-per-site", "0"], "--ops-per-site"),
-            (["--tx-rate", "0"], "--tx-rate"),
-            (["--transactions", "0"], "--transactions"),
-            (["--keys", "0"], "--keys"),
-            (["--lock-timeout", "0"], "--lock-timeout"),
-            (["--partition-at", "2.0"], "--partition-at"),
-            (["--no-partition", "--permanent"], "--no-partition"),
-            (["--hotspot", "-0.5"], "--hotspot"),
-            (["--retries", "-1"], "--retries"),
-            (["--retry-backoff", "0"], "--retry-backoff"),
-            (["--crash-schedule", "nonsense"], "--crash-schedule"),
-            (["--crash-schedule", "9:5.0"], "--crash-schedule"),
-            (["--crash-schedule", "2:-5"], "--crash-schedule"),
-        ],
-    )
-    def test_validation_errors_name_the_flag(self, capsys, flags, flag_name):
-        assert main(["throughput", *flags]) == 2
-        assert flag_name in capsys.readouterr().err
-
     def test_open_loop_flags_run_end_to_end(self, capsys):
         assert main([
             "throughput",
@@ -348,7 +324,7 @@ class TestThroughputCli:
             "--retries", "2",
             "--hotspot", "0.5",
             "--victim", "fewest-locks",
-            "--crash-schedule", "3:10:16",
+            "--faults", "crash=3:10:16",
             "--deadlock", "both",
             "--lock-timeout", "4",
         ]) == 0
@@ -357,6 +333,8 @@ class TestThroughputCli:
         assert "crashes" in out
 
     def test_unknown_protocol_lists_available(self, capsys):
+        # The other flag-validation rows live in the cross-route matrix
+        # (tests/experiments/test_cli_and_multi.py::TestGridFlagMatrix).
         assert main(["throughput", "--protocols", "nope"]) == 2
         err = capsys.readouterr().err
         assert "unknown protocol" in err

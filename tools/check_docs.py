@@ -1,6 +1,7 @@
-"""Documentation checker: docstring coverage plus executable doc examples.
+"""Documentation checker: docstring coverage, executable doc examples and
+parseable documented command lines.
 
-Two checks, both enforced by CI (and by ``tests/test_docs.py``):
+Three checks, all enforced by CI (and by ``tests/test_docs.py``):
 
 1. **Docstring coverage** — every module under ``src/repro`` must carry a
    module-level docstring (the repo's convention: state the module's paper
@@ -9,6 +10,10 @@ Two checks, both enforced by CI (and by ``tests/test_docs.py``):
    ``README.md`` and ``docs/*.md`` must execute verbatim.  Blocks run in a
    temporary working directory (so examples may create cache directories /
    spill files) with ``src`` importable, each in a fresh namespace.
+3. **Documented command lines** -- every ``python -m repro ...`` command in
+   the docs, the verify skill, the CI workflow and the ``__main__`` usage
+   docstring must *parse* with the real CLI parser (nothing is run), so a
+   doc or workflow naming a removed flag fails here, not on a reader.
 
 Run directly::
 
@@ -18,8 +23,13 @@ Run directly::
 from __future__ import annotations
 
 import ast
+import contextlib
+import io
+import itertools
 import os
 import pathlib
+import re
+import shlex
 import sys
 import tempfile
 import traceback
@@ -27,6 +37,13 @@ import traceback
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 SOURCE_ROOT = REPO_ROOT / "src" / "repro"
 DOC_PATHS = [REPO_ROOT / "README.md", *sorted((REPO_ROOT / "docs").glob("*.md"))]
+COMMAND_PATHS = [
+    *DOC_PATHS,
+    REPO_ROOT / ".claude" / "skills" / "verify" / "SKILL.md",
+    REPO_ROOT / ".github" / "workflows" / "ci.yml",
+    SOURCE_ROOT / "__main__.py",
+]
+_COMMAND = "python -m repro "
 
 
 def missing_docstrings(root: pathlib.Path = SOURCE_ROOT) -> list[str]:
@@ -78,6 +95,69 @@ def run_code_blocks(paths=DOC_PATHS) -> list[str]:
     return failures
 
 
+def iter_cli_commands(paths=COMMAND_PATHS):
+    """Yield ``(path, line_number, argv, sketch)`` per documented command.
+
+    A command runs from ``python -m repro`` (backslash continuations joined)
+    to the first shell operator, closing backtick or comment; shell / CI
+    substitutions (``$i``, ``${{ matrix.x }}``) stand in as ``0``.
+    ``sketch`` marks lines with an ellipsis or ``<placeholder>``: prose
+    shorthand of which only the verb is checkable.
+    """
+    for path in paths:
+        if not path.exists():
+            continue
+        lines = path.read_text(encoding="utf-8").splitlines()
+        for number, line in enumerate(lines, start=1):
+            for text in line.split(_COMMAND)[1:]:
+                following = iter(lines[number:])
+                while text.rstrip().endswith("\\"):
+                    text = text.rstrip().rstrip("\\") + " " + next(following, "")
+                text = re.sub(r"\$\{\{.*?\}\}|\$\w+", "0", text.split("`")[0])
+                lexer = shlex.shlex(text, posix=True, punctuation_chars=True)
+                lexer.whitespace_split = True
+                argv = list(
+                    itertools.takewhile(
+                        lambda token: not set(token) <= set("();<>|&"), lexer
+                    )
+                )
+                yield path, number, argv, bool(re.search(r"\.\.\.|…|<\w+>", text))
+
+
+def check_cli_commands(paths=COMMAND_PATHS) -> list[str]:
+    """Parse every documented command; return a description of each failure.
+
+    Grid verbs (and ``shard --kind``) also build their task list, so flag
+    *values* the CLI would reject (an unknown protocol, say) fail too.
+    """
+    from repro.cli import parse_args
+    from repro.cli.common import UsageError
+    from repro.cli.kinds import GRID_KINDS, grid_kind
+
+    verbs = {kind.verb for kind in GRID_KINDS}
+    failures = []
+    for path, line, argv, sketch in iter_cli_commands(paths):
+        stderr = io.StringIO()
+        try:
+            with contextlib.redirect_stderr(stderr), contextlib.redirect_stdout(stderr):
+                # A sketch only names its verb: "<verb> --help" exits 0 iff
+                # the verb exists.
+                args = parse_args([*argv[:1], "--help"] if sketch else argv)
+                if args.command in verbs:
+                    grid_kind(args.command).build_tasks(args)
+                elif args.command == "shard" and args.manifest is None:
+                    grid_kind(args.kind).tasks_from_argv("shard", args.grid_argv)
+        except (SystemExit, UsageError) as exc:
+            if getattr(exc, "code", None) == 0:
+                continue
+            detail = stderr.getvalue().strip().splitlines()[-1:] or [str(exc)]
+            failures.append(
+                f"{os.path.relpath(path, REPO_ROOT)}:{line}: "
+                f"python -m repro {' '.join(argv)}\n    {detail[0]}"
+            )
+    return failures
+
+
 def main() -> int:
     sys.path.insert(0, str(REPO_ROOT / "src"))
     status = 0
@@ -100,6 +180,16 @@ def main() -> int:
             print(failure)
     else:
         print(f"doc examples: all {len(blocks)} python block(s) ran verbatim")
+
+    commands = list(iter_cli_commands())
+    failures = check_cli_commands()
+    if failures:
+        status = 1
+        print(f"{len(failures)} of {len(commands)} documented command(s) do not parse:")
+        for failure in failures:
+            print(failure)
+    else:
+        print(f"command lines: all {len(commands)} 'python -m repro' line(s) parse")
     return status
 
 
