@@ -11,7 +11,7 @@ Run with::
 """
 
 from repro.experiments import run_availability_comparison, run_message_overhead
-from repro.metrics import format_table
+from repro.obs.report import format_table
 from repro.protocols import ScenarioSpec, create_protocol, run_scenario
 from repro.sim.partition import PartitionSchedule
 from repro.workloads import WorkloadConfig, generate_transactions

@@ -55,7 +55,7 @@ def main() -> None:
     print(f"  noncommittable -> committable: {plan.noncommittable_state} -> {plan.committable_state}")
     print(
         "\nThe executable protocol 'terminating-quorum-commit' is built from exactly this plan; "
-        "see benchmarks/bench_thm10_generalization.py for its resilience sweep."
+        "run `python -m repro run THM10` for its resilience sweep."
     )
 
 

@@ -17,9 +17,9 @@ Conference on Data Engineering, 1987, pp. 455-465):
   (:mod:`repro.protocols`),
 * analysis tools for atomicity, blocking and worst-case timing
   (:mod:`repro.analysis`),
-* workload generators, metrics and the experiment harness that regenerates
-  every figure and case table in the paper (:mod:`repro.workloads`,
-  :mod:`repro.metrics`, :mod:`repro.experiments`).
+* workload generators and the experiment harness that regenerates every
+  figure and case table in the paper (:mod:`repro.workloads`,
+  :mod:`repro.experiments`).
 
 Quickstart::
 

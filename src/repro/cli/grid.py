@@ -126,7 +126,7 @@ def run_grid(
     from repro.engine import JsonlSink, StreamStats, SweepEngine
     from repro.engine.registry import kind_by_name
     from repro.engine.resultlog import DEFAULT_SEGMENT_RECORDS, run_shard_log
-    from repro.metrics.reporting import format_table
+    from repro.obs.report import format_table
 
     verb = kind.verb if kind is not None else "shard"
     chunk_size = getattr(args, "chunk_size", None)

@@ -229,7 +229,7 @@ def _run_merge(args: argparse.Namespace) -> int:
         InjectedMergeCrash,
         merge_result_log,
     )
-    from repro.metrics.reporting import format_table
+    from repro.obs.report import format_table
     from repro.obs.metrics import activate
 
     check(

@@ -159,12 +159,13 @@ def _run_report(args: argparse.Namespace) -> int:
         document = json.loads(pathlib.Path(args.metrics).read_text("utf-8"))
     except ValueError as exc:
         raise UsageError(f"report failed: {exc}") from None
-    check(
-        isinstance(document, dict),
-        f"report failed: {args.metrics} is not a metrics document "
-        f"(expected a JSON object)",
-    )
-    print(render_metrics_document(document))
+    try:
+        text = render_metrics_document(document)
+    except ValueError as exc:
+        raise UsageError(
+            f"report failed: {args.metrics} is not a metrics document ({exc})"
+        ) from None
+    print(text)
     return 0
 
 
@@ -175,7 +176,7 @@ def _run_boundaries(args: argparse.Namespace) -> int:
         verdict_class,
         verdict_class_with_bound,
     )
-    from repro.metrics.reporting import format_table
+    from repro.obs.report import format_table
 
     check(args.workers >= 1, f"--workers must be >= 1, got {args.workers}")
     protocols, no_voter_options = resolve_split_axes(args)

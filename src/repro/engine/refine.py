@@ -154,8 +154,8 @@ class RefinementResult:
 
     ``scenarios_run`` counts every evaluated grid point (executed or served
     from cache); :meth:`uniform_equivalent` is what a uniform grid at the
-    same resolution over the same interval would have cost -- the
-    refinement-vs-uniform benchmark asserts their ratio.
+    same resolution over the same interval would have cost --
+    ``tests/engine/test_refine.py`` asserts their ratio.
     """
 
     line: OnsetLine

@@ -27,24 +27,13 @@ The built-in kinds self-register from their home packages
 :mod:`repro.modelcheck.kind`); they are imported lazily on first lookup so
 this module stays dependency-free and import cycles cannot form.
 
-External packages plug in the same way, without touching this file:
-
-* **setuptools entry points** -- declare a module in the
-  ``repro.spec_kinds`` group; it is imported (and expected to call
-  :func:`register_spec_kind` at import time) right after the built-ins.
-* **environment hook** -- ``REPRO_SPEC_KINDS`` holds a comma-separated
-  list of importable module names, loaded after the entry points (so a
-  development checkout can inject kinds without installing anything).
-
-A provider that fails to import raises :class:`SpecKindProviderError`
-naming the provider, so a broken third-party kind is self-diagnosing
-instead of surfacing as an unknown-kind error three layers later.
+A test or external package adds a kind the same way, by calling
+:func:`register_spec_kind`, without touching this file.
 """
 
 from __future__ import annotations
 
 import importlib
-import os
 from dataclasses import dataclass
 from typing import Any, Callable, Mapping, Optional
 
@@ -56,20 +45,6 @@ BUILTIN_KIND_PROVIDERS: tuple[str, ...] = (
     "repro.txn.kind",
     "repro.modelcheck.kind",
 )
-
-#: setuptools entry-point group external packages register providers under.
-ENTRY_POINT_GROUP = "repro.spec_kinds"
-
-#: Environment variable naming extra provider modules (comma-separated).
-ENV_PROVIDERS = "REPRO_SPEC_KINDS"
-
-
-class SpecKindProviderError(RuntimeError):
-    """An external spec-kind provider failed to import or load.
-
-    The message names the provider (module or entry point) so the failure
-    is attributable without digging through the import traceback.
-    """
 
 
 class UnknownSpecKindError(KeyError):
@@ -148,45 +123,9 @@ def _load_builtins() -> None:
     try:
         for module in BUILTIN_KIND_PROVIDERS:
             importlib.import_module(module)
-        _load_entry_point_providers()
-        _load_env_providers()
     finally:
         _builtins_loading = False
     _builtins_loaded = True
-
-
-def _load_entry_point_providers() -> None:
-    """Import every module declared in the ``repro.spec_kinds`` group."""
-    from importlib.metadata import entry_points
-
-    try:
-        points = entry_points(group=ENTRY_POINT_GROUP)
-    except TypeError:  # pragma: no cover - pre-3.10 selection API
-        points = entry_points().get(ENTRY_POINT_GROUP, ())
-    for point in points:
-        try:
-            point.load()
-        except Exception as exc:
-            raise SpecKindProviderError(
-                f"spec-kind provider {point.name!r} ({point.value!r}, entry "
-                f"point group {ENTRY_POINT_GROUP!r}) failed to load: {exc}"
-            ) from exc
-
-
-def _load_env_providers() -> None:
-    """Import every module named in ``REPRO_SPEC_KINDS`` (comma-separated)."""
-    value = os.environ.get(ENV_PROVIDERS, "")
-    for name in value.split(","):
-        module = name.strip()
-        if not module:
-            continue
-        try:
-            importlib.import_module(module)
-        except Exception as exc:
-            raise SpecKindProviderError(
-                f"spec-kind provider {module!r} (from ${ENV_PROVIDERS}) "
-                f"failed to import: {exc}"
-            ) from exc
 
 
 def register_spec_kind(kind: SpecKind) -> SpecKind:

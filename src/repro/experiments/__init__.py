@@ -1,9 +1,9 @@
 """Experiment harness: one module per paper figure / result.
 
 Every experiment exposes a ``run_*`` function returning a report object with
-``rows()`` (tabular data) and ``format()`` (printable text); the benchmarks
-in ``benchmarks/`` time these functions and print their tables, and the
-examples reuse them.  See DESIGN.md for the experiment index.
+``rows()`` (tabular data) and ``format()`` (printable text); ``repro run``
+prints their tables, the golden-table tests pin them, and the examples reuse
+them.  See docs/paper-map.md for the experiment index.
 """
 
 from repro.experiments.harness import ExperimentReport, sweep_protocol

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from typing import Any, Iterable, Iterator, Optional, Sequence, Union
 
 from repro.engine import RunSummary, ScenarioGrid, StreamStats, SummarySink, SweepEngine
-from repro.metrics.reporting import format_table
+from repro.obs.report import format_table
 from repro.protocols.registry import create_protocol
 from repro.protocols.runner import ScenarioSpec, TransactionRunResult, run_scenario
 

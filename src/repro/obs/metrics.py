@@ -27,7 +27,8 @@ are instrumented against the *active registry*: a module-level slot that
 is ``None`` unless a caller opted in via :func:`activate`.  The disabled
 path is one ``is None`` check at scenario granularity -- the same pattern
 as ``NullTrace`` -- which keeps the metrics-off overhead far below the
-3% budget enforced by ``tools/check_overhead.py``.
+3% budget enforced by ``tools/check_overhead.py`` (timed, like every other
+number about this layer, by the ledger under ``bench/``).
 """
 
 from __future__ import annotations

@@ -15,18 +15,42 @@ it takes the canonical-JSON metrics document a run wrote and renders
   item 1 needs to quantify the workers=4-loses-to-workers=1 gap;
 * the remaining **counters and gauges** verbatim.
 
-Rendering goes through :func:`repro.metrics.reporting.format_table`, the
-same dependency-free renderer every other CLI table uses.
+Rendering goes through :func:`format_table`, the dependency-free renderer
+every experiment report, sweep table and boundary listing uses (the
+golden-table tests pin its exact output).
 """
 
 from __future__ import annotations
 
-from typing import Any, Mapping, Optional
-
-from repro.metrics.reporting import format_table
+from typing import Any, Mapping, Optional, Sequence
 
 #: Prefix of the per-worker instruments the engine emits.
 WORKER_PREFIX = "engine.worker."
+
+
+def format_table(
+    rows: Sequence[Mapping[str, Any]],
+    *,
+    columns: Optional[Sequence[str]] = None,
+    title: Optional[str] = None,
+) -> str:
+    """Render a list of dict rows as an aligned text table."""
+    if not rows:
+        return title or "(no rows)"
+    keys = list(columns) if columns is not None else list(rows[0].keys())
+    widths = {key: len(str(key)) for key in keys}
+    for row in rows:
+        for key in keys:
+            widths[key] = max(widths[key], len(str(row.get(key, ""))))
+    lines = []
+    if title:
+        lines.append(title)
+    header = " | ".join(f"{key:<{widths[key]}}" for key in keys)
+    lines.append(header)
+    lines.append("-+-".join("-" * widths[key] for key in keys))
+    for row in rows:
+        lines.append(" | ".join(f"{str(row.get(key, '')):<{widths[key]}}" for key in keys))
+    return "\n".join(lines)
 
 
 def _fmt_seconds(seconds: float) -> str:
@@ -129,15 +153,52 @@ def _scalar_rows(
     return rows
 
 
-def render_metrics_document(document: Mapping[str, Any]) -> str:
+def _is_number(value: Any) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _checked_snapshot(document: Any) -> Mapping[str, Any]:
+    """The registry snapshot inside ``document``, shape-checked.
+
+    The document comes from a file, so every field the tables read is
+    checked first; ``ValueError`` names the first one that is not what
+    :meth:`~repro.obs.metrics.MetricsRegistry.snapshot` writes.
+    """
+    if not isinstance(document, Mapping):
+        raise ValueError("expected a JSON object")
+    metrics = document.get("metrics", document)
+    if not isinstance(metrics, Mapping):
+        raise ValueError('"metrics" is not a JSON object')
+    if not _is_number(document.get("elapsed", 0)):
+        raise ValueError('"elapsed" is not a number')
+    for section in ("counters", "gauges", "histograms"):
+        if not isinstance(metrics.get(section, {}), Mapping):
+            raise ValueError(f'"{section}" is not a JSON object')
+    for section in ("counter", "gauge"):
+        for name, value in metrics.get(section + "s", {}).items():
+            if not _is_number(value):
+                raise ValueError(f'{section} "{name}" is not a number')
+    for name, payload in metrics.get("histograms", {}).items():
+        if not isinstance(payload, Mapping):
+            raise ValueError(f'histogram "{name}" is not a JSON object')
+        for field in ("count", "total", "min", "max"):
+            value = payload.get(field)
+            # An empty histogram snapshots its min / max as null.
+            if not _is_number(value) and (value is not None or field in ("count", "total")):
+                raise ValueError(f'histogram "{name}" has no numeric "{field}"')
+    return metrics
+
+
+def render_metrics_document(document: Any) -> str:
     """The full ``repro report`` rendering of one metrics document.
 
     ``document`` is what ``--metrics-json`` wrote: run metadata plus the
     registry snapshot under ``"metrics"``.  A bare registry snapshot (as
     produced by :meth:`~repro.obs.metrics.MetricsRegistry.snapshot`) is
-    accepted too.
+    accepted too.  Raises ``ValueError`` naming the field when the
+    document is not shaped like one.
     """
-    metrics = document.get("metrics", document)
+    metrics = _checked_snapshot(document)
     elapsed = document.get("elapsed")
     sections: list[str] = []
 

@@ -3,8 +3,8 @@
 Where :mod:`repro.obs.metrics` answers "how much / how many", spans answer
 "*when*, and inside *what*": every engine phase -- grid build, dispatch,
 worker execute, summary decode, cache store, spill, merge -- opens a span,
-and nesting is tracked so a trace viewer (or ``tools/profile_kernel.py
---spans``) can reconstruct the phase tree of a run.
+and nesting is tracked so a trace viewer can reconstruct the phase tree of
+a run.
 
 Design constraints, mirroring the metrics layer:
 

@@ -36,11 +36,24 @@ def grid():
     )
 
 
+@pytest.fixture(scope="module")
+def partition_sweep_grid():
+    """One protocol at n=4: 12 onsets x 7 simple splits x 3 vote patterns = 252."""
+    return ScenarioGrid.from_partition_sweep(
+        "terminating-three-phase-commit",
+        4,
+        times=[round(0.25 * i, 2) for i in range(1, 13)],
+        no_voter_options=(frozenset(), frozenset({2}), frozenset({4})),
+    )
+
+
 MEASURES = ("wait_in_w", "wait_in_p", "probe_window")
 
 
 class TestWorkerCountDeterminism:
-    def test_workers_1_and_4_yield_identical_summary_sequences(self, grid):
+    @pytest.mark.parametrize("grid_fixture", ["grid", "partition_sweep_grid"])
+    def test_workers_1_and_4_yield_identical_summary_sequences(self, request, grid_fixture):
+        grid = request.getfixturevalue(grid_fixture)
         serial = SweepEngine(workers=1).run(grid, measures=MEASURES)
         parallel = SweepEngine(workers=4).run(grid, measures=MEASURES)
         assert serial.total == parallel.total == len(grid)

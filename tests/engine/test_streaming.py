@@ -13,6 +13,8 @@ from repro.engine import (
     VerdictCounterSink,
     read_jsonl,
 )
+from repro.engine.registry import kind_by_name
+from repro.experiments.throughput import DEFAULT_PROTOCOLS, throughput_tasks
 from repro.sim.latency import UniformLatency
 from repro.sim.partition import PartitionSchedule
 
@@ -77,10 +79,16 @@ class TestWorkerCountIndependentAggregates:
 
 
 class TestBoundedBuffering:
-    def test_serial_streaming_buffers_at_most_one_summary(self, grid):
-        counter = VerdictCounterSink()
-        stats = SweepEngine(workers=1).run_streaming(grid, sinks=counter)
-        assert stats.total == len(grid)
+    @pytest.mark.parametrize("kind", ["scenario", "throughput"])
+    def test_serial_streaming_buffers_at_most_one_summary(self, grid, kind):
+        tasks = (
+            list(grid.tasks())
+            if kind == "scenario"
+            else throughput_tasks(list(DEFAULT_PROTOCOLS), n_transactions=50)
+        )
+        sink = kind_by_name(kind).make_sink()
+        stats = SweepEngine(workers=1).run_streaming(tasks, sinks=sink)
+        assert stats.total == len(tasks)
         assert stats.max_buffered <= 1
 
     def test_parallel_streaming_never_buffers_the_whole_sweep(self, grid):

@@ -714,6 +714,7 @@ class TestMultiplePartitioningExperiment:
     def test_impossibility_reproduced(self, report):
         for summary in report.details.values():
             assert not summary.resilient
+            assert summary.atomicity_violations > 0
 
     def test_violations_rather_than_silent_divergence(self, report):
         summary = report.details["terminating-three-phase-commit"]

@@ -103,7 +103,7 @@ class TestTheorem9:
         assert summary.total_runs == len(QUICK_TIMES) * 3
 
     def test_fig8_report_across_sizes(self):
-        report = ex.run_fig8_termination(site_counts=(3, 4))
+        report = ex.run_fig8_termination(site_counts=(3, 4, 5))
         for row in report.rows():
             assert row["atomicity violations"] == 0
             assert row["blocked runs"] == 0

@@ -153,11 +153,27 @@ class TestReportCommand:
         assert main(["report", str(bad)]) == 2
         assert "report failed" in capsys.readouterr().err
 
-    def test_non_object_payload_is_exit_2(self, capsys, tmp_path):
-        arr = tmp_path / "arr.json"
-        arr.write_text("[1, 2]")
-        assert main(["report", str(arr)]) == 2
-        assert "not a metrics document" in capsys.readouterr().err
+    @pytest.mark.parametrize(
+        "payload, named",
+        [
+            ("[1, 2]", "expected a JSON object"),
+            ('{"metrics": 3}', '"metrics" is not a JSON object'),
+            ('{"histograms": {"x_seconds": {"count": 1}}}', 'histogram "x_seconds" has no numeric "total"'),
+            ('{"counters": {"engine.tasks.total": "many"}}', 'counter "engine.tasks.total" is not a number'),
+            ('{"elapsed": "1s", "metrics": {}}', '"elapsed" is not a number'),
+        ],
+    )
+    def test_malformed_document_is_exit_2_naming_file_and_field(
+        self, capsys, tmp_path, payload, named
+    ):
+        bad = tmp_path / "bad.json"
+        bad.write_text(payload)
+        assert main(["report", str(bad)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.strip().splitlines()  # one line, never a traceback
+        assert f"report failed: {bad} is not a metrics document" in line
+        assert named in line
 
 
 class TestStatsSchema:

@@ -1,4 +1,4 @@
-"""The --progress stderr line and the ``repro report`` rendering."""
+"""The --progress stderr line, the table renderer and ``repro report``."""
 
 import io
 
@@ -6,6 +6,7 @@ from repro.obs.metrics import MetricsRegistry, SIM_TIME_BUCKETS
 from repro.obs.progress import ProgressLine
 from repro.obs.report import (
     distribution_rows,
+    format_table,
     phase_rows,
     render_metrics_document,
     worker_rows,
@@ -38,6 +39,26 @@ class TestProgressLine:
         stream = io.StringIO()
         ProgressLine(10, stream=stream).close()
         assert stream.getvalue() == ""
+
+
+class TestFormatTable:
+    def test_format_table_alignment_and_title(self):
+        rows = [{"a": 1, "bb": "xx"}, {"a": 22, "bb": "y"}]
+        text = format_table(rows, title="demo")
+        lines = text.splitlines()
+        assert lines[0] == "demo"
+        assert "a" in lines[1] and "bb" in lines[1]
+        assert len(lines) == 5
+
+    def test_format_table_empty(self):
+        assert format_table([], title="nothing") == "nothing"
+        assert format_table([]) == "(no rows)"
+
+    def test_format_table_column_selection(self):
+        rows = [{"a": 1, "b": 2}]
+        text = format_table(rows, columns=["b"])
+        assert "b" in text
+        assert "a" not in text.splitlines()[0]
 
 
 def sample_snapshot():

@@ -69,3 +69,31 @@ def test_a_removed_flag_in_a_doc_fails_the_check(tmp_path):
     assert "doc.md:2" in failures[0] and "--retries 3" in failures[0]
     assert "doc.md:4" in failures[1] and "--stream" in failures[1]
     assert "doc.md:7" in failures[2] and "frobnicate" in failures[2]
+
+
+def test_documented_paths_exist():
+    assert CHECKER.missing_paths() == []
+
+
+def test_a_deleted_file_in_a_doc_fails_the_check(tmp_path):
+    doc = tmp_path / "doc.md"
+    doc.write_text(
+        "Run `tools/check_docs.py`, then `PYTHONPATH=src python tools/gone.py --x`.\n"
+        "Prose about tools/gone.py outside back-ticks is not read.\n"
+        "```bash\n"
+        "python -m pytest benchmarks/bench_gone.py -q   # fenced blocks are read\n"
+        "python3 bench/run.py --smoke\n"
+        "```\n"
+        "Globs must match (`bench/expected/*-seed0.json`, `bench/gone/*.json`), "
+        "suffixes are cut (`tests/test_docs.py::test_docs_tree_exists`, "
+        "`src/repro/gone.py:12`) and patterns are skipped "
+        "(`bench/expected/<workload>-seed0.json`).\n"
+    )
+    missing = CHECKER.missing_paths([doc])
+    assert [entry.split(": ")[1] for entry in missing] == [
+        "tools/gone.py",
+        "benchmarks/bench_gone.py",
+        "bench/gone/*.json",
+        "src/repro/gone.py",
+    ]
+    assert "doc.md:1" in missing[0] and "doc.md:4" in missing[1]

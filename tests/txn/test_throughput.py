@@ -81,21 +81,56 @@ class TestRunner:
         assert summary.blocked == summary.stalled == summary.violated == 0
         assert summary.goodput > 0
 
-    def test_abort_counter_splits_exactly_by_cause(self):
-        # Partition write-offs are no longer conflated with deadlock /
-        # timeout victims: the cause split partitions the abort counter.
-        partition = PartitionSchedule.transient(5.0, 13.0, [1, 2], [3])
-        summary = run_throughput_scenario(
-            "terminating-three-phase-commit",
-            ThroughputSpec(n_transactions=20, tx_rate=2.0, partition=partition),
-        ).summary
+    @pytest.mark.parametrize(
+        "spec, cause, peak_waiting",
+        [
+            # Partition write-offs are not conflated with deadlock / timeout
+            # victims: the cause split partitions the abort counter.
+            (
+                ThroughputSpec(
+                    n_transactions=20,
+                    tx_rate=2.0,
+                    partition=PartitionSchedule.transient(5.0, 13.0, [1, 2], [3]),
+                ),
+                "aborted_partition",
+                1,
+            ),
+            # 512 transactions offered at 4/T over 16 keys, far beyond
+            # capacity: deep lock queues and sustained multiplexing.
+            (
+                ThroughputSpec(
+                    n_transactions=512,
+                    tx_rate=4.0,
+                    n_keys=16,
+                    operations_per_site=2,
+                    op_delay=0.1,
+                    deadlock=DeadlockPolicy(detect_cycles=True),
+                    seed=7,
+                ),
+                "aborted_deadlock",
+                10,
+            ),
+        ],
+        ids=["partitioned-20", "contended-512"],
+    )
+    def test_abort_counter_splits_exactly_by_cause(self, spec, cause, peak_waiting):
+        summary = run_throughput_scenario("terminating-three-phase-commit", spec).summary
+        # Every transaction is accounted for exactly once.
+        assert summary.offered == spec.n_transactions
+        assert summary.offered == (
+            summary.committed + summary.aborted + summary.blocked
+            + summary.stalled + summary.violated
+        )
+        assert summary.committed > 0
         assert summary.aborted > 0
-        assert summary.aborted_partition > 0
         assert summary.aborted == (
             summary.aborted_deadlock + summary.aborted_timeout
             + summary.aborted_crash + summary.aborted_partition
         )
-        assert summary.aborted_deadlock == summary.aborted_timeout == 0
+        assert getattr(summary, cause) == summary.aborted
+        # The scheduler genuinely overlaps commit-protocol instances.
+        assert summary.peak_in_flight >= 2
+        assert summary.peak_waiting >= peak_waiting
 
     def test_crash_writeoffs_count_as_crash_cause(self):
         summary = run_throughput_scenario(

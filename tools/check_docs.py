@@ -1,7 +1,7 @@
-"""Documentation checker: docstring coverage, executable doc examples and
-parseable documented command lines.
+"""Documentation checker: docstring coverage, executable doc examples,
+parseable documented command lines and existing documented paths.
 
-Three checks, all enforced by CI (and by ``tests/test_docs.py``):
+Four checks, all enforced by CI (and by ``tests/test_docs.py``):
 
 1. **Docstring coverage** — every module under ``src/repro`` must carry a
    module-level docstring (the repo's convention: state the module's paper
@@ -14,6 +14,11 @@ Three checks, all enforced by CI (and by ``tests/test_docs.py``):
    the docs, the verify skill, the CI workflow and the ``__main__`` usage
    docstring must *parse* with the real CLI parser (nothing is run), so a
    doc or workflow naming a removed flag fails here, not on a reader.
+4. **Documented paths** -- every repo-relative path (``tools/...``,
+   ``bench/...``, ``benchmarks/...``, ``src/...``, ``docs/...``,
+   ``tests/...``) inside back-ticks or a fenced block of ``README.md``,
+   ``docs/*.md`` and the verify skill must exist on disk, so a doc naming a
+   deleted file fails here too.
 
 Run directly::
 
@@ -37,13 +42,17 @@ import traceback
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 SOURCE_ROOT = REPO_ROOT / "src" / "repro"
 DOC_PATHS = [REPO_ROOT / "README.md", *sorted((REPO_ROOT / "docs").glob("*.md"))]
+VERIFY_SKILL = REPO_ROOT / ".claude" / "skills" / "verify" / "SKILL.md"
 COMMAND_PATHS = [
     *DOC_PATHS,
-    REPO_ROOT / ".claude" / "skills" / "verify" / "SKILL.md",
+    VERIFY_SKILL,
     REPO_ROOT / ".github" / "workflows" / "ci.yml",
     SOURCE_ROOT / "__main__.py",
 ]
 _COMMAND = "python -m repro "
+_REPO_PATH = re.compile(
+    r"(?<![\w/.-])(?:tools|bench|benchmarks|src|docs|tests)/[\w./*-]*"
+)
 
 
 def missing_docstrings(root: pathlib.Path = SOURCE_ROOT) -> list[str]:
@@ -158,6 +167,35 @@ def check_cli_commands(paths=COMMAND_PATHS) -> list[str]:
     return failures
 
 
+def missing_paths(paths=(*DOC_PATHS, VERIFY_SKILL)) -> list[str]:
+    """``file:line: path`` for every documented repo path that is not on disk.
+
+    Only code is read: inline back-ticked spans and fenced blocks.  A path
+    may be a glob (``bench/expected/*-seed0.json`` must match something) and
+    may carry a ``::test`` or ``:line`` suffix; one followed by a
+    ``<placeholder>`` is a pattern, not a path, and is skipped.
+    """
+    missing = []
+    for path in paths:
+        if not path.exists():
+            continue
+        fenced = False
+        for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
+            if line.strip().startswith("```"):
+                fenced = not fenced
+                continue
+            for span in [line] if fenced else re.findall(r"`([^`]+)`", line):
+                for match in _REPO_PATH.finditer(span):
+                    if span[match.end() : match.end() + 1] == "<":
+                        continue
+                    target = match.group().rstrip(".:")
+                    if not any(REPO_ROOT.glob(target)):
+                        missing.append(
+                            f"{os.path.relpath(path, REPO_ROOT)}:{number}: {target}"
+                        )
+    return missing
+
+
 def main() -> int:
     sys.path.insert(0, str(REPO_ROOT / "src"))
     status = 0
@@ -190,6 +228,15 @@ def main() -> int:
             print(failure)
     else:
         print(f"command lines: all {len(commands)} 'python -m repro' line(s) parse")
+
+    missing = missing_paths()
+    if missing:
+        status = 1
+        print(f"{len(missing)} documented path(s) do not exist:")
+        for entry in missing:
+            print(f"  {entry}")
+    else:
+        print("paths: every documented repo path exists")
     return status
 
 
