@@ -18,6 +18,7 @@ from repro.cli.grid import add_grid_parsers
 from repro.cli.shard import add_shard_parsers
 from repro.cli.verbs import EXPERIMENTS, add_verb_parsers
 from repro.core.reachability import ExplorationError
+from repro.engine.engine import WorkerCrashedError
 from repro.engine.registry import UnknownSpecKindError
 from repro.engine.resultlog import ResultLogError
 from repro.sim.kernel import SimulationError
@@ -56,7 +57,7 @@ def main(argv: list[str] | None = None) -> int:
 
     The one place failures become an exit code: a rejected flag value or a
     failed run (unwritable path, exhausted exploration budget, invalid
-    result log ...) prints a single stderr line and exits 2.
+    result log, dead worker ...) prints a single stderr line and exits 2.
     """
     args = parse_args(argv)
     try:
@@ -75,6 +76,7 @@ def main(argv: list[str] | None = None) -> int:
         PartitionError,
         ResultLogError,
         UnknownSpecKindError,
+        WorkerCrashedError,
     ) as exc:
         print(f"{args.command} failed: {exc}", file=sys.stderr)
     return 2

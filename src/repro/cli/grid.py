@@ -137,52 +137,57 @@ def run_grid(
     )
     tasks = build_tasks(args)
     metrics, spans = make_obs(args)
-    engine = SweepEngine(
+    extra: dict = {}
+    # The workers are gone before the summary line is printed.
+    with SweepEngine(
         workers=args.workers,
         cache=args.cache,
         chunk_size=chunk_size,
         metrics=metrics,
         spans=spans,
-    )
-    extra: dict = {}
-    if kind is None:
-        result = run_shard_log(
-            tasks,
-            args.shard_index,
-            args.shard_count,
-            args.log,
-            engine=engine,
-            segment_records=args.segment_records or DEFAULT_SEGMENT_RECORDS,
-        )
-        stats = result.stats
-        print(
-            f"shard {args.shard_index}/{args.shard_count} ({shard_label} "
-            f"grid): {result.appended} of {result.shard_tasks} task(s) "
-            f"appended to {args.log} ({result.skipped} already sealed, "
-            f"{result.segments_sealed} segment(s) sealed)"
-        )
-        extra = {
-            "kind": shard_label,
-            "shard_index": args.shard_index,
-            "shard_count": args.shard_count,
-            "total_tasks": len(tasks),
-            "resumed_skips": result.skipped,
-            "records_appended": result.appended,
-            "segments_sealed": result.segments_sealed,
-        }
-    else:
-        table = kind_by_name(kind.registry_kind).make_sink()
-        traces = _CounterexampleSink() if kind.traces and not args.no_traces else None
-        spill = JsonlSink(args.jsonl) if args.jsonl is not None else None
-        stats = StreamStats(workers=args.workers)
-        progress = _progress_sink(len(tasks), stats, verb) if args.progress else None
-        sinks = [s for s in (table, traces, spill, progress) if s is not None]
-        stats = engine.run_streaming(tasks, sinks=sinks, stats=stats)
-        print(format_table(table.rows()))
-        if traces is not None:
-            traces.report()
-        if spill is not None:
-            print(f"spilled {spill.count} summaries to {args.jsonl}")
+    ) as engine:
+        if kind is None:
+            result = run_shard_log(
+                tasks,
+                args.shard_index,
+                args.shard_count,
+                args.log,
+                engine=engine,
+                segment_records=args.segment_records or DEFAULT_SEGMENT_RECORDS,
+            )
+            stats = result.stats
+            print(
+                f"shard {args.shard_index}/{args.shard_count} ({shard_label} "
+                f"grid): {result.appended} of {result.shard_tasks} task(s) "
+                f"appended to {args.log} ({result.skipped} already sealed, "
+                f"{result.segments_sealed} segment(s) sealed)"
+            )
+            extra = {
+                "kind": shard_label,
+                "shard_index": args.shard_index,
+                "shard_count": args.shard_count,
+                "total_tasks": len(tasks),
+                "resumed_skips": result.skipped,
+                "records_appended": result.appended,
+                "segments_sealed": result.segments_sealed,
+            }
+        else:
+            table = kind_by_name(kind.registry_kind).make_sink()
+            traces = (
+                _CounterexampleSink() if kind.traces and not args.no_traces else None
+            )
+            spill = JsonlSink(args.jsonl) if args.jsonl is not None else None
+            stats = StreamStats(workers=args.workers)
+            progress = (
+                _progress_sink(len(tasks), stats, verb) if args.progress else None
+            )
+            sinks = [s for s in (table, traces, spill, progress) if s is not None]
+            stats = engine.run_streaming(tasks, sinks=sinks, stats=stats)
+            print(format_table(table.rows()))
+            if traces is not None:
+                traces.report()
+            if spill is not None:
+                print(f"spilled {spill.count} summaries to {args.jsonl}")
     print(
         f"{stats.total} scenarios in {stats.elapsed:.2f}s "
         f"({args.workers} worker(s), {stats.throughput:.0f} scenarios/s, "

@@ -185,38 +185,41 @@ def _run_boundaries(args: argparse.Namespace) -> int:
     check(args.hi > args.lo, f"need --lo < --hi, got [{args.lo}, {args.hi}]")
     check(args.coarse_step > 0, f"--coarse-step must be > 0, got {args.coarse_step}")
     obs_metrics, obs_spans = make_obs(args)
-    engine = SweepEngine(
-        workers=args.workers,
-        cache=args.cache,
-        metrics=obs_metrics,
-        spans=obs_spans,
-    )
-    driver = RefinementDriver(
-        engine,
-        resolution=args.resolution,
-        classify=verdict_class_with_bound if args.decision_bounds else verdict_class,
-    )
     rows = []
     scenarios_run = 0
     executed = 0
     cache_hits = 0
     uniform = 0
-    for protocol in protocols:
-        results = driver.refine_partition_boundaries(
-            protocol,
-            args.sites,
-            no_voter_options=no_voter_options,
-            heal_after=args.heal_after,
-            lo=args.lo,
-            hi=args.hi,
-            coarse_step=args.coarse_step,
+    # The workers are gone before anything is printed.
+    with SweepEngine(
+        workers=args.workers,
+        cache=args.cache,
+        metrics=obs_metrics,
+        spans=obs_spans,
+    ) as engine:
+        driver = RefinementDriver(
+            engine,
+            resolution=args.resolution,
+            classify=(
+                verdict_class_with_bound if args.decision_bounds else verdict_class
+            ),
         )
-        for result in results:
-            rows.extend(result.rows())
-            scenarios_run += result.scenarios_run
-            executed += result.executed
-            cache_hits += result.cache_hits
-            uniform += result.uniform_equivalent()
+        for protocol in protocols:
+            results = driver.refine_partition_boundaries(
+                protocol,
+                args.sites,
+                no_voter_options=no_voter_options,
+                heal_after=args.heal_after,
+                lo=args.lo,
+                hi=args.hi,
+                coarse_step=args.coarse_step,
+            )
+            for result in results:
+                rows.extend(result.rows())
+                scenarios_run += result.scenarios_run
+                executed += result.executed
+                cache_hits += result.cache_hits
+                uniform += result.uniform_equivalent()
     if uniform == 0:
         # No refinement lines at all (e.g. a single site has no simple splits).
         print(

@@ -37,7 +37,13 @@ top of this package.
 """
 
 from repro.engine.cache import ResultCache
-from repro.engine.engine import StreamStats, SweepEngine, SweepResult, execute_task
+from repro.engine.engine import (
+    StreamStats,
+    SweepEngine,
+    SweepResult,
+    WorkerCrashedError,
+    execute_task,
+)
 from repro.engine.grid import ScenarioGrid, SweepTask, tasks_from_specs
 from repro.engine.hashing import spec_hash
 from repro.engine.measures import MEASURES, register_measure
@@ -119,6 +125,7 @@ __all__ = [
     "UnknownSpecKindError",
     "VerdictCounterSink",
     "ViolationCollectorSink",
+    "WorkerCrashedError",
     "discover_segments",
     "execute_task",
     "kind_by_name",

@@ -11,7 +11,10 @@ Execution strategy:
   to debug, bit-for-bit reproducible);
 * ``workers>1`` -- the task list is partitioned into chunks and executed on
   a ``concurrent.futures.ProcessPoolExecutor``; chunks amortize the
-  per-submission pickling cost over many scenarios.
+  per-submission pickling cost over many scenarios.  The pool belongs to
+  the engine, not to the run: it is forked at the first batch that needs it,
+  reused by every later batch, and released by :meth:`SweepEngine.close`
+  (or the ``with`` block, or garbage collection of the engine).
 
 Either way the result order equals the task order: runs are independent, so
 summaries are reassembled by task index regardless of which worker finished
@@ -38,7 +41,9 @@ from __future__ import annotations
 import multiprocessing
 import os
 import time
+import weakref
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from concurrent.futures.process import BrokenProcessPool
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Iterator, Optional, Sequence, Union
@@ -46,7 +51,7 @@ from typing import Any, Iterable, Iterator, Optional, Sequence, Union
 from repro.engine.cache import ResultCache
 from repro.engine.grid import ScenarioGrid, SweepTask
 from repro.engine.measures import resolve_measures
-from repro.engine.registry import kind_for_spec
+from repro.engine.registry import kind_for_spec, registry_generation
 from repro.engine.sink import SummarySink
 from repro.engine.summary import RunSummary, summary_from_json_bytes
 from repro.obs.metrics import MetricsRegistry, activate, get_active, set_active
@@ -144,6 +149,34 @@ def _execute_chunk(payload: _ChunkPayload) -> _ChunkFrame:
     return tuple(indices), b"\n".join(frames), meta
 
 
+class WorkerCrashedError(RuntimeError):
+    """A pool worker died mid-run (killed, ``os._exit``, out of memory).
+
+    The summaries delivered before the crash stand; ``first_undelivered``
+    is the task index the stream would have yielded next and ``undelivered``
+    how many tasks from there on were never delivered.  The engine has
+    already discarded the broken pool, so the next batch runs on a fresh one.
+    """
+
+    def __init__(self, undelivered: int, first_undelivered: int) -> None:
+        super().__init__(
+            f"a worker process died mid-run: {undelivered} task(s) undelivered, "
+            f"first undelivered task index {first_undelivered}"
+        )
+        self.undelivered = undelivered
+        self.first_undelivered = first_undelivered
+
+
+def _release_pool(pool: ProcessPoolExecutor, owner_pid: int) -> None:
+    """Stop a pool's workers; a no-op in a process that merely inherited it.
+
+    Chunks that have not started are cancelled, so a pool abandoned mid-run
+    is released after at most the chunks already in flight.
+    """
+    if os.getpid() == owner_pid:
+        pool.shutdown(wait=True, cancel_futures=True)
+
+
 @dataclass
 class SweepResult:
     """The summaries of one engine run, in task order, plus run statistics."""
@@ -202,6 +235,16 @@ class StreamStats:
 class SweepEngine:
     """Executes scenario grids across worker processes with result caching.
 
+    At ``workers > 1`` the engine owns one warm process pool, forked by the
+    first batch with two or more uncached tasks and reused by every later
+    ``run`` / ``run_streaming`` / ``stream`` / ``iter_summaries`` call.
+    :meth:`close` (or ``with SweepEngine(...) as engine:``) stops the
+    workers; an engine that is never closed releases them when it is
+    garbage-collected.  A pool that can no longer be trusted -- a worker
+    died, a consumer abandoned a stream with chunks outstanding, a spec kind
+    or measure was registered since the fork -- is discarded and the next
+    batch forks a fresh one.
+
     Args:
         workers: process count; ``1`` means a deterministic in-process loop.
         cache: a :class:`ResultCache`, a directory path for one, or ``None``
@@ -252,10 +295,30 @@ class SweepEngine:
         elif mp_context is None and "fork" in multiprocessing.get_all_start_methods():
             mp_context = multiprocessing.get_context("fork")
         self._mp_context = mp_context
+        self._pool: Optional[ProcessPoolExecutor] = None
+        # (forking pid, registry generation at the fork): the pool is reused
+        # only while both still hold.
+        self._pool_key: tuple[int, int] = (0, 0)
+        self._pool_finalizer: Optional[weakref.finalize] = None
 
     # ------------------------------------------------------------------
     # public API
     # ------------------------------------------------------------------
+    def close(self) -> None:
+        """Stop the worker pool, if one is running (idempotent).
+
+        The engine stays usable: a later parallel batch forks a new pool.
+        """
+        if self._pool is not None:
+            self._pool_finalizer()
+            self._pool = None
+
+    def __enter__(self) -> "SweepEngine":
+        return self
+
+    def __exit__(self, *exc_info: Any) -> None:
+        self.close()
+
     def run(self, tasks: TaskBatch, *, measures: Sequence[str] = ()) -> SweepResult:
         """Execute every task and return ordered summaries plus statistics."""
         task_list = self._materialize(tasks)
@@ -361,6 +424,29 @@ class SweepEngine:
     # ------------------------------------------------------------------
     # internals
     # ------------------------------------------------------------------
+    def _warm_pool(self) -> ProcessPoolExecutor:
+        """The engine's pool, forked now unless a trusted one is running."""
+        key = (os.getpid(), registry_generation())
+        if self._pool is not None and self._pool_key != key:
+            # Forked before a registration its workers cannot see (or
+            # inherited across a fork of this process): start over.
+            self.close()
+        if self._pool is None:
+            # Workers outlive the run that forked them, so they must not keep
+            # recording into a copy of whatever registry was active then.
+            pool = ProcessPoolExecutor(
+                max_workers=self.workers,
+                mp_context=self._mp_context,
+                initializer=set_active,
+                initargs=(None,),
+            )
+            self._pool = pool
+            self._pool_key = key
+            self._pool_finalizer = weakref.finalize(
+                self, _release_pool, pool, os.getpid()
+            )
+        return self._pool
+
     @staticmethod
     def _materialize(tasks: TaskBatch) -> list[SweepTask]:
         if isinstance(tasks, ScenarioGrid):
@@ -532,23 +618,20 @@ class SweepEngine:
 
         chunks = self._chunk(pending, measure_names)
         stats.chunk_count = len(chunks)
-        max_workers = min(self.workers, len(chunks))
         if metrics is not None:
             queue_wait_hist = metrics.histogram("engine.chunk.queue_wait_seconds")
             chunk_execute_hist = metrics.histogram("engine.chunk.execute_seconds")
             decode_hist = metrics.histogram("engine.chunk.decode_seconds")
-        with ProcessPoolExecutor(
-            max_workers=max_workers, mp_context=self._mp_context
-        ) as pool:
+        pool = self._warm_pool()
+        submitted: dict = {}  # future -> submit timestamp
+        try:
             with (
                 spans.span("dispatch", chunks=len(chunks))
                 if spans is not None
                 else nullcontext()
             ):
-                submitted = {
-                    pool.submit(_execute_chunk, chunk): time.perf_counter()
-                    for chunk in chunks
-                }
+                for chunk in chunks:
+                    submitted[pool.submit(_execute_chunk, chunk)] = time.perf_counter()
             futures = set(submitted)
             while futures:
                 done, futures = wait(futures, return_when=FIRST_COMPLETED)
@@ -585,6 +668,17 @@ class SweepEngine:
                         decode_hist.observe(time.perf_counter() - decode_started)
                     stats.max_buffered = max(stats.max_buffered, len(buffered))
                     yield from drain()
+        except BrokenProcessPool as exc:
+            self.close()
+            raise WorkerCrashedError(len(tasks) - cursor, cursor) from exc
+        except BaseException:
+            # A failed chunk, or a consumer that abandoned the stream
+            # (GeneratorExit), leaves chunks queued: cancel them with the pool
+            # (the next batch forks a fresh one) so stale work never runs
+            # ahead of that batch.
+            if not all(future.done() for future in submitted):
+                self.close()
+            raise
         yield from drain()
 
     def _finalize_run_metrics(

@@ -22,6 +22,7 @@ from repro.analysis.timing import (
     measure_wait_after_timeout_in_p,
     measure_wait_after_timeout_in_w,
 )
+from repro.engine.registry import bump_registry_generation
 from repro.protocols.runner import TransactionRunResult
 
 Measure = Callable[[TransactionRunResult], Any]
@@ -36,6 +37,7 @@ def register_measure(name: str) -> Callable[[Measure], Measure]:
         if name in MEASURES:
             raise ValueError(f"measure {name!r} already registered")
         MEASURES[name] = fn
+        bump_registry_generation()
         return fn
 
     return _register

@@ -18,9 +18,13 @@ Invariants:
   incremental: a warm re-refinement executes **zero** new scenarios.
 * Onsets are rounded to a fixed decimal precision so bisection midpoints
   hash stably (cache keys are canonical -- see :mod:`repro.engine.hashing`).
-* Classification happens in the parent on compact summaries; each bisection
-  round batches all pending midpoints into one engine run, so refinement
-  parallelizes across lines and intervals.
+* Rounds are level-synchronous across a *family* of lines
+  (:meth:`RefinementDriver.refine_lines`): one engine batch holds every
+  line's coarse grid, then one batch per bisection round holds every line's
+  pending midpoints, so refinement parallelizes across lines and intervals
+  and a family costs as many engine batches as its deepest line has rounds.
+  Classification happens in the parent as the engine streams the compact
+  summaries back; no summary list is kept.
 
 Paper anchor: Theorem 9's quantification over onset times (Section 5) and
 the Section 6 transient rule; the default verdict classes are the Section 2
@@ -34,7 +38,7 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, Iterable, Optional, Sequence
 
 from repro.analysis.scenarios import split_choices
-from repro.engine.engine import SweepEngine
+from repro.engine.engine import StreamStats, SweepEngine
 from repro.engine.grid import SweepTask
 from repro.engine.summary import RunSummary
 from repro.protocols.runner import ScenarioSpec
@@ -222,7 +226,7 @@ class RefinementDriver:
         self.max_rounds = max_rounds
 
     # ------------------------------------------------------------------
-    # single line
+    # refinement
     # ------------------------------------------------------------------
     def refine(
         self,
@@ -235,45 +239,75 @@ class RefinementDriver:
     ) -> RefinementResult:
         """Bracket every verdict flip of ``line`` on ``[lo, hi]``.
 
+        The one-line case of :meth:`refine_lines`.
+        """
+        return self.refine_lines(
+            [line], lo=lo, hi=hi, coarse_step=coarse_step, measures=measures
+        )[0]
+
+    def refine_lines(
+        self,
+        lines: Sequence[OnsetLine],
+        *,
+        lo: float = 0.25,
+        hi: float = 8.0,
+        coarse_step: float = 0.25,
+        measures: Sequence[str] = (),
+    ) -> list[RefinementResult]:
+        """Bracket every verdict flip of every line on ``[lo, hi]``.
+
         Runs the coarse grid (``coarse_step`` spacing, the classic 0.25 T
-        default), then repeatedly bisects every adjacent pair with differing
-        classes until each flip interval is at most ``resolution`` wide.
-        Each round evaluates all pending midpoints in one engine batch.
+        default) of all lines as one engine batch, then repeatedly bisects
+        every adjacent pair with differing classes until each flip interval
+        is at most ``resolution`` wide; each round evaluates the pending
+        midpoints of all lines in one engine batch.  Lines do not influence
+        one another: every result -- ``rounds`` included, which counts the
+        rounds *that line* had midpoints in -- is what refining the line on
+        its own yields.
         """
         if hi <= lo:
             raise ValueError(f"need lo < hi, got [{lo}, {hi}]")
         if coarse_step <= 0:
             raise ValueError(f"coarse_step must be > 0, got {coarse_step}")
-        result = RefinementResult(
-            line=line,
-            resolution=self.resolution,
-            lo=round(lo, TIME_DECIMALS),
-            hi=round(hi, TIME_DECIMALS),
-        )
-        steps = max(1, int(round((hi - lo) / coarse_step)))
-        coarse = [round(lo + i * coarse_step, TIME_DECIMALS) for i in range(steps)]
-        coarse.append(result.hi)
-        self._evaluate(line, sorted(set(coarse)), result, measures)
-        for _ in range(self.max_rounds):
-            midpoints = [
-                round((t1 + t2) / 2, TIME_DECIMALS)
-                for t1, t2 in self._flips(result.classes)
-                if (t2 - t1) > self.resolution * (1 + 1e-9)
-            ]
-            midpoints = [t for t in midpoints if t not in result.classes]
-            if not midpoints:
-                break
-            result.rounds += 1
-            self._evaluate(line, midpoints, result, measures)
-        result.boundaries = [
-            Boundary(t1, t2, result.classes[t1], result.classes[t2])
-            for t1, t2 in self._flips(result.classes)
+        results = [
+            RefinementResult(
+                line=line,
+                resolution=self.resolution,
+                lo=round(lo, TIME_DECIMALS),
+                hi=round(hi, TIME_DECIMALS),
+            )
+            for line in lines
         ]
-        return result
+        steps = max(1, int(round((hi - lo) / coarse_step)))
+        coarse = sorted(
+            {round(lo + i * coarse_step, TIME_DECIMALS) for i in range(steps)}
+            | {round(hi, TIME_DECIMALS)}
+        )
+        self._run_round(
+            [(result, time) for result in results for time in coarse], measures
+        )
+        for _ in range(self.max_rounds):
+            pending = []
+            for result in results:
+                midpoints = [
+                    round((t1 + t2) / 2, TIME_DECIMALS)
+                    for t1, t2 in self._flips(result.classes)
+                    if (t2 - t1) > self.resolution * (1 + 1e-9)
+                ]
+                midpoints = [t for t in midpoints if t not in result.classes]
+                if midpoints:
+                    result.rounds += 1
+                    pending.extend((result, time) for time in midpoints)
+            if not pending:
+                break
+            self._run_round(pending, measures)
+        for result in results:
+            result.boundaries = [
+                Boundary(t1, t2, result.classes[t1], result.classes[t2])
+                for t1, t2 in self._flips(result.classes)
+            ]
+        return results
 
-    # ------------------------------------------------------------------
-    # line families
-    # ------------------------------------------------------------------
     def refine_partition_boundaries(
         self,
         protocol: str,
@@ -291,7 +325,7 @@ class RefinementDriver:
 
         The family analogue of the Theorem 9 sweep: instead of a uniform
         onset grid per split, each split/vote line gets its boundaries
-        bracketed adaptively.
+        bracketed adaptively, all lines advancing round by round together.
         """
         base = base_spec if base_spec is not None else ScenarioSpec()
         lines = [
@@ -307,28 +341,36 @@ class RefinementDriver:
             for g1, g2 in (splits if splits is not None else split_choices(n_sites))
             for no_voters in no_voter_options
         ]
-        return [
-            self.refine(line, lo=lo, hi=hi, coarse_step=coarse_step) for line in lines
-        ]
+        return self.refine_lines(lines, lo=lo, hi=hi, coarse_step=coarse_step)
 
     # ------------------------------------------------------------------
     # internals
     # ------------------------------------------------------------------
-    def _evaluate(
+    def _run_round(
         self,
-        line: OnsetLine,
-        times: Sequence[float],
-        result: RefinementResult,
-        measures: Sequence[str] = (),
+        points: Sequence[tuple[RefinementResult, float]],
+        measures: Sequence[str],
     ) -> None:
-        """Run one batch of onsets through the engine and classify them."""
-        tasks = [line.task_at(t) for t in times]
-        sweep = self.engine.run(tasks, measures=measures)
-        for time, summary in zip(times, sweep.summaries):
+        """Run one batch of (line, onset) points and classify them as they
+        stream back, each into its own line's result."""
+        stats = StreamStats()
+        stream = self.engine.stream(
+            [result.line.task_at(time) for result, time in points],
+            measures=measures,
+            stats=stats,
+        )
+        hits = 0
+        # ``stream`` first: zip must exhaust the generator, not abandon it.
+        for summary, (result, time) in zip(stream, points):
             result.classes[time] = self.classify(summary)
-        result.scenarios_run += sweep.total
-        result.executed += sweep.executed
-        result.cache_hits += sweep.cache_hits
+            result.scenarios_run += 1
+            # The engine bumps exactly one of its two counters per summary
+            # before yielding it.
+            if stats.cache_hits > hits:
+                hits = stats.cache_hits
+                result.cache_hits += 1
+            else:
+                result.executed += 1
 
     @staticmethod
     def _flips(classes: dict[float, str]) -> list[tuple[float, float]]:

@@ -102,6 +102,7 @@ _KINDS: dict[str, SpecKind] = {}
 _BY_SPEC_TYPE: dict[type, SpecKind] = {}
 _BY_TAG: dict[Optional[str], SpecKind] = {}
 _builtins_loaded = False
+_generation = 0
 
 
 _builtins_loading = False
@@ -128,6 +129,25 @@ def _load_builtins() -> None:
     _builtins_loaded = True
 
 
+def registry_generation() -> int:
+    """How many registrations (kinds and measures) this process has seen.
+
+    Worker processes hold the registries as they were when the pool
+    started; the engine records this number then and re-forks its pool once
+    it has moved, so a late registration is never invisible to a worker.
+    The built-ins are loaded first so their lazy import is not mistaken for
+    one.
+    """
+    _load_builtins()
+    return _generation
+
+
+def bump_registry_generation() -> None:
+    """Record one registry change (also called by ``register_measure``)."""
+    global _generation
+    _generation += 1
+
+
 def register_spec_kind(kind: SpecKind) -> SpecKind:
     """Register ``kind``; every axis (name, spec type, tag) must be free.
 
@@ -149,6 +169,7 @@ def register_spec_kind(kind: SpecKind) -> SpecKind:
     _KINDS[kind.name] = kind
     _BY_SPEC_TYPE[kind.spec_type] = kind
     _BY_TAG[kind.json_tag] = kind
+    bump_registry_generation()
     return kind
 
 
@@ -159,6 +180,7 @@ def unregister_spec_kind(name: str) -> None:
         raise UnknownSpecKindError(f"spec kind {name!r} is not registered")
     del _BY_SPEC_TYPE[kind.spec_type]
     del _BY_TAG[kind.json_tag]
+    bump_registry_generation()
 
 
 def registered_kinds() -> tuple[SpecKind, ...]:

@@ -1,19 +1,40 @@
-"""Unit tests for the sweep-engine building blocks (grid, hashing, cache)."""
+"""Unit tests for the sweep-engine building blocks (grid, hashing, cache)
+and for the engine-owned worker pool's lifecycle."""
 
+import faulthandler
+import gc
+import importlib
 import math
+import multiprocessing
+import os
+import sys
+import time
+from dataclasses import dataclass, field
+from typing import Any, Mapping, Optional
 
 import pytest
+from test_registry import ToySpec, toy_kind  # noqa: F401 - toy_kind is a fixture
 
 from repro.analysis.scenarios import partition_sweep
+from repro.core.canonical import canonical_json_bytes
 from repro.engine import (
+    MEASURES,
     ResultCache,
     RunSummary,
     ScenarioGrid,
+    SpecKind,
+    SummarySink,
     SweepEngine,
     SweepTask,
+    WorkerCrashedError,
+    register_measure,
+    register_spec_kind,
     spec_hash,
     tasks_from_specs,
+    unregister_spec_kind,
 )
+from repro.obs.metrics import MetricsRegistry, activate, get_active
+from repro.obs.spans import SpanRecorder
 from repro.protocols.runner import ScenarioSpec
 from repro.sim.failures import CrashSchedule
 from repro.sim.latency import ConstantLatency, UniformLatency
@@ -242,3 +263,300 @@ class TestSweepEngine:
         assert result.throughput > 0
         assert len(result) == 3
         assert result[0].protocol == "two-phase-commit"
+
+
+# ----------------------------------------------------------------------
+# the engine-owned worker pool
+# ----------------------------------------------------------------------
+@dataclass(frozen=True)
+class ProbeSpec:
+    """A spec whose executor reports on (or kills) the worker that ran it."""
+
+    value: int = 0
+    seed: int = 0
+    log: Optional[str] = None  # append ``value`` to this file when executed
+    sleep: float = 0.0
+    exit_code: Optional[int] = None  # ``os._exit`` with this code instead
+
+
+@dataclass
+class ProbeSummary:
+    protocol: str
+    spec_hash: str
+    seed: int
+    value: int
+    pid: int
+    registry_active: bool
+    metrics: dict[str, Any] = field(default_factory=dict)
+
+    def to_json_dict(self) -> dict[str, Any]:
+        return {"kind": "probe", **self.__dict__}
+
+    @classmethod
+    def from_json_dict(cls, payload: Mapping[str, Any]) -> "ProbeSummary":
+        return cls(**{k: v for k, v in payload.items() if k != "kind"})
+
+    def to_json_bytes(self) -> bytes:
+        return canonical_json_bytes(self.to_json_dict())
+
+
+def _execute_probe(protocol, spec, *, spec_hash, measures=()):
+    if spec.exit_code is not None:
+        os._exit(spec.exit_code)
+    time.sleep(spec.sleep)
+    if spec.log is not None:
+        with open(spec.log, "a", encoding="utf-8") as handle:
+            handle.write(f"{spec.value}\n")
+    return ProbeSummary(
+        protocol=protocol,
+        spec_hash=spec_hash,
+        seed=spec.seed,
+        value=spec.value,
+        pid=os.getpid(),
+        registry_active=get_active() is not None,
+    )
+
+
+@pytest.fixture
+def probe_kind():
+    register_spec_kind(
+        SpecKind(
+            name="probe",
+            spec_type=ProbeSpec,
+            summary_type=ProbeSummary,
+            execute=_execute_probe,
+            decode=ProbeSummary.from_json_dict,
+            json_tag="probe",
+        )
+    )
+    try:
+        yield
+    finally:
+        unregister_spec_kind("probe")
+
+
+@pytest.fixture(autouse=True)
+def hang_watchdog():
+    """No plugin provides a test timeout: dump stacks and exit if a test hangs."""
+    faulthandler.dump_traceback_later(120, exit=True)
+    yield
+    faulthandler.cancel_dump_traceback_later()
+
+
+def probes(values, **fields) -> list[SweepTask]:
+    return [
+        SweepTask(protocol="noop", spec=ProbeSpec(value=v, seed=v, **fields))
+        for v in values
+    ]
+
+
+def child_pids() -> set[int]:
+    return {child.pid for child in multiprocessing.active_children()}
+
+
+SCENARIOS = tasks_from_specs(
+    "two-phase-commit", [ScenarioSpec(seed=s) for s in range(8)]
+)
+
+# A module that registers a spec kind (codec and all) when it is imported --
+# the only kind of late registration a spawned worker can ever see.
+LATE_KIND_MODULE = '''
+from dataclasses import dataclass, field
+
+from repro.core.canonical import canonical_json_bytes
+from repro.engine.registry import SpecKind, register_spec_kind
+
+
+@dataclass(frozen=True)
+class LateSpec:
+    value: int = 1
+    seed: int = 0
+
+
+@dataclass
+class LateSummary:
+    protocol: str
+    spec_hash: str
+    seed: int
+    doubled: int
+    metrics: dict = field(default_factory=dict)
+
+    def to_json_dict(self):
+        return {"kind": "late", **self.__dict__}
+
+    @classmethod
+    def from_json_dict(cls, payload):
+        return cls(**{k: v for k, v in payload.items() if k != "kind"})
+
+    def to_json_bytes(self):
+        return canonical_json_bytes(self.to_json_dict())
+
+
+def _execute(protocol, spec, *, spec_hash, measures=()):
+    return LateSummary(protocol, spec_hash, spec.seed, spec.value * 2)
+
+
+register_spec_kind(
+    SpecKind(
+        name="late",
+        spec_type=LateSpec,
+        summary_type=LateSummary,
+        execute=_execute,
+        decode=LateSummary.from_json_dict,
+        json_tag="late",
+    )
+)
+'''
+
+
+class TestWarmPool:
+    """The pool belongs to the engine: forked once, reused, always released."""
+
+    @staticmethod
+    def run_pids(engine, tasks) -> set[int]:
+        """Pids of the workers that executed ``tasks`` (from the chunk meta)."""
+        before = len(engine.spans.spans())
+        engine.run(tasks)
+        return {
+            span.attrs["pid"]
+            for span in engine.spans.spans()[before:]
+            if span.name == "worker-execute"
+        }
+
+    def test_consecutive_runs_share_one_pool_until_close(self):
+        others = child_pids()
+        engine = SweepEngine(
+            workers=2, chunk_size=1, metrics=MetricsRegistry(), spans=SpanRecorder()
+        )
+        first = self.run_pids(engine, SCENARIOS)
+        pool = child_pids() - others
+        assert len(pool) == 2 and first <= pool
+        assert self.run_pids(engine, SCENARIOS) <= pool
+        assert child_pids() - others == pool  # nothing forked, nothing stopped
+        engine.close()
+        assert child_pids() == others
+        third = self.run_pids(engine, SCENARIOS)
+        assert third and third.isdisjoint(pool)
+        engine.close()
+
+    def test_serial_and_single_task_batches_never_fork(self):
+        others = child_pids()
+        SweepEngine(workers=1).run(SCENARIOS)
+        parallel = SweepEngine(workers=2)
+        parallel.run(SCENARIOS[:1])
+        assert child_pids() == others
+
+    def test_close_and_context_manager_stop_the_workers(self):
+        with SweepEngine(workers=2) as engine:
+            engine.run(SCENARIOS)
+            assert multiprocessing.active_children()
+        assert multiprocessing.active_children() == []
+        engine.close()  # idempotent
+
+    def test_garbage_collection_stops_the_workers(self):
+        engine = SweepEngine(workers=2)
+        engine.run(SCENARIOS)
+        assert multiprocessing.active_children()
+        del engine
+        gc.collect()
+        assert multiprocessing.active_children() == []
+
+    def test_abandoned_stream_runs_no_stale_chunk(self, probe_kind, tmp_path):
+        log = tmp_path / "executed.log"
+        with SweepEngine(workers=2, chunk_size=1) as engine:
+            for summary in engine.stream(
+                probes(range(100, 140), log=str(log), sleep=0.01)
+            ):
+                assert summary.value == 100
+                break
+            # In-flight chunks finished, queued ones were cancelled -- and
+            # whatever ran, ran before the abandoned generator was closed.
+            abandoned = log.read_text().split()
+            assert len(abandoned) < 40
+            result = engine.run(probes(range(12), log=str(log)))
+            assert [s.value for s in result] == list(range(12))
+            assert result.executed == 12
+            after = log.read_text().split()[len(abandoned):]
+            assert sorted(map(int, after)) == list(range(12))
+
+    def test_stream_consumed_to_its_last_summary_keeps_the_pool(self, probe_kind):
+        with SweepEngine(workers=2, chunk_size=1) as engine:
+            # zip() stops on the short side: the generator is never exhausted,
+            # but no chunk is outstanding, so the pool is still trusted.
+            first = [s.pid for s, _ in zip(engine.stream(probes(range(6))), range(6))]
+            pool = child_pids()
+            assert set(first) <= pool
+            assert {s.pid for s in engine.run(probes(range(6, 12)))} <= pool
+
+    def test_worker_crash_is_a_typed_error_and_the_engine_recovers(
+        self, probe_kind
+    ):
+        class ClosingSink(SummarySink):
+            delivered, closed = 0, False
+
+            def accept(self, index, summary):
+                self.delivered += 1
+
+            def close(self):
+                self.closed = True
+
+        tasks = probes(range(5)) + probes([5], exit_code=3) + probes(range(6, 10))
+        sink = ClosingSink()
+        engine = SweepEngine(workers=2, chunk_size=1)
+        with pytest.raises(WorkerCrashedError) as info:
+            engine.run_streaming(tasks, sinks=sink)
+        error = info.value
+        assert sink.closed
+        assert error.first_undelivered == sink.delivered <= 5
+        assert error.undelivered == len(tasks) - sink.delivered
+        assert f"{error.undelivered} task(s) undelivered" in str(error)
+        assert f"task index {error.first_undelivered}" in str(error)
+        assert multiprocessing.active_children() == []  # broken pool discarded
+        healthy = engine.run(probes(range(6)))
+        assert [s.value for s in healthy] == list(range(6))
+        engine.close()
+
+    def test_late_registrations_reach_forked_workers(self, request):
+        late = "late-measure"
+        with SweepEngine(workers=2, mp_context="fork") as engine:
+            engine.run(SCENARIOS)  # the pool is forked before either exists
+            request.getfixturevalue("toy_kind")
+            toys = [
+                SweepTask(protocol="noop", spec=ToySpec(value=v, seed=v))
+                for v in range(1, 7)
+            ]
+            assert [s.product for s in engine.run(toys)] == [2, 4, 6, 8, 10, 12]
+            register_measure(late)(lambda result: "seen")
+            try:
+                measured = engine.run(SCENARIOS, measures=(late,))
+            finally:
+                del MEASURES[late]
+            assert [s.metrics[late] for s in measured] == ["seen"] * len(SCENARIOS)
+
+    @pytest.mark.parametrize("context", ["fork", "spawn"])
+    def test_kind_imported_after_the_first_run_is_executable(
+        self, context, tmp_path, monkeypatch
+    ):
+        (tmp_path / "late_kind.py").write_text(LATE_KIND_MODULE)
+        monkeypatch.syspath_prepend(str(tmp_path))
+        with SweepEngine(workers=2, mp_context=context) as engine:
+            engine.run(SCENARIOS)
+            late_kind = importlib.import_module("late_kind")
+            try:
+                tasks = [
+                    SweepTask(protocol="noop", spec=late_kind.LateSpec(value=v, seed=v))
+                    for v in range(1, 5)
+                ]
+                assert [s.doubled for s in engine.run(tasks)] == [2, 4, 6, 8]
+            finally:
+                unregister_spec_kind("late")
+                del sys.modules["late_kind"]
+
+    def test_workers_never_record_into_an_inherited_registry(self, probe_kind):
+        outer = MetricsRegistry()
+        with activate(outer), SweepEngine(workers=2, chunk_size=1) as engine:
+            serial = SweepEngine(workers=1).run(probes(range(2)))
+            assert all(s.registry_active for s in serial)  # the probe can tell
+            pooled = engine.run(probes(range(8)))
+        assert os.getpid() not in {s.pid for s in pooled}
+        assert not any(s.registry_active for s in pooled)

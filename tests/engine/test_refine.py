@@ -3,6 +3,7 @@ and the scenario-count advantage the engine exists to deliver."""
 
 import pytest
 
+from repro.analysis.scenarios import split_choices
 from repro.engine import (
     OnsetLine,
     RefinementDriver,
@@ -161,3 +162,116 @@ class TestLineAndDriverValidation:
         for result in results:
             assert result.boundaries  # each split has a commit-point flip
             assert result.boundaries[0].width <= 0.1
+
+
+FAMILY_PROTOCOLS = (
+    "two-phase-commit",
+    "three-phase-commit",
+    "quorum-commit",
+    TERMINATING,
+)
+VOTES = (frozenset(), frozenset({2}))
+
+
+def family_lines(protocol, n_sites):
+    """The lines ``refine_partition_boundaries`` builds, in its order."""
+    return [
+        OnsetLine(protocol=protocol, n_sites=n_sites, g1=g1, g2=g2, no_voters=votes)
+        for g1, g2 in split_choices(n_sites)
+        for votes in VOTES
+    ]
+
+
+class TestFamilyRoundsEqualPerLineRefinement:
+    """Batching rounds across a family changes the cost, never a result."""
+
+    WINDOW = dict(lo=0.3, hi=6.0, coarse_step=0.25)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("n_sites", [3, 4])
+    @pytest.mark.parametrize("protocol", FAMILY_PROTOCOLS)
+    def test_every_field_matches_independent_refinement(
+        self, protocol, n_sites, workers
+    ):
+        with SweepEngine(workers=workers) as engine:
+            family = RefinementDriver(engine, resolution=0.02).refine_partition_boundaries(
+                protocol, n_sites, no_voter_options=VOTES, **self.WINDOW
+            )
+        alone = RefinementDriver(resolution=0.02)
+        lines = family_lines(protocol, n_sites)
+        assert [result.line for result in family] == lines
+        for result, line in zip(family, lines):
+            expected = alone.refine(line, **self.WINDOW)
+            assert result.classes == expected.classes
+            assert result.boundaries == expected.boundaries
+            assert result.rounds == expected.rounds
+            assert result.scenarios_run == expected.scenarios_run
+            assert (result.executed, result.cache_hits) == (result.scenarios_run, 0)
+
+    def test_lines_of_different_depth_keep_their_own_round_counts(self):
+        # The window's last coarse interval, (2.8, 3.1], is wider than the
+        # others, so a flip at 3 T needs one round more than a flip at 2 T;
+        # the third line is flat over the whole window.
+        lines = [
+            OnsetLine("extended-two-phase-commit", 3, (1, 2), (3,)),
+            OnsetLine(TERMINATING, 3, (1, 2), (3,)),
+            OnsetLine(TERMINATING, 3, (1, 2), (3,), no_voters=frozenset({2})),
+        ]
+        window = dict(lo=0.3, hi=3.1, coarse_step=0.25)
+        driver = RefinementDriver(resolution=0.016)
+        family = driver.refine_lines(lines, **window)
+        assert [result.rounds for result in family] == [4, 5, 0]
+        for result, line in zip(family, lines):
+            expected = driver.refine(line, **window)
+            assert result.classes == expected.classes
+            assert result.boundaries == expected.boundaries
+            assert result.rounds == expected.rounds
+            assert result.scenarios_run == expected.scenarios_run
+
+    def test_one_engine_batch_per_round_not_per_line(self):
+        batches = []
+
+        class CountingEngine(SweepEngine):
+            def stream(self, tasks, **kwargs):
+                batches.append(len(tasks))
+                return super().stream(tasks, **kwargs)
+
+        family = RefinementDriver(
+            CountingEngine(workers=1), resolution=0.02
+        ).refine_partition_boundaries(TERMINATING, 4, no_voter_options=VOTES, **self.WINDOW)
+        assert len(batches) == 1 + max(result.rounds for result in family)
+        assert sum(batches) == sum(result.scenarios_run for result in family)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_mixed_cache_attributes_hits_and_executions_per_line(
+        self, workers, tmp_path
+    ):
+        lines = family_lines(TERMINATING, 4)
+        warm_lines = lines[::2]
+        with SweepEngine(workers=workers, cache=tmp_path) as engine:
+            driver = RefinementDriver(engine, resolution=0.02)
+            for line in warm_lines:
+                driver.refine(line, **self.WINDOW)
+            family = driver.refine_lines(lines, **self.WINDOW)
+            for result in family:
+                assert result.scenarios_run > 0
+                if result.line in warm_lines:
+                    assert (result.executed, result.cache_hits) == (
+                        0,
+                        result.scenarios_run,
+                    )
+                else:
+                    assert (result.executed, result.cache_hits) == (
+                        result.scenarios_run,
+                        0,
+                    )
+            rerun = driver.refine_lines(lines, **self.WINDOW)
+        assert sum(result.executed for result in rerun) == 0
+        assert [r.cache_hits for r in rerun] == [r.scenarios_run for r in family]
+        assert [r.boundaries for r in rerun] == [r.boundaries for r in family]
+
+    def test_refine_lines_validates_like_refine_and_accepts_no_lines(self):
+        driver = RefinementDriver()
+        assert driver.refine_lines([], lo=1.0, hi=2.0) == []
+        with pytest.raises(ValueError):
+            driver.refine_lines([], lo=2.0, hi=1.0)

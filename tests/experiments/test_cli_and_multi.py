@@ -619,6 +619,42 @@ class TestRunFailuresExitCleanly:
         assert "/proc/nope" in err
         assert len(err.splitlines()) == 1, err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sweep", "--protocol", "two-phase-commit", "--sites", "3"],
+            ["boundaries", "--protocol", "two-phase-commit", "--sites", "3"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_dead_worker_is_one_line_and_leaves_no_process(
+        self, argv, capsys, monkeypatch
+    ):
+        import multiprocessing
+        import os
+
+        from repro.engine import scenario_kind
+
+        parent = os.getpid()
+        real = scenario_kind.run_scenario
+
+        def die_in_a_worker(*args, **kwargs):
+            if os.getpid() != parent:
+                os._exit(3)
+            return real(*args, **kwargs)
+
+        # Forked workers inherit the patched module.
+        monkeypatch.setattr(scenario_kind, "run_scenario", die_in_a_worker)
+        assert main([*argv, "--workers", "2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(
+            f"{argv[0]} failed: a worker process died mid-run: "
+        )
+        assert "first undelivered task index 0" in captured.err
+        assert len(captured.err.splitlines()) == 1, captured.err
+        assert captured.out == ""
+        assert multiprocessing.active_children() == []
+
     @pytest.mark.parametrize("route", ROUTES)
     def test_exhausted_budget_prints_the_hint(self, route, capsys, tmp_path):
         assert _run_route(route, "modelcheck", ["--max-states", "5"], tmp_path) == 2
