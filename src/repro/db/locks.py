@@ -29,13 +29,21 @@ Queueing invariants:
 * **Release-while-queued.**  Releasing an owner also cancels its queued
   requests, and both release and cancel are idempotent (double release is a
   no-op), so an aborting transaction can always be cleaned up blindly.
+
+Besides the per-key queues the table keeps an ``owner -> queued requests``
+index, so the two per-owner questions on the scheduler's hot path --
+"which queues does this terminating owner sit in?"
+(:meth:`LockManager.release_all`) and "whom is this owner waiting for?"
+(:meth:`LockManager.waits_of`, the deadlock detector's per-node view of
+:meth:`LockManager.waits_for`) -- cost the owner's own requests, not a scan
+of every queue at the site.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import AbstractSet, Callable, Optional
 
 
 class LockMode(enum.Enum):
@@ -112,6 +120,9 @@ class LockStats:
     held_since: dict[tuple[str, str], float] = field(default_factory=dict)
 
 
+_NO_WAITS: AbstractSet[str] = frozenset()
+
+
 class LockManager:
     """Per-site lock table with strict 2PL semantics.
 
@@ -130,6 +141,11 @@ class LockManager:
         self.site = site
         self._locks: dict[str, list[LockGrant]] = {}
         self._queues: dict[str, list[LockRequest]] = {}
+        #: owner -> the requests it has queued, in request order.  Filled by
+        #: :meth:`request`, dropped whole by :meth:`release_all` and
+        #: :meth:`cancel_all_pending`.  Entries a promotion has since granted
+        #: stay until then, so readers skip whatever is no longer pending.
+        self._queued_by_owner: dict[str, list[LockRequest]] = {}
         self.stats = LockStats()
         #: Callback invoked (synchronously) for every queued request that a
         #: release promotes to granted.  Set by the transaction scheduler.
@@ -201,6 +217,7 @@ class LockManager:
             queue[:] = [r for r in queue if r.pending]
             position = sum(1 for r in queue if r.upgrade)
             queue.insert(position, request)
+            self._queued_by_owner.setdefault(owner, []).append(request)
             return request
         request = LockRequest(key=key, owner=owner, mode=mode, enqueued_at=now)
         if not self._blockers(owner, key, mode):
@@ -210,6 +227,7 @@ class LockManager:
         self.stats.conflicts += 1
         self.stats.queued += 1
         self._queues.setdefault(key, []).append(request)
+        self._queued_by_owner.setdefault(owner, []).append(request)
         return request
 
     def cancel(self, request: LockRequest, *, now: float = 0.0) -> None:
@@ -217,6 +235,7 @@ class LockManager:
         if not request.pending:
             return
         request.cancelled = True
+        self._forget_settled(request.owner)
         self._promote(request.key, now=now)
 
     def cancel_all_pending(self) -> int:
@@ -233,6 +252,7 @@ class LockManager:
                     request.cancelled = True
                     cancelled += 1
         self._queues.clear()
+        self._queued_by_owner.clear()
         return cancelled
 
     # ------------------------------------------------------------------
@@ -257,9 +277,10 @@ class LockManager:
                     self._locks[key] = remaining
                 else:
                     del self._locks[key]
-        for request in self._queues.get(key, []):
-            if request.pending and request.owner == owner:
+        for request in self._queued_by_owner.get(owner, ()):
+            if request.pending and request.key == key:
                 request.cancelled = True
+        self._forget_settled(owner)
         self._promote(key, now=now)
         return released
 
@@ -284,18 +305,22 @@ class LockManager:
             else:
                 del self._locks[key]
             affected.append(key)
+        queued = self._queued_by_owner.pop(owner, ())
         if not self._queues:
             # Nothing queued anywhere (the single-transaction sweep case):
             # no requests to cancel and no promotions possible.
             return released
-        for key, queue in list(self._queues.items()):
-            dirty = False
-            for request in queue:
-                if request.pending and request.owner == owner:
-                    request.cancelled = True
-                    dirty = True
-            if dirty and key not in affected:
-                affected.append(key)
+        vacated: set[str] = set()
+        for request in queued:
+            if request.pending:
+                request.cancelled = True
+                vacated.add(request.key)
+        vacated.difference_update(affected)
+        if vacated:
+            # Queues the owner only waited in promote after the keys it
+            # held, in queue-creation order -- the order ``on_grant``
+            # observers have always seen.
+            affected.extend(key for key in self._queues if key in vacated)
         for key in affected:
             self._promote(key, now=now)
         return released
@@ -360,7 +385,8 @@ class LockManager:
         there would let the deadlock detector abort an innocent member of
         the group.  Upgrades wait only for the other holders.  The union
         of these maps across sites is the graph the deadlock detector
-        searches for cycles.
+        searches for cycles; :meth:`waits_of` gives one owner's entry
+        without building the map.
         """
         edges: dict[str, set[str]] = {}
         for key in sorted(self._queues):
@@ -384,6 +410,45 @@ class LockManager:
                 ahead.append(request)
         return edges
 
+    def waits_of(self, owner: str) -> AbstractSet[str]:
+        """The owners ``owner`` waits on here: ``waits_for().get(owner, set())``.
+
+        Computed from the owner's own queued requests (the owner index)
+        instead of from every queue at the site, which is what lets the
+        deadlock detector walk only the part of the waits-for graph a new
+        waiter can reach.  The edge rules are those of :meth:`waits_for`,
+        restated rather than shared on purpose: ``waits_for`` stays the
+        independent reference, and the property tests hold the two equal.
+        """
+        queued = self._queued_by_owner.get(owner)
+        if queued is None:
+            # The detector asks every site about every transaction it
+            # visits; most are queued at one site only.
+            return _NO_WAITS
+        waits: set[str] = set()
+        for request in queued:
+            if not request.pending:
+                continue
+            # Only shared/shared is compatible (LockMode.compatible_with).
+            exclusive = request.mode is LockMode.EXCLUSIVE
+            for grant in self._locks.get(request.key, ()):
+                if grant.owner != owner and (
+                    exclusive or grant.mode is LockMode.EXCLUSIVE
+                ):
+                    waits.add(grant.owner)
+            if request.upgrade:
+                continue
+            for earlier in self._queues[request.key]:
+                if earlier is request:
+                    break
+                if (
+                    earlier.owner != owner
+                    and (exclusive or earlier.mode is LockMode.EXCLUSIVE)
+                    and earlier.pending
+                ):
+                    waits.add(earlier.owner)
+        return waits
+
     def is_available(self, key: str, mode: LockMode, *, owner: Optional[str] = None) -> bool:
         """Could ``owner`` acquire ``key`` in ``mode`` right now?"""
         for grant in self._locks.get(key, ()):
@@ -404,6 +469,15 @@ class LockManager:
             if grant.owner == owner:
                 return grant
         return None
+
+    def _forget_settled(self, owner: str) -> None:
+        """Drop ``owner``'s granted / cancelled requests from the owner index."""
+        queued = self._queued_by_owner.get(owner)
+        if queued is None:
+            return
+        queued[:] = [request for request in queued if request.pending]
+        if not queued:
+            del self._queued_by_owner[owner]
 
     def _blockers(self, owner: str, key: str, mode: LockMode) -> list[str]:
         """Owners preventing an immediate grant: conflicting holders first,

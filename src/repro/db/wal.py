@@ -33,10 +33,13 @@ class LogRecord:
 
     A ``__slots__`` record rather than a dataclass: every prepare/commit/
     abort of every simulated run appends several of these, putting
-    construction cost on the sweep hot path.
+    construction cost on the sweep hot path.  ``previous`` links the record
+    to the same transaction's preceding record in the log that appended it
+    (``None`` for the first, and for records built outside a log); it is
+    the log's per-transaction index, not part of the record's value.
     """
 
-    __slots__ = ("lsn", "kind", "transaction_id", "time", "payload")
+    __slots__ = ("lsn", "kind", "transaction_id", "time", "payload", "previous")
 
     def __init__(
         self,
@@ -51,6 +54,7 @@ class LogRecord:
         self.transaction_id = transaction_id
         self.time = time
         self.payload = {} if payload is None else payload
+        self.previous: Optional[LogRecord] = None
 
     def get(self, key: str, default: Any = None) -> Any:
         """Accessor into the record payload."""
@@ -76,11 +80,21 @@ class LogRecord:
 
 
 class WriteAheadLog:
-    """An append-only, crash-surviving log for one site."""
+    """An append-only, crash-surviving log for one site.
+
+    Besides the log itself the WAL keeps a per-transaction index over the
+    same record objects -- each transaction's newest record, every record
+    linked to that transaction's previous one -- so the per-transaction
+    queries (and through them :meth:`~repro.db.recovery.RecoveryManager
+    .recover`) cost one transaction's records, not the whole log.
+    """
 
     def __init__(self, site: int) -> None:
         self.site = site
         self._records: list[LogRecord] = []
+        #: transaction id -> its newest record (older ones hang off
+        #: ``LogRecord.previous``); dict order is first-seen order.
+        self._newest: dict[str, LogRecord] = {}
 
     # ------------------------------------------------------------------
     # appends
@@ -97,6 +111,8 @@ class WriteAheadLog:
         # `payload` is this call's own kwargs dict -- no defensive copy needed.
         record = LogRecord(len(self._records) + 1, kind, transaction_id, time, payload)
         self._records.append(record)
+        record.previous = self._newest.get(transaction_id)
+        self._newest[transaction_id] = record
         return record
 
     def log_begin(self, transaction_id: str, *, time: float = 0.0) -> LogRecord:
@@ -144,7 +160,7 @@ class WriteAheadLog:
         """All records, optionally restricted to one transaction."""
         if transaction_id is None:
             return tuple(self._records)
-        return tuple(r for r in self._records if r.transaction_id == transaction_id)
+        return tuple(reversed(list(self._newest_first(transaction_id))))
 
     def last_record(self, transaction_id: str) -> Optional[LogRecord]:
         """Most recent record for ``transaction_id``."""
@@ -153,9 +169,7 @@ class WriteAheadLog:
 
     def decision(self, transaction_id: str) -> Optional[str]:
         """``"commit"`` / ``"abort"`` if the decision is on stable storage."""
-        for record in reversed(self._records):
-            if record.transaction_id != transaction_id:
-                continue
+        for record in self._newest_first(transaction_id):
             if record.kind is LogRecordKind.COMMIT:
                 return "commit"
             if record.kind is LogRecordKind.ABORT:
@@ -165,15 +179,13 @@ class WriteAheadLog:
     def was_applied(self, transaction_id: str) -> bool:
         """True when an APPLY record exists for ``transaction_id``."""
         return any(
-            r.kind is LogRecordKind.APPLY and r.transaction_id == transaction_id
-            for r in self._records
+            record.kind is LogRecordKind.APPLY
+            for record in self._newest_first(transaction_id)
         )
 
     def prepared_writes(self, transaction_id: str) -> Optional[dict[str, Any]]:
         """The writes journalled at prepare time, if any."""
-        for record in reversed(self._records):
-            if record.transaction_id != transaction_id:
-                continue
+        for record in self._newest_first(transaction_id):
             if record.kind in (LogRecordKind.PREPARE, LogRecordKind.COMMIT):
                 writes = record.get("writes")
                 if writes is not None:
@@ -182,12 +194,15 @@ class WriteAheadLog:
 
     def transactions(self) -> list[str]:
         """Ids of all transactions mentioned in the log, in first-seen order."""
-        seen: list[str] = []
-        for record in self._records:
-            if record.transaction_id not in seen:
-                seen.append(record.transaction_id)
-        return seen
+        return list(self._newest)
 
     def undecided_transactions(self) -> list[str]:
         """Transactions with a BEGIN/VOTE/PREPARE but no decision record."""
         return [txn for txn in self.transactions() if self.decision(txn) is None]
+
+    def _newest_first(self, transaction_id: str) -> Iterator[LogRecord]:
+        """``transaction_id``'s records, most recent first."""
+        record = self._newest.get(transaction_id)
+        while record is not None:
+            yield record
+            record = record.previous

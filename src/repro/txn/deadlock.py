@@ -6,9 +6,17 @@ deadlock: transaction A holds ``k1`` and waits for ``k2`` while B holds
 remedies, individually or together, via :class:`DeadlockPolicy`:
 
 * **waits-for cycle detection** -- after every request that queues, the
-  union of the per-site :meth:`~repro.db.locks.LockManager.waits_for`
-  graphs is searched for cycles; one cycle member is aborted as the
-  victim, chosen by the configured :class:`VictimPolicy`.
+  scheduler checks whether the new waiter can reach itself in the union
+  waits-for graph (every edge a queued request adds touches its owner, so
+  an acyclic graph gains a cycle only through the new waiter).  Only then
+  -- or while an earlier search left acyclicity unknown -- is the union of
+  the per-site :meth:`~repro.db.locks.LockManager.waits_for` graphs built
+  (:func:`merge_waits_for`) and searched (:func:`find_cycle`); one cycle
+  member is aborted as the victim, chosen by the configured
+  :class:`VictimPolicy` (:func:`select_victim`).  The functions here are
+  that whole-graph path and the only victim-selection code; the
+  waiter-rooted walk lives with the scheduler
+  (``TransactionScheduler._break_deadlocks``).
 * **lock-wait timeouts** -- a transaction whose lock wait exceeds
   ``wait_timeout`` simulated time units is aborted, which also clears
   waiters stuck behind a *blocked* commit protocol's locks (the paper's

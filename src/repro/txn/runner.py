@@ -331,6 +331,12 @@ def run_throughput_scenario(
         metrics.counter("txn.deadlock_aborts").inc(summary.deadlock_aborts)
         metrics.counter("txn.timeout_aborts").inc(summary.timeout_aborts)
         metrics.counter("txn.retries").inc(summary.retries)
+        # Detector work: one check per queued request, and how many of them
+        # fell through to the whole-graph search (see _break_deadlocks).
+        metrics.counter("txn.deadlock.checks").inc(scheduler.deadlock_checks)
+        metrics.counter("txn.deadlock.full_searches").inc(
+            scheduler.deadlock_full_searches
+        )
         metrics.gauge("txn.peak_waiting").set(float(scheduler.peak_waiting))
         metrics.gauge("txn.retry_backlog_peak").set(
             float(scheduler.peak_retry_backlog)

@@ -274,6 +274,14 @@ class TransactionScheduler:
         # peak says how deep the resubmission queue got under a retry storm.
         self.retry_backlog = 0
         self.peak_retry_backlog = 0
+        # Deadlock-detector accounting (observability-only, folded into the
+        # metrics registry after the run): checks made, one per queued
+        # request, and how many of them needed the whole-graph search.
+        self.deadlock_checks = 0
+        self.deadlock_full_searches = 0
+        # True while the waits-for graph is not known to be acyclic; see
+        # _break_deadlocks.
+        self._cycle_search_due = False
 
     # ------------------------------------------------------------------
     # submission
@@ -418,7 +426,7 @@ class TransactionScheduler:
                 state.pending_site = site
                 self._arm_wait_timeout(state)
                 if self.policy.detect_cycles:
-                    self._break_deadlocks()
+                    self._break_deadlocks(state.transaction_id)
                 return
             if not self._operation_done(state):
                 return
@@ -549,7 +557,7 @@ class TransactionScheduler:
             self._send_lock_grant(site, request)
             return
         if self.policy.detect_cycles:
-            self._break_deadlocks()
+            self._break_deadlocks(message.transaction_id)
 
     def _send_lock_grant(self, site: int, request: LockRequest) -> None:
         """Send a grant back from the participant to the master."""
@@ -593,14 +601,54 @@ class TransactionScheduler:
             for site in sorted(self.db_sites)
         )
 
-    def _break_deadlocks(self) -> None:
-        """Abort one policy-chosen member of every waits-for cycle until none remain."""
+    def _on_cycle(self, waiter: str) -> bool:
+        """True when ``waiter`` can reach itself in the union waits-for graph.
+
+        Walks only the transactions reachable from ``waiter``, asking each
+        site for one owner's edges (:meth:`~repro.db.locks.LockManager
+        .waits_of`) instead of building every site's whole graph.
+        """
+        sites = [db.locks for db in self.db_sites.values()]
+        seen = {waiter}
+        frontier = [waiter]
+        while frontier:
+            owner = frontier.pop()
+            for locks in sites:
+                for blocker in locks.waits_of(owner):
+                    if blocker == waiter:
+                        return True
+                    if blocker not in seen:
+                        seen.add(blocker)
+                        frontier.append(blocker)
+        return False
+
+    def _break_deadlocks(self, waiter: str) -> None:
+        """Abort one policy-chosen member of every waits-for cycle until none remain.
+
+        Called after ``waiter`` queued a request.  Every edge that request
+        added to the waits-for graph touches ``waiter`` -- its own waits, plus
+        the waits *on* it of the requests a queue-jumping upgrade was inserted
+        ahead of -- so while the graph was acyclic before, it has a cycle now
+        iff ``waiter`` reaches itself, and the check costs the reachable
+        nodes, not the graph.  The whole-graph search below runs only when it
+        does, or when ``_cycle_search_due`` says acyclicity is not known: it
+        stays set from entry to the full search until a search finds no
+        cycle, which covers checks nested inside a victim's abort and the
+        stale-cycle return.  The full search alone picks cycles and victims,
+        so both are what a search after every queued request would pick.
+        """
+        self.deadlock_checks += 1
+        if not self._cycle_search_due and not self._on_cycle(waiter):
+            return
+        self.deadlock_full_searches += 1
+        self._cycle_search_due = True
         while True:
             graph = merge_waits_for(
                 {site: db.locks.waits_for() for site, db in self.db_sites.items()}
             )
             cycle = find_cycle(graph)
             if cycle is None:
+                self._cycle_search_due = False
                 return
             if any(
                 self.states[txn].phase is not TxnPhase.WAITING for txn in cycle
@@ -608,7 +656,8 @@ class TransactionScheduler:
                 # Stale cycle: a victim mid-abort still has queued requests
                 # at sites its participant loop has not reached yet.  Those
                 # edges dissolve when the in-flight abort completes; the
-                # caller's loop (or the next queued request) re-checks.
+                # caller's loop (or the next queued request) re-checks --
+                # with a full search, since the graph is left cyclic.
                 return
             victim_policy = self.policy.victim
             victim = select_victim(

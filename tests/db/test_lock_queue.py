@@ -232,3 +232,139 @@ class TestQueueProperties:
             previous = expected.owner
         locks.release_all(previous)
         assert len(locks) == 0 and not locks.pending_owners()
+
+
+# ----------------------------------------------------------------------
+# the owner index: per-owner views of the queue state
+# ----------------------------------------------------------------------
+OWNERS = ("t1", "t2", "t3", "t4", "t5")
+KEYS = ("x", "y", "z")
+
+table_ops = st.lists(
+    st.one_of(
+        st.tuples(
+            st.just("request"),
+            st.sampled_from(OWNERS),
+            st.sampled_from(KEYS),
+            st.sampled_from(list(LockMode)),
+        ),
+        st.tuples(st.just("release_all"), st.sampled_from(OWNERS)),
+        st.tuples(st.just("release"), st.sampled_from(OWNERS), st.sampled_from(KEYS)),
+        st.tuples(st.just("cancel"), st.integers(min_value=0, max_value=40)),
+        st.tuples(st.just("settle-in-place"), st.integers(min_value=0, max_value=40)),
+    ),
+    max_size=40,
+)
+
+
+def assert_owner_views_match(locks):
+    """Every per-owner view equals the whole-table answer it stands in for."""
+    reference = locks.waits_for()
+    for owner in OWNERS:
+        assert locks.waits_of(owner) == reference.get(owner, set()), owner
+    queued = [r for key in KEYS for r in locks.queued(key)]
+    assert locks.pending_owners() == {r.owner for r in queued}
+    for owner in OWNERS:
+        assert locks.held_count(owner) == sum(
+            locks.holds(owner, key) for key in KEYS
+        )
+
+
+def apply_table_op(locks, op, requests, now):
+    if op[0] == "request":
+        requests.append(locks.request(op[1], op[2], op[3], now=now))
+    elif op[0] == "release_all":
+        locks.release_all(op[1], now=now)
+    elif op[0] == "release":
+        locks.release(op[1], op[2], now=now)
+    elif requests and op[0] == "cancel":
+        locks.cancel(requests[op[1] % len(requests)], now=now)
+    elif requests:
+        # A waiter flagged cancelled without telling the manager (what a
+        # crashed table's waiters look like): views must skip it too.
+        request = requests[op[1] % len(requests)]
+        if request.pending:
+            request.cancelled = True
+
+
+class TestOwnerIndex:
+    @given(table_ops)
+    def test_property_owner_view_equals_waits_for(self, ops):
+        locks = manager()
+        requests = []
+        for now, op in enumerate(ops):
+            apply_table_op(locks, op, requests, float(now))
+            assert_owner_views_match(locks)
+
+    def test_release_all_promotes_held_keys_then_vacated_queues(self):
+        # t holds c and d and is queued on a and b.  Lock order is c, d;
+        # queue-creation order is b, a, d, c.  Grants must come out held
+        # keys first (lock order), then the queues t only waited in (queue
+        # order) -- the order on_grant observers saw before the index.
+        locks = manager()
+        granted = []
+        locks.on_grant = lambda r: granted.append(r.owner)
+        locks.acquire("t", "c", LockMode.EXCLUSIVE)
+        locks.acquire("t", "d", LockMode.EXCLUSIVE)
+        locks.acquire("hb", "b", LockMode.SHARED)
+        locks.acquire("ha", "a", LockMode.SHARED)
+        locks.request("t", "b", LockMode.EXCLUSIVE)
+        locks.request("behind-b", "b", LockMode.SHARED)
+        locks.request("t", "a", LockMode.EXCLUSIVE)
+        locks.request("behind-a", "a", LockMode.SHARED)
+        locks.request("behind-d", "d", LockMode.EXCLUSIVE)
+        locks.request("behind-c", "c", LockMode.EXCLUSIVE)
+        assert locks.release_all("t") == 2
+        assert granted == ["behind-c", "behind-d", "behind-b", "behind-a"]
+        assert locks.waits_of("t") == set() and not locks.pending_owners()
+
+    def test_upgrade_inserted_ahead_adds_an_edge_into_the_upgrader(self):
+        # h1 and h2 hold shared; w queues exclusive and r queues shared
+        # behind it.  r waits on w only -- until h1's upgrade jumps the
+        # queue: the request inserted *ahead* of r gives r an edge into
+        # the new waiter, the one kind of edge a queued request adds that
+        # does not start at its own owner.
+        locks = manager()
+        locks.acquire("h1", "x", LockMode.SHARED)
+        locks.acquire("h2", "x", LockMode.SHARED)
+        locks.request("w", "x", LockMode.EXCLUSIVE)
+        locks.request("r", "x", LockMode.SHARED)
+        assert locks.waits_of("r") == {"w"}
+        upgrade = locks.request("h1", "x", LockMode.EXCLUSIVE)
+        assert upgrade.pending and locks.queued("x")[0] is upgrade
+        assert locks.waits_of("h1") == {"h2"}  # upgrades wait on holders only
+        assert locks.waits_of("r") == {"w", "h1"}
+        assert_owner_views_match(locks)
+
+    def test_cancel_and_single_key_release_keep_the_views_consistent(self):
+        locks = manager()
+        locks.acquire("t1", "x", LockMode.EXCLUSIVE)
+        locks.acquire("t1", "y", LockMode.EXCLUSIVE)
+        on_x = locks.request("t2", "x", LockMode.EXCLUSIVE)
+        locks.request("t2", "y", LockMode.EXCLUSIVE)
+        locks.request("t3", "x", LockMode.EXCLUSIVE)
+        assert locks.waits_of("t3") == {"t1", "t2"}
+        locks.cancel(on_x)
+        assert locks.waits_of("t3") == {"t1"}
+        assert locks.waits_of("t2") == {"t1"}  # still queued on y
+        locks.release("t2", "y")  # release-while-queued on one key
+        assert locks.waits_of("t2") == set()
+        assert locks.pending_owners() == {"t3"}
+        assert_owner_views_match(locks)
+
+    def test_no_index_entry_outlives_its_owner(self):
+        locks = manager()
+        locks.acquire("t1", "x", LockMode.EXCLUSIVE)
+        promoted = locks.request("t2", "x", LockMode.EXCLUSIVE)
+        cancelled = locks.request("t3", "x", LockMode.EXCLUSIVE)
+        locks.request("t4", "x", LockMode.EXCLUSIVE)
+        locks.cancel(cancelled)
+        locks.release_all("t1")
+        assert promoted.granted is not None
+        locks.release_all("t2")  # no queue is left: the early-return path
+        locks.release_all("t4")
+        assert locks._queued_by_owner == {}
+        locks.acquire("t1", "x", LockMode.EXCLUSIVE)
+        locks.request("t5", "x", LockMode.EXCLUSIVE)
+        assert locks.cancel_all_pending() == 1
+        assert locks._queued_by_owner == {}

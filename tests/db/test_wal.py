@@ -1,5 +1,7 @@
 """Tests for the write-ahead log."""
 
+from hypothesis import given, strategies as st
+
 from repro.db.wal import LogRecordKind, WriteAheadLog
 
 
@@ -110,3 +112,53 @@ class TestInventory:
         wal.log_vote("t1", "yes")
         assert len(wal) == 2
         assert [r.kind for r in wal] == [LogRecordKind.BEGIN, LogRecordKind.VOTE]
+
+
+class TestPerTransactionIndex:
+    """The per-transaction index answers exactly what a whole-log scan would."""
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.sampled_from(list(LogRecordKind)),
+                st.sampled_from(["t1", "t2", "t3", "t4"]),
+            ),
+            max_size=30,
+        )
+    )
+    def test_property_queries_equal_a_scan_of_the_log(self, appends):
+        wal = WriteAheadLog(site=1)
+        for kind, txn in appends:
+            if kind in (LogRecordKind.PREPARE, LogRecordKind.COMMIT):
+                wal.append(kind, txn, writes={"x": len(wal)})
+            else:
+                wal.append(kind, txn)
+        log = list(wal)
+        assert [r.lsn for r in log] == list(range(1, len(appends) + 1))
+        first_seen = list(dict.fromkeys(r.transaction_id for r in log))
+        assert wal.transactions() == first_seen
+        for txn in first_seen + ["never-logged"]:
+            mine = [r for r in log if r.transaction_id == txn]
+            assert wal.records(txn) == tuple(mine)
+            assert all(a is b for a, b in zip(wal.records(txn), mine))
+            decisions = [
+                r.kind.value
+                for r in mine
+                if r.kind in (LogRecordKind.COMMIT, LogRecordKind.ABORT)
+            ]
+            assert wal.decision(txn) == (decisions[-1] if decisions else None)
+            assert wal.was_applied(txn) == any(
+                r.kind is LogRecordKind.APPLY for r in mine
+            )
+            writes = [r.get("writes") for r in mine if r.get("writes") is not None]
+            assert wal.prepared_writes(txn) == (writes[-1] if writes else None)
+
+    def test_recovery_appends_while_iterating_transactions(self):
+        # RecoveryManager.recover logs APPLY records while walking
+        # transactions(); the walk must be over a snapshot.
+        wal = WriteAheadLog(site=1)
+        wal.log_commit("t1", {"x": 1})
+        for txn in wal.transactions():
+            wal.log_apply(txn)
+            wal.log_begin("t-new")
+        assert wal.transactions() == ["t1", "t-new"]

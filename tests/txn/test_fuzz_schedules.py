@@ -17,6 +17,11 @@ schedule:
 * **waits-for acyclicity** -- whenever cycle detection is on, no
   all-waiting cycle survives between events (victim aborts must actually
   break every deadlock they are invoked on);
+* **detector differential** -- every time the waiter-rooted check answers
+  "no cycle" without the whole-graph search, the reference
+  ``find_cycle(merge_waits_for(...))`` must find none either; and at every
+  probe each site's per-owner view (``LockManager.waits_of``) equals that
+  owner's entry in the site's ``waits_for()`` map;
 * **conservation at the horizon** -- every admitted logical transaction is
   exactly one of committed / exhausted (aborted) / in flight, committed
   splits into first-try + after-retry, and aborts split exactly by cause.
@@ -201,6 +206,29 @@ class InvariantChecker:
 
             db.locks.on_grant = checked
 
+        detect = self.scheduler._break_deadlocks
+
+        def checked_detect(waiter):
+            before = self.scheduler.deadlock_full_searches
+            detect(waiter)
+            if self.scheduler.deadlock_full_searches != before:
+                return
+            # The check returned at once (graph untouched): the reference
+            # search over the whole union graph must agree there is no cycle.
+            cycle = find_cycle(self.union_graph())
+            if cycle is not None:
+                self.fail(
+                    f"waiter-rooted check for {waiter} found no cycle but the "
+                    f"reference search found {sorted(cycle)}"
+                )
+
+        self.scheduler._break_deadlocks = checked_detect
+
+    def union_graph(self):
+        return merge_waits_for(
+            {site: db.locks.waits_for() for site, db in self.db_sites.items()}
+        )
+
     def check_grant(self, site, db, request) -> None:
         overtaken = [
             pending
@@ -222,6 +250,19 @@ class InvariantChecker:
         self.check_queue_shape()
         self.check_no_aborted_holders()
         self.check_acyclic()
+        self.check_owner_views()
+
+    def check_owner_views(self) -> None:
+        for site in sorted(self.db_sites):
+            locks = self.db_sites[site].locks
+            reference = locks.waits_for()
+            for owner in sorted(locks.pending_owners() | set(self.scheduler.states)):
+                if locks.waits_of(owner) != reference.get(owner, set()):
+                    self.fail(
+                        f"per-owner view of {owner} at site {site} is "
+                        f"{sorted(locks.waits_of(owner))}, waits_for() says "
+                        f"{sorted(reference.get(owner, set()))}"
+                    )
 
     def check_queue_shape(self) -> None:
         for site in sorted(self.db_sites):
@@ -269,10 +310,7 @@ class InvariantChecker:
     def check_acyclic(self) -> None:
         if not self.scheduler.policy.detect_cycles:
             return
-        graph = merge_waits_for(
-            {site: db.locks.waits_for() for site, db in self.db_sites.items()}
-        )
-        cycle = find_cycle(graph)
+        cycle = find_cycle(self.union_graph())
         if cycle is None:
             return
         waiting = [
@@ -321,7 +359,7 @@ class InvariantChecker:
             self.fail("retries recorded with retries disabled")
 
 
-def run_fuzzed_case(case_seed: int) -> None:
+def run_fuzzed_case(case_seed: int) -> TransactionScheduler:
     """Execute one random workload with every invariant armed."""
     protocol, spec = random_case(case_seed)
     context = f"case_seed={case_seed} protocol={protocol} spec_seed={spec.seed}"
@@ -403,6 +441,7 @@ def run_fuzzed_case(case_seed: int) -> None:
         else:
             summary.violated += 1
     checker.final_check(spec, summary)
+    return scheduler
 
 
 @pytest.mark.parametrize("batch", range(BATCHES))
@@ -411,6 +450,16 @@ def test_fuzzed_schedules_hold_invariants(batch):
     per_batch = N_WORKLOADS // BATCHES
     for offset in range(per_batch):
         run_fuzzed_case(MASTER_SEED + batch * per_batch + offset)
+
+
+def test_detector_differential_sees_both_paths():
+    """The differential is only evidence if both detector paths run under it."""
+    runs = [run_fuzzed_case(MASTER_SEED + offset) for offset in (1, 84, 184)]
+    for scheduler in runs:
+        assert 0 < scheduler.deadlock_full_searches < scheduler.deadlock_checks
+    # Several victims per full search: the whole-graph loop, not the
+    # waiter-rooted check, is what keeps breaking cycles until none remain.
+    assert runs[0].deadlock_aborts > runs[0].deadlock_full_searches
 
 
 def test_case_generator_is_deterministic():
