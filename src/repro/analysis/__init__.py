@@ -7,7 +7,9 @@
 * :mod:`repro.analysis.timing` -- measurement of the paper's timing bounds
   (Figs. 5, 6, 7 and 9) from execution traces;
 * :mod:`repro.analysis.scenarios` -- systematic partition-scenario
-  generation (sweeps over partition time, split and votes);
+  generation (sweeps over partition time, split and votes; the splits
+  themselves are :func:`repro.core.reachability.simple_splits`, the
+  checker's partition order);
 * :mod:`repro.analysis.cases` -- construction and classification of the
   Section 6 transient-partitioning cases.
 """
@@ -19,7 +21,6 @@ from repro.analysis.scenarios import (
     ScenarioGrid,
     partition_sweep,
     simple_partition_schedules,
-    split_choices,
 )
 from repro.analysis.timing import (
     TimingMeasurement,
@@ -28,6 +29,7 @@ from repro.analysis.timing import (
     measure_wait_after_timeout_in_p,
     measure_wait_after_timeout_in_w,
 )
+from repro.core.reachability import simple_splits
 
 __all__ = [
     "AtomicityReport",
@@ -46,6 +48,6 @@ __all__ = [
     "partition_sweep",
     "section6_cases",
     "simple_partition_schedules",
-    "split_choices",
+    "simple_splits",
     "summarize_runs",
 ]

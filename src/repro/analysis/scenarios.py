@@ -8,29 +8,12 @@ them exhaustively on concrete configurations.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Optional, Sequence
 
+from repro.core.reachability import simple_splits
 from repro.protocols.runner import ScenarioSpec
 from repro.sim.partition import PartitionSchedule
-
-
-def split_choices(n_sites: int, *, master: int = 1) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """Every simple partition split of sites ``1..n`` as ``(G1, G2)`` pairs.
-
-    ``G1`` always contains the master; ``G2`` is every non-empty subset of the
-    slaves (taking complements would only swap the labels).
-    """
-    sites = list(range(1, n_sites + 1))
-    slaves = [site for site in sites if site != master]
-    splits = []
-    for size in range(1, len(slaves) + 1):
-        for combo in itertools.combinations(slaves, size):
-            g2 = tuple(sorted(combo))
-            g1 = tuple(sorted(set(sites) - set(combo)))
-            splits.append((g1, g2))
-    return splits
 
 
 def default_partition_times(max_delay: float = 1.0, *, resolution: float = 0.25, horizon: float = 8.0) -> list[float]:
@@ -64,7 +47,7 @@ def simple_partition_schedules(
     )
     schedules = []
     for at in onset_times:
-        for g1, g2 in split_choices(n_sites):
+        for g1, g2 in simple_splits(n_sites):
             if heal_after is None:
                 schedules.append(PartitionSchedule.simple(at, g1, g2))
             else:

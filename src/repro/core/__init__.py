@@ -9,8 +9,11 @@ reasoning* rather than a timed execution:
 * :mod:`repro.core.catalog` -- the protocols of Figs. 1, 3 and 8 (two-phase
   commit, three-phase commit, modified three-phase commit) expressed in that
   model;
-* :mod:`repro.core.reachability` -- exhaustive failure-free global-state
-  exploration;
+* :mod:`repro.core.relation` -- the local-step relation compiled from a
+  protocol (plus its Rule (a)/(b) tables), which the simulator's FSA roles
+  interpret and the explorer enumerates;
+* :mod:`repro.core.reachability` -- exhaustive global-state exploration,
+  failure-free or under a fault envelope;
 * :mod:`repro.core.concurrency` -- concurrency sets ``C(s)``, sender sets
   ``S(s)`` and committable-state classification;
 * :mod:`repro.core.rules` -- Rule (a) and Rule (b) augmentation with timeout

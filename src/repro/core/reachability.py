@@ -21,11 +21,17 @@ Two exploration surfaces share one engine:
   crash / partition-onset / message-loss pseudo-transitions, and
   an optional Rule (a)/(b) augmentation adds the timeout and
   undeliverable-message decisions of
-  :class:`~repro.core.rules.AugmentedProtocol`, mirroring the timed
-  semantics of :mod:`repro.protocols.fsa_role` (timeouts decide and, at
-  the master, broadcast; bounced messages decide per Rule (b)).  Budgets
+  :class:`~repro.core.rules.AugmentedProtocol`.  Budgets
   (``max_states``, ``max_depth``), deterministic visit order, parent
   pointers and breadth-first minimal counterexample paths come with it.
+
+What a site may do is not written here: protocol steps, their vote and
+sends, and the Rule (a)/(b) decisions (outcome, canonical final state, the
+master's broadcast) come from the protocol's local-step relation
+(:mod:`repro.core.relation`), the table the simulator's
+:class:`~repro.protocols.fsa_role.FSARole` interprets.  The explorer
+enumerates *every* choice of that relation and adds what belongs to the
+network: routing, bounced messages and the fault envelope.
 
 Everything about the exploration is deterministic: site order, transition
 declaration order and an explicit total order over outstanding messages fix
@@ -38,22 +44,25 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from itertools import combinations
 from typing import Any, Iterator, Optional, Union
 
 from repro.core import messages as msg
 from repro.core.fsa import (
-    ANY_SLAVE,
     CommitProtocolSpec,
-    EACH_SLAVE,
-    MASTER,
     MASTER_ROLE,
     OPERATOR,
     RoleAutomaton,
     SLAVE_ROLE,
     Transition,
 )
-
-OPERATOR_SITE = 0  # pseudo-site the external "request" message comes from
+from repro.core.relation import (
+    OPERATOR_SITE,
+    Resolution,
+    Step,
+    compile_relation,
+    satisfying_senders,
+)
 
 # --- fault envelopes of the model checker ----------------------------------
 FAILURE_FREE = "failure-free"    # no faults: the original Sections 2-3 graph
@@ -119,6 +128,17 @@ class TaggedMessage:
     def sort_key(self) -> tuple:
         """Total order used everywhere a message set is iterated."""
         return (self.kind, self.sender, self.receiver, self.sender_state, self.returned)
+
+    def bounced(self) -> "TaggedMessage":
+        """The undeliverable notification this message comes back as."""
+        return TaggedMessage(
+            kind=self.kind,
+            sender=self.receiver,
+            receiver=self.sender,
+            sender_role=self.sender_role,
+            sender_state=self.sender_state,
+            returned=True,
+        )
 
     def __str__(self) -> str:
         mark = "!" if self.returned else ""
@@ -390,107 +410,19 @@ def _initial_state(spec: CommitProtocolSpec, n_sites: int) -> GlobalState:
     )
 
 
-def _sends_for(
-    transition: Transition, site: int, role: str, n_sites: int
-) -> list[TaggedMessage]:
-    """Messages written by ``transition`` when taken by ``site``."""
-    produced: list[TaggedMessage] = []
-    slaves = [s for s in range(2, n_sites + 1)]
-    for send in transition.sends:
-        if send.target == MASTER:
-            produced.append(
-                TaggedMessage(
-                    kind=send.kind,
-                    sender=site,
-                    receiver=1,
-                    sender_role=role,
-                    sender_state=transition.source,
-                )
-            )
-        elif send.target == OPERATOR:
-            continue
-        else:  # all_slaves
-            for slave in slaves:
-                if slave == site:
-                    continue
-                produced.append(
-                    TaggedMessage(
-                        kind=send.kind,
-                        sender=site,
-                        receiver=slave,
-                        sender_role=role,
-                        sender_state=transition.source,
-                    )
-                )
-    return produced
-
-
-def _enabled_consumptions(
-    state: GlobalState, site: int, transition: Transition, n_sites: int
-) -> list[frozenset[TaggedMessage]]:
-    """Sets of outstanding messages that would satisfy the transition's read.
-
-    Returns an empty list when the read cannot be satisfied; several entries
-    when the read is satisfiable in more than one way (``any_slave`` with
-    messages from multiple slaves outstanding).  Returned (bounced) messages
-    never satisfy a protocol read -- only the Rule (b) pseudo-transitions of
-    the model checker consume them.
-    """
-    read = transition.read
-    if read.source == OPERATOR:
-        candidates = [
-            message
-            for message in state.messages_to(site, read.kind)
-            if message.sender == OPERATOR_SITE and not message.returned
-        ]
-        return [frozenset({candidate}) for candidate in candidates]
-    if read.source == MASTER:
-        candidates = [
-            message
-            for message in state.messages_to(site, read.kind)
-            if message.sender == 1 and not message.returned
-        ]
-        return [frozenset({candidate}) for candidate in candidates]
-    if read.source == ANY_SLAVE:
-        candidates = [
-            message
-            for message in state.messages_to(site, read.kind)
-            if message.sender != 1
-            and message.sender != OPERATOR_SITE
-            and not message.returned
-        ]
-        return [frozenset({candidate}) for candidate in candidates]
-    if read.source == EACH_SLAVE:
-        slaves = [s for s in range(2, n_sites + 1) if s != site]
-        needed: set[TaggedMessage] = set()
-        for slave in slaves:
-            matches = [
-                message
-                for message in state.messages_to(site, read.kind)
-                if message.sender == slave and not message.returned
-            ]
-            if not matches:
-                return []
-            needed.add(matches[0])
-        return [frozenset(needed)]
-    raise ValueError(f"unknown read source {read.source!r}")
-
-
 def simple_splits(n_sites: int) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
     """Every simple partition split as canonical ``(G1, G2)`` tuples.
 
-    ``G1`` always contains the master; ``G2`` ranges over the non-empty
-    proper subsets of the slaves, enumerated smallest-first so the partition
-    pseudo-transitions have a fixed order.  Mirrors
-    :func:`repro.analysis.scenarios.split_choices` without importing the
-    simulator layer into ``core``.
+    ``G1`` always contains the master (site 1); ``G2`` ranges over the
+    non-empty subsets of the slaves (taking complements would only swap
+    the labels), enumerated smallest-first so the partition
+    pseudo-transitions and the simulator's partition sweeps share one
+    fixed order.
     """
     sites = list(range(1, n_sites + 1))
     slaves = sites[1:]
     splits: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
     for size in range(1, len(slaves) + 1):
-        from itertools import combinations
-
         for combo in combinations(slaves, size):
             g2 = tuple(sorted(combo))
             g1 = tuple(sorted(set(sites) - set(combo)))
@@ -501,10 +433,10 @@ def simple_splits(n_sites: int) -> list[tuple[tuple[int, ...], tuple[int, ...]]]
 class _ModelExplorer:
     """Deterministic successor enumeration for one exploration setup.
 
-    ``augmentation`` is duck-typed (anything exposing ``timeout_action`` and
-    ``undeliverable_action`` dicts keyed by ``(role, state)``) so this
-    module never imports :mod:`repro.core.rules`, which sits above the
-    concurrency analysis that imports us.
+    Protocol, timeout and undeliverable-message edges enumerate the
+    protocol's local-step relation, compiled from ``spec`` and the
+    (duck-typed) ``augmentation``; this class adds the network and the
+    fault envelope.
     """
 
     def __init__(
@@ -525,11 +457,25 @@ class _ModelExplorer:
                 f"unknown fault envelope {fault!r}; "
                 f"expected one of {ALL_FAULT_ENVELOPES}"
             )
-        self.spec = spec
         self.n_sites = n_sites
-        self.augmentation = augmentation
         self.fault = fault
-        self.no_voters = no_voters
+        relation = compile_relation(spec, augmentation)
+        sites = range(1, n_sites + 1)
+        self._tables = {site: relation.role(self.role_of(site)) for site in sites}
+        self._peers = {
+            site: tuple(s for s in range(2, n_sites + 1) if s != site) for site in sites
+        }
+        # The vote a slave's vote step must send: scripted by ``no_voters``,
+        # or ``None`` where both branches are explored (always the master).
+        self._scripted_vote = {
+            site: None
+            if no_voters is None or site == 1
+            else ("no" if site in no_voters else "yes")
+            for site in sites
+        }
+        # Messages to an unreachable site come back to their sender only
+        # under an augmentation (the optimistic network of Rule (b)).
+        self._bounces = augmentation is not None
         self._splits = simple_splits(n_sites)
 
     # ------------------------------------------------------------------
@@ -538,28 +484,6 @@ class _ModelExplorer:
     def role_of(self, site: int) -> str:
         """Role of ``site`` (site 1 is the master)."""
         return MASTER_ROLE if site == 1 else SLAVE_ROLE
-
-    def automaton(self, site: int) -> RoleAutomaton:
-        """Automaton of ``site``."""
-        return _automaton_for(self.spec, site)
-
-    def _vote_allowed(self, site: int, transition: Transition) -> bool:
-        """Apply the scripted vote pattern (``no_voters``) to a slave transition.
-
-        With ``no_voters=None`` both vote branches are explored (the
-        exhaustive envelope); with a set, slaves in it must take the
-        no-vote transition and everyone else the yes-vote one, matching one
-        scripted simulator scenario exactly.
-        """
-        if self.no_voters is None or site == 1:
-            return True
-        sends_yes = any(send.kind == msg.YES for send in transition.sends)
-        sends_no = any(send.kind == msg.NO for send in transition.sends)
-        if sends_yes and site in self.no_voters:
-            return False
-        if sends_no and site not in self.no_voters:
-            return False
-        return True
 
     def _route(
         self, produced: list[TaggedMessage], state: GlobalState
@@ -578,82 +502,52 @@ class _ModelExplorer:
             )
             if not unreachable:
                 routed.append(message)
-            elif self.augmentation is not None:
-                routed.append(
-                    TaggedMessage(
-                        kind=message.kind,
-                        sender=message.receiver,
-                        receiver=message.sender,
-                        sender_role=message.sender_role,
-                        sender_state=message.sender_state,
-                        returned=True,
-                    )
-                )
+            elif self._bounces:
+                routed.append(message.bounced())
         return routed
 
-    def _canonical_final(self, automaton: RoleAutomaton, action: Any) -> str:
-        """The final state a Rule (a)/(b) decision moves a role into."""
-        states = (
-            automaton.commit_states
-            if getattr(action, "value", action) == "commit"
-            else automaton.abort_states
-        )
-        return min(states)
-
-    def _decision_broadcast(
-        self, site: int, action: Any, source_state: str, state: GlobalState
-    ) -> list[TaggedMessage]:
-        """The master's decision broadcast after a timeout / Rule (b) decision.
-
-        Mirrors :meth:`repro.protocols.fsa_role.FSARole.on_timeout`: a
-        deciding master broadcasts commit/abort to every slave; slaves
-        decide silently.
-        """
-        if site != 1:
-            return []
-        kind = msg.COMMIT if getattr(action, "value", action) == "commit" else msg.ABORT
-        produced = [
-            TaggedMessage(
-                kind=kind,
-                sender=1,
-                receiver=slave,
-                sender_role=MASTER_ROLE,
-                sender_state=source_state,
-            )
-            for slave in range(2, self.n_sites + 1)
-        ]
-        return self._route(produced, state)
-
-    def _decide(
+    def _edge(
         self,
         state: GlobalState,
         site: int,
-        action: Any,
-        *,
+        label: Union[Transition, FaultEvent],
+        effect: Union[Step, Resolution],
         consumed: frozenset[TaggedMessage] = frozenset(),
-    ) -> tuple[str, GlobalState]:
-        """Apply a Rule (a)/(b) decision at ``site``; returns (target, successor)."""
-        automaton = self.automaton(site)
-        target = self._canonical_final(automaton, action)
+    ) -> tuple[GlobalTransition, frozenset[TaggedMessage]]:
+        """``site`` consumes ``consumed``, sends, and moves to the effect's target."""
+        role = self.role_of(site)
+        local = state.local(site)
+        produced = [
+            TaggedMessage(
+                kind=kind,
+                sender=site,
+                receiver=receiver,
+                sender_role=role,
+                sender_state=local,
+            )
+            for kind, to_master in effect.sends
+            for receiver in ((1,) if to_master else self._peers[site])
+        ]
         new_locals = list(state.locals)
-        new_locals[site - 1] = target
+        new_locals[site - 1] = effect.target
         new_voted = list(state.voted)
-        if target in automaton.yes_vote_states:
+        if effect.votes_yes:
             new_voted[site - 1] = True
-        produced = self._decision_broadcast(site, action, state.local(site), state)
         successor = GlobalState(
             locals=tuple(new_locals),
-            outstanding=(state.outstanding - consumed) | frozenset(produced),
+            outstanding=(state.outstanding - consumed)
+            | frozenset(self._route(produced, state)),
             voted=tuple(new_voted),
             crashed=state.crashed,
             partition=state.partition,
             lost=state.lost,
         )
-        return target, successor
+        edge = GlobalTransition(source=state, site=site, transition=label, target=successor)
+        return edge, consumed
 
     def _all_final(self, state: GlobalState) -> bool:
         return all(
-            self.automaton(site).is_final(state.local(site))
+            self._tables[site][state.local(site)].final
             for site in range(1, self.n_sites + 1)
             if state.alive(site)
         )
@@ -667,7 +561,7 @@ class _ModelExplorer:
         """Yield every outgoing edge of ``state`` with its consumed messages.
 
         Order: protocol transitions (sites ascending, transitions in
-        declaration order, consumption choices in message order), then
+        declaration order, consumption choices in sender order), then
         undeliverable-message decisions, then timeout decisions, then fault
         onsets (crashes by site, partitions by split) -- fixed, so the
         exploration is reproducible across processes.
@@ -690,93 +584,58 @@ class _ModelExplorer:
         yield from self._timeout_successors(state, busy_sites)
         yield from self._fault_onset_successors(state)
 
+    def _inboxes(self, state: GlobalState) -> dict[int, dict[str, dict[int, TaggedMessage]]]:
+        """Per receiver and kind, the first deliverable message of each sender.
+
+        Returned (bounced) messages never satisfy a protocol read -- only
+        the Rule (b) decisions consume them.
+        """
+        inboxes: dict[int, dict[str, dict[int, TaggedMessage]]] = {}
+        for message in sorted(state.outstanding, key=TaggedMessage.sort_key):
+            if not message.returned:
+                inboxes.setdefault(message.receiver, {}).setdefault(
+                    message.kind, {}
+                ).setdefault(message.sender, message)
+        return inboxes
+
     def _protocol_successors(self, state: GlobalState):
+        inboxes = self._inboxes(state)
         for site in range(1, self.n_sites + 1):
             if not state.alive(site):
                 continue
-            role = self.role_of(site)
-            automaton = self.automaton(site)
-            local = state.local(site)
-            for transition in automaton.transitions_from(local):
-                if not self._vote_allowed(site, transition):
+            inbox = inboxes.get(site, {})
+            scripted = self._scripted_vote[site]
+            for step in self._tables[site][state.local(site)].steps:
+                if step.vote is not None and scripted is not None and step.vote != scripted:
                     continue
-                for consumed in _enabled_consumptions(state, site, transition, self.n_sites):
-                    produced = self._route(
-                        _sends_for(transition, site, role, self.n_sites), state
-                    )
-                    new_locals = list(state.locals)
-                    new_locals[site - 1] = transition.target
-                    new_voted = list(state.voted)
-                    if transition.target in automaton.yes_vote_states:
-                        new_voted[site - 1] = True
-                    successor = GlobalState(
-                        locals=tuple(new_locals),
-                        outstanding=(state.outstanding - consumed) | frozenset(produced),
-                        voted=tuple(new_voted),
-                        crashed=state.crashed,
-                        partition=state.partition,
-                        lost=state.lost,
-                    )
-                    yield (
-                        GlobalTransition(
-                            source=state, site=site, transition=transition, target=successor
-                        ),
-                        consumed,
-                    )
+                present = inbox.get(step.kind, {})
+                for senders in satisfying_senders(step.source, present, 1, self._peers[site]):
+                    consumed = frozenset(present[sender] for sender in senders)
+                    yield self._edge(state, site, step.transition, step, consumed)
 
     def _timeout_successors(self, state: GlobalState, busy_sites: set[int]):
-        if self.augmentation is None or not state.fault_fired:
+        if not state.fault_fired:
             return
         for site in range(1, self.n_sites + 1):
             if not state.alive(site) or site in busy_sites:
                 continue
-            automaton = self.automaton(site)
             local = state.local(site)
-            if automaton.is_final(local):
-                continue
-            action = self.augmentation.timeout_action.get((self.role_of(site), local))
-            if action is None:
-                continue
-            target, successor = self._decide(state, site, action)
-            event = FaultEvent(
-                action="timeout",
-                site=site,
-                target=target,
-                detail=f"timeout in {local}",
-            )
-            yield (
-                GlobalTransition(source=state, site=site, transition=event, target=successor),
-                frozenset(),
-            )
+            resolution = self._tables[site][local].timeout
+            if resolution is not None:
+                event = FaultEvent("timeout", site, resolution.target, f"timeout in {local}")
+                yield self._edge(state, site, event, resolution)
 
     def _undeliverable_successors(self, state: GlobalState):
-        if self.augmentation is None:
-            return
         for message in state.returned_messages():
             site = message.receiver
             if not state.alive(site):
                 continue
-            automaton = self.automaton(site)
             local = state.local(site)
-            if automaton.is_final(local):
-                continue
-            action = self.augmentation.undeliverable_action.get(
-                (self.role_of(site), local)
-            )
-            if action is None:
-                continue
-            consumed = frozenset({message})
-            target, successor = self._decide(state, site, action, consumed=consumed)
-            event = FaultEvent(
-                action="undeliverable",
-                site=site,
-                target=target,
-                detail=f"returned {message.kind} in {local}",
-            )
-            yield (
-                GlobalTransition(source=state, site=site, transition=event, target=successor),
-                consumed,
-            )
+            resolution = self._tables[site][local].undeliverable
+            if resolution is not None:
+                detail = f"returned {message.kind} in {local}"
+                event = FaultEvent("undeliverable", site, resolution.target, detail)
+                yield self._edge(state, site, event, resolution, frozenset({message}))
 
     def _fault_onset_successors(self, state: GlobalState):
         if self._all_final(state):
@@ -810,20 +669,11 @@ class _ModelExplorer:
             # model) when the protocol listens for bounces; returned
             # notifications and the operator's request are simply lost.
             if (
-                self.augmentation is not None
+                self._bounces
                 and not message.returned
                 and message.sender != OPERATOR_SITE
             ):
-                outstanding.add(
-                    TaggedMessage(
-                        kind=message.kind,
-                        sender=site,
-                        receiver=message.sender,
-                        sender_role=message.sender_role,
-                        sender_state=message.sender_state,
-                        returned=True,
-                    )
-                )
+                outstanding.add(message.bounced())
         successor = GlobalState(
             locals=state.locals,
             outstanding=frozenset(outstanding),
@@ -880,17 +730,8 @@ class _ModelExplorer:
         for message in state.outstanding:
             if not cut(message.sender, message.receiver):
                 outstanding.add(message)
-            elif self.augmentation is not None and not message.returned:
-                outstanding.add(
-                    TaggedMessage(
-                        kind=message.kind,
-                        sender=message.receiver,
-                        receiver=message.sender,
-                        sender_role=message.sender_role,
-                        sender_state=message.sender_state,
-                        returned=True,
-                    )
-                )
+            elif self._bounces and not message.returned:
+                outstanding.add(message.bounced())
         successor = GlobalState(
             locals=state.locals,
             outstanding=frozenset(outstanding),
@@ -947,8 +788,8 @@ def explore_model(
         spec: the commit protocol.
         n_sites: number of participating sites (>= 2; site 1 is the master).
         augmentation: optional Rule (a)/(b) tables
-            (:class:`~repro.core.rules.AugmentedProtocol` or anything with
-            ``timeout_action`` / ``undeliverable_action`` dicts); enables
+            (:class:`~repro.core.rules.AugmentedProtocol`, read the way
+            :func:`~repro.core.relation.compile_relation` reads it); enables
             the timeout and undeliverable-message pseudo-transitions.
         fault: one of :data:`ALL_FAULT_ENVELOPES`.
         no_voters: ``None`` explores both vote branches of every slave;

@@ -37,7 +37,7 @@ import math
 from dataclasses import dataclass, field, replace
 from typing import Callable, Iterable, Optional, Sequence
 
-from repro.analysis.scenarios import split_choices
+from repro.core.reachability import simple_splits
 from repro.engine.engine import StreamStats, SweepEngine
 from repro.engine.grid import SweepTask
 from repro.engine.summary import RunSummary
@@ -338,7 +338,7 @@ class RefinementDriver:
                 heal_after=heal_after,
                 base_spec=base,
             )
-            for g1, g2 in (splits if splits is not None else split_choices(n_sites))
+            for g1, g2 in (splits if splits is not None else simple_splits(n_sites))
             for no_voters in no_voter_options
         ]
         return self.refine_lines(lines, lo=lo, hi=hi, coarse_step=coarse_step)

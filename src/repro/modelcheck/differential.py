@@ -1,11 +1,17 @@
 """Differential cross-validation: exhaustive checker vs. event-driven simulator.
 
-Two fully independent implementations of the paper's semantics live in this
-repo: the timed, event-driven simulator (:mod:`repro.protocols`,
-:mod:`repro.sim`) and the untimed exhaustive explorer
-(:mod:`repro.core.reachability` + :mod:`repro.modelcheck.checker`).  This
-module runs both on the *same* configuration and asserts that their
-verdicts agree -- the strongest correctness story either side has.
+A protocol's steps are written once, as its local-step relation
+(:mod:`repro.core.relation`), and executed by two interpreters: the timed,
+event-driven simulator (:class:`~repro.protocols.fsa_role.FSARole` on
+:mod:`repro.sim`), which takes the first enabled choice under the kernel
+clock, and the untimed exhaustive explorer (:mod:`repro.core.reachability`
++ :mod:`repro.modelcheck.checker`), which enumerates every choice.  Their
+protocol edges therefore agree by construction.  This module runs both on
+the *same* configuration and asserts that their verdicts agree, which
+tests what the shared relation cannot: the two interpreters themselves
+(inbox bookkeeping, routing, bounces, crash and partition handling) and
+the timing assumptions the untimed explorer encodes (timeouts as
+last-resort edges, deliveries before timers).
 
 The agreement relation is directional, because the two quantify
 differently: one simulator run samples a single timed schedule, while the
@@ -37,11 +43,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
-from repro.analysis.scenarios import split_choices
 from repro.modelcheck.checker import ModelCheckResult, check_model, format_trace
 from repro.modelcheck.protocols import checkable_protocols
 from repro.modelcheck.spec import ModelCheckSpec
-from repro.core.reachability import FAILURE_FREE, PARTITION, SINGLE_CRASH
+from repro.core.reachability import FAILURE_FREE, PARTITION, SINGLE_CRASH, simple_splits
 from repro.protocols.registry import create_protocol
 from repro.protocols.runner import ScenarioSpec, run_scenario
 from repro.sim.failures import CrashSchedule
@@ -86,7 +91,7 @@ class DifferentialConfig:
                         replace(base, crashes=CrashSchedule.single(site, at))
                     )
         elif self.fault == PARTITION:
-            for g1, g2 in split_choices(self.n_sites):
+            for g1, g2 in simple_splits(self.n_sites):
                 for at in onsets:
                     specs.append(
                         replace(

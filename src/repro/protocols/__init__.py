@@ -16,7 +16,7 @@ role that the scenario runner attaches to simulated sites:
 * :mod:`repro.protocols.quorum` -- the quorum-commit skeleton, plain and with
   the Theorem 10 generic termination construction;
 * :mod:`repro.protocols.plan` -- the per-process compiled plan (spec,
-  transition index, Rule (a)/(b) tables) every role of a protocol shares;
+  Rule (a)/(b) tables, local-step relation) every role of a protocol shares;
 * :mod:`repro.protocols.runner` -- the scenario runner shared by tests,
   examples and benchmarks;
 * :mod:`repro.protocols.registry` -- name-based protocol lookup.

@@ -1,13 +1,19 @@
-"""Generic roles that execute a formal protocol specification.
+"""Generic roles that interpret a protocol's local-step relation.
 
 The baseline protocols (2PC, extended 2PC, 3PC, the naive extended 3PC and
 the quorum skeleton) differ only in their finite-state automata and in the
-timeout / undeliverable-message augmentation applied to them, so they share
-one implementation: a coordinator role and a participant role that *execute*
-a :class:`~repro.core.fsa.CommitProtocolSpec`, optionally consulting an
-:class:`~repro.core.rules.AugmentedProtocol` when a timer fires or a bounced
-message arrives.  Both come from the shared, immutable
-:class:`~repro.protocols.plan.ProtocolPlan`; a role builds only its own state.
+Rule (a)/(b) augmentation applied to them, so one role class runs them all:
+:class:`FSARole` interprets the protocol's
+:class:`~repro.core.relation.ProtocolRelation`, taken from the shared,
+immutable :class:`~repro.protocols.plan.ProtocolPlan`, under the kernel
+clock.  Deliveries land in an inbox of senders per message kind; after
+every delivery and every state change -- the vote step included -- the
+role takes the first enabled step of its local state and keeps stepping
+until none is enabled.  The state timer of an augmented role fires the
+state's Rule (a) decision and a bounced message its Rule (b) decision;
+both decide without moving the local state, and a deciding master
+broadcasts the decision.  The model checker enumerates every choice of the
+same relation (:mod:`repro.core.reachability`).
 
 The paper's own termination protocol is deliberately *not* expressed this
 way -- it needs probe messages, the UD/PB bookkeeping and slave-to-slave
@@ -20,127 +26,84 @@ from __future__ import annotations
 from typing import Any
 
 from repro.core import messages as m
-from repro.core.fsa import (
-    ANY_SLAVE,
-    EACH_SLAVE,
-    MASTER,
-    MASTER_ROLE,
-    OPERATOR,
-    SLAVE_ROLE,
-    Transition,
+from repro.core.fsa import MASTER_ROLE, SLAVE_ROLE
+from repro.core.relation import (
+    OPERATOR_SITE,
+    Resolution,
+    Send,
+    Step,
+    satisfying_senders,
 )
-from repro.core.rules import FinalAction
 from repro.protocols.base import Decision, ProtocolContext, ProtocolMessage, RoleBase
 from repro.protocols.plan import ProtocolPlan, compiled_plan
 
-#: Message kinds whose receipt corresponds to journalling the prepared state.
-_PROMOTION_KINDS = frozenset({m.PREPARE, m.PRE_COMMIT})
-
 _STATE_TIMER = "state-timeout"
 
-#: Shared empty sender set used as the miss default in `_satisfied`, so the
-#: (very common) "no messages of this kind yet" path allocates nothing.
+#: Shared empty sender set used as the inbox miss default, so the (very
+#: common) "no messages of this kind yet" path allocates nothing.
 _NO_SENDERS: frozenset[int] = frozenset()
 
-
-def _final_action_to_decision(action: FinalAction) -> Decision:
-    return Decision.COMMIT if action is FinalAction.COMMIT else Decision.ABORT
+_DECISIONS = {m.COMMIT: Decision.COMMIT, m.ABORT: Decision.ABORT}
 
 
 class FSARole(RoleBase):
-    """Executes one role automaton of a commit protocol specification."""
+    """Interprets one role of a protocol's local-step relation."""
 
     def __init__(self, ctx: ProtocolContext, plan: ProtocolPlan, role: str) -> None:
-        tables = plan.role(role)
-        self.spec = plan.spec
         self.role = role
-        self.automaton = plan.spec.automaton(role)
-        self.augmentation = plan.augmentation
+        self.relation = plan.relation
+        self._tables = plan.relation.role(role)
         self.received: dict[str, set[int]] = {}
-        self._transitions_from = tables.transitions_from
-        self._final_states = tables.final_states
-        # Every slave but this site: whom EACH_SLAVE reads wait for and
-        # all-slaves sends go to.
+        self._master = ctx.master
+        # Every slave but this site: whom each-slave reads wait for and
+        # slave-bound sends go to.
         self._peer_slaves = tuple(s for s in ctx.slaves if s != ctx.site)
-        super().__init__(ctx, initial_state=self.automaton.initial)
+        super().__init__(ctx, initial_state=plan.spec.automaton(role).initial)
 
     # ------------------------------------------------------------------
     # lifecycle
     # ------------------------------------------------------------------
     def on_start(self) -> None:
-        if self.role == MASTER_ROLE:
-            self._start_master()
-        else:
-            self._start_participant()
-
-    def _start_master(self) -> None:
-        vote = self.cast_vote()
-        if vote == "no":
+        if self.role == SLAVE_ROLE:
+            self._arm_state_timer()
+            return
+        if self.cast_vote() == "no":
             # The master aborts unilaterally before involving anyone else.
             self.decide(Decision.ABORT, reason="master voted no")
             self.broadcast_decision(Decision.ABORT)
             return
-        # Consume the external "request": take the operator transition.
-        for transition in self._transitions_from[self.state]:
-            if transition.read.source == OPERATOR:
-                self._fire(transition, reason="request received")
-                return
-
-    def _start_participant(self) -> None:
-        self._arm_state_timer()
+        # The operator's request is on the tape: the master's first step.
+        self.received[m.REQUEST] = {OPERATOR_SITE}
+        self._run()
 
     # ------------------------------------------------------------------
-    # message handling
+    # deliveries and timers
     # ------------------------------------------------------------------
     def on_message(self, payload: Any, envelope: Any) -> None:
         message, undeliverable = self.unwrap(payload)
         if message is None:
             return
         if undeliverable:
-            self._handle_undeliverable(message)
-            return
-        if message.kind == m.XACT and self.role == SLAVE_ROLE:
-            self._handle_xact(message)
+            self._on_undeliverable(message)
             return
         self.received.setdefault(message.kind, set()).add(message.sender)
-        self._try_fire()
+        self._run()
 
-    def _handle_xact(self, message: ProtocolMessage) -> None:
-        if self.state != self.automaton.initial:
-            return
-        vote = self.cast_vote()
-        wanted = m.YES if vote == "yes" else m.NO
-        for transition in self._transitions_from[self.state]:
-            if transition.read.kind != m.XACT:
-                continue
-            if any(send.kind == wanted for send in transition.sends):
-                self._fire(transition, reason=f"voted {vote}")
-                return
-
-    def _handle_undeliverable(self, message: ProtocolMessage) -> None:
+    def _on_undeliverable(self, message: ProtocolMessage) -> None:
         self.node.note(
             "undeliverable-received",
             transaction=self.transaction_id,
             kind=message.kind,
             state=self.state,
         )
-        if self.augmentation is None or self.decided:
+        if self.decided:
             return
-        action = self.augmentation.undeliverable_action.get((self.role, self.state))
-        if action is None:
-            return
-        decision = _final_action_to_decision(action)
-        self.decide(decision, reason=f"undeliverable {message.kind} in {self.state}")
-        if self.role == MASTER_ROLE:
-            self.broadcast_decision(decision)
+        resolution = self._tables[self.state].undeliverable
+        if resolution is not None:
+            self._resolve(resolution, reason=f"undeliverable {message.kind} in {self.state}")
 
-    # ------------------------------------------------------------------
-    # timers
-    # ------------------------------------------------------------------
     def _arm_state_timer(self) -> None:
-        if self.augmentation is None or self.decided:
-            return
-        if self.state in self._final_states:
+        if not self._tables[self.state].timed:
             return
         duration = (
             self.ctx.timers.master_vote_timeout
@@ -150,78 +113,57 @@ class FSARole(RoleBase):
         self.node.set_timer(_STATE_TIMER, duration)
 
     def on_timeout(self, timer: Any) -> None:
-        if timer.name != _STATE_TIMER or self.augmentation is None or self.decided:
+        if timer.name != _STATE_TIMER or self.decided:
             return
-        action = self.augmentation.timeout_action.get((self.role, self.state))
-        if action is None:
-            return
-        decision = _final_action_to_decision(action)
-        self.decide(decision, reason=f"timeout in {self.state}")
-        if self.role == MASTER_ROLE:
-            self.broadcast_decision(decision)
+        resolution = self._tables[self.state].timeout
+        if resolution is not None:
+            self._resolve(resolution, reason=f"timeout in {self.state}")
 
     # ------------------------------------------------------------------
-    # FSA execution
+    # interpreting the relation
     # ------------------------------------------------------------------
-    def _try_fire(self) -> None:
-        if self.decided:
-            return
-        progressed = True
-        while progressed and not self.decided:
-            progressed = False
-            for transition in self._transitions_from[self.state]:
-                if self._satisfied(transition):
-                    self._consume(transition)
-                    self._fire(transition, reason=f"received {transition.read.kind}")
-                    progressed = True
-                    break
+    def _run(self) -> None:
+        """Take the first enabled step, again and again, until none is."""
+        received = self.received
+        while not self.decided:
+            for step in self._tables[self.state].steps:
+                present = received.get(step.kind, _NO_SENDERS)
+                choices = satisfying_senders(
+                    step.source, present, self._master, self._peer_slaves
+                )
+                if not choices:
+                    continue
+                if step.vote is not None and step.vote != (self.vote or self.cast_vote()):
+                    continue
+                if present:
+                    present.difference_update(choices[0])
+                self._fire(step)
+                break
+            else:
+                return
 
-    def _satisfied(self, transition: Transition) -> bool:
-        read = transition.read
-        senders = self.received.get(read.kind, _NO_SENDERS)
-        if read.source == MASTER:
-            return self.ctx.master in senders
-        if read.source == ANY_SLAVE:
-            return any(sender != self.ctx.master for sender in senders)
-        if read.source == EACH_SLAVE:
-            return senders.issuperset(self._peer_slaves)
-        return False
-
-    def _consume(self, transition: Transition) -> None:
-        read = transition.read
-        senders = self.received.get(read.kind, set())
-        if read.source == MASTER:
-            senders.discard(self.ctx.master)
-        elif read.source == ANY_SLAVE:
-            for sender in sorted(senders):
-                if sender != self.ctx.master:
-                    senders.discard(sender)
-                    break
-        elif read.source == EACH_SLAVE:
-            for slave in self.ctx.slaves:
-                senders.discard(slave)
-
-    def _fire(self, transition: Transition, *, reason: str) -> None:
-        if transition.read.kind in _PROMOTION_KINDS and self.role == SLAVE_ROLE:
+    def _fire(self, step: Step) -> None:
+        reason = f"voted {step.vote}" if step.vote else f"received {step.kind}"
+        if step.journals_prepare:
             self.db.prepare(self.transaction_id, now=self.now)
-        self._emit(transition)
-        self.transition(transition.target, reason=reason)
-        if transition.target in self.automaton.commit_states:
-            self.decide(Decision.COMMIT, reason=reason)
-        elif transition.target in self.automaton.abort_states:
-            self.decide(Decision.ABORT, reason=reason)
+        self._send_all(step.sends)
+        self.transition(step.target, reason=reason)
+        if step.decision is not None:
+            self.decide(_DECISIONS[step.decision], reason=reason)
         else:
             self._arm_state_timer()
 
-    def _emit(self, transition: Transition) -> None:
-        for send in transition.sends:
-            payload = self.transaction if send.kind == m.XACT else None
-            if send.target == MASTER:
-                self.send(self.ctx.master, send.kind, payload)
-            elif send.target == OPERATOR:
-                continue
-            else:  # all slaves
-                self.broadcast(self._peer_slaves, send.kind, payload)
+    def _resolve(self, resolution: Resolution, *, reason: str) -> None:
+        self.decide(_DECISIONS[resolution.decision], reason=reason)
+        self._send_all(resolution.sends)
+
+    def _send_all(self, sends: tuple[Send, ...]) -> None:
+        for kind, to_master in sends:
+            payload = self.transaction if kind == m.XACT else None
+            if to_master:
+                self.send(self._master, kind, payload)
+            else:
+                self.broadcast(self._peer_slaves, kind, payload)
 
 
 class FSAProtocolDefinition:
@@ -243,9 +185,9 @@ class FSAProtocolDefinition:
         return compiled_plan(self.name, n_sites, self._spec_factory, augment=self._augment)
 
     def coordinator(self, ctx: ProtocolContext) -> FSARole:
-        """Build the master role for ``ctx``."""
+        """Build the master role."""
         return FSARole(ctx, self.plan(len(ctx.participants)), MASTER_ROLE)
 
     def participant(self, ctx: ProtocolContext) -> FSARole:
-        """Build a slave role for ``ctx``."""
+        """Build a slave role."""
         return FSARole(ctx, self.plan(len(ctx.participants)), SLAVE_ROLE)

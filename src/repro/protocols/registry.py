@@ -14,7 +14,7 @@ Invariants:
 * Definitions are fresh; compiled plans are shared, immutable, one per
   (name, n) per process.  Every lookup constructs a new, trivially cheap
   :class:`~repro.protocols.base.ProtocolDefinition` and no role state
-  crosses scenarios; the spec, its transition index and the Rule (a)/(b) /
+  crosses scenarios; the spec, its local-step relation and the Rule (a)/(b) /
   Theorem 10 tables come from :func:`repro.protocols.plan.compiled_plan`.
 
 The names cover the paper's protocol cast: 2PC (Fig. 1), extended 2PC

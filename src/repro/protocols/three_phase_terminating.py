@@ -274,7 +274,8 @@ class TerminatingSlaveRole(RoleBase):
 
     def _on_protocol_message(self, message: ProtocolMessage) -> None:
         kind = message.kind
-        if kind == m.XACT and self.state == _Q:
+        if kind == m.XACT and self.state == _Q and not self.decided:
+            # (A timeout in q may have aborted before a late xact arrived.)
             self._on_xact()
         elif kind == self.promotion_kind and self.state == _W:
             self._on_prepare()

@@ -5,7 +5,8 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.analysis.scenarios import ScenarioGrid, default_partition_times, partition_sweep, split_choices
+from repro.analysis.scenarios import ScenarioGrid, default_partition_times, partition_sweep
+from repro.core.reachability import simple_splits
 from repro.analysis.timing import (
     TimingMeasurement,
     measure_master_probe_window,
@@ -21,7 +22,7 @@ from repro.sim.partition import PartitionSchedule
 
 class TestSplitChoices:
     def test_three_sites_has_three_splits(self):
-        splits = split_choices(3)
+        splits = simple_splits(3)
         assert len(splits) == 3
         for g1, g2 in splits:
             assert 1 in g1
@@ -29,14 +30,14 @@ class TestSplitChoices:
             assert not set(g1) & set(g2)
 
     def test_four_sites_has_seven_splits(self):
-        assert len(split_choices(4)) == 7
+        assert len(simple_splits(4)) == 7
 
     @given(st.integers(min_value=2, max_value=7))
     def test_property_split_count_is_two_to_slaves_minus_one(self, n_sites):
-        assert len(split_choices(n_sites)) == 2 ** (n_sites - 1) - 1
+        assert len(simple_splits(n_sites)) == 2 ** (n_sites - 1) - 1
 
     def test_master_always_in_g1(self):
-        for g1, g2 in split_choices(5):
+        for g1, g2 in simple_splits(5):
             assert 1 in g1
             assert 1 not in g2
 

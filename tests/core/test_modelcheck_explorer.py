@@ -25,7 +25,7 @@ import sys
 
 import pytest
 
-from repro.core.catalog import three_phase_commit, two_phase_commit
+from repro.core.catalog import quorum_commit, three_phase_commit, two_phase_commit
 from repro.core.reachability import (
     BFS,
     DFS,
@@ -48,6 +48,7 @@ SETUPS = {
     "extended-2pc": (two_phase_commit, True),
     "3pc": (three_phase_commit, False),
     "naive-3pc": (three_phase_commit, True),
+    "quorum-commit": (quorum_commit, False),
 }
 
 

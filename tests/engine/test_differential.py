@@ -1,6 +1,6 @@
 """The differential matrix: checker vs simulator on 200+ seeded configurations.
 
-Two independent implementations of the paper's semantics -- the timed
+The two interpreters of a protocol's local-step relation -- the timed
 event-driven simulator and the untimed exhaustive explorer -- run the same
 configurations; any verdict disagreement (under the directional relation
 documented in :mod:`repro.modelcheck.differential`) fails the test with

@@ -3,7 +3,7 @@ and the scenario-count advantage the engine exists to deliver."""
 
 import pytest
 
-from repro.analysis.scenarios import split_choices
+from repro.core.reachability import simple_splits
 from repro.engine import (
     OnsetLine,
     RefinementDriver,
@@ -177,7 +177,7 @@ def family_lines(protocol, n_sites):
     """The lines ``refine_partition_boundaries`` builds, in its order."""
     return [
         OnsetLine(protocol=protocol, n_sites=n_sites, g1=g1, g2=g2, no_voters=votes)
-        for g1, g2 in split_choices(n_sites)
+        for g1, g2 in simple_splits(n_sites)
         for votes in VOTES
     ]
 

@@ -1,9 +1,8 @@
 """Shared helpers for the protocol test suite."""
 
-import itertools
-
 import pytest
 
+from repro.core.reachability import simple_splits
 from repro.core.termination import TerminationTimers
 from repro.db.site import DatabaseSite
 from repro.db.transactions import Transaction
@@ -26,18 +25,6 @@ def make_context(site=1, n_sites=3):
         timers=TerminationTimers(1.0),
     )
     return cluster, ctx
-
-
-def simple_splits(n_sites):
-    """Every way to split sites 1..n into (G1 containing the master, G2)."""
-    slaves = list(range(2, n_sites + 1))
-    splits = []
-    for k in range(1, len(slaves) + 1):
-        for combo in itertools.combinations(slaves, k):
-            g2 = set(combo)
-            g1 = set(range(1, n_sites + 1)) - g2
-            splits.append((tuple(sorted(g1)), tuple(sorted(g2))))
-    return splits
 
 
 def sweep_partitions(

@@ -6,6 +6,7 @@ import pytest
 
 from repro.core.fsa import MASTER_ROLE, SLAVE_ROLE
 from repro.core.catalog import two_phase_commit
+from repro.core.relation import compile_relation
 from repro.core.rules import FinalAction, augment_with_rules
 from repro.modelcheck import resolve_protocol
 from repro.protocols.registry import create_protocol
@@ -25,20 +26,24 @@ class TestSharing:
         _, slave_ctx = make_context(site=2, n_sites=n_sites)
         master = definition.coordinator(master_ctx)
         slave = definition.participant(slave_ctx)
+        plan = definition.plan(n_sites)
         assert augmentation is not None
-        assert master.augmentation is augmentation
-        assert slave.augmentation is augmentation
-        assert master.spec is spec and slave.spec is spec
+        assert plan.augmentation is augmentation and plan.spec is spec
+        # Both roles interpret the plan's relation, and the checker's
+        # explorer compiles the same relation from the same inputs.
+        assert master.relation is plan.relation and slave.relation is plan.relation
+        assert compile_relation(spec, augmentation) == plan.relation
 
     def test_transition_index_matches_the_automaton(self):
         plan = create_protocol("three-phase-commit").plan(3)
         for role in (MASTER_ROLE, SLAVE_ROLE):
-            tables = plan.role(role)
+            tables = plan.relation.role(role)
             automaton = plan.spec.automaton(role)
-            assert set(tables.transitions_from) == set(automaton.states)
+            assert set(tables) == set(automaton.states)
             for state in automaton.states:
-                assert tables.transitions_from[state] == automaton.transitions_from(state)
-            assert tables.final_states == automaton.final_states
+                steps = tables[state].steps
+                assert tuple(s.transition for s in steps) == automaton.transitions_from(state)
+                assert tables[state].final == automaton.is_final(state)
 
 
 class TestImmutability:
@@ -70,6 +75,8 @@ class TestImmutability:
         with pytest.raises(dataclasses.FrozenInstanceError):
             plan.augmentation = None
         with pytest.raises(dataclasses.FrozenInstanceError):
-            plan.master.final_states = frozenset()
+            plan.relation.master = {}
         with pytest.raises(TypeError):
-            plan.slave.transitions_from["w"] = ()
+            plan.relation.slave["w"] = None
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            plan.relation.slave["w"].timeout = None

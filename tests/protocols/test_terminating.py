@@ -9,7 +9,7 @@ from repro.protocols.three_phase_terminating import TerminatingThreePhaseCommit
 from repro.sim.latency import PerLinkLatency
 from repro.sim.partition import PartitionSchedule
 
-from tests.protocols.conftest import simple_splits, sweep_partitions
+from tests.protocols.conftest import sweep_partitions
 
 
 class TestTheorem9Resilience:
