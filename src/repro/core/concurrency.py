@@ -10,7 +10,8 @@ These are the three notions Section 2-3 of the paper builds on:
   all sites have voted yes on committing the transaction.
 
 All three are computed from the reachable global-state graph produced by
-:mod:`repro.core.reachability`, for a given number of participating sites.
+:mod:`repro.core.reachability`, for a given number of participating sites,
+straight from its packed rows (no global state is decoded).
 Local states are identified by ``(role, state-name)`` pairs because all
 slaves run the same automaton.
 """
@@ -95,22 +96,26 @@ def analyze(
         spec=spec, n_sites=n_sites, global_state_count=result.state_count
     )
 
-    # Concurrency sets and committability come straight from occupancies.
+    # Concurrency sets and committability come straight from occupancies,
+    # read off the packed rows: only the distinct (local-state vector,
+    # all-voted) pairs matter.
+    everyone = (1 << n_sites) - 1
+    occupancies = {(row[:n_sites], row[n_sites] == everyone) for row in result.rows}
+    site_ids = [
+        [(result.role_of(site), name) for name in result.local_names(site)]
+        for site in range(1, n_sites + 1)
+    ]
     committable_so_far: dict[LocalStateId, bool] = {}
-    for state in result.states:
-        for site in range(1, n_sites + 1):
-            role = result.role_of(site)
-            local: LocalStateId = (role, state.local(site))
+    for vector, all_voted in occupancies:
+        locals_ = [ids[local] for ids, local in zip(site_ids, vector)]
+        for position, local in enumerate(locals_):
             analysis.occupied.add(local)
             cell = analysis.concurrency.setdefault(local, set())
-            for other_site in range(1, n_sites + 1):
-                if other_site == site:
-                    continue
-                other: LocalStateId = (result.role_of(other_site), state.local(other_site))
-                cell.add(other)
+            cell.update(locals_[:position])
+            cell.update(locals_[position + 1 :])
             # Committable: every occupancy must have all sites voted yes.
             previous = committable_so_far.get(local, True)
-            committable_so_far[local] = previous and state.all_voted()
+            committable_so_far[local] = previous and all_voted
     # States never occupied are not committable by (vacuous) convention;
     # callers should check `occupied` when it matters.
     for local in spec.local_states():

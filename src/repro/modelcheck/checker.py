@@ -18,11 +18,15 @@ the reachable global states:
 
 The first three are safety invariants (``violated`` dominates the summary
 verdict); ``no-blocking`` maps to the ``blocked`` verdict, mirroring
-:attr:`~repro.engine.summary.RunSummary.verdict`.  Counterexamples are
-first-discovery paths through the graph -- minimal under the default BFS
-exploration -- and replay step-by-step through
-:func:`~repro.core.reachability.enumerate_successors` (the explorer
-property tests assert this).
+:attr:`~repro.engine.summary.RunSummary.verdict`.
+
+The explorer (:func:`~repro.core.reachability.explore_model`) evaluates all
+four while it discovers states and edges and keeps each one's first
+witness in whole-graph scan order; this module turns those witnesses into
+verdicts.  Counterexamples are first-discovery paths through the graph --
+minimal under the default BFS exploration -- and replay step-by-step
+through :func:`~repro.core.reachability.enumerate_successors` (the
+explorer property tests assert this).
 """
 
 from __future__ import annotations
@@ -105,7 +109,7 @@ class ModelCheckResult:
             n_sites=self.spec.n_sites,
             fault=self.spec.fault,
             states_explored=self.graph.state_count,
-            edges_explored=len(self.graph.edges),
+            edges_explored=self.graph.edges_explored,
             frontier_depth=self.graph.frontier_depth,
             complete=self.graph.complete,
             invariants={
@@ -167,60 +171,48 @@ def format_trace(trace: list[GlobalTransition]) -> str:
     return "\n".join(lines)
 
 
-def _check_same_decision(graph: ReachabilityResult) -> InvariantVerdict:
+def _same_decision(graph: ReachabilityResult) -> InvariantVerdict:
     """No state mixes a committed site with an aborted one."""
-    for state in graph.visit_order:
-        committed = None
-        aborted = None
-        for site in range(1, graph.n_sites + 1):
-            automaton = graph.automaton_of(site)
-            local = state.local(site)
-            if local in automaton.commit_states:
-                committed = site
-            elif local in automaton.abort_states:
-                aborted = site
-        if committed is not None and aborted is not None:
-            return InvariantVerdict(
-                name="same-decision",
-                holds=False,
-                witness=state,
-                trace=graph.path_to(state),
-                detail=(
-                    f"site {committed} committed while site {aborted} aborted "
-                    f"in {state}"
-                ),
-            )
-    return InvariantVerdict(name="same-decision", holds=True)
+    index = graph.same_decision_witness
+    if index is None:
+        return InvariantVerdict(name="same-decision", holds=True)
+    state = graph.state_at(index)
+    for site in range(1, graph.n_sites + 1):
+        automaton = graph.automaton_of(site)
+        if state.local(site) in automaton.commit_states:
+            committed = site
+        elif state.local(site) in automaton.abort_states:
+            aborted = site
+    return InvariantVerdict(
+        name="same-decision",
+        holds=False,
+        witness=state,
+        trace=graph.path_to_index(index),
+        detail=f"site {committed} committed while site {aborted} aborted in {state}",
+    )
 
 
-def _check_no_commit_after_abort(graph: ReachabilityResult) -> InvariantVerdict:
+def _no_commit_after_abort(graph: ReachabilityResult) -> InvariantVerdict:
     """No site enters a commit state once any site occupies an abort state."""
-    for edge in graph.edges:
-        automaton = graph.automaton_of(edge.site) if edge.site else None
-        if automaton is None:
-            continue
-        entered_commit = (
-            edge.target.local(edge.site) in automaton.commit_states
-            and edge.source.local(edge.site) not in automaton.commit_states
-        )
-        if not entered_commit:
-            continue
-        for site in range(1, graph.n_sites + 1):
-            if edge.source.local(site) in graph.automaton_of(site).abort_states:
-                return InvariantVerdict(
-                    name="no-commit-after-abort",
-                    holds=False,
-                    witness=edge.target,
-                    trace=graph.path_to(edge.source) + [edge],
-                    detail=(
-                        f"site {edge.site} commits after site {site} "
-                        f"aborted in {edge.source}"
-                    ),
-                )
-    return InvariantVerdict(name="no-commit-after-abort", holds=True)
+    if graph.commit_after_abort_witness is None:
+        return InvariantVerdict(name="no-commit-after-abort", holds=True)
+    source, label, target = graph.commit_after_abort_witness
+    edge = graph.edge_at(source, label, target)
+    aborted = next(
+        site
+        for site in range(1, graph.n_sites + 1)
+        if edge.source.local(site) in graph.automaton_of(site).abort_states
+    )
+    return InvariantVerdict(
+        name="no-commit-after-abort",
+        holds=False,
+        witness=edge.target,
+        trace=graph.path_to_index(source) + [edge],
+        detail=f"site {edge.site} commits after site {aborted} aborted in {edge.source}",
+    )
 
 
-def _check_commit_requires_votes(graph: ReachabilityResult) -> InvariantVerdict:
+def _commit_requires_votes(graph: ReachabilityResult) -> InvariantVerdict:
     """A committed site implies every slave voted yes (committable states).
 
     The quantifier runs over the *slaves*: the master's yes vote is cast
@@ -230,56 +222,63 @@ def _check_commit_requires_votes(graph: ReachabilityResult) -> InvariantVerdict:
     commit state -- counting it would flag every slave that correctly
     commits past a crashed master.
     """
-    for state in graph.visit_order:
-        for site in range(1, graph.n_sites + 1):
-            if state.local(site) in graph.automaton_of(site).commit_states:
-                missing = [
-                    s
-                    for s in range(2, graph.n_sites + 1)
-                    if not state.voted[s - 1]
-                ]
-                if missing:
-                    return InvariantVerdict(
-                        name="commit-requires-votes",
-                        holds=False,
-                        witness=state,
-                        trace=graph.path_to(state),
-                        detail=(
-                            f"site {site} committed without yes votes from "
-                            f"slaves {missing} in {state}"
-                        ),
-                    )
-                break
-    return InvariantVerdict(name="commit-requires-votes", holds=True)
+    index = graph.commit_without_votes_witness
+    if index is None:
+        return InvariantVerdict(name="commit-requires-votes", holds=True)
+    state = graph.state_at(index)
+    committed = next(
+        site
+        for site in range(1, graph.n_sites + 1)
+        if state.local(site) in graph.automaton_of(site).commit_states
+    )
+    missing = [s for s in range(2, graph.n_sites + 1) if not state.voted[s - 1]]
+    return InvariantVerdict(
+        name="commit-requires-votes",
+        holds=False,
+        witness=state,
+        trace=graph.path_to_index(index),
+        detail=(
+            f"site {committed} committed without yes votes from "
+            f"slaves {missing} in {state}"
+        ),
+    )
 
 
-def _check_no_blocking(graph: ReachabilityResult) -> InvariantVerdict:
+def _no_blocking(graph: ReachabilityResult) -> InvariantVerdict:
     """No terminal state leaves a surviving site undecided."""
-    for state in graph.final_states():
-        for site in range(1, graph.n_sites + 1):
-            if not state.alive(site):
-                continue
-            if not graph.automaton_of(site).is_final(state.local(site)):
-                return InvariantVerdict(
-                    name=BLOCKING_INVARIANT,
-                    holds=False,
-                    witness=state,
-                    trace=graph.path_to(state),
-                    detail=(
-                        f"surviving site {site} is stuck undecided in "
-                        f"state {state.local(site)} at terminal {state}"
-                    ),
-                )
-    return InvariantVerdict(name=BLOCKING_INVARIANT, holds=True)
+    index = graph.stuck_terminal_witness
+    if index is None:
+        return InvariantVerdict(name=BLOCKING_INVARIANT, holds=True)
+    state = graph.state_at(index)
+    site = next(
+        site
+        for site in range(1, graph.n_sites + 1)
+        if state.alive(site) and not graph.automaton_of(site).is_final(state.local(site))
+    )
+    return InvariantVerdict(
+        name=BLOCKING_INVARIANT,
+        holds=False,
+        witness=state,
+        trace=graph.path_to_index(index),
+        detail=(
+            f"surviving site {site} is stuck undecided in "
+            f"state {state.local(site)} at terminal {state}"
+        ),
+    )
 
 
 def check_invariants(graph: ReachabilityResult) -> dict[str, InvariantVerdict]:
-    """Evaluate every invariant over an explored graph."""
+    """Every invariant's verdict, from the first witnesses the explorer kept.
+
+    The explorer evaluates the invariants while it discovers states and
+    edges (:func:`~repro.core.reachability.explore_model`); this only
+    decodes each witness and its first-discovery path.
+    """
     return {
-        "same-decision": _check_same_decision(graph),
-        "no-commit-after-abort": _check_no_commit_after_abort(graph),
-        "commit-requires-votes": _check_commit_requires_votes(graph),
-        BLOCKING_INVARIANT: _check_no_blocking(graph),
+        "same-decision": _same_decision(graph),
+        "no-commit-after-abort": _no_commit_after_abort(graph),
+        "commit-requires-votes": _commit_requires_votes(graph),
+        BLOCKING_INVARIANT: _no_blocking(graph),
     }
 
 

@@ -12,7 +12,9 @@ The exhaustive checker's value rests on four properties of
   precisely when state ``N+1`` is discovered (a graph of exactly ``N``
   states completes), and the partial graph attached to the error is a
   *prefix* of the unbudgeted exploration (the regression for threading the
-  limits through :class:`~repro.modelcheck.spec.ModelCheckSpec`).
+  limits through :class:`~repro.modelcheck.spec.ModelCheckSpec`).  The
+  partial graph is closed (every edge ends in one of its states) and its
+  cut-off frontier is ``unexpanded``, never final.
 * **Replayability** -- every counterexample trace the checker emits steps
   through legal successors only (each edge is among
   :func:`enumerate_successors` of its source) and ends at the witness.
@@ -103,6 +105,20 @@ class TestEnvelopeExploration:
             except ExplorationError as exc:
                 partial = exc.partial
             assert partial.visit_order == full.visit_order[: budget]
+
+    def test_budgeted_partial_graph_is_closed_and_never_calls_its_frontier_final(
+        self, name, fault
+    ):
+        """A partial graph holds no dangling edge and no fake terminal state."""
+        full = _explore(name, fault=fault)
+        with pytest.raises(ExplorationError) as excinfo:
+            _explore(name, fault=fault, max_states=full.state_count // 2)
+        partial = excinfo.value.partial
+        assert all(edge.target in partial.states for edge in partial.edges)
+        assert partial.edges == full.edges[: partial.edges_explored]
+        assert partial.unexpanded
+        assert not set(partial.final_states()) & partial.unexpanded
+        assert set(partial.final_states()) <= set(full.final_states())
 
     def test_max_depth_truncates_and_clears_complete(self, name, fault):
         full = _explore(name, fault=fault)

@@ -190,8 +190,12 @@ def test_naive_3pc_counterexample_shape_matches_the_paper():
     locals_ = verdict.witness.locals
     assert "c" in locals_ and "a" in locals_
     # BFS discovery makes the trace minimal: no shorter path reaches the
-    # witness (depth == trace length by construction).
-    assert len(verdict.trace) == result.graph.depth[verdict.witness]
+    # witness (depth == trace length by construction).  The packed depth of
+    # the witness index and the decoded ``depth`` view agree.
+    graph = result.graph
+    index = graph.same_decision_witness
+    assert graph.state_at(index) == verdict.witness
+    assert len(verdict.trace) == graph.depths[index] == graph.depth[verdict.witness]
 
 
 def test_budget_propagates_through_check_model():
