@@ -190,8 +190,13 @@ def _envelope_for_plan(plan) -> str:
     The checker abstracts probabilities away: any loss clause maps onto the
     ``lossy`` envelope (one adversarial silent loss, anywhere), loss with
     retransmission onto ``lossy-retransmit``, a crash clause onto
-    ``single-crash``.  Fault classes with no exhaustive envelope (dup /
-    reorder / omission / byzantine) are a :class:`UsageError`.
+    ``single-crash``.  A reorder clause adds no edges -- the explorer
+    already delivers outstanding messages in every order -- so it maps onto
+    the envelope of the rest of the plan, provided retransmission is on:
+    only then do the simulator's timers stretch by the reorder window
+    (``effective_max_delay``), and without it a reordered message can land
+    after a timeout, a timing failure no untimed envelope covers.  The other
+    fault classes (dup / omission / byzantine) are a :class:`UsageError`.
     """
     from repro.core.reachability import (
         FAILURE_FREE,
@@ -201,13 +206,23 @@ def _envelope_for_plan(plan) -> str:
     )
 
     classes = set(plan.fault_classes()) if plan is not None else set()
+    if "reorder" in classes and plan.retransmit is None:
+        raise UsageError(
+            "--faults: reorder=... maps onto an exhaustive envelope only with "
+            "retransmit=on, which stretches the timers by the reorder window; "
+            "without it a reordered message can arrive after a timeout, which "
+            "no untimed envelope covers (use the simulator -- repro sweep / "
+            "repro throughput)"
+        )
+    classes.discard("reorder")
     unsupported = sorted(classes - {"loss", "crash"})
     if unsupported or classes == {"loss", "crash"}:
         raise UsageError(
             f"--faults: no exhaustive envelope covers "
             f"{unsupported or sorted(classes)}; the checker maps crash=..., "
-            f"loss=... and loss=...,retransmit=on (use the simulator -- "
-            f"repro sweep / repro throughput -- for the other fault classes)"
+            f"loss=..., loss=...,retransmit=on and reorder=...,retransmit=on "
+            f"(use the simulator -- repro sweep / repro throughput -- for the "
+            f"other fault classes)"
         )
     if "loss" in classes:
         if plan.retransmit is not None:

@@ -352,7 +352,11 @@ def _modelcheck_tasks(args: argparse.Namespace) -> list:
     sharded runs explore exactly the grid a single-machine run would.
     """
     from repro.experiments.modelcheck import modelcheck_tasks
-    from repro.modelcheck.protocols import checkable_protocols
+    from repro.modelcheck.protocols import (
+        UncheckableProtocolError,
+        checkable_protocols,
+        resolve_protocol,
+    )
 
     check(args.sites >= 2, f"--sites must be >= 2, got {args.sites}")
     check(args.max_states >= 1, f"--max-states must be >= 1, got {args.max_states}")
@@ -363,12 +367,11 @@ def _modelcheck_tasks(args: argparse.Namespace) -> list:
     protocols = args.protocol or ["all"]
     if any(p == "all" for p in protocols):
         protocols = checkable_protocols()
-    unknown = [p for p in protocols if p not in checkable_protocols()]
-    check(
-        not unknown,
-        f"uncheckable protocol(s): {', '.join(unknown)} "
-        f"(checkable, FSA-modelled: {', '.join(checkable_protocols())})",
-    )
+    for protocol in protocols:
+        try:
+            resolve_protocol(protocol, args.sites)
+        except UncheckableProtocolError as exc:
+            raise UsageError(f"uncheckable protocol: {exc}") from None
     faults = modelcheck_envelopes(args)
     no_voter_options = resolve_no_voters(args)
     if any(1 in option for option in no_voter_options):

@@ -47,7 +47,6 @@ from repro.core.reachability import GlobalState, ReachabilityResult, explore
 from repro.core.rules import AugmentedProtocol, FinalAction, augment_with_rules
 from repro.core.termination import (
     MasterTerminationDecision,
-    MasterTerminationTracker,
     TerminationTimers,
     master_decision,
 )
@@ -63,7 +62,6 @@ __all__ = [
     "GlobalState",
     "LemmaReport",
     "MasterTerminationDecision",
-    "MasterTerminationTracker",
     "PartitionCase",
     "ReachabilityResult",
     "ReadSpec",

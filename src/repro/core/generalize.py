@@ -18,9 +18,10 @@ from a noncommittable state into a committable state.
 against the computed concurrency sets (conditions 3-5 are environment
 assumptions supplied by the caller), and :func:`derive_termination_plan`
 extracts the protocol-specific ingredients -- the promotion message ``m``,
-the acknowledgement the slave returns, and the states involved -- that the
-generic terminating role in :mod:`repro.protocols.generic_terminating`
-needs.
+the acknowledgement the slave returns, and the states involved -- from
+which :func:`repro.core.relation.compile_termination` builds the
+termination protocol's relation entries (terminating 3PC and terminating
+quorum commit alike).
 """
 
 from __future__ import annotations

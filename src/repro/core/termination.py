@@ -7,15 +7,16 @@ directly:
 * :class:`TerminationTimers` -- the timeout structure of Figs. 5-7 and 9,
   expressed as multiples of ``T`` (the longest end-to-end propagation
   delay);
-* :class:`MasterTerminationTracker` -- the master's bookkeeping of the sets
+* :func:`master_decision` -- Lemma 4's ``N - UD = PB`` rule over the sets
   ``UD`` (slaves whose prepare message bounced) and ``PB`` (slaves that
-  probed the master), and the ``N - UD = PB`` decision rule;
-* :func:`master_decision` -- the same rule as a standalone function.
+  probed the master).
 
-The timed protocol role in
-:mod:`repro.protocols.three_phase_terminating` wires this logic to the
-simulator; the exhaustive Theorem 9 sweep drives it through every partition
-placement.
+The termination protocol itself is a set of relation entries
+(:func:`repro.core.relation.compile_termination`): the master's ``UD`` /
+``PB`` bookkeeping lives in its per-site variables, and the entry that
+closes the probe window calls :func:`master_decision`.  Named timers take
+their intervals from :class:`TerminationTimers`; the exhaustive Theorem 9
+sweep drives the whole protocol through every partition placement.
 
 Note on the paper's notation: the paper defines ``N`` as the set of *sites*
 ``{1, ..., n}`` but its Lemma 4 uses ``N - UD = PB`` to compare *slave*
@@ -28,7 +29,7 @@ correctness proof are consistent.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable
 
 
@@ -153,43 +154,3 @@ def master_decision(
         expected_probers=expected,
         reason=reason,
     )
-
-
-@dataclass
-class MasterTerminationTracker:
-    """Mutable ``UD`` / ``PB`` bookkeeping used by the master's timed role.
-
-    The tracker is started when the master (in state ``p1``) receives its
-    first undeliverable prepare message; it then accumulates further
-    UD(prepare) notifications and probe messages until the ``5T`` probe
-    window closes, at which point :meth:`decide` applies the rule.
-    """
-
-    slaves: frozenset[int]
-    undeliverable: set[int] = field(default_factory=set)
-    probed: set[int] = field(default_factory=set)
-    window_open: bool = False
-
-    def open_window(self, first_undeliverable: int) -> None:
-        """Start collecting (called on the first UD(prepare))."""
-        self.window_open = True
-        self.record_undeliverable(first_undeliverable)
-
-    def record_undeliverable(self, slave: int) -> None:
-        """Record that the prepare message to ``slave`` bounced."""
-        self._validate(slave)
-        self.undeliverable.add(slave)
-
-    def record_probe(self, slave: int) -> None:
-        """Record a ``probe(trans_id, slave_id)`` message from ``slave``."""
-        self._validate(slave)
-        self.probed.add(slave)
-
-    def decide(self) -> MasterTerminationDecision:
-        """Close the window and apply the ``N - UD = PB`` rule."""
-        self.window_open = False
-        return master_decision(self.slaves, self.undeliverable, self.probed)
-
-    def _validate(self, slave: int) -> None:
-        if slave not in self.slaves:
-            raise ValueError(f"site {slave} is not a slave of this transaction")

@@ -93,8 +93,6 @@ class ProtocolContext:
         master: the coordinating site.
         timers: the timeout structure (multiples of ``T``).
         no_voters: sites scripted to vote "no" (scenario knob).
-        transient_rule: whether the Section 6 transient-partitioning rule is
-            active for terminating protocols.
     """
 
     node: Node
@@ -104,7 +102,6 @@ class ProtocolContext:
     master: int
     timers: TerminationTimers
     no_voters: frozenset[int] = frozenset()
-    transient_rule: bool = True
 
     @property
     def site(self) -> int:
@@ -281,11 +278,6 @@ class RoleBase:
     # ------------------------------------------------------------------
     # payload helpers
     # ------------------------------------------------------------------
-    @staticmethod
-    def is_undeliverable(payload: Any) -> bool:
-        """True when ``payload`` is a bounced message."""
-        return isinstance(payload, Undeliverable)
-
     def unwrap(self, payload: Any) -> tuple[Optional[ProtocolMessage], bool]:
         """Return ``(protocol message, was_undeliverable)`` for a delivery.
 

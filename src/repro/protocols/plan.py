@@ -1,20 +1,20 @@
 """Compiled protocol plans: what depends on *(protocol, n)* only, built once.
 
 A protocol's spec, the Rule (a)/(b) augmentation of the extended protocols,
-the local-step relation compiled from both and the Theorem 10 termination
-plan of terminating quorum commit are functions of the protocol and the
-number of sites, not of the scenario -- and deriving the augmentation and
-the termination plan walks the reachable global-state graph, milliseconds
-against ~0.25 ms for a whole scenario.
+the Theorem 10 termination plan of the terminating protocols and the
+local-step relation compiled from them are functions of the protocol and
+the number of sites, not of the scenario -- and deriving the augmentation
+and the termination plan walks the reachable global-state graph,
+milliseconds against ~0.25 ms for a whole scenario.
 
 :func:`compiled_plan` memoizes one immutable :class:`ProtocolPlan` per key
-for the life of the process.  Definitions stay fresh and cheap; every role
-they build and the model checker's ``resolve_protocol`` read the *same* plan
-object.  Forked workers inherit the memo, spawned workers rebuild each key
-at most once.  Only the small derived tables are retained, never the
-reachability graph, and the derivations themselves stay uncached pure
-functions: this module is their only caller outside ``repro.core`` and the
-experiments.
+for the life of the process, and :func:`termination_plan` one Theorem 10
+plan per spec.  Definitions stay fresh and cheap; every role they build and
+the model checker's ``resolve_protocol`` read the *same* plan object.
+Forked workers inherit the memo, spawned workers rebuild each key at most
+once.  Only the small derived tables are retained, never the reachability
+graph, and the derivations themselves stay uncached pure functions: this
+module is their only caller outside ``repro.core`` and the experiments.
 """
 
 from __future__ import annotations
@@ -25,8 +25,12 @@ from typing import Callable, Optional
 
 from repro.core.fsa import CommitProtocolSpec
 from repro.core.generalize import TerminationPlan, derive_termination_plan
-from repro.core.relation import ProtocolRelation, compile_relation
+from repro.core.relation import ProtocolRelation, compile_relation, compile_termination
 from repro.core.rules import AugmentedProtocol, augment_with_rules
+
+#: Theorem 10's promotion message is a property of the role automata, not of
+#: the cluster size, so it is derived on the smallest multi-slave instance.
+_DERIVATION_SITES = 3
 
 
 @dataclass(frozen=True)
@@ -34,10 +38,9 @@ class ProtocolPlan:
     """Everything the executable roles need that is fixed per (protocol, n).
 
     ``relation`` is the local-step relation the roles interpret, compiled
-    from ``spec`` and ``augmentation`` (the Rule (a)/(b) tables, extended
-    protocols only); ``termination`` holds the Theorem 10 ingredients
-    (terminating quorum commit only).  Both derivations are for
-    ``n_sites`` sites.
+    from ``spec`` and either ``augmentation`` (the Rule (a)/(b) tables for
+    ``n_sites`` sites, extended protocols only) or ``termination`` (the
+    Theorem 10 ingredients, terminating protocols only).
     """
 
     name: str
@@ -56,19 +59,32 @@ def compiled_plan(
     *,
     augment: bool = False,
     terminate: bool = False,
+    transient_rule: bool = True,
 ) -> ProtocolPlan:
     """The process-wide plan of protocol ``name`` instantiated for ``n_sites``.
 
-    ``spec_factory`` and the flags (derive the Rule (a)/(b) tables / the
-    Theorem 10 plan) are fixed per name: one plan per ``(name, n_sites)``.
+    ``spec_factory`` and the flags (derive the Rule (a)/(b) tables / add the
+    Theorem 10 termination protocol, with or without the Section 6
+    transient rule) are fixed per name: one plan per ``(name, n_sites)``.
     """
     spec = spec_factory()
     augmentation = augment_with_rules(spec, n_sites) if augment else None
+    termination = termination_plan(spec_factory) if terminate else None
+    if termination is None:
+        relation = compile_relation(spec, augmentation)
+    else:
+        relation = compile_termination(spec, termination, transient_rule=transient_rule)
     return ProtocolPlan(
         name=name,
         n_sites=n_sites,
         spec=spec,
-        relation=compile_relation(spec, augmentation),
+        relation=relation,
         augmentation=augmentation,
-        termination=derive_termination_plan(spec, n_sites) if terminate else None,
+        termination=termination,
     )
+
+
+@functools.cache
+def termination_plan(spec_factory: Callable[[], CommitProtocolSpec]) -> TerminationPlan:
+    """The Theorem 10 plan of a spec, derived once per process."""
+    return derive_termination_plan(spec_factory(), _DERIVATION_SITES)

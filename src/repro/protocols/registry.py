@@ -20,7 +20,11 @@ Invariants:
 The names cover the paper's protocol cast: 2PC (Fig. 1), extended 2PC
 (Fig. 2), 3PC (Fig. 3), the naive extended 3PC of Section 3, the
 terminating 3PC of Sections 5-6 (with and without the transient rule), and
-quorum commit plain plus its Theorem 10 termination construction.
+quorum commit plain plus its Theorem 10 termination construction.  Every
+definition is an :class:`~repro.protocols.fsa_role.FSAProtocolDefinition`:
+the eight differ only in their spec and in which extension (none,
+Rule (a)/(b), or the termination protocol with or without the transient
+rule) the compiled relation carries.
 """
 
 from __future__ import annotations
@@ -30,9 +34,8 @@ from typing import Callable
 from repro.protocols.base import ProtocolDefinition
 from repro.protocols.extended_two_phase import ExtendedTwoPhaseCommit
 from repro.protocols.quorum import QuorumCommit, TerminatingQuorumCommit
-from repro.protocols.three_phase import ThreePhaseCommit
+from repro.protocols.three_phase import TerminatingThreePhaseCommit, ThreePhaseCommit
 from repro.protocols.three_phase_naive import NaiveExtendedThreePhaseCommit
-from repro.protocols.three_phase_terminating import TerminatingThreePhaseCommit
 from repro.protocols.two_phase import TwoPhaseCommit
 
 _REGISTRY: dict[str, Callable[[], ProtocolDefinition]] = {
@@ -42,7 +45,7 @@ _REGISTRY: dict[str, Callable[[], ProtocolDefinition]] = {
     "naive-extended-three-phase-commit": NaiveExtendedThreePhaseCommit,
     "terminating-three-phase-commit": TerminatingThreePhaseCommit,
     "terminating-three-phase-commit-no-transient": lambda: TerminatingThreePhaseCommit(
-        transient_rule=False, name="terminating-three-phase-commit-no-transient"
+        transient_rule=False
     ),
     "quorum-commit": QuorumCommit,
     "terminating-quorum-commit": TerminatingQuorumCommit,

@@ -5,8 +5,22 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
+from repro.core import messages as m
+from repro.core.catalog import three_phase_commit
+from repro.core.generalize import derive_termination_plan
+from repro.core.relation import (
+    ARRIVAL,
+    PROBE_WINDOW,
+    TIMEOUT,
+    UD,
+    UNDELIVERABLE,
+    WINDOW,
+    compile_termination,
+    holds,
+    site_variables,
+    write,
+)
 from repro.core.termination import (
-    MasterTerminationTracker,
     TerminationOutcome,
     TerminationTimers,
     master_decision,
@@ -98,41 +112,65 @@ class TestMasterDecisionRule:
 
 
 class TestMasterTerminationTracker:
-    def test_window_lifecycle(self):
-        tracker = MasterTerminationTracker(slaves=frozenset({2, 3, 4}))
-        assert not tracker.window_open
-        tracker.open_window(first_undeliverable=4)
-        assert tracker.window_open
-        tracker.record_probe(2)
-        tracker.record_probe(3)
-        decision = tracker.decide()
-        assert not tracker.window_open
-        assert decision.outcome is TerminationOutcome.ABORT
+    """The master's UD / PB bookkeeping, as the relation entries of its
+    prepared state apply it to its site variables."""
 
-    def test_additional_undeliverables_accumulate(self):
-        tracker = MasterTerminationTracker(slaves=frozenset({2, 3, 4}))
-        tracker.open_window(4)
-        tracker.record_undeliverable(3)
-        tracker.record_probe(2)
-        decision = tracker.decide()
+    @pytest.fixture(scope="class")
+    def prepared(self):
+        spec = three_phase_commit()
+        relation = compile_termination(spec, derive_termination_plan(spec, 3))
+        return relation.master[m.PREPARED]
+
+    @staticmethod
+    def fire(actions, variables, site):
+        """Apply the first enabled action's writes, as the role would."""
+        action = next(a for a in actions if a.guard is None or holds(a.guard, variables))
+        write(action.writes, variables, site)
+        return action
+
+    def bounce(self, prepared, variables, slave):
+        return self.fire(prepared.actions[UNDELIVERABLE, m.PREPARE], variables, slave)
+
+    def probe(self, prepared, variables, slave):
+        return self.fire(prepared.actions[ARRIVAL, m.PROBE], variables, slave)
+
+    def close(self, prepared, variables):
+        return self.fire(prepared.actions[TIMEOUT, PROBE_WINDOW.name], variables, 1)
+
+    def test_window_lifecycle(self, prepared):
+        variables = site_variables((2, 3, 4))
+        assert not variables[WINDOW]
+        opened = self.bounce(prepared, variables, 4)
+        assert variables[WINDOW] and PROBE_WINDOW in opened.arms
+        self.probe(prepared, variables, 2)
+        self.probe(prepared, variables, 3)
+        closed = self.close(prepared, variables)
+        assert not variables[WINDOW]
+        assert closed.decision == m.ABORT
+
+    def test_additional_undeliverables_accumulate(self, prepared):
+        variables = site_variables((2, 3, 4))
+        self.bounce(prepared, variables, 4)
+        self.bounce(prepared, variables, 3)
+        self.probe(prepared, variables, 2)
         # reachable slaves = {2}; probes = {2} -> abort
-        assert decision.outcome is TerminationOutcome.ABORT
-        assert decision.undeliverable == frozenset({3, 4})
+        assert self.close(prepared, variables).decision == m.ABORT
+        assert variables[UD] == {3, 4}
 
-    def test_missing_probe_means_commit(self):
-        tracker = MasterTerminationTracker(slaves=frozenset({2, 3, 4}))
-        tracker.open_window(4)
-        tracker.record_probe(2)
+    def test_missing_probe_means_commit(self, prepared):
+        variables = site_variables((2, 3, 4))
+        self.bounce(prepared, variables, 4)
+        self.probe(prepared, variables, 2)
         # slave 3's prepare was delivered across the boundary; it never probes
-        decision = tracker.decide()
-        assert decision.outcome is TerminationOutcome.COMMIT
+        assert self.close(prepared, variables).decision == m.COMMIT
 
-    def test_unknown_slave_rejected(self):
-        tracker = MasterTerminationTracker(slaves=frozenset({2, 3}))
-        with pytest.raises(ValueError):
-            tracker.record_probe(9)
-        with pytest.raises(ValueError):
-            tracker.record_undeliverable(9)
+    def test_unknown_slave_rejected(self, prepared):
+        """Lemma 4 compares slave sets: a site that is not a slave never counts."""
+        variables = site_variables((2, 3))
+        self.bounce(prepared, variables, 3)
+        self.probe(prepared, variables, 2)
+        self.probe(prepared, variables, 9)
+        assert self.close(prepared, variables).decision == m.ABORT
 
 
 class TestTransientTaxonomy:

@@ -1,9 +1,10 @@
 """The compiled-plan memo is invisible in results and derives each key once.
 
-`repro.protocols.plan.compiled_plan` amortizes the Rule (a)/(b) / Theorem 10
-derivation to once per (protocol, n) per process.  These tests pin the two
-halves of that contract: the derivation really runs at most once, and no
-output byte depends on whether, where or in which process it ran.
+`repro.protocols.plan.compiled_plan` amortizes the Rule (a)/(b) derivation to
+once per (protocol, n) per process, and `termination_plan` the Theorem 10
+derivation to once per spec.  These tests pin the two halves of that
+contract: the derivation really runs at most once, and no output byte
+depends on whether, where or in which process it ran.
 """
 
 from collections import Counter
@@ -13,7 +14,7 @@ import pytest
 from repro.core import generalize, rules
 from repro.engine import JsonlSink, ScenarioGrid, SweepEngine
 from repro.engine.grid import simple_partition_axis
-from repro.protocols.plan import compiled_plan
+from repro.protocols.plan import compiled_plan, termination_plan
 from repro.protocols.registry import available_protocols
 from repro.txn.runner import ThroughputSpec, run_throughput_scenario
 
@@ -44,16 +45,19 @@ def analyze_calls(monkeypatch):
     monkeypatch.setattr(rules, "analyze", spy)
     monkeypatch.setattr(generalize, "analyze", spy)
     compiled_plan.cache_clear()
+    termination_plan.cache_clear()
     yield calls
     compiled_plan.cache_clear()
+    termination_plan.cache_clear()
 
 
 class TestDerivedOncePerKey:
     def test_all_protocol_sweep_analyzes_each_protocol_once(self, grid, analyze_calls):
         SweepEngine(workers=1).run(grid)
-        # extended 2PC and naive extended 3PC at n = 4, terminating quorum
-        # commit at its fixed derivation size; the other five derive nothing.
-        assert len(analyze_calls) == 3
+        # extended 2PC and naive extended 3PC at n = 4; the Theorem 10 plans
+        # of 3PC (shared by both terminating 3PC variants) and quorum commit
+        # at their fixed derivation size; the plain three derive nothing.
+        assert len(analyze_calls) == 4
         assert set(analyze_calls.values()) == {1}
         SweepEngine(workers=1).run(grid)
         assert set(analyze_calls.values()) == {1}

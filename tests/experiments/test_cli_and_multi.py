@@ -418,6 +418,31 @@ class TestFaultsCli:
         assert "lossy" in output
         assert "lossy-retransmit" in output
 
+    def test_modelcheck_maps_reorder_onto_the_rest_of_the_plan(self, capsys):
+        # Every delivery order is already explored, and retransmission
+        # stretches the timers by the reorder window.
+        assert main(
+            [
+                "modelcheck",
+                "--protocol", "extended-two-phase-commit",
+                "--faults", "reorder=1:4,retransmit=on,seed=0",
+                "--faults", "reorder=1:4,loss=0.5,retransmit=on",
+                "--faults", "reorder=1:4,crash=2:3.0,retransmit=on",
+            ]
+        ) == 0
+        output = capsys.readouterr().out
+        assert "failure-free" in output
+        assert "lossy-retransmit" in output
+        assert "single-crash" in output
+
+    def test_modelcheck_names_why_a_terminating_protocol_is_uncheckable(self, capsys):
+        assert main(["modelcheck", "--protocol", "terminating-quorum-commit"]) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and len(err.splitlines()) == 1
+        assert "'terminating-quorum-commit' is not model-checkable" in err
+        assert "named timers and site variables" in err
+        assert "checkable protocols: extended-two-phase-commit" in err
+
     def test_modelcheck_rejects_unmapped_fault_classes(self, capsys):
         assert main(
             ["modelcheck", "--protocol", "two-phase-commit", "--faults", "dup=0.5"]
@@ -498,7 +523,9 @@ REJECTED_VALUES = [
     ("modelcheck", ["--max-depth", "0"], "--max-depth"),
     ("modelcheck", ["--no-voters", "1"], "--no-voters"),
     ("modelcheck", ["--protocol", "nope"], "uncheckable protocol"),
+    ("modelcheck", ["--protocol", "terminating-three-phase-commit"], "needs explicit time"),
     ("modelcheck", ["--faults", "dup=0.5"], "no exhaustive envelope"),
+    ("modelcheck", ["--faults", "reorder=1:4"], "only with retransmit=on"),
 ]
 
 # (kind, grid flags, flag): spellings no parser of that kind declares --

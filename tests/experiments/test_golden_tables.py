@@ -1,9 +1,11 @@
 """Golden-table regression tests for the figure experiments.
 
 ``golden_tables.json`` was captured from the pre-engine (sequential)
-implementation of every figure experiment; these tests pin the reproduced
-numbers -- every table row and every headline -- so rewiring the harness
-onto the parallel sweep engine provably changed no reproduced result.
+implementation of every figure experiment, and later extended to the
+SEC6 / SEC7 / THM10 / AVAIL / MSG / MULTI experiments; these tests pin the
+reproduced numbers -- every table row and every headline -- so a rewrite
+of the harness or of a protocol provably changed no reproduced result.
+The invocations live in ``regen_golden_tables.py`` (``RUNS``).
 
 If an experiment's *numbers* legitimately change (e.g. a protocol fix), the
 goldens must be regenerated deliberately::
@@ -12,28 +14,10 @@ goldens must be regenerated deliberately::
 """
 
 import json
-import pathlib
 
 import pytest
 
-from repro import experiments as ex
-
-GOLDEN_PATH = pathlib.Path(__file__).parent / "golden_tables.json"
-
-QUICK_TIMES = [0.5, 1.5, 2.25, 2.5, 3.25, 3.75, 4.5]
-
-# The exact invocations the goldens were captured with (reduced sweep sizes,
-# same as the integration tests, so the suite stays fast).
-RUNS = {
-    "FIG1": lambda: ex.run_fig1_two_phase(),
-    "FIG2": lambda: ex.run_fig2_extended_two_phase(),
-    "FIG3": lambda: ex.run_fig3_three_phase(),
-    "FIG5": lambda: ex.run_fig5_timeouts(site_counts=(3, 4)),
-    "FIG6": lambda: ex.run_fig6_probe_window(times=QUICK_TIMES),
-    "FIG7": lambda: ex.run_fig7_wait_in_w(times=QUICK_TIMES),
-    "FIG8": lambda: ex.run_fig8_termination(site_counts=(3,)),
-    "FIG9": lambda: ex.run_fig9_wait_in_p(times=QUICK_TIMES),
-}
+from regen_golden_tables import GOLDEN_PATH, RUNS
 
 
 @pytest.fixture(scope="module")

@@ -1,15 +1,27 @@
 """Tests for the paper's termination protocol (Theorem 9) and its ablations."""
 
+import dataclasses
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core import messages as m
+from repro.core.fsa import MASTER_ROLE, SLAVE_ROLE
+from repro.core.relation import UNDELIVERABLE
+from repro.protocols.fsa_role import FSARole
 from repro.protocols.registry import create_protocol
 from repro.protocols.runner import ScenarioSpec, run_scenario
-from repro.protocols.three_phase_terminating import TerminatingThreePhaseCommit
 from repro.sim.latency import PerLinkLatency
 from repro.sim.partition import PartitionSchedule
 
 from tests.protocols.conftest import sweep_partitions
+
+T3PC = "terminating-three-phase-commit"
+
+
+def slave_table(state, n_sites=3):
+    """The terminating 3PC slave's relation entries in ``state``."""
+    return create_protocol(T3PC).plan(n_sites).relation.slave[state]
 
 
 class TestTheorem9Resilience:
@@ -102,7 +114,8 @@ class TestTerminationDecisions:
             ScenarioSpec(n_sites=3, partition=partition),
         )
         decisions = result.trace.filter("decision", site=3)
-        assert decisions[0].get("reason") == "own ack returned undeliverable"
+        (returned_ack,) = slave_table(m.PREPARED).actions[UNDELIVERABLE, m.ACK]
+        assert decisions[0].get("reason") == returned_ack.label
 
     def test_mixed_partition_with_prepare_crossing_commits_everyone(self):
         """Some prepares crossed B, some did not: the probe sets differ, G1
@@ -126,7 +139,9 @@ class TestTerminationDecisions:
             ScenarioSpec(n_sites=4, partition=partition, latency=latency),
         )
         transitions = result.trace.filter("transition", site=4)
-        assert any("Fig. 8" in record.get("reason", "") for record in transitions)
+        (relay,) = [s for s in slave_table(m.WAIT, 4).steps if s.kind == m.COMMIT]
+        assert "Fig. 8" in relay.label
+        assert [r.get("reason") for r in transitions if r.get("source") == m.WAIT] == [relay.label]
 
     def test_master_timeout_in_p_commits_when_no_prepare_bounced(self):
         """Idea 3 of Section 5.2: all prepares delivered, acks cut -> commit."""
@@ -146,7 +161,8 @@ class TestTerminationDecisions:
         )
         assert result.all_aborted
         decisions = result.trace.filter("decision", site=3)
-        assert decisions[0].get("reason") == "own yes vote returned undeliverable"
+        (returned_yes,) = slave_table(m.WAIT).actions[UNDELIVERABLE, m.YES]
+        assert decisions[0].get("reason") == returned_yes.label
 
 
 class TestTransientPartitioning:
@@ -180,25 +196,33 @@ class TestTransientPartitioning:
         assert all(not r.atomicity_violated for r in results)
         assert all(not r.blocked for r in results)
 
-    def test_answering_late_probes_is_an_alternative_fix(self):
-        """Ablation: a master that answers late probes also terminates 3.2.2.2."""
-        protocol = TerminatingThreePhaseCommit(
-            transient_rule=False, answer_late_probes=True, name="late-probe-master"
-        )
-        partition = PartitionSchedule.transient(4.25, 5.25, [1, 2], [3])
-        result = run_scenario(
-            protocol, ScenarioSpec(n_sites=3, partition=partition, horizon=80.0)
-        )
-        assert result.all_committed
-
 
 class TestAblations:
     def test_dropping_the_w_to_c_transition_breaks_the_protocol(self):
         """Section 5.3's "fly in the ointment": without the Fig. 8 transition a
-        slave in w misses the only commit it will ever receive and aborts."""
-        protocol = TerminatingThreePhaseCommit(
-            relay_commit_in_w=False, name="no-w-to-c"
+        slave in w misses the only commit it will ever receive and aborts.
+
+        The ablation removes the w -> c step from the compiled table."""
+        plan = create_protocol(T3PC).plan(4)
+        slave = dict(plan.relation.slave)
+        wait = slave[m.WAIT]
+        slave[m.WAIT] = dataclasses.replace(
+            wait, steps=tuple(s for s in wait.steps if s.kind != m.COMMIT)
         )
+        ablated = dataclasses.replace(
+            plan, relation=dataclasses.replace(plan.relation, slave=slave)
+        )
+
+        class NoWToC:
+            name = "no-w-to-c"
+
+            def coordinator(self, ctx):
+                return FSARole(ctx, ablated, MASTER_ROLE)
+
+            def participant(self, ctx):
+                return FSARole(ctx, ablated, SLAVE_ROLE)
+
+        protocol = NoWToC()
         latency = PerLinkLatency(1.0, {(1, 4): 1.5})
         partition = PartitionSchedule.simple(3.7, [1, 2], [3, 4])
         result = run_scenario(
@@ -219,8 +243,10 @@ class TestAblations:
 
 class TestTheorem10Quorum:
     def test_terminating_quorum_uses_pre_commit_as_promotion(self):
-        protocol = create_protocol("terminating-quorum-commit")
-        assert protocol.promotion_kind == "pre-commit"
+        plan = create_protocol("terminating-quorum-commit").plan(3)
+        assert plan.termination.promotion_message == "pre-commit"
+        (promotion,) = [s for s in plan.relation.slave[m.WAIT].steps if s.source == "master"]
+        assert promotion.kind == "pre-commit" and promotion.journals_prepare
 
     def test_terminating_quorum_survives_partition_sweep(self):
         results = sweep_partitions("terminating-quorum-commit", n_sites=3)
