@@ -30,13 +30,17 @@ Queueing invariants:
   requests, and both release and cancel are idempotent (double release is a
   no-op), so an aborting transaction can always be cleaned up blindly.
 
-Besides the per-key queues the table keeps an ``owner -> queued requests``
-index, so the two per-owner questions on the scheduler's hot path --
-"which queues does this terminating owner sit in?"
-(:meth:`LockManager.release_all`) and "whom is this owner waiting for?"
-(:meth:`LockManager.waits_of`, the deadlock detector's per-node view of
-:meth:`LockManager.waits_for`) -- cost the owner's own requests, not a scan
-of every queue at the site.
+Besides the per-key grant lists and queues the table keeps two owner
+indexes -- ``owner -> held keys`` and ``owner -> queued requests`` -- so the
+per-owner questions on the scheduler's hot path cost the owner's own locks
+and requests, not a scan of every grant list and queue at the site:
+
+* "what does this terminating owner hold, and which queues does it sit
+  in?" (:meth:`LockManager.release_all`, :meth:`LockManager.held_count`);
+* "whom is this owner waiting for?" (:meth:`LockManager.waits_of`, the
+  deadlock detector's per-node view of :meth:`LockManager.waits_for`);
+* "is anyone waiting for this owner?" (:meth:`LockManager.is_waited_on`,
+  the detector's pre-filter: no in-edge, no cycle through the owner).
 """
 
 from __future__ import annotations
@@ -140,6 +144,15 @@ class LockManager:
     def __init__(self, site: int) -> None:
         self.site = site
         self._locks: dict[str, list[LockGrant]] = {}
+        #: key -> creation serial of its entry in ``_locks``, so a subset of
+        #: keys can be put in ``_locks`` order without scanning it.
+        self._lock_serial: dict[str, int] = {}
+        self._next_serial = 0
+        #: owner -> {key: its grant on that key}, in step with ``_locks``
+        #: (one grant per owner and key; upgrades replace it in both).  The
+        #: crash path (:meth:`cancel_all_pending`) leaves grants alone: the
+        #: site replaces the whole table.
+        self._held_by_owner: dict[str, dict[str, LockGrant]] = {}
         self._queues: dict[str, list[LockRequest]] = {}
         #: owner -> the requests it has queued, in request order.  Filled by
         #: :meth:`request`, dropped whole by :meth:`release_all` and
@@ -266,45 +279,35 @@ class LockManager:
         can release blindly.  Queued requests of ``owner`` on the key are
         cancelled (release-while-queued), and the queue is promoted.
         """
-        released = False
-        holders = self._locks.get(key)
-        if holders is not None:
-            remaining = [grant for grant in holders if grant.owner != owner]
-            if len(remaining) != len(holders):
-                released = True
-                self._account_release(owner, key, now=now)
-                if remaining:
-                    self._locks[key] = remaining
-                else:
-                    del self._locks[key]
+        held = self._held_by_owner.get(owner)
+        grant = None if held is None else held.pop(key, None)
+        if grant is not None:
+            if not held:
+                del self._held_by_owner[owner]
+            self._account_release(owner, key, now=now)
+            self._drop_grant(grant)
         for request in self._queued_by_owner.get(owner, ()):
             if request.pending and request.key == key:
                 request.cancelled = True
         self._forget_settled(owner)
         self._promote(key, now=now)
-        return released
+        return grant is not None
 
     def release_all(self, owner: str, *, now: float = 0.0) -> int:
         """Release every lock held by ``owner``; returns the number released.
 
         Also cancels the owner's queued requests and promotes every
         affected queue, so a terminating transaction frees both the locks
-        it held and the queue slots it occupied in one call.
+        it held and the queue slots it occupied in one call.  Only the
+        owner's own keys are visited (the held index), in ``_locks`` order
+        -- the order a scan of the table would release and promote them.
         """
-        released = 0
-        affected: list[str] = []
-        for key in list(self._locks):
-            holders = self._locks[key]
-            remaining = [grant for grant in holders if grant.owner != owner]
-            if len(remaining) == len(holders):
-                continue
-            released += len(holders) - len(remaining)
+        held = self._held_by_owner.pop(owner, {})
+        affected = sorted(held, key=self._lock_serial.__getitem__)
+        for key in affected:
             self._account_release(owner, key, now=now)
-            if remaining:
-                self._locks[key] = remaining
-            else:
-                del self._locks[key]
-            affected.append(key)
+            self._drop_grant(held[key])
+        released = len(affected)
         queued = self._queued_by_owner.pop(owner, ())
         if not self._queues:
             # Nothing queued anywhere (the single-transaction sweep case):
@@ -334,7 +337,7 @@ class LockManager:
 
     def holds(self, owner: str, key: str) -> bool:
         """True when ``owner`` holds any lock on ``key``."""
-        return any(grant.owner == owner for grant in self._locks.get(key, ()))
+        return key in self._held_by_owner.get(owner, ())
 
     def locked_keys(self) -> list[str]:
         """Keys with at least one holder, sorted."""
@@ -342,16 +345,11 @@ class LockManager:
 
     def owners(self) -> set[str]:
         """Transaction ids currently holding at least one lock."""
-        return {grant.owner for grants in self._locks.values() for grant in grants}
+        return set(self._held_by_owner)
 
     def held_count(self, owner: str) -> int:
         """Number of locks ``owner`` currently holds at this site."""
-        return sum(
-            1
-            for grants in self._locks.values()
-            for grant in grants
-            if grant.owner == owner
-        )
+        return len(self._held_by_owner.get(owner, ()))
 
     def queued(self, key: str) -> tuple[LockRequest, ...]:
         """Pending requests waiting on ``key``, in grant order."""
@@ -449,6 +447,52 @@ class LockManager:
                     waits.add(earlier.owner)
         return waits
 
+    def is_waited_on(self, owner: str) -> bool:
+        """True when some owner waits on ``owner`` here, i.e. ``owner`` is in
+        some value of :meth:`waits_for`.
+
+        Decided from the owner's own grants and queued requests (the two
+        owner indexes) with the edge rules of :meth:`waits_for`: a pending
+        request of another owner that conflicts with a lock ``owner`` holds,
+        or a pending non-upgrade request of another owner that is queued
+        behind one of ``owner``'s and incompatible with it.  The deadlock
+        detector's pre-filter: no in-edge anywhere, no cycle through
+        ``owner``.
+        """
+        held = self._held_by_owner.get(owner)
+        if held is not None:
+            for key, grant in held.items():
+                queue = self._queues.get(key)
+                if queue is None:
+                    continue
+                # Only shared/shared is compatible (LockMode.compatible_with).
+                exclusive = grant.mode is LockMode.EXCLUSIVE
+                for request in queue:
+                    if (
+                        request.owner != owner
+                        and (exclusive or request.mode is LockMode.EXCLUSIVE)
+                        and request.pending
+                    ):
+                        return True
+        queued = self._queued_by_owner.get(owner)
+        if queued is not None:
+            for mine in queued:
+                if not mine.pending:
+                    continue
+                exclusive = mine.mode is LockMode.EXCLUSIVE
+                behind = False
+                for request in self._queues[mine.key]:
+                    if not behind:
+                        behind = request is mine
+                    elif (
+                        request.owner != owner
+                        and not request.upgrade
+                        and (exclusive or request.mode is LockMode.EXCLUSIVE)
+                        and request.pending
+                    ):
+                        return True
+        return False
+
     def is_available(self, key: str, mode: LockMode, *, owner: Optional[str] = None) -> bool:
         """Could ``owner`` acquire ``key`` in ``mode`` right now?"""
         for grant in self._locks.get(key, ()):
@@ -465,10 +509,8 @@ class LockManager:
     # internals
     # ------------------------------------------------------------------
     def _grant_of(self, owner: str, key: str) -> Optional[LockGrant]:
-        for grant in self._locks.get(key, ()):
-            if grant.owner == owner:
-                return grant
-        return None
+        held = self._held_by_owner.get(owner)
+        return None if held is None else held.get(key)
 
     def _forget_settled(self, owner: str) -> None:
         """Drop ``owner``'s granted / cancelled requests from the owner index."""
@@ -497,7 +539,14 @@ class LockManager:
 
     def _grant(self, owner: str, key: str, mode: LockMode, *, now: float) -> LockGrant:
         grant = LockGrant(key=key, owner=owner, mode=mode, granted_at=now)
-        self._locks.setdefault(key, []).append(grant)
+        holders = self._locks.get(key)
+        if holders is None:
+            self._locks[key] = [grant]
+            self._lock_serial[key] = self._next_serial
+            self._next_serial += 1
+        else:
+            holders.append(grant)
+        self._held_by_owner.setdefault(owner, {})[key] = grant
         self.stats.grants += 1
         self.stats.held_since[(owner, key)] = now
         return grant
@@ -510,7 +559,18 @@ class LockManager:
         )
         holders = self._locks[held.key]
         holders[holders.index(held)] = upgraded
+        self._held_by_owner[held.owner][held.key] = upgraded
         return upgraded
+
+    def _drop_grant(self, grant: LockGrant) -> None:
+        """Remove ``grant`` from its key's holders (the caller keeps the
+        held index in step)."""
+        holders = self._locks[grant.key]
+        if len(holders) == 1:
+            del self._locks[grant.key]
+            del self._lock_serial[grant.key]
+        else:
+            holders.remove(grant)
 
     def _account_release(self, owner: str, key: str, *, now: float) -> None:
         since = self.stats.held_since.pop((owner, key), None)

@@ -28,6 +28,7 @@ from repro.sim.failures import CrashSchedule, FaultPlan, normalize_fault_plan
 from repro.sim.latency import ConstantLatency, LatencyModel
 from repro.sim.network import OPTIMISTIC
 from repro.sim.partition import PartitionSchedule
+from repro.sim.trace import NullTrace
 from repro.obs.metrics import SIM_TIME_BUCKETS, get_active as _active_metrics
 from repro.txn.deadlock import DeadlockPolicy
 from repro.txn.retry import AbortCause, RetryPolicy
@@ -197,7 +198,8 @@ class ThroughputRunResult:
 
     The engine keeps only :attr:`summary`; the scheduler / cluster stay in
     the worker process, like the single-transaction runner's heavyweight
-    state.
+    state.  ``cluster.trace`` is a :class:`~repro.sim.trace.NullTrace`
+    unless the run was made with ``collect_trace=True``.
     """
 
     summary: ThroughputSummary
@@ -211,12 +213,20 @@ def run_throughput_scenario(
     spec: Optional[ThroughputSpec] = None,
     *,
     spec_hash: str = "",
+    collect_trace: bool = False,
     **overrides,
 ) -> ThroughputRunResult:
     """Run one contended workload under ``protocol`` and summarize it.
 
     Keyword overrides are applied on top of ``spec`` (or a default spec),
     mirroring :func:`~repro.protocols.runner.run_scenario`.
+
+    The trace is opt-in: the summary is computed from scheduler, lock-table
+    and network state, never from the trace, so by default the cluster gets
+    a :class:`~repro.sim.trace.NullTrace` and no per-event records are
+    built.  ``collect_trace=True`` keeps the full trace in
+    ``result.cluster.trace``; scheduling is the same either way, so the
+    summary bytes are too.
     """
     if spec is None:
         spec = ThroughputSpec()
@@ -229,7 +239,13 @@ def run_throughput_scenario(
     max_delay = latency.upper_bound
     if spec.faults is not None and spec.faults.retransmit is not None:
         max_delay = spec.faults.effective_max_delay(max_delay)
-    cluster = Cluster(spec.n_sites, latency=latency, model=spec.model, seed=spec.seed)
+    cluster = Cluster(
+        spec.n_sites,
+        latency=latency,
+        model=spec.model,
+        seed=spec.seed,
+        trace=None if collect_trace else NullTrace(),
+    )
     db_sites = {site: DatabaseSite(site) for site in cluster.site_ids()}
     scheduler = TransactionScheduler(
         cluster,
@@ -331,9 +347,11 @@ def run_throughput_scenario(
         metrics.counter("txn.deadlock_aborts").inc(summary.deadlock_aborts)
         metrics.counter("txn.timeout_aborts").inc(summary.timeout_aborts)
         metrics.counter("txn.retries").inc(summary.retries)
-        # Detector work: one check per queued request, and how many of them
-        # fell through to the whole-graph search (see _break_deadlocks).
+        # Detector work: one check per queued request, how many of them the
+        # in-edge pre-filter did not settle, and how many fell through to
+        # the whole-graph search (see _break_deadlocks).
         metrics.counter("txn.deadlock.checks").inc(scheduler.deadlock_checks)
+        metrics.counter("txn.deadlock.walks").inc(scheduler.deadlock_walks)
         metrics.counter("txn.deadlock.full_searches").inc(
             scheduler.deadlock_full_searches
         )

@@ -76,7 +76,6 @@ from repro.sim.events import Event
 from repro.sim.network import Undeliverable
 from repro.txn.deadlock import (
     DeadlockPolicy,
-    VictimPolicy,
     find_cycle,
     merge_waits_for,
     select_victim,
@@ -276,8 +275,10 @@ class TransactionScheduler:
         self.peak_retry_backlog = 0
         # Deadlock-detector accounting (observability-only, folded into the
         # metrics registry after the run): checks made, one per queued
-        # request, and how many of them needed the whole-graph search.
+        # request; how many the in-edge pre-filter did not settle; and how
+        # many needed the whole-graph search (see _break_deadlocks).
         self.deadlock_checks = 0
+        self.deadlock_walks = 0
         self.deadlock_full_searches = 0
         # True while the waits-for graph is not known to be acyclic; see
         # _break_deadlocks.
@@ -604,11 +605,17 @@ class TransactionScheduler:
     def _on_cycle(self, waiter: str) -> bool:
         """True when ``waiter`` can reach itself in the union waits-for graph.
 
-        Walks only the transactions reachable from ``waiter``, asking each
-        site for one owner's edges (:meth:`~repro.db.locks.LockManager
-        .waits_of`) instead of building every site's whole graph.
+        A cycle through ``waiter`` needs an edge into it, so unless some
+        site reports one (:meth:`~repro.db.locks.LockManager.is_waited_on`)
+        the answer is no without a walk.  Otherwise walks only the
+        transactions reachable from ``waiter``, asking each site for one
+        owner's edges (:meth:`~repro.db.locks.LockManager.waits_of`) instead
+        of building every site's whole graph.
         """
         sites = [db.locks for db in self.db_sites.values()]
+        if not any(locks.is_waited_on(waiter) for locks in sites):
+            return False
+        self.deadlock_walks += 1
         seen = {waiter}
         frontier = [waiter]
         while frontier:
@@ -630,15 +637,23 @@ class TransactionScheduler:
         the waits *on* it of the requests a queue-jumping upgrade was inserted
         ahead of -- so while the graph was acyclic before, it has a cycle now
         iff ``waiter`` reaches itself, and the check costs the reachable
-        nodes, not the graph.  The whole-graph search below runs only when it
-        does, or when ``_cycle_search_due`` says acyclicity is not known: it
-        stays set from entry to the full search until a search finds no
-        cycle, which covers checks nested inside a victim's abort and the
-        stale-cycle return.  The full search alone picks cycles and victims,
+        nodes, not the graph (only the waiter's own locks and requests when
+        no one waits on it).  The whole-graph search below runs only when the
+        waiter does reach itself, or when ``_cycle_search_due`` says
+        acyclicity is not known: it stays set from entry to the full search
+        until a search finds no cycle, which covers checks nested inside a
+        victim's abort and the stale-cycle return.  The full search alone picks cycles and victims,
         so both are what a search after every queued request would pick.
+
+        ``deadlock_walks`` counts the checks the in-edge pre-filter of
+        :meth:`_on_cycle` did not settle, so every full search is one of
+        them: ``full_searches <= walks <= checks``.
         """
         self.deadlock_checks += 1
-        if not self._cycle_search_due and not self._on_cycle(waiter):
+        if self._cycle_search_due:
+            # Acyclicity is unknown, so no pre-filter can settle this check.
+            self.deadlock_walks += 1
+        elif not self._on_cycle(waiter):
             return
         self.deadlock_full_searches += 1
         self._cycle_search_due = True
@@ -659,19 +674,11 @@ class TransactionScheduler:
                 # caller's loop (or the next queued request) re-checks --
                 # with a full search, since the graph is left cyclic.
                 return
-            victim_policy = self.policy.victim
             victim = select_victim(
                 cycle,
-                victim_policy,
+                self.policy.victim,
                 index={txn: self.states[txn].index for txn in cycle},
-                # Lock counts scan every grant list of every site; only the
-                # one policy that ranks by them pays for that on the
-                # detection hot path.
-                locks_held=(
-                    {txn: self._locks_held(txn) for txn in cycle}
-                    if victim_policy is VictimPolicy.FEWEST_LOCKS
-                    else {}
-                ),
+                locks_held={txn: self._locks_held(txn) for txn in cycle},
                 attempts={txn: self.states[txn].attempt for txn in cycle},
             )
             self.cluster.trace.record(

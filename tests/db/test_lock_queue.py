@@ -252,6 +252,7 @@ table_ops = st.lists(
         st.tuples(st.just("release"), st.sampled_from(OWNERS), st.sampled_from(KEYS)),
         st.tuples(st.just("cancel"), st.integers(min_value=0, max_value=40)),
         st.tuples(st.just("settle-in-place"), st.integers(min_value=0, max_value=40)),
+        st.tuples(st.just("crash")),
     ),
     max_size=40,
 )
@@ -270,7 +271,36 @@ def assert_owner_views_match(locks):
         )
 
 
+def assert_held_index_matches(locks):
+    """The held index, ``held_count`` and ``is_waited_on`` equal table scans."""
+    scan = {}
+    for key, grants in locks._locks.items():
+        for grant in grants:
+            assert key not in scan.get(grant.owner, {}), (grant.owner, key)
+            scan.setdefault(grant.owner, {})[key] = grant
+    assert locks._held_by_owner.keys() == scan.keys()
+    for owner, held in scan.items():
+        assert locks._held_by_owner[owner].keys() == held.keys(), owner
+        for key, grant in held.items():
+            assert locks._held_by_owner[owner][key] is grant, (owner, key)
+    assert sorted(locks._locks, key=locks._lock_serial.__getitem__) == list(
+        locks._locks
+    )
+    assert locks._lock_serial.keys() == locks._locks.keys()
+    waited_on = set().union(*locks.waits_for().values())
+    for owner in OWNERS:
+        assert locks.held_count(owner) == len(scan.get(owner, ())), owner
+        assert locks.is_waited_on(owner) == (owner in waited_on), owner
+
+
 def apply_table_op(locks, op, requests, now):
+    """Apply one op; returns the table to use next (a crash replaces it)."""
+    if op[0] == "crash":
+        # DatabaseSite.crash: cancel every waiter without promoting, then
+        # carry on with a fresh table.
+        locks.cancel_all_pending()
+        assert_held_index_matches(locks)
+        return manager()
     if op[0] == "request":
         requests.append(locks.request(op[1], op[2], op[3], now=now))
     elif op[0] == "release_all":
@@ -285,6 +315,7 @@ def apply_table_op(locks, op, requests, now):
         request = requests[op[1] % len(requests)]
         if request.pending:
             request.cancelled = True
+    return locks
 
 
 class TestOwnerIndex:
@@ -293,8 +324,52 @@ class TestOwnerIndex:
         locks = manager()
         requests = []
         for now, op in enumerate(ops):
-            apply_table_op(locks, op, requests, float(now))
+            locks = apply_table_op(locks, op, requests, float(now))
             assert_owner_views_match(locks)
+
+    @given(table_ops)
+    def test_property_held_index_and_in_edges_equal_a_scan(self, ops):
+        # Upgrades (a shared holder requesting exclusive), single-key
+        # releases, cancels, settle-in-place and crashes all occur in the
+        # op mix; the indexes must match the table after every one.
+        locks = manager()
+        requests = []
+        for now, op in enumerate(ops):
+            locks = apply_table_op(locks, op, requests, float(now))
+            assert_held_index_matches(locks)
+
+    def test_in_edge_rules_are_those_of_waits_for(self):
+        # Holder edges need a conflict; queue-ahead edges need an
+        # incompatible, non-upgrade request behind one of the owner's.
+        locks = manager()
+        locks.acquire("s1", "x", LockMode.SHARED)
+        locks.request("s2", "x", LockMode.SHARED)  # granted: compatible
+        assert not locks.is_waited_on("s1")
+        locks.request("w", "x", LockMode.EXCLUSIVE)
+        assert locks.is_waited_on("s1") and locks.is_waited_on("s2")
+        assert not locks.is_waited_on("w")
+        locks.request("r", "x", LockMode.SHARED)  # behind the queued writer
+        assert locks.is_waited_on("w") and not locks.is_waited_on("r")
+        # s1's upgrade jumps ahead of w and r: it waits on s2, r now waits
+        # on it, and w (exclusive) conflicts with its shared grant anyway.
+        locks.request("s1", "x", LockMode.EXCLUSIVE)
+        assert locks.is_waited_on("s1")
+        assert not locks.is_waited_on("r")
+        assert_held_index_matches(locks)
+
+    def test_a_queued_reader_does_not_wait_on_a_shared_holder(self):
+        # The writer between them is settled in place (not yet compacted by
+        # a promotion): the reader is compatible with the holder, so there
+        # is no edge into the holder even though a request is queued on
+        # its key.
+        locks = manager()
+        locks.acquire("s", "x", LockMode.SHARED)
+        writer = locks.request("w", "x", LockMode.EXCLUSIVE)
+        locks.request("r", "x", LockMode.SHARED)
+        writer.cancelled = True
+        assert locks.waits_for() == {"r": set()}
+        assert not locks.is_waited_on("s")
+        assert_held_index_matches(locks)
 
     def test_release_all_promotes_held_keys_then_vacated_queues(self):
         # t holds c and d and is queued on a and b.  Lock order is c, d;

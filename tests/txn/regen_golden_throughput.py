@@ -73,11 +73,17 @@ GRID = {
 }
 
 
-def golden_rows() -> dict:
-    """Run the grid; one ``{sha256, deadlock_aborts}`` entry per row id."""
+def golden_rows(*, collect_trace: bool = False) -> dict:
+    """Run the grid; one ``{sha256, deadlock_aborts}`` entry per row id.
+
+    The trace never feeds the summary, so ``collect_trace=True`` must
+    produce the same rows.
+    """
     rows = {}
     for row_id, (protocol, spec) in GRID.items():
-        summary = run_throughput_scenario(protocol, spec).summary
+        summary = run_throughput_scenario(
+            protocol, spec, collect_trace=collect_trace
+        ).summary
         rows[row_id] = {
             "sha256": hashlib.sha256(summary.to_json_bytes()).hexdigest(),
             "deadlock_aborts": summary.deadlock_aborts,

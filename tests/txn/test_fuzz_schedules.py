@@ -17,11 +17,13 @@ schedule:
 * **waits-for acyclicity** -- whenever cycle detection is on, no
   all-waiting cycle survives between events (victim aborts must actually
   break every deadlock they are invoked on);
-* **detector differential** -- every time the waiter-rooted check answers
-  "no cycle" without the whole-graph search, the reference
-  ``find_cycle(merge_waits_for(...))`` must find none either; and at every
-  probe each site's per-owner view (``LockManager.waits_of``) equals that
-  owner's entry in the site's ``waits_for()`` map;
+* **detector differential** -- every answer of the waiter-rooted check
+  (``_on_cycle``: in-edge pre-filter, then walk) must equal reachability of
+  the waiter from itself over ``merge_waits_for(... waits_for() ...)``;
+  every time the check settles a request without the whole-graph search,
+  the reference ``find_cycle`` over that graph must find no cycle either;
+  and at every probe each site's per-owner views (``LockManager.waits_of``
+  and ``is_waited_on``) agree with the site's ``waits_for()`` map;
 * **conservation at the horizon** -- every admitted logical transaction is
   exactly one of committed / exhausted (aborted) / in flight, committed
   splits into first-try + after-retry, and aborts split exactly by cause.
@@ -180,6 +182,20 @@ def random_case(case_seed: int):
     return rng.choice(PROTOCOLS), spec
 
 
+def reaches_itself(graph, start) -> bool:
+    """Reference answer for ``_on_cycle``: is ``start`` on a cycle of ``graph``?"""
+    seen = set()
+    frontier = list(graph.get(start, ()))
+    while frontier:
+        node = frontier.pop()
+        if node == start:
+            return True
+        if node not in seen:
+            seen.add(node)
+            frontier.extend(graph.get(node, ()))
+    return False
+
+
 class InvariantChecker:
     """Wraps a scheduler's lock tables and asserts invariants as it runs."""
 
@@ -224,6 +240,20 @@ class InvariantChecker:
 
         self.scheduler._break_deadlocks = checked_detect
 
+        on_cycle = self.scheduler._on_cycle
+
+        def checked_on_cycle(waiter):
+            answer = on_cycle(waiter)
+            expected = reaches_itself(self.union_graph(), waiter)
+            if answer != expected:
+                self.fail(
+                    f"_on_cycle({waiter}) answered {answer}, reachability over "
+                    f"the union waits-for graph says {expected}"
+                )
+            return answer
+
+        self.scheduler._on_cycle = checked_on_cycle
+
     def union_graph(self):
         return merge_waits_for(
             {site: db.locks.waits_for() for site, db in self.db_sites.items()}
@@ -256,12 +286,19 @@ class InvariantChecker:
         for site in sorted(self.db_sites):
             locks = self.db_sites[site].locks
             reference = locks.waits_for()
+            waited_on = set().union(*reference.values())
             for owner in sorted(locks.pending_owners() | set(self.scheduler.states)):
                 if locks.waits_of(owner) != reference.get(owner, set()):
                     self.fail(
                         f"per-owner view of {owner} at site {site} is "
                         f"{sorted(locks.waits_of(owner))}, waits_for() says "
                         f"{sorted(reference.get(owner, set()))}"
+                    )
+                if locks.is_waited_on(owner) != (owner in waited_on):
+                    self.fail(
+                        f"is_waited_on({owner}) at site {site} is "
+                        f"{locks.is_waited_on(owner)}, waits_for() says "
+                        f"{owner in waited_on}"
                     )
 
     def check_queue_shape(self) -> None:
@@ -457,6 +494,9 @@ def test_detector_differential_sees_both_paths():
     runs = [run_fuzzed_case(MASTER_SEED + offset) for offset in (1, 84, 184)]
     for scheduler in runs:
         assert 0 < scheduler.deadlock_full_searches < scheduler.deadlock_checks
+        # ... and both pre-filter outcomes: settled at once, and walked.
+        assert scheduler.deadlock_full_searches <= scheduler.deadlock_walks
+        assert scheduler.deadlock_walks < scheduler.deadlock_checks
     # Several victims per full search: the whole-graph loop, not the
     # waiter-rooted check, is what keeps breaking cycles until none remain.
     assert runs[0].deadlock_aborts > runs[0].deadlock_full_searches

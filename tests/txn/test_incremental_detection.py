@@ -1,9 +1,10 @@
 """Directed cases for the waiter-rooted deadlock check.
 
 The scheduler asks, after every queued request, whether *that* waiter can
-reach itself in the union waits-for graph, and runs the whole-graph search
-(which alone picks cycles and victims) only when it can -- or while a
-previous search left the graph possibly cyclic.  The fuzz harness checks
+reach itself in the union waits-for graph -- walking only when some site
+reports an edge into the waiter -- and runs the whole-graph search (which
+alone picks cycles and victims) only when it can, or while a previous
+search left the graph possibly cyclic.  The fuzz harness checks
 the two against each other on random schedules; these cases pin the
 corners by hand, and the detector's own work counts (which repeat exactly).
 """
@@ -14,6 +15,7 @@ from repro.db.locks import LockMode
 from repro.db.transactions import Operation
 from repro.txn import DeadlockPolicy, ThroughputSpec, run_throughput_scenario
 from repro.txn.scheduler import RemoteLockWait
+from repro.workloads.transactions import generate_transactions
 
 
 def r(site, key):
@@ -56,6 +58,9 @@ class TestWorkCounts:
         queued = sum(db.locks.stats.queued for db in run.db_sites.values())
         assert run.scheduler.deadlock_full_searches == 0
         assert run.scheduler.deadlock_checks == queued == 54
+        # Only a waiter that holds the key at an earlier site with someone
+        # queued behind that grant has an in-edge, so only those are walked.
+        assert run.scheduler.deadlock_walks == 15
         assert run.summary.aborted == 0 and run.summary.committed == 15
 
     def test_counts_are_folded_into_the_active_registry(self):
@@ -70,11 +75,17 @@ class TestWorkCounts:
             run = run_throughput_scenario("two-phase-commit", spec)
         counters = registry.snapshot()["counters"]
         assert counters["txn.deadlock.checks"] == run.scheduler.deadlock_checks > 0
+        assert counters["txn.deadlock.walks"] == run.scheduler.deadlock_walks
         assert (
             counters["txn.deadlock.full_searches"]
             == run.scheduler.deadlock_full_searches
         )
         assert 0 < run.scheduler.deadlock_full_searches < run.scheduler.deadlock_checks
+        assert (
+            run.scheduler.deadlock_full_searches
+            <= run.scheduler.deadlock_walks
+            < run.scheduler.deadlock_checks
+        )
         assert run.summary.deadlock_aborts > 0
 
     def test_detection_off_counts_nothing(self):
@@ -84,7 +95,44 @@ class TestWorkCounts:
         )
         run = run_throughput_scenario("two-phase-commit", spec)
         assert run.scheduler.deadlock_checks == 0
+        assert run.scheduler.deadlock_walks == 0
         assert run.scheduler.deadlock_full_searches == 0
+
+
+class TestInEdgePreFilter:
+    def test_a_waiter_that_holds_nothing_never_walks(self):
+        # With direct lock transport a waiter's one pending request was
+        # just appended to its queue, so if it holds nothing anywhere no
+        # one can wait on it: the pre-filter must settle the check.
+        spec = ThroughputSpec(
+            n_transactions=60, n_keys=3, operations_per_site=2, read_fraction=0.5,
+            hotspot=1.0, deadlock=DeadlockPolicy(detect_cycles=True, wait_timeout=4.0),
+        )
+        cluster, db_sites, scheduler = build(
+            policy=spec.deadlock, op_delay=spec.op_delay
+        )
+        calls = []
+        on_cycle = scheduler._on_cycle
+
+        def recording(waiter):
+            held = sum(db.locks.held_count(waiter) for db in db_sites.values())
+            walks_before = scheduler.deadlock_walks
+            answer = on_cycle(waiter)
+            calls.append((held, scheduler.deadlock_walks > walks_before, answer))
+            return answer
+
+        scheduler._on_cycle = recording
+        scheduler.submit_all(
+            generate_transactions(spec.workload_config()),
+            arrivals=spec.arrival_times(),
+        )
+        cluster.run(until=spec.effective_horizon())
+        assert [call for call in calls if call[0] == 0 and call[1]] == []
+        # Not vacuous: empty-handed waiters occur, and so do walks that
+        # find a cycle.
+        assert any(held == 0 for held, _, _ in calls)
+        assert any(walked and found for _, walked, found in calls)
+        assert (len(calls), scheduler.deadlock_walks) == (89, 21)
 
 
 class TestUpgradeJumpsTheQueue:

@@ -287,7 +287,9 @@ class TestCrashRecoveryPath:
             crashes=CrashSchedule.single(2, 4.0, recover_at=9.0),
             retry=RetryPolicy(max_attempts=2, backoff=1.0),
         )
-        result = run_throughput_scenario("terminating-three-phase-commit", spec)
+        result = run_throughput_scenario(
+            "terminating-three-phase-commit", spec, collect_trace=True
+        )
         summary = result.summary
         assert summary.crashes == 1
         assert summary.recoveries == 1
@@ -355,7 +357,9 @@ class TestCrashRecoveryPath:
             n_sites=2, n_transactions=3, tx_rate=0.5, seed=0,
             crashes=CrashSchedule.single(2, 8.0, recover_at=12.0),
         )
-        result = run_throughput_scenario("terminating-three-phase-commit", spec)
+        result = run_throughput_scenario(
+            "terminating-three-phase-commit", spec, collect_trace=True
+        )
         db = result.db_sites[2]
         replays = [
             r for r in result.cluster.trace.records() if r.category == "wal-replay"
