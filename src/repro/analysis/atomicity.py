@@ -2,9 +2,12 @@
 
 A commit protocol is *resilient* to a class of failures only if it enforces
 transaction atomicity and is nonblocking for every failure in the class
-(Section 2).  :func:`summarize_runs` turns a batch of
-:class:`~repro.protocols.runner.TransactionRunResult` into exactly that
-verdict, plus the witnesses needed to understand a failure.
+(Section 2).  :func:`summarize_runs` folds a batch of runs into exactly
+that verdict, plus the witnesses needed to understand a failure.  The fold
+computes nothing itself: it counts each run's
+:attr:`~repro.protocols.runner.RunSummary.verdict` class, so a run is
+violated, blocked or consistent -- never two of them -- and the counts add
+up to the total.
 """
 
 from __future__ import annotations
@@ -12,12 +15,17 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
-from repro.protocols.runner import TransactionRunResult
+from repro.protocols.runner import RunSummary
 
 
 @dataclass
 class AtomicityReport:
-    """Aggregate verdict over a batch of runs of one protocol."""
+    """Aggregate verdict over a batch of runs of one protocol.
+
+    ``atomicity_violations`` and ``blocked_runs`` count runs by verdict
+    class; a run that mixed outcomes *and* left a site undecided counts as a
+    violation only.
+    """
 
     protocol: str
     total_runs: int = 0
@@ -46,7 +54,7 @@ class AtomicityReport:
 
     @property
     def blocking_rate(self) -> float:
-        """Fraction of runs that left at least one site blocked."""
+        """Fraction of runs classed blocked (a site undecided, no violation)."""
         return self.blocked_runs / self.total_runs if self.total_runs else 0.0
 
     def summary(self) -> str:
@@ -58,8 +66,8 @@ class AtomicityReport:
             f"{self.blocked_runs} blocked runs -> {verdict}"
         )
 
-    def observe(self, result, *, max_witnesses: int = 5) -> None:
-        """Fold one run (a full result or an engine summary) into the report.
+    def observe(self, result: RunSummary, *, max_witnesses: int = 5) -> None:
+        """Fold one run's summary into the report.
 
         This is the single-pass reduction behind :func:`summarize_runs`; the
         engine's :class:`~repro.engine.sink.AtomicitySink` calls it once per
@@ -70,11 +78,12 @@ class AtomicityReport:
         if self.total_runs == 0 and self.protocol == "unknown":
             self.protocol = result.protocol
         self.total_runs += 1
-        if result.atomicity_violated:
+        verdict = result.verdict
+        if verdict == "violated":
             self.atomicity_violations += 1
             if len(self.violation_witnesses) < max_witnesses:
                 self.violation_witnesses.append(result.summary())
-        if result.blocked:
+        elif verdict == "blocked":
             self.blocked_runs += 1
             if len(self.blocking_witnesses) < max_witnesses:
                 self.blocking_witnesses.append(result.summary())
@@ -86,13 +95,8 @@ class AtomicityReport:
             self.store_divergences += 1
 
 
-def check_atomicity(result: TransactionRunResult) -> bool:
-    """True when the single run preserved atomicity (no commit/abort mix)."""
-    return not result.atomicity_violated
-
-
 def summarize_runs(
-    results: Iterable[TransactionRunResult],
+    results: Iterable[RunSummary],
     *,
     protocol: Optional[str] = None,
     max_witnesses: int = 5,

@@ -5,6 +5,10 @@ transaction "cannot relinquish the locks acquired ... rendering those data
 inaccessible to other transactions" (Section 2).  The report below measures
 how often each protocol blocks and for how long data stays locked, which is
 what the AVAIL experiment compares across protocols.
+
+The report only folds: blocking and lock-hold time are read from each
+run's :class:`~repro.protocols.runner.RunSummary` (the one type that
+defines them), whether it is a full in-process result or an engine record.
 """
 
 from __future__ import annotations
@@ -12,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from repro.protocols.runner import TransactionRunResult
+from repro.protocols.runner import RunSummary
 
 
 @dataclass
@@ -65,8 +69,8 @@ class BlockingReport:
             return None
         return self.lock_hold_time_sum / self.lock_hold_samples
 
-    def observe(self, result) -> None:
-        """Fold one run (a full result or an engine summary) into the report.
+    def observe(self, result: RunSummary) -> None:
+        """Fold one run's summary into the report.
 
         A report constructed with the ``"unknown"`` placeholder protocol
         takes its name from the first observed run.
@@ -79,7 +83,7 @@ class BlockingReport:
         self.blocked_site_count += len(result.blocked_sites)
         if any(result.locks_held_at_end.values()):
             self.runs_with_locks_held_at_end += 1
-        self.lock_hold_time_sum += total_lock_hold_time(result)
+        self.lock_hold_time_sum += result.lock_hold_time
         self.lock_hold_samples += 1
         latency = result.max_decision_latency()
         if latency is not None and not result.blocked:
@@ -99,35 +103,12 @@ class BlockingReport:
         )
 
 
-def total_lock_hold_time(result) -> float:
-    """Total lock-hold time across sites for one run.
-
-    Locks still held when the run ends (blocked sites) are charged up to the
-    run horizon, which is exactly the unavailability a blocked protocol
-    inflicts on other transactions.  Engine summaries carry the value
-    precomputed (their database sites never leave the worker process).
-    """
-    db_sites = getattr(result, "db_sites", None)
-    if db_sites is None:
-        return result.lock_hold_time
-    total = 0.0
-    for site, db in db_sites.items():
-        total += db.locks.stats.total_hold_time
-        for (_, _), since in db.locks.stats.held_since.items():
-            total += max(0.0, result.finished_at - since)
-    return total
-
-
 def blocking_report(
-    results: Iterable[TransactionRunResult],
+    results: Iterable[RunSummary],
     *,
     protocol: Optional[str] = None,
 ) -> BlockingReport:
-    """Fold a batch of runs into a :class:`BlockingReport`.
-
-    Accepts full :class:`TransactionRunResult` objects or the engine's
-    :class:`~repro.engine.summary.RunSummary` records interchangeably.
-    """
+    """Fold a batch of runs into a :class:`BlockingReport`."""
     report = BlockingReport(protocol=protocol or "unknown")
     for result in results:
         report.observe(result)

@@ -2,11 +2,9 @@
 
 A :class:`ScenarioGrid` is the cartesian product of the sweep axes the paper
 quantifies over -- protocol x partition schedule x crash schedule x latency
-model x no-voter set (plus partition model and seed) -- generalizing
-:class:`repro.workloads.sweeps.ParameterSweep` from flat parameter dicts to
-fully-typed scenarios.  Grids enumerate deterministically in declaration
-order, so runs, reports and spec-hashes are reproducible across processes
-and machines.
+model x no-voter set (plus partition model and seed).  Grids enumerate
+deterministically in declaration order, so runs, reports and spec-hashes
+are reproducible across processes and machines.
 """
 
 from __future__ import annotations
@@ -23,7 +21,6 @@ from repro.sim.failures import CrashSchedule
 from repro.sim.latency import LatencyModel
 from repro.sim.network import OPTIMISTIC
 from repro.sim.partition import PartitionSchedule, PartitionSpec
-from repro.workloads.sweeps import ParameterSweep
 
 
 @dataclass(frozen=True)
@@ -154,9 +151,6 @@ class ScenarioGrid:
     def __iter__(self) -> Iterator[SweepTask]:
         return self.tasks()
 
-    # ------------------------------------------------------------------
-    # bridges from the older sweep vocabularies
-    # ------------------------------------------------------------------
     @classmethod
     def from_partition_sweep(
         cls,
@@ -171,9 +165,7 @@ class ScenarioGrid:
     ) -> "ScenarioGrid":
         """The classic Theorem 9 sweep (onset times x simple splits) as a grid.
 
-        Reproduces :func:`repro.analysis.scenarios.partition_sweep` exactly,
-        including its enumeration order (time outermost, then split, then
-        vote pattern).
+        Enumerates onset time outermost, then split, then vote pattern.
         """
         base = base_spec or ScenarioSpec()
         return cls(
@@ -189,24 +181,3 @@ class ScenarioGrid:
             horizon=horizon,
             base_spec=base,
         )
-
-    @classmethod
-    def from_parameter_sweep(
-        cls, sweep: ParameterSweep, *, protocol: str
-    ) -> list[SweepTask]:
-        """Lift a flat :class:`ParameterSweep` over ``ScenarioSpec`` fields.
-
-        Every parameter name must be a ``ScenarioSpec`` field; returns the
-        explicit task list (a flat sweep need not be a rectangular grid over
-        this class's axes).
-        """
-        spec_fields = set(ScenarioSpec.__dataclass_fields__)
-        unknown = set(sweep.parameters) - spec_fields
-        if unknown:
-            raise KeyError(
-                f"sweep {sweep.name!r} names non-spec parameters {sorted(unknown)}"
-            )
-        return [
-            SweepTask(protocol=protocol, spec=ScenarioSpec(**point))
-            for point in sweep.points()
-        ]

@@ -57,17 +57,14 @@ def verdict_class(summary: RunSummary) -> str:
     ``violated`` / ``blocked`` (Section 2's failure vocabulary), with
     consistent runs split into ``consistent:commit`` and
     ``consistent:abort`` -- the flip between those two is the commit-point
-    boundary the terminating protocol moves as the onset crosses it.
+    boundary the terminating protocol moves as the onset crosses it.  A
+    consistent run has every site decided and no mixed outcome, so it is
+    all-commit or all-abort.
     """
-    if summary.atomicity_violated:
-        return "violated"
-    if summary.blocked:
-        return "blocked"
-    if summary.all_committed:
-        return "consistent:commit"
-    if summary.all_aborted:
-        return "consistent:abort"
-    return "consistent:mixed"
+    verdict = summary.verdict
+    if verdict != "consistent":
+        return verdict
+    return "consistent:commit" if summary.all_committed else "consistent:abort"
 
 
 def verdict_class_with_bound(summary: RunSummary) -> str:

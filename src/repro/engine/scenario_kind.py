@@ -29,18 +29,22 @@ def _execute(
     spec_hash: str,
     measures: Sequence[str] = (),
 ) -> RunSummary:
-    """Run one scenario in a worker and reduce it to a summary.
+    """Run one scenario in a worker and return its plain summary part.
 
     The trace is collected only when a measure needs it: summaries read
     protocol-role and database state, never the trace, so measure-free runs
     (the common sweep case) skip per-event record construction entirely.
+    The returned record is a field copy of the result's
+    :class:`~repro.protocols.runner.RunSummary` part, so no trace or
+    database site outlives this call.
     """
     measures = tuple(measures)
     result = run_scenario(
         create_protocol(protocol), spec, collect_trace=bool(measures)
     )
-    metrics = apply_measures(result, measures)
-    return RunSummary.from_result(result, spec_hash=spec_hash, metrics=metrics)
+    return result.as_summary(
+        spec_hash=spec_hash, metrics=apply_measures(result, measures)
+    )
 
 
 def _make_sink():

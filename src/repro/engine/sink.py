@@ -77,40 +77,34 @@ class ListSink(SummarySink):
 class VerdictCounterSink(SummarySink):
     """Per-protocol counts of the Section 2 verdict classes.
 
-    Tracks, for every protocol seen, the totals of consistent / blocked /
-    violated runs plus the all-commit and all-abort splits -- the columns of
-    the ``repro sweep`` table -- in O(protocols) memory.
+    Folds one :class:`~repro.analysis.atomicity.AtomicityReport` per
+    protocol seen (``reports``, in first-seen order); :meth:`rows` renders
+    the columns of the ``repro sweep`` table from them, in O(protocols)
+    memory.  No witnesses are kept.
     """
 
-    _FIELDS = ("total", "consistent", "blocked", "violated", "committed", "aborted")
-
     def __init__(self) -> None:
-        self.counts: dict[str, dict[str, int]] = {}
+        self.reports: dict[str, AtomicityReport] = {}
 
     def accept(self, index: int, summary: RunSummary) -> None:
-        counts = self.counts.setdefault(
-            summary.protocol, {name: 0 for name in self._FIELDS}
-        )
-        counts["total"] += 1
-        counts[summary.verdict] += 1
-        if summary.all_committed:
-            counts["committed"] += 1
-        if summary.all_aborted:
-            counts["aborted"] += 1
+        report = self.reports.get(summary.protocol)
+        if report is None:
+            report = self.reports[summary.protocol] = AtomicityReport(summary.protocol)
+        report.observe(summary, max_witnesses=0)
 
     def rows(self) -> list[dict[str, Any]]:
         """One table row per protocol, in first-seen (= task) order."""
         return [
             {
                 "protocol": protocol,
-                "scenarios": c["total"],
-                "violations": c["violated"],
-                "blocked": c["blocked"],
-                "committed": c["committed"],
-                "aborted": c["aborted"],
-                "resilient": "yes" if c["violated"] == 0 and c["blocked"] == 0 else "NO",
+                "scenarios": report.total_runs,
+                "violations": report.atomicity_violations,
+                "blocked": report.blocked_runs,
+                "committed": report.committed_runs,
+                "aborted": report.aborted_runs,
+                "resilient": "yes" if report.resilient else "NO",
             }
-            for protocol, c in self.counts.items()
+            for protocol, report in self.reports.items()
         ]
 
 

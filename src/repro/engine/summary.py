@@ -1,27 +1,27 @@
-"""Compact, picklable per-run records streamed back by the sweep engine.
+"""Per-run records streamed back by the sweep engine, and their codec.
 
-A :class:`RunSummary` carries everything the experiments and analyses read
-from a run -- decisions, votes, timing, lock retention, message counts and
-any in-worker trace measurements -- but none of the heavyweight state
-(trace, database sites, role objects), so it crosses process boundaries and
-serializes to canonical JSON for the on-disk cache.
+:class:`RunSummary` is defined next to
+:func:`~repro.protocols.runner.run_scenario`, which fills it, and is
+re-exported here for the engine's surfaces.  It carries everything the
+experiments and analyses read from a run -- decisions, votes, timing, lock
+retention, message counts and any in-worker trace measurements -- but none
+of the heavyweight state (trace, database sites, role objects), so it
+crosses process boundaries and serializes to canonical JSON for the on-disk
+cache.  It is also the only type that defines the run verdicts.
 
-The verdict API (:attr:`committed_sites`, :attr:`blocked`,
-:attr:`consistent`, ...) mirrors
-:class:`~repro.protocols.runner.TransactionRunResult`, so
-:func:`~repro.analysis.atomicity.summarize_runs` and
-:func:`~repro.analysis.blocking.blocking_report` accept either type.
+:func:`summary_from_json_dict` decodes any registered kind's record by the
+payload's ``kind`` tag.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
-from typing import Any, Mapping, Optional
+from typing import Any, Mapping
 
-from repro.core.canonical import canonical_json_bytes
 from repro.engine.registry import kind_for_payload
-from repro.protocols.runner import TransactionRunResult
+from repro.protocols.runner import RunSummary
+
+__all__ = ["RunSummary", "summary_from_json_bytes", "summary_from_json_dict"]
 
 
 def summary_from_json_dict(payload: Mapping[str, Any]):
@@ -40,215 +40,3 @@ def summary_from_json_dict(payload: Mapping[str, Any]):
 def summary_from_json_bytes(data: bytes):
     """Byte-level counterpart of :func:`summary_from_json_dict`."""
     return summary_from_json_dict(json.loads(data.decode("utf-8")))
-
-
-@dataclass
-class RunSummary:
-    """The outcome of one scenario run, reduced to plain picklable data."""
-
-    protocol: str
-    spec_hash: str
-    seed: int
-    n_sites: int
-    decisions: dict[int, Optional[str]] = field(default_factory=dict)
-    decision_times: dict[int, Optional[float]] = field(default_factory=dict)
-    votes: dict[int, Optional[str]] = field(default_factory=dict)
-    states: dict[int, str] = field(default_factory=dict)
-    conflicting_decisions: int = 0
-    locks_held_at_end: dict[int, bool] = field(default_factory=dict)
-    stores_agree: bool = True
-    messages_sent: int = 0
-    messages_delivered: int = 0
-    messages_bounced: int = 0
-    messages_dropped: int = 0
-    finished_at: float = 0.0
-    lock_hold_time: float = 0.0
-    max_delay: float = 1.0
-    metrics: dict[str, Any] = field(default_factory=dict)
-
-    # ------------------------------------------------------------------
-    # construction
-    # ------------------------------------------------------------------
-    @classmethod
-    def from_result(
-        cls,
-        result: TransactionRunResult,
-        *,
-        spec_hash: str,
-        metrics: Optional[Mapping[str, Any]] = None,
-    ) -> "RunSummary":
-        """Reduce a full :class:`TransactionRunResult` to a summary."""
-        from repro.analysis.blocking import total_lock_hold_time
-
-        return cls(
-            protocol=result.protocol,
-            spec_hash=spec_hash,
-            seed=result.spec.seed,
-            n_sites=result.spec.n_sites,
-            decisions=dict(sorted(result.decisions.items())),
-            decision_times=dict(sorted(result.decision_times.items())),
-            votes=dict(sorted(result.votes.items())),
-            states=dict(sorted(result.states.items())),
-            conflicting_decisions=sum(result.conflicting_decisions.values()),
-            locks_held_at_end=dict(sorted(result.locks_held_at_end.items())),
-            stores_agree=result.stores_agree,
-            messages_sent=result.messages_sent,
-            messages_delivered=result.messages_delivered,
-            messages_bounced=result.messages_bounced,
-            messages_dropped=result.messages_dropped,
-            finished_at=result.finished_at,
-            lock_hold_time=total_lock_hold_time(result),
-            max_delay=result.spec.effective_latency().upper_bound,
-            metrics=dict(metrics or {}),
-        )
-
-    # ------------------------------------------------------------------
-    # verdicts (mirrors TransactionRunResult)
-    # ------------------------------------------------------------------
-    @property
-    def participants(self) -> tuple[int, ...]:
-        """The sites that took part in the run."""
-        return tuple(sorted(self.decisions))
-
-    @property
-    def committed_sites(self) -> tuple[int, ...]:
-        """Sites whose local decision was commit."""
-        return tuple(s for s, d in sorted(self.decisions.items()) if d == "commit")
-
-    @property
-    def aborted_sites(self) -> tuple[int, ...]:
-        """Sites whose local decision was abort."""
-        return tuple(s for s, d in sorted(self.decisions.items()) if d == "abort")
-
-    @property
-    def undecided_sites(self) -> tuple[int, ...]:
-        """Sites with no decision when the run ended."""
-        return tuple(s for s, d in sorted(self.decisions.items()) if d is None)
-
-    @property
-    def blocked_sites(self) -> tuple[int, ...]:
-        """Alias for :attr:`undecided_sites`."""
-        return self.undecided_sites
-
-    @property
-    def atomicity_violated(self) -> bool:
-        """True when some site committed while another aborted."""
-        return bool(self.committed_sites) and bool(self.aborted_sites)
-
-    @property
-    def blocked(self) -> bool:
-        """True when at least one site never terminated the transaction."""
-        return bool(self.undecided_sites)
-
-    @property
-    def all_committed(self) -> bool:
-        """True when every participant committed."""
-        return len(self.committed_sites) == len(self.participants)
-
-    @property
-    def all_aborted(self) -> bool:
-        """True when every participant aborted."""
-        return len(self.aborted_sites) == len(self.participants)
-
-    @property
-    def consistent(self) -> bool:
-        """Atomicity holds and nobody is blocked (Theorem 9's property)."""
-        return not self.atomicity_violated and not self.blocked
-
-    @property
-    def verdict(self) -> str:
-        """The run's verdict class: ``violated``, ``blocked`` or ``consistent``.
-
-        Violation dominates blocking: a run that both mixed outcomes and left
-        a site undecided is classed ``violated`` (the stronger failure).
-        """
-        if self.atomicity_violated:
-            return "violated"
-        if self.blocked:
-            return "blocked"
-        return "consistent"
-
-    def decision_latency(self, site: int) -> Optional[float]:
-        """Time from submission (t = 0) to the site's decision."""
-        return self.decision_times.get(site)
-
-    def max_decision_latency(self) -> Optional[float]:
-        """Largest decision latency among decided sites."""
-        times = [t for t in self.decision_times.values() if t is not None]
-        return max(times) if times else None
-
-    def summary(self) -> str:
-        """One-line human-readable outcome."""
-        verdict = "ATOMICITY VIOLATED" if self.atomicity_violated else (
-            "blocked" if self.blocked else "consistent"
-        )
-        return (
-            f"{self.protocol}: commit={list(self.committed_sites)} "
-            f"abort={list(self.aborted_sites)} undecided={list(self.undecided_sites)} "
-            f"[{verdict}]"
-        )
-
-    # ------------------------------------------------------------------
-    # canonical JSON (for the on-disk cache)
-    # ------------------------------------------------------------------
-    def to_json_dict(self) -> dict[str, Any]:
-        """A JSON-ready dict; site-keyed mappings get string keys."""
-        payload = {
-            "protocol": self.protocol,
-            "spec_hash": self.spec_hash,
-            "seed": self.seed,
-            "n_sites": self.n_sites,
-            "decisions": {str(k): v for k, v in sorted(self.decisions.items())},
-            "decision_times": {str(k): v for k, v in sorted(self.decision_times.items())},
-            "votes": {str(k): v for k, v in sorted(self.votes.items())},
-            "states": {str(k): v for k, v in sorted(self.states.items())},
-            "conflicting_decisions": self.conflicting_decisions,
-            "locks_held_at_end": {str(k): v for k, v in sorted(self.locks_held_at_end.items())},
-            "stores_agree": self.stores_agree,
-            "messages_sent": self.messages_sent,
-            "messages_delivered": self.messages_delivered,
-            "messages_bounced": self.messages_bounced,
-            "messages_dropped": self.messages_dropped,
-            "finished_at": self.finished_at,
-            "lock_hold_time": self.lock_hold_time,
-            "max_delay": self.max_delay,
-            "metrics": self.metrics,
-        }
-        return payload
-
-    @classmethod
-    def from_json_dict(cls, payload: Mapping[str, Any]) -> "RunSummary":
-        """Rebuild a summary from :meth:`to_json_dict` output."""
-        def sited(mapping: Mapping[str, Any]) -> dict[int, Any]:
-            return {int(k): v for k, v in mapping.items()}
-
-        return cls(
-            protocol=payload["protocol"],
-            spec_hash=payload["spec_hash"],
-            seed=payload["seed"],
-            n_sites=payload["n_sites"],
-            decisions=sited(payload["decisions"]),
-            decision_times=sited(payload["decision_times"]),
-            votes=sited(payload["votes"]),
-            states=sited(payload["states"]),
-            conflicting_decisions=payload["conflicting_decisions"],
-            locks_held_at_end=sited(payload["locks_held_at_end"]),
-            stores_agree=payload["stores_agree"],
-            messages_sent=payload["messages_sent"],
-            messages_delivered=payload["messages_delivered"],
-            messages_bounced=payload["messages_bounced"],
-            messages_dropped=payload["messages_dropped"],
-            finished_at=payload["finished_at"],
-            lock_hold_time=payload["lock_hold_time"],
-            max_delay=payload["max_delay"],
-            metrics=dict(payload["metrics"]),
-        )
-
-    def to_json_bytes(self) -> bytes:
-        """Canonical JSON bytes (shared contract: :mod:`repro.core.canonical`)."""
-        return canonical_json_bytes(self.to_json_dict())
-
-    @classmethod
-    def from_json_bytes(cls, data: bytes) -> "RunSummary":
-        """Inverse of :meth:`to_json_bytes`."""
-        return cls.from_json_dict(json.loads(data.decode("utf-8")))

@@ -13,11 +13,11 @@ from __future__ import annotations
 import math
 from typing import Iterable, Optional
 
-from repro.analysis.scenarios import partition_sweep
 from repro.analysis.timing import TimingMeasurement
 from repro.core.termination import TerminationTimers
-from repro.engine import tasks_from_specs
+from repro.engine import ScenarioGrid
 from repro.experiments.harness import ExperimentReport, get_engine
+from repro.protocols.runner import ScenarioSpec
 from repro.sim.latency import PerLinkLatency
 
 
@@ -35,12 +35,14 @@ def run_fig7_wait_in_w(
     timers = TerminationTimers(max_delay=1.0)
     # Constant-latency sweep plus the skewed-latency scenario in which a
     # G2 slave that never saw a prepare must wait for a relayed commit.
-    specs = partition_sweep(n_sites, times=times)
-    skewed = partition_sweep(n_sites, times=[3.7, 3.9, 4.1])
-    for spec in skewed:
-        spec.latency = PerLinkLatency(1.0, {(1, n_sites): 1.5})
-        specs.append(spec)
-    tasks = tasks_from_specs("terminating-three-phase-commit", specs)
+    protocol = "terminating-three-phase-commit"
+    skewed = ScenarioSpec(latency=PerLinkLatency(1.0, {(1, n_sites): 1.5}))
+    tasks = [
+        *ScenarioGrid.from_partition_sweep(protocol, n_sites, times=times),
+        *ScenarioGrid.from_partition_sweep(
+            protocol, n_sites, times=[3.7, 3.9, 4.1], base_spec=skewed
+        ),
+    ]
     # Streamed: the fold below only ever holds one summary at a time.
     sweep = get_engine(workers).stream(tasks, measures=("wait_in_w",))
     worst = 0.0

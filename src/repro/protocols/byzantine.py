@@ -21,8 +21,9 @@ Two modes, selected by :class:`~repro.sim.failures.ByzantineSpec`:
   automaton takes arbitrary transitions.
 
 Run verdicts are computed over *honest* sites only (a liar's own "decision"
-carries no meaning); see
-:class:`~repro.protocols.runner.TransactionRunResult`.
+carries no meaning): :func:`~repro.protocols.runner.run_scenario` leaves
+Byzantine sites out of every per-site map of the
+:class:`~repro.protocols.runner.RunSummary` it returns.
 """
 
 from __future__ import annotations

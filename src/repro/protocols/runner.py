@@ -6,13 +6,20 @@ quiescence (or a horizon for blocking protocols) and summarizes the outcome:
 per-site decisions, decision times, votes, blocking, lock retention and
 message counts.  Every experiment, benchmark and example in the repository
 goes through :func:`run_scenario`.
+
+The outcome is one record type.  :class:`RunSummary` holds the plain data
+and defines every verdict; :class:`TransactionRunResult` is a
+``RunSummary`` that also keeps the in-process artifacts (trace, database
+sites), and the sweep engine ships only its ``RunSummary`` part.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import json
+from dataclasses import dataclass, field, fields
 from typing import Any, Iterable, Mapping, Optional
 
+from repro.core.canonical import canonical_json_bytes
 from repro.core.termination import TerminationTimers
 from repro.db.site import DatabaseSite
 from repro.db.transactions import Transaction
@@ -99,72 +106,64 @@ class ScenarioSpec:
 
 
 @dataclass
-class TransactionRunResult:
-    """Outcome of one scenario run."""
+class RunSummary:
+    """The outcome of one scenario run, reduced to plain picklable data.
+
+    This is the only type that defines the Section 2 verdicts
+    (:attr:`atomicity_violated`, :attr:`blocked`, :attr:`consistent`,
+    :attr:`verdict`, ...); every report, sink and experiment reads them from
+    here, whether the record came straight from :func:`run_scenario`, from a
+    worker, from the result cache or from a spill.
+
+    The per-site maps range over *honest* participants only:
+    :func:`run_scenario` leaves Byzantine sites out, because a site that does
+    not follow its protocol has no meaningful "decision" -- it can neither
+    violate atomicity nor count as blocked.  Fault-free runs have no
+    Byzantine sites, so their maps cover every participant.
+    """
 
     protocol: str
-    spec: ScenarioSpec
-    transaction: Transaction
+    spec_hash: str
+    seed: int
+    n_sites: int
     decisions: dict[int, Optional[str]] = field(default_factory=dict)
     decision_times: dict[int, Optional[float]] = field(default_factory=dict)
     votes: dict[int, Optional[str]] = field(default_factory=dict)
     states: dict[int, str] = field(default_factory=dict)
-    conflicting_decisions: dict[int, int] = field(default_factory=dict)
+    conflicting_decisions: int = 0
     locks_held_at_end: dict[int, bool] = field(default_factory=dict)
-    values_at_end: dict[int, Any] = field(default_factory=dict)
+    stores_agree: bool = True
     messages_sent: int = 0
     messages_delivered: int = 0
     messages_bounced: int = 0
     messages_dropped: int = 0
-    messages_retransmitted: int = 0
-    messages_deduplicated: int = 0
     finished_at: float = 0.0
-    trace: Trace = field(default_factory=Trace)
-    db_sites: dict[int, DatabaseSite] = field(default_factory=dict)
-    byzantine_sites: frozenset[int] = frozenset()
+    lock_hold_time: float = 0.0
+    max_delay: float = 1.0
+    metrics: dict[str, Any] = field(default_factory=dict)
 
     # ------------------------------------------------------------------
-    # derived verdicts
-    #
-    # All verdicts range over *honest* sites: a Byzantine site's own
-    # "decision" carries no meaning, so it can neither violate atomicity nor
-    # count as blocked.  Fault-free runs have no Byzantine sites and behave
-    # exactly as before.
+    # verdicts
     # ------------------------------------------------------------------
     @property
     def participants(self) -> tuple[int, ...]:
-        """The sites that took part in the transaction."""
-        return self.transaction.participants
-
-    @property
-    def honest_participants(self) -> tuple[int, ...]:
-        """Participants that are not scripted to misbehave."""
-        if not self.byzantine_sites:
-            return self.transaction.participants
-        return tuple(
-            s for s in self.transaction.participants if s not in self.byzantine_sites
-        )
-
-    def _honest_decisions(self):
-        items = sorted(self.decisions.items())
-        if not self.byzantine_sites:
-            return items
-        return [(s, d) for s, d in items if s not in self.byzantine_sites]
+        """The (honest) sites that took part in the run."""
+        return tuple(sorted(self.decisions))
 
     @property
     def committed_sites(self) -> tuple[int, ...]:
-        """Honest sites whose local decision was commit."""
-        return tuple(s for s, d in self._honest_decisions() if d == "commit")
+        """Sites whose local decision was commit."""
+        return tuple(s for s, d in sorted(self.decisions.items()) if d == "commit")
 
     @property
     def aborted_sites(self) -> tuple[int, ...]:
-        """Honest sites whose local decision was abort."""
-        return tuple(s for s, d in self._honest_decisions() if d == "abort")
+        """Sites whose local decision was abort."""
+        return tuple(s for s, d in sorted(self.decisions.items()) if d == "abort")
 
     @property
     def undecided_sites(self) -> tuple[int, ...]:
-        """Honest sites with no decision when the run ended (blocked sites)."""
-        return tuple(s for s, d in self._honest_decisions() if d is None)
+        """Sites with no decision when the run ended (blocked sites)."""
+        return tuple(s for s, d in sorted(self.decisions.items()) if d is None)
 
     @property
     def blocked_sites(self) -> tuple[int, ...]:
@@ -174,33 +173,41 @@ class TransactionRunResult:
     @property
     def atomicity_violated(self) -> bool:
         """True when some site committed while another aborted."""
-        return bool(self.committed_sites) and bool(self.aborted_sites)
+        outcomes = self.decisions.values()
+        return "commit" in outcomes and "abort" in outcomes
 
     @property
     def blocked(self) -> bool:
         """True when at least one site never terminated the transaction."""
-        return bool(self.undecided_sites)
+        return None in self.decisions.values()
 
     @property
     def all_committed(self) -> bool:
-        """True when every honest participant committed."""
-        return len(self.committed_sites) == len(self.honest_participants)
+        """True when every participant committed."""
+        return all(d == "commit" for d in self.decisions.values())
 
     @property
     def all_aborted(self) -> bool:
-        """True when every honest participant aborted."""
-        return len(self.aborted_sites) == len(self.honest_participants)
+        """True when every participant aborted."""
+        return all(d == "abort" for d in self.decisions.values())
 
     @property
     def consistent(self) -> bool:
         """Atomicity holds and nobody is blocked (Theorem 9's property)."""
-        return not self.atomicity_violated and not self.blocked
+        return self.verdict == "consistent"
 
     @property
-    def stores_agree(self) -> bool:
-        """True when the committed sites all installed the same value."""
-        values = {self.values_at_end[s] for s in self.committed_sites}
-        return len(values) <= 1
+    def verdict(self) -> str:
+        """The run's verdict class: ``violated``, ``blocked`` or ``consistent``.
+
+        Violation dominates blocking: a run that both mixed outcomes and left
+        a site undecided is classed ``violated`` (the stronger failure).
+        """
+        if self.atomicity_violated:
+            return "violated"
+        if self.blocked:
+            return "blocked"
+        return "consistent"
 
     def decision_latency(self, site: int) -> Optional[float]:
         """Time from submission (t = 0) to the site's decision."""
@@ -213,14 +220,117 @@ class TransactionRunResult:
 
     def summary(self) -> str:
         """One-line human-readable outcome."""
-        verdict = "ATOMICITY VIOLATED" if self.atomicity_violated else (
-            "blocked" if self.blocked else "consistent"
-        )
+        verdict = self.verdict
+        label = "ATOMICITY VIOLATED" if verdict == "violated" else verdict
         return (
             f"{self.protocol}: commit={list(self.committed_sites)} "
             f"abort={list(self.aborted_sites)} undecided={list(self.undecided_sites)} "
-            f"[{verdict}]"
+            f"[{label}]"
         )
+
+    # ------------------------------------------------------------------
+    # canonical JSON (for the on-disk cache, spills and log segments)
+    # ------------------------------------------------------------------
+    def to_json_dict(self) -> dict[str, Any]:
+        """A JSON-ready dict; site-keyed mappings get string keys."""
+        return {
+            "protocol": self.protocol,
+            "spec_hash": self.spec_hash,
+            "seed": self.seed,
+            "n_sites": self.n_sites,
+            "decisions": {str(k): v for k, v in sorted(self.decisions.items())},
+            "decision_times": {str(k): v for k, v in sorted(self.decision_times.items())},
+            "votes": {str(k): v for k, v in sorted(self.votes.items())},
+            "states": {str(k): v for k, v in sorted(self.states.items())},
+            "conflicting_decisions": self.conflicting_decisions,
+            "locks_held_at_end": {str(k): v for k, v in sorted(self.locks_held_at_end.items())},
+            "stores_agree": self.stores_agree,
+            "messages_sent": self.messages_sent,
+            "messages_delivered": self.messages_delivered,
+            "messages_bounced": self.messages_bounced,
+            "messages_dropped": self.messages_dropped,
+            "finished_at": self.finished_at,
+            "lock_hold_time": self.lock_hold_time,
+            "max_delay": self.max_delay,
+            "metrics": self.metrics,
+        }
+
+    @classmethod
+    def from_json_dict(cls, payload: Mapping[str, Any]) -> "RunSummary":
+        """Rebuild a summary from :meth:`to_json_dict` output."""
+        def sited(mapping: Mapping[str, Any]) -> dict[int, Any]:
+            return {int(k): v for k, v in mapping.items()}
+
+        return cls(
+            protocol=payload["protocol"],
+            spec_hash=payload["spec_hash"],
+            seed=payload["seed"],
+            n_sites=payload["n_sites"],
+            decisions=sited(payload["decisions"]),
+            decision_times=sited(payload["decision_times"]),
+            votes=sited(payload["votes"]),
+            states=sited(payload["states"]),
+            conflicting_decisions=payload["conflicting_decisions"],
+            locks_held_at_end=sited(payload["locks_held_at_end"]),
+            stores_agree=payload["stores_agree"],
+            messages_sent=payload["messages_sent"],
+            messages_delivered=payload["messages_delivered"],
+            messages_bounced=payload["messages_bounced"],
+            messages_dropped=payload["messages_dropped"],
+            finished_at=payload["finished_at"],
+            lock_hold_time=payload["lock_hold_time"],
+            max_delay=payload["max_delay"],
+            metrics=dict(payload["metrics"]),
+        )
+
+    def to_json_bytes(self) -> bytes:
+        """Canonical JSON bytes (shared contract: :mod:`repro.core.canonical`)."""
+        return canonical_json_bytes(self.to_json_dict())
+
+    @classmethod
+    def from_json_bytes(cls, data: bytes) -> "RunSummary":
+        """Inverse of :meth:`to_json_bytes`."""
+        return cls.from_json_dict(json.loads(data.decode("utf-8")))
+
+
+@dataclass(kw_only=True)
+class TransactionRunResult(RunSummary):
+    """A :class:`RunSummary` plus the in-process artifacts of the run.
+
+    Only what a summary cannot carry across a process boundary is added:
+    the spec, the transaction, the trace, the database sites and every
+    site's stored value of the written key.  Verdicts are inherited.
+    """
+
+    spec: ScenarioSpec
+    transaction: Transaction
+    trace: Trace = field(default_factory=Trace)
+    db_sites: dict[int, DatabaseSite] = field(default_factory=dict)
+    values_at_end: dict[int, Any] = field(default_factory=dict)
+
+    def as_summary(self, **changes: Any) -> RunSummary:
+        """The plain :class:`RunSummary` part as a field copy, with ``changes``."""
+        values = {name: getattr(self, name) for name in _SUMMARY_FIELDS}
+        values.update(changes)
+        return RunSummary(**values)
+
+
+_SUMMARY_FIELDS = tuple(f.name for f in fields(RunSummary))
+
+
+def _lock_hold_time(db_sites: Mapping[int, DatabaseSite], finished_at: float) -> float:
+    """Total lock-hold time across sites for one run.
+
+    Locks still held when the run ends (blocked sites) are charged up to the
+    run's end, which is exactly the unavailability a blocked protocol
+    inflicts on other transactions.
+    """
+    total = 0.0
+    for db in db_sites.values():
+        total += db.locks.stats.total_hold_time
+        for since in db.locks.stats.held_since.values():
+            total += max(0.0, finished_at - since)
+    return total
 
 
 def run_scenario(
@@ -240,6 +350,11 @@ def run_scenario(
     outcome (decisions, timings, message counts, lock stats) is identical --
     but ``result.trace`` stays empty, so only callers that never read the
     trace (e.g. the sweep engine when no measure is requested) may use it.
+
+    The summary fields are filled once, here: per-site maps over honest
+    participants, the lock-hold time and the conflicting-decision total.
+    ``spec_hash`` is left empty; the engine sets it on the summary part it
+    keeps (:meth:`TransactionRunResult.as_summary`).
     """
     if spec is None:
         spec = ScenarioSpec()
@@ -298,32 +413,44 @@ def run_scenario(
     cluster.start_all()
     cluster.run(until=spec.effective_horizon())
 
+    finished_at = cluster.sim.now
+    network = cluster.network
     result = TransactionRunResult(
         protocol=getattr(protocol, "name", type(protocol).__name__),
+        spec_hash="",
+        seed=spec.seed,
+        n_sites=spec.n_sites,
+        messages_sent=network.messages_sent,
+        messages_delivered=network.messages_delivered,
+        messages_bounced=network.messages_bounced,
+        messages_dropped=network.messages_dropped,
+        finished_at=finished_at,
+        lock_hold_time=_lock_hold_time(db_sites, finished_at),
+        max_delay=latency.upper_bound,
         spec=spec,
         transaction=transaction,
         trace=cluster.trace,
         db_sites=db_sites,
-        messages_sent=cluster.network.messages_sent,
-        messages_delivered=cluster.network.messages_delivered,
-        messages_bounced=cluster.network.messages_bounced,
-        messages_dropped=cluster.network.messages_dropped,
-        messages_retransmitted=cluster.network.messages_retransmitted,
-        messages_deduplicated=cluster.network.messages_deduplicated,
-        finished_at=cluster.sim.now,
-        byzantine_sites=byzantine_sites,
     )
+    committed_values = set()
     for site in participants:
+        value = db_sites[site].value(spec.write_key)
+        result.values_at_end[site] = value
+        if site in byzantine_sites:
+            continue
         role = roles[site]
-        result.decisions[site] = role.decision.value if role.decision else None
+        decision = role.decision.value if role.decision else None
+        result.decisions[site] = decision
         result.decision_times[site] = role.decided_at
         result.votes[site] = role.vote
         result.states[site] = role.state
-        result.conflicting_decisions[site] = role.conflicting_decisions
+        result.conflicting_decisions += role.conflicting_decisions
         result.locks_held_at_end[site] = db_sites[site].holds_locks(
             transaction.transaction_id
         )
-        result.values_at_end[site] = db_sites[site].value(spec.write_key)
+        if decision == "commit":
+            committed_values.add(value)
+    result.stores_agree = len(committed_values) <= 1
     return result
 
 

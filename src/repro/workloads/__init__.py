@@ -1,11 +1,10 @@
-"""Workload generation: transactions, partition schedules and sweeps."""
+"""Workload generation: transactions and partition schedules."""
 
 from repro.workloads.partitions import (
     random_partition_schedule,
     random_simple_split,
     random_transient_schedule,
 )
-from repro.workloads.sweeps import ParameterSweep, cartesian
 from repro.workloads.transactions import (
     TransactionMix,
     WorkloadConfig,
@@ -13,10 +12,8 @@ from repro.workloads.transactions import (
 )
 
 __all__ = [
-    "ParameterSweep",
     "TransactionMix",
     "WorkloadConfig",
-    "cartesian",
     "generate_transactions",
     "random_partition_schedule",
     "random_simple_split",

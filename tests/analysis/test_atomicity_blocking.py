@@ -1,9 +1,9 @@
 """Tests for the atomicity and blocking analysis."""
 
-from repro.analysis.atomicity import check_atomicity, summarize_runs
+from repro.analysis.atomicity import summarize_runs
 from repro.analysis.blocking import blocking_report
 from repro.protocols.registry import create_protocol
-from repro.protocols.runner import ScenarioSpec, run_scenario
+from repro.protocols.runner import RunSummary, ScenarioSpec, run_scenario
 from repro.sim.partition import PartitionSchedule
 
 
@@ -42,10 +42,10 @@ class TestAtomicityReport:
 
     def test_check_atomicity_single_run(self):
         good = run("terminating-three-phase-commit", n_sites=3)
-        assert check_atomicity(good)
+        assert not good.atomicity_violated
         partition = PartitionSchedule.simple(2.25, [1, 2], [3])
         bad = run("naive-extended-three-phase-commit", n_sites=3, partition=partition)
-        assert not check_atomicity(bad)
+        assert bad.atomicity_violated
 
     def test_empty_batch(self):
         report = summarize_runs([], protocol="nothing")
@@ -61,6 +61,23 @@ class TestAtomicityReport:
         ]
         report = summarize_runs(results, protocol="mixed")
         assert report.consistent_runs == 1
+
+    def test_violated_and_blocked_run_counts_once(self):
+        # Mixed outcomes plus an undecided site: the verdict is "violated"
+        # (violation dominates), so it is not also counted as blocked.
+        run = RunSummary(
+            protocol="p",
+            spec_hash="",
+            seed=0,
+            n_sites=3,
+            decisions={1: "commit", 2: "abort", 3: None},
+        )
+        assert run.atomicity_violated and run.blocked
+        assert run.verdict == "violated"
+        report = summarize_runs([run])
+        assert (report.atomicity_violations, report.blocked_runs) == (1, 0)
+        assert report.consistent_runs == 0
+        assert not report.resilient
 
 
 class TestBlockingReport:

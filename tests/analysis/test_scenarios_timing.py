@@ -5,7 +5,7 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.analysis.scenarios import ScenarioGrid, default_partition_times, partition_sweep
+from repro.analysis.scenarios import default_partition_times
 from repro.core.reachability import simple_splits
 from repro.analysis.timing import (
     TimingMeasurement,
@@ -15,6 +15,7 @@ from repro.analysis.timing import (
     measure_wait_after_timeout_in_w,
     worst_case,
 )
+from repro.engine import ScenarioGrid
 from repro.protocols.registry import create_protocol
 from repro.protocols.runner import ScenarioSpec, run_scenario
 from repro.sim.partition import PartitionSchedule
@@ -42,9 +43,13 @@ class TestSplitChoices:
             assert 1 not in g2
 
 
+def partition_sweep(n_sites, **kwargs):
+    return list(ScenarioGrid.from_partition_sweep("two-phase-commit", n_sites, **kwargs).specs())
+
+
 class TestScenarioGrid:
     def test_grid_size_matches_len(self):
-        grid = ScenarioGrid(n_sites=3, partition_times=[1.0, 2.0], no_voter_options=(frozenset(),))
+        grid = ScenarioGrid.from_partition_sweep("two-phase-commit", 3, times=[1.0, 2.0])
         specs = list(grid.specs())
         assert len(specs) == len(grid) == 2 * 3
 

@@ -15,7 +15,6 @@ from typing import Any, Mapping, Optional
 import pytest
 from test_registry import ToySpec, toy_kind  # noqa: F401 - toy_kind is a fixture
 
-from repro.analysis.scenarios import partition_sweep
 from repro.core.canonical import canonical_json_bytes
 from repro.engine import (
     MEASURES,
@@ -35,11 +34,11 @@ from repro.engine import (
 )
 from repro.obs.metrics import MetricsRegistry, activate, get_active
 from repro.obs.spans import SpanRecorder
+from repro.core.reachability import simple_splits
 from repro.protocols.runner import ScenarioSpec
 from repro.sim.failures import CrashSchedule
 from repro.sim.latency import ConstantLatency, UniformLatency
 from repro.sim.partition import PartitionSchedule
-from repro.workloads.sweeps import ParameterSweep
 
 
 class TestScenarioGrid:
@@ -69,38 +68,24 @@ class TestScenarioGrid:
             ("three-phase-commit", 1),
         ]
 
-    def test_from_partition_sweep_matches_legacy_generator(self):
-        legacy = partition_sweep(
-            3, times=[1.0, 2.5], no_voter_options=(frozenset(), frozenset({2}))
-        )
+    def test_from_partition_sweep_enumerates_time_then_split_then_votes(self):
+        votes = (frozenset(), frozenset({2}))
         grid = ScenarioGrid.from_partition_sweep(
-            "terminating-three-phase-commit",
-            3,
-            times=[1.0, 2.5],
-            no_voter_options=(frozenset(), frozenset({2})),
+            "terminating-three-phase-commit", 3, times=[1.0, 2.5], no_voter_options=votes
         )
-        assert len(grid) == len(legacy)
-        for task, spec in zip(grid.tasks(), legacy):
-            assert task.spec.no_voters == spec.no_voters
-            assert [e.time for e in task.spec.partition] == [
-                e.time for e in spec.partition
-            ]
-            assert task.spec.partition.events[0].spec == spec.partition.events[0].spec
-
-    def test_from_parameter_sweep_lifts_spec_fields(self):
-        sweep = ParameterSweep("s", {"n_sites": [3, 4], "seed": [0, 7]})
-        tasks = ScenarioGrid.from_parameter_sweep(sweep, protocol="two-phase-commit")
-        assert [(t.spec.n_sites, t.spec.seed) for t in tasks] == [
-            (3, 0),
-            (3, 7),
-            (4, 0),
-            (4, 7),
+        expected = [
+            (at, split, no_voters)
+            for at in (1.0, 2.5)
+            for split in simple_splits(3)
+            for no_voters in votes
         ]
-
-    def test_from_parameter_sweep_rejects_unknown_fields(self):
-        sweep = ParameterSweep("bad", {"not_a_field": [1]})
-        with pytest.raises(KeyError, match="not_a_field"):
-            ScenarioGrid.from_parameter_sweep(sweep, protocol="two-phase-commit")
+        assert len(grid) == len(expected)
+        for task, (at, (g1, g2), no_voters) in zip(grid.tasks(), expected):
+            assert task.spec.no_voters == no_voters
+            assert [e.time for e in task.spec.partition] == [at]
+            assert task.spec.partition.events[0].spec == PartitionSchedule.simple(
+                at, g1, g2
+            ).events[0].spec
 
     def test_multiple_partition_axis_builds_three_group_schedules(self):
         from repro.engine.grid import multiple_partition_axis

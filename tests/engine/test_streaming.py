@@ -74,7 +74,7 @@ class TestWorkerCountIndependentAggregates:
             SweepEngine(workers=workers).run_streaming(
                 grid, sinks=(counter, histogram)
             )
-            aggregates[workers] = (counter.counts, histogram.bins, histogram.undecided)
+            aggregates[workers] = (counter.reports, histogram.bins, histogram.undecided)
         assert aggregates[1] == aggregates[4]
 
 
@@ -125,7 +125,7 @@ class TestStreamingCacheReuse:
         SweepEngine(workers=1, cache=tmp_path).run_streaming(grid, sinks=cold_counter)
         warm_counter = VerdictCounterSink()
         SweepEngine(workers=4, cache=tmp_path).run_streaming(grid, sinks=warm_counter)
-        assert cold_counter.counts == warm_counter.counts
+        assert cold_counter.reports == warm_counter.reports
 
     def test_streaming_backfills_missing_measures(self, tmp_path):
         from repro.protocols.runner import ScenarioSpec

@@ -7,7 +7,7 @@ purpose* (a new termination rule, a different timer, a changed send)::
 
 The golden pins, per simulated run of terminating 3PC, its no-transient
 variant and terminating quorum commit, the SHA-256 of the run's canonical
-:class:`~repro.engine.summary.RunSummary` JSON bytes and of its trace
+:class:`~repro.protocols.runner.RunSummary` JSON bytes and of its trace
 records with the free-text ``reason`` and the transaction id dropped
 (everything else -- time, category, site, every other detail field, record
 order -- is hashed).  Rows cover
@@ -27,7 +27,6 @@ import pathlib
 
 from repro.cli.faults import parse_fault_clauses
 from repro.core.reachability import simple_splits
-from repro.engine.summary import RunSummary
 from repro.protocols.registry import create_protocol
 from repro.protocols.runner import ScenarioSpec, run_scenario
 from repro.sim.latency import PerLinkLatency
@@ -155,9 +154,8 @@ def golden_rows() -> dict:
     rows = {}
     for row_id, (protocol, spec) in GRID.items():
         result = run_scenario(create_protocol(protocol), spec)
-        summary = RunSummary.from_result(result, spec_hash="")
         rows[row_id] = {
-            "summary_sha256": hashlib.sha256(summary.to_json_bytes()).hexdigest(),
+            "summary_sha256": hashlib.sha256(result.to_json_bytes()).hexdigest(),
             "trace_sha256": hashlib.sha256(_trace_bytes(result.trace)).hexdigest(),
         }
     return rows

@@ -1,4 +1,4 @@
-"""Tests for workload generation and sweep helpers."""
+"""Tests for workload generation."""
 
 import pytest
 from hypothesis import given, strategies as st
@@ -8,7 +8,6 @@ from repro.workloads.partitions import (
     random_simple_split,
     random_transient_schedule,
 )
-from repro.workloads.sweeps import ParameterSweep, cartesian
 from repro.workloads.transactions import (
     TransactionMix,
     WorkloadConfig,
@@ -190,29 +189,3 @@ class TestRandomPartitions:
         schedule = random_partition_schedule(3, seed=seed, earliest=1.0, latest=2.0)
         onset = next(iter(schedule)).time
         assert 1.0 <= onset <= 2.0
-
-
-class TestSweeps:
-    def test_cartesian_product(self):
-        points = cartesian({"a": [1, 2], "b": ["x"]})
-        assert points == [{"a": 1, "b": "x"}, {"a": 2, "b": "x"}]
-
-    def test_cartesian_empty(self):
-        assert cartesian({}) == [{}]
-
-    def test_cartesian_preserves_declaration_order(self):
-        # "zeta" is declared first, so it varies slowest and leads every
-        # point's key order -- no alphabetical resort.
-        points = cartesian({"zeta": [1, 2], "alpha": ["x", "y"]})
-        assert [list(p) for p in points] == [["zeta", "alpha"]] * 4
-        assert points == [
-            {"zeta": 1, "alpha": "x"},
-            {"zeta": 1, "alpha": "y"},
-            {"zeta": 2, "alpha": "x"},
-            {"zeta": 2, "alpha": "y"},
-        ]
-
-    def test_parameter_sweep_len_and_iter(self):
-        sweep = ParameterSweep("s", {"n_sites": [3, 4], "seed": [0, 1, 2]})
-        assert len(sweep) == 6
-        assert all("n_sites" in point for point in sweep)
