@@ -79,6 +79,15 @@ class TestAtomicityReport:
         assert report.consistent_runs == 0
         assert not report.resilient
 
+    def test_verdict_of_single_runs(self):
+        assert run("terminating-three-phase-commit", n_sites=3).verdict == "consistent"
+        partition = PartitionSchedule.simple(1.5, [1], [2, 3])
+        blocked = run("two-phase-commit", n_sites=3, partition=partition)
+        assert (blocked.verdict, blocked.consistent) == ("blocked", False)
+        partition = PartitionSchedule.simple(2.25, [1, 2], [3])
+        bad = run("naive-extended-three-phase-commit", n_sites=3, partition=partition)
+        assert (bad.verdict, bad.consistent) == ("violated", False)
+
 
 class TestBlockingReport:
     def test_nonblocking_protocol(self):

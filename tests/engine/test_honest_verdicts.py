@@ -13,8 +13,9 @@ import pytest
 from repro.cli import main
 from repro.core.reachability import simple_splits
 from repro.engine import SweepEngine, SweepTask
+from repro.engine.engine import execute_task
 from repro.protocols.registry import available_protocols, create_protocol
-from repro.protocols.runner import ScenarioSpec, run_scenario
+from repro.protocols.runner import RunSummary, ScenarioSpec, run_scenario
 from repro.sim.failures import ByzantineSpec, FaultPlan
 from repro.sim.partition import PartitionSchedule
 
@@ -76,6 +77,16 @@ def test_summaries_leave_the_byzantine_site_out(byzantine_tasks):
             summary.locks_held_at_end,
         ):
             assert tuple(per_site) == honest
+
+
+def test_executor_ships_only_the_summary_part(byzantine_tasks):
+    task = byzantine_tasks[0]
+    shipped = execute_task(task.protocol, task.spec, spec_hash="h")
+    # A plain RunSummary: no trace, transaction or database site rides along.
+    assert type(shipped) is RunSummary
+    result = run_scenario(create_protocol(task.protocol), task.spec, collect_trace=False)
+    assert isinstance(result, RunSummary)
+    assert shipped == result.as_summary(spec_hash="h")
 
 
 def test_cli_counts_honest_violations_only(capsys):

@@ -11,7 +11,7 @@ from repro.engine import (
     verdict_class,
     verdict_class_with_bound,
 )
-from repro.protocols.runner import ScenarioSpec
+from repro.protocols.runner import RunSummary, ScenarioSpec
 
 TERMINATING = "terminating-three-phase-commit"
 
@@ -112,6 +112,18 @@ class TestClassifiers:
         summary = SweepEngine(workers=1).run([blocked_line.task_at(1.5)]).summaries[0]
         assert verdict_class(summary) == "blocked"
         assert verdict_class_with_bound(summary) == "blocked"
+
+    def test_violation_dominates_blocking(self):
+        summary = RunSummary(
+            protocol="p",
+            spec_hash="",
+            seed=0,
+            n_sites=3,
+            decisions={1: "commit", 2: "abort", 3: None},
+            decision_times={1: 1.0, 2: 2.0, 3: None},
+        )
+        assert verdict_class(summary) == summary.verdict == "violated"
+        assert verdict_class_with_bound(summary) == "violated"
 
     def test_bound_classifier_appends_whole_t_bound(self, line):
         summary = SweepEngine(workers=1).run([line.task_at(6.0)]).summaries[0]

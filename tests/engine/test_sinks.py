@@ -17,7 +17,7 @@ from repro.engine import (
     ViolationCollectorSink,
     read_jsonl,
 )
-from repro.protocols.runner import ScenarioSpec
+from repro.protocols.runner import RunSummary, ScenarioSpec
 from repro.sim.partition import PartitionSchedule
 
 
@@ -68,6 +68,18 @@ class TestVerdictCounterSink:
         assert verdicts["terminating-three-phase-commit"] == "yes"
         assert verdicts["two-phase-commit"] == "NO"
         assert verdicts["naive-extended-three-phase-commit"] == "NO"
+
+    def test_violated_and_blocked_run_counts_once(self):
+        run = RunSummary(
+            protocol="p",
+            spec_hash="",
+            seed=0,
+            n_sites=3,
+            decisions={1: "commit", 2: "abort", 3: None},
+        )
+        (row,) = feed(VerdictCounterSink(), [run]).rows()
+        assert (row["scenarios"], row["violations"], row["blocked"]) == (1, 1, 0)
+        assert row["resilient"] == "NO"
 
     def test_rows_preserve_first_seen_order(self, summaries):
         sink = feed(VerdictCounterSink(), summaries)
