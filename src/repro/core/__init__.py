@@ -10,8 +10,8 @@ reasoning* rather than a timed execution:
   commit, three-phase commit, modified three-phase commit) expressed in that
   model;
 * :mod:`repro.core.relation` -- the local-step relation compiled from a
-  protocol (plus its Rule (a)/(b) tables), which the simulator's FSA roles
-  interpret and the explorer enumerates;
+  protocol (plus its Rule (a)/(b) tables) and its move table, whose moves
+  the simulator's FSA roles take and the explorer enumerates;
 * :mod:`repro.core.reachability` -- exhaustive global-state exploration,
   failure-free or under a fault envelope;
 * :mod:`repro.core.concurrency` -- concurrency sets ``C(s)``, sender sets

@@ -51,8 +51,8 @@ class ReadSpec:
     def __post_init__(self) -> None:
         if self.source not in (OPERATOR, MASTER, ANY_SLAVE, EACH_SLAVE):
             raise ProtocolSpecError(f"unknown read source: {self.source!r}")
-        # Interned kinds make the simulator's received-message dict lookups
-        # and kind comparisons pointer-identity checks.
+        # Interned kinds make the move table's kind-offset lookups and kind
+        # comparisons pointer-identity checks.
         object.__setattr__(self, "kind", sys.intern(self.kind))
 
     def __str__(self) -> str:

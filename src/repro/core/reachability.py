@@ -27,11 +27,11 @@ Two exploration surfaces share one engine:
 
 What a site may do is not written here: protocol steps, their vote and
 sends, and the Rule (a)/(b) decisions (outcome, canonical final state, the
-master's broadcast) come from the protocol's local-step relation
-(:mod:`repro.core.relation`), the table the simulator's
-:class:`~repro.protocols.fsa_role.FSARole` interprets.  The explorer
-enumerates *every* choice of that relation and adds what belongs to the
-network: routing, bounced messages and the fault envelope.
+master's broadcast) come from the protocol's local-step relation, compiled
+into the :class:`~repro.core.relation.MoveTable` whose first enabled move
+the simulator's :class:`~repro.protocols.fsa_role.FSARole` takes.  The
+explorer branches over *every* move and adds what belongs to the network:
+routing, bounced messages and the fault envelope.
 
 The explorer works on a compiled, interned form of the relation.  Each
 role's local states are numbered in name order, and the *message
@@ -48,9 +48,10 @@ the network is whole (else 1 + the split's position in
 :func:`simple_splits`), and ``outstanding_mask`` has bit ``m`` set while
 message ``m`` is in flight -- so consuming is ``&~``, sending is ``|``
 and ascending-bit iteration is the canonical message order.  Protocol
-moves are memoised per (site, local state, inbox), and the invariants the
-checker reports are evaluated as states and edges are discovered
-(:class:`ReachabilityResult` keeps the first witness of each).
+moves are memoised per (site, local state, inbox), over the move table's
+own memo, and the invariants the checker reports are evaluated as states
+and edges are discovered (:class:`ReachabilityResult` keeps the first
+witness of each).
 :class:`GlobalState` and :class:`GlobalTransition` are the decoded view
 types: the result builds them on request, for tests, counterexample
 traces and :func:`enumerate_successors` replay.
@@ -81,10 +82,10 @@ from repro.core.fsa import (
 )
 from repro.core.relation import (
     OPERATOR_SITE,
+    MoveTable,
     Resolution,
     Step,
     compile_relation,
-    satisfying_senders,
 )
 
 # --- fault envelopes of the model checker ----------------------------------
@@ -544,8 +545,10 @@ class _ModelExplorer:
         self.n_sites = n_sites
         self.fault = fault
         relation = compile_relation(spec, augmentation)
+        # A site's id is its sender position in the compiled moves.
+        move_table = MoveTable(relation, n_sites)
+        self._relation_moves, self._peers = move_table.moves, move_table.peers
         sites = range(1, n_sites + 1)
-        self._peers = [tuple(s for s in range(2, n_sites + 1) if s != site) for site in sites]
         # The vote a slave's vote step must send: scripted by ``no_voters``,
         # or ``None`` where both branches are explored (always the master).
         self._scripted_vote = [
@@ -595,6 +598,14 @@ class _ModelExplorer:
                             universe.add(message.bounced())
         self.messages = tuple(sorted(universe, key=TaggedMessage.sort_key))
         self._message_ids = {message: m for m, message in enumerate(self.messages)}
+
+        def inbox_bit(message: TaggedMessage) -> Optional[int]:
+            offset = move_table.offsets[_role_of(message.receiver)].get(message.kind)
+            return None if offset is None else offset + message.sender
+
+        # Each message's bit in its receiver's compiled inbox (None when the
+        # receiver's role reads no message of its kind).
+        self._inbox_bit = [inbox_bit(message) for message in self.messages]
         #: The initial row: every site initial, only the request in flight.
         self.initial = tuple(
             ids[automaton.initial] for ids, automaton in zip(self._local_ids, automata)
@@ -696,7 +707,7 @@ class _ModelExplorer:
                 sender_state=name,
             )
             for kind, to_master in sends
-            for receiver in ((1,) if to_master else self._peers[i])
+            for receiver in ((1,) if to_master else self._peers[site])
         ]
 
     def _move(
@@ -723,27 +734,26 @@ class _ModelExplorer:
     def _protocol_moves(self, i: int, local: int, inbox: int) -> tuple[_Move, ...]:
         """Every enabled step of site ``i + 1`` in ``local`` over ``inbox``.
 
-        Order: transitions in declaration order, consumption choices in
-        sender order.  The inbox holds the first deliverable message of
-        each sender per kind (ascending ids are the canonical order);
-        returned messages never satisfy a protocol read -- only the Rule (b)
+        The compiled relation's moves over the inbox's (kind, sender) bits,
+        each bit standing for the first deliverable message of that sender
+        and kind (ascending ids are the canonical order): transitions in
+        declaration order, consumption choices in sender order.  Returned
+        messages never satisfy a protocol read -- only the Rule (b)
         decisions consume them.
         """
-        by_kind: dict[str, dict[int, int]] = {}
+        inbox_bit = self._inbox_bit
+        first: dict[int, int] = {}
         for m in _bits(inbox):
-            message = self.messages[m]
-            by_kind.setdefault(message.kind, {}).setdefault(message.sender, m)
+            bit = inbox_bit[m]
+            if bit is not None and bit not in first:
+                first[bit] = m
         name = self.names[i][local]
         scripted = self._scripted_vote[i]
-        moves = []
-        for step in self._tables[i][local].steps:
-            if step.vote is not None and scripted is not None and step.vote != scripted:
-                continue
-            present = by_kind.get(step.kind, {})
-            for senders in satisfying_senders(step.source, present, 1, self._peers[i]):
-                consumed = _mask(present[sender] for sender in senders)
-                moves.append(self._move(i, (i + 1, step.transition), step, name, consumed))
-        return tuple(moves)
+        return tuple(
+            self._move(i, (i + 1, step.transition), step, name, _mask(map(first.get, _bits(b))))
+            for step, b in self._relation_moves(i + 1, name, _mask(first))
+            if step.vote is None or scripted is None or step.vote == scripted
+        )
 
     def _moves(self, i: int, local: int, inbox: int, fold: bool) -> tuple[_Move, ...]:
         """Memo miss: compile the moves; when expanding, memoise them and

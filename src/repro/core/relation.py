@@ -23,16 +23,15 @@ per-site variables that guards read and writes update, named
 :class:`~repro.core.termination.TerminationTimers`, :class:`Action` s keyed
 by an expiring timer, a bounced message's kind or an arriving message's
 kind (probe reads), reads from any site and sends to every other site.
-:func:`satisfying_senders` says which senders in an inbox satisfy a read.
 
-Two interpreters execute the table and nothing else:
-:class:`~repro.protocols.fsa_role.FSARole` under the simulator's clock
-(first enabled choice, then keep stepping until none is enabled; every
-entry) and the explorer of :mod:`repro.core.reachability` (every choice, as
-successor edges; steps and resolutions of an :attr:`~ProtocolRelation.untimed`
-relation only).  Recipients are resolved to "the master", "the other
-slaves" or "every other site", so one table serves every site numbering.
-This module sits below :mod:`repro.core.rules` and
+A :class:`MoveTable` compiles it for ``n`` sites, and two drivers read its
+moves and nothing else: :class:`~repro.protocols.fsa_role.FSARole` under the
+simulator's clock (the first enabled move, until none is; every entry) and
+the explorer of :mod:`repro.core.reachability` (every move, as successor
+edges; steps and resolutions of an :attr:`~ProtocolRelation.untimed`
+relation only).  Recipients resolve to "the master", "the other slaves" or
+"every other site" and senders to positions, so one table serves every site
+numbering.  This module sits below :mod:`repro.core.rules` and
 :mod:`repro.core.generalize` (which import the explorer through the
 concurrency analysis), so it reads the augmentation and the termination
 plan duck-typed.
@@ -42,6 +41,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
+from itertools import count
 from types import MappingProxyType
 from typing import Any, Collection, Mapping, NamedTuple, Optional
 
@@ -157,6 +157,7 @@ class Action:
     decision: Optional[str] = None
     votes_yes: bool = False  # ``target`` witnesses a yes vote of this site
     note: Optional[Note] = None
+    vote: Optional[str] = None  # the site's vote a vote step requires
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -170,13 +171,13 @@ class Step(Action):
         source: who the read waits for (the :mod:`repro.core.fsa` read
             sources or :data:`ANY_SITE`; only :func:`satisfying_senders`
             interprets it).
-        vote: ``"yes"`` / ``"no"`` for a vote step, ``None`` otherwise.
+
+    A vote step's ``vote`` is ``"yes"`` or ``"no"``.
     """
 
     transition: Optional[Transition]
     kind: str
     source: str
-    vote: Optional[str] = None
 
 
 @dataclass(frozen=True)
@@ -261,23 +262,81 @@ def satisfying_senders(
     if source == MASTER:
         return ((master,),) if master in present else ()
     if source == EACH_SLAVE:
-        for peer in peers:
-            if peer not in present:
-                return ()
-        return (peers,)
+        return (peers,) if all(peer in present for peer in peers) else ()
     if source == ANY_SLAVE:
-        if not present:
-            return ()
-        return tuple(
-            (sender,)
-            for sender in sorted(present)
-            if sender != master and sender != OPERATOR_SITE
-        )
+        return tuple((s,) for s in sorted(present) if s != master and s != OPERATOR_SITE)
     if source == OPERATOR:
         return ((OPERATOR_SITE,),) if OPERATOR_SITE in present else ()
     if source == ANY_SITE:
-        return tuple((sender,) for sender in sorted(present) if sender != OPERATOR_SITE)
+        return tuple((s,) for s in sorted(present) if s != OPERATOR_SITE)
     raise ValueError(f"unknown read source {source!r}")
+
+
+#: A compiled move: a step and the inbox bits it consumes.
+Move = tuple[Step, int]
+
+
+class MoveTable:
+    """A relation compiled for ``n_sites`` sites: the moves an inbox enables.
+
+    An inbox is an int with bit ``offsets[role][kind] + position`` set while
+    a message of ``kind`` waits from the sender at ``position``: 0 is the
+    operator, 1 the master, 2..n the slaves in ascending id order.  Only the
+    kinds a role reads in some state have bits.  :meth:`moves` lists what a
+    reader at ``position`` in ``state`` may take over ``inbox``: steps in
+    declaration order, each read satisfied in :func:`satisfying_senders`
+    order.  Guards and votes are left to the driver.  The moves depend on
+    (position, state, inbox) alone, so they are memoised, process-wide.
+    """
+
+    def __init__(self, relation: ProtocolRelation, n_sites: int) -> None:
+        self.relation = relation
+        self._width = width = n_sites + 1
+        #: Per role: each read kind's inbox bit offset, and whether an entry
+        #: records whom a bounce was for (the terminating master's ``UD``).
+        self.offsets, self.records_bounces = {}, {}
+        for role in (MASTER_ROLE, SLAVE_ROLE):
+            tables = relation.role(role).values()
+            kinds = sorted({step.kind for table in tables for step in table.steps})
+            self.offsets[role] = {kind: k * width for k, kind in enumerate(kinds)}
+            self.records_bounces[role] = any(
+                value == SITE for table in tables for (event, _), actions in table.actions.items()
+                if event == UNDELIVERABLE for action in actions for _, value in action.writes
+            )
+        #: Per position, every slave but that site.
+        self.peers = [tuple(p for p in range(2, width) if p != site) for site in range(width)]
+        self._roles = [MASTER_ROLE if site == 1 else SLAVE_ROLE for site in range(width)]
+        self._memo: list[dict[str, dict[int, tuple[Move, ...]]]] = [
+            {state: {} for state in relation.role(role)} for role in self._roles
+        ]
+        self._positions: dict[tuple, dict[int, int]] = {}
+
+    def positions(self, master: int, participants: tuple[int, ...]) -> dict[int, int]:
+        """Each sender's position among ``participants`` (shared; do not mutate)."""
+        key = (master, participants)
+        positions = self._positions.get(key)
+        if positions is None:
+            slaves = sorted(site for site in participants if site != master)
+            positions = self._positions[key] = dict(zip((OPERATOR_SITE, master, *slaves), count()))
+        return positions
+
+    def moves(self, position: int, state: str, inbox: int) -> tuple[Move, ...]:
+        """The moves of the site at ``position`` in ``state`` over ``inbox``."""
+        memo = self._memo[position][state]
+        moves = memo.get(inbox)
+        if moves is None:
+            moves = memo[inbox] = self._compile(position, state, inbox)
+        return moves
+
+    def _compile(self, position: int, state: str, inbox: int) -> tuple[Move, ...]:
+        role = self._roles[position]
+        moves = []
+        for step in self.relation.role(role)[state].steps:
+            offset = self.offsets[role][step.kind]
+            present = [p for p in range(self._width) if inbox >> (offset + p) & 1]
+            for senders in satisfying_senders(step.source, present, 1, self.peers[position]):
+                moves.append((step, sum(1 << (offset + p) for p in senders)))
+        return tuple(moves)
 
 
 def _decision_at(automaton: RoleAutomaton, state: str) -> Optional[str]:

@@ -1,17 +1,18 @@
 """Differential cross-validation: exhaustive checker vs. event-driven simulator.
 
 A protocol's steps are written once, as its local-step relation
-(:mod:`repro.core.relation`), and executed by two interpreters: the timed,
-event-driven simulator (:class:`~repro.protocols.fsa_role.FSARole` on
-:mod:`repro.sim`), which takes the first enabled choice under the kernel
-clock, and the untimed exhaustive explorer (:mod:`repro.core.reachability`
-+ :mod:`repro.modelcheck.checker`), which enumerates every choice.  Their
+(:mod:`repro.core.relation`), and compiled once into the moves two drivers
+read: the timed, event-driven simulator
+(:class:`~repro.protocols.fsa_role.FSARole` on :mod:`repro.sim`), which
+takes the first enabled move under the kernel clock, and the untimed
+exhaustive explorer (:mod:`repro.core.reachability` +
+:mod:`repro.modelcheck.checker`), which branches over every move.  Their
 protocol edges therefore agree by construction.  This module runs both on
 the *same* configuration and asserts that their verdicts agree, which
-tests what the shared relation cannot: the two interpreters themselves
-(inbox bookkeeping, routing, bounces, crash and partition handling) and
-the timing assumptions the untimed explorer encodes (timeouts as
-last-resort edges, deliveries before timers).
+tests what the shared moves cannot: the two drivers themselves (inbox
+bookkeeping, routing, bounces, crash and partition handling) and the
+timing assumptions the untimed explorer encodes (timeouts as last-resort
+edges, deliveries before timers).
 
 The agreement relation is directional, because the two quantify
 differently: one simulator run samples a single timed schedule, while the
@@ -202,71 +203,43 @@ def cross_validate(
         surviving_undecided = [
             site for site in result.undecided_sites if site not in crashed
         ]
-        if result.atomicity_violated:
-            sim_verdict = "violated"
-        elif result.blocked:
-            sim_verdict = "blocked"
-        else:
-            sim_verdict = "consistent"
+        sim_verdict = result.verdict
         report.sim_runs += 1
         report.sim_verdicts[sim_verdict] = report.sim_verdicts.get(sim_verdict, 0) + 1
+        evidence = _sim_evidence(result)
+
+        def disagree(reason: str, detail: str) -> None:
+            report.disagreements.append(
+                Disagreement(config, scenario, sim_verdict, summary.verdict, reason, detail)
+            )
 
         if result.atomicity_violated and not summary.atomicity_violated:
-            report.disagreements.append(
-                Disagreement(
-                    config=config,
-                    scenario=scenario,
-                    sim_verdict=sim_verdict,
-                    checker_verdict=summary.verdict,
-                    reason="simulator violated atomicity but the checker "
-                    "proved every interleaving safe",
-                    detail=_sim_evidence(result) + "\n" + _checker_evidence(checker),
-                )
+            disagree(
+                "simulator violated atomicity but the checker proved every interleaving safe",
+                evidence + "\n" + _checker_evidence(checker),
             )
         if surviving_undecided and summary.verdict == "consistent":
-            report.disagreements.append(
-                Disagreement(
-                    config=config,
-                    scenario=scenario,
-                    sim_verdict=sim_verdict,
-                    checker_verdict=summary.verdict,
-                    reason=f"simulator left surviving sites "
-                    f"{surviving_undecided} undecided but the checker proved "
-                    f"every interleaving non-blocking",
-                    detail=_sim_evidence(result) + "\n" + _checker_evidence(checker),
-                )
+            disagree(
+                f"simulator left surviving sites {surviving_undecided} undecided but the "
+                f"checker proved every interleaving non-blocking",
+                evidence + "\n" + _checker_evidence(checker),
             )
-        if config.fault == FAILURE_FREE:
-            # Schedule-deterministic case: verdicts must match exactly, and
-            # the outcome is forced by the scripted votes.
-            if sim_verdict != summary.verdict:
-                report.disagreements.append(
-                    Disagreement(
-                        config=config,
-                        scenario=scenario,
-                        sim_verdict=sim_verdict,
-                        checker_verdict=summary.verdict,
-                        reason="failure-free verdicts must match exactly",
-                        detail=_sim_evidence(result)
-                        + "\n"
-                        + _checker_evidence(checker),
-                    )
-                )
-            else:
-                expected_commit = not config.no_voters
-                if result.all_committed != expected_commit:
-                    report.disagreements.append(
-                        Disagreement(
-                            config=config,
-                            scenario=scenario,
-                            sim_verdict=sim_verdict,
-                            checker_verdict=summary.verdict,
-                            reason=f"failure-free outcome should be "
-                            f"{'commit' if expected_commit else 'abort'} "
-                            f"under no_voters={sorted(config.no_voters)}",
-                            detail=_sim_evidence(result),
-                        )
-                    )
+        if config.fault != FAILURE_FREE:
+            continue
+        # Schedule-deterministic case: verdicts must match exactly, and the
+        # outcome is forced by the scripted votes.
+        expected_commit = not config.no_voters
+        if sim_verdict != summary.verdict:
+            disagree(
+                "failure-free verdicts must match exactly",
+                evidence + "\n" + _checker_evidence(checker),
+            )
+        elif result.all_committed != expected_commit:
+            disagree(
+                f"failure-free outcome should be {'commit' if expected_commit else 'abort'} "
+                f"under no_voters={sorted(config.no_voters)}",
+                evidence,
+            )
     return report
 
 

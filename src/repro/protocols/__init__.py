@@ -4,7 +4,7 @@ Each protocol provides a coordinator (master) role and a participant (slave)
 role that the scenario runner attaches to simulated sites.  Every protocol
 is a formal spec plus, optionally, the Rule (a)/(b) augmentation or
 Theorem 10's termination construction, compiled into one local-step
-relation that one role class interprets:
+relation and its move table, which one role class steps by:
 
 * :mod:`repro.protocols.two_phase` -- plain 2PC (Fig. 1), blocking;
 * :mod:`repro.protocols.extended_two_phase` -- 2PC augmented with the
@@ -20,8 +20,8 @@ relation that one role class interprets:
 * :mod:`repro.protocols.fsa_role` -- :class:`~repro.protocols.fsa_role.FSARole`,
   the one role class, and the definition every protocol is;
 * :mod:`repro.protocols.plan` -- the per-process compiled plan (spec,
-  Rule (a)/(b) tables or Theorem 10 plan, local-step relation) every role
-  of a protocol shares;
+  Rule (a)/(b) tables or Theorem 10 plan, local-step relation, move table)
+  every role of a protocol shares;
 * :mod:`repro.protocols.runner` -- the scenario runner shared by tests,
   examples and benchmarks;
 * :mod:`repro.protocols.registry` -- name-based protocol lookup.

@@ -1,18 +1,19 @@
-"""The one role class: it interprets a protocol's local-step relation.
+"""The one role class: it drives a protocol's compiled local-step relation.
 
 Every protocol -- 2PC, extended 2PC, 3PC, the naive extended 3PC, the
 quorum skeleton, and terminating 3PC (with and without the transient rule)
 and terminating quorum commit -- is its finite-state automata plus either
 the Rule (a)/(b) augmentation or Theorem 10's termination construction,
-compiled into one :class:`~repro.core.relation.ProtocolRelation`.
-:class:`FSARole` interprets that relation, taken from the shared,
-immutable :class:`~repro.protocols.plan.ProtocolPlan`, under the kernel
-clock:
+compiled into one :class:`~repro.core.relation.ProtocolRelation` and, for
+the plan's n, into one :class:`~repro.core.relation.MoveTable`.
+:class:`FSARole` steps by that table, taken from the shared, immutable
+:class:`~repro.protocols.plan.ProtocolPlan`, under the kernel clock:
 
-* deliveries land in an inbox of senders per message kind; after every
+* a delivery sets the (kind, sender) bit of an int inbox; after every
   delivery and every state change -- the vote step included -- the role
-  takes the first enabled step of its local state and keeps stepping until
-  none is enabled or it has decided;
+  takes the first move whose guard holds and whose vote is its own, clears
+  the bits it consumed and keeps stepping until none qualifies or it has
+  decided;
 * an arrival action of the delivered kind (the master's probe reads)
   consumes the message first, decided or not;
 * the state timer is armed on entering a state that has one; an expiring
@@ -23,8 +24,9 @@ clock:
   variables (:func:`~repro.core.relation.site_variables`).
 
 Rule (a)/(b) decisions decide without moving the local state, and a
-deciding master broadcasts them.  The model checker enumerates every choice
-of the same relation (:mod:`repro.core.reachability`) when it is untimed.
+deciding master broadcasts them.  The model checker branches over every
+move of the same table (:mod:`repro.core.reachability`) when the relation
+is untimed.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from __future__ import annotations
 from typing import Any, Optional
 
 from repro.core import messages as m
-from repro.core.fsa import EACH_SLAVE, MASTER_ROLE, SLAVE_ROLE
+from repro.core.fsa import MASTER_ROLE, SLAVE_ROLE
 from repro.core.relation import (
     ARRIVAL,
     OPERATOR_SITE,
@@ -40,43 +42,40 @@ from repro.core.relation import (
     TIMEOUT,
     UNDELIVERABLE,
     Action,
+    Move,
     Resolution,
     Send,
     Timer,
     holds,
-    satisfying_senders,
     site_variables,
     write,
 )
 from repro.protocols.base import Decision, ProtocolContext, ProtocolMessage, RoleBase
 from repro.protocols.plan import ProtocolPlan, compiled_plan
 
-#: Shared empty sender set used as the inbox miss default, so the (very
-#: common) "no messages of this kind yet" path allocates nothing.
-_NO_SENDERS: frozenset[int] = frozenset()
-
 _DECISIONS = {m.COMMIT: Decision.COMMIT, m.ABORT: Decision.ABORT}
 
 
 class FSARole(RoleBase):
-    """Interprets one role of a protocol's local-step relation."""
-
-    #: The site variables, for a relation that uses them.
-    vars: Optional[dict[str, Any]] = None
+    """Drives one role of a protocol's compiled local-step relation."""
 
     def __init__(self, ctx: ProtocolContext, plan: ProtocolPlan, role: str) -> None:
         self.role = role
         self.relation = plan.relation
         self._tables = plan.relation.role(role)
-        self.received: dict[str, set[int]] = {}
+        self._moves = plan.moves.moves
+        self._offsets = plan.moves.offsets[role]
+        self._records_bounces = plan.moves.records_bounces[role]
         site, master = ctx.node.node_id, ctx.master
         self._master = master
-        # Every slave but this site: whom each-slave reads wait for and
-        # slave-bound sends go to.
+        # Every slave but this site: whom slave-bound sends go to.
         slaves = tuple(s for s in ctx.participants if s != master)
         self._peer_slaves = slaves if site == master else tuple(s for s in slaves if s != site)
-        if not plan.relation.untimed:
-            self.vars = site_variables(slaves)
+        self._positions = plan.moves.positions(master, ctx.participants)
+        self._position = self._positions[site]
+        self.inbox = 0
+        #: The site variables the relation's guards read and writes update.
+        self.vars: dict[str, Any] = site_variables(slaves)
         super().__init__(ctx, initial_state=plan.spec.automaton(role).initial)
 
     # ------------------------------------------------------------------
@@ -92,8 +91,7 @@ class FSARole(RoleBase):
             self._resolve(refusal, reason="master voted no")
             return
         # The operator's request is on the tape: the master's first step.
-        self.received[m.REQUEST] = {OPERATOR_SITE}
-        self._run()
+        self._receive(m.REQUEST, OPERATOR_SITE)
 
     # ------------------------------------------------------------------
     # deliveries and timers
@@ -109,21 +107,17 @@ class FSARole(RoleBase):
         actions = self._tables[self.state].actions
         arrivals = actions.get((ARRIVAL, kind)) if actions else None
         if arrivals:
-            action = self._enabled(arrivals)
+            action = next(filter(self._enabled, arrivals), None)
             if action is not None:
                 self._apply(action, message.sender)
                 return
-        senders = self.received.get(kind)
-        if senders is None:
-            self.received[kind] = {message.sender}
-        else:
-            senders.add(message.sender)
-        self._run(kind)
+        self._receive(kind, message.sender)
 
     def _on_undeliverable(self, message: ProtocolMessage, intended: int) -> None:
         if self._tracing:
-            # The terminating master's UD set records whom a bounce was for.
-            ud = {"intended": intended} if self.vars and self.role == MASTER_ROLE else {}
+            # A role that records bounces (the terminating master's UD set)
+            # notes whom a bounce was for.
+            ud = {"intended": intended} if self._records_bounces else {}
             self.node.note(
                 "undeliverable-received",
                 transaction=self.transaction_id,
@@ -134,7 +128,8 @@ class FSARole(RoleBase):
         if self.decided:
             return
         table = self._tables[self.state]
-        action = self._enabled(table.actions.get((UNDELIVERABLE, message.kind), ()))
+        actions = table.actions.get((UNDELIVERABLE, message.kind), ())
+        action = next(filter(self._enabled, actions), None)
         if action is not None:
             self._apply(action, intended)
         elif table.undeliverable is not None:
@@ -157,49 +152,42 @@ class FSARole(RoleBase):
             # Rule (a): an augmented role's only timer is its state timer.
             self._resolve(table.timeout, reason=f"timeout in {self.state}")
             return
-        action = self._enabled(table.actions.get((TIMEOUT, timer.name), ()))
+        action = next(filter(self._enabled, table.actions.get((TIMEOUT, timer.name), ())), None)
         if action is not None:
             self._apply(action, self.site)
 
     # ------------------------------------------------------------------
-    # interpreting the relation
+    # stepping through the compiled relation
     # ------------------------------------------------------------------
-    def _run(self, kind: Optional[str] = None) -> None:
-        """Take the first enabled step, again and again, until none is.
-
-        The role always steps until no step is enabled (or it has decided),
-        so after a delivery of ``kind`` only a step reading ``kind`` can be.
-        """
-        received, master, peers = self.received, self._master, self._peer_slaves
+    def _receive(self, kind: str, sender: int) -> None:
+        """Put a message in the inbox, if some state reads its kind, then take
+        the first enabled move, again and again, until none is."""
+        offset = self._offsets.get(kind)
+        if offset is None:
+            return
+        self.inbox |= 1 << (offset + self._positions[sender])
         while self.decision is None:
-            for step in self._tables[self.state].steps:
-                if kind is not None and step.kind != kind:
-                    continue
-                present = received.get(step.kind, _NO_SENDERS)
-                # Only an each-slave read can hold over an empty inbox.
-                if not present and step.source != EACH_SLAVE:
-                    continue
-                choices = satisfying_senders(step.source, present, master, peers)
-                if not choices:
-                    continue
-                if step.guard is not None and not holds(step.guard, self.vars):
-                    continue
-                if step.vote is not None and step.vote != (self.vote or self.cast_vote()):
-                    continue
-                if present:
-                    present.difference_update(choices[0])
-                self._apply(step)
-                kind = None
-                break
-            else:
+            move = self._next_move()
+            if move is None:
                 return
+            step, consumed = move
+            self.inbox &= ~consumed
+            self._apply(step)
 
-    def _enabled(self, actions: tuple[Action, ...]) -> Optional[Action]:
-        """The first of ``actions`` whose guard holds."""
-        for action in actions:
-            if action.guard is None or holds(action.guard, self.vars):
-                return action
+    def _next_move(self) -> Optional[Move]:
+        """The first enabled move over the state and inbox."""
+        for move in self._moves(self._position, self.state, self.inbox):
+            if self._enabled(move[0]):
+                return move
         return None
+
+    def _enabled(self, action: Action) -> bool:
+        """Whether ``action``'s guard holds and its vote, if it has one, is
+        this site's (cast now when the site has not voted yet)."""
+        guard, vote = action.guard, action.vote
+        if guard is not None and not holds(guard, self.vars):
+            return False
+        return vote is None or vote == (self.vote or self.cast_vote())
 
     def _apply(self, action: Action, site: Optional[int] = None) -> None:
         """Take ``action``; ``site`` is the one its triggering event concerns."""

@@ -1,8 +1,9 @@
 """Compiled protocol plans: what depends on *(protocol, n)* only, built once.
 
 A protocol's spec, the Rule (a)/(b) augmentation of the extended protocols,
-the Theorem 10 termination plan of the terminating protocols and the
-local-step relation compiled from them are functions of the protocol and
+the Theorem 10 termination plan of the terminating protocols, the
+local-step relation compiled from them and its move table (whose memo of
+moves fills as runs reach new inboxes) are functions of the protocol and
 the number of sites, not of the scenario -- and deriving the augmentation
 and the termination plan walks the reachable global-state graph,
 milliseconds against ~0.25 ms for a whole scenario.
@@ -20,12 +21,12 @@ module is their only caller outside ``repro.core`` and the experiments.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from repro.core.fsa import CommitProtocolSpec
 from repro.core.generalize import TerminationPlan, derive_termination_plan
-from repro.core.relation import ProtocolRelation, compile_relation, compile_termination
+from repro.core.relation import MoveTable, ProtocolRelation, compile_relation, compile_termination
 from repro.core.rules import AugmentedProtocol, augment_with_rules
 
 #: Theorem 10's promotion message is a property of the role automata, not of
@@ -40,7 +41,8 @@ class ProtocolPlan:
     ``relation`` is the local-step relation the roles interpret, compiled
     from ``spec`` and either ``augmentation`` (the Rule (a)/(b) tables for
     ``n_sites`` sites, extended protocols only) or ``termination`` (the
-    Theorem 10 ingredients, terminating protocols only).
+    Theorem 10 ingredients, terminating protocols only).  ``moves`` is that
+    relation compiled for ``n_sites`` sites, the table the roles step by.
     """
 
     name: str
@@ -49,6 +51,10 @@ class ProtocolPlan:
     relation: ProtocolRelation
     augmentation: Optional[AugmentedProtocol] = None
     termination: Optional[TerminationPlan] = None
+    moves: MoveTable = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "moves", MoveTable(self.relation, self.n_sites))
 
 
 @functools.cache

@@ -10,6 +10,9 @@ sites, six keys, two operations per site, half reads so upgrades occur),
 the SHA-256 of the row's canonical :class:`ThroughputSummary` JSON bytes:
 every victim policy x both lock transports x with / without a lock-wait
 timeout x with / without one crash + recovery and one transient partition.
+The ``sparse/`` rows run two terminating protocols on four sites with three
+participants per transaction, fault-free and with the crash and partition,
+so the roles see slave ids that skip a site.
 A performance change to the lock table or the deadlock detector must leave
 the file byte-identical; ``deadlock_aborts`` rides along so a diff says
 more than "the hash moved".  ``GRID`` and ``golden_rows`` are imported by
@@ -71,6 +74,44 @@ GRID = {
     for wait_timeout in (None, 4.0)
     for faulty in (False, True)
 }
+
+
+def _sparse_spec(faulty) -> ThroughputSpec:
+    """Four sites, three per transaction: slave ids skip a site."""
+    return ThroughputSpec(
+        n_sites=4,
+        n_transactions=60,
+        tx_rate=1.0,
+        arrival="poisson",
+        read_fraction=0.5,
+        operations_per_site=2,
+        n_keys=6,
+        participants_per_transaction=3,
+        hotspot=0.5,
+        op_delay=0.1,
+        deadlock=DeadlockPolicy(detect_cycles=True),
+        retry=RetryPolicy(max_attempts=3, backoff=1.0),
+        crashes=CrashSchedule.single(2, 14.0, recover_at=20.0) if faulty else None,
+        partition=(
+            PartitionSchedule.transient(30.0, 35.0, (1, 2), (3, 4)) if faulty else None
+        ),
+        seed=11,
+    )
+
+
+#: Terminating protocols on transactions whose slaves are not numbered
+#: contiguously (e.g. sites 1, 3 and 4).
+GRID.update({
+    f"sparse/{protocol}/{'crash+partition' if faulty else 'fault-free'}": (
+        protocol,
+        _sparse_spec(faulty),
+    )
+    for protocol in (
+        "terminating-quorum-commit",
+        "terminating-three-phase-commit-no-transient",
+    )
+    for faulty in (False, True)
+})
 
 
 def golden_rows(*, collect_trace: bool = False) -> dict:
