@@ -18,6 +18,7 @@ from repro.cli.grid import add_grid_parsers
 from repro.cli.shard import add_shard_parsers
 from repro.cli.verbs import EXPERIMENTS, add_verb_parsers
 from repro.core.reachability import ExplorationError
+from repro.engine.cache import CacheEntryError
 from repro.engine.engine import WorkerCrashedError
 from repro.engine.registry import UnknownSpecKindError
 from repro.engine.resultlog import ResultLogError
@@ -57,7 +58,8 @@ def main(argv: list[str] | None = None) -> int:
 
     The one place failures become an exit code: a rejected flag value or a
     failed run (unwritable path, exhausted exploration budget, invalid
-    result log, dead worker ...) prints a single stderr line and exits 2.
+    result log, corrupt cache entry, dead worker ...) prints a single stderr
+    line and exits 2.
     """
     args = parse_args(argv)
     try:
@@ -72,6 +74,7 @@ def main(argv: list[str] | None = None) -> int:
         )
     except (
         OSError,
+        CacheEntryError,
         SimulationError,
         PartitionError,
         ResultLogError,

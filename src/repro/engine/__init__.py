@@ -36,7 +36,7 @@ boundaries`` / ``repro shard`` / ``repro merge`` CLI subcommands run on
 top of this package.
 """
 
-from repro.engine.cache import ResultCache
+from repro.engine.cache import CacheEntryError, ResultCache
 from repro.engine.engine import (
     StreamStats,
     SweepEngine,
@@ -100,6 +100,7 @@ __all__ = [
     "AtomicitySink",
     "BlockingSink",
     "Boundary",
+    "CacheEntryError",
     "CallbackSink",
     "DecisionTimeHistogramSink",
     "InjectedMergeCrash",

@@ -6,17 +6,41 @@ hash plus its seed.  Re-running a sweep with a warm cache returns
 byte-identical summaries without executing a single scenario; changing any
 scenario field (or the protocol) changes the hash and re-executes only the
 affected points.
+
+A warm re-sweep reads every entry, so the read side is kept lean: each key
+formats one ``str`` path, :meth:`ResultCache.probe` is one ``stat`` and
+:meth:`ResultCache.get_bytes` one ``open``.  :meth:`ResultCache.get` trusts
+no entry: a record that is not JSON, not an object, misses a field or was
+stored under another ``(spec-hash, seed)`` key raises
+:class:`CacheEntryError` naming the file, instead of a traceback or a
+silently wrong table.
 """
 
 from __future__ import annotations
 
+import json
 import os
 import pathlib
 import tempfile
 from typing import Optional, Union
 
-from repro.engine.summary import RunSummary, summary_from_json_bytes
+from repro.engine.registry import UnknownSpecKindError
+from repro.engine.summary import RunSummary, summary_from_json_dict
 from repro.obs.metrics import get_active as _active_metrics
+
+
+class CacheEntryError(ValueError):
+    """A cache entry that cannot stand for its key.
+
+    The message names the entry's path and the fault: not JSON, not a JSON
+    object, a missing or malformed field, or a record whose own
+    ``(spec_hash, seed)`` differs from the key its file name encodes.
+    """
+
+    def __init__(self, path: str, fault: str) -> None:
+        super().__init__(f"cache entry {path}: {fault}")
+        self.path = path
+        self.fault = fault
 
 
 class ResultCache:
@@ -32,12 +56,17 @@ class ResultCache:
 
     def __init__(self, root: Union[str, os.PathLike]) -> None:
         self.root = pathlib.Path(root)
+        self._prefix = str(self.root) + os.sep
         self.hits = 0
         self.misses = 0
 
     def path(self, spec_hash: str, seed: int) -> pathlib.Path:
         """Cache file location for one ``(spec-hash, seed)`` key."""
-        return self.root / spec_hash[:2] / f"{spec_hash}-{seed}.json"
+        return pathlib.Path(self._file(spec_hash, seed))
+
+    def _file(self, spec_hash: str, seed: int) -> str:
+        """:meth:`path` as a plain string, for the per-key reads."""
+        return f"{self._prefix}{spec_hash[:2]}{os.sep}{spec_hash}-{seed}.json"
 
     def probe(self, spec_hash: str, seed: int) -> bool:
         """Existence check counted like a lookup, without reading the entry.
@@ -47,7 +76,7 @@ class ResultCache:
         sweep reads and parses each entry exactly once.
         """
         metrics = _active_metrics()
-        if self.path(spec_hash, seed).is_file():
+        if os.path.isfile(self._file(spec_hash, seed)):
             self.hits += 1
             if metrics is not None:
                 metrics.counter("engine.cache.hits").inc()
@@ -66,10 +95,10 @@ class ResultCache:
         internal re-reads of entries already counted by :meth:`probe` or an
         earlier :meth:`get`.
         """
-        path = self.path(spec_hash, seed)
         metrics = _active_metrics()
         try:
-            data = path.read_bytes()
+            with open(self._file(spec_hash, seed), "rb") as handle:
+                data = handle.read()
         except FileNotFoundError:
             if record:
                 self.misses += 1
@@ -87,11 +116,41 @@ class ResultCache:
     def get(
         self, spec_hash: str, seed: int, *, record: bool = True
     ) -> Optional[RunSummary]:
-        """The cached summary, or ``None`` on a miss."""
+        """The cached summary, or ``None`` on a miss.
+
+        Raises :class:`CacheEntryError` when the entry does not decode to
+        the record of exactly this key.
+        """
         data = self.get_bytes(spec_hash, seed, record=record)
         if data is None:
             return None
-        return summary_from_json_bytes(data)
+        try:
+            payload = json.loads(data.decode("utf-8"))
+        except ValueError:
+            raise CacheEntryError(self._file(spec_hash, seed), "not JSON") from None
+        if not isinstance(payload, dict):
+            raise CacheEntryError(
+                self._file(spec_hash, seed),
+                f"not a JSON object (a {type(payload).__name__})",
+            )
+        try:
+            summary = summary_from_json_dict(payload)
+        except UnknownSpecKindError:
+            raise
+        except KeyError as exc:
+            raise CacheEntryError(
+                self._file(spec_hash, seed), f"missing field {exc}"
+            ) from None
+        except (AttributeError, TypeError, ValueError) as exc:
+            raise CacheEntryError(
+                self._file(spec_hash, seed), f"malformed field: {exc}"
+            ) from None
+        if summary.spec_hash != spec_hash or summary.seed != seed:
+            raise CacheEntryError(
+                self._file(spec_hash, seed),
+                f"holds the record of key ({summary.spec_hash}, {summary.seed})",
+            )
+        return summary
 
     def put(self, summary: RunSummary) -> pathlib.Path:
         """Store ``summary`` (atomic write; last writer wins)."""

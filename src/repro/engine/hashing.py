@@ -5,6 +5,16 @@ The result cache and the incremental re-sweep logic key every run by
 ``PYTHONHASHSEED``, dict insertion order and worker count.  The canonical
 form below therefore never calls ``hash()``, sorts every unordered
 collection, and spells out dataclasses field by field.
+
+:func:`canonical` is a dispatcher over per-type encoders.  The first value
+of a type compiles that type's encoder (primitive, enum, set, mapping,
+sequence, dataclass or plain object) and caches it in :data:`_ENCODERS`,
+keyed by the exact ``type``; every later value of the type is one dict
+lookup and one call.  A dataclass encoder is generated source with one
+statement per field and its hash-optional defaults bound in, the way
+:mod:`dataclasses` generates ``__init__``.  Frozen dataclass values share
+the bounded :data:`_FROZEN_MEMO` of their text; mutable values are never
+memoized, so mutating a spec can never make it hash stale.
 """
 
 from __future__ import annotations
@@ -12,27 +22,15 @@ from __future__ import annotations
 import dataclasses
 import enum
 import hashlib
-from typing import Any, Mapping
+from typing import Any, Callable, Mapping
 
 from repro.protocols.runner import ScenarioSpec
 
-#: Per-dataclass field-name cache: ``dataclasses.fields()`` rebuilds its
-#: tuple on every call, and canonicalization visits the same few spec
-#: classes thousands of times per sweep.  Values are
-#: ``(names, frozen, optional_defaults)``; frozen dataclasses are
-#: additionally safe to memoize by value below.
-#:
-#: ``optional_defaults`` maps the names of *hash-optional* fields (declared
-#: with ``field(metadata={"hash_optional": True})``) to their defaults.  A
-#: hash-optional field still at its default is omitted from the canonical
-#: text entirely, so specs that grow new optional knobs (``faults``,
-#: ``lock_transport``) keep hashing byte-identically to the format that
-#: predates them -- existing caches, golden tables and shard result logs carry
-#: over unchanged.
-_FIELD_NAMES: dict[type, tuple[tuple[str, ...], bool, dict[str, Any]]] = {}
+#: One encoder per exact type, compiled on first sight by :func:`_compile`.
+_ENCODERS: dict[type, Callable[[Any], str]] = {}
 
 #: Canonical forms of frozen, hashable dataclass values.  A partition sweep
-#: shares the same ``PartitionSpec``/``PartitionSchedule`` structures across
+#: shares the same ``PartitionSpec``/``PartitionEvent`` structures across
 #: many tasks, so their canonical text is computed once.  Bounded so a
 #: pathological sweep cannot grow it without limit.
 _FROZEN_MEMO: dict[Any, str] = {}
@@ -47,82 +45,121 @@ def canonical(value: Any) -> str:
     mappings (sorted by key), sequences, dataclasses (by field) and plain
     objects such as the latency models (by class name + sorted ``__dict__``).
     """
-    # Exact-type checks first: the bulk of any spec is primitives, and an
-    # exact int/str/float/bool is never an Enum, so this is both the fast
-    # path and semantically identical to the isinstance cascade below
-    # (which still handles subclasses).
-    tv = type(value)
-    if tv is str or tv is int or tv is bool:
-        return repr(value)
-    if tv is float:
-        # Integral floats collapse to their int form so numerically equal
-        # specs (horizon=8 vs horizon=8.0) share one cache key; repr()
-        # round-trips every other float exactly.
-        if value.is_integer():
-            return repr(int(value))
-        return repr(value)
-    if value is None:
-        return "None"
-    if isinstance(value, enum.Enum):
-        # Before the primitive check: IntEnum-style members would otherwise
-        # collapse into their value and collide with plain ints.
-        return f"{tv.__name__}.{value.name}"
-    if isinstance(value, (bool, int, str)):
-        return repr(value)
-    if isinstance(value, float):
-        if value.is_integer():
-            return repr(int(value))
-        return repr(value)
-    if isinstance(value, (set, frozenset)):
-        return "{" + ",".join(sorted(canonical(v) for v in value)) + "}"
-    if isinstance(value, Mapping):
-        items = sorted((canonical(k), canonical(v)) for k, v in value.items())
-        return "m{" + ",".join(f"{k}:{v}" for k, v in items) + "}"
-    if isinstance(value, (list, tuple)):
-        return "[" + ",".join(canonical(v) for v in value) + "]"
-    entry = _FIELD_NAMES.get(tv)
-    if entry is None and dataclasses.is_dataclass(value) and not isinstance(value, type):
-        names = tuple(f.name for f in dataclasses.fields(value))
-        optional = {
-            f.name: f.default
-            for f in dataclasses.fields(value)
-            if f.metadata.get("hash_optional")
-            and f.default is not dataclasses.MISSING
-        }
-        entry = (names, bool(tv.__dataclass_params__.frozen), optional)
-        _FIELD_NAMES[tv] = entry
-    if entry is not None:
-        names, frozen, optional = entry
-        if frozen:
-            # Frozen dataclasses cannot change after construction, and their
-            # generated __eq__ never matches a different class, so the value
-            # itself is a sound memo key (unhashable fields opt out).
-            try:
-                cached = _FROZEN_MEMO.get(value)
-            except TypeError:
-                frozen = False
-            else:
-                if cached is not None:
-                    return cached
-        fields = ",".join(
-            f"{name}={canonical(field_value)}"
-            for name in names
-            for field_value in (getattr(value, name),)
-            if not (name in optional and field_value == optional[name])
-        )
-        text = f"{tv.__name__}({fields})"
-        if frozen:
+    encode = _ENCODERS.get(type(value))
+    if encode is None:
+        encode = _ENCODERS[type(value)] = _compile(type(value))
+    return encode(value)
+
+
+def _encode_none(value: None) -> str:
+    return "None"
+
+
+def _encode_float(value: float) -> str:
+    # Integral floats collapse to their int form so numerically equal specs
+    # (horizon=8 vs horizon=8.0) share one cache key; repr() round-trips
+    # every other float exactly.
+    if value.is_integer():
+        return repr(int(value))
+    return repr(value)
+
+
+def _encode_set(value: Any) -> str:
+    return "{" + ",".join(sorted(map(canonical, value))) + "}"
+
+
+def _encode_mapping(value: Mapping) -> str:
+    items = sorted((canonical(k), canonical(v)) for k, v in value.items())
+    return "m{" + ",".join(f"{k}:{v}" for k, v in items) + "}"
+
+
+def _encode_sequence(value: Any) -> str:
+    return "[" + ",".join(map(canonical, value)) + "]"
+
+
+def _encode_object(value: Any) -> str:
+    # Plain objects (latency models): class name plus public-ish state.
+    state = getattr(value, "__dict__", None)
+    if state is None:
+        raise TypeError(f"cannot canonicalize {value!r} for hashing")
+    items = sorted((k, canonical(v)) for k, v in state.items())
+    body = ",".join(f"{k}={v}" for k, v in items)
+    return f"{type(value).__name__}({body})"
+
+
+def _compile(tv: type) -> Callable[[Any], str]:
+    """The encoder for values of exact type ``tv``.
+
+    The checks run in the order that decides overlapping vocabularies: an
+    ``IntEnum`` member is an enum (never its int value), and only then do
+    ``int``/``str`` subclasses fall back to ``repr``.
+    """
+    if tv is type(None):
+        return _encode_none
+    if issubclass(tv, enum.Enum):
+        prefix = f"{tv.__name__}."
+        return lambda value: prefix + value.name
+    if issubclass(tv, (bool, int, str)):
+        return repr
+    if issubclass(tv, float):
+        return _encode_float
+    if issubclass(tv, (set, frozenset)):
+        return _encode_set
+    if issubclass(tv, Mapping):
+        return _encode_mapping
+    if issubclass(tv, (list, tuple)):
+        return _encode_sequence
+    if dataclasses.is_dataclass(tv):
+        return _dataclass_encoder(tv)
+    return _encode_object
+
+
+def _dataclass_encoder(tv: type) -> Callable[[Any], str]:
+    """Field-by-field encoder of one dataclass type.
+
+    The encoder is generated source with one statement per field, the way
+    :mod:`dataclasses` generates ``__init__``: a warm re-sweep hashes every
+    task, and the generated body skips the per-field loop and the default
+    test of every field that has no default to test.
+
+    A *hash-optional* field (declared with
+    ``field(metadata={"hash_optional": True})``) still at its default is
+    omitted from the text entirely, so specs that grow new optional knobs
+    (``faults``, ``lock_transport``) keep hashing byte-identically to the
+    format that predates them -- existing caches, golden tables and shard
+    result logs carry over unchanged.
+    """
+    namespace: dict[str, Any] = {"canonical": canonical, "encoder_of": _ENCODERS.get}
+    lines = ["def encode(value):", "    parts = []"]
+    for index, f in enumerate(dataclasses.fields(tv)):
+        append = f"parts.append({f.name + '='!r} + (encoder_of(type(v)) or canonical)(v))"
+        if f.metadata.get("hash_optional") and f.default is not dataclasses.MISSING:
+            namespace[f"default_{index}"] = f.default
+            append = f"if not (v == default_{index}): {append}"
+        lines += [f"    v = value.{f.name}", f"    {append}"]
+    lines.append(f"    return {tv.__name__ + '('!r} + ','.join(parts) + ')'")
+    exec("\n".join(lines), namespace)
+    encode = namespace["encode"]
+
+    if not tv.__dataclass_params__.frozen:
+        return encode
+
+    def encode_frozen(value: Any) -> str:
+        # Frozen dataclasses cannot change after construction, and their
+        # generated __eq__ never matches a different class, so the value
+        # itself is a sound memo key (unhashable fields opt out).
+        try:
+            text = _FROZEN_MEMO.get(value)
+        except TypeError:
+            return encode(value)
+        if text is None:
+            text = encode(value)
             if len(_FROZEN_MEMO) >= _FROZEN_MEMO_MAX:
                 _FROZEN_MEMO.clear()
             _FROZEN_MEMO[value] = text
         return text
-    # Plain objects (latency models): class name plus public-ish state.
-    state = getattr(value, "__dict__", None)
-    if state is not None:
-        items = sorted((k, canonical(v)) for k, v in state.items())
-        body = ",".join(f"{k}={v}" for k, v in items)
-        return f"{tv.__name__}({body})"
-    raise TypeError(f"cannot canonicalize {value!r} for hashing")
+
+    return encode_frozen
 
 
 def spec_hash(protocol: str, spec: ScenarioSpec) -> str:

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, fields
+from operator import itemgetter
 from typing import Any, Iterable, Mapping, Optional
 
 from repro.core.canonical import canonical_json_bytes
@@ -257,31 +258,17 @@ class RunSummary:
 
     @classmethod
     def from_json_dict(cls, payload: Mapping[str, Any]) -> "RunSummary":
-        """Rebuild a summary from :meth:`to_json_dict` output."""
-        def sited(mapping: Mapping[str, Any]) -> dict[int, Any]:
-            return {int(k): v for k, v in mapping.items()}
+        """Rebuild a summary from :meth:`to_json_dict` output.
 
-        return cls(
-            protocol=payload["protocol"],
-            spec_hash=payload["spec_hash"],
-            seed=payload["seed"],
-            n_sites=payload["n_sites"],
-            decisions=sited(payload["decisions"]),
-            decision_times=sited(payload["decision_times"]),
-            votes=sited(payload["votes"]),
-            states=sited(payload["states"]),
-            conflicting_decisions=payload["conflicting_decisions"],
-            locks_held_at_end=sited(payload["locks_held_at_end"]),
-            stores_agree=payload["stores_agree"],
-            messages_sent=payload["messages_sent"],
-            messages_delivered=payload["messages_delivered"],
-            messages_bounced=payload["messages_bounced"],
-            messages_dropped=payload["messages_dropped"],
-            finished_at=payload["finished_at"],
-            lock_hold_time=payload["lock_hold_time"],
-            max_delay=payload["max_delay"],
-            metrics=dict(payload["metrics"]),
-        )
+        One pass over a precomputed field table: every field is read in
+        declaration order, then the site-keyed maps get their int keys back
+        and ``metrics`` is copied so the summary never aliases ``payload``.
+        """
+        values = list(_JSON_FIELD_VALUES(payload))
+        for index in _SITE_KEYED_INDICES:
+            values[index] = {int(k): v for k, v in values[index].items()}
+        values[_METRICS_INDEX] = dict(values[_METRICS_INDEX])
+        return cls(*values)
 
     def to_json_bytes(self) -> bytes:
         """Canonical JSON bytes (shared contract: :mod:`repro.core.canonical`)."""
@@ -316,6 +303,16 @@ class TransactionRunResult(RunSummary):
 
 
 _SUMMARY_FIELDS = tuple(f.name for f in fields(RunSummary))
+
+#: The decode table of :meth:`RunSummary.from_json_dict`: every field's
+#: payload value in declaration order, the positions of the maps whose JSON
+#: keys are site ids, and the position of ``metrics``.
+_JSON_FIELD_VALUES = itemgetter(*_SUMMARY_FIELDS)
+_SITE_KEYED_INDICES = tuple(
+    _SUMMARY_FIELDS.index(name)
+    for name in ("decisions", "decision_times", "votes", "states", "locks_held_at_end")
+)
+_METRICS_INDEX = _SUMMARY_FIELDS.index("metrics")
 
 
 def _lock_hold_time(db_sites: Mapping[int, DatabaseSite], finished_at: float) -> float:
