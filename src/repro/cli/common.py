@@ -109,7 +109,7 @@ def add_split_axes(parser: argparse.ArgumentParser) -> None:
 def resolve_split_axes(args: argparse.Namespace) -> tuple:
     """Validated ``(protocols, vote patterns)`` of the :func:`add_split_axes`
     flags (single-transaction default protocol: the terminating one)."""
-    check(args.sites >= 1, f"--sites must be >= 1, got {args.sites}")
+    check(args.sites >= 2, f"--sites must be >= 2, got {args.sites}")
     check(
         args.heal_after is None or args.heal_after > 0,
         f"--heal-after must be > 0, got {args.heal_after}",

@@ -265,7 +265,7 @@ def _throughput_tasks(args: argparse.Namespace) -> list:
     # Every check names the offending flag so workload mistakes are
     # self-explanatory (the satellite contract of the txn subsystem).
     checks = [
-        (args.sites < 1, f"--sites must be >= 1, got {args.sites}"),
+        (args.sites < 2, f"--sites must be >= 2, got {args.sites}"),
         (args.transactions < 1, f"--transactions must be >= 1, got {args.transactions}"),
         (args.tx_rate <= 0, f"--tx-rate must be > 0, got {args.tx_rate}"),
         (

@@ -21,8 +21,9 @@ reasoning* rather than a timed execution:
 * :mod:`repro.core.lemmas` -- the structural checks of Lemma 1 and Lemma 2;
 * :mod:`repro.core.termination` -- the decision logic of the termination
   protocol of Section 5.3 (the paper's contribution);
-* :mod:`repro.core.transient` -- the Section 6 extension to transient
-  partitioning (the 5T rule) and its case taxonomy;
+* :mod:`repro.core.transient` -- Section 6's case taxonomy of transient
+  partitioning and its worst-case wait table (the 5T rule itself is an
+  entry :func:`~repro.core.relation.compile_termination` compiles);
 * :mod:`repro.core.generalize` -- Theorem 10's generic construction.
 """
 
@@ -50,7 +51,7 @@ from repro.core.termination import (
     TerminationTimers,
     master_decision,
 )
-from repro.core.transient import PartitionCase, TransientPolicy, worst_case_wait
+from repro.core.transient import PartitionCase, worst_case_wait
 from repro.core.generalize import GeneralizationReport, check_theorem10_conditions, derive_termination_plan
 
 __all__ = [
@@ -69,7 +70,6 @@ __all__ = [
     "SendSpec",
     "TerminationTimers",
     "Transition",
-    "TransientPolicy",
     "analyze",
     "augment_with_rules",
     "check_lemma1",

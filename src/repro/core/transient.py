@@ -8,17 +8,15 @@ to wait for an UD(probe) / commit / abort in each case, and observes that
 only case (3.2.2.2) is unbounded -- which justifies the fix: a slave that
 has waited ``5T`` in state ``p`` without hearing anything commits.
 
-This module provides the case taxonomy, the paper's bound table, and the
-policy object the timed slave role consults.
+This module provides the case taxonomy and the paper's bound table; the
+rule itself is compiled into the terminating protocols' relation by
+:func:`repro.core.relation.compile_termination` (``transient_rule=True``).
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
-
-from repro.core.termination import TerminationTimers
 
 
 class PartitionCase(enum.Enum):
@@ -79,36 +77,6 @@ def bounded_cases() -> tuple[PartitionCase, ...]:
         for case, multiple in WORST_CASE_WAIT_MULTIPLES.items()
         if not math.isinf(multiple)
     )
-
-
-@dataclass(frozen=True)
-class TransientPolicy:
-    """What a slave does after its post-timeout wait in state ``p`` expires.
-
-    Attributes:
-        enabled: when ``True`` (Section 6's modified action) the slave
-            commits after waiting ``wait_in_p`` without receiving an
-            UD(probe), a commit or an abort; when ``False`` (the Section 5
-            protocol, valid only for permanent partitions) it keeps waiting.
-        timers: the timeout structure in force.
-    """
-
-    enabled: bool
-    timers: TerminationTimers
-
-    @property
-    def wait_in_p(self) -> float:
-        """How long the slave waits in ``p`` after its timeout (``5T``)."""
-        return self.timers.wait_in_p
-
-    def expiry_action(self) -> str:
-        """``"commit"`` under the transient rule, ``"wait"`` otherwise.
-
-        Only case (3.2.2.2) ever reaches this point, and in that case every
-        other site of the transaction has already committed, so committing
-        is the consistent choice (Section 6).
-        """
-        return "commit" if self.enabled else "wait"
 
 
 def classify_interleaving(

@@ -78,9 +78,7 @@ class ByzantineInterceptor:
     def __call__(
         self, source: int, destination: int, payload: Any
     ) -> Optional[Any]:
-        if type(payload) is not ProtocolMessage and not isinstance(
-            payload, ProtocolMessage
-        ):
+        if type(payload) is not ProtocolMessage:
             return payload
         if self.spec.mode == EQUIVOCATE:
             return self._equivocate(payload)

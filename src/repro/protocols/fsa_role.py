@@ -24,17 +24,19 @@ the plan's n, into one :class:`~repro.core.relation.MoveTable`.
   variables (:func:`~repro.core.relation.site_variables`).
 
 Rule (a)/(b) decisions decide without moving the local state, and a
-deciding master broadcasts them.  The model checker branches over every
+deciding master broadcasts them.  The role casts the site's vote, keeps its
+first decision (a later, different one only counts as conflicting), applies
+it to the database site and tells the decision listeners.  The model checker branches over every
 move of the same table (:mod:`repro.core.reachability`) when the relation
 is untimed.
 """
 
 from __future__ import annotations
 
-from typing import Any, Optional
+from typing import Any, Iterable, Optional
 
 from repro.core import messages as m
-from repro.core.fsa import MASTER_ROLE, SLAVE_ROLE
+from repro.core.fsa import SLAVE_ROLE
 from repro.core.relation import (
     ARRIVAL,
     OPERATOR_SITE,
@@ -50,23 +52,37 @@ from repro.core.relation import (
     site_variables,
     write,
 )
-from repro.protocols.base import Decision, ProtocolContext, ProtocolMessage, RoleBase
-from repro.protocols.plan import ProtocolPlan, compiled_plan
+from repro.db.transactions import Transaction
+from repro.protocols.base import Decision, ProtocolContext, ProtocolMessage
+from repro.protocols.plan import ProtocolPlan
+from repro.sim.network import Undeliverable
 
 _DECISIONS = {m.COMMIT: Decision.COMMIT, m.ABORT: Decision.ABORT}
 
 
-class FSARole(RoleBase):
+class FSARole:
     """Drives one role of a protocol's compiled local-step relation."""
 
     def __init__(self, ctx: ProtocolContext, plan: ProtocolPlan, role: str) -> None:
+        self.ctx = ctx
+        self.node = ctx.node
+        self.db = ctx.db
         self.role = role
         self.relation = plan.relation
         self._tables = plan.relation.role(role)
         self._moves = plan.moves.moves
         self._offsets = plan.moves.offsets[role]
         self._records_bounces = plan.moves.records_bounces[role]
-        site, master = ctx.node.node_id, ctx.master
+        # Hot identity lookups, resolved once: the property chains
+        # (ctx.node.node_id, ctx.transaction.transaction_id, node.sim) are
+        # walked on every message/transition otherwise.
+        self.site = site = ctx.node.node_id
+        self.transaction_id = ctx.transaction.transaction_id
+        self._sim = ctx.node.sim
+        # Mirrors Node._tracing: skips building the note() kwargs entirely
+        # on the engine's trace-free path.
+        self._tracing = ctx.node._tracing
+        master = ctx.master
         self._master = master
         # Every slave but this site: whom slave-bound sends go to.
         slaves = tuple(s for s in ctx.participants if s != master)
@@ -76,7 +92,32 @@ class FSARole(RoleBase):
         self.inbox = 0
         #: The site variables the relation's guards read and writes update.
         self.vars: dict[str, Any] = site_variables(slaves)
-        super().__init__(ctx, initial_state=plan.spec.automaton(role).initial)
+        self.state = plan.spec.automaton(role).initial
+        self.decision: Optional[Decision] = None
+        self.decided_at: Optional[float] = None
+        self.vote: Optional[str] = None
+        self.conflicting_decisions = 0
+        #: Observers called once, with (role, decision), when the role
+        #: reaches its first (and only effective) local decision.  The
+        #: concurrent-transaction scheduler uses this to track completion
+        #: without polling; single-transaction runs leave it empty.
+        self.decision_listeners: list[Any] = []
+        self.node.attach(self)
+
+    @property
+    def transaction(self) -> Transaction:
+        """The transaction being terminated."""
+        return self.ctx.transaction
+
+    @property
+    def now(self) -> float:
+        """Current simulated time."""
+        return self._sim.clock._now
+
+    @property
+    def decided(self) -> bool:
+        """True once this site has reached its local decision."""
+        return self.decision is not None
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -155,6 +196,72 @@ class FSARole(RoleBase):
         action = next(filter(self._enabled, table.actions.get((TIMEOUT, timer.name), ())), None)
         if action is not None:
             self._apply(action, self.site)
+
+    # ------------------------------------------------------------------
+    # state transitions, decisions and votes
+    # ------------------------------------------------------------------
+    def transition(self, new_state: str, *, reason: str = "") -> None:
+        """Move to ``new_state`` and record it in the trace."""
+        previous = self.state
+        self.state = new_state
+        if self._tracing:
+            self.node.note(
+                "transition",
+                transaction=self.transaction_id,
+                source=previous,
+                target=new_state,
+                reason=reason,
+            )
+
+    def decide(self, decision: Decision, *, reason: str = "") -> None:
+        """Reach the local decision ``decision`` (idempotent, first one wins).
+
+        A second, *different* decision is recorded as a conflicting-decision
+        trace event and otherwise ignored; the atomicity checker works from
+        each site's first decision, and the cross-site inconsistency is what
+        the negative experiments measure.
+        """
+        if self.decision is not None:
+            if self.decision is not decision:
+                self.conflicting_decisions += 1
+                if self._tracing:
+                    self.node.note(
+                        "conflicting-decision",
+                        transaction=self.transaction_id,
+                        first=self.decision.value,
+                        second=decision.value,
+                        reason=reason,
+                    )
+            return
+        self.decision = decision
+        self.decided_at = self.now
+        if decision is Decision.COMMIT:
+            self.db.commit(self.transaction_id, now=self.now)
+        else:
+            self.db.abort(self.transaction_id, now=self.now)
+        self.node.cancel_all_timers()
+        if self._tracing:
+            self.node.note(
+                "decision",
+                transaction=self.transaction_id,
+                outcome=decision.value,
+                state=self.state,
+                reason=reason,
+            )
+        for listener in list(self.decision_listeners):
+            listener(self, decision)
+
+    def cast_vote(self) -> str:
+        """Execute the transaction locally and produce this site's vote."""
+        if self.site in self.ctx.no_voters:
+            self.vote = "no"
+            if self._tracing:
+                self.node.note("vote", transaction=self.transaction_id, vote="no", forced=True)
+            return "no"
+        self.vote = self.db.execute(self.transaction, now=self.now)
+        if self._tracing:
+            self.node.note("vote", transaction=self.transaction_id, vote=self.vote, forced=False)
+        return self.vote
 
     # ------------------------------------------------------------------
     # stepping through the compiled relation
@@ -239,33 +346,25 @@ class FSARole(RoleBase):
             else:
                 self.broadcast(self._peer_slaves, kind, payload)
 
+    def send(self, destination: int, kind: str, payload: Any = None) -> None:
+        """Send a protocol message to ``destination``."""
+        self.node.send(
+            destination, ProtocolMessage(kind, self.transaction_id, self.site, payload)
+        )
 
-class FSAProtocolDefinition:
-    """A protocol definition: a formal spec, extended by Rule (a)/(b)
-    (``augment``) or by Theorem 10's termination protocol (``terminate``,
-    with or without the Section 6 ``transient_rule``)."""
+    def broadcast(self, destinations: Iterable[int], kind: str, payload: Any = None) -> None:
+        """Send the same protocol message to several sites."""
+        for destination in destinations:
+            self.send(destination, kind, payload)
 
-    def __init__(
-        self,
-        name: str,
-        spec_factory,
-        *,
-        augment: bool = False,
-        terminate: bool = False,
-        transient_rule: bool = True,
-    ) -> None:
-        self.name = name
-        self._spec_factory = spec_factory
-        self._flags = {"augment": augment, "terminate": terminate, "transient_rule": transient_rule}
+    def unwrap(self, payload: Any) -> tuple[Optional[ProtocolMessage], bool]:
+        """Return ``(protocol message, was_undeliverable)`` for a delivery.
 
-    def plan(self, n_sites: int) -> ProtocolPlan:
-        """The shared compiled plan of this protocol for ``n_sites`` sites."""
-        return compiled_plan(self.name, n_sites, self._spec_factory, **self._flags)
-
-    def coordinator(self, ctx: ProtocolContext) -> FSARole:
-        """Build the master role."""
-        return FSARole(ctx, self.plan(len(ctx.participants)), MASTER_ROLE)
-
-    def participant(self, ctx: ProtocolContext) -> FSARole:
-        """Build a slave role."""
-        return FSARole(ctx, self.plan(len(ctx.participants)), SLAVE_ROLE)
+        Messages belonging to other transactions return ``(None, ...)`` and
+        are ignored.
+        """
+        undeliverable = type(payload) is Undeliverable
+        inner = payload.payload if undeliverable else payload
+        if type(inner) is not ProtocolMessage or inner.transaction_id != self.transaction_id:
+            return None, undeliverable
+        return inner, undeliverable

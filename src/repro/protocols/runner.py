@@ -18,13 +18,15 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field, fields
 from operator import itemgetter
-from typing import Any, Iterable, Mapping, Optional
+from typing import Any, Mapping, Optional
 
 from repro.core.canonical import canonical_json_bytes
 from repro.core.termination import TerminationTimers
 from repro.db.site import DatabaseSite
 from repro.db.transactions import Transaction
-from repro.protocols.base import ProtocolContext, ProtocolDefinition, RoleBase
+from repro.protocols.base import ProtocolContext
+from repro.protocols.fsa_role import FSARole
+from repro.protocols.registry import Protocol
 from repro.sim.cluster import Cluster
 from repro.sim.failures import CrashSchedule, FaultPlan, normalize_fault_plan
 from repro.sim.latency import ConstantLatency, LatencyModel
@@ -331,7 +333,7 @@ def _lock_hold_time(db_sites: Mapping[int, DatabaseSite], finished_at: float) ->
 
 
 def run_scenario(
-    protocol: ProtocolDefinition,
+    protocol: Protocol,
     spec: Optional[ScenarioSpec] = None,
     *,
     collect_trace: bool = True,
@@ -378,7 +380,7 @@ def run_scenario(
         for site in participants
     }
 
-    roles: dict[int, RoleBase] = {}
+    roles: dict[int, FSARole] = {}
     for site in participants:
         ctx = ProtocolContext(
             node=cluster.node(site),
@@ -389,10 +391,7 @@ def run_scenario(
             timers=timers,
             no_voters=frozenset(spec.no_voters),
         )
-        if site == 1:
-            roles[site] = protocol.coordinator(ctx)
-        else:
-            roles[site] = protocol.participant(ctx)
+        roles[site] = protocol.role(ctx)
 
     if spec.partition is not None:
         cluster.apply_partition_schedule(spec.partition)
@@ -413,7 +412,7 @@ def run_scenario(
     finished_at = cluster.sim.now
     network = cluster.network
     result = TransactionRunResult(
-        protocol=getattr(protocol, "name", type(protocol).__name__),
+        protocol=protocol.name,
         spec_hash="",
         seed=spec.seed,
         n_sites=spec.n_sites,
@@ -449,11 +448,3 @@ def run_scenario(
             committed_values.add(value)
     result.stores_agree = len(committed_values) <= 1
     return result
-
-
-def run_many(
-    protocol_factory,
-    specs: Iterable[ScenarioSpec],
-) -> list[TransactionRunResult]:
-    """Run a batch of scenarios, constructing a fresh protocol per run."""
-    return [run_scenario(protocol_factory(), spec) for spec in specs]

@@ -21,8 +21,7 @@ from typing import Optional, Union
 
 from repro.core.termination import TerminationTimers
 from repro.db.site import DatabaseSite
-from repro.protocols.base import ProtocolDefinition
-from repro.protocols.registry import create_protocol
+from repro.protocols.registry import Protocol, create_protocol
 from repro.sim.cluster import Cluster
 from repro.sim.failures import CrashSchedule, FaultPlan, normalize_fault_plan
 from repro.sim.latency import ConstantLatency, LatencyModel
@@ -209,7 +208,7 @@ class ThroughputRunResult:
 
 
 def run_throughput_scenario(
-    protocol: Union[str, ProtocolDefinition],
+    protocol: Union[str, Protocol],
     spec: Optional[ThroughputSpec] = None,
     *,
     spec_hash: str = "",

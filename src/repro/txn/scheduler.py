@@ -70,7 +70,9 @@ from repro.core.termination import TerminationTimers
 from repro.db.locks import LockMode, LockRequest
 from repro.db.site import DatabaseSite, SiteState
 from repro.db.transactions import OpKind, Transaction
-from repro.protocols.base import Decision, ProtocolContext, ProtocolDefinition, RoleBase
+from repro.protocols.base import Decision, ProtocolContext
+from repro.protocols.fsa_role import FSARole
+from repro.protocols.registry import Protocol
 from repro.sim.cluster import Cluster
 from repro.sim.events import Event
 from repro.sim.network import Undeliverable
@@ -163,7 +165,7 @@ class TransactionState:
     started_at: Optional[float] = None
     finished_at: Optional[float] = None
     decisions: dict[int, Decision] = field(default_factory=dict)
-    roles: dict[int, RoleBase] = field(default_factory=dict)
+    roles: dict[int, FSARole] = field(default_factory=dict)
     verdict: Optional[TransactionVerdict] = None
     abort_reason: str = ""
     #: :class:`~repro.txn.retry.AbortCause` value of this attempt's abort.
@@ -186,7 +188,7 @@ class TransactionScheduler:
 
     Args:
         cluster: the shared simulated deployment.
-        protocol: commit-protocol definition used for every transaction.
+        protocol: the protocol row used for every transaction.
         db_sites: one :class:`~repro.db.site.DatabaseSite` per cluster site.
         policy: deadlock handling configuration.
         retry: re-admission policy for aborted attempts (default: none,
@@ -208,7 +210,7 @@ class TransactionScheduler:
     def __init__(
         self,
         cluster: Cluster,
-        protocol: ProtocolDefinition,
+        protocol: Protocol,
         db_sites: dict[int, DatabaseSite],
         *,
         policy: Optional[DeadlockPolicy] = None,
@@ -869,10 +871,7 @@ class TransactionScheduler:
                 master=transaction.master,
                 timers=self.timers,
             )
-            if site == transaction.master:
-                role = self.protocol.coordinator(ctx)
-            else:
-                role = self.protocol.participant(ctx)
+            role = self.protocol.role(ctx)
             role.decision_listeners.append(
                 lambda _role, decision, s=site, st=state: self._on_site_decided(
                     st, s, decision

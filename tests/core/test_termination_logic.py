@@ -27,7 +27,6 @@ from repro.core.termination import (
 )
 from repro.core.transient import (
     PartitionCase,
-    TransientPolicy,
     bounded_cases,
     classify_interleaving,
     worst_case_wait,
@@ -282,13 +281,3 @@ class TestClassifyInterleaving:
         )
         assert case is PartitionCase.ALL_PREPARE_COMMIT_LOST_PROBES_PASS
 
-
-class TestTransientPolicy:
-    def test_enabled_policy_commits_on_expiry(self):
-        policy = TransientPolicy(enabled=True, timers=TerminationTimers(1.0))
-        assert policy.expiry_action() == "commit"
-        assert policy.wait_in_p == 5.0
-
-    def test_disabled_policy_keeps_waiting(self):
-        policy = TransientPolicy(enabled=False, timers=TerminationTimers(1.0))
-        assert policy.expiry_action() == "wait"

@@ -497,11 +497,13 @@ REJECTED_VALUES = [
     ("sweep", ["--times", "nan"], "--times"),
     ("sweep", ["--heal-after", "0"], "--heal-after"),
     ("sweep", ["--sites", "0"], "--sites"),
+    ("sweep", ["--sites", "1"], "--sites"),
     ("sweep", ["--protocol", "nope"], "unknown protocol"),
     ("sweep", ["--no-voters", "x"], "--no-voters"),
     ("sweep", ["--no-voters", "9"], "--no-voters"),
     ("sweep", ["--faults", "warp=1"], "clause 'warp=1'"),
     ("throughput", ["--sites", "0"], "--sites"),
+    ("throughput", ["--sites", "1"], "--sites"),
     ("throughput", ["--read-fraction", "1.5"], "--read-fraction"),
     ("throughput", ["--ops-per-site", "0"], "--ops-per-site"),
     ("throughput", ["--tx-rate", "0"], "--tx-rate"),
@@ -733,9 +735,10 @@ class TestBoundariesCli:
         ) == 0
         assert "no verdict flips" in capsys.readouterr().out
 
-    def test_single_site_has_no_lines_and_does_not_crash(self, capsys):
-        assert main(["boundaries", "--sites", "1", "--lo", "0.5", "--hi", "1.0"]) == 0
-        assert "no partition lines" in capsys.readouterr().out
+    def test_single_site_is_rejected_naming_the_flag(self, capsys):
+        assert main(["boundaries", "--sites", "1", "--lo", "0.5", "--hi", "1.0"]) == 2
+        err = capsys.readouterr().err
+        assert err.strip() == "--sites must be >= 2, got 1"
 
     def test_bad_parameters_exit_2(self, capsys):
         assert main(["boundaries", "--lo", "2.0", "--hi", "1.0"]) == 2

@@ -21,12 +21,12 @@ class TestSharing:
     @pytest.mark.parametrize("name", EXTENDED)
     def test_checker_and_simulator_roles_hold_the_same_augmentation(self, name, n_sites):
         spec, augmentation = resolve_protocol(name, n_sites)
-        definition = create_protocol(name)
+        protocol = create_protocol(name)
         _, master_ctx = make_context(site=1, n_sites=n_sites)
         _, slave_ctx = make_context(site=2, n_sites=n_sites)
-        master = definition.coordinator(master_ctx)
-        slave = definition.participant(slave_ctx)
-        plan = definition.plan(n_sites)
+        master = protocol.role(master_ctx)
+        slave = protocol.role(slave_ctx)
+        plan = protocol.plan(n_sites)
         assert augmentation is not None
         assert plan.augmentation is augmentation and plan.spec is spec
         # Both roles interpret the plan's relation, and the checker's

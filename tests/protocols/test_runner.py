@@ -1,9 +1,12 @@
 """Tests for the scenario runner and failure-free protocol behaviour."""
 
+import dataclasses
+
 import pytest
 
+from repro.protocols.plan import Extension
 from repro.protocols.registry import available_protocols, create_protocol
-from repro.protocols.runner import ScenarioSpec, run_many, run_scenario
+from repro.protocols.runner import ScenarioSpec, run_scenario
 from repro.sim.latency import ConstantLatency
 from repro.sim.partition import PartitionSchedule
 
@@ -24,8 +27,11 @@ class TestRegistry:
         with pytest.raises(KeyError):
             create_protocol("paxos")
 
-    def test_create_returns_fresh_instances(self):
-        assert create_protocol("two-phase-commit") is not create_protocol("two-phase-commit")
+    def test_rows_are_shared_and_frozen(self):
+        row = create_protocol("two-phase-commit")
+        assert create_protocol("two-phase-commit") is row
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            row.extension = Extension.RULES
 
 
 class TestFailureFreeRuns:
@@ -110,11 +116,6 @@ class TestScenarioSpec:
     def test_run_scenario_keyword_overrides(self):
         result = run_scenario(create_protocol("two-phase-commit"), n_sites=4)
         assert len(result.participants) == 4
-
-    def test_run_many_runs_each_spec(self):
-        specs = [ScenarioSpec(n_sites=2), ScenarioSpec(n_sites=3)]
-        results = run_many(lambda: create_protocol("two-phase-commit"), specs)
-        assert [len(r.participants) for r in results] == [2, 3]
 
 
 class TestResultProperties:

@@ -6,10 +6,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core import messages as m
-from repro.core.fsa import MASTER_ROLE, SLAVE_ROLE
+from repro.core.catalog import three_phase_commit
 from repro.core.relation import UNDELIVERABLE
-from repro.protocols.fsa_role import FSARole
-from repro.protocols.registry import create_protocol
+from repro.protocols.plan import Extension
+from repro.protocols.registry import Protocol, create_protocol
 from repro.protocols.runner import ScenarioSpec, run_scenario
 from repro.sim.latency import PerLinkLatency
 from repro.sim.partition import PartitionSchedule
@@ -213,16 +213,11 @@ class TestAblations:
             plan, relation=dataclasses.replace(plan.relation, slave=slave)
         )
 
-        class NoWToC:
-            name = "no-w-to-c"
+        class NoWToC(Protocol):
+            def plan(self, n_sites):
+                return ablated
 
-            def coordinator(self, ctx):
-                return FSARole(ctx, ablated, MASTER_ROLE)
-
-            def participant(self, ctx):
-                return FSARole(ctx, ablated, SLAVE_ROLE)
-
-        protocol = NoWToC()
+        protocol = NoWToC("no-w-to-c", three_phase_commit, Extension.TERMINATION)
         latency = PerLinkLatency(1.0, {(1, 4): 1.5})
         partition = PartitionSchedule.simple(3.7, [1, 2], [3, 4])
         result = run_scenario(

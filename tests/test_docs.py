@@ -97,3 +97,28 @@ def test_a_deleted_file_in_a_doc_fails_the_check(tmp_path):
         "src/repro/gone.py",
     ]
     assert "doc.md:1" in missing[0] and "doc.md:4" in missing[1]
+
+
+def test_documented_names_resolve():
+    assert CHECKER.unresolved_names() == []
+
+
+def test_a_stale_name_in_a_doc_fails_the_check(tmp_path):
+    doc = tmp_path / "doc.md"
+    doc.write_text(
+        "Rows live in `repro.protocols.registry.Protocol` and plans in "
+        "`repro.protocols.plan.compiled_plan`; `repro.sim.kernel.Simulator.run` "
+        "is an attribute chain.\n"
+        "Stale: `repro.protocols.two_phase.TwoPhaseCommit`, "
+        "`repro.protocols.base.RoleBase` and `repro.gone`.\n"
+        "```python\n"
+        "import repro.protocols.two_phase  # fenced blocks are check 2's\n"
+        "```\n"
+    )
+    unresolved = CHECKER.unresolved_names([doc])
+    assert [entry.split(": ")[1] for entry in unresolved] == [
+        "repro.protocols.two_phase.TwoPhaseCommit",
+        "repro.protocols.base.RoleBase",
+        "repro.gone",
+    ]
+    assert all("doc.md:2" in entry for entry in unresolved)

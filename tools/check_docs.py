@@ -14,11 +14,13 @@ Four checks, all enforced by CI (and by ``tests/test_docs.py``):
    the docs, the verify skill, the CI workflow and the ``__main__`` usage
    docstring must *parse* with the real CLI parser (nothing is run), so a
    doc or workflow naming a removed flag fails here, not on a reader.
-4. **Documented paths** -- every repo-relative path (``tools/...``,
-   ``bench/...``, ``benchmarks/...``, ``src/...``, ``docs/...``,
-   ``tests/...``) inside back-ticks or a fenced block of ``README.md``,
-   ``docs/*.md`` and the verify skill must exist on disk, so a doc naming a
-   deleted file fails here too.
+4. **Documented paths and names** -- every repo-relative path
+   (``tools/...``, ``bench/...``, ``benchmarks/...``, ``src/...``,
+   ``docs/...``, ``tests/...``) inside back-ticks or a fenced block of
+   ``README.md``, ``docs/*.md`` and the verify skill must exist on disk, and
+   every back-ticked dotted name (``repro.a.b`` or ``repro.a.b.attr``) there
+   must import and resolve, so a doc naming a deleted file, module or class
+   fails here too.
 
 Run directly::
 
@@ -29,6 +31,8 @@ from __future__ import annotations
 
 import ast
 import contextlib
+import functools
+import importlib
 import io
 import itertools
 import os
@@ -53,6 +57,7 @@ _COMMAND = "python -m repro "
 _REPO_PATH = re.compile(
     r"(?<![\w/.-])(?:tools|bench|benchmarks|src|docs|tests)/[\w./*-]*"
 )
+_DOTTED_NAME = re.compile(r"(?<![\w/.-])repro(?:\.\w+)+")
 
 
 def missing_docstrings(root: pathlib.Path = SOURCE_ROOT) -> list[str]:
@@ -167,6 +172,22 @@ def check_cli_commands(paths=COMMAND_PATHS) -> list[str]:
     return failures
 
 
+def _code_spans(paths):
+    """Yield ``(where, span, fenced)`` for every inline back-ticked span and
+    every fenced-block line of ``paths``; ``where`` is ``file:line``."""
+    for path in paths:
+        if not path.exists():
+            continue
+        fenced = False
+        for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
+            if line.strip().startswith("```"):
+                fenced = not fenced
+                continue
+            where = f"{os.path.relpath(path, REPO_ROOT)}:{number}"
+            for span in [line] if fenced else re.findall(r"`([^`]+)`", line):
+                yield where, span, fenced
+
+
 def missing_paths(paths=(*DOC_PATHS, VERIFY_SKILL)) -> list[str]:
     """``file:line: path`` for every documented repo path that is not on disk.
 
@@ -176,24 +197,48 @@ def missing_paths(paths=(*DOC_PATHS, VERIFY_SKILL)) -> list[str]:
     ``<placeholder>`` is a pattern, not a path, and is skipped.
     """
     missing = []
-    for path in paths:
-        if not path.exists():
-            continue
-        fenced = False
-        for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
-            if line.strip().startswith("```"):
-                fenced = not fenced
+    for where, span, _ in _code_spans(paths):
+        for match in _REPO_PATH.finditer(span):
+            if span[match.end() : match.end() + 1] == "<":
                 continue
-            for span in [line] if fenced else re.findall(r"`([^`]+)`", line):
-                for match in _REPO_PATH.finditer(span):
-                    if span[match.end() : match.end() + 1] == "<":
-                        continue
-                    target = match.group().rstrip(".:")
-                    if not any(REPO_ROOT.glob(target)):
-                        missing.append(
-                            f"{os.path.relpath(path, REPO_ROOT)}:{number}: {target}"
-                        )
+            target = match.group().rstrip(".:")
+            if not any(REPO_ROOT.glob(target)):
+                missing.append(f"{where}: {target}")
     return missing
+
+
+def resolves(name: str) -> bool:
+    """Whether dotted ``name`` resolves: its longest importable module
+    prefix imports, and the rest are attributes down from it."""
+    parts = name.split(".")
+    for cut in range(len(parts), 0, -1):
+        module = ".".join(parts[:cut])
+        try:
+            target = importlib.import_module(module)
+        except ModuleNotFoundError as exc:
+            # Only a missing prefix of ``name`` itself means "try shorter";
+            # a module failing to import one of its own dependencies is broken.
+            if exc.name is not None and f"{module}.".startswith(f"{exc.name}."):
+                continue
+            return False
+        try:
+            functools.reduce(getattr, parts[cut:], target)
+        except AttributeError:
+            return False
+        return True
+    return False
+
+
+def unresolved_names(paths=(*DOC_PATHS, VERIFY_SKILL)) -> list[str]:
+    """``file:line: name`` for every back-ticked ``repro.…`` dotted name in
+    ``paths`` that does not import and resolve (fenced blocks are check 2's)."""
+    return [
+        f"{where}: {name}"
+        for where, span, fenced in _code_spans(paths)
+        if not fenced
+        for name in _DOTTED_NAME.findall(span)
+        if not resolves(name)
+    ]
 
 
 def main() -> int:
@@ -237,6 +282,15 @@ def main() -> int:
             print(f"  {entry}")
     else:
         print("paths: every documented repo path exists")
+
+    unresolved = unresolved_names()
+    if unresolved:
+        status = 1
+        print(f"{len(unresolved)} documented name(s) do not resolve:")
+        for entry in unresolved:
+            print(f"  {entry}")
+    else:
+        print("names: every documented repro.* name resolves")
     return status
 
 
