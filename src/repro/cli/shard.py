@@ -99,7 +99,7 @@ def add_shard_parsers(sub) -> None:
         description=(
             "Read the sealed segments of a 'repro shard' result log, "
             "restore global task order, and fold every summary exactly "
-            "once through the registered spec kinds' aggregation sinks.  "
+            "once through each spec kind's default aggregation sink.  "
             "The resulting tables (and the optional --jsonl spill) are "
             "byte-identical to a single-machine streaming run of the whole "
             "grid."

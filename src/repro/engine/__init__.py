@@ -18,10 +18,11 @@ sweeps run in O(sinks) memory.  :mod:`~repro.engine.refine` adds adaptive
 onset-boundary refinement on top: coarse scan, then bisection of only the
 intervals where the verdict class flips.
 
-Scenario families are open: :mod:`~repro.engine.registry` is a spec-kind
-registration point (spec dataclass + task executor + summary codec +
-default sink factory) the engine, cache, sinks and CLI all resolve
-through, so new spec types plug in with one ``register_spec_kind`` call.
+The engine runs three families of work -- single-transaction scenarios,
+contended workloads and exhaustive model checks -- and
+:mod:`~repro.engine.registry` is their fixed table of spec kinds (spec
+dataclass + task executor + summary codec + default sink factory, one row
+each) that the engine, cache, sinks and CLI all resolve through.
 :mod:`~repro.engine.resultlog` distributes a sweep across machines: a
 deterministic, content-addressed shard partition; shards that append
 atomically-sealed segments to a shared log directory (interrupted shards
@@ -46,7 +47,7 @@ from repro.engine.engine import (
 )
 from repro.engine.grid import ScenarioGrid, SweepTask, tasks_from_specs
 from repro.engine.hashing import spec_hash
-from repro.engine.measures import MEASURES, register_measure
+from repro.engine.measures import MEASURES
 from repro.engine.refine import (
     Boundary,
     OnsetLine,
@@ -62,9 +63,7 @@ from repro.engine.registry import (
     kind_for_payload,
     kind_for_spec,
     kind_for_tag,
-    register_spec_kind,
     registered_kinds,
-    unregister_spec_kind,
 )
 from repro.engine.resultlog import (
     InjectedMergeCrash,
@@ -136,8 +135,6 @@ __all__ = [
     "merge_result_log",
     "read_jsonl",
     "read_segment",
-    "register_measure",
-    "register_spec_kind",
     "registered_kinds",
     "run_shard_log",
     "shard_of",
@@ -146,7 +143,6 @@ __all__ = [
     "spec_hash",
     "summary_from_json_dict",
     "tasks_from_specs",
-    "unregister_spec_kind",
     "verdict_class",
     "verdict_class_with_bound",
 ]

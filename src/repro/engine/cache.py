@@ -46,12 +46,12 @@ class CacheEntryError(ValueError):
 class ResultCache:
     """A directory of canonical-JSON summary records.
 
-    Stores the summary records of every registered spec kind (the entry's
+    Stores the summary records of all three spec kinds (the entry's
     ``kind`` tag selects the codec through
     :mod:`repro.engine.registry` -- single-transaction :class:`RunSummary`
-    records, concurrent-workload throughput records, and any kind
-    registered later); the key space is shared because the spec hash
-    covers the spec's dataclass name.
+    records, concurrent-workload throughput records and model-check
+    records); the key space is shared because the spec hash covers the
+    spec's dataclass name.
     """
 
     def __init__(self, root: Union[str, os.PathLike]) -> None:

@@ -51,7 +51,7 @@ from typing import Any, Iterable, Iterator, Optional, Sequence, Union
 from repro.engine.cache import ResultCache
 from repro.engine.grid import ScenarioGrid, SweepTask
 from repro.engine.measures import resolve_measures
-from repro.engine.registry import kind_for_spec, registry_generation
+from repro.engine.registry import kind_for_spec
 from repro.engine.sink import SummarySink
 from repro.engine.summary import RunSummary, summary_from_json_bytes
 from repro.obs.metrics import MetricsRegistry, activate, get_active, set_active
@@ -83,14 +83,15 @@ def execute_task(
 ):
     """Run one task and reduce it to a summary (used by the workers).
 
-    The spec's type selects a registered spec kind
+    The spec's type selects a row of the spec-kind table
     (:mod:`repro.engine.registry`) whose executor runs the task: a
     :class:`~repro.protocols.runner.ScenarioSpec` runs one transaction and
     yields a :class:`~repro.engine.summary.RunSummary`; a
     :class:`~repro.txn.runner.ThroughputSpec` runs the concurrent-workload
-    scheduler and yields a :class:`~repro.txn.summary.ThroughputSummary`;
-    any other registered kind runs its own executor.  The engine itself
-    never names a concrete spec type.
+    scheduler and yields a :class:`~repro.txn.summary.ThroughputSummary`; a
+    :class:`~repro.modelcheck.spec.ModelCheckSpec` explores a state graph
+    and yields a :class:`~repro.modelcheck.summary.ModelCheckSummary`.  The
+    engine itself never names a concrete spec type.
     """
     kind = kind_for_spec(spec)
     return kind.execute(protocol, spec, spec_hash=spec_hash, measures=measures)
@@ -237,13 +238,13 @@ class SweepEngine:
 
     At ``workers > 1`` the engine owns one warm process pool, forked by the
     first batch with two or more uncached tasks and reused by every later
-    ``run`` / ``run_streaming`` / ``stream`` / ``iter_summaries`` call.
+    ``run`` / ``run_streaming`` / ``stream`` call.
     :meth:`close` (or ``with SweepEngine(...) as engine:``) stops the
     workers; an engine that is never closed releases them when it is
     garbage-collected.  A pool that can no longer be trusted -- a worker
-    died, a consumer abandoned a stream with chunks outstanding, a spec kind
-    or measure was registered since the fork -- is discarded and the next
-    batch forks a fresh one.
+    died, a consumer abandoned a stream with chunks outstanding, the engine
+    was inherited across a fork -- is discarded and the next batch forks a
+    fresh one.
 
     Args:
         workers: process count; ``1`` means a deterministic in-process loop.
@@ -296,9 +297,9 @@ class SweepEngine:
             mp_context = multiprocessing.get_context("fork")
         self._mp_context = mp_context
         self._pool: Optional[ProcessPoolExecutor] = None
-        # (forking pid, registry generation at the fork): the pool is reused
-        # only while both still hold.
-        self._pool_key: tuple[int, int] = (0, 0)
+        # The pid that forked the pool: a pool inherited across a fork of
+        # this process is never reused.
+        self._pool_pid = 0
         self._pool_finalizer: Optional[weakref.finalize] = None
 
     # ------------------------------------------------------------------
@@ -335,14 +336,6 @@ class SweepEngine:
             chunk_count=stats.chunk_count,
             elapsed=time.perf_counter() - started,
         )
-
-    def iter_summaries(
-        self, tasks: TaskBatch, *, measures: Sequence[str] = ()
-    ) -> Iterator[tuple[int, RunSummary]]:
-        """Stream ``(task index, summary)`` pairs, in task order."""
-        task_list = self._materialize(tasks)
-        stats = StreamStats(workers=self.workers)
-        yield from self._stream_ordered(task_list, measures, stats)
 
     def run_streaming(
         self,
@@ -426,10 +419,9 @@ class SweepEngine:
     # ------------------------------------------------------------------
     def _warm_pool(self) -> ProcessPoolExecutor:
         """The engine's pool, forked now unless a trusted one is running."""
-        key = (os.getpid(), registry_generation())
-        if self._pool is not None and self._pool_key != key:
-            # Forked before a registration its workers cannot see (or
-            # inherited across a fork of this process): start over.
+        pid = os.getpid()
+        if self._pool is not None and self._pool_pid != pid:
+            # Inherited across a fork of this process: start over.
             self.close()
         if self._pool is None:
             # Workers outlive the run that forked them, so they must not keep
@@ -441,10 +433,8 @@ class SweepEngine:
                 initargs=(None,),
             )
             self._pool = pool
-            self._pool_key = key
-            self._pool_finalizer = weakref.finalize(
-                self, _release_pool, pool, os.getpid()
-            )
+            self._pool_pid = pid
+            self._pool_finalizer = weakref.finalize(self, _release_pool, pool, pid)
         return self._pool
 
     @staticmethod

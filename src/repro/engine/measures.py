@@ -6,7 +6,8 @@ must be computed *inside* the worker and returned as plain JSON-able data in
 :attr:`RunSummary.metrics <repro.engine.summary.RunSummary.metrics>`.
 
 Measures are referenced *by name* in sweep tasks (names pickle; closures do
-not).  Each measure maps a full
+not), and :data:`MEASURES` is the fixed table of the four names.  Each
+measure maps a full
 :class:`~repro.protocols.runner.TransactionRunResult` to a JSON-able value;
 site-keyed mappings use string keys so cached and fresh summaries compare
 equal after a JSON round-trip.
@@ -22,25 +23,38 @@ from repro.analysis.timing import (
     measure_wait_after_timeout_in_p,
     measure_wait_after_timeout_in_w,
 )
-from repro.engine.registry import bump_registry_generation
 from repro.protocols.runner import TransactionRunResult
 
 Measure = Callable[[TransactionRunResult], Any]
 
-MEASURES: dict[str, Measure] = {}
+
+def _measure_probe_window(result: TransactionRunResult) -> dict[str, Any]:
+    """Fig. 6: UD(prepare) -> last probe gap, plus whether a window opened."""
+    return {
+        "gap": measure_master_probe_window(result),
+        "window_open": result.trace.first("probe-window-open") is not None,
+    }
 
 
-def register_measure(name: str) -> Callable[[Measure], Measure]:
-    """Decorator registering a measure under ``name``."""
+def _measure_wait_in_w(result: TransactionRunResult) -> dict[str, float]:
+    """Fig. 7: per-slave wait from a timeout in ``w`` to the decision."""
+    waits = measure_wait_after_timeout_in_w(result)
+    return {str(site): wait for site, wait in sorted(waits.items())}
 
-    def _register(fn: Measure) -> Measure:
-        if name in MEASURES:
-            raise ValueError(f"measure {name!r} already registered")
-        MEASURES[name] = fn
-        bump_registry_generation()
-        return fn
 
-    return _register
+def _measure_wait_in_p(result: TransactionRunResult) -> dict[str, float]:
+    """Fig. 9: per-slave wait from a timeout in ``p`` to the decision."""
+    waits = measure_wait_after_timeout_in_p(result)
+    return {str(site): wait for site, wait in sorted(waits.items())}
+
+
+#: The four trace measures, by the name a sweep task carries.
+MEASURES: dict[str, Measure] = {
+    "timeouts": measure_protocol_timeouts,  # Fig. 5
+    "probe_window": _measure_probe_window,
+    "wait_in_w": _measure_wait_in_w,
+    "wait_in_p": _measure_wait_in_p,
+}
 
 
 def resolve_measures(names: Iterable[str]) -> tuple[str, ...]:
@@ -55,32 +69,3 @@ def resolve_measures(names: Iterable[str]) -> tuple[str, ...]:
 def apply_measures(result: TransactionRunResult, names: Iterable[str]) -> dict[str, Any]:
     """Evaluate the named measures against one run."""
     return {name: MEASURES[name](result) for name in names}
-
-
-@register_measure("timeouts")
-def _measure_timeouts(result: TransactionRunResult) -> dict[str, Any]:
-    """Fig. 5: master round-trip and slave inter-command waits."""
-    return measure_protocol_timeouts(result)
-
-
-@register_measure("probe_window")
-def _measure_probe_window(result: TransactionRunResult) -> dict[str, Any]:
-    """Fig. 6: UD(prepare) -> last probe gap, plus whether a window opened."""
-    return {
-        "gap": measure_master_probe_window(result),
-        "window_open": result.trace.first("probe-window-open") is not None,
-    }
-
-
-@register_measure("wait_in_w")
-def _measure_wait_in_w(result: TransactionRunResult) -> dict[str, float]:
-    """Fig. 7: per-slave wait from a timeout in ``w`` to the decision."""
-    waits = measure_wait_after_timeout_in_w(result)
-    return {str(site): wait for site, wait in sorted(waits.items())}
-
-
-@register_measure("wait_in_p")
-def _measure_wait_in_p(result: TransactionRunResult) -> dict[str, float]:
-    """Fig. 9: per-slave wait from a timeout in ``p`` to the decision."""
-    waits = measure_wait_after_timeout_in_p(result)
-    return {str(site): wait for site, wait in sorted(waits.items())}

@@ -4,7 +4,7 @@ A sweep that outgrows one machine splits into *shards*: deterministic
 slices of the task list that any number of machines (or CI jobs) run
 independently, each appending its results to a shared log directory.
 :func:`merge_result_log` then folds the log -- in global task order --
-through the registered spec kinds' aggregation sinks, producing aggregates
+through each spec kind's default aggregation sink, producing aggregates
 (and an optional merged JSONL spill) **byte-identical** to a single-machine
 streaming run of the whole task list.  The sealed segment is the only
 on-disk result unit; producer and consumer follow the outbox /
@@ -28,7 +28,7 @@ commit-offset pattern:
   sealed record yet -- a killed shard restarts from its last sealed
   segment instead of from scratch, with or without a result cache.
 * **Consumer offsets.**  :func:`merge_result_log` folds records in global
-  task order through the registered spec-kind sinks (the exact fold of a
+  task order through each spec kind's default sink (the exact fold of a
   single-machine streaming run) and commits a :class:`MergeCursor`
   checkpoint -- records folded, merged-JSONL byte offset, a rolling hash
   of the folded prefix, and per ``(shard, segment)`` consumed offsets --
@@ -44,10 +44,10 @@ commit-offset pattern:
   hashes (shards run against different grids) is rejected with an error
   naming the index.
 
-Every spec kind registered with :mod:`repro.engine.registry` shards, logs
-and merges with no code here changing -- sweep, throughput and modelcheck
-grids share one record framing; the CI pipeline's matrix-sharded sweep is
-the first multi-machine consumer.
+All three spec kinds of :mod:`repro.engine.registry` shard, log and merge
+through the same code -- sweep, throughput and modelcheck grids share one
+record framing; the CI pipeline's matrix-sharded sweep is the first
+multi-machine consumer.
 """
 
 from __future__ import annotations
@@ -65,7 +65,7 @@ from typing import Any, IO, Mapping, Optional, Sequence, Union
 from repro.core.canonical import canonical_json_bytes
 from repro.engine.engine import StreamStats, SweepEngine, TaskBatch
 from repro.engine.grid import SweepTask
-from repro.engine.registry import kind_for_payload
+from repro.engine.registry import SpecKind, kind_for_payload
 from repro.engine.sink import SummarySink
 from repro.obs.metrics import COUNT_BUCKETS, activate, get_active as _active_metrics
 
@@ -679,9 +679,9 @@ class MergeCursor:
 class MergeResult:
     """The outcome of folding a result log back together.
 
-    ``kind_sinks`` maps each spec kind seen in the log to its registered
-    default sink, fully folded in global task order -- the same aggregates
-    a single-machine streaming run of the whole task list would leave.
+    ``kind_sinks`` maps each spec kind seen in the log to its default
+    sink, fully folded in global task order -- the same aggregates a
+    single-machine streaming run of the whole task list would leave.
     ``shard_records`` counts, per shard present in the log, the records it
     contributed to the fold (duplicates count for the shard sealed first).
     """
@@ -700,14 +700,34 @@ class MergeResult:
 
 
 def _fold_hash_prefix(
-    order: Sequence[int], merged: Mapping[int, Mapping[str, Any]], count: int
+    order: Sequence[int], merged: Mapping[int, tuple[Any, ...]], count: int
 ) -> str:
     """The rolling hash of the first ``count`` records of the fold order."""
     digest = hashlib.sha256()
     for index in order[:count]:
-        spec_hash = merged[index].get("spec_hash")
+        spec_hash = merged[index][0]
         digest.update(f"{index}:{spec_hash}\n".encode("utf-8"))
     return digest.hexdigest()
+
+
+def _decode_record(
+    path: pathlib.Path, index: int, payload: Mapping[str, Any]
+) -> tuple[SpecKind, Any]:
+    """Decode one sealed record to its kind and summary.
+
+    The error names the segment file, the task index and the fault in the
+    result cache's words (missing field / malformed field).  A record of an
+    unknown kind raises :class:`~repro.engine.registry.UnknownSpecKindError`
+    naming its tag.
+    """
+    kind = kind_for_payload(payload)
+    try:
+        return kind, kind.decode(payload)
+    except KeyError as exc:
+        fault = f"missing field {exc}"
+    except (AttributeError, TypeError, ValueError) as exc:
+        fault = f"malformed field: {exc}"
+    raise ResultLogError(f"{path}: task index {index}: {fault}")
 
 
 def merge_result_log(
@@ -726,8 +746,8 @@ def merge_result_log(
     Records from every sealed segment are deduplicated by ``(global task
     index, spec hash)`` -- late or re-run shards fold exactly once; the same
     index under two *different* spec hashes is an error -- then sorted by
-    global index and folded through (a) the registered default sink of each
-    record's spec kind, (b) every sink in ``sinks``, and (c) the optional
+    global index and folded through (a) the default sink of each record's
+    spec kind, (b) every sink in ``sinks``, and (c) the optional
     merged JSONL spill whose bytes equal a single-machine
     :class:`~repro.engine.sink.JsonlSink` spill of the same task list.
 
@@ -760,9 +780,11 @@ def merge_result_log(
     if not by_shard:
         raise ResultLogError(f"{log_dir}: no sealed segments to merge")
 
-    # Scan: read every sealed segment, dedup records exactly-once.
+    # Scan: read every sealed segment, decode every record, dedup
+    # exactly-once.
     first_header: Optional[SegmentHeader] = None
-    merged: dict[int, dict[str, Any]] = {}
+    # index -> (spec hash, kind, summary)
+    merged: dict[int, tuple[Any, SpecKind, Any]] = {}
     source: dict[int, tuple[int, int]] = {}  # index -> (shard, segment)
     shard_records: dict[int, int] = {}
     deduped = 0
@@ -791,12 +813,12 @@ def merge_result_log(
                 )
             segment_count += 1
             for index, payload in records:
-                # An unregistered kind fails here, before the fold has
-                # written or committed anything.
-                kind_for_payload(payload)
+                # An unknown kind or a record that does not decode fails
+                # here, before the fold has written or committed anything.
+                kind, summary = _decode_record(path, index, payload)
+                current = payload.get("spec_hash")
                 if index in merged:
-                    previous = merged[index].get("spec_hash")
-                    current = payload.get("spec_hash")
+                    previous = merged[index][0]
                     if previous != current:
                         raise ResultLogError(
                             f"{path}: task index {index} re-sealed with a "
@@ -806,7 +828,7 @@ def merge_result_log(
                         )
                     deduped += 1
                     continue
-                merged[index] = payload
+                merged[index] = (current, kind, summary)
                 source[index] = (shard_index, segment_index)
                 shard_records[shard_index] += 1
 
@@ -936,14 +958,11 @@ def merge_result_log(
     fold_started = time.perf_counter()
     try:
         for position, index in enumerate(order):
-            payload = merged[index]
-            kind = kind_for_payload(payload)
-            summary = kind.decode(payload)
-            if kind.name not in kind_sinks and kind.make_sink is not None:
-                kind_sinks[kind.name] = kind.make_sink()
+            spec_hash, kind, summary = merged[index]
             sink = kind_sinks.get(kind.name)
-            if sink is not None:
-                sink.accept(index, summary)
+            if sink is None:
+                sink = kind_sinks[kind.name] = kind.make_sink()
+            sink.accept(index, summary)
             for extra_sink in extra:
                 extra_sink.accept(index, summary)
             shard_index, segment_index = source[index]
@@ -951,9 +970,7 @@ def merge_result_log(
             offsets[str(shard_index)][str(segment_index)] = (
                 offsets[str(shard_index)].get(str(segment_index), 0) + 1
             )
-            digest.update(
-                f"{index}:{payload.get('spec_hash')}\n".encode("utf-8")
-            )
+            digest.update(f"{index}:{spec_hash}\n".encode("utf-8"))
             folded += 1
             if position < replay_count:
                 # Replay of the committed prefix: sink state only, the

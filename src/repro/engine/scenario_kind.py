@@ -1,22 +1,25 @@
-"""Registration of the single-transaction scenario kind.
+"""The single-transaction scenario kind: one row of the spec-kind table.
 
 The original (and JSON-untagged) spec kind: one
 :class:`~repro.protocols.runner.ScenarioSpec` runs one transaction through
 one commit protocol and reduces to a
-:class:`~repro.engine.summary.RunSummary`.  Trace-derived measures apply to
-this kind only (the other kinds never build a per-run trace).
+:class:`~repro.engine.summary.RunSummary` (Theorem 9, Figs. 5-9 and
+Sec. 6).  Trace-derived measures apply to this kind only (the other kinds
+never build a per-run trace).
 
-Imported lazily by :mod:`repro.engine.registry` (it is listed in
-``BUILTIN_KIND_PROVIDERS``), so importing the registry never drags in the
-protocol stack until a lookup actually happens.
+:mod:`repro.engine.registry` imports this module on its first lookup, so
+importing the registry never drags in the protocol stack until a lookup
+actually happens.
 """
 
 from __future__ import annotations
 
 from typing import Sequence
 
+from repro.engine.grid import SweepTask
 from repro.engine.measures import apply_measures
-from repro.engine.registry import SpecKind, register_spec_kind
+from repro.engine.registry import SpecKind
+from repro.engine.sink import VerdictCounterSink
 from repro.engine.summary import RunSummary
 from repro.protocols.registry import create_protocol
 from repro.protocols.runner import ScenarioSpec, run_scenario
@@ -47,29 +50,14 @@ def _execute(
     )
 
 
-def _make_sink():
-    """The kind's default aggregate: per-protocol verdict counts."""
-    from repro.engine.sink import VerdictCounterSink
-
-    return VerdictCounterSink()
-
-
-def _sample_task():
-    """One fast, failure-free scenario (for the conformance suite)."""
-    from repro.engine.grid import SweepTask
-
-    return SweepTask(protocol="two-phase-commit", spec=ScenarioSpec(n_sites=3))
-
-
-SCENARIO_KIND = register_spec_kind(
-    SpecKind(
-        name="scenario",
-        spec_type=ScenarioSpec,
-        summary_type=RunSummary,
-        execute=_execute,
-        decode=RunSummary.from_json_dict,
-        json_tag=None,  # the legacy untagged payload format
-        make_sink=_make_sink,
-        sample_task=_sample_task,
-    )
+SCENARIO_KIND = SpecKind(
+    name="scenario",
+    spec_type=ScenarioSpec,
+    summary_type=RunSummary,
+    execute=_execute,
+    decode=RunSummary.from_json_dict,
+    json_tag=None,  # the legacy untagged payload format
+    make_sink=VerdictCounterSink,  # per-protocol verdict counts
+    # One fast, failure-free scenario (for the conformance suite).
+    sample_task=lambda: SweepTask("two-phase-commit", ScenarioSpec(n_sites=3)),
 )

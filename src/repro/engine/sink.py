@@ -244,9 +244,9 @@ class JsonlSink(SummarySink):
 def read_jsonl(path: Union[str, os.PathLike]) -> Iterator[RunSummary]:
     """Stream the summaries back out of a :class:`JsonlSink` spill file.
 
-    Each line's ``kind`` tag selects the registered spec kind
+    Each line's ``kind`` tag selects the spec kind
     (:mod:`repro.engine.registry`) whose codec rebuilds the record, so a
-    spill can mix any set of registered summary types.
+    spill can mix the summary types of all three kinds.
     """
     with open(path, "rb") as handle:
         for line in handle:

@@ -9,7 +9,7 @@ of the heavyweight state (trace, database sites, role objects), so it
 crosses process boundaries and serializes to canonical JSON for the on-disk
 cache.  It is also the only type that defines the run verdicts.
 
-:func:`summary_from_json_dict` decodes any registered kind's record by the
+:func:`summary_from_json_dict` decodes any spec kind's record by the
 payload's ``kind`` tag.
 """
 
@@ -27,12 +27,11 @@ __all__ = ["RunSummary", "summary_from_json_bytes", "summary_from_json_dict"]
 def summary_from_json_dict(payload: Mapping[str, Any]):
     """Rebuild whichever summary record ``payload`` encodes.
 
-    The payload's ``kind`` tag selects a registered spec kind
+    The payload's ``kind`` tag selects a row of the spec-kind table
     (:mod:`repro.engine.registry`) whose codec decodes it; untagged
     payloads are the scenario kind's legacy format.  The result cache and
     :func:`~repro.engine.sink.read_jsonl` both load through this function,
-    so every engine surface round-trips every registered record type --
-    including kinds registered after this module was imported.
+    so every engine surface round-trips every kind's record type.
     """
     return kind_for_payload(payload).decode(payload)
 

@@ -31,7 +31,6 @@ def run_availability_comparison(
     *,
     protocols: Sequence[str] = DEFAULT_PROTOCOLS,
     times: Optional[Iterable[float]] = None,
-    workers: Optional[int] = None,
 ) -> ExperimentReport:
     """Compare blocking / lock retention across protocols on the same sweep."""
     report = ExperimentReport(
@@ -50,7 +49,6 @@ def run_availability_comparison(
             sinks=(atomicity_sink, blocking_sink),
             n_sites=n_sites,
             times=times,
-            workers=workers,
         )
         blocking = blocking_sink.report
         atomicity = atomicity_sink.report

@@ -41,8 +41,8 @@ from dataclasses import replace
 from typing import Optional, Sequence
 
 from repro.analysis.atomicity import AtomicityReport, summarize_runs
-from repro.engine import SweepTask
-from repro.experiments.harness import ExperimentReport, get_engine
+from repro.engine import SweepEngine, SweepTask
+from repro.experiments.harness import ExperimentReport
 from repro.protocols.registry import available_protocols
 from repro.protocols.runner import ScenarioSpec
 from repro.sim.failures import (
@@ -216,7 +216,6 @@ def run_fault_survival(
     *,
     protocols: Optional[Sequence[str]] = None,
     seeds: Sequence[int] = DEFAULT_SEEDS,
-    workers: Optional[int] = None,
 ) -> ExperimentReport:
     """FAULTS -- the fault-class survival matrix, cross-checked exhaustively.
 
@@ -231,7 +230,7 @@ def run_fault_survival(
     tasks, spans = fault_survival_tasks(
         protocol_names, n_sites=n_sites, seeds=seeds
     )
-    summaries = get_engine(workers).run(tasks).summaries
+    summaries = SweepEngine().run(tasks).summaries
 
     survival: dict[tuple[str, str, bool], AtomicityReport] = {}
     for protocol, label, retransmit, start, end in spans:

@@ -10,19 +10,17 @@ exceed them; with every message taking exactly ``T`` they are tight).
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Sequence
 
 from repro.analysis.timing import TimingMeasurement
 from repro.core.termination import TerminationTimers
-from repro.engine import SweepTask
-from repro.experiments.harness import ExperimentReport, get_engine
+from repro.engine import SweepEngine, SweepTask
+from repro.experiments.harness import ExperimentReport
 from repro.protocols.runner import ScenarioSpec
 from repro.sim.latency import ConstantLatency, UniformLatency
 
 
-def run_fig5_timeouts(
-    site_counts: Sequence[int] = (3, 4, 6), *, workers: Optional[int] = None
-) -> ExperimentReport:
+def run_fig5_timeouts(site_counts: Sequence[int] = (3, 4, 6)) -> ExperimentReport:
     """Measure the Fig. 5 round-trip and inter-command waits."""
     report = ExperimentReport(
         experiment="FIG5",
@@ -45,7 +43,7 @@ def run_fig5_timeouts(
     ]
     # Streamed execution: summaries arrive in task order, one at a time, so
     # they pair with `cases` without materializing a result list.
-    sweep = get_engine(workers).stream(tasks, measures=("timeouts",))
+    sweep = SweepEngine().stream(tasks, measures=("timeouts",))
     measurements: list[TimingMeasurement] = []
     for (n_sites, label, latency), summary in zip(cases, sweep):
         timers = TerminationTimers(max_delay=latency.upper_bound)

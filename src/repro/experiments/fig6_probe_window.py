@@ -20,7 +20,6 @@ def run_fig6_probe_window(
     n_sites: int = 4,
     *,
     times: Optional[Iterable[float]] = None,
-    workers: Optional[int] = None,
 ) -> ExperimentReport:
     """Measure the worst observed UD(prepare) -> last probe gap."""
     report = ExperimentReport(
@@ -32,7 +31,6 @@ def run_fig6_probe_window(
         "terminating-three-phase-commit",
         n_sites=n_sites,
         times=list(times) if times is not None else None,
-        workers=workers,
         measures=("probe_window",),
     )
     worst = 0.0

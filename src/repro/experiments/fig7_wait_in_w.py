@@ -15,8 +15,8 @@ from typing import Iterable, Optional
 
 from repro.analysis.timing import TimingMeasurement
 from repro.core.termination import TerminationTimers
-from repro.engine import ScenarioGrid
-from repro.experiments.harness import ExperimentReport, get_engine
+from repro.engine import ScenarioGrid, SweepEngine
+from repro.experiments.harness import ExperimentReport
 from repro.protocols.runner import ScenarioSpec
 from repro.sim.latency import PerLinkLatency
 
@@ -25,7 +25,6 @@ def run_fig7_wait_in_w(
     n_sites: int = 4,
     *,
     times: Optional[Iterable[float]] = None,
-    workers: Optional[int] = None,
 ) -> ExperimentReport:
     """Measure the worst wait between a timeout in ``w`` and the decision."""
     report = ExperimentReport(
@@ -44,7 +43,7 @@ def run_fig7_wait_in_w(
         ),
     ]
     # Streamed: the fold below only ever holds one summary at a time.
-    sweep = get_engine(workers).stream(tasks, measures=("wait_in_w",))
+    sweep = SweepEngine().stream(tasks, measures=("wait_in_w",))
     worst = 0.0
     samples = 0
     timed_out_without_decision = 0

@@ -23,7 +23,6 @@ def run_termination_sweep(
     heal_after: Optional[float] = None,
     no_voter_options: Sequence[frozenset[int]] = (frozenset(),),
     protocol: str = "terminating-three-phase-commit",
-    workers: Optional[int] = None,
 ) -> AtomicityReport:
     """Sweep the terminating protocol and summarize atomicity / blocking.
 
@@ -39,14 +38,11 @@ def run_termination_sweep(
         times=times,
         heal_after=heal_after,
         no_voter_options=no_voter_options,
-        workers=workers,
     )
     return sink.report
 
 
-def run_fig8_termination(
-    site_counts: Sequence[int] = (3, 4, 5), *, workers: Optional[int] = None
-) -> ExperimentReport:
+def run_fig8_termination(site_counts: Sequence[int] = (3, 4, 5)) -> ExperimentReport:
     """The Theorem 9 resilience table across system sizes."""
     report = ExperimentReport(
         experiment="FIG8/THM9",
@@ -59,7 +55,6 @@ def run_fig8_termination(
             n_sites,
             times=times,
             no_voter_options=(frozenset(), frozenset({2})),
-            workers=workers,
         )
         summaries[n_sites] = summary
         report.table.append(

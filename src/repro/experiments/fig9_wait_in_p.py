@@ -21,7 +21,6 @@ def run_fig9_wait_in_p(
     n_sites: int = 4,
     *,
     times: Optional[Iterable[float]] = None,
-    workers: Optional[int] = None,
 ) -> ExperimentReport:
     """Measure the worst wait between a timeout in ``p`` and the decision."""
     report = ExperimentReport(
@@ -39,7 +38,6 @@ def run_fig9_wait_in_p(
         "terminating-three-phase-commit-no-transient",
         n_sites=n_sites,
         times=list(times) if times is not None else None,
-        workers=workers,
         measures=("wait_in_p",),
     )
     for summary in summaries:

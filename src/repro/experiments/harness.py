@@ -1,12 +1,11 @@
 """Shared machinery for the per-figure experiments.
 
 All sweep traffic funnels through the grid builders here and executes on
-the :class:`~repro.engine.SweepEngine` -- serially by default, across
-worker processes when ``workers > 1`` (or when ``REPRO_SWEEP_WORKERS`` is
-set).  The timing experiments (FIG5-FIG9) and the availability harness
-consume their sweeps through the engine's *streaming* surface
-(:func:`stream_protocol` / :func:`stream_protocol_sinks`): summaries are
-folded one at a time, in task order, and never materialized into a list.
+a serial :class:`~repro.engine.SweepEngine`.  The timing experiments
+(FIG5-FIG9) and the availability harness consume their sweeps through the
+engine's *streaming* surface (:func:`stream_protocol` /
+:func:`stream_protocol_sinks`): summaries are folded one at a time, in task
+order, and never materialized into a list.
 :func:`sweep_protocol` remains for callers that want the list.  Single
 diagnostic runs (:func:`run_once`) still return the full
 :class:`~repro.protocols.runner.TransactionRunResult` with its trace.
@@ -14,7 +13,6 @@ diagnostic runs (:func:`run_once`) still return the full
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Iterator, Optional, Sequence, Union
 
@@ -61,27 +59,6 @@ class ExperimentReport:
         return self.format()
 
 
-def default_workers() -> int:
-    """Worker count used when a sweep does not specify one.
-
-    Controlled by the ``REPRO_SWEEP_WORKERS`` environment variable
-    (default 1, i.e. the deterministic in-process path).
-    """
-    try:
-        return max(1, int(os.environ.get("REPRO_SWEEP_WORKERS", "1")))
-    except ValueError:
-        return 1
-
-
-def get_engine(
-    workers: Optional[int] = None, *, engine: Optional[SweepEngine] = None
-) -> SweepEngine:
-    """Resolve the engine for a sweep: explicit > worker count > env default."""
-    if engine is not None:
-        return engine
-    return SweepEngine(workers=workers if workers is not None else default_workers())
-
-
 def partition_grid(
     protocol_name: str,
     *,
@@ -105,8 +82,6 @@ def partition_grid(
 def sweep_protocol(
     protocol_name: str,
     *,
-    workers: Optional[int] = None,
-    engine: Optional[SweepEngine] = None,
     measures: Sequence[str] = (),
     **grid_kwargs: Any,
 ) -> list[RunSummary]:
@@ -116,14 +91,12 @@ def sweep_protocol(
     :func:`stream_protocol_sinks` for sweeps that should not.
     """
     grid = partition_grid(protocol_name, **grid_kwargs)
-    return get_engine(workers, engine=engine).run(grid, measures=measures).summaries
+    return SweepEngine().run(grid, measures=measures).summaries
 
 
 def stream_protocol(
     protocol_name: str,
     *,
-    workers: Optional[int] = None,
-    engine: Optional[SweepEngine] = None,
     measures: Sequence[str] = (),
     stats: Optional[StreamStats] = None,
     **grid_kwargs: Any,
@@ -134,23 +107,19 @@ def stream_protocol(
     iteration, so the sweep runs in constant memory regardless of grid size.
     """
     grid = partition_grid(protocol_name, **grid_kwargs)
-    return get_engine(workers, engine=engine).stream(grid, measures=measures, stats=stats)
+    return SweepEngine().stream(grid, measures=measures, stats=stats)
 
 
 def stream_protocol_sinks(
     protocol_name: str,
     *,
     sinks: Union[SummarySink, Sequence[SummarySink]],
-    workers: Optional[int] = None,
-    engine: Optional[SweepEngine] = None,
     measures: Sequence[str] = (),
     **grid_kwargs: Any,
 ) -> StreamStats:
     """Stream ``protocol_name``'s partition sweep into aggregation sinks."""
     grid = partition_grid(protocol_name, **grid_kwargs)
-    return get_engine(workers, engine=engine).run_streaming(
-        grid, sinks=sinks, measures=measures
-    )
+    return SweepEngine().run_streaming(grid, sinks=sinks, measures=measures)
 
 
 def run_once(protocol_name: str, spec: Optional[ScenarioSpec] = None, **overrides: Any) -> TransactionRunResult:

@@ -19,8 +19,8 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 from repro.core.reachability import FAILURE_FREE, FAULT_ENVELOPES
-from repro.engine.grid import SweepTask
-from repro.experiments.harness import ExperimentReport, get_engine
+from repro.engine import SweepEngine, SweepTask
+from repro.experiments.harness import ExperimentReport
 from repro.modelcheck.checker import check_model
 from repro.modelcheck.differential import cross_validate, sample_configs
 from repro.modelcheck.protocols import checkable_protocols
@@ -74,7 +74,7 @@ def run_modelcheck_verification(n_sites: int = 3) -> ExperimentReport:
         ),
     )
     tasks = modelcheck_tasks(checkable_protocols(), n_sites=n_sites)
-    summaries = get_engine().run(tasks).summaries
+    summaries = SweepEngine().run(tasks).summaries
 
     sink = ModelCheckSink()
     for index, summary in enumerate(summaries):

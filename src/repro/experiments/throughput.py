@@ -24,8 +24,8 @@ commit (`committed_after_retry`), draining the backlog the outage built
 up.
 
 The sweep axes are partition onset x offered load x read fraction per
-protocol; every grid point executes through the sweep engine (workers,
-result cache and streaming sinks all apply).
+protocol; every grid point executes through the sweep engine (result
+cache and streaming sinks all apply).
 """
 
 from __future__ import annotations
@@ -33,8 +33,8 @@ from __future__ import annotations
 from dataclasses import replace
 from typing import Iterable, Optional, Sequence
 
-from repro.engine import SweepTask
-from repro.experiments.harness import ExperimentReport, get_engine
+from repro.engine import SweepEngine, SweepTask
+from repro.experiments.harness import ExperimentReport
 from repro.txn.sink import ThroughputSink
 from repro.sim.failures import CrashSchedule, FaultPlan
 from repro.sim.partition import PartitionSchedule
@@ -163,7 +163,6 @@ def run_throughput_comparison(
     onset_fractions: Sequence[float] = (0.5,),
     heal_after: Optional[float] = 8.0,
     seeds: Iterable[int] = (0,),
-    workers: Optional[int] = None,
 ) -> ExperimentReport:
     """Compare goodput under a mid-run partition across protocols.
 
@@ -182,7 +181,7 @@ def run_throughput_comparison(
         seeds=list(seeds),
     )
     sink = ThroughputSink()
-    get_engine(workers).run_streaming(tasks, sinks=sink)
+    SweepEngine().run_streaming(tasks, sinks=sink)
     report = ExperimentReport(
         experiment="TPUT",
         title=(
@@ -244,7 +243,6 @@ def run_retry_recovery_comparison(
     heal_after: float = 8.0,
     crash: bool = True,
     seeds: Iterable[int] = (0,),
-    workers: Optional[int] = None,
 ) -> ExperimentReport:
     """RETRY -- open-loop retries and crash/recovery amplify the TPUT gap.
 
@@ -281,7 +279,7 @@ def run_retry_recovery_comparison(
             for task in tasks
         ]
     sink = ThroughputSink()
-    get_engine(workers).run_streaming(tasks, sinks=sink)
+    SweepEngine().run_streaming(tasks, sinks=sink)
     report = ExperimentReport(
         experiment="RETRY",
         title=(

@@ -9,9 +9,10 @@ global state graph, and reduces to a
 :class:`~repro.modelcheck.summary.ModelCheckSummary` with per-invariant
 verdicts and minimal counterexample traces.
 
-Because the kind registers through :mod:`repro.engine.registry` (listed in
-``BUILTIN_KIND_PROVIDERS``), exhaustive checking shards, caches, streams
-and merges exactly like the simulator grids, and
+Because the kind is a row of the spec-kind table in
+:mod:`repro.engine.registry` (defined in :mod:`repro.modelcheck.kind`),
+exhaustive checking shards, caches, streams and merges exactly like the
+simulator grids, and
 :mod:`repro.modelcheck.differential` cross-validates the two independent
 semantics -- exhaustive checker vs. event-driven simulator -- on identical
 configurations.

@@ -1,17 +1,17 @@
-"""Registration of the exhaustive model-checking kind.
+"""The exhaustive model-checking kind: one row of the spec-kind table.
 
 One :class:`~repro.modelcheck.spec.ModelCheckSpec` explores one protocol's
 global state graph under one fault envelope and reduces to a
 :class:`~repro.modelcheck.summary.ModelCheckSummary` (payloads tagged
-``"kind": "modelcheck"``).  Registering through the spec-kind registry is
-the whole point of the MODELCHECK design: exhaustive verification inherits
-the ``(spec-hash, seed)`` result cache, streaming sinks, JSONL spills and
-``repro shard`` / ``repro merge`` distribution with no engine changes.
+``"kind": "modelcheck"``), checking the claims of Secs. 2-3.  Being a row
+of the spec-kind table is the whole point of the MODELCHECK design:
+exhaustive verification inherits the ``(spec-hash, seed)`` result cache,
+streaming sinks, JSONL spills and ``repro shard`` / ``repro merge``
+distribution with no engine changes.
 
-Imported lazily by :mod:`repro.engine.registry` (it is listed in
-``BUILTIN_KIND_PROVIDERS``).  Trace measures do not apply -- the checker
-enumerates all executions at once, so there is no single event trace to
-measure.
+:mod:`repro.engine.registry` imports this module on its first lookup.
+Trace measures do not apply -- the checker enumerates all executions at
+once, so there is no single event trace to measure.
 """
 
 from __future__ import annotations
@@ -19,8 +19,10 @@ from __future__ import annotations
 import time
 from typing import Sequence
 
-from repro.engine.registry import SpecKind, register_spec_kind
+from repro.engine.grid import SweepTask
+from repro.engine.registry import SpecKind
 from repro.modelcheck.checker import check_model
+from repro.modelcheck.sink import ModelCheckSink
 from repro.modelcheck.spec import ModelCheckSpec
 from repro.modelcheck.summary import ModelCheckSummary
 from repro.obs.metrics import get_active as _active_metrics
@@ -60,32 +62,14 @@ def _execute(
     return summary
 
 
-def _make_sink():
-    """The kind's default aggregate: the ``repro modelcheck`` table."""
-    from repro.modelcheck.sink import ModelCheckSink
-
-    return ModelCheckSink()
-
-
-def _sample_task():
-    """One tiny exhaustive check (for the conformance suite)."""
-    from repro.engine.grid import SweepTask
-
-    return SweepTask(
-        protocol="two-phase-commit",
-        spec=ModelCheckSpec(n_sites=2),
-    )
-
-
-MODELCHECK_KIND = register_spec_kind(
-    SpecKind(
-        name="modelcheck",
-        spec_type=ModelCheckSpec,
-        summary_type=ModelCheckSummary,
-        execute=_execute,
-        decode=ModelCheckSummary.from_json_dict,
-        json_tag="modelcheck",
-        make_sink=_make_sink,
-        sample_task=_sample_task,
-    )
+MODELCHECK_KIND = SpecKind(
+    name="modelcheck",
+    spec_type=ModelCheckSpec,
+    summary_type=ModelCheckSummary,
+    execute=_execute,
+    decode=ModelCheckSummary.from_json_dict,
+    json_tag="modelcheck",
+    make_sink=ModelCheckSink,  # the ``repro modelcheck`` table
+    # One tiny exhaustive check (for the conformance suite).
+    sample_task=lambda: SweepTask("two-phase-commit", ModelCheckSpec(n_sites=2)),
 )

@@ -2,7 +2,7 @@
 
 :class:`ThroughputSink` lives with the throughput kind (not in
 :mod:`repro.engine.sink`) so the engine's sink module needs no knowledge of
-this package: the spec-kind registry hands the engine, the CLI and ``repro
+this package: the spec-kind table hands the engine, the CLI and ``repro
 merge`` this sink through the kind's ``make_sink`` factory.  It obeys the
 same sink invariants as every :class:`~repro.engine.sink.SummarySink`
 (task-order delivery, exactly-once, bounded state).

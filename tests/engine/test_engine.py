@@ -3,21 +3,17 @@ and for the engine-owned worker pool's lifecycle."""
 
 import faulthandler
 import gc
-import importlib
 import math
 import multiprocessing
 import os
-import sys
 import time
 from dataclasses import dataclass, field
 from typing import Any, Mapping, Optional
 
 import pytest
-from test_registry import ToySpec, toy_kind  # noqa: F401 - toy_kind is a fixture
 
 from repro.core.canonical import canonical_json_bytes
 from repro.engine import (
-    MEASURES,
     ResultCache,
     RunSummary,
     ScenarioGrid,
@@ -26,11 +22,8 @@ from repro.engine import (
     SweepEngine,
     SweepTask,
     WorkerCrashedError,
-    register_measure,
-    register_spec_kind,
     spec_hash,
     tasks_from_specs,
-    unregister_spec_kind,
 )
 from repro.obs.metrics import MetricsRegistry, activate, get_active
 from repro.obs.spans import SpanRecorder
@@ -232,14 +225,6 @@ class TestSweepEngine:
         with pytest.raises(KeyError, match="unknown protocol"):
             SweepEngine(workers=1).run([("not-a-protocol", ScenarioSpec())])
 
-    def test_iter_summaries_streams_indexed_results(self):
-        tasks = tasks_from_specs(
-            "two-phase-commit", [ScenarioSpec(seed=s) for s in range(4)]
-        )
-        seen = dict(SweepEngine(workers=1).iter_summaries(tasks))
-        assert sorted(seen) == [0, 1, 2, 3]
-        assert all(s.all_committed for s in seen.values())
-
     def test_result_stats_and_throughput(self):
         result = SweepEngine(workers=1).run(
             tasks_from_specs("two-phase-commit", [ScenarioSpec(seed=s) for s in range(3)])
@@ -303,8 +288,8 @@ def _execute_probe(protocol, spec, *, spec_hash, measures=()):
 
 
 @pytest.fixture
-def probe_kind():
-    register_spec_kind(
+def probe_kind(install_kind):
+    install_kind(
         SpecKind(
             name="probe",
             spec_type=ProbeSpec,
@@ -312,12 +297,10 @@ def probe_kind():
             execute=_execute_probe,
             decode=ProbeSummary.from_json_dict,
             json_tag="probe",
+            make_sink=SummarySink,
+            sample_task=lambda: probes([0])[0],
         )
     )
-    try:
-        yield
-    finally:
-        unregister_spec_kind("probe")
 
 
 @pytest.fixture(autouse=True)
@@ -342,57 +325,6 @@ def child_pids() -> set[int]:
 SCENARIOS = tasks_from_specs(
     "two-phase-commit", [ScenarioSpec(seed=s) for s in range(8)]
 )
-
-# A module that registers a spec kind (codec and all) when it is imported --
-# the only kind of late registration a spawned worker can ever see.
-LATE_KIND_MODULE = '''
-from dataclasses import dataclass, field
-
-from repro.core.canonical import canonical_json_bytes
-from repro.engine.registry import SpecKind, register_spec_kind
-
-
-@dataclass(frozen=True)
-class LateSpec:
-    value: int = 1
-    seed: int = 0
-
-
-@dataclass
-class LateSummary:
-    protocol: str
-    spec_hash: str
-    seed: int
-    doubled: int
-    metrics: dict = field(default_factory=dict)
-
-    def to_json_dict(self):
-        return {"kind": "late", **self.__dict__}
-
-    @classmethod
-    def from_json_dict(cls, payload):
-        return cls(**{k: v for k, v in payload.items() if k != "kind"})
-
-    def to_json_bytes(self):
-        return canonical_json_bytes(self.to_json_dict())
-
-
-def _execute(protocol, spec, *, spec_hash, measures=()):
-    return LateSummary(protocol, spec_hash, spec.seed, spec.value * 2)
-
-
-register_spec_kind(
-    SpecKind(
-        name="late",
-        spec_type=LateSpec,
-        summary_type=LateSummary,
-        execute=_execute,
-        decode=LateSummary.from_json_dict,
-        json_tag="late",
-    )
-)
-'''
-
 
 class TestWarmPool:
     """The pool belongs to the engine: forked once, reused, always released."""
@@ -500,42 +432,6 @@ class TestWarmPool:
         healthy = engine.run(probes(range(6)))
         assert [s.value for s in healthy] == list(range(6))
         engine.close()
-
-    def test_late_registrations_reach_forked_workers(self, request):
-        late = "late-measure"
-        with SweepEngine(workers=2, mp_context="fork") as engine:
-            engine.run(SCENARIOS)  # the pool is forked before either exists
-            request.getfixturevalue("toy_kind")
-            toys = [
-                SweepTask(protocol="noop", spec=ToySpec(value=v, seed=v))
-                for v in range(1, 7)
-            ]
-            assert [s.product for s in engine.run(toys)] == [2, 4, 6, 8, 10, 12]
-            register_measure(late)(lambda result: "seen")
-            try:
-                measured = engine.run(SCENARIOS, measures=(late,))
-            finally:
-                del MEASURES[late]
-            assert [s.metrics[late] for s in measured] == ["seen"] * len(SCENARIOS)
-
-    @pytest.mark.parametrize("context", ["fork", "spawn"])
-    def test_kind_imported_after_the_first_run_is_executable(
-        self, context, tmp_path, monkeypatch
-    ):
-        (tmp_path / "late_kind.py").write_text(LATE_KIND_MODULE)
-        monkeypatch.syspath_prepend(str(tmp_path))
-        with SweepEngine(workers=2, mp_context=context) as engine:
-            engine.run(SCENARIOS)
-            late_kind = importlib.import_module("late_kind")
-            try:
-                tasks = [
-                    SweepTask(protocol="noop", spec=late_kind.LateSpec(value=v, seed=v))
-                    for v in range(1, 5)
-                ]
-                assert [s.doubled for s in engine.run(tasks)] == [2, 4, 6, 8]
-            finally:
-                unregister_spec_kind("late")
-                del sys.modules["late_kind"]
 
     def test_workers_never_record_into_an_inherited_registry(self, probe_kind):
         outer = MetricsRegistry()

@@ -1,21 +1,22 @@
 """Spec-kind registry conformance: every kind honors the engine contracts.
 
-The parametrized conformance classes run against *every* registered kind
-(via its ``sample_task``), so a kind added later is automatically held to
+The parametrized conformance classes run against *every* kind in the table
+(via its ``sample_task``), so a row added later is automatically held to
 the same bar: summary->JSON->summary round trips byte-identically (the
 cache and shard-merge byte-identity guarantees depend on it), cache keys
 are stable across processes and pickling, and resolution failures name the
 offending kind.
 
-``TestToyThirdKind`` is the acceptance proof of the registry refactor: a
-third spec kind plugs into the engine, the result cache, the JSONL spill
-format and shard/merge with a single ``register_spec_kind`` call -- no
-edits to ``engine.py``, ``cache.py`` or ``sink.py``.
+``TestToyThirdKind`` runs a kind ``src/`` never names -- installed for one
+test by the ``install_kind`` fixture -- through the engine, the result
+cache, the JSONL spill format and shard/merge, so none of them special-cases
+the three built-in kinds.
 """
 
 import dataclasses
 import json
 import pickle
+import re
 from dataclasses import dataclass, field
 from typing import Any, Mapping
 
@@ -34,11 +35,9 @@ from repro.engine import (
     kind_for_tag,
     merge_result_log,
     read_jsonl,
-    register_spec_kind,
     registered_kinds,
     run_shard_log,
     summary_from_json_dict,
-    unregister_spec_kind,
 )
 from repro.engine.sink import SummarySink
 
@@ -47,7 +46,7 @@ KINDS = {kind.name: kind for kind in registered_kinds()}
 
 @pytest.fixture(scope="module")
 def sample_summaries(tmp_path_factory):
-    """One executed summary per registered kind (engine path, cold cache)."""
+    """One executed summary per kind (engine path, cold cache)."""
     summaries = {}
     for name, kind in KINDS.items():
         task = kind.sample_task()
@@ -129,13 +128,23 @@ class TestUnknownKindErrors:
         with pytest.raises(UnknownSpecKindError, match="mystery-kind"):
             kind_by_name("mystery-kind")
 
-    def test_unknown_tag_names_the_tag(self):
-        with pytest.raises(UnknownSpecKindError, match="mystery-tag"):
-            kind_for_tag("mystery-tag")
+    @pytest.mark.parametrize(
+        "tag",
+        ["mystery-tag", ["throughput"], {"kind": "throughput"}, 7, 1.5, True],
+        ids=["string", "list", "object", "int", "float", "bool"],
+    )
+    def test_unknown_tag_names_the_tag(self, tag):
+        with pytest.raises(UnknownSpecKindError, match=re.escape(repr(tag))):
+            kind_for_tag(tag)
 
-    def test_unknown_payload_names_the_tag(self):
-        with pytest.raises(UnknownSpecKindError, match="mystery-tag"):
-            summary_from_json_dict({"kind": "mystery-tag"})
+    @pytest.mark.parametrize(
+        "tag",
+        ["mystery-tag", ["throughput"], {"kind": "throughput"}, 7],
+        ids=["string", "list", "object", "number"],
+    )
+    def test_unknown_payload_names_the_tag(self, tag):
+        with pytest.raises(UnknownSpecKindError, match=re.escape(repr(tag))):
+            summary_from_json_dict({"kind": tag})
 
     def test_unknown_spec_type_names_the_type(self):
         with pytest.raises(UnknownSpecKindError, match="float"):
@@ -145,36 +154,9 @@ class TestUnknownKindErrors:
         with pytest.raises(UnknownSpecKindError, match="scenario"):
             kind_by_name("nope")
 
-    def test_unregistering_an_unknown_kind_errors(self):
-        with pytest.raises(UnknownSpecKindError, match="mystery-kind"):
-            unregister_spec_kind("mystery-kind")
-
-
-class TestRegistrationCollisions:
-    def test_duplicate_name_is_rejected(self):
-        existing = KINDS["scenario"]
-        with pytest.raises(ValueError, match="'scenario'"):
-            register_spec_kind(
-                dataclasses.replace(existing, spec_type=bytes, json_tag="dup-tag")
-            )
-
-    def test_duplicate_spec_type_is_rejected(self):
-        existing = KINDS["scenario"]
-        with pytest.raises(ValueError, match="ScenarioSpec"):
-            register_spec_kind(
-                dataclasses.replace(existing, name="dup-name", json_tag="dup-tag")
-            )
-
-    def test_duplicate_tag_is_rejected(self):
-        existing = KINDS["throughput"]
-        with pytest.raises(ValueError, match="'throughput'"):
-            register_spec_kind(
-                dataclasses.replace(existing, name="dup-name", spec_type=bytes)
-            )
-
 
 # ----------------------------------------------------------------------
-# The toy third kind: the registry's acceptance criterion.
+# The toy kind: a kind src/ never names, installed for one test.
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
 class ToySpec:
@@ -245,9 +227,9 @@ def _execute_toy(protocol, spec, *, spec_hash, measures=()):
 
 
 @pytest.fixture
-def toy_kind():
-    """Register the toy kind for one test, then remove it."""
-    kind = register_spec_kind(
+def toy_kind(install_kind):
+    """Install the toy kind for one test."""
+    return install_kind(
         SpecKind(
             name="toy",
             spec_type=ToySpec,
@@ -259,10 +241,6 @@ def toy_kind():
             sample_task=lambda: SweepTask(protocol="noop", spec=ToySpec()),
         )
     )
-    try:
-        yield kind
-    finally:
-        unregister_spec_kind("toy")
 
 
 @pytest.fixture
@@ -274,7 +252,7 @@ def toy_tasks():
 
 
 class TestToyThirdKind:
-    """One ``register_spec_kind`` call; zero engine / cache / sink edits."""
+    """A kind outside the table runs on every engine surface unchanged."""
 
     def test_engine_runs_toy_tasks(self, toy_kind, toy_tasks):
         result = SweepEngine(workers=1).run(toy_tasks)

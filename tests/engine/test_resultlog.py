@@ -623,6 +623,50 @@ class TestMergeCrashResume:
             merge_result_log(tmp_path)
 
 
+def _corrupt_last_record(log_dir, change):
+    """Re-seal the last segment of shard 0 with ``change`` applied to its
+    last record; return the segment path and that record's task index."""
+    path = discover_segments(log_dir)[0][-1][1]
+    header, _, records = read_segment(path)
+    index, payload = records[-1]
+    write_segment(path, header, [*records[:-1], (index, change(dict(payload)))])
+    return path, index
+
+
+class TestUndecodableRecords:
+    """A sealed record that does not decode fails the merge in its scan:
+    the error names the segment, the task index and the fault, and no
+    merged JSONL or checkpoint is left behind even when the record sorts
+    after the first committed batch."""
+
+    @pytest.mark.parametrize(
+        "change, fault",
+        [
+            (
+                lambda payload: {k: v for k, v in payload.items() if k != "protocol"},
+                "missing field 'protocol'",
+            ),
+            (
+                lambda payload: {**payload, "decisions": 5},
+                "malformed field: 'int' object has no attribute 'items'",
+            ),
+        ],
+        ids=["missing-field", "malformed-field"],
+    )
+    def test_fault_names_segment_index_and_fault(
+        self, change, fault, sweep_tasks, tmp_path
+    ):
+        log = _log_all(sweep_tasks, tmp_path / "log")
+        path, index = _corrupt_last_record(log, change)
+        assert index > 0  # folds after the first batch=1 commit would
+        merged = tmp_path / "merged.jsonl"
+        with pytest.raises(ResultLogError) as info:
+            merge_result_log(log, jsonl=merged, batch_records=1)
+        assert str(info.value) == f"{path}: task index {index}: {fault}"
+        assert not merged.exists()
+        assert not (log / CHECKPOINT_NAME).exists()
+
+
 class TestMergeCursor:
     def test_checkpoint_roundtrip(self, tmp_path):
         cursor = MergeCursor(

@@ -462,9 +462,14 @@ class TestFaultsCli:
         assert "merge failed" in err
         assert f"{bogus}:1:" in err
 
-    def test_merging_an_unregistered_kind_exits_2(self, capsys, tmp_path):
-        # A segment from a machine with an extra spec kind registered must
-        # fail cleanly here, not with an UnknownSpecKindError traceback.
+    @pytest.mark.parametrize(
+        "tag",
+        ["alien-kind", ["throughput"], {"kind": "throughput"}, 7],
+        ids=["string", "list", "object", "number"],
+    )
+    def test_merging_an_unregistered_kind_exits_2(self, tag, capsys, tmp_path):
+        # A segment whose kind tag names no spec kind -- or is not a string
+        # at all -- must fail cleanly here, not with a traceback.
         from repro.engine import write_segment
         from repro.engine.resultlog import SegmentHeader
 
@@ -473,12 +478,37 @@ class TestFaultsCli:
             SegmentHeader(
                 shard_index=0, shard_count=1, total_tasks=1, segment_index=0
             ),
-            [(0, {"kind": "alien-kind"})],
+            [(0, {"kind": tag, "spec_hash": "ab", "seed": 0})],
         )
         assert main(["merge", "--log", str(tmp_path)]) == 2
         err = capsys.readouterr().err
         assert "merge failed" in err
-        assert "alien-kind" in err
+        assert repr(tag) in err
+
+    def test_merging_an_undecodable_record_exits_2(self, capsys, tmp_path):
+        # The record's kind is known but its fields do not decode: one
+        # stderr line naming the segment, and nothing written or committed.
+        from repro.engine import write_segment
+        from repro.engine.resultlog import CHECKPOINT_NAME, SegmentHeader
+
+        segment = tmp_path / "log" / "shard-0000-seg-000000.jsonl"
+        segment.parent.mkdir()
+        write_segment(
+            segment,
+            SegmentHeader(
+                shard_index=0, shard_count=1, total_tasks=1, segment_index=0
+            ),
+            [(0, {"kind": "throughput", "spec_hash": "ab", "seed": 0})],
+        )
+        merged = tmp_path / "merged.jsonl"
+        assert main(
+            ["merge", "--log", str(segment.parent), "--jsonl", str(merged)]
+        ) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert err.startswith(f"merge failed: {segment}: task index 0: ")
+        assert not merged.exists()
+        assert not (segment.parent / CHECKPOINT_NAME).exists()
 
 
 SMALL_GRIDS = {
