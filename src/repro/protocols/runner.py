@@ -354,6 +354,12 @@ def run_scenario(
     participants, the lock-hold time and the conflicting-decision total.
     ``spec_hash`` is left empty; the engine sets it on the summary part it
     keeps (:meth:`TransactionRunResult.as_summary`).
+
+    The cluster is closed (:meth:`~repro.sim.cluster.Cluster.close`) in a
+    ``finally`` once the result is harvested.  The result keeps the trace
+    and database sites but never the rig, so reference counting frees the
+    simulator, network, nodes and roles when this returns -- a sweep of
+    thousands of scenarios leaves the cyclic garbage collector nothing.
     """
     if spec is None:
         spec = ScenarioSpec()
@@ -371,80 +377,83 @@ def run_scenario(
         seed=spec.seed,
         trace=None if collect_trace else NullTrace(),
     )
-    participants = tuple(cluster.site_ids())
-    transaction = Transaction.simple_update(
-        1, participants, spec.write_key, spec.write_value
-    )
-    db_sites = {
-        site: DatabaseSite(site, initial_data=spec.initial_data)
-        for site in participants
-    }
+    try:
+        participants = tuple(cluster.site_ids())
+        transaction = Transaction.simple_update(
+            1, participants, spec.write_key, spec.write_value
+        )
+        db_sites = {
+            site: DatabaseSite(site, initial_data=spec.initial_data)
+            for site in participants
+        }
 
-    roles: dict[int, FSARole] = {}
-    for site in participants:
-        ctx = ProtocolContext(
-            node=cluster.node(site),
-            db=db_sites[site],
+        roles: dict[int, FSARole] = {}
+        for site in participants:
+            ctx = ProtocolContext(
+                node=cluster.node(site),
+                db=db_sites[site],
+                transaction=transaction,
+                participants=participants,
+                master=1,
+                timers=timers,
+                no_voters=frozenset(spec.no_voters),
+            )
+            roles[site] = protocol.role(ctx)
+
+        if spec.partition is not None:
+            cluster.apply_partition_schedule(spec.partition)
+        if spec.crashes is not None:
+            cluster.apply_crash_schedule(spec.crashes)
+        byzantine_sites: frozenset[int] = frozenset()
+        if spec.faults is not None:
+            cluster.apply_fault_plan(spec.faults)
+            if spec.faults.byzantine:
+                from repro.protocols.byzantine import install_byzantine_interceptors
+
+                install_byzantine_interceptors(cluster, spec.faults)
+                byzantine_sites = spec.faults.byzantine_sites()
+
+        cluster.start_all()
+        cluster.run(until=spec.effective_horizon())
+
+        finished_at = cluster.sim.now
+        network = cluster.network
+        result = TransactionRunResult(
+            protocol=protocol.name,
+            spec_hash="",
+            seed=spec.seed,
+            n_sites=spec.n_sites,
+            messages_sent=network.messages_sent,
+            messages_delivered=network.messages_delivered,
+            messages_bounced=network.messages_bounced,
+            messages_dropped=network.messages_dropped,
+            finished_at=finished_at,
+            lock_hold_time=_lock_hold_time(db_sites, finished_at),
+            max_delay=latency.upper_bound,
+            spec=spec,
             transaction=transaction,
-            participants=participants,
-            master=1,
-            timers=timers,
-            no_voters=frozenset(spec.no_voters),
+            trace=cluster.trace,
+            db_sites=db_sites,
         )
-        roles[site] = protocol.role(ctx)
-
-    if spec.partition is not None:
-        cluster.apply_partition_schedule(spec.partition)
-    if spec.crashes is not None:
-        cluster.apply_crash_schedule(spec.crashes)
-    byzantine_sites: frozenset[int] = frozenset()
-    if spec.faults is not None:
-        cluster.apply_fault_plan(spec.faults)
-        if spec.faults.byzantine:
-            from repro.protocols.byzantine import install_byzantine_interceptors
-
-            install_byzantine_interceptors(cluster, spec.faults)
-            byzantine_sites = spec.faults.byzantine_sites()
-
-    cluster.start_all()
-    cluster.run(until=spec.effective_horizon())
-
-    finished_at = cluster.sim.now
-    network = cluster.network
-    result = TransactionRunResult(
-        protocol=protocol.name,
-        spec_hash="",
-        seed=spec.seed,
-        n_sites=spec.n_sites,
-        messages_sent=network.messages_sent,
-        messages_delivered=network.messages_delivered,
-        messages_bounced=network.messages_bounced,
-        messages_dropped=network.messages_dropped,
-        finished_at=finished_at,
-        lock_hold_time=_lock_hold_time(db_sites, finished_at),
-        max_delay=latency.upper_bound,
-        spec=spec,
-        transaction=transaction,
-        trace=cluster.trace,
-        db_sites=db_sites,
-    )
-    committed_values = set()
-    for site in participants:
-        value = db_sites[site].value(spec.write_key)
-        result.values_at_end[site] = value
-        if site in byzantine_sites:
-            continue
-        role = roles[site]
-        decision = role.decision.value if role.decision else None
-        result.decisions[site] = decision
-        result.decision_times[site] = role.decided_at
-        result.votes[site] = role.vote
-        result.states[site] = role.state
-        result.conflicting_decisions += role.conflicting_decisions
-        result.locks_held_at_end[site] = db_sites[site].holds_locks(
-            transaction.transaction_id
-        )
-        if decision == "commit":
-            committed_values.add(value)
-    result.stores_agree = len(committed_values) <= 1
-    return result
+        committed_values = set()
+        for site in participants:
+            value = db_sites[site].value(spec.write_key)
+            result.values_at_end[site] = value
+            if site in byzantine_sites:
+                continue
+            role = roles[site]
+            decision = role.decision.value if role.decision else None
+            result.decisions[site] = decision
+            result.decision_times[site] = role.decided_at
+            result.votes[site] = role.vote
+            result.states[site] = role.state
+            result.conflicting_decisions += role.conflicting_decisions
+            result.locks_held_at_end[site] = db_sites[site].holds_locks(
+                transaction.transaction_id
+            )
+            if decision == "commit":
+                committed_values.add(value)
+        result.stores_agree = len(committed_values) <= 1
+        return result
+    finally:
+        cluster.close()

@@ -5,6 +5,13 @@ and failure injector for ``n`` sites numbered ``1..n`` (site 1 is, by the
 paper's convention, the master of any transaction it coordinates).  The
 protocol harness and all experiments build on this class instead of wiring
 the pieces by hand.
+
+A run's rig is one web of back-references: queued events and timers hold
+actions bound to the nodes and the network, which hold the simulator; each
+node and its role point at each other; the network and its nodes, in-flight
+messages and partition listener likewise.  :meth:`Cluster.close` cuts
+those links once a run's results are read, so reference counting frees the
+whole rig instead of the cyclic garbage collector.
 """
 
 from __future__ import annotations
@@ -17,7 +24,7 @@ from repro.sim.kernel import Simulator
 from repro.sim.latency import ConstantLatency, LatencyModel
 from repro.sim.network import Network, OPTIMISTIC
 from repro.sim.node import Node
-from repro.sim.partition import PartitionManager, PartitionSchedule
+from repro.sim.partition import PartitionEvent, PartitionManager, PartitionSchedule
 from repro.sim.trace import Trace
 
 
@@ -33,6 +40,9 @@ class Cluster:
         seed: seed for the simulator's random number generator.
         trace: shared trace to use (default: a fresh :class:`Trace`; pass a
             :class:`~repro.sim.trace.NullTrace` to skip trace collection).
+
+    Call :meth:`close` once the run's results are read: it frees the rig
+    by reference counting (see the module docstring).
     """
 
     def __init__(
@@ -84,25 +94,27 @@ class Cluster:
     # ------------------------------------------------------------------
     def apply_partition_schedule(self, schedule: PartitionSchedule) -> None:
         """Schedule every partition / heal event in ``schedule``."""
+        tracing = self.trace.enabled
         for event in schedule:
-            spec = event.spec
-            kind = EventKind.HEAL if event.is_heal else EventKind.PARTITION
-            label = "heal" if event.is_heal else f"partition {spec}"
+            if event.is_heal:
+                kind, label = EventKind.HEAL, "heal"
+            else:
+                kind = EventKind.PARTITION
+                label = f"partition {event.spec}" if tracing else "partition"
             self.sim.schedule_at(
-                event.time,
-                lambda s=spec, t=event.time: self._apply_partition(s, t),
-                kind=kind,
-                label=label,
+                event.time, self._apply_partition, kind=kind, label=label, arg=event
             )
 
-    def _apply_partition(self, spec, at: float) -> None:
-        self.trace.record(
-            at,
-            "partition" if spec is not None else "heal",
-            site=None,
-            spec=str(spec) if spec is not None else "healed",
-        )
-        self.partitions.apply(spec, at=at)
+    def _apply_partition(self, event: PartitionEvent) -> None:
+        spec = event.spec
+        if self.trace.enabled:
+            self.trace.record(
+                event.time,
+                "partition" if spec is not None else "heal",
+                site=None,
+                spec=str(spec) if spec is not None else "healed",
+            )
+        self.partitions.apply(spec, at=event.time)
 
     def apply_crash_schedule(self, schedule: CrashSchedule) -> None:
         """Schedule every crash / recovery in ``schedule``."""
@@ -132,3 +144,17 @@ class Cluster:
     def run(self, until: Optional[float] = None, *, max_events: int = 1_000_000) -> float:
         """Run the simulation (see :meth:`repro.sim.kernel.Simulator.run`)."""
         return self.sim.run(until=until, max_events=max_events)
+
+    def close(self) -> None:
+        """Cut the rig's reference cycles once the run's results are read.
+
+        Drains the event heap, detaches every node's role, timers and send
+        interceptor, and empties the network's node table, in-flight and
+        retransmission tables and partition listener.  Counters,
+        ``sim.now``, :attr:`trace` and the nodes stay readable; the cluster
+        cannot run again.  Idempotent.
+        """
+        self.sim.drain()
+        for node in self.nodes.values():
+            node.close()
+        self.network.close()

@@ -420,16 +420,17 @@ class FailureInjector:
             node = self._nodes.get(event.site)
             if node is None:
                 raise KeyError(f"cannot crash unknown site {event.site}")
+            tracing = node._tracing
             self.sim.schedule_at(
                 event.time,
                 node.crash,
                 kind=EventKind.CRASH,
-                label=f"crash site {event.site}",
+                label=f"crash site {event.site}" if tracing else "crash",
             )
             if event.recover_at is not None:
                 self.sim.schedule_at(
                     event.recover_at,
                     node.recover,
                     kind=EventKind.RECOVER,
-                    label=f"recover site {event.site}",
+                    label=f"recover site {event.site}" if tracing else "recover",
                 )

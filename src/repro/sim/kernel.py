@@ -302,7 +302,12 @@ class Simulator:
         return self.run(until=None, max_events=max_events)
 
     def drain(self) -> Iterable[Event]:
-        """Remove and return all still-queued live events (used by tests)."""
+        """Remove and return all still-queued live events.
+
+        Queued events hold actions bound to the objects that scheduled them,
+        which hold this simulator; :meth:`repro.sim.cluster.Cluster.close`
+        drains the heap to break that cycle once a run is over.
+        """
         events = [entry[3] for entry in self._heap if not entry[3].cancelled]
         for entry in self._heap:
             entry[3]._queued = False

@@ -226,6 +226,20 @@ class Network:
             raise ValueError(f"site {node.node_id} already registered")
         self._nodes[node.node_id] = node
 
+    def close(self) -> None:
+        """Forget the nodes, in-flight messages and pending retransmissions.
+
+        Each of these holds, directly or through a queued event's bound
+        action, an object that points back at this network; so does the
+        partition manager's connectivity listener, which is unsubscribed.
+        The message counters stay readable.  Called by
+        :meth:`repro.sim.cluster.Cluster.close` once a run is over.
+        """
+        self._nodes.clear()
+        self._in_flight.clear()
+        self._pending.clear()
+        self.partitions.unsubscribe(self._on_connectivity_change)
+
     def node(self, node_id: int) -> "Node":
         """Look up a registered node."""
         return self._nodes[node_id]

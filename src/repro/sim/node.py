@@ -132,12 +132,26 @@ class Node:
         self._on_message = getattr(role, "on_message", None)
         self._on_timeout = getattr(role, "on_timeout", None)
 
+    def close(self) -> None:
+        """Drop the role, its hooks, the armed timers and the send interceptor.
+
+        The role points back at this node and every armed timer's event at
+        :meth:`_fire_timer`, so until these links go the node is part of
+        reference cycles only the cyclic garbage collector frees.  Called
+        by :meth:`repro.sim.cluster.Cluster.close`; the node does not run
+        again afterwards.
+        """
+        self.role = self._on_message = self._on_timeout = None
+        self._send_interceptor = None
+        self._timers.clear()
+
     def start(self) -> None:
         """Schedule the role's ``on_start`` hook at the current time."""
         if self._started:
             return
         self._started = True
-        self.sim.schedule(0.0, self._start_role, label=f"start site {self.node_id}")
+        label = f"start site {self.node_id}" if self._tracing else "start"
+        self.sim.schedule(0.0, self._start_role, label=label)
 
     def _start_role(self) -> None:
         if self.crashed or self.role is None:

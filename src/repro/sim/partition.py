@@ -208,6 +208,11 @@ class PartitionManager:
         """Register a callback invoked after every connectivity change."""
         self._listeners.append(listener)
 
+    def unsubscribe(self, listener: Callable[[Optional[PartitionSpec]], None]) -> None:
+        """Remove ``listener`` if it is registered (a no-op otherwise)."""
+        if listener in self._listeners:
+            self._listeners.remove(listener)
+
     def apply(self, spec: Optional[PartitionSpec], *, at: float = 0.0) -> None:
         """Install ``spec`` (or heal, when ``spec`` is ``None``)."""
         self._current = spec
