@@ -94,13 +94,11 @@ class Cluster:
     # ------------------------------------------------------------------
     def apply_partition_schedule(self, schedule: PartitionSchedule) -> None:
         """Schedule every partition / heal event in ``schedule``."""
-        tracing = self.trace.enabled
         for event in schedule:
             if event.is_heal:
                 kind, label = EventKind.HEAL, "heal"
             else:
-                kind = EventKind.PARTITION
-                label = f"partition {event.spec}" if tracing else "partition"
+                kind, label = EventKind.PARTITION, "partition"
             self.sim.schedule_at(
                 event.time, self._apply_partition, kind=kind, label=label, arg=event
             )
@@ -148,11 +146,11 @@ class Cluster:
     def close(self) -> None:
         """Cut the rig's reference cycles once the run's results are read.
 
-        Drains the event heap, detaches every node's role, timers and send
-        interceptor, and empties the network's node table, in-flight and
-        retransmission tables and partition listener.  Counters,
-        ``sim.now``, :attr:`trace` and the nodes stay readable; the cluster
-        cannot run again.  Idempotent.
+        Drains the event heap, detaches every node's role and timers, and
+        empties the network's node table, in-flight and retransmission
+        tables and partition listener.  Counters, ``sim.now``,
+        :attr:`trace` and the nodes stay readable; the cluster cannot run
+        again.  Idempotent.
         """
         self.sim.drain()
         for node in self.nodes.values():

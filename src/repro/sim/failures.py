@@ -420,17 +420,16 @@ class FailureInjector:
             node = self._nodes.get(event.site)
             if node is None:
                 raise KeyError(f"cannot crash unknown site {event.site}")
-            tracing = node._tracing
             self.sim.schedule_at(
                 event.time,
                 node.crash,
                 kind=EventKind.CRASH,
-                label=f"crash site {event.site}" if tracing else "crash",
+                label="crash",
             )
             if event.recover_at is not None:
                 self.sim.schedule_at(
                     event.recover_at,
                     node.recover,
                     kind=EventKind.RECOVER,
-                    label=f"recover site {event.site}" if tracing else "recover",
+                    label="recover",
                 )

@@ -133,7 +133,7 @@ class Node:
         self._on_timeout = getattr(role, "on_timeout", None)
 
     def close(self) -> None:
-        """Drop the role, its hooks, the armed timers and the send interceptor.
+        """Drop the role, its hooks and the armed timers.
 
         The role points back at this node and every armed timer's event at
         :meth:`_fire_timer`, so until these links go the node is part of
@@ -142,7 +142,6 @@ class Node:
         again afterwards.
         """
         self.role = self._on_message = self._on_timeout = None
-        self._send_interceptor = None
         self._timers.clear()
 
     def start(self) -> None:
@@ -150,8 +149,7 @@ class Node:
         if self._started:
             return
         self._started = True
-        label = f"start site {self.node_id}" if self._tracing else "start"
-        self.sim.schedule(0.0, self._start_role, label=label)
+        self.sim.schedule(0.0, self._start_role, label="start")
 
     def _start_role(self) -> None:
         if self.crashed or self.role is None:
