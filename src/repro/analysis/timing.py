@@ -60,14 +60,6 @@ class TimingMeasurement:
         )
 
 
-def _deliveries(trace: Trace, *, site: Optional[int] = None, payload: Optional[str] = None) -> list[TraceRecord]:
-    return trace.filter(
-        "deliver",
-        site=site,
-        predicate=(lambda r: r.get("payload") == payload) if payload else None,
-    )
-
-
 def _sends(trace: Trace, *, site: Optional[int] = None, payload: Optional[str] = None) -> list[TraceRecord]:
     return trace.filter(
         "send",

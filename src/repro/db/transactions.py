@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import enum
 import itertools
-from dataclasses import dataclass, field
-from typing import Any, Iterable, Mapping, Optional
+from dataclasses import dataclass
+from typing import Any, Iterable, Optional
 
 
 class OpKind(enum.Enum):
@@ -160,18 +160,3 @@ class Transaction:
 
     def __str__(self) -> str:
         return f"Transaction({self.transaction_id}, master={self.master}, sites={self.participants})"
-
-
-@dataclass
-class TransactionRecord:
-    """Mutable per-site view of a transaction's progress (used by sites)."""
-
-    transaction: Transaction
-    status: TransactionStatus = TransactionStatus.ACTIVE
-    decided_at: Optional[float] = None
-    detail: dict[str, Any] = field(default_factory=dict)
-
-    @property
-    def terminated(self) -> bool:
-        """True once the transaction committed or aborted at this site."""
-        return self.status in (TransactionStatus.COMMITTED, TransactionStatus.ABORTED)

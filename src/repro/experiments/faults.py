@@ -29,10 +29,11 @@ loss at every reachable point, and
 :data:`~repro.core.reachability.LOSSY_RETRANSMIT` contributes no loss
 edges at all (its graph is the failure-free one by construction -- the
 model-level statement that retransmission restores assumption 1).  The
-report's details carry the checker verdicts and the directional agreement
-check against the simulator rows: every simulator-observed guarantee loss
-must be predicted by the checker, and no retransmit row may contradict the
-checker's all-hold verdict.
+report's details carry the checker verdicts and every loss-row run judged
+against them by the one simulator-vs-checker agreement rule
+(:func:`~repro.modelcheck.differential.judge_run`, which DIFF uses too):
+raw loss runs against ``lossy``, retransmit runs against
+``lossy-retransmit``.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ from repro.analysis.atomicity import AtomicityReport, summarize_runs
 from repro.engine import SweepEngine, SweepTask
 from repro.experiments.harness import ExperimentReport
 from repro.protocols.registry import available_protocols
-from repro.protocols.runner import ScenarioSpec
+from repro.protocols.runner import RunSummary, ScenarioSpec
 from repro.sim.failures import (
     SEND_OMISSION,
     ByzantineSpec,
@@ -145,70 +146,52 @@ def _verdict(report: AtomicityReport) -> str:
     return " + ".join(problems) if problems else "survives"
 
 
-def _checker_verdicts(n_sites: int) -> dict[tuple[str, str], frozenset[str]]:
-    """Exhaustive-checker verdicts per (checkable protocol, loss envelope).
+def _judge_loss_rows(
+    n_sites: int,
+    tasks: Sequence[SweepTask],
+    summaries: Sequence[RunSummary],
+    spans: Sequence[tuple[str, str, bool, int, int]],
+) -> tuple[dict[tuple[str, str], frozenset[str]], list[str]]:
+    """The loss rows judged against the exhaustive checker at ``n_sites``.
 
-    Maps to the set of *violated* invariant names; empty set = all hold.
+    Each checkable protocol's raw loss runs are judged against the
+    ``lossy`` envelope and its retransmit runs against ``lossy-retransmit``,
+    one run at a time, by the one agreement rule
+    (:func:`~repro.modelcheck.differential.judge_run`).  Returns the
+    *violated* invariant names per (protocol, envelope) -- an empty set
+    means all hold -- and one line per disagreeing run.
     """
     from repro.core.reachability import LOSSY, LOSSY_RETRANSMIT
-    from repro.modelcheck.checker import INVARIANTS, check_model
+    from repro.modelcheck.checker import check_model
+    from repro.modelcheck.differential import judge_run
     from repro.modelcheck.protocols import checkable_protocols
     from repro.modelcheck.spec import ModelCheckSpec
 
-    verdicts: dict[tuple[str, str], frozenset[str]] = {}
-    for protocol in checkable_protocols():
-        for fault in (LOSSY, LOSSY_RETRANSMIT):
-            summary = check_model(
-                protocol, ModelCheckSpec(n_sites=n_sites, fault=fault)
-            ).to_summary(spec_hash="faults-experiment")
-            verdicts[(protocol, fault)] = frozenset(
-                name for name in INVARIANTS if not summary.invariant_holds(name)
-            )
-    return verdicts
-
-
-def _checker_disagreements(
-    survival: dict[tuple[str, str, bool], AtomicityReport],
-    checker: dict[tuple[str, str], frozenset[str]],
-) -> list[str]:
-    """Directional agreement of the simulator's loss rows with the checker.
-
-    The checker over-approximates the simulator (it explores *every*
-    schedule, the simulator samples a few), so agreement is directional:
-    a violation the simulator *observed* must be *predicted* by the
-    checker, and under the lossy-retransmit envelope -- where the checker
-    proves every invariant -- the simulator must observe nothing.
-    """
-    from repro.core.reachability import LOSSY, LOSSY_RETRANSMIT
-    from repro.modelcheck.checker import BLOCKING_INVARIANT, SAFETY_INVARIANTS
-
+    checkers = {
+        (protocol, fault): check_model(
+            protocol, ModelCheckSpec(n_sites=n_sites, fault=fault)
+        )
+        for protocol in checkable_protocols()
+        for fault in (LOSSY, LOSSY_RETRANSMIT)
+    }
     disagreements: list[str] = []
-    checked = {protocol for protocol, _ in checker}
-    for protocol in sorted(checked):
-        raw = survival[(protocol, "loss", False)]
-        violated = checker[(protocol, LOSSY)]
-        if raw.atomicity_violations and not (violated & set(SAFETY_INVARIANTS)):
-            disagreements.append(
-                f"{protocol}: simulator saw atomicity violations under loss "
-                f"but the checker proves every safety invariant"
+    for protocol, label, retransmit, start, end in spans:
+        fault = LOSSY_RETRANSMIT if retransmit else LOSSY
+        checker = checkers.get((protocol, fault))
+        if label != "loss" or checker is None:
+            continue
+        for task, run in zip(tasks[start:end], summaries[start:end]):
+            disagreements.extend(
+                f"{protocol} under {fault}, seed {task.spec.seed}: {reason}"
+                for reason in judge_run(task.spec, run, checker)
             )
-        if raw.blocked_runs and BLOCKING_INVARIANT not in violated:
-            disagreements.append(
-                f"{protocol}: simulator saw blocking under loss but the "
-                f"checker proves {BLOCKING_INVARIANT}"
-            )
-        rtx = survival[(protocol, "loss", True)]
-        if checker[(protocol, LOSSY_RETRANSMIT)]:
-            disagreements.append(
-                f"{protocol}: the lossy-retransmit envelope must prove every "
-                f"invariant (its graph is failure-free by construction)"
-            )
-        elif not rtx.resilient:
-            disagreements.append(
-                f"{protocol}: checker proves loss+retransmit safe but the "
-                f"simulator still saw {_verdict(rtx)}"
-            )
-    return disagreements
+    verdicts = {
+        key: frozenset(
+            name for name, verdict in checker.invariants.items() if verdict != "holds"
+        )
+        for key, checker in checkers.items()
+    }
+    return verdicts, disagreements
 
 
 def run_fault_survival(
@@ -251,8 +234,9 @@ def run_fault_survival(
                 }
             )
 
-    checker = _checker_verdicts(n_sites)
-    disagreements = _checker_disagreements(survival, checker)
+    checker_verdicts, disagreements = _judge_loss_rows(
+        n_sites, tasks, summaries, spans
+    )
 
     lost_raw = sorted(
         p for p in protocol_names if not survival[(p, "loss", False)].resilient
@@ -277,7 +261,7 @@ def run_fault_survival(
     )
     report.details = {
         "survival": survival,
-        "checker_verdicts": checker,
+        "checker_verdicts": checker_verdicts,
         "checker_disagreements": disagreements,
         "lost_under_raw_loss": lost_raw,
         "recovered_with_retransmit": recovered,

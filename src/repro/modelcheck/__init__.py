@@ -7,15 +7,16 @@ the paper's invariants (same-decision, no-commit-after-abort,
 commit-requires-votes, no-blocking) as machine-checked properties of the
 global state graph, and reduces to a
 :class:`~repro.modelcheck.summary.ModelCheckSummary` with per-invariant
-verdicts and minimal counterexample traces.
+verdicts and minimal counterexample traces (:func:`check_model` returns a
+:class:`ModelCheckResult`, the same record plus the spec and the graph).
 
 Because the kind is a row of the spec-kind table in
 :mod:`repro.engine.registry` (defined in :mod:`repro.modelcheck.kind`),
 exhaustive checking shards, caches, streams and merges exactly like the
-simulator grids, and
-:mod:`repro.modelcheck.differential` cross-validates the two independent
-semantics -- exhaustive checker vs. event-driven simulator -- on identical
-configurations.
+simulator grids.  :mod:`repro.modelcheck.differential` runs the two
+drivers of each protocol's one compiled move table -- the exhaustive
+explorer and the event-driven simulator -- on identical configurations
+and judges every simulator run against the checker by one agreement rule.
 """
 
 from repro.modelcheck.spec import ModelCheckSpec

@@ -19,18 +19,22 @@ differently: one simulator run samples a single timed schedule, while the
 checker quantifies over *every* interleaving (including timings no
 bounded-latency schedule realizes, e.g. a timeout firing while a live,
 connected peer was still going to answer).  The checker is therefore a
-sound over-approximation of the simulator:
+sound over-approximation of the simulator.  :func:`judge_run` is the one
+rule that says so, for one simulator run against one checker record:
 
-* simulator atomicity violation  =>  checker ``violated``;
-* simulator blocking among *surviving* (non-crashed) sites  =>  checker
-  ``blocked`` or ``violated``;
-* checker ``consistent``  =>  every matching simulator run is consistent;
+* simulator atomicity violation  =>  the checker violates a safety
+  invariant;
+* a *surviving* (non-crashed) site left undecided  =>  the checker's
+  ``no-blocking`` is violated;
 * failure-free with scripted votes, the graph is schedule-deterministic:
   the verdicts (and the commit/abort outcome) must match exactly.
 
-A disagreement is reported with the checker's minimal counterexample trace
-next to the simulator run's decision vector, so the divergence is
-immediately debuggable from the test output.
+DIFF (:func:`cross_validate`) and FAULTS
+(:func:`~repro.experiments.faults.run_fault_survival`, each loss-row run
+against the ``lossy`` or ``lossy-retransmit`` envelope) both judge every
+run with it.  A disagreement is reported with the checker's minimal
+counterexample trace next to the simulator run's decision vector, so the
+divergence is immediately debuggable from the test output.
 
 Simulator runs use the default **constant** latency (1.0 = ``T``): a
 stochastic latency model could fire timers in fault-free runs and produce
@@ -44,12 +48,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
-from repro.modelcheck.checker import ModelCheckResult, check_model, format_trace
+from repro.modelcheck.checker import check_model
 from repro.modelcheck.protocols import checkable_protocols
 from repro.modelcheck.spec import ModelCheckSpec
+from repro.modelcheck.summary import ModelCheckSummary
 from repro.core.reachability import FAILURE_FREE, PARTITION, SINGLE_CRASH, simple_splits
 from repro.protocols.registry import create_protocol
-from repro.protocols.runner import ScenarioSpec, run_scenario
+from repro.protocols.runner import RunSummary, ScenarioSpec, run_scenario
 from repro.sim.failures import CrashSchedule
 from repro.sim.partition import PartitionSchedule
 
@@ -61,7 +66,7 @@ DEFAULT_ONSETS = (0.5, 1.5, 2.5, 3.5, 4.5, 5.5)
 
 @dataclass(frozen=True)
 class DifferentialConfig:
-    """One configuration both semantics run: the checker once, the sim per onset."""
+    """One configuration both drivers run: the checker once, the sim per onset."""
 
     protocol: str
     n_sites: int = 3
@@ -137,7 +142,7 @@ class DifferentialReport:
     """The outcome of cross-validating one configuration."""
 
     config: DifferentialConfig
-    checker: ModelCheckResult
+    checker: ModelCheckSummary
     sim_runs: int = 0
     sim_verdicts: dict[str, int] = field(default_factory=dict)
     disagreements: list[Disagreement] = field(default_factory=list)
@@ -152,38 +157,75 @@ class DifferentialReport:
         return "\n\n".join(d.format() for d in self.disagreements)
 
 
-def _checker_evidence(result: ModelCheckResult) -> str:
-    """The checker's counterexample traces, rendered for a report."""
-    parts = []
-    for name, verdict in result.verdicts.items():
-        if not verdict.holds:
-            parts.append(
-                f"  checker counterexample [{name}] ({verdict.detail}):\n"
-                f"{format_trace(verdict.trace)}"
-            )
-    return "\n".join(parts) if parts else "  (checker found no counterexample)"
+def judge_run(
+    scenario: ScenarioSpec, run: RunSummary, checker: ModelCheckSummary
+) -> list[str]:
+    """Every way one simulator run contradicts one checker record.
+
+    The one simulator-vs-checker agreement rule (module docstring): ``run``
+    is what the simulator produced from ``scenario``, whose crash schedules
+    say which undecided sites did not survive and whose scripted votes
+    force the failure-free outcome.  The failure-free clause applies when
+    ``checker`` explored the failure-free envelope.
+
+    Returns:
+        One reason per violated clause; ``[]`` when they agree.
+    """
+    reasons: list[str] = []
+    if run.atomicity_violated and not checker.atomicity_violated:
+        reasons.append(
+            "simulator violated atomicity but the checker proved every "
+            "safety invariant"
+        )
+    crashed = {event.site for event in scenario.crashes or ()}
+    if scenario.faults is not None:
+        crashed.update(event.site for event in scenario.faults.crashes)
+    surviving_undecided = [s for s in run.undecided_sites if s not in crashed]
+    if surviving_undecided and not checker.blocked:
+        reasons.append(
+            f"simulator left surviving sites {surviving_undecided} undecided "
+            f"but the checker proved no-blocking"
+        )
+    if checker.fault != FAILURE_FREE:
+        return reasons
+    expected_commit = not scenario.no_voters
+    if run.verdict != checker.verdict:
+        reasons.append("failure-free verdicts must match exactly")
+    elif run.all_committed != expected_commit:
+        reasons.append(
+            f"failure-free outcome should be "
+            f"{'commit' if expected_commit else 'abort'} "
+            f"under no_voters={sorted(scenario.no_voters)}"
+        )
+    return reasons
 
 
-def _sim_evidence(summary) -> str:
-    """The simulator run's decision vector, rendered for a report."""
-    return (
-        f"  sim decisions: {summary.decisions} votes={summary.votes} "
-        f"states={summary.states} finished_at={summary.finished_at}"
-    )
+def _evidence(run: RunSummary, checker: ModelCheckSummary) -> str:
+    """The run's decision vector and the checker's counterexample traces."""
+    lines = [
+        f"  sim decisions: {run.decisions} votes={run.votes} "
+        f"states={run.states} finished_at={run.finished_at}"
+    ]
+    for name in sorted(checker.counterexamples):
+        lines.append(f"  checker counterexample [{name}]:")
+        lines.append(checker.format_counterexample(name))
+    if not checker.counterexamples:
+        lines.append("  (checker found no counterexample)")
+    return "\n".join(lines)
 
 
 def cross_validate(
     config: DifferentialConfig,
     *,
     onsets: tuple[float, ...] = DEFAULT_ONSETS,
-    checker: Optional[ModelCheckResult] = None,
+    checker: Optional[ModelCheckSummary] = None,
 ) -> DifferentialReport:
-    """Run both semantics on ``config`` and collect any disagreements.
+    """Run both drivers on ``config`` and judge every simulator run.
 
     Args:
         config: the shared configuration.
         onsets: fault-onset times for the simulator's placements.
-        checker: a precomputed checker result for this configuration
+        checker: a precomputed checker record for this configuration
             (the checker is deterministic, so differential sweeps memoize
             it across the many sim placements of one configuration).
 
@@ -193,52 +235,23 @@ def cross_validate(
     """
     if checker is None:
         checker = check_model(config.protocol, config.modelcheck_spec())
-    summary = checker.to_summary(spec_hash="differential")
     report = DifferentialReport(config=config, checker=checker)
 
     protocol = create_protocol(config.protocol)
     for scenario in config.scenario_specs(onsets):
-        result = run_scenario(protocol, scenario)
-        crashed = scenario.crashes.sites() if scenario.crashes else set()
-        surviving_undecided = [
-            site for site in result.undecided_sites if site not in crashed
-        ]
-        sim_verdict = result.verdict
+        run = run_scenario(protocol, scenario)
         report.sim_runs += 1
-        report.sim_verdicts[sim_verdict] = report.sim_verdicts.get(sim_verdict, 0) + 1
-        evidence = _sim_evidence(result)
-
-        def disagree(reason: str, detail: str) -> None:
+        report.sim_verdicts[run.verdict] = report.sim_verdicts.get(run.verdict, 0) + 1
+        for reason in judge_run(scenario, run, checker):
             report.disagreements.append(
-                Disagreement(config, scenario, sim_verdict, summary.verdict, reason, detail)
-            )
-
-        if result.atomicity_violated and not summary.atomicity_violated:
-            disagree(
-                "simulator violated atomicity but the checker proved every interleaving safe",
-                evidence + "\n" + _checker_evidence(checker),
-            )
-        if surviving_undecided and summary.verdict == "consistent":
-            disagree(
-                f"simulator left surviving sites {surviving_undecided} undecided but the "
-                f"checker proved every interleaving non-blocking",
-                evidence + "\n" + _checker_evidence(checker),
-            )
-        if config.fault != FAILURE_FREE:
-            continue
-        # Schedule-deterministic case: verdicts must match exactly, and the
-        # outcome is forced by the scripted votes.
-        expected_commit = not config.no_voters
-        if sim_verdict != summary.verdict:
-            disagree(
-                "failure-free verdicts must match exactly",
-                evidence + "\n" + _checker_evidence(checker),
-            )
-        elif result.all_committed != expected_commit:
-            disagree(
-                f"failure-free outcome should be {'commit' if expected_commit else 'abort'} "
-                f"under no_voters={sorted(config.no_voters)}",
-                evidence,
+                Disagreement(
+                    config,
+                    scenario,
+                    run.verdict,
+                    checker.verdict,
+                    reason,
+                    _evidence(run, checker),
+                )
             )
     return report
 

@@ -38,9 +38,9 @@ def _execute(
     """Explore + check one configuration in a worker; keep only the summary."""
     metrics = _active_metrics()
     if metrics is None:
-        return check_model(protocol, spec).to_summary(spec_hash=spec_hash)
+        return check_model(protocol, spec).as_summary(spec_hash=spec_hash)
     before = time.perf_counter()
-    summary = check_model(protocol, spec).to_summary(spec_hash=spec_hash)
+    summary = check_model(protocol, spec).as_summary(spec_hash=spec_hash)
     elapsed = time.perf_counter() - before
     metrics.counter("modelcheck.checks").inc()
     metrics.counter("modelcheck.states_explored").inc(summary.states_explored)

@@ -14,15 +14,7 @@ from __future__ import annotations
 from typing import Any
 
 from repro.engine.sink import SummarySink
-from repro.modelcheck.summary import ModelCheckSummary
-
-#: Column order of the per-invariant verdict columns.
-_INVARIANT_COLUMNS = (
-    ("same-decision", "same-decision"),
-    ("no-commit-after-abort", "no commit-after-abort"),
-    ("commit-requires-votes", "commit-requires-votes"),
-    ("no-blocking", "non-blocking"),
-)
+from repro.modelcheck.summary import INVARIANTS, ModelCheckSummary
 
 
 class ModelCheckSink(SummarySink):
@@ -58,7 +50,7 @@ class ModelCheckSink(SummarySink):
         row["states"] = max(row["states"], summary.states_explored)
         row["edges"] = max(row["edges"], summary.edges_explored)
         row["depth"] = max(row["depth"], summary.frontier_depth)
-        for name, column in _INVARIANT_COLUMNS:
+        for name, _, column in INVARIANTS:
             verdict = summary.invariants.get(name, "?")
             if verdict == "violated":
                 steps = len(summary.counterexample(name))

@@ -17,14 +17,29 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Any, Mapping
+from typing import Any, Mapping, NamedTuple
 
 from repro.core.canonical import canonical_json_bytes
 
-#: Invariants whose violation makes the overall verdict ``violated``
-#: (kept in sync with :data:`repro.modelcheck.checker.SAFETY_INVARIANTS`;
-#: restated here so the summary module stays import-light).
-_SAFETY = ("same-decision", "no-commit-after-abort", "commit-requires-votes")
+
+class Invariant(NamedTuple):
+    """One checked invariant: its name, its verdict class, its table column."""
+
+    name: str
+    #: True: a violation makes the verdict ``violated``; False: ``blocked``.
+    safety: bool
+    #: Column header of the ``repro modelcheck`` table.
+    column: str
+
+
+#: The invariant table, in report order; the checker, the verdicts below and
+#: the sink all read it (:mod:`repro.modelcheck.checker` states each one).
+INVARIANTS = (
+    Invariant("same-decision", True, "same-decision"),
+    Invariant("no-commit-after-abort", True, "no commit-after-abort"),
+    Invariant("commit-requires-votes", True, "commit-requires-votes"),
+    Invariant("no-blocking", False, "non-blocking"),
+)
 
 
 @dataclass
@@ -55,15 +70,22 @@ class ModelCheckSummary:
         """True when the named invariant was checked and holds."""
         return self.invariants.get(name) == "holds"
 
+    def _violated(self, safety: bool) -> bool:
+        return any(
+            self.invariants.get(invariant.name) == "violated"
+            for invariant in INVARIANTS
+            if invariant.safety == safety
+        )
+
     @property
     def atomicity_violated(self) -> bool:
         """True when any safety invariant is violated somewhere reachable."""
-        return any(self.invariants.get(name) == "violated" for name in _SAFETY)
+        return self._violated(safety=True)
 
     @property
     def blocked(self) -> bool:
         """True when some terminal state strands a surviving site undecided."""
-        return self.invariants.get("no-blocking") == "violated"
+        return self._violated(safety=False)
 
     @property
     def consistent(self) -> bool:

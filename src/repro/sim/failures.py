@@ -296,11 +296,6 @@ class FaultPlan:
             seed=seed,
         )
 
-    @classmethod
-    def from_crashes(cls, schedule: "CrashSchedule") -> "FaultPlan":
-        """Wrap a legacy crash schedule (time-sorted) in a plan."""
-        return cls(crashes=tuple(schedule))
-
     # ------------------------------------------------------------------
     # inspection
     # ------------------------------------------------------------------

@@ -139,30 +139,11 @@ class ThroughputSummary:
         return self.committed / (self.duration / (self.max_delay or 1.0))
 
     @property
-    def abort_rate(self) -> float:
-        """Aborted fraction of the offered transactions."""
-        return self.aborted / self.offered if self.offered else 0.0
-
-    @property
-    def blocked_rate(self) -> float:
-        """Fraction of offered transactions blocked or stalled at the horizon."""
-        if not self.offered:
-            return 0.0
-        return (self.blocked + self.stalled) / self.offered
-
-    @property
     def mean_lock_wait(self) -> float:
         """Mean per-transaction lock-queueing delay, in units of ``T``."""
         if not self.offered:
             return 0.0
         return self.lock_wait_total / self.offered / (self.max_delay or 1.0)
-
-    @property
-    def mean_commit_latency(self) -> Optional[float]:
-        """Mean protocol latency of committed transactions, in units of ``T``."""
-        if not self.committed:
-            return None
-        return self.commit_latency_total / self.committed / (self.max_delay or 1.0)
 
     @property
     def exhausted(self) -> int:
@@ -173,13 +154,6 @@ class ThroughputSummary:
         reading of :attr:`aborted`.
         """
         return self.aborted
-
-    @property
-    def retried_fraction(self) -> float:
-        """Fraction of committed transactions that needed a retry."""
-        if not self.committed:
-            return 0.0
-        return self.committed_after_retry / self.committed
 
     @property
     def atomicity_violated(self) -> bool:

@@ -182,7 +182,7 @@ def test_simple_splits_enumeration():
 
 def test_checker_counterexamples_replay_to_the_witness():
     """Traces are step-by-step replayable and end at the violating state."""
-    from repro.modelcheck.checker import check_model
+    from repro.modelcheck.checker import check_model, counterexample_path
     from repro.modelcheck.protocols import resolve_protocol
     from repro.modelcheck.spec import ModelCheckSpec
 
@@ -195,12 +195,22 @@ def test_checker_counterexamples_replay_to_the_witness():
         spec = ModelCheckSpec(n_sites=3, fault=fault)
         result = check_model(protocol, spec)
         fsa_spec, augmentation = resolve_protocol(protocol, 3)
-        violated = [v for v in result.verdicts.values() if not v.holds]
+        graph = result.graph
+        witnesses = {
+            "same-decision": graph.same_decision_witness,
+            "commit-requires-votes": graph.commit_without_votes_witness,
+            "no-blocking": graph.stuck_terminal_witness,
+            "no-commit-after-abort": graph.commit_after_abort_witness
+            and graph.commit_after_abort_witness[2],
+        }
+        violated = sorted(result.counterexamples)
         assert violated, f"{protocol}/{fault} should violate an invariant"
-        for verdict in violated:
-            assert verdict.trace, verdict.name
-            current = result.graph.initial
-            for edge in verdict.trace:
+        for name in violated:
+            trace = counterexample_path(graph, name)
+            assert trace, name
+            assert len(trace) == len(result.counterexample(name))
+            current = graph.initial
+            for edge in trace:
                 assert edge.source == current
                 successors = enumerate_successors(
                     fsa_spec,
@@ -211,7 +221,7 @@ def test_checker_counterexamples_replay_to_the_witness():
                 )
                 assert edge in successors, edge.describe()
                 current = edge.target
-            assert current == verdict.witness
+            assert current == graph.state_at(witnesses[name])
 
 
 _HASHSEED_SCRIPT = """
@@ -220,7 +230,7 @@ from repro.modelcheck.spec import ModelCheckSpec
 import sys
 
 spec = ModelCheckSpec(n_sites=3, fault="partition")
-summary = check_model("naive-extended-three-phase-commit", spec).to_summary(
+summary = check_model("naive-extended-three-phase-commit", spec).as_summary(
     spec_hash="hashseed-probe"
 )
 sys.stdout.buffer.write(summary.to_json_bytes())

@@ -1,11 +1,12 @@
 """The differential matrix: checker vs simulator on 200+ seeded configurations.
 
-The two interpreters of a protocol's local-step relation -- the timed
+The two drivers of a protocol's compiled local-step relation -- the timed
 event-driven simulator and the untimed exhaustive explorer -- run the same
-configurations; any verdict disagreement (under the directional relation
-documented in :mod:`repro.modelcheck.differential`) fails the test with
+configurations; any disagreement under the one directional agreement rule
+(:func:`~repro.modelcheck.differential.judge_run`) fails the test with
 both sides' evidence: the checker's minimal counterexample trace next to
-the simulator run's decision vector.
+the simulator run's decision vector.  The rule itself is tested clause by
+clause on hand-built record pairs.
 
 Also pins the MODELCHECK kind's engine contract: byte-identical JSONL
 spills across worker counts, and shard/merge runs byte-identical to a
@@ -21,9 +22,13 @@ from repro.modelcheck.checker import check_model
 from repro.modelcheck.differential import (
     DifferentialConfig,
     cross_validate,
+    judge_run,
     sample_configs,
 )
 from repro.modelcheck.protocols import checkable_protocols
+from repro.modelcheck.summary import INVARIANTS, ModelCheckSummary
+from repro.protocols.runner import RunSummary, ScenarioSpec
+from repro.sim.failures import CrashEvent, CrashSchedule, FaultPlan
 
 #: The matrix the satellite demands: >= 200 seeded configurations across
 #: protocols x n in {2, 3} x fault envelopes x scripted-vote patterns.
@@ -80,8 +85,7 @@ class TestDifferentialMatrix:
         ]
         assert violated, "no sampled configuration produced a sim violation"
         for report in violated:
-            summary = report.checker.to_summary(spec_hash="t")
-            assert summary.atomicity_violated
+            assert report.checker.atomicity_violated
 
     def test_sampling_is_deterministic(self):
         first = sample_configs(25, seed=7)
@@ -129,6 +133,123 @@ def test_disagreement_report_carries_both_traces():
     assert "DISAGREEMENT" in text
     assert "naive-extended-three-phase-commit" in text
     assert "evidence line" in text
+
+
+# ----------------------------------------------------------------------
+# the one agreement rule, clause by clause
+# ----------------------------------------------------------------------
+def _run(decisions):
+    """A hand-built simulator record with the given per-site decisions."""
+    return RunSummary(
+        protocol="p", spec_hash="", seed=0, n_sites=3, decisions=dict(decisions)
+    )
+
+
+def _checker(fault, violated=()):
+    """A hand-built checker record refuting exactly ``violated``."""
+    return ModelCheckSummary(
+        protocol="p",
+        spec_hash="",
+        seed=0,
+        n_sites=3,
+        fault=fault,
+        invariants={
+            name: "violated" if name in violated else "holds"
+            for name, _, _ in INVARIANTS
+        },
+    )
+
+
+COMMIT, ABORT, UNDECIDED = "commit", "abort", None
+
+#: (scenario, simulator decisions, checker fault, checker-violated
+#: invariants, fragments of the expected reasons in order; () = agree).
+RULE_CASES = {
+    "sim-violation-vs-safe-checker": (
+        ScenarioSpec(),
+        {1: COMMIT, 2: ABORT, 3: COMMIT},
+        SINGLE_CRASH,
+        ("no-blocking",),
+        ("violated atomicity",),
+    ),
+    "sim-violation-vs-refuting-checker": (
+        ScenarioSpec(),
+        {1: COMMIT, 2: ABORT, 3: COMMIT},
+        PARTITION,
+        ("commit-requires-votes",),
+        (),
+    ),
+    "surviving-undecided-vs-nonblocking-checker": (
+        ScenarioSpec(),
+        {1: COMMIT, 2: COMMIT, 3: UNDECIDED},
+        PARTITION,
+        (),
+        ("surviving sites [3]",),
+    ),
+    # Fails under a rule that excuses blocking by any non-consistent
+    # checker verdict: refuting same-decision does not predict blocking.
+    "violated-and-undecided-vs-same-decision-only": (
+        ScenarioSpec(),
+        {1: COMMIT, 2: ABORT, 3: UNDECIDED},
+        PARTITION,
+        ("same-decision",),
+        ("surviving sites [3]",),
+    ),
+    "crashed-undecided-is-not-surviving": (
+        ScenarioSpec(crashes=CrashSchedule.single(1, 1.5)),
+        {1: UNDECIDED, 2: ABORT, 3: ABORT},
+        SINGLE_CRASH,
+        (),
+        (),
+    ),
+    "fault-plan-crash-is-not-surviving": (
+        ScenarioSpec(faults=FaultPlan(crashes=(CrashEvent(1.5, 2),))),
+        {1: ABORT, 2: UNDECIDED, 3: ABORT},
+        SINGLE_CRASH,
+        (),
+        (),
+    ),
+    "surviving-undecided-vs-blocking-checker": (
+        ScenarioSpec(crashes=CrashSchedule.single(1, 1.5)),
+        {1: UNDECIDED, 2: UNDECIDED, 3: UNDECIDED},
+        SINGLE_CRASH,
+        ("no-blocking",),
+        (),
+    ),
+    "failure-free-verdict-mismatch": (
+        ScenarioSpec(),
+        {1: COMMIT, 2: COMMIT, 3: COMMIT},
+        FAILURE_FREE,
+        ("no-blocking",),
+        ("verdicts must match exactly",),
+    ),
+    "failure-free-outcome-mismatch": (
+        ScenarioSpec(no_voters=frozenset({3})),
+        {1: COMMIT, 2: COMMIT, 3: COMMIT},
+        FAILURE_FREE,
+        (),
+        ("outcome should be abort",),
+    ),
+    "failure-free-match": (
+        ScenarioSpec(no_voters=frozenset({3})),
+        {1: ABORT, 2: ABORT, 3: ABORT},
+        FAILURE_FREE,
+        (),
+        (),
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "scenario,decisions,fault,violated,expected",
+    list(RULE_CASES.values()),
+    ids=list(RULE_CASES),
+)
+def test_judge_run_clauses(scenario, decisions, fault, violated, expected):
+    reasons = judge_run(scenario, _run(decisions), _checker(fault, violated))
+    assert len(reasons) == len(expected), reasons
+    for reason, fragment in zip(reasons, expected):
+        assert fragment in reason, (reason, fragment)
 
 
 # ----------------------------------------------------------------------

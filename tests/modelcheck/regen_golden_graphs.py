@@ -70,7 +70,7 @@ def golden_rows() -> dict:
             "edges": len(graph.edges),
             "frontier_depth": graph.frontier_depth,
             "complete": graph.complete,
-            "verdicts": {name: v.verdict for name, v in sorted(result.verdicts.items())},
+            "verdicts": dict(sorted(result.invariants.items())),
             "visit_order_sha256": _sha(str(state) for state in graph.visit_order),
             "edges_sha256": _sha(
                 f"{edge.describe()} => {edge.target}" for edge in graph.edges

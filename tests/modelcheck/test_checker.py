@@ -18,13 +18,7 @@ from repro.core.reachability import (
     SINGLE_CRASH,
     ExplorationError,
 )
-from repro.modelcheck.checker import (
-    BLOCKING_INVARIANT,
-    INVARIANTS,
-    SAFETY_INVARIANTS,
-    check_model,
-    trace_steps,
-)
+from repro.modelcheck.checker import check_model, counterexample_path, trace_steps
 from repro.modelcheck.protocols import (
     UncheckableProtocolError,
     checkable_protocols,
@@ -32,7 +26,9 @@ from repro.modelcheck.protocols import (
 )
 from repro.modelcheck.sink import ModelCheckSink
 from repro.modelcheck.spec import ModelCheckSpec
-from repro.modelcheck.summary import ModelCheckSummary
+from repro.modelcheck.summary import INVARIANTS, ModelCheckSummary
+
+NAMES = [name for name, _, _ in INVARIANTS]
 
 
 class TestSpecValidation:
@@ -95,10 +91,10 @@ class TestProtocolResolution:
 @pytest.mark.parametrize("protocol", checkable_protocols())
 def test_every_protocol_is_consistent_failure_free(protocol):
     result = check_model(protocol, ModelCheckSpec(fault=FAILURE_FREE))
-    summary = result.to_summary(spec_hash="t")
-    assert summary.verdict == "consistent"
-    assert summary.complete
-    assert all(summary.invariant_holds(name) for name in INVARIANTS)
+    assert result.verdict == "consistent"
+    assert result.complete
+    assert all(result.invariant_holds(name) for name in NAMES)
+    assert result.counterexamples == {}
 
 
 @pytest.mark.parametrize("protocol", checkable_protocols())
@@ -106,9 +102,7 @@ def test_no_voter_blocks_commit_failure_free(protocol):
     """Without timeouts a scripted no vote makes commit unreachable."""
     spec = ModelCheckSpec(fault=FAILURE_FREE, no_voters=frozenset({2}))
     result = check_model(protocol, spec)
-    assert result.to_summary(spec_hash="t").invariant_holds(
-        "commit-requires-votes"
-    )
+    assert result.invariant_holds("commit-requires-votes")
 
 
 @pytest.mark.parametrize(
@@ -119,9 +113,7 @@ def test_no_voter_blocks_commit_without_augmentation(protocol, fault):
     """The unextended protocols have no timeout path around a no vote."""
     spec = ModelCheckSpec(fault=fault, no_voters=frozenset({2}))
     result = check_model(protocol, spec)
-    assert result.to_summary(spec_hash="t").invariant_holds(
-        "commit-requires-votes"
-    )
+    assert result.invariant_holds("commit-requires-votes")
 
 
 @pytest.mark.parametrize(
@@ -132,9 +124,7 @@ def test_extended_protocol_can_timeout_commit_past_a_no_voter(protocol):
     even though another slave voted no -- the checker must find it."""
     spec = ModelCheckSpec(fault=PARTITION, no_voters=frozenset({2}))
     result = check_model(protocol, spec)
-    assert not result.to_summary(spec_hash="t").invariant_holds(
-        "commit-requires-votes"
-    )
+    assert not result.invariant_holds("commit-requires-votes")
 
 
 @pytest.mark.parametrize(
@@ -144,8 +134,7 @@ def test_extended_protocol_can_timeout_commit_past_a_no_voter(protocol):
 def test_two_site_extensions_are_resilient(protocol, fault):
     """The two-site correctness theorem, machine-checked exhaustively."""
     result = check_model(protocol, ModelCheckSpec(n_sites=2, fault=fault))
-    summary = result.to_summary(spec_hash="t")
-    assert summary.verdict == "consistent", summary.summary()
+    assert result.verdict == "consistent", result.summary()
 
 
 @pytest.mark.parametrize(
@@ -168,15 +157,14 @@ def test_two_site_extensions_are_resilient(protocol, fault):
 )
 def test_three_site_verdict_matrix(protocol, fault, expect_violated):
     result = check_model(protocol, ModelCheckSpec(n_sites=3, fault=fault))
-    summary = result.to_summary(spec_hash="t")
     if expect_violated:
-        assert summary.atomicity_violated, summary.summary()
-        assert not summary.invariant_holds("same-decision")
-        assert not summary.invariant_holds("no-commit-after-abort")
+        assert result.atomicity_violated, result.summary()
+        assert not result.invariant_holds("same-decision")
+        assert not result.invariant_holds("no-commit-after-abort")
     else:
-        assert not summary.atomicity_violated, summary.summary()
-        assert summary.blocked, summary.summary()
-        assert not summary.invariant_holds(BLOCKING_INVARIANT)
+        assert not result.atomicity_violated, result.summary()
+        assert result.blocked, result.summary()
+        assert not result.invariant_holds("no-blocking")
 
 
 def test_naive_3pc_counterexample_shape_matches_the_paper():
@@ -185,17 +173,18 @@ def test_naive_3pc_counterexample_shape_matches_the_paper():
         "naive-extended-three-phase-commit",
         ModelCheckSpec(n_sites=3, fault=PARTITION),
     )
-    verdict = result.verdict_for("same-decision")
-    assert not verdict.holds
-    locals_ = verdict.witness.locals
-    assert "c" in locals_ and "a" in locals_
+    assert not result.invariant_holds("same-decision")
+    graph = result.graph
+    index = graph.same_decision_witness
+    witness = graph.state_at(index)
+    assert "c" in witness.locals and "a" in witness.locals
     # BFS discovery makes the trace minimal: no shorter path reaches the
     # witness (depth == trace length by construction).  The packed depth of
     # the witness index and the decoded ``depth`` view agree.
-    graph = result.graph
-    index = graph.same_decision_witness
-    assert graph.state_at(index) == verdict.witness
-    assert len(verdict.trace) == graph.depths[index] == graph.depth[verdict.witness]
+    trace = counterexample_path(graph, "same-decision")
+    assert trace[-1].target == witness
+    assert len(trace) == graph.depths[index] == graph.depth[witness]
+    assert len(result.counterexample("same-decision")) == len(trace)
 
 
 def test_budget_propagates_through_check_model():
@@ -210,9 +199,8 @@ def test_max_depth_marks_summary_incomplete():
     result = check_model(
         "two-phase-commit", ModelCheckSpec(fault=SINGLE_CRASH, max_depth=2)
     )
-    summary = result.to_summary(spec_hash="t")
-    assert not summary.complete
-    assert summary.frontier_depth <= 2
+    assert not result.complete
+    assert result.frontier_depth <= 2
 
 
 class TestSummaryCodec:
@@ -221,13 +209,26 @@ class TestSummaryCodec:
             "naive-extended-three-phase-commit",
             ModelCheckSpec(n_sites=3, fault=PARTITION),
         )
-        return result.to_summary(spec_hash="abc123")
+        return result.as_summary(spec_hash="abc123")
 
     def test_round_trip(self):
         summary = self._summary()
         clone = ModelCheckSummary.from_json_bytes(summary.to_json_bytes())
         assert clone == summary
         assert clone.to_json_bytes() == summary.to_json_bytes()
+
+    def test_as_summary_is_the_plain_record_without_the_graph(self):
+        result = check_model(
+            "naive-extended-three-phase-commit",
+            ModelCheckSpec(n_sites=3, fault=PARTITION),
+        )
+        summary = result.as_summary(spec_hash="abc123")
+        assert isinstance(result, ModelCheckSummary)
+        assert type(summary) is ModelCheckSummary
+        assert not hasattr(summary, "graph")
+        assert summary.spec_hash == "abc123" and result.spec_hash == ""
+        assert summary.invariants == result.invariants
+        assert summary.counterexamples == result.counterexamples
 
     def test_kind_tag(self):
         payload = self._summary().to_json_dict()
@@ -237,12 +238,15 @@ class TestSummaryCodec:
         base = ModelCheckSummary(
             protocol="p", spec_hash="h", seed=0, n_sites=3, fault=FAILURE_FREE
         )
-        base.invariants = {name: "holds" for name in INVARIANTS}
+        base.invariants = {name: "holds" for name in NAMES}
         assert base.verdict == "consistent"
-        base.invariants[BLOCKING_INVARIANT] = "violated"
+        base.invariants["no-blocking"] = "violated"
         assert base.verdict == "blocked"
-        base.invariants[SAFETY_INVARIANTS[0]] = "violated"
-        assert base.verdict == "violated"
+        for name, safety, _ in INVARIANTS:
+            if safety:
+                base.invariants[name] = "violated"
+                assert base.verdict == "violated", name
+                base.invariants[name] = "holds"
 
     def test_counterexample_formatting(self):
         summary = self._summary()
@@ -260,9 +264,9 @@ class TestSink:
             "naive-extended-three-phase-commit",
             ModelCheckSpec(n_sites=3, fault=PARTITION),
         )
-        sink.accept(0, result.to_summary(spec_hash="t"))
+        sink.accept(0, result.as_summary(spec_hash="t"))
         (row,) = sink.rows()
-        steps = len(result.to_summary(spec_hash="t").counterexample("same-decision"))
+        steps = len(result.counterexample("same-decision"))
         assert row["same-decision"] == f"violated@{steps}"
         assert row["non-blocking"] == "holds"
 
@@ -276,7 +280,7 @@ class TestSink:
         result = check_model(
             "two-phase-commit", ModelCheckSpec(fault=SINGLE_CRASH, max_depth=2)
         )
-        sink.accept(0, result.to_summary(spec_hash="t"))
+        sink.accept(0, result.as_summary(spec_hash="t"))
         (row,) = sink.rows()
         assert "(truncated)" in row["fault"]
 
@@ -286,8 +290,9 @@ def test_trace_steps_serialization():
         "naive-extended-three-phase-commit",
         ModelCheckSpec(n_sites=3, fault=PARTITION),
     )
-    trace = result.verdict_for("same-decision").trace
+    trace = counterexample_path(result.graph, "same-decision")
     steps = trace_steps(trace)
+    assert steps == result.counterexample("same-decision")
     assert len(steps) == len(trace)
     assert [s["step"] for s in steps] == list(range(len(steps)))
     assert {s["action"] for s in steps} <= {

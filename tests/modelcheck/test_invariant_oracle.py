@@ -2,51 +2,39 @@
 
 :func:`~repro.core.reachability.explore_model` evaluates the checker's four
 invariants while it discovers states and edges, and keeps only the first
-witness of each.  The scans below are the definition those checks must
-agree with: each walks the *decoded* graph in its canonical order
-(``visit_order`` for the state invariants, ``edges`` for the edge
-invariant, ``final_states()`` for blocking) and stops at the first
-violation.  For every checkable protocol at n = 2-4, under every
-envelope, in BFS and DFS order and with ``max_depth`` truncation, the
-verdicts -- holds, witness, counterexample trace and detail -- must be
-identical.
+witness of each; :func:`~repro.modelcheck.checker.counterexample_path`
+turns a witness into its replayable path.  The scans below are the
+definition those checks must agree with: each walks the *decoded* graph in
+its canonical order (``visit_order`` for the state invariants, ``edges``
+for the edge invariant, ``final_states()`` for blocking), stops at the
+first violation and returns the path to it (``None`` when the invariant
+holds).  For every checkable protocol at n = 2-4, under every envelope, in
+BFS and DFS order and with ``max_depth`` truncation, the paths must be
+identical; :func:`~repro.modelcheck.checker.check_model`'s record must
+carry exactly the scans' verdicts and serialized paths.
 """
 
 import pytest
 
 from repro.core.reachability import ALL_FAULT_ENVELOPES, BFS, DFS, explore_model
-from repro.modelcheck.checker import (
-    BLOCKING_INVARIANT,
-    InvariantVerdict,
-    check_invariants,
-)
+from repro.modelcheck.checker import check_model, counterexample_path, trace_steps
 from repro.modelcheck.protocols import checkable_protocols, resolve_protocol
+from repro.modelcheck.spec import ModelCheckSpec
+from repro.modelcheck.summary import INVARIANTS
 
 
 def scan_same_decision(graph):
     """No state mixes a committed site with an aborted one."""
     for state in graph.visit_order:
-        committed = None
-        aborted = None
+        committed = aborted = False
         for site in range(1, graph.n_sites + 1):
             automaton = graph.automaton_of(site)
             local = state.local(site)
-            if local in automaton.commit_states:
-                committed = site
-            elif local in automaton.abort_states:
-                aborted = site
-        if committed is not None and aborted is not None:
-            return InvariantVerdict(
-                name="same-decision",
-                holds=False,
-                witness=state,
-                trace=graph.path_to(state),
-                detail=(
-                    f"site {committed} committed while site {aborted} aborted "
-                    f"in {state}"
-                ),
-            )
-    return InvariantVerdict(name="same-decision", holds=True)
+            committed |= local in automaton.commit_states
+            aborted |= local in automaton.abort_states
+        if committed and aborted:
+            return graph.path_to(state)
+    return None
 
 
 def scan_no_commit_after_abort(graph):
@@ -63,17 +51,8 @@ def scan_no_commit_after_abort(graph):
             continue
         for site in range(1, graph.n_sites + 1):
             if edge.source.local(site) in graph.automaton_of(site).abort_states:
-                return InvariantVerdict(
-                    name="no-commit-after-abort",
-                    holds=False,
-                    witness=edge.target,
-                    trace=graph.path_to(edge.source) + [edge],
-                    detail=(
-                        f"site {edge.site} commits after site {site} "
-                        f"aborted in {edge.source}"
-                    ),
-                )
-    return InvariantVerdict(name="no-commit-after-abort", holds=True)
+                return graph.path_to(edge.source) + [edge]
+    return None
 
 
 def scan_commit_requires_votes(graph):
@@ -81,22 +60,10 @@ def scan_commit_requires_votes(graph):
     for state in graph.visit_order:
         for site in range(1, graph.n_sites + 1):
             if state.local(site) in graph.automaton_of(site).commit_states:
-                missing = [
-                    s for s in range(2, graph.n_sites + 1) if not state.voted[s - 1]
-                ]
-                if missing:
-                    return InvariantVerdict(
-                        name="commit-requires-votes",
-                        holds=False,
-                        witness=state,
-                        trace=graph.path_to(state),
-                        detail=(
-                            f"site {site} committed without yes votes from "
-                            f"slaves {missing} in {state}"
-                        ),
-                    )
+                if not all(state.voted[s - 1] for s in range(2, graph.n_sites + 1)):
+                    return graph.path_to(state)
                 break
-    return InvariantVerdict(name="commit-requires-votes", holds=True)
+    return None
 
 
 def scan_no_blocking(graph):
@@ -106,27 +73,21 @@ def scan_no_blocking(graph):
             if not state.alive(site):
                 continue
             if not graph.automaton_of(site).is_final(state.local(site)):
-                return InvariantVerdict(
-                    name=BLOCKING_INVARIANT,
-                    holds=False,
-                    witness=state,
-                    trace=graph.path_to(state),
-                    detail=(
-                        f"surviving site {site} is stuck undecided in "
-                        f"state {state.local(site)} at terminal {state}"
-                    ),
-                )
-    return InvariantVerdict(name=BLOCKING_INVARIANT, holds=True)
+                return graph.path_to(state)
+    return None
 
 
-def scan_invariants(graph):
-    """Every invariant by whole-graph scan, keyed like ``check_invariants``."""
-    return {
-        "same-decision": scan_same_decision(graph),
-        "no-commit-after-abort": scan_no_commit_after_abort(graph),
-        "commit-requires-votes": scan_commit_requires_votes(graph),
-        BLOCKING_INVARIANT: scan_no_blocking(graph),
-    }
+#: Invariant name -> its whole-graph scan.
+SCANS = {
+    "same-decision": scan_same_decision,
+    "no-commit-after-abort": scan_no_commit_after_abort,
+    "commit-requires-votes": scan_commit_requires_votes,
+    "no-blocking": scan_no_blocking,
+}
+
+
+def test_every_invariant_has_a_scan():
+    assert [name for name, _, _ in INVARIANTS] == list(SCANS)
 
 
 def _final_states_by_definition(graph):
@@ -160,14 +121,23 @@ def test_on_discovery_verdicts_equal_the_graph_scans(
         max_depth=max_depth,
     )
     assert graph.final_states() == _final_states_by_definition(graph)
-    assert check_invariants(graph) == scan_invariants(graph)
+    for name, scan in SCANS.items():
+        assert counterexample_path(graph, name) == scan(graph), name
 
 
 @pytest.mark.parametrize("no_voters", (frozenset(), frozenset({2}), frozenset({2, 3})))
 @pytest.mark.parametrize("protocol", checkable_protocols())
-def test_on_discovery_verdicts_equal_the_scans_under_scripted_votes(protocol, no_voters):
-    spec, augmentation = resolve_protocol(protocol, 3)
-    graph = explore_model(
-        spec, 3, augmentation=augmentation, fault="partition", no_voters=no_voters
+def test_on_discovery_verdicts_equal_the_scans_under_scripted_votes(
+    protocol, no_voters
+):
+    result = check_model(
+        protocol,
+        ModelCheckSpec(n_sites=3, fault="partition", no_voters=no_voters or None),
     )
-    assert check_invariants(graph) == scan_invariants(graph)
+    paths = {name: scan(result.graph) for name, scan in SCANS.items()}
+    assert result.invariants == {
+        name: "holds" if path is None else "violated" for name, path in paths.items()
+    }
+    assert result.counterexamples == {
+        name: trace_steps(path) for name, path in paths.items() if path is not None
+    }
