@@ -20,6 +20,11 @@ back to the owning role, and fans crash / recovery notifications out to
 every registered role.  Protocol roles run unmodified on top: they duck-type
 against the node surface (:meth:`send`, :meth:`set_timer`, :meth:`note`,
 ``sim``) rather than the concrete :class:`Node`.
+
+A transaction's virtual nodes live while its commit protocol is in flight:
+the scheduler retires them (:meth:`SiteMultiplexer.retire`) once every
+participant has decided, so a long run holds only its in-flight roles and a
+finished one is freed by reference counting.
 """
 
 from __future__ import annotations
@@ -86,11 +91,7 @@ class VirtualNode:
 
     def start(self) -> None:
         """Schedule the role's ``on_start`` at the current simulated time."""
-        self._node.sim.schedule(
-            0.0,
-            self._start_role,
-            label=f"start {self.transaction_id}@site{self.node_id}",
-        )
+        self._node.sim.schedule(0.0, self._start_role, label="start")
 
     def _start_role(self) -> None:
         if self.crashed or self.role is None:
@@ -180,13 +181,31 @@ class SiteMultiplexer:
             self._virtuals[transaction_id] = virtual
         return virtual
 
-    def roles(self) -> dict[str, Any]:
-        """Transaction id -> attached role, for inspection."""
-        return {
-            txn: virtual.role
-            for txn, virtual in self._virtuals.items()
-            if virtual.role is not None
-        }
+    def retire(self, transaction_id: str) -> None:
+        """Forget a decided transaction's virtual node and cut its role.
+
+        The scheduler calls this once every participant has decided.  The
+        role keeps its own ``node`` (this virtual node), so a broadcast it
+        makes after deciding still leaves through the real site; later
+        deliveries for the transaction take the ``unrouted-message`` path.
+        """
+        virtual = self._virtuals.pop(transaction_id, None)
+        if virtual is not None:
+            virtual.role = None
+
+    def close(self) -> None:
+        """Drop the listeners and retire every transaction still in flight.
+
+        The listeners lead back to the scheduler and each role back to its
+        virtual node, so until these links go a finished run is one
+        reference cycle.  Called by
+        :meth:`repro.txn.scheduler.TransactionScheduler.close`.  Idempotent.
+        """
+        self.crash_listeners.clear()
+        self.recover_listeners.clear()
+        self.message_listeners.clear()
+        for transaction_id in list(self._virtuals):
+            self.retire(transaction_id)
 
     # ------------------------------------------------------------------
     # Role hooks invoked by the real node
@@ -204,11 +223,12 @@ class SiteMultiplexer:
         transaction_id = getattr(inner, "transaction_id", None)
         virtual = self._virtuals.get(transaction_id) if transaction_id else None
         if virtual is None or virtual.role is None:
-            self.node.note(
-                "unrouted-message",
-                transaction=transaction_id,
-                payload=describe_payload(payload),
-            )
+            if self.node._tracing:
+                self.node.note(
+                    "unrouted-message",
+                    transaction=transaction_id,
+                    payload=describe_payload(payload),
+                )
             return
         handler = getattr(virtual.role, "on_message", None)
         if handler is not None:

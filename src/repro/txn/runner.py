@@ -193,12 +193,18 @@ class ThroughputSpec:
 
 @dataclass
 class ThroughputRunResult:
-    """A throughput run with its live objects, for tests and diagnostics.
+    """A throughput run with its closed rig, for tests and diagnostics.
 
-    The engine keeps only :attr:`summary`; the scheduler / cluster stay in
-    the worker process, like the single-transaction runner's heavyweight
-    state.  ``cluster.trace`` is a :class:`~repro.sim.trace.NullTrace`
-    unless the run was made with ``collect_trace=True``.
+    The engine keeps only :attr:`summary`.  The scheduler and cluster are
+    closed as soon as the run ends (:meth:`TransactionScheduler.close
+    <repro.txn.scheduler.TransactionScheduler.close>`,
+    :meth:`Cluster.close <repro.sim.cluster.Cluster.close>`), so the run is
+    freed by reference counting.  The summary is built from the closed rig,
+    and these stay readable: the counters, ``scheduler.outcomes()``,
+    ``scheduler.states``, ``cluster.sim.events_executed``, the trace and the
+    database sites (WAL included).  ``cluster.trace`` is a
+    :class:`~repro.sim.trace.NullTrace` unless the run was made with
+    ``collect_trace=True``.
     """
 
     summary: ThroughputSummary
@@ -257,22 +263,28 @@ def run_throughput_scenario(
         seed=spec.seed,
         lock_transport=spec.lock_transport,
     )
-    if spec.partition is not None:
-        cluster.apply_partition_schedule(spec.partition)
-    if spec.crashes is not None:
-        cluster.apply_crash_schedule(spec.crashes)
-    if spec.faults is not None:
-        cluster.apply_fault_plan(spec.faults)
-        if spec.faults.byzantine:
-            from repro.protocols.byzantine import install_byzantine_interceptors
+    try:
+        if spec.partition is not None:
+            cluster.apply_partition_schedule(spec.partition)
+        if spec.crashes is not None:
+            cluster.apply_crash_schedule(spec.crashes)
+        if spec.faults is not None:
+            cluster.apply_fault_plan(spec.faults)
+            if spec.faults.byzantine:
+                from repro.protocols.byzantine import install_byzantine_interceptors
 
-            install_byzantine_interceptors(cluster, spec.faults)
-    scheduler.submit_all(
-        generate_transactions(spec.workload_config()), arrivals=spec.arrival_times()
-    )
-    horizon = spec.effective_horizon()
-    cluster.run(until=horizon, max_events=5_000_000)
-    scheduler.finalize(horizon)
+                install_byzantine_interceptors(cluster, spec.faults)
+        scheduler.submit_all(
+            generate_transactions(spec.workload_config()), arrivals=spec.arrival_times()
+        )
+        horizon = spec.effective_horizon()
+        cluster.run(until=horizon, max_events=5_000_000)
+        scheduler.finalize(horizon)
+    finally:
+        # Closing first keeps the summary honest: it reads only what a
+        # closed rig keeps (counters, states, lock statistics, the WAL).
+        scheduler.close()
+        cluster.close()
 
     summary = ThroughputSummary(
         protocol=getattr(protocol, "name", type(protocol).__name__),

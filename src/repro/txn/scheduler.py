@@ -71,7 +71,6 @@ from repro.db.locks import LockMode, LockRequest
 from repro.db.site import DatabaseSite, SiteState
 from repro.db.transactions import OpKind, Transaction
 from repro.protocols.base import Decision, ProtocolContext
-from repro.protocols.fsa_role import FSARole
 from repro.protocols.registry import Protocol
 from repro.sim.cluster import Cluster
 from repro.sim.events import Event
@@ -165,7 +164,6 @@ class TransactionState:
     started_at: Optional[float] = None
     finished_at: Optional[float] = None
     decisions: dict[int, Decision] = field(default_factory=dict)
-    roles: dict[int, FSARole] = field(default_factory=dict)
     verdict: Optional[TransactionVerdict] = None
     abort_reason: str = ""
     #: :class:`~repro.txn.retry.AbortCause` value of this attempt's abort.
@@ -296,11 +294,7 @@ class TransactionScheduler:
 
     def submit(self, transaction: Transaction, *, at: float) -> None:
         """Schedule ``transaction`` for admission at simulated time ``at``."""
-        self.cluster.sim.schedule_at(
-            at,
-            lambda txn=transaction: self._admit(txn),
-            label=f"admit {transaction.transaction_id}",
-        )
+        self.cluster.sim.schedule_at(at, self._admit, label="admit", arg=transaction)
 
     def submit_all(self, transactions, *, arrivals) -> None:
         """Submit a transaction stream with its per-transaction arrival times."""
@@ -442,9 +436,7 @@ class TransactionScheduler:
         state.next_op += 1
         if self.op_delay > 0 and state.next_op < len(state.plan):
             self.cluster.sim.schedule(
-                self.op_delay,
-                lambda s=state: self._advance(s),
-                label=f"next-op {state.transaction_id}",
+                self.op_delay, self._advance, label="next-op", arg=state
             )
             return False
         return True
@@ -754,11 +746,11 @@ class TransactionScheduler:
         if self.policy.wait_timeout is None:
             return
         self._cancel_wait_timeout(state)
-        request = state.pending_request
         state.timeout_event = self.cluster.sim.schedule(
             self.policy.wait_timeout,
-            lambda s=state, r=request: self._on_wait_timeout(s, r),
-            label=f"lock-wait-timeout {state.transaction_id}",
+            self._on_wait_timeout,
+            label="lock-wait-timeout",
+            arg=(state, state.pending_request),
         )
 
     def _cancel_wait_timeout(self, state: TransactionState) -> None:
@@ -766,7 +758,9 @@ class TransactionScheduler:
             state.timeout_event.cancel()
             state.timeout_event = None
 
-    def _on_wait_timeout(self, state: TransactionState, request: LockRequest) -> None:
+    def _on_wait_timeout(self, waited: tuple[TransactionState, Any]) -> None:
+        """Abort ``state`` if it still waits on the ``request`` the timer was armed for."""
+        state, request = waited
         if state.phase is not TxnPhase.WAITING or state.pending_request is not request:
             return
         self.cluster.trace.record(
@@ -839,14 +833,15 @@ class TransactionScheduler:
             due=self.now + delay,
         )
         self.cluster.sim.schedule(
-            delay,
-            lambda txn=clone, lid=state.logical_id, att=next_attempt: self._admit(
-                txn, logical_id=lid, attempt=att
-            ),
-            label=f"retry {clone.transaction_id}",
+            delay, self._readmit, label="retry", arg=(clone, state.logical_id, next_attempt)
         )
         self.retry_backlog += 1
         self.peak_retry_backlog = max(self.peak_retry_backlog, self.retry_backlog)
+
+    def _readmit(self, retry: tuple[Transaction, str, int]) -> None:
+        """Admit the ``(clone, logical id, attempt)`` a retry scheduled."""
+        transaction, logical_id, attempt = retry
+        self._admit(transaction, logical_id=logical_id, attempt=attempt)
 
     # ------------------------------------------------------------------
     # commit phase
@@ -877,7 +872,6 @@ class TransactionScheduler:
                     st, s, decision
                 )
             )
-            state.roles[site] = role
             virtuals.append(virtual)
         for virtual in virtuals:
             virtual.start()
@@ -910,6 +904,11 @@ class TransactionScheduler:
         state.phase = TxnPhase.DONE
         state.finished_at = self.now
         self.running -= 1
+        # Every participant has decided: retire the transaction's roles.
+        # The deciding role may still broadcast its resolution; it sends
+        # through its own virtual node, which outlives the retirement.
+        for participant in state.transaction.participants:
+            self.multiplexers[participant].retire(state.transaction_id)
         if state.verdict is TransactionVerdict.ABORTED:
             self._maybe_retry(state)
 
@@ -928,6 +927,25 @@ class TransactionScheduler:
                     )
             elif state.phase is TxnPhase.RUNNING:
                 state.verdict = TransactionVerdict.BLOCKED
+
+    def close(self) -> None:
+        """Cut the run's reference cycles once its results are read.
+
+        Drops the multiplexers' listeners and the lock managers' ``on_grant``
+        hooks (each leads back to this scheduler), retires the transactions
+        still in flight at the horizon, and forgets every pending lock-wait
+        timeout event (its argument leads back to the state that holds it).
+        :attr:`states`, :meth:`outcomes` and every counter stay readable;
+        the scheduler cannot run again.  Called by
+        :func:`repro.txn.runner.run_throughput_scenario` next to
+        :meth:`repro.sim.cluster.Cluster.close`.  Idempotent.
+        """
+        for multiplexer in self.multiplexers.values():
+            multiplexer.close()
+        for db in self.db_sites.values():
+            db.locks.on_grant = None
+        for state in self.states.values():
+            state.timeout_event = None
 
     def lock_hold_total(self, horizon: float) -> float:
         """Total lock-hold time across sites, charging still-held locks to

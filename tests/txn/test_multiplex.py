@@ -86,6 +86,47 @@ class TestVirtualNodes:
         sender.send(2, ProtocolMessage(kind="xact", transaction_id="ghost", sender=1))
         cluster.run(until=5.0)  # must not raise
 
+    def test_a_retired_transactions_delivery_is_unrouted(self):
+        cluster = Cluster(2)
+        muxes = {site: SiteMultiplexer(cluster.node(site)) for site in (1, 2)}
+        received = []
+
+        class Probe:
+            def on_message(self, payload, envelope):
+                received.append(payload)
+
+        from repro.protocols.base import ProtocolMessage
+
+        receiver = muxes[2].virtual_node("done")
+        receiver.attach(Probe())
+        muxes[2].retire("done")
+        assert receiver.role is None
+        muxes[1].virtual_node("done").send(
+            2, ProtocolMessage(kind="commit", transaction_id="done", sender=1)
+        )
+        cluster.run(until=5.0)
+        assert received == []
+        unrouted = cluster.trace.first("unrouted-message")
+        assert unrouted is not None and unrouted.site == 2
+        assert unrouted.get("transaction") == "done"
+
+    def test_an_untraced_unrouted_delivery_describes_nothing(self, monkeypatch):
+        from repro.protocols.base import ProtocolMessage
+        from repro.sim.trace import NullTrace
+        from repro.txn import multiplex
+
+        def fail(payload):
+            raise AssertionError("payload described with tracing off")
+
+        monkeypatch.setattr(multiplex, "describe_payload", fail)
+        cluster = Cluster(2, trace=NullTrace())
+        muxes = {site: SiteMultiplexer(cluster.node(site)) for site in (1, 2)}
+        muxes[1].virtual_node("ghost").send(
+            2, ProtocolMessage(kind="xact", transaction_id="ghost", sender=1)
+        )
+        cluster.run(until=5.0)
+        assert cluster.network.messages_delivered == 1
+
 
 class TestConcurrentProtocolInstances:
     def test_two_disjoint_transactions_commit_concurrently(self):
