@@ -5,18 +5,21 @@ purpose* (a new termination rule, a different timer, a changed send)::
 
     PYTHONPATH=src python tests/protocols/regen_golden_terminating.py
 
-The golden pins, per simulated run of terminating 3PC, its no-transient
-variant and terminating quorum commit, the SHA-256 of the run's canonical
+The golden pins, per simulated run, the SHA-256 of the run's canonical
 :class:`~repro.protocols.runner.RunSummary` JSON bytes and of its trace
 records with the free-text ``reason`` and the transaction id dropped
 (everything else -- time, category, site, every other detail field, record
-order -- is hashed).  Rows cover
+order -- is hashed).  Rows of terminating 3PC, its no-transient variant
+and terminating quorum commit cover
 n = 3, 4 x every simple split x an onset grid of permanent and transient
 partitions (the Section 6 4.25 -> 5.25 heal included) x all-yes and
 one-slave-no vote scripts, the skewed-link 3.7 partition of the Fig. 8
 scenario at n = 4, a master that votes no, the pessimistic network, and
-the dup / reorder / loss-with-retransmission / Byzantine fault plans.  A
-refactor of the termination protocol must leave the file byte-identical.
+the dup / reorder / loss-with-retransmission / Byzantine fault plans.  The
+five other protocols (the paper's 2PC, 3PC and quorum-commit automata,
+plain and with Rule (a)/(b)) run the same rows at n = 3 only, so their
+traces are pinned too.  A refactor of the termination protocol or of the
+simulator must leave the file byte-identical.
 ``GRID`` and ``golden_rows`` are imported by the test, so the two cannot
 drift apart.
 """
@@ -35,11 +38,19 @@ from repro.sim.partition import PartitionSchedule
 
 GOLDEN_PATH = pathlib.Path(__file__).parent / "golden_terminating.json"
 
-PROTOCOLS = (
-    "terminating-three-phase-commit",
-    "terminating-three-phase-commit-no-transient",
-    "terminating-quorum-commit",
-)
+#: protocol -> the site counts its rows run at.
+SITE_COUNTS = {
+    "terminating-three-phase-commit": (3, 4),
+    "terminating-three-phase-commit-no-transient": (3, 4),
+    "terminating-quorum-commit": (3, 4),
+    "two-phase-commit": (3,),
+    "extended-two-phase-commit": (3,),
+    "three-phase-commit": (3,),
+    "naive-extended-three-phase-commit": (3,),
+    "quorum-commit": (3,),
+}
+
+PROTOCOLS = tuple(SITE_COUNTS)
 
 #: Permanent partition onsets, in units of T.
 ONSETS = (0.5, 1.25, 1.5, 2.25, 2.5, 3.0, 3.25, 3.5, 3.75, 4.25, 5.5, 7.0)
@@ -70,9 +81,9 @@ def _votes_label(no_voters) -> str:
     return "no=" + (",".join(map(str, sorted(no_voters))) or "-")
 
 
-def _scenarios():
+def _scenarios(site_counts):
     """(row id suffix, ScenarioSpec) for one protocol."""
-    for n_sites in (3, 4):
+    for n_sites in site_counts:
         splits = simple_splits(n_sites)
         for split in splits:
             g1, g2 = split
@@ -121,8 +132,8 @@ def _scenarios():
 #: row id -> (protocol, spec); the row id names every axis value.
 GRID = {
     f"{protocol}/{suffix}": (protocol, spec)
-    for protocol in PROTOCOLS
-    for suffix, spec in _scenarios()
+    for protocol, site_counts in SITE_COUNTS.items()
+    for suffix, spec in _scenarios(site_counts)
 }
 
 

@@ -2,8 +2,9 @@
 
 ``golden_terminating.json`` pins the SHA-256 of the summary bytes and of
 the reason-free trace of every run in a grid of terminating 3PC, its
-no-transient variant and terminating quorum commit (see
-``regen_golden_terminating.py``, which owns the grid).  It is what lets a
+no-transient variant and terminating quorum commit, plus the other five
+protocols at n = 3 (see ``regen_golden_terminating.py``, which owns the
+grid).  It is what lets a
 rewrite of the termination protocol prove it moved no send, timer,
 transition, decision or note *across* commits.  Regenerate only for a
 deliberate behaviour change::

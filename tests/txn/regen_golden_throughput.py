@@ -13,9 +13,12 @@ timeout x with / without one crash + recovery and one transient partition.
 The ``sparse/`` rows run two terminating protocols on four sites with three
 participants per transaction, fault-free and with the crash and partition,
 so the roles see slave ids that skip a site.
-A performance change to the lock table or the deadlock detector must leave
-the file byte-identical; ``deadlock_aborts`` rides along so a diff says
-more than "the hash moved".  ``GRID`` and ``golden_rows`` are imported by
+Each row also pins the SHA-256 of the traced run's records (time,
+category, site and every detail field, in record order), so the scheduler's
+event order and the multiplexed timer names are pinned too.
+A performance change to the lock table, the deadlock detector or the
+simulator must leave the file byte-identical; ``deadlock_aborts`` rides
+along so a diff says more than "the hash moved".  ``GRID`` and ``golden_rows`` are imported by
 the test, so the two cannot drift apart.
 """
 
@@ -114,26 +117,37 @@ GRID.update({
 })
 
 
+def _trace_bytes(trace) -> bytes:
+    records = [
+        [record.time, record.category, record.site, record.detail]
+        for record in trace
+    ]
+    return json.dumps(records, sort_keys=True, separators=(",", ":")).encode("utf-8")
+
+
 def golden_rows(*, collect_trace: bool = False) -> dict:
     """Run the grid; one ``{sha256, deadlock_aborts}`` entry per row id.
 
     The trace never feeds the summary, so ``collect_trace=True`` must
-    produce the same rows.
+    produce the same two fields; it adds the row's ``trace_sha256``.
     """
     rows = {}
     for row_id, (protocol, spec) in GRID.items():
-        summary = run_throughput_scenario(
-            protocol, spec, collect_trace=collect_trace
-        ).summary
+        result = run_throughput_scenario(protocol, spec, collect_trace=collect_trace)
+        summary = result.summary
         rows[row_id] = {
             "sha256": hashlib.sha256(summary.to_json_bytes()).hexdigest(),
             "deadlock_aborts": summary.deadlock_aborts,
         }
+        if collect_trace:
+            rows[row_id]["trace_sha256"] = hashlib.sha256(
+                _trace_bytes(result.cluster.trace)
+            ).hexdigest()
     return rows
 
 
 def main() -> None:
-    rows = golden_rows()
+    rows = golden_rows(collect_trace=True)
     GOLDEN_PATH.write_text(
         json.dumps(rows, indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
