@@ -112,7 +112,7 @@ class FSARole:
     @property
     def now(self) -> float:
         """Current simulated time."""
-        return self._sim.clock._now
+        return self._sim.now
 
     @property
     def decided(self) -> bool:
@@ -185,7 +185,7 @@ class FSARole:
         if timer is not None:
             self._arm(timer)
 
-    def on_timeout(self, timer: Any) -> None:
+    def on_timeout(self, name: str) -> None:
         if self.decided:
             return
         table = self._tables[self.state]
@@ -193,7 +193,7 @@ class FSARole:
             # Rule (a): an augmented role's only timer is its state timer.
             self._resolve(table.timeout, reason=f"timeout in {self.state}")
             return
-        action = next(filter(self._enabled, table.actions.get((TIMEOUT, timer.name), ())), None)
+        action = next(filter(self._enabled, table.actions.get((TIMEOUT, name), ())), None)
         if action is not None:
             self._apply(action, self.site)
 

@@ -82,6 +82,8 @@ class ScenarioSpec:
         self.faults = normalize_fault_plan(self.faults)
         if self.faults is not None:
             self.faults.validate(self.n_sites)
+        if self.crashes is not None:
+            self.crashes.validate(self.n_sites)
 
     def effective_latency(self) -> LatencyModel:
         """The latency model, defaulting to a constant delay of 1 (= T)."""

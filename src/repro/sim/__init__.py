@@ -5,13 +5,17 @@ point-to-point network whose end-to-end propagation delay is bounded by ``T``
 and which may split into exactly two groups ("simple partitioning").  This
 package provides the executable stand-in for that 1987 testbed:
 
-* :mod:`repro.sim.kernel` -- a deterministic discrete-event simulator,
+* :mod:`repro.sim.kernel` -- a deterministic discrete-event simulator whose
+  clock is :attr:`~repro.sim.kernel.Simulator.now` (in units of ``T``),
+* :mod:`repro.sim.events` -- the scheduled event: an action, its argument
+  and a cancelled flag,
 * :mod:`repro.sim.network` -- a message-passing network with optimistic
   (return undeliverable messages) and pessimistic (lose messages) partition
-  semantics,
+  semantics; an in-flight message is its queued delivery event,
 * :mod:`repro.sim.partition` -- partition specifications and schedules
   (simple, multiple, transient),
-* :mod:`repro.sim.node` -- simulated sites with mailboxes and named timers,
+* :mod:`repro.sim.node` -- simulated sites with mailboxes and named timers
+  (an armed timer is its queued event; roles get ``on_timeout(name)``),
 * :mod:`repro.sim.failures` -- crash / recovery injection,
 * :mod:`repro.sim.trace` -- structured traces consumed by the analysis layer.
 
@@ -20,20 +24,18 @@ makes the exhaustive sweeps behind Theorem 9 and the Section 6 case table
 practical.
 """
 
-from repro.sim.clock import Clock
 from repro.sim.cluster import Cluster
-from repro.sim.events import Event, EventKind
+from repro.sim.events import Event
 from repro.sim.kernel import SimulationError, Simulator
 from repro.sim.latency import ConstantLatency, LatencyModel, PerLinkLatency, UniformLatency
 from repro.sim.network import (
-    DeliveryReceipt,
     Envelope,
     Network,
     OPTIMISTIC,
     PESSIMISTIC,
     Undeliverable,
 )
-from repro.sim.node import Node, Timer, is_undeliverable
+from repro.sim.node import Node, is_undeliverable
 from repro.sim.partition import (
     PartitionEvent,
     PartitionManager,
@@ -44,15 +46,12 @@ from repro.sim.failures import CrashEvent, CrashSchedule, FailureInjector
 from repro.sim.trace import Trace, TraceRecord
 
 __all__ = [
-    "Clock",
     "Cluster",
     "ConstantLatency",
     "CrashEvent",
     "CrashSchedule",
-    "DeliveryReceipt",
     "Envelope",
     "Event",
-    "EventKind",
     "FailureInjector",
     "LatencyModel",
     "Network",
@@ -66,7 +65,6 @@ __all__ = [
     "PerLinkLatency",
     "SimulationError",
     "Simulator",
-    "Timer",
     "Trace",
     "TraceRecord",
     "Undeliverable",

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.sim.events import EventKind
 from repro.sim.failures import CrashSchedule, FailureInjector, FaultPlan
 from repro.sim.kernel import Simulator
 from repro.sim.latency import ConstantLatency, LatencyModel
@@ -95,13 +94,7 @@ class Cluster:
     def apply_partition_schedule(self, schedule: PartitionSchedule) -> None:
         """Schedule every partition / heal event in ``schedule``."""
         for event in schedule:
-            if event.is_heal:
-                kind, label = EventKind.HEAL, "heal"
-            else:
-                kind, label = EventKind.PARTITION, "partition"
-            self.sim.schedule_at(
-                event.time, self._apply_partition, kind=kind, label=label, arg=event
-            )
+            self.sim.schedule_at(event.time, self._apply_partition, arg=event)
 
     def _apply_partition(self, event: PartitionEvent) -> None:
         spec = event.spec

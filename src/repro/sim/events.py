@@ -14,25 +14,7 @@ state, not comparison logic.
 
 from __future__ import annotations
 
-import enum
 from typing import Any, Callable, Optional
-
-
-class EventKind(enum.Enum):
-    """Classification of kernel events, mainly for traces and debugging."""
-
-    MESSAGE_DELIVERY = "message-delivery"
-    MESSAGE_BOUNCE = "message-bounce"
-    TIMER = "timer"
-    PARTITION = "partition"
-    HEAL = "heal"
-    CRASH = "crash"
-    RECOVER = "recover"
-    GENERIC = "generic"
-
-
-def _noop() -> None:
-    """Default event action."""
 
 
 class Event:
@@ -40,58 +22,33 @@ class Event:
 
     Attributes:
         time: simulated time at which the event fires.
-        priority: smaller numbers fire first among events at the same time.
-        sequence: insertion order tie-breaker (assigned by the simulator).
-        kind: coarse classification used by traces.
         action: callable executed when the event fires.  Called with
             :attr:`arg` when ``arg`` is not ``None``, otherwise with no
             arguments -- passing a bound method plus an argument avoids a
             closure allocation per scheduled event on the hot paths.
         arg: optional single argument for :attr:`action`.
-        label: human readable description for traces.
         cancelled: cancelled events are skipped when popped.
     """
 
-    __slots__ = (
-        "time",
-        "priority",
-        "sequence",
-        "kind",
-        "action",
-        "arg",
-        "label",
-        "cancelled",
-        "_sim",
-        "_queued",
-    )
+    __slots__ = ("time", "action", "arg", "cancelled", "_sim", "_queued")
 
     def __init__(
         self,
         time: float,
-        priority: int,
-        sequence: int,
-        kind: EventKind = EventKind.GENERIC,
-        action: Callable[..., Any] = _noop,
-        label: str = "",
-        cancelled: bool = False,
+        action: Callable[..., Any],
         arg: Any = None,
         sim: Optional[Any] = None,
     ) -> None:
         self.time = time
-        self.priority = priority
-        self.sequence = sequence
-        self.kind = kind
         self.action = action
         self.arg = arg
-        self.label = label
-        self.cancelled = cancelled
+        self.cancelled = False
         self._sim = sim
         self._queued = False
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
-            f"Event(time={self.time}, priority={self.priority}, "
-            f"sequence={self.sequence}, kind={self.kind!r}, label={self.label!r}, "
+            f"Event(time={self.time}, action={self.action!r}, "
             f"cancelled={self.cancelled})"
         )
 

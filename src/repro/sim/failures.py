@@ -27,7 +27,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
-from repro.sim.events import EventKind
 from repro.sim.kernel import Simulator
 from repro.sim.node import Node
 
@@ -87,8 +86,10 @@ class CrashSchedule:
         ``n_sites`` sites (unknown site id or a negative event time).
 
         The single source of truth shared by
-        :class:`~repro.txn.runner.ThroughputSpec` validation and the CLI's
-        ``--faults crash=`` checks, so both always reject the same inputs.
+        :class:`~repro.protocols.runner.ScenarioSpec` and
+        :class:`~repro.txn.runner.ThroughputSpec` validation and, through
+        :meth:`FaultPlan.validate`, the CLI's ``--faults crash=`` checks, so
+        all of them reject the same inputs at construction, never mid-run.
         """
         out_of_range = sorted(
             site for site in self.sites() if not 1 <= site <= n_sites
@@ -415,16 +416,6 @@ class FailureInjector:
             node = self._nodes.get(event.site)
             if node is None:
                 raise KeyError(f"cannot crash unknown site {event.site}")
-            self.sim.schedule_at(
-                event.time,
-                node.crash,
-                kind=EventKind.CRASH,
-                label="crash",
-            )
+            self.sim.schedule_at(event.time, node.crash)
             if event.recover_at is not None:
-                self.sim.schedule_at(
-                    event.recover_at,
-                    node.recover,
-                    kind=EventKind.RECOVER,
-                    label="recover",
-                )
+                self.sim.schedule_at(event.recover_at, node.recover)

@@ -1,10 +1,11 @@
 """Deterministic discrete-event simulation kernel.
 
-The kernel is intentionally small: an event heap, a clock, and helpers for
-scheduling.  Determinism is the load-bearing property -- the reproduction of
-Theorem 9 and the Section 6 case table sweeps thousands of partition
-placements and asserts exact worst-case bounds, which is only meaningful if a
-given configuration always produces the same execution.
+The kernel is intentionally small: an event heap, the current time
+(:attr:`Simulator.now`), and helpers for scheduling.  Determinism is the
+load-bearing property -- the reproduction of Theorem 9 and the Section 6 case
+table sweeps thousands of partition placements and asserts exact worst-case
+bounds, which is only meaningful if a given configuration always produces the
+same execution.
 
 The hot-path representation (this is the innermost loop of every sweep):
 
@@ -26,8 +27,7 @@ import heapq
 import random
 from typing import Any, Callable, Iterable, Optional
 
-from repro.sim.clock import Clock
-from repro.sim.events import Event, EventKind
+from repro.sim.events import Event
 
 #: Compaction threshold: rebuild the heap once more than this many cancelled
 #: entries are queued *and* they outnumber the live entries.  Small enough to
@@ -68,11 +68,16 @@ class Simulator:
             stochastic components (latency models, workload generators) must
             draw from :attr:`rng` so that a run is reproducible from
             ``(configuration, seed)`` alone.
-        start_time: initial clock value.
+
+    Attributes:
+        now: current simulated time; only :meth:`run` and :meth:`step`
+            advance it, and never backwards.  The unit is ``T``, the
+            longest end-to-end propagation delay, so measured bounds compare
+            directly with the paper's ``2T`` / ``3T`` / ``5T`` / ``6T``.
     """
 
-    def __init__(self, seed: int = 0, start_time: float = 0.0) -> None:
-        self.clock = Clock(start_time)
+    def __init__(self, seed: int = 0) -> None:
+        self.now = 0.0
         self.seed = seed
         # Seeding a Mersenne Twister costs several microseconds -- real money
         # when a sweep builds one Simulator per scenario and deterministic
@@ -86,7 +91,6 @@ class Simulator:
         self._cancelled_in_heap = 0
         self._cancelled_total = 0
         self._compactions = 0
-        self._stopped = False
         self._events_executed = 0
         # High-water marks of what the metrics hook has already reported,
         # so schedules/cancellations between run() calls (arrivals queued
@@ -107,11 +111,6 @@ class Simulator:
     # scheduling
     # ------------------------------------------------------------------
     @property
-    def now(self) -> float:
-        """Current simulated time."""
-        return self.clock._now
-
-    @property
     def events_executed(self) -> int:
         """Number of events executed so far."""
         return self._events_executed
@@ -121,8 +120,6 @@ class Simulator:
         delay: float,
         action: Callable[..., Any],
         *,
-        kind: EventKind = EventKind.GENERIC,
-        label: str = "",
         priority: int = 0,
         arg: Any = None,
     ) -> Event:
@@ -134,38 +131,34 @@ class Simulator:
         """
         if delay < 0:
             raise SimulationError(f"cannot schedule an event in the past: delay={delay}")
-        return self._push(self.clock._now + delay, action, kind, label, priority, arg)
+        return self._push(self.now + delay, action, priority, arg)
 
     def schedule_at(
         self,
         when: float,
         action: Callable[..., Any],
         *,
-        kind: EventKind = EventKind.GENERIC,
-        label: str = "",
         priority: int = 0,
         arg: Any = None,
     ) -> Event:
         """Schedule ``action`` to run at absolute time ``when``."""
-        if when < self.clock._now:
+        if when < self.now:
             raise SimulationError(
                 f"cannot schedule an event in the past: now={self.now}, when={when}"
             )
-        return self._push(when, action, kind, label, priority, arg)
+        return self._push(when, action, priority, arg)
 
     def _push(
         self,
         when: float,
         action: Callable[..., Any],
-        kind: EventKind,
-        label: str,
         priority: int,
         arg: Any,
     ) -> Event:
         sequence = self._sequence
         self._sequence = sequence + 1
         # Positional construction: this is the hottest allocation in a sweep.
-        event = Event(when, priority, sequence, kind, action, label, False, arg, self)
+        event = Event(when, action, arg, self)
         event._queued = True
         heapq.heappush(self._heap, (when, priority, sequence, event))
         return event
@@ -190,10 +183,6 @@ class Simulator:
     # ------------------------------------------------------------------
     # execution
     # ------------------------------------------------------------------
-    def stop(self) -> None:
-        """Request that the run loop stop after the current event."""
-        self._stopped = True
-
     def pending(self) -> int:
         """Number of not-yet-cancelled events still queued (O(1))."""
         return len(self._heap) - self._cancelled_in_heap
@@ -220,7 +209,12 @@ class Simulator:
             if event.cancelled:
                 self._cancelled_in_heap -= 1
                 continue
-            self.clock.advance_to(event.time)
+            when = event.time
+            if when < self.now:
+                raise SimulationError(
+                    f"time cannot move backwards: now={self.now}, event at {when}"
+                )
+            self.now = when
             self._events_executed += 1
             event.fire()
             return event
@@ -232,7 +226,7 @@ class Simulator:
         *,
         max_events: Optional[int] = None,
     ) -> float:
-        """Run until the event queue drains, ``until`` is reached, or stopped.
+        """Run until the event queue drains or ``until`` is reached.
 
         Args:
             until: inclusive time horizon.  Events scheduled strictly after
@@ -244,14 +238,12 @@ class Simulator:
         Returns:
             The simulated time at which the run loop stopped.
         """
-        self._stopped = False
         heap = self._heap
         heappop = heapq.heappop
-        clock = self.clock
         executed = 0
         # `heap` stays valid across event actions: compaction mutates the
         # list in place and nothing else rebinds self._heap.
-        while heap and not self._stopped:
+        while heap:
             # Peek the next live event without executing it yet so that we
             # can honour the `until` horizon exactly.
             entry = heap[0]
@@ -270,9 +262,9 @@ class Simulator:
                 )
             heappop(heap)
             event._queued = False
-            # Heap order makes `when` monotone, so the clock's backwards
+            # Heap order makes `when` monotone, so step()'s backwards-time
             # check is redundant here; assign directly.
-            clock._now = when
+            self.now = when
             self._events_executed += 1
             executed += 1
             action = event.action
@@ -281,8 +273,8 @@ class Simulator:
                 action()
             else:
                 action(arg)
-        if until is not None and clock._now < until and not self._stopped:
-            clock._now = float(until)
+        if until is not None and self.now < until:
+            self.now = float(until)
         if _METRICS_HOOK is not None:
             # Deltas since the last report (or simulator creation), so
             # events scheduled/cancelled outside the run loop still count.
@@ -295,11 +287,7 @@ class Simulator:
             self._reported_sequence = self._sequence
             self._reported_cancelled = self._cancelled_total
             self._reported_compactions = self._compactions
-        return clock._now
-
-    def run_until_quiescent(self, *, max_events: int = 1_000_000) -> float:
-        """Run until no events remain (with a safety cap)."""
-        return self.run(until=None, max_events=max_events)
+        return self.now
 
     def drain(self) -> Iterable[Event]:
         """Remove and return all still-queued live events.

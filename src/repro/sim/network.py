@@ -14,9 +14,9 @@ quoted in Section 2 of the paper:
 
 The send/deliver path is the hottest code in a sweep, so the message records
 are ``__slots__`` classes, delivery events carry the envelope as an event
-argument (no closure per send), and envelope ids are a per-``Network``
-counter -- a run's trace is therefore identical no matter what ran earlier
-in the same process.
+argument (no closure per send) and are themselves the in-flight record, and
+envelope ids are a per-``Network`` counter -- a run's trace is therefore
+identical no matter what ran earlier in the same process.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from __future__ import annotations
 import random
 from typing import Any, Dict, Iterable, Optional, TYPE_CHECKING
 
-from repro.sim.events import Event, EventKind
+from repro.sim.events import Event
 from repro.sim.kernel import Simulator
 from repro.sim.latency import ConstantLatency, LatencyModel
 from repro.sim.partition import PartitionManager, PartitionSpec
@@ -134,24 +134,6 @@ class Undeliverable:
         return self.__str__()
 
 
-class DeliveryReceipt:
-    """Bookkeeping for a message the network has accepted but not yet resolved."""
-
-    __slots__ = ("envelope", "event", "deliver_at", "resolved")
-
-    def __init__(
-        self,
-        envelope: Envelope,
-        event: Event,
-        deliver_at: float,
-        resolved: bool = False,
-    ) -> None:
-        self.envelope = envelope
-        self.event = event
-        self.deliver_at = deliver_at
-        self.resolved = resolved
-
-
 class Network:
     """Point-to-point network connecting simulated sites.
 
@@ -189,7 +171,8 @@ class Network:
         # the describe_payload() / kwargs work that feeds it.
         self._tracing: bool = self.trace.enabled
         self._nodes: Dict[int, "Node"] = {}
-        self._in_flight: Dict[int, DeliveryReceipt] = {}
+        # Envelope id -> its queued delivery event (whose arg is the envelope).
+        self._in_flight: Dict[int, Event] = {}
         self._next_envelope_id = 1
         self._sent = 0
         self._delivered = 0
@@ -207,9 +190,6 @@ class Network:
         self._copy_message: Dict[int, int] = {}
         self._seen: set[tuple[int, int]] = set()
         self._next_message_id = 1
-        self._retransmits = 0
-        self._deduplicated = 0
-        self._fault_losses = 0
         self.partitions.subscribe(self._on_connectivity_change)
 
     # ------------------------------------------------------------------
@@ -276,21 +256,6 @@ class Network:
         """Messages currently in transit."""
         return len(self._in_flight)
 
-    @property
-    def messages_retransmitted(self) -> int:
-        """Retransmission copies sent by the at-least-once layer."""
-        return self._retransmits
-
-    @property
-    def messages_deduplicated(self) -> int:
-        """Deliveries suppressed as duplicates of an already-seen message."""
-        return self._deduplicated
-
-    @property
-    def messages_lost_to_faults(self) -> int:
-        """Messages silently lost (or omitted) by the fault layer."""
-        return self._fault_losses
-
     # ------------------------------------------------------------------
     # fault layer installation
     # ------------------------------------------------------------------
@@ -333,7 +298,7 @@ class Network:
         if self._faults is not None:
             return self._faulty_send(source, destination, payload)
         sim = self.sim
-        now = sim.clock._now
+        now = sim.now
         envelope_id = self._next_envelope_id
         self._next_envelope_id = envelope_id + 1
         envelope = Envelope(envelope_id, source, destination, payload, now)
@@ -360,12 +325,7 @@ class Network:
             delay = self.latency.sample(sim.rng, source, destination)
         # Inlined sim.schedule(): latency models guarantee positive delays,
         # so the negative-delay guard is redundant on this hottest path.
-        event = sim._push(
-            now + delay, self._deliver, EventKind.MESSAGE_DELIVERY, "deliver", 0, envelope
-        )
-        self._in_flight[envelope_id] = DeliveryReceipt(
-            envelope=envelope, event=event, deliver_at=now + delay
-        )
+        self._in_flight[envelope_id] = sim._push(now + delay, self._deliver, 0, envelope)
         return envelope
 
     def multicast(self, source: int, destinations: Iterable[int], payload: Any) -> list[Envelope]:
@@ -391,7 +351,7 @@ class Network:
         the fault layer's own seeded RNG, never the simulator's.
         """
         sim = self.sim
-        now = sim.clock._now
+        now = sim.now
         envelope_id = self._next_envelope_id
         self._next_envelope_id = envelope_id + 1
         envelope = Envelope(envelope_id, source, destination, payload, now)
@@ -442,12 +402,8 @@ class Network:
         delay = self._constant_delay
         if delay is None:
             delay = self.latency.sample(sim.rng, source, destination)
-        deliver_at = now + delay + extra_delay
-        event = sim._push(
-            deliver_at, self._deliver, EventKind.MESSAGE_DELIVERY, "deliver", 0, envelope
-        )
-        self._in_flight[envelope_id] = DeliveryReceipt(
-            envelope=envelope, event=event, deliver_at=deliver_at
+        self._in_flight[envelope_id] = sim._push(
+            now + delay + extra_delay, self._deliver, 0, envelope
         )
         if duplicate:
             self._send_duplicate(envelope, message_id, extra_delay)
@@ -458,7 +414,7 @@ class Network:
     ) -> None:
         """Inject a second physical copy of ``original`` (duplication fault)."""
         sim = self.sim
-        now = sim.clock._now
+        now = sim.now
         envelope_id = self._next_envelope_id
         self._next_envelope_id = envelope_id + 1
         copy = Envelope(
@@ -472,7 +428,6 @@ class Network:
         # The copy takes its own (jittered) path so it can land before or
         # after the original.
         delay += self._fault_rng.uniform(0.0, self.latency.upper_bound) + extra_delay
-        deliver_at = now + delay
         if self._tracing:
             self.trace.record(
                 now,
@@ -482,20 +437,14 @@ class Network:
                 payload=describe_payload(original.payload),
                 envelope_id=envelope_id,
             )
-        event = sim._push(
-            deliver_at, self._deliver, EventKind.MESSAGE_DELIVERY, "deliver", 0, copy
-        )
-        self._in_flight[envelope_id] = DeliveryReceipt(
-            envelope=copy, event=event, deliver_at=deliver_at
-        )
+        self._in_flight[envelope_id] = sim._push(now + delay, self._deliver, 0, copy)
 
     def _drop_to_fault(self, envelope: Envelope, *, reason: str) -> None:
         """Silently lose a message to the fault layer (no bounce)."""
         self._dropped += 1
-        self._fault_losses += 1
         if self._tracing:
             self.trace.record(
-                self.sim.clock._now,
+                self.sim.now,
                 "drop",
                 site=envelope.destination,
                 source=envelope.source,
@@ -521,12 +470,7 @@ class Network:
         # plan's effective_max_delay() stays a true delivery bound.
         delay = interval * self._fault_rng.uniform(0.85, 1.0)
         pending.event = self.sim.schedule(
-            delay,
-            self._retransmit_fire,
-            kind=EventKind.TIMER,
-            label="retransmit",
-            priority=5,
-            arg=pending.message_id,
+            delay, self._retransmit_fire, priority=5, arg=pending.message_id
         )
 
     def _retransmit_fire(self, message_id: int) -> None:
@@ -543,7 +487,7 @@ class Network:
             del self._pending[message_id]
             if self._tracing:
                 self.trace.record(
-                    self.sim.clock._now,
+                    self.sim.now,
                     "retransmit-exhausted",
                     site=pending.source,
                     destination=pending.destination,
@@ -551,10 +495,9 @@ class Network:
                 )
             return
         pending.attempts += 1
-        self._retransmits += 1
         if self._tracing:
             self.trace.record(
-                self.sim.clock._now,
+                self.sim.now,
                 "retransmit",
                 site=pending.source,
                 destination=pending.destination,
@@ -600,10 +543,9 @@ class Network:
         )
         key = (envelope.destination, message_id)
         if key in self._seen:
-            self._deduplicated += 1
             if self._tracing:
                 self.trace.record(
-                    self.sim.clock._now,
+                    self.sim.now,
                     "dedup",
                     site=envelope.destination,
                     source=envelope.source,
@@ -617,16 +559,14 @@ class Network:
     # internal delivery machinery
     # ------------------------------------------------------------------
     def _deliver(self, envelope: Envelope) -> None:
-        receipt = self._in_flight.pop(envelope.envelope_id, None)
-        if receipt is not None:
-            receipt.resolved = True
+        self._in_flight.pop(envelope.envelope_id, None)
         current = self.partitions._current
         if current is not None and current.separated(envelope.source, envelope.destination):
             # Partition occurred while the message was in flight and is still
             # in force at the (attempted) delivery instant.
             self._fail_delivery(envelope, reason="partitioned-in-flight")
             return
-        now = self.sim.clock._now
+        now = self.sim.now
         node = self._nodes.get(envelope.destination)
         if node is None:
             self._dropped += 1
@@ -678,7 +618,7 @@ class Network:
             self._dropped += 1
             if self._tracing:
                 self.trace.record(
-                    self.sim.clock._now,
+                    self.sim.now,
                     "drop",
                     site=envelope.destination,
                     source=envelope.source,
@@ -692,17 +632,10 @@ class Network:
         delay = self._constant_delay
         if delay is None:
             delay = self.latency.sample(sim.rng, envelope.destination, envelope.source)
-        sim._push(
-            sim.clock._now + delay,
-            self._deliver_bounce,
-            EventKind.MESSAGE_BOUNCE,
-            "bounce",
-            0,
-            Undeliverable(envelope),
-        )
+        sim._push(sim.now + delay, self._deliver_bounce, 0, Undeliverable(envelope))
         if self._tracing:
             self.trace.record(
-                self.sim.clock._now,
+                self.sim.now,
                 "bounce",
                 site=envelope.source,
                 destination=envelope.destination,
@@ -715,7 +648,7 @@ class Network:
         envelope = undeliverable.original
         node = self._nodes.get(envelope.source)
         self._bounced += 1
-        now = self.sim.clock._now
+        now = self.sim.now
         if node is None or node.crashed:
             self._dropped += 1
             if self._tracing:
@@ -752,12 +685,11 @@ class Network:
         """
         if spec is None:
             return
-        for receipt in list(self._in_flight.values()):
-            envelope = receipt.envelope
+        for event in list(self._in_flight.values()):
+            envelope = event.arg
             if not spec.separated(envelope.source, envelope.destination):
                 continue
-            receipt.event.cancel()
-            receipt.resolved = True
+            event.cancel()
             del self._in_flight[envelope.envelope_id]
             self._fail_delivery(envelope, reason="partition-cut-in-flight")
 

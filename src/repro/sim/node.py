@@ -7,15 +7,16 @@ node forwards deliveries, timeouts and crash/recovery notifications to it.
 
 Delivery and timer dispatch are on the sweep hot path, so the role's
 ``on_message`` / ``on_timeout`` hooks are resolved once at :meth:`attach`
-time instead of per event, and timer events carry the timer name as the
-event argument (no closure per (re)arm).
+time instead of per event, and an armed timer is just its kernel
+:class:`~repro.sim.events.Event`, which carries the timer name as its
+argument (no closure or record per (re)arm).
 """
 
 from __future__ import annotations
 
 from typing import Any, Optional, Protocol, runtime_checkable
 
-from repro.sim.events import Event, EventKind
+from repro.sim.events import Event
 from repro.sim.kernel import SimulationError, Simulator
 from repro.sim.network import Envelope, Network, Undeliverable, describe_payload
 from repro.sim.trace import Trace
@@ -35,46 +36,14 @@ class Role(Protocol):
     def on_message(self, payload: Any, envelope: Envelope) -> None:  # pragma: no cover
         """Called for every delivered message (including ``Undeliverable``)."""
 
-    def on_timeout(self, timer: "Timer") -> None:  # pragma: no cover
-        """Called when one of the node's timers fires."""
+    def on_timeout(self, name: str) -> None:  # pragma: no cover
+        """Called with the timer's name when one of the node's timers fires."""
 
     def on_crash(self) -> None:  # pragma: no cover
         """Called when the node crashes."""
 
     def on_recover(self) -> None:  # pragma: no cover
         """Called when the node recovers from a crash."""
-
-
-class Timer:
-    """A named timer owned by a node."""
-
-    __slots__ = ("name", "owner", "deadline", "event", "payload")
-
-    def __init__(
-        self,
-        name: str,
-        owner: int,
-        deadline: float,
-        event: Event,
-        payload: Any = None,
-    ) -> None:
-        self.name = name
-        self.owner = owner
-        self.deadline = deadline
-        self.event = event
-        self.payload = payload
-
-    @property
-    def cancelled(self) -> bool:
-        """Whether the timer was cancelled before firing."""
-        return self.event.cancelled
-
-    def cancel(self) -> None:
-        """Cancel the timer (no-op if it already fired)."""
-        self.event.cancel()
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Timer(name={self.name!r}, owner={self.owner}, deadline={self.deadline})"
 
 
 class Node:
@@ -106,7 +75,7 @@ class Node:
         self.role: Optional[Role] = None
         self._on_message: Optional[Any] = None
         self._on_timeout: Optional[Any] = None
-        self._timers: dict[str, Timer] = {}
+        self._timers: dict[str, Event] = {}
         self._started = False
         # Byzantine hook: called as interceptor(source, destination, payload)
         # before every send; it may rewrite the payload or return None to
@@ -149,7 +118,7 @@ class Node:
         if self._started:
             return
         self._started = True
-        self.sim.schedule(0.0, self._start_role, label="start")
+        self.sim.schedule(0.0, self._start_role)
 
     def _start_role(self) -> None:
         if self.crashed or self.role is None:
@@ -192,7 +161,7 @@ class Node:
     # ------------------------------------------------------------------
     # timers
     # ------------------------------------------------------------------
-    def set_timer(self, name: str, delay: float, payload: Any = None) -> Timer:
+    def set_timer(self, name: str, delay: float) -> None:
         """(Re)arm the named timer to fire ``delay`` from now.
 
         Re-arming an existing timer cancels the previous instance, which is
@@ -202,53 +171,41 @@ class Node:
         sim = self.sim
         if delay < 0:
             raise SimulationError(f"cannot schedule an event in the past: delay={delay}")
-        deadline = sim.clock._now + delay
         # Timers fire *after* message deliveries scheduled for the same
         # instant (priority 10): a timeout of exactly "2T" must not preempt a
         # message that arrives exactly at the 2T mark (the paper's bounds are
         # inclusive).  Inlined sim.schedule() -- timers are re-armed on every
         # protocol round, making this one of the hottest scheduling sites.
-        event = sim._push(deadline, self._fire_timer, EventKind.TIMER, name, 10, name)
-        timer = Timer(
-            name=name,
-            owner=self.node_id,
-            deadline=deadline,
-            event=event,
-            payload=payload,
-        )
-        self._timers[name] = timer
-        return timer
+        self._timers[name] = sim._push(sim.now + delay, self._fire_timer, 10, name)
 
     def cancel_timer(self, name: str) -> None:
         """Cancel the named timer if it is armed."""
-        timer = self._timers.pop(name, None)
-        if timer is not None:
-            timer.event.cancel()
+        event = self._timers.pop(name, None)
+        if event is not None:
+            event.cancel()
 
     def cancel_all_timers(self) -> None:
         """Cancel every armed timer."""
         timers = self._timers
         if timers:
-            for timer in timers.values():
-                timer.event.cancel()
+            for event in timers.values():
+                event.cancel()
             timers.clear()
 
     def timer_armed(self, name: str) -> bool:
         """True when the named timer is armed and has not fired."""
-        timer = self._timers.get(name)
-        return timer is not None and not timer.cancelled
+        event = self._timers.get(name)
+        return event is not None and not event.cancelled
 
     def _fire_timer(self, name: str) -> None:
-        timer = self._timers.pop(name, None)
-        if timer is None or timer.event.cancelled or self.crashed:
+        event = self._timers.pop(name, None)
+        if event is None or event.cancelled or self.crashed:
             return
         if self._tracing:
-            self.trace.record(
-                self.sim.clock._now, "timeout", site=self.node_id, timer=name
-            )
+            self.trace.record(self.sim.now, "timeout", site=self.node_id, timer=name)
         handler = self._on_timeout
         if handler is not None:
-            handler(timer)
+            handler(name)
 
     # ------------------------------------------------------------------
     # crash / recovery
@@ -282,9 +239,7 @@ class Node:
     def note(self, category: str, **detail: Any) -> None:
         """Record a role-level trace entry attributed to this site."""
         if self._tracing:
-            self.trace.record(
-                self.sim.clock._now, category, site=self.node_id, **detail
-            )
+            self.trace.record(self.sim.now, category, site=self.node_id, **detail)
 
     @staticmethod
     def describe(payload: Any) -> str:

@@ -32,7 +32,7 @@ from __future__ import annotations
 from typing import Any, Optional
 
 from repro.sim.network import Undeliverable, describe_payload
-from repro.sim.node import Node, Timer
+from repro.sim.node import Node
 
 #: Separator between the transaction id and the role-chosen timer name.
 #: Transaction ids never contain it (workload ids are ``workload-txn-N``).
@@ -91,7 +91,7 @@ class VirtualNode:
 
     def start(self) -> None:
         """Schedule the role's ``on_start`` at the current simulated time."""
-        self._node.sim.schedule(0.0, self._start_role, label="start")
+        self._node.sim.schedule(0.0, self._start_role)
 
     def _start_role(self) -> None:
         if self.crashed or self.role is None:
@@ -114,10 +114,10 @@ class VirtualNode:
     def _scoped(self, name: str) -> str:
         return f"{self.transaction_id}{_TIMER_SEP}{name}"
 
-    def set_timer(self, name: str, delay: float, payload: Any = None) -> Timer:
+    def set_timer(self, name: str, delay: float) -> None:
         """(Re)arm the named timer, scoped to this transaction."""
         self._timer_names.add(name)
-        return self._node.set_timer(self._scoped(name), delay, payload)
+        self._node.set_timer(self._scoped(name), delay)
 
     def cancel_timer(self, name: str) -> None:
         """Cancel this transaction's timer ``name`` if armed."""
@@ -234,9 +234,9 @@ class SiteMultiplexer:
         if handler is not None:
             handler(payload, envelope)
 
-    def on_timeout(self, timer: Timer) -> None:
+    def on_timeout(self, scoped_name: str) -> None:
         """Strip the transaction prefix and fire the owning role's handler."""
-        transaction_id, sep, name = timer.name.partition(_TIMER_SEP)
+        transaction_id, sep, name = scoped_name.partition(_TIMER_SEP)
         if not sep:
             return
         virtual = self._virtuals.get(transaction_id)
@@ -245,15 +245,7 @@ class SiteMultiplexer:
         virtual._timer_names.discard(name)
         handler = getattr(virtual.role, "on_timeout", None)
         if handler is not None:
-            handler(
-                Timer(
-                    name=name,
-                    owner=timer.owner,
-                    deadline=timer.deadline,
-                    event=timer.event,
-                    payload=timer.payload,
-                )
-            )
+            handler(name)
 
     def on_crash(self) -> None:
         """Fan the crash notification out to every transaction's role."""

@@ -294,7 +294,7 @@ class TransactionScheduler:
 
     def submit(self, transaction: Transaction, *, at: float) -> None:
         """Schedule ``transaction`` for admission at simulated time ``at``."""
-        self.cluster.sim.schedule_at(at, self._admit, label="admit", arg=transaction)
+        self.cluster.sim.schedule_at(at, self._admit, arg=transaction)
 
     def submit_all(self, transactions, *, arrivals) -> None:
         """Submit a transaction stream with its per-transaction arrival times."""
@@ -435,9 +435,7 @@ class TransactionScheduler:
         was deferred by ``op_delay`` (the operation's execution time)."""
         state.next_op += 1
         if self.op_delay > 0 and state.next_op < len(state.plan):
-            self.cluster.sim.schedule(
-                self.op_delay, self._advance, label="next-op", arg=state
-            )
+            self.cluster.sim.schedule(self.op_delay, self._advance, arg=state)
             return False
         return True
 
@@ -749,7 +747,6 @@ class TransactionScheduler:
         state.timeout_event = self.cluster.sim.schedule(
             self.policy.wait_timeout,
             self._on_wait_timeout,
-            label="lock-wait-timeout",
             arg=(state, state.pending_request),
         )
 
@@ -833,7 +830,7 @@ class TransactionScheduler:
             due=self.now + delay,
         )
         self.cluster.sim.schedule(
-            delay, self._readmit, label="retry", arg=(clone, state.logical_id, next_attempt)
+            delay, self._readmit, arg=(clone, state.logical_id, next_attempt)
         )
         self.retry_backlog += 1
         self.peak_retry_backlog = max(self.peak_retry_backlog, self.retry_backlog)

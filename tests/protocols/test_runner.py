@@ -7,6 +7,7 @@ import pytest
 from repro.protocols.plan import Extension
 from repro.protocols.registry import available_protocols, create_protocol
 from repro.protocols.runner import ScenarioSpec, run_scenario
+from repro.sim.failures import CrashSchedule
 from repro.sim.latency import ConstantLatency
 from repro.sim.partition import PartitionSchedule
 
@@ -116,6 +117,14 @@ class TestScenarioSpec:
     def test_run_scenario_keyword_overrides(self):
         result = run_scenario(create_protocol("two-phase-commit"), n_sites=4)
         assert len(result.participants) == 4
+
+    def test_crash_of_an_unknown_site_is_rejected_at_construction(self):
+        with pytest.raises(ValueError, match=r"site\(s\) \[7\] outside 1..3"):
+            ScenarioSpec(n_sites=3, crashes=CrashSchedule.single(7, 1.0))
+
+    def test_negative_crash_time_is_rejected_at_construction(self):
+        with pytest.raises(ValueError, match="negative event time"):
+            ScenarioSpec(n_sites=3, crashes=CrashSchedule.single(2, -1.0))
 
 
 class TestResultProperties:

@@ -1,37 +1,8 @@
-"""Tests for the discrete-event kernel and clock."""
+"""Tests for the discrete-event kernel and its clock, ``Simulator.now``."""
 
 import pytest
 
-from repro.sim.clock import Clock
-from repro.sim.events import EventKind
 from repro.sim.kernel import SimulationError, Simulator
-
-
-class TestClock:
-    def test_starts_at_zero_by_default(self):
-        assert Clock().now == 0.0
-
-    def test_starts_at_given_time(self):
-        assert Clock(5.0).now == 5.0
-
-    def test_rejects_negative_start(self):
-        with pytest.raises(ValueError):
-            Clock(-1.0)
-
-    def test_advances_forward(self):
-        clock = Clock()
-        clock.advance_to(3.5)
-        assert clock.now == 3.5
-
-    def test_refuses_to_go_backwards(self):
-        clock = Clock(2.0)
-        with pytest.raises(ValueError):
-            clock.advance_to(1.0)
-
-    def test_advance_to_same_time_is_allowed(self):
-        clock = Clock(2.0)
-        clock.advance_to(2.0)
-        assert clock.now == 2.0
 
 
 class TestScheduling:
@@ -129,14 +100,6 @@ class TestRun:
         sim.schedule(2.0, lambda: None)
         assert sim.run() == 2.0
 
-    def test_stop_halts_execution(self):
-        sim = Simulator()
-        fired = []
-        sim.schedule(1.0, lambda: (fired.append(1), sim.stop()))
-        sim.schedule(2.0, lambda: fired.append(2))
-        sim.run()
-        assert fired == [1]
-
     def test_max_events_guard(self):
         sim = Simulator()
 
@@ -159,6 +122,25 @@ class TestRun:
     def test_step_on_empty_queue_returns_none(self):
         assert Simulator().step() is None
 
+    def test_clock_starts_at_zero(self):
+        assert Simulator().now == 0.0
+
+    def test_step_refuses_to_move_time_backwards(self):
+        sim = Simulator()
+        sim.schedule(1.0, lambda: None)
+        sim.now = 2.0
+        with pytest.raises(SimulationError, match="backwards"):
+            sim.step()
+        assert sim.now == 2.0
+        assert sim.events_executed == 0
+
+    def test_step_at_the_current_time_is_allowed(self):
+        sim = Simulator()
+        sim.schedule(2.0, lambda: None)
+        sim.now = 2.0
+        assert sim.step() is not None
+        assert sim.now == 2.0
+
     def test_events_executed_counter(self):
         sim = Simulator()
         for _ in range(5):
@@ -173,12 +155,12 @@ class TestRun:
         first.cancel()
         assert sim.peek_time() == 2.0
 
-    def test_run_until_quiescent_drains_queue(self):
+    def test_run_drains_queue(self):
         sim = Simulator()
         fired = []
         sim.schedule(1.0, lambda: fired.append(1))
         sim.schedule(5.0, lambda: fired.append(2))
-        sim.run_until_quiescent()
+        sim.run()
         assert fired == [1, 2]
         assert sim.pending() == 0
 
@@ -193,8 +175,3 @@ class TestDeterminism:
         a = Simulator(seed=1)
         b = Simulator(seed=2)
         assert [a.rng.random() for _ in range(5)] != [b.rng.random() for _ in range(5)]
-
-    def test_event_kind_default(self):
-        sim = Simulator()
-        event = sim.schedule(1.0, lambda: None)
-        assert event.kind is EventKind.GENERIC

@@ -8,12 +8,15 @@ These pin the contracts the flat tuple heap must keep while being fast:
 * sequence numbers are per-:class:`~repro.sim.kernel.Simulator`, so two
   interleaved simulators behave exactly like two fresh-process runs;
 * the engine's trace gating (``NullTrace``) changes what is recorded, never
-  what is executed.
+  what is executed;
+* an event keeps only what the kernel reads, and an in-flight message and
+  an armed timer are held as exactly their queued events -- no per-send or
+  per-arm record rides alongside.
 """
 
 import pytest
 
-from repro.sim.events import EventKind
+from repro.sim.events import Event
 from repro.sim.kernel import _COMPACT_MIN_CANCELLED, SimulationError, Simulator
 from repro.sim.latency import ConstantLatency
 from repro.sim.network import Network
@@ -48,7 +51,7 @@ class TestCompactionAccounting:
     def _arm(self, sim, count):
         fired = []
         events = [
-            sim.schedule(1.0 + i, fired.append, arg=i, kind=EventKind.TIMER)
+            sim.schedule(1.0 + i, fired.append, arg=i)
             for i in range(count)
         ]
         return events, fired
@@ -130,7 +133,7 @@ def _ping_pong_trace(seed, rounds):
     sim = Simulator(seed=seed)
     trace = Trace()
     _ping_pong_nodes(sim, trace, rounds)
-    sim.run_until_quiescent()
+    sim.run()
     return [_record_key(r) for r in trace]
 
 
@@ -180,9 +183,47 @@ class TestNullTraceGating:
             delivered = []
             b.attach(Collector(sim, delivered))
             sim.schedule(0.0, lambda: a.multicast([2, 2, 2], "hello"))
-            end = sim.run_until_quiescent()
+            end = sim.run()
             return delivered, end, network.messages_delivered
 
         with_trace = run(Trace())
         without_trace = run(NullTrace())
         assert with_trace == without_trace
+
+
+class TestMinimalShapes:
+    def test_event_slots_hold_only_what_the_kernel_reads(self):
+        assert Event.__slots__ == ("time", "action", "arg", "cancelled", "_sim", "_queued")
+
+    def test_schedule_takes_only_priority_and_arg_keywords(self):
+        sim = Simulator()
+        with pytest.raises(TypeError):
+            sim.schedule(1.0, lambda: None, label="x")
+        with pytest.raises(TypeError):
+            sim.schedule_at(1.0, lambda: None, kind=None)
+
+    def test_in_flight_message_is_its_delivery_event(self):
+        sim = Simulator()
+        network = Network(sim, latency=ConstantLatency(1.0), trace=NullTrace())
+        Node(1, sim, network)
+        Node(2, sim, network)
+        envelope = network.send(1, 2, "x")
+        event = network._in_flight[envelope.envelope_id]
+        assert type(event) is Event
+        assert event.arg is envelope
+        assert event.time == 1.0
+        sim.run()
+        assert network._in_flight == {}
+
+    def test_armed_timer_is_its_event(self):
+        sim = Simulator()
+        network = Network(sim, latency=ConstantLatency(1.0), trace=NullTrace())
+        node = Node(1, sim, network)
+        assert node.set_timer("t", 2.0) is None
+        event = node._timers["t"]
+        assert type(event) is Event
+        assert event.arg == "t"
+        assert event.time == 2.0
+        node.set_timer("t", 3.0)
+        assert event.cancelled
+        assert node._timers["t"].time == 3.0

@@ -23,8 +23,8 @@ class RecordingRole:
     def on_message(self, payload, envelope):
         self.messages.append((self.node.sim.now, payload))
 
-    def on_timeout(self, timer):
-        self.timeouts.append((self.node.sim.now, timer.name))
+    def on_timeout(self, name):
+        self.timeouts.append((self.node.sim.now, name))
 
 
 def make_cluster(n=3, latency=None, model="optimistic"):

@@ -20,8 +20,8 @@ class StubRole:
     def on_message(self, payload, envelope):
         self.events.append(("message", payload))
 
-    def on_timeout(self, timer):
-        self.events.append(("timeout", timer.name, self.node.sim.now))
+    def on_timeout(self, name):
+        self.events.append(("timeout", name, self.node.sim.now))
 
     def on_crash(self):
         self.events.append(("crash", self.node.sim.now))

@@ -122,3 +122,22 @@ def test_a_stale_name_in_a_doc_fails_the_check(tmp_path):
         "repro.gone",
     ]
     assert all("doc.md:2" in entry for entry in unresolved)
+
+
+def test_a_stale_module_map_entry_fails_the_check(tmp_path):
+    doc = tmp_path / "doc.md"
+    doc.write_text(
+        "| Package | Responsibility |\n"
+        "| --- | --- |\n"
+        "| `repro.sim` | Kernel (`kernel`, `clock`); `Cluster.close()` and "
+        "`gone` sit outside parentheses (`cluster`, `python -m repro`) |\n"
+        "| `repro.cli` | Grids (`grid.run_grid`, `grid.gone`; see (`kinds`)) |\n"
+        "| `repro.workloads` | Mixes (`sweeps`, entered through `repro.__main__`) |\n"
+    )
+    unresolved = CHECKER.unresolved_names([doc])
+    assert [entry.split(": ")[1] for entry in unresolved] == [
+        "repro.sim.clock",
+        "repro.cli.grid.gone",
+        "repro.workloads.sweeps",
+    ]
+    assert [entry.split(": ")[0].rsplit(":", 1)[1] for entry in unresolved] == ["3", "4", "5"]

@@ -435,7 +435,7 @@ def run_fuzzed_case(case_seed: int) -> TransactionScheduler:
     horizon = spec.effective_horizon()
     probe_at = 0.5
     while probe_at < horizon:
-        cluster.sim.schedule_at(probe_at, checker.probe, label="invariant-probe")
+        cluster.sim.schedule_at(probe_at, checker.probe)
         probe_at += 2.0
     cluster.run(until=horizon, max_events=2_000_000)
     scheduler.finalize(horizon)

@@ -43,8 +43,8 @@ class TestVirtualNodes:
         fired = []
 
         class Probe:
-            def on_timeout(self, timer):
-                fired.append(timer.name)
+            def on_timeout(self, name):
+                fired.append(name)
 
         virtual = scheduler.multiplexers[2].virtual_node("txn-a")
         virtual.attach(Probe())

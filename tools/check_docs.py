@@ -20,7 +20,10 @@ Four checks, all enforced by CI (and by ``tests/test_docs.py``):
    ``README.md``, ``docs/*.md`` and the verify skill must exist on disk, and
    every back-ticked dotted name (``repro.a.b`` or ``repro.a.b.attr``) there
    must import and resolve, so a doc naming a deleted file, module or class
-   fails here too.
+   fails here too.  In a module-map row (``| `repro.pkg` | ... |``) a
+   back-ticked name inside parentheses is resolved under the row's package:
+   ``(`kernel`, `grid.run_grid`)`` must name ``repro.pkg.kernel`` and
+   ``repro.pkg.grid.run_grid``.
 
 Run directly::
 
@@ -58,6 +61,8 @@ _REPO_PATH = re.compile(
     r"(?<![\w/.-])(?:tools|bench|benchmarks|src|docs|tests)/[\w./*-]*"
 )
 _DOTTED_NAME = re.compile(r"(?<![\w/.-])repro(?:\.\w+)+")
+_MODULE_MAP_ROW = re.compile(r"\| `(repro(?:\.\w+)*)` \|(.*)\|")
+_RELATIVE_NAME = re.compile(r"\w+(?:\.\w+)*")
 
 
 def missing_docstrings(root: pathlib.Path = SOURCE_ROOT) -> list[str]:
@@ -229,14 +234,42 @@ def resolves(name: str) -> bool:
     return False
 
 
+def _module_map_names(paths):
+    """Yield ``(where, name)`` for every back-ticked relative name inside the
+    parentheses of a module-map row, prefixed with the row's package.
+
+    Parentheses are counted in the text between back-ticked spans only, so
+    a span such as `` `Cluster.close()` `` neither opens nor closes one.
+    """
+    for path in paths:
+        if not path.exists():
+            continue
+        for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
+            row = _MODULE_MAP_ROW.match(line)
+            if row is None:
+                continue
+            package, cells = row.groups()
+            depth = 0
+            for index, part in enumerate(cells.split("`")):
+                if index % 2 == 0:
+                    depth += part.count("(") - part.count(")")
+                elif depth > 0 and _RELATIVE_NAME.fullmatch(part) and not part.startswith("repro."):
+                    yield f"{os.path.relpath(path, REPO_ROOT)}:{number}", f"{package}.{part}"
+
+
 def unresolved_names(paths=(*DOC_PATHS, VERIFY_SKILL)) -> list[str]:
     """``file:line: name`` for every back-ticked ``repro.…`` dotted name in
-    ``paths`` that does not import and resolve (fenced blocks are check 2's)."""
-    return [
-        f"{where}: {name}"
+    ``paths`` (fenced blocks are check 2's), and every module-map row entry,
+    that does not import and resolve."""
+    dotted = (
+        (where, name)
         for where, span, fenced in _code_spans(paths)
         if not fenced
         for name in _DOTTED_NAME.findall(span)
+    )
+    return [
+        f"{where}: {name}"
+        for where, name in itertools.chain(dotted, _module_map_names(paths))
         if not resolves(name)
     ]
 
