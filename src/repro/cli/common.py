@@ -1,6 +1,6 @@
 """What every verb shares: the usage-error type, the engine / observability
 options, protocol and vote-pattern resolution, and the machine-readable
-``--stats-json`` / ``--metrics-json`` / ``--trace-ndjson`` writers.
+``--stats-json`` / ``--metrics-json`` writers.
 """
 
 from __future__ import annotations
@@ -24,19 +24,13 @@ def check(ok: bool, message: str) -> None:
 
 
 def add_obs_options(parser: argparse.ArgumentParser) -> None:
-    """The observability flags (run metrics, phase traces)."""
+    """The observability flag (run metrics, phase timings included)."""
     parser.add_argument(
         "--metrics-json",
         default=None,
         metavar="PATH",
         help="record run metrics (counters/gauges/histograms) to PATH as "
         "canonical JSON; render with 'repro report'",
-    )
-    parser.add_argument(
-        "--trace-ndjson",
-        default=None,
-        metavar="PATH",
-        help="record phase spans to PATH as NDJSON (one span per line)",
     )
 
 
@@ -196,21 +190,17 @@ def stats_payload(command: str, **fields) -> dict:
 
 
 def make_obs(args):
-    """The ``(metrics, spans)`` pair the obs flags ask for (``None`` = off)."""
-    from repro.obs import MetricsRegistry, SpanRecorder
+    """The registry ``--metrics-json`` asks for, or ``None`` (metrics off)."""
+    from repro.obs import MetricsRegistry
 
-    metrics = MetricsRegistry() if args.metrics_json else None
-    spans = SpanRecorder() if args.trace_ndjson else None
-    return metrics, spans
+    return MetricsRegistry() if args.metrics_json else None
 
 
-def write_obs(args, command: str, metrics, spans, **fields) -> None:
-    """Write the ``--metrics-json`` / ``--trace-ndjson`` outputs (if on);
-    ``fields`` are the run-header entries beside the metrics snapshot."""
+def write_obs(args, command: str, metrics, **fields) -> None:
+    """Write the ``--metrics-json`` document (if on); ``fields`` are the
+    run-header entries beside the metrics snapshot."""
     if metrics is not None:
         write_stats_json(
             args.metrics_json,
             stats_payload(command, **fields, metrics=metrics.snapshot()),
         )
-    if spans is not None:
-        spans.write_ndjson(args.trace_ndjson)

@@ -136,7 +136,7 @@ def run_grid(
         f"--chunk-size must be >= 1, got {chunk_size}",
     )
     tasks = build_tasks(args)
-    metrics, spans = make_obs(args)
+    metrics = make_obs(args)
     extra: dict = {}
     # The workers are gone before the summary line is printed.
     with SweepEngine(
@@ -144,7 +144,6 @@ def run_grid(
         cache=args.cache,
         chunk_size=chunk_size,
         metrics=metrics,
-        spans=spans,
     ) as engine:
         if kind is None:
             result = run_shard_log(
@@ -214,5 +213,5 @@ def run_grid(
             **extra,
         ),
     )
-    write_obs(args, verb, metrics, spans, **header)
+    write_obs(args, verb, metrics, **header)
     return 0

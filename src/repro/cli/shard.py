@@ -222,7 +222,6 @@ def _run_shard(args: argparse.Namespace) -> int:
 
 def _run_merge(args: argparse.Namespace) -> int:
     import os
-    from contextlib import nullcontext
 
     from repro.engine.resultlog import (
         DEFAULT_BATCH_RECORDS,
@@ -243,15 +242,9 @@ def _run_merge(args: argparse.Namespace) -> int:
         raise UsageError(
             f"REPRO_MERGE_CRASH_AFTER must be an integer, got {crash_env!r}"
         ) from None
-    obs_metrics, obs_spans = make_obs(args)
+    obs_metrics = make_obs(args)
     try:
-        with (
-            activate(obs_metrics) if obs_metrics is not None else nullcontext()
-        ), (
-            obs_spans.span("merge", log=str(args.log))
-            if obs_spans is not None
-            else nullcontext()
-        ):
+        with activate(obs_metrics):
             result = merge_result_log(
                 args.log,
                 jsonl=args.jsonl,
@@ -299,7 +292,6 @@ def _run_merge(args: argparse.Namespace) -> int:
         args,
         "merge",
         obs_metrics,
-        obs_spans,
         total=result.records,
         elapsed=round(result.elapsed, 6),
     )

@@ -6,6 +6,7 @@
 from __future__ import annotations
 
 import argparse
+import time
 from typing import Callable
 
 from repro import experiments as ex
@@ -122,9 +123,8 @@ def _run_list(args: argparse.Namespace) -> int:
 
 
 def _run_experiments(args: argparse.Namespace) -> int:
-    """The ``run`` / ``all`` subcommands (with optional obs recording)."""
-    from contextlib import nullcontext
-
+    """The ``run`` / ``all`` subcommands; with ``--metrics-json`` each
+    experiment's wall clock is one ``experiment.<ID>_seconds`` phase."""
     from repro.obs.metrics import activate
 
     ids = list(EXPERIMENTS) if args.command == "all" else [i.upper() for i in args.ids]
@@ -134,18 +134,24 @@ def _run_experiments(args: argparse.Namespace) -> int:
         f"unknown experiment id(s): {', '.join(unknown)} "
         f"(available: {', '.join(EXPERIMENTS)})",
     )
-    obs_metrics, obs_spans = make_obs(args)
-    with activate(obs_metrics) if obs_metrics is not None else nullcontext():
+    obs_metrics = make_obs(args)
+    started = time.perf_counter()
+    with activate(obs_metrics):
         for experiment_id in ids:
-            with (
-                obs_spans.span(experiment_id)
-                if obs_spans is not None
-                else nullcontext()
-            ):
-                report = EXPERIMENTS[experiment_id]()
+            before = time.perf_counter()
+            report = EXPERIMENTS[experiment_id]()
+            if obs_metrics is not None:
+                obs_metrics.histogram(f"experiment.{experiment_id}_seconds").observe(
+                    time.perf_counter() - before
+                )
             print(report.format())
             print()
-    write_obs(args, args.command, obs_metrics, obs_spans)
+    write_obs(
+        args,
+        args.command,
+        obs_metrics,
+        elapsed=round(time.perf_counter() - started, 6),
+    )
     return 0
 
 
@@ -158,7 +164,7 @@ def _run_report(args: argparse.Namespace) -> int:
     try:
         document = json.loads(pathlib.Path(args.metrics).read_text("utf-8"))
     except ValueError as exc:
-        raise UsageError(f"report failed: {exc}") from None
+        raise UsageError(f"report failed: {args.metrics} is not JSON ({exc})") from None
     try:
         text = render_metrics_document(document)
     except ValueError as exc:
@@ -184,7 +190,8 @@ def _run_boundaries(args: argparse.Namespace) -> int:
     check(args.lo >= 0, f"--lo must be >= 0, got {args.lo}")
     check(args.hi > args.lo, f"need --lo < --hi, got [{args.lo}, {args.hi}]")
     check(args.coarse_step > 0, f"--coarse-step must be > 0, got {args.coarse_step}")
-    obs_metrics, obs_spans = make_obs(args)
+    obs_metrics = make_obs(args)
+    started = time.perf_counter()
     rows = []
     scenarios_run = 0
     executed = 0
@@ -195,7 +202,6 @@ def _run_boundaries(args: argparse.Namespace) -> int:
         workers=args.workers,
         cache=args.cache,
         metrics=obs_metrics,
-        spans=obs_spans,
     ) as engine:
         driver = RefinementDriver(
             engine,
@@ -244,5 +250,10 @@ def _run_boundaries(args: argparse.Namespace) -> int:
             f"vs {uniform} for the uniform {args.resolution:g} T grid "
             f"({scenarios_run / uniform:.1%} of uniform cost)"
         )
-    write_obs(args, "boundaries", obs_metrics, obs_spans)
+    write_obs(
+        args,
+        "boundaries",
+        obs_metrics,
+        elapsed=round(time.perf_counter() - started, 6),
+    )
     return 0

@@ -44,7 +44,6 @@ import time
 import weakref
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
-from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Iterator, Optional, Sequence, Union
 
@@ -55,7 +54,6 @@ from repro.engine.registry import kind_for_spec
 from repro.engine.sink import SummarySink
 from repro.engine.summary import RunSummary, summary_from_json_bytes
 from repro.obs.metrics import MetricsRegistry, activate, get_active, set_active
-from repro.obs.spans import SpanRecorder
 from repro.protocols.runner import ScenarioSpec
 
 TaskBatch = Union[ScenarioGrid, Iterable[SweepTask], Iterable[tuple[str, ScenarioSpec]]]
@@ -264,9 +262,6 @@ class SweepEngine:
             land in it; worker-side snapshots ride home in the chunk
             frames and are merged in.  Metrics never influence results:
             summaries, cache entries and sink output stay byte-identical.
-        spans: a :class:`~repro.obs.spans.SpanRecorder` for phase spans
-            (cache scan, dispatch, worker execute, chunk fold), or
-            ``None`` to record nothing.
     """
 
     def __init__(
@@ -277,7 +272,6 @@ class SweepEngine:
         chunk_size: Optional[int] = None,
         mp_context: Union[str, Any, None] = None,
         metrics: Optional[MetricsRegistry] = None,
-        spans: Optional[SpanRecorder] = None,
     ) -> None:
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
@@ -286,7 +280,6 @@ class SweepEngine:
         self.workers = workers
         self.chunk_size = chunk_size
         self.metrics = metrics
-        self.spans = spans
         if cache is None or isinstance(cache, ResultCache):
             self.cache = cache
         else:
@@ -463,14 +456,15 @@ class SweepEngine:
         the parent never retains more summaries than the reorder buffer of
         out-of-order chunk results (``stats.max_buffered``).
 
-        Observability (``self.metrics`` / ``self.spans``): for the duration
-        of the stream the engine's registry is the process-wide active one
-        (restored afterwards), so cache and in-process-execution instruments
-        record into it; worker registries ship back per chunk and are merged.
+        Observability (``self.metrics``): for the duration of the stream the
+        engine's registry is the process-wide active one (restored
+        afterwards), so cache and in-process-execution instruments record
+        into it; worker registries ship back per chunk and are merged.  The
+        cache scan and the chunk submissions are timed as the
+        ``engine.cache_scan_seconds`` / ``engine.dispatch_seconds`` phases.
         Every instrument site is gated on one ``is None`` check.
         """
         metrics = self.metrics
-        spans = self.spans
         run_started = time.perf_counter()
         # pid -> [tasks, chunks, busy seconds]; labels assigned at run end.
         workers_seen: dict[int, list] = {}
@@ -479,7 +473,7 @@ class SweepEngine:
             set_active(metrics)
         try:
             yield from self._stream_ordered_observed(
-                tasks, measures, stats, metrics, spans, workers_seen
+                tasks, measures, stats, metrics, workers_seen
             )
         finally:
             if metrics is not None:
@@ -494,7 +488,6 @@ class SweepEngine:
         measures: Sequence[str],
         stats: StreamStats,
         metrics: Optional[MetricsRegistry],
-        spans: Optional[SpanRecorder],
         workers_seen: dict[int, list],
     ) -> Iterator[tuple[int, RunSummary]]:
         measure_names = resolve_measures(measures)
@@ -502,32 +495,32 @@ class SweepEngine:
         pending: list[tuple[int, SweepTask, str]] = []
         cached: dict[int, tuple[SweepTask, str]] = {}
         partial: dict[int, RunSummary] = {}
-        with (
-            spans.span("cache-scan", tasks=len(tasks))
-            if spans is not None
-            else nullcontext()
-        ):
-            for index, task in enumerate(tasks):
-                key = task.spec_hash
-                if self.cache is None:
-                    pending.append((index, task, key))
-                elif not measure_names:
-                    # No measures to check: a cheap existence probe suffices,
-                    # deferring the single read+parse to delivery time.
-                    if self.cache.probe(key, task.spec.seed):
-                        cached[index] = (task, key)
-                    else:
-                        pending.append((index, task, key))
+        scan_started = time.perf_counter() if metrics is not None else 0.0
+        for index, task in enumerate(tasks):
+            key = task.spec_hash
+            if self.cache is None:
+                pending.append((index, task, key))
+            elif not measure_names:
+                # No measures to check: a cheap existence probe suffices,
+                # deferring the single read+parse to delivery time.
+                if self.cache.probe(key, task.spec.seed):
+                    cached[index] = (task, key)
                 else:
-                    hit = self.cache.get(key, task.spec.seed)
-                    if hit is not None and all(
-                        m in hit.metrics for m in measure_names
-                    ):
-                        cached[index] = (task, key)
-                    else:
-                        if hit is not None:
-                            partial[index] = hit
-                        pending.append((index, task, key))
+                    pending.append((index, task, key))
+            else:
+                hit = self.cache.get(key, task.spec.seed)
+                if hit is not None and all(
+                    m in hit.metrics for m in measure_names
+                ):
+                    cached[index] = (task, key)
+                else:
+                    if hit is not None:
+                        partial[index] = hit
+                    pending.append((index, task, key))
+        if metrics is not None:
+            metrics.histogram("engine.cache_scan_seconds").observe(
+                time.perf_counter() - scan_started
+            )
 
         def finish(
             index: int, summary: RunSummary, data: Optional[bytes] = None
@@ -615,13 +608,13 @@ class SweepEngine:
         pool = self._warm_pool()
         submitted: dict = {}  # future -> submit timestamp
         try:
-            with (
-                spans.span("dispatch", chunks=len(chunks))
-                if spans is not None
-                else nullcontext()
-            ):
-                for chunk in chunks:
-                    submitted[pool.submit(_execute_chunk, chunk)] = time.perf_counter()
+            dispatch_started = time.perf_counter() if metrics is not None else 0.0
+            for chunk in chunks:
+                submitted[pool.submit(_execute_chunk, chunk)] = time.perf_counter()
+            if metrics is not None:
+                metrics.histogram("engine.dispatch_seconds").observe(
+                    time.perf_counter() - dispatch_started
+                )
             futures = set(submitted)
             while futures:
                 done, futures = wait(futures, return_when=FIRST_COMPLETED)
@@ -638,14 +631,6 @@ class SweepEngine:
                         acct[0] += len(indices)
                         acct[1] += 1
                         acct[2] += meta["elapsed"]
-                        if spans is not None:
-                            spans.record_interval(
-                                "worker-execute",
-                                worker_started,
-                                worker_started + meta["elapsed"],
-                                pid=meta["pid"],
-                                tasks=len(indices),
-                            )
                     decode_started = (
                         time.perf_counter() if metrics is not None else 0.0
                     )

@@ -58,7 +58,6 @@ import os
 import pathlib
 import re
 import time
-from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Any, IO, Mapping, Optional, Sequence, Union
 
@@ -576,7 +575,7 @@ def run_shard_log(
     )
     # The engine keeps its registry active only while the stream runs; the
     # writer seals its trailing segment in close(), after that.
-    with activate(metrics) if metrics is not None else nullcontext():
+    with activate(metrics):
         stats = engine.run_streaming(
             [task for _, task in remaining], sinks=writer, measures=measures
         )

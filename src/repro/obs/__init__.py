@@ -1,4 +1,4 @@
-"""Observability: mergeable metrics, phase spans, progress, reporting.
+"""Observability: mergeable metrics, progress, reporting.
 
 The layer every execution path reports into, and the first-class answer
 to "where does the time go":
@@ -8,8 +8,6 @@ to "where does the time go":
   snapshots merge associatively and commutatively (worker snapshots ride
   home in the engine's batched chunk frames, strictly out-of-band from
   summary bytes);
-* :mod:`repro.obs.spans` -- nested monotonic-clock phase spans with
-  NDJSON export (``--trace-ndjson``);
 * :mod:`repro.obs.progress` -- the ``--progress`` live stderr line;
 * :mod:`repro.obs.report` -- the ``repro report`` rendering.
 
@@ -33,7 +31,6 @@ from repro.obs.metrics import (
 )
 from repro.obs.progress import ProgressLine
 from repro.obs.report import render_metrics_document
-from repro.obs.spans import NullSpanRecorder, Span, SpanRecorder
 
 __all__ = [
     "COUNT_BUCKETS",
@@ -43,10 +40,7 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "NullSpanRecorder",
     "ProgressLine",
-    "Span",
-    "SpanRecorder",
     "activate",
     "get_active",
     "render_metrics_document",

@@ -273,8 +273,14 @@ def set_active(registry: Optional[MetricsRegistry]) -> None:
 
 
 @contextmanager
-def activate(registry: MetricsRegistry) -> Iterator[MetricsRegistry]:
-    """Make ``registry`` the active registry for the ``with`` body."""
+def activate(
+    registry: Optional[MetricsRegistry],
+) -> Iterator[Optional[MetricsRegistry]]:
+    """Make ``registry`` the active registry for the ``with`` body;
+    ``None`` leaves the active registry as it is (metrics off)."""
+    if registry is None:
+        yield None
+        return
     previous = _ACTIVE
     set_active(registry)
     try:

@@ -160,15 +160,22 @@ def _is_number(value: Any) -> bool:
 def _checked_snapshot(document: Any) -> Mapping[str, Any]:
     """The registry snapshot inside ``document``, shape-checked.
 
-    The document comes from a file, so every field the tables read is
-    checked first; ``ValueError`` names the first one that is not what
+    The snapshot is the document's ``"metrics"`` object, or the document
+    itself when it is a bare snapshot (it carries ``"schema"``).  The
+    document comes from a file, so every field the tables read is checked
+    first; ``ValueError`` names the first one that is not what
     :meth:`~repro.obs.metrics.MetricsRegistry.snapshot` writes.
     """
     if not isinstance(document, Mapping):
         raise ValueError("expected a JSON object")
-    metrics = document.get("metrics", document)
-    if not isinstance(metrics, Mapping):
-        raise ValueError('"metrics" is not a JSON object')
+    if "metrics" in document:
+        metrics = document["metrics"]
+        if not isinstance(metrics, Mapping):
+            raise ValueError('"metrics" is not a JSON object')
+    elif "schema" in document:
+        metrics = document
+    else:
+        raise ValueError('no "metrics" object, and not a bare snapshot (no "schema")')
     if not _is_number(document.get("elapsed", 0)):
         raise ValueError('"elapsed" is not a number')
     for section in ("counters", "gauges", "histograms"):
@@ -196,7 +203,7 @@ def render_metrics_document(document: Any) -> str:
     registry snapshot under ``"metrics"``.  A bare registry snapshot (as
     produced by :meth:`~repro.obs.metrics.MetricsRegistry.snapshot`) is
     accepted too.  Raises ``ValueError`` naming the field when the
-    document is not shaped like one.
+    document is neither, or is not shaped like one.
     """
     metrics = _checked_snapshot(document)
     elapsed = document.get("elapsed")

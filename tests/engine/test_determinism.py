@@ -221,32 +221,27 @@ class TestFaultPlanDeterminism:
 
 
 class TestObservabilityByteIdentity:
-    """Metrics and spans are strictly out-of-band: enabling them must never
-    change a summary byte, a cache file, or a JSONL spill."""
+    """Metrics are strictly out-of-band: enabling them must never change a
+    summary byte, a cache file, or a JSONL spill."""
 
-    def test_summaries_identical_with_metrics_and_spans_enabled(self, grid):
+    def test_summaries_identical_with_metrics_enabled(self, grid):
         from repro.obs.metrics import MetricsRegistry
-        from repro.obs.spans import SpanRecorder
 
         plain = SweepEngine(workers=1).run(grid, measures=MEASURES)
-        observed = SweepEngine(
-            workers=1, metrics=MetricsRegistry(), spans=SpanRecorder()
-        ).run(grid, measures=MEASURES)
+        observed = SweepEngine(workers=1, metrics=MetricsRegistry()).run(
+            grid, measures=MEASURES
+        )
         assert [s.to_json_bytes() for s in plain] == [
             s.to_json_bytes() for s in observed
         ]
 
     def test_cache_files_identical_with_metrics_enabled(self, grid, tmp_path):
         from repro.obs.metrics import MetricsRegistry
-        from repro.obs.spans import SpanRecorder
 
         plain_dir, observed_dir = tmp_path / "plain", tmp_path / "observed"
         SweepEngine(workers=4, cache=plain_dir).run(grid, measures=MEASURES)
         SweepEngine(
-            workers=4,
-            cache=observed_dir,
-            metrics=MetricsRegistry(),
-            spans=SpanRecorder(),
+            workers=4, cache=observed_dir, metrics=MetricsRegistry()
         ).run(grid, measures=MEASURES)
         plain_files = {
             path.relative_to(plain_dir): path.read_bytes()

@@ -26,7 +26,6 @@ from repro.engine import (
     tasks_from_specs,
 )
 from repro.obs.metrics import MetricsRegistry, activate, get_active
-from repro.obs.spans import SpanRecorder
 from repro.core.reachability import simple_splits
 from repro.protocols.runner import ScenarioSpec
 from repro.sim.failures import CrashSchedule
@@ -330,30 +329,38 @@ class TestWarmPool:
     """The pool belongs to the engine: forked once, reused, always released."""
 
     @staticmethod
-    def run_pids(engine, tasks) -> set[int]:
-        """Pids of the workers that executed ``tasks`` (from the chunk meta)."""
-        before = len(engine.spans.spans())
+    def run_on_pool(engine, tasks, others) -> set[int]:
+        """Run ``tasks``; return the pool (the engine's live worker pids).
+
+        The pool is the same before and after the run, and the run's
+        per-worker counters account every task to at most that many
+        processes: only pool workers executed the batch.
+        """
+        before = child_pids() - others
+        engine.metrics = MetricsRegistry()
         engine.run(tasks)
-        return {
-            span.attrs["pid"]
-            for span in engine.spans.spans()[before:]
-            if span.name == "worker-execute"
-        }
+        pool = child_pids() - others
+        assert not before or before == pool
+        per_worker = [
+            value
+            for name, value in engine.metrics.snapshot()["counters"].items()
+            if name.startswith("engine.worker.w") and name.endswith(".tasks")
+        ]
+        assert sum(per_worker) == len(tasks)
+        assert 1 <= len(per_worker) <= len(pool)
+        return pool
 
     def test_consecutive_runs_share_one_pool_until_close(self):
         others = child_pids()
-        engine = SweepEngine(
-            workers=2, chunk_size=1, metrics=MetricsRegistry(), spans=SpanRecorder()
-        )
-        first = self.run_pids(engine, SCENARIOS)
-        pool = child_pids() - others
-        assert len(pool) == 2 and first <= pool
-        assert self.run_pids(engine, SCENARIOS) <= pool
-        assert child_pids() - others == pool  # nothing forked, nothing stopped
+        engine = SweepEngine(workers=2, chunk_size=1)
+        pool = self.run_on_pool(engine, SCENARIOS, others)
+        assert len(pool) == 2
+        # Reused: nothing forked, nothing stopped.
+        assert self.run_on_pool(engine, SCENARIOS, others) == pool
         engine.close()
         assert child_pids() == others
-        third = self.run_pids(engine, SCENARIOS)
-        assert third and third.isdisjoint(pool)
+        third = self.run_on_pool(engine, SCENARIOS, others)
+        assert len(third) == 2 and third.isdisjoint(pool)
         engine.close()
 
     def test_serial_and_single_task_batches_never_fork(self):

@@ -1,5 +1,5 @@
-"""The CLI observability surface: --metrics-json, --trace-ndjson,
---progress and the ``repro report`` subcommand."""
+"""The CLI observability surface: --metrics-json, --progress and the
+``repro report`` subcommand."""
 
 import json
 
@@ -26,6 +26,10 @@ class TestMetricsJson:
         assert counters["engine.tasks.total"] == 6
         assert counters["engine.tasks.executed"] == 6
         assert counters["sim.events_executed"] > 0
+        # A serial sweep scans the cache once and dispatches nothing.
+        histograms = document["metrics"]["histograms"]
+        assert histograms["engine.cache_scan_seconds"]["count"] == 1
+        assert "engine.dispatch_seconds" not in histograms
 
     def test_throughput_reports_txn_instruments(self, capsys, tmp_path):
         out = tmp_path / "metrics.json"
@@ -113,16 +117,45 @@ class TestMetricsJson:
         assert metrics["gauges"]["merge.skew"] >= 1.0
 
 
-class TestTraceNdjson:
-    def test_sweep_writes_spans(self, capsys, tmp_path):
-        trace = tmp_path / "trace.ndjson"
-        assert main(SWEEP + ["--trace-ndjson", str(trace)]) == 0
-        records = [
-            json.loads(line) for line in trace.read_text().splitlines()
-        ]
-        assert any(record["span"] == "cache-scan" for record in records)
-        for record in records:
-            assert record["duration"] >= 0
+class TestPhaseHistograms:
+    """Phase timings are ``*_seconds`` histograms in the metrics document."""
+
+    def test_parallel_sweep_times_the_cache_scan_and_the_dispatch(
+        self, capsys, tmp_path
+    ):
+        out = tmp_path / "metrics.json"
+        argv = SWEEP + ["--workers", "2", "--metrics-json", str(out)]
+        assert main(argv) == 0
+        histograms = load(out)["metrics"]["histograms"]
+        assert histograms["engine.cache_scan_seconds"]["count"] == 1
+        assert histograms["engine.dispatch_seconds"]["count"] == 1
+        capsys.readouterr()
+        assert main(["report", str(out)]) == 0
+        text = capsys.readouterr().out
+        assert "engine.cache_scan " in text
+        assert "engine.dispatch " in text
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["run", "FIG1"],
+            ["all"],
+            ["boundaries"],
+            ["sweep"],
+            ["throughput"],
+            ["modelcheck"],
+            ["shard", "--shard-index", "0", "--shard-count", "1", "--log", "LOG"],
+            ["merge", "--log", "LOG"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_no_verb_takes_trace_ndjson(self, capsys, tmp_path, argv):
+        argv = [str(tmp_path / "log") if arg == "LOG" else arg for arg in argv]
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv + ["--trace-ndjson", str(tmp_path / "trace.ndjson")])
+        assert exit_info.value.code == 2
+        assert "--trace-ndjson" in capsys.readouterr().err
+        assert not (tmp_path / "trace.ndjson").exists()
 
 
 class TestProgress:
@@ -147,19 +180,37 @@ class TestReportCommand:
         assert main(["report", str(tmp_path / "nope.json")]) == 2
         assert "report failed" in capsys.readouterr().err
 
-    def test_invalid_json_is_exit_2(self, capsys, tmp_path):
+    @pytest.mark.parametrize("text", ["not json", ""], ids=["garbage", "empty-file"])
+    def test_invalid_json_is_exit_2(self, capsys, tmp_path, text):
         bad = tmp_path / "bad.json"
-        bad.write_text("not json")
+        bad.write_text(text)
         assert main(["report", str(bad)]) == 2
-        assert "report failed" in capsys.readouterr().err
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.strip().splitlines()
+        assert line.startswith(f"report failed: {bad} is not JSON (Expecting value")
+
+    def test_stats_document_is_exit_2(self, capsys, tmp_path):
+        stats = tmp_path / "stats.json"
+        argv = ["sweep", "--sites", "3", "--times", "1.0"]
+        argv += ["--protocol", "two-phase-commit", "--stats-json", str(stats)]
+        assert main(argv) == 0
+        capsys.readouterr()
+        assert main(["report", str(stats)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.strip().splitlines()
+        assert f"report failed: {stats} is not a metrics document" in line
+        assert 'no "metrics" object' in line
 
     @pytest.mark.parametrize(
         "payload, named",
         [
             ("[1, 2]", "expected a JSON object"),
+            ("{}", 'no "metrics" object, and not a bare snapshot'),
             ('{"metrics": 3}', '"metrics" is not a JSON object'),
-            ('{"histograms": {"x_seconds": {"count": 1}}}', 'histogram "x_seconds" has no numeric "total"'),
-            ('{"counters": {"engine.tasks.total": "many"}}', 'counter "engine.tasks.total" is not a number'),
+            ('{"schema": 1, "histograms": {"x_seconds": {"count": 1}}}', 'histogram "x_seconds" has no numeric "total"'),
+            ('{"schema": 1, "counters": {"engine.tasks.total": "many"}}', 'counter "engine.tasks.total" is not a number'),
             ('{"elapsed": "1s", "metrics": {}}', '"elapsed" is not a number'),
         ],
     )
@@ -228,22 +279,10 @@ class TestStatsSchema:
 
     def test_experiments_run_accepts_obs_flags(self, capsys, tmp_path):
         out = tmp_path / "metrics.json"
-        trace = tmp_path / "trace.ndjson"
-        assert (
-            main(
-                [
-                    "run",
-                    "FIG1",
-                    "--metrics-json",
-                    str(out),
-                    "--trace-ndjson",
-                    str(trace),
-                ]
-            )
-            == 0
-        )
+        assert main(["run", "FIG1", "--metrics-json", str(out)]) == 0
         document = load(out)
         assert document["command"] == "run"
-        assert document["metrics"]["counters"]["sim.events_executed"] > 0
-        spans = [json.loads(line)["span"] for line in trace.read_text().splitlines()]
-        assert "FIG1" in spans
+        assert document["elapsed"] > 0
+        metrics = document["metrics"]
+        assert metrics["counters"]["sim.events_executed"] > 0
+        assert metrics["histograms"]["experiment.FIG1_seconds"]["count"] == 1

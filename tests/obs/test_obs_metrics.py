@@ -174,6 +174,16 @@ class TestActiveRegistry:
             assert get_active() is outer
         assert get_active() is None
 
+    def test_activate_none_leaves_the_active_registry(self):
+        outer = MetricsRegistry()
+        with activate(outer):
+            with activate(None) as active:
+                assert active is None
+                assert get_active() is outer
+            assert get_active() is outer
+        with activate(None):
+            assert get_active() is None
+
     def test_set_active_installs_the_kernel_hook(self):
         from repro.sim import kernel
 

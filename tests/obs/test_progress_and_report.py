@@ -122,4 +122,5 @@ class TestRenderDocument:
         assert "counters" in text
 
     def test_empty_document_has_a_placeholder(self):
-        assert render_metrics_document({}) == "(empty metrics document)"
+        document = MetricsRegistry().snapshot()
+        assert render_metrics_document(document) == "(empty metrics document)"
