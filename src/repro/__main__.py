@@ -30,7 +30,8 @@ Usage::
     python -m repro shard --shard-index 0 --shard-count 3 \\
         --log results/ --manifest grids.json --segment-records 64
     python -m repro merge --log results/ --jsonl merged.jsonl \\
-        --stats-json merge-stats.json
+        --metrics-json merge-metrics.json
+    python -m repro report merge-metrics.json
     python -m repro merge --log results/ --resume --jsonl merged.jsonl
 
 ``sweep`` / ``throughput`` / ``modelcheck`` stream one grid kind each
@@ -40,8 +41,10 @@ deterministic slice of any grid kind (or of a mixed-kind ``--manifest``)
 into the durable result log ``--log DIR`` and ``merge`` folds a whole log
 (``--resume`` continues an interrupted merge exactly-once) back into
 aggregates byte-identical to a single-machine run.  Every mode reports
-cache hit/miss counts and scenarios/sec; ``--stats-json PATH`` writes them
-as canonical JSON.  The implementation is the :mod:`repro.cli` package.
+cache hit/miss counts and scenarios/sec; ``--metrics-json PATH`` writes the
+run's one machine-readable record -- a header naming what the run covered
+beside every count and timing as a metric -- and ``repro report PATH``
+renders it.  The implementation is the :mod:`repro.cli` package.
 """
 
 import sys

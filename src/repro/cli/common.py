@@ -1,6 +1,6 @@
 """What every verb shares: the usage-error type, the engine / observability
-options, protocol and vote-pattern resolution, and the machine-readable
-``--stats-json`` / ``--metrics-json`` writers.
+options, protocol and vote-pattern resolution, and the ``--metrics-json``
+writer -- the one machine-readable record of a run.
 """
 
 from __future__ import annotations
@@ -58,12 +58,6 @@ def add_engine_options(parser: argparse.ArgumentParser, *, chunk_size: bool) -> 
             metavar="N",
             help="scenarios per worker submission (default: auto)",
         )
-    parser.add_argument(
-        "--stats-json",
-        default=None,
-        metavar="PATH",
-        help="write run statistics to PATH as canonical JSON",
-    )
     add_obs_options(parser)
 
 
@@ -164,29 +158,9 @@ def cache_text(cache, hits: int, total: int) -> str:
     return f"cache: {hits} hit(s) / {total - hits} miss(es)"
 
 
-def write_stats_json(path: Optional[str], payload: dict) -> None:
-    """Write a stats payload as one canonical-JSON line (machine-readable)."""
-    if path is None:
-        return
-    target = pathlib.Path(path)
-    if target.parent != pathlib.Path("."):
-        target.parent.mkdir(parents=True, exist_ok=True)
-    target.write_bytes(canonical_json_bytes(payload) + b"\n")
-
-
-#: Version tag of every machine-readable document this CLI writes
-#: (``--stats-json`` and ``--metrics-json`` alike); bumped on
-#: incompatible payload-layout changes so CI parsers can key on it.
+#: Version tag of the ``--metrics-json`` document; bumped on incompatible
+#: layout changes so CI parsers can key on it (new header fields are not).
 STATS_SCHEMA_VERSION = 1
-
-
-def stats_payload(command: str, **fields) -> dict:
-    """Base of every machine-readable payload this CLI emits.
-
-    One construction point so sweep / throughput / shard / merge (and the
-    metrics documents) all carry the same ``schema_version`` field.
-    """
-    return {"command": command, "schema_version": STATS_SCHEMA_VERSION, **fields}
 
 
 def make_obs(args):
@@ -196,11 +170,20 @@ def make_obs(args):
     return MetricsRegistry() if args.metrics_json else None
 
 
-def write_obs(args, command: str, metrics, **fields) -> None:
-    """Write the ``--metrics-json`` document (if on); ``fields`` are the
-    run-header entries beside the metrics snapshot."""
-    if metrics is not None:
-        write_stats_json(
-            args.metrics_json,
-            stats_payload(command, **fields, metrics=metrics.snapshot()),
-        )
+def write_obs(args, command: str, metrics, **header) -> None:
+    """Write the ``--metrics-json`` document (if on) as one canonical-JSON
+    line: the run header -- ``command``, ``schema_version`` and ``header``,
+    the fields that name what the run covered -- beside the registry
+    snapshot under ``"metrics"``, where every count of the run lives."""
+    if metrics is None:
+        return
+    document = {
+        "command": command,
+        "schema_version": STATS_SCHEMA_VERSION,
+        **header,
+        "metrics": metrics.snapshot(),
+    }
+    target = pathlib.Path(args.metrics_json)
+    if target.parent != pathlib.Path("."):
+        target.parent.mkdir(parents=True, exist_ok=True)
+    target.write_bytes(canonical_json_bytes(document) + b"\n")

@@ -14,9 +14,7 @@ from repro.cli.common import (
     cache_text,
     check,
     make_obs,
-    stats_payload,
     write_obs,
-    write_stats_json,
 )
 from repro.cli.kinds import GRID_KINDS, GridKind
 from repro.engine.sink import SummarySink
@@ -119,7 +117,7 @@ def run_grid(
     progress?]`` and the kind's table is printed; without it (``repro
     shard``) this machine's slice is appended to the result log ``args.log``.
     Either way this is the one place that checks the engine flags, builds
-    the engine and writes ``--stats-json`` and the observability files.
+    the engine and writes the ``--metrics-json`` document.
     Failures propagate to :func:`repro.cli.main`, which prints them as one
     ``<verb> failed: ...`` line.
     """
@@ -137,7 +135,7 @@ def run_grid(
     )
     tasks = build_tasks(args)
     metrics = make_obs(args)
-    extra: dict = {}
+    shard_header: dict = {}
     # The workers are gone before the summary line is printed.
     with SweepEngine(
         workers=args.workers,
@@ -161,14 +159,11 @@ def run_grid(
                 f"appended to {args.log} ({result.skipped} already sealed, "
                 f"{result.segments_sealed} segment(s) sealed)"
             )
-            extra = {
+            shard_header = {
                 "kind": shard_label,
                 "shard_index": args.shard_index,
                 "shard_count": args.shard_count,
                 "total_tasks": len(tasks),
-                "resumed_skips": result.skipped,
-                "records_appended": result.appended,
-                "segments_sealed": result.segments_sealed,
             }
         else:
             table = kind_by_name(kind.registry_kind).make_sink()
@@ -193,25 +188,13 @@ def run_grid(
         f"{stats.executed} executed, "
         f"{cache_text(engine.cache, stats.cache_hits, stats.total)})"
     )
-    header = {
-        "total": stats.total,
-        "workers": stats.workers,
-        "elapsed": round(stats.elapsed, 6),
-    }
-    # CI asserts on executed / cache_hits here instead of grepping the
-    # human completion line above.
-    write_stats_json(
-        args.stats_json,
-        stats_payload(
-            verb,
-            **header,
-            executed=stats.executed,
-            cache_hits=stats.cache_hits,
-            chunk_count=stats.chunk_count,
-            scenarios_per_second=round(stats.throughput, 3),
-            cache_enabled=engine.cache is not None,
-            **extra,
-        ),
+    write_obs(
+        args,
+        verb,
+        metrics,
+        total=stats.total,
+        workers=stats.workers,
+        elapsed=round(stats.elapsed, 6),
+        **shard_header,
     )
-    write_obs(args, verb, metrics, **header)
     return 0

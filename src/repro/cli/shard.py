@@ -17,9 +17,7 @@ from repro.cli.common import (
     add_obs_options,
     check,
     make_obs,
-    stats_payload,
     write_obs,
-    write_stats_json,
 )
 from repro.cli.grid import run_grid
 from repro.cli.kinds import GRID_KINDS, grid_kind
@@ -141,12 +139,6 @@ def add_shard_parsers(sub) -> None:
         "--allow-partial",
         action="store_true",
         help="merge even when some shards are missing (partial aggregates)",
-    )
-    merge.add_argument(
-        "--stats-json",
-        default=None,
-        metavar="PATH",
-        help="write merge statistics to PATH as canonical JSON",
     )
     add_obs_options(merge)
     merge.set_defaults(run=_run_merge)
@@ -270,29 +262,17 @@ def _run_merge(args: argparse.Namespace) -> int:
         f"deduped, {result.replayed} replayed from checkpoint, "
         f"{result.elapsed:.2f}s)"
     )
-    # Deliberately excluded from the stats payload: the replayed count,
-    # which differs between a resumed and an uninterrupted merge of the
-    # same log -- everything written here is a property of the log itself,
-    # so resumed stats match single-shot stats (modulo elapsed).
-    write_stats_json(
-        args.stats_json,
-        stats_payload(
-            "merge",
-            shards=len(result.shard_records),
-            shard_count=result.shard_count,
-            records=result.records,
-            total_tasks=result.total_tasks,
-            kinds=sorted(result.kind_sinks),
-            elapsed=round(result.elapsed, 6),
-            segments=result.segments,
-            records_deduped=result.deduped,
-        ),
-    )
+    # The header holds properties of the log only, so a resumed merge's
+    # header equals an uninterrupted one's (modulo elapsed); the counts,
+    # replayed records included, are instruments in the snapshot.
     write_obs(
         args,
         "merge",
         obs_metrics,
         total=result.records,
         elapsed=round(result.elapsed, 6),
+        shard_count=result.shard_count,
+        total_tasks=result.total_tasks,
+        kinds=sorted(result.kind_sinks),
     )
     return 0

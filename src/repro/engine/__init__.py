@@ -89,7 +89,6 @@ from repro.engine.sink import (
     ListSink,
     SummarySink,
     VerdictCounterSink,
-    ViolationCollectorSink,
     read_jsonl,
 )
 from repro.engine.summary import RunSummary, summary_from_json_dict
@@ -124,7 +123,6 @@ __all__ = [
     "SweepTask",
     "UnknownSpecKindError",
     "VerdictCounterSink",
-    "ViolationCollectorSink",
     "WorkerCrashedError",
     "discover_segments",
     "execute_task",

@@ -177,37 +177,6 @@ def _release_pool(pool: ProcessPoolExecutor, owner_pid: int) -> None:
 
 
 @dataclass
-class SweepResult:
-    """The summaries of one engine run, in task order, plus run statistics."""
-
-    summaries: list[RunSummary] = field(default_factory=list)
-    executed: int = 0
-    cache_hits: int = 0
-    workers: int = 1
-    chunk_count: int = 0
-    elapsed: float = 0.0
-
-    @property
-    def total(self) -> int:
-        """Number of scenarios covered (executed + served from cache)."""
-        return len(self.summaries)
-
-    @property
-    def throughput(self) -> float:
-        """Scenarios per wall-clock second (0 when elapsed is unmeasured)."""
-        return self.total / self.elapsed if self.elapsed > 0 else 0.0
-
-    def __iter__(self) -> Iterator[RunSummary]:
-        return iter(self.summaries)
-
-    def __len__(self) -> int:
-        return len(self.summaries)
-
-    def __getitem__(self, index: int) -> RunSummary:
-        return self.summaries[index]
-
-
-@dataclass
 class StreamStats:
     """Run statistics of a streaming sweep (the summaries live in the sinks).
 
@@ -229,6 +198,23 @@ class StreamStats:
     def throughput(self) -> float:
         """Scenarios per wall-clock second (0 when elapsed is unmeasured)."""
         return self.total / self.elapsed if self.elapsed > 0 else 0.0
+
+
+@dataclass
+class SweepResult(StreamStats):
+    """The run statistics of :meth:`SweepEngine.run` plus its summaries,
+    in task order."""
+
+    summaries: list[RunSummary] = field(default_factory=list)
+
+    def __iter__(self) -> Iterator[RunSummary]:
+        return iter(self.summaries)
+
+    def __len__(self) -> int:
+        return len(self.summaries)
+
+    def __getitem__(self, index: int) -> RunSummary:
+        return self.summaries[index]
 
 
 class SweepEngine:
@@ -317,18 +303,11 @@ class SweepEngine:
         """Execute every task and return ordered summaries plus statistics."""
         task_list = self._materialize(tasks)
         started = time.perf_counter()
-        stats = StreamStats(workers=self.workers)
-        summaries = [
-            summary for _, summary in self._stream_ordered(task_list, measures, stats)
-        ]
-        return SweepResult(
-            summaries=summaries,
-            executed=stats.executed,
-            cache_hits=stats.cache_hits,
-            workers=self.workers,
-            chunk_count=stats.chunk_count,
-            elapsed=time.perf_counter() - started,
-        )
+        result = SweepResult(workers=self.workers)
+        for _, summary in self._stream_ordered(task_list, measures, result):
+            result.summaries.append(summary)
+        result.elapsed = time.perf_counter() - started
+        return result
 
     def run_streaming(
         self,
@@ -591,7 +570,9 @@ class SweepEngine:
                     task_elapsed = time.perf_counter() - before
                     execute_hist.observe(task_elapsed)
                     executed_counter.inc()
+                    # In-process, every executed task is one chunk.
                     acct[0] += 1
+                    acct[1] += 1
                     acct[2] += task_elapsed
                 buffered[index] = finish(index, summary)
                 stats.max_buffered = max(stats.max_buffered, len(buffered))

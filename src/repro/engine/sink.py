@@ -152,30 +152,6 @@ class DecisionTimeHistogramSink(SummarySink):
         return round((max(bins) + 1) * self.bin_width, 10)
 
 
-class ViolationCollectorSink(SummarySink):
-    """Collects the summaries of atomicity-violating runs, up to a limit.
-
-    Violations are the paper's headline failure (Lemma 3, SEC3); keeping the
-    offending summaries (not just a count) preserves the witnesses needed to
-    reproduce them, while ``limit`` keeps a pathological sweep from undoing
-    the constant-memory guarantee.  ``total`` always counts every violation.
-    """
-
-    def __init__(self, limit: Optional[int] = 100) -> None:
-        if limit is not None and limit < 0:
-            raise ValueError(f"limit must be >= 0 or None, got {limit}")
-        self.limit = limit
-        self.total = 0
-        self.violations: list[RunSummary] = []
-
-    def accept(self, index: int, summary: RunSummary) -> None:
-        if not summary.atomicity_violated:
-            return
-        self.total += 1
-        if self.limit is None or len(self.violations) < self.limit:
-            self.violations.append(summary)
-
-
 class AtomicitySink(SummarySink):
     """Streams summaries into an :class:`~repro.analysis.atomicity.AtomicityReport`.
 

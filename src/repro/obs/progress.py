@@ -4,7 +4,7 @@ Driven by the engine's streaming path: every in-order delivery ticks
 :meth:`ProgressLine.update`, which rewrites one stderr line (throttled to
 :attr:`ProgressLine.min_interval` so a fast sweep is not dominated by
 terminal writes).  The line is observability-only -- stdout, summaries and
-stats payloads are untouched, so piping a sweep's stdout stays clean.
+the metrics document are untouched, so piping a sweep's stdout stays clean.
 """
 
 from __future__ import annotations

@@ -3,7 +3,9 @@
 ``repro report METRICS.json`` is the read side of the observability layer:
 it takes the canonical-JSON metrics document a run wrote and renders
 
-* a **run header** (command, elapsed, workers, scenarios);
+* a **run header** -- every top-level field beside ``"metrics"``: the
+  command, schema version, elapsed and whatever names what the run covered
+  (scenarios, workers; a shard's kind and index, a merge's task count);
 * a **phase breakdown** -- every ``*_seconds`` histogram as a timing row
   (count, total, mean, min/max, share of wall clock), the view that says
   where a sweep's time went;
@@ -199,7 +201,7 @@ def _checked_snapshot(document: Any) -> Mapping[str, Any]:
 def render_metrics_document(document: Any) -> str:
     """The full ``repro report`` rendering of one metrics document.
 
-    ``document`` is what ``--metrics-json`` wrote: run metadata plus the
+    ``document`` is what ``--metrics-json`` wrote: the run header plus the
     registry snapshot under ``"metrics"``.  A bare registry snapshot (as
     produced by :meth:`~repro.obs.metrics.MetricsRegistry.snapshot`) is
     accepted too.  Raises ``ValueError`` naming the field when the
@@ -209,13 +211,10 @@ def render_metrics_document(document: Any) -> str:
     elapsed = document.get("elapsed")
     sections: list[str] = []
 
-    header = {
-        key: document[key]
-        for key in ("command", "total", "workers", "elapsed", "schema_version")
-        if key in document
-    }
-    if header:
-        sections.append(format_table([header], title="run"))
+    if "metrics" in document:
+        header = {key: value for key, value in document.items() if key != "metrics"}
+        if header:
+            sections.append(format_table([header], title="run"))
 
     phases = phase_rows(metrics, elapsed=elapsed)
     if phases:

@@ -14,7 +14,6 @@ from repro.engine import (
     ScenarioGrid,
     SweepEngine,
     VerdictCounterSink,
-    ViolationCollectorSink,
     read_jsonl,
 )
 from repro.protocols.runner import RunSummary, ScenarioSpec
@@ -114,24 +113,6 @@ class TestDecisionTimeHistogramSink:
     def test_rejects_nonpositive_bin_width(self):
         with pytest.raises(ValueError):
             DecisionTimeHistogramSink(bin_width=0)
-
-
-class TestViolationCollectorSink:
-    def test_collects_only_violations(self, summaries):
-        sink = feed(ViolationCollectorSink(), summaries)
-        expected = [s for s in summaries if s.atomicity_violated]
-        assert sink.total == len(expected)
-        assert sink.violations == expected
-        assert sink.total > 0  # the naive protocol must violate somewhere
-
-    def test_limit_bounds_retention_but_not_the_count(self, summaries):
-        sink = feed(ViolationCollectorSink(limit=1), summaries)
-        assert len(sink.violations) == 1
-        assert sink.total == sum(1 for s in summaries if s.atomicity_violated)
-
-    def test_rejects_negative_limit(self):
-        with pytest.raises(ValueError):
-            ViolationCollectorSink(limit=-1)
 
 
 class TestReportSinks:

@@ -94,20 +94,22 @@ class TestShardMergeCli:
         _log_shards(
             tmp_path / "log", [*self.SWEEP, "--cache", str(tmp_path / "cache")]
         )
-        stats = tmp_path / "stats.json"
+        metrics = tmp_path / "metrics.json"
         assert main(
             [
                 "sweep", *self.SWEEP,
                 "--cache", str(tmp_path / "cache"),
-                "--stats-json", str(stats),
+                "--metrics-json", str(metrics),
             ]
         ) == 0
-        payload = json.loads(stats.read_text())
-        assert payload["executed"] == 0
-        assert payload["cache_hits"] == payload["total"] == 6
+        document = json.loads(metrics.read_text())
+        counters = document["metrics"]["counters"]
+        assert counters["engine.tasks.executed"] == 0
+        assert counters["engine.tasks.cache_hits"] == document["total"] == 6
 
-    def test_throughput_stats_json_replaces_the_grep_smoke(self, capsys, tmp_path):
-        # The CI warm-cache assertion: parse `executed`, don't grep stdout.
+    def test_throughput_metrics_json_replaces_the_grep_smoke(self, capsys, tmp_path):
+        # The CI warm-cache assertion: parse the executed counter, don't
+        # grep stdout.
         import json
 
         fast = [
@@ -115,15 +117,18 @@ class TestShardMergeCli:
             "--transactions", "10",
             "--protocols", "two-phase-commit",
             "--cache", str(tmp_path / "cache"),
-            "--stats-json", str(tmp_path / "stats.json"),
+            "--metrics-json", str(tmp_path / "metrics.json"),
         ]
-        assert main(fast) == 0
-        cold = json.loads((tmp_path / "stats.json").read_text())
-        assert (cold["executed"], cold["cache_hits"]) == (1, 0)
-        assert main(fast) == 0
-        warm = json.loads((tmp_path / "stats.json").read_text())
-        assert (warm["executed"], warm["cache_hits"]) == (0, 1)
-        assert warm["command"] == "throughput"
+
+        def run_counts():
+            assert main(fast) == 0
+            document = json.loads((tmp_path / "metrics.json").read_text())
+            assert document["command"] == "throughput"
+            counters = document["metrics"]["counters"]
+            return counters["engine.tasks.executed"], counters["engine.tasks.cache_hits"]
+
+        assert run_counts() == (1, 0)
+        assert run_counts() == (0, 1)
 
     def test_throughput_kind_shards_build_the_throughput_grid(self, capsys, tmp_path):
         log = tmp_path / "log"
@@ -199,26 +204,30 @@ class TestResultLogCli:
         assert main(base) == 3
         assert "merge interrupted" in capsys.readouterr().err
         monkeypatch.delenv("REPRO_MERGE_CRASH_AFTER")
-        stats = tmp_path / "stats.json"
-        assert main(base + ["--resume", "--stats-json", str(stats)]) == 0
+        metrics = tmp_path / "metrics.json"
+        assert main(base + ["--resume", "--metrics-json", str(metrics)]) == 0
         assert "replayed from checkpoint" in capsys.readouterr().out
         assert merged.read_bytes() == single.read_bytes()
-        # The stats document matches an uninterrupted merge of the same
-        # log (its own checkpoint + spill), modulo wall-clock time.
-        fresh_stats = tmp_path / "fresh-stats.json"
+        # The run header matches an uninterrupted merge of the same log (its
+        # own checkpoint + spill), modulo wall-clock time; counters such as
+        # resultlog.resume.replayed may differ.
+        fresh_metrics = tmp_path / "fresh-metrics.json"
         assert main(
             [
                 "merge", "--log", str(tmp_path / "log"),
                 "--jsonl", str(tmp_path / "fresh.jsonl"),
                 "--checkpoint", str(tmp_path / "fresh.ckpt"),
-                "--stats-json", str(fresh_stats),
+                "--metrics-json", str(fresh_metrics),
             ]
         ) == 0
-        resumed = json.loads(stats.read_text())
-        uninterrupted = json.loads(fresh_stats.read_text())
-        resumed.pop("elapsed")
-        uninterrupted.pop("elapsed")
-        assert resumed == uninterrupted
+
+        def header(path):
+            document = json.loads(path.read_text())
+            del document["metrics"], document["elapsed"]
+            return document
+
+        assert header(metrics) == header(fresh_metrics)
+        assert header(metrics)["total"] == 6
         assert (tmp_path / "fresh.jsonl").read_bytes() == single.read_bytes()
 
     def test_shard_rerun_resumes_from_the_log(self, capsys, tmp_path):
@@ -264,17 +273,18 @@ class TestResultLogCli:
                     "--manifest", str(manifest),
                 ]
             ) == 0
-        stats = tmp_path / "stats.json"
+        metrics = tmp_path / "metrics.json"
         capsys.readouterr()
         assert main(
             [
                 "merge", "--log", str(tmp_path / "log"),
-                "--stats-json", str(stats),
+                "--metrics-json", str(metrics),
             ]
         ) == 0
-        payload = json.loads(stats.read_text())
-        assert payload["total_tasks"] == 7  # 6 sweep scenarios + 1 workload
-        assert payload["kinds"] == ["scenario", "throughput"]
+        document = json.loads(metrics.read_text())
+        assert document["total_tasks"] == 7  # 6 sweep scenarios + 1 workload
+        assert document["kinds"] == ["scenario", "throughput"]
+        assert document["metrics"]["counters"]["merge.shards"] == 2
 
     def test_manifest_rejects_command_line_grid_flags(self, capsys, tmp_path):
         import json
@@ -654,8 +664,7 @@ class TestRunFailuresExitCleanly:
         [
             (verb, flag)
             for verb in ("sweep", "throughput", "modelcheck", "shard", "boundaries")
-            for flag in ("--cache", "--stats-json", "--metrics-json")
-            if (verb, flag) != ("boundaries", "--stats-json")  # has no such flag
+            for flag in ("--cache", "--metrics-json")
         ],
     )
     def test_unwritable_path_names_the_file(self, verb, flag, capsys, tmp_path):

@@ -10,6 +10,18 @@ from repro.cli import STATS_SCHEMA_VERSION, main
 SWEEP = ["sweep", "--protocol", "two-phase-commit", "--times", "0.5", "1.5"]
 
 
+VERBS = [
+    ["run", "FIG1"],
+    ["all"],
+    ["boundaries"],
+    ["sweep"],
+    ["throughput"],
+    ["modelcheck"],
+    ["shard", "--shard-index", "0", "--shard-count", "1", "--log", "LOG"],
+    ["merge", "--log", "LOG"],
+]
+
+
 def load(path):
     return json.loads(path.read_text())
 
@@ -30,6 +42,23 @@ class TestMetricsJson:
         histograms = document["metrics"]["histograms"]
         assert histograms["engine.cache_scan_seconds"]["count"] == 1
         assert "engine.dispatch_seconds" not in histograms
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_worker_rows_sum_to_the_run_counts(self, capsys, tmp_path, workers):
+        out = tmp_path / "metrics.json"
+        argv = SWEEP + ["--workers", str(workers), "--metrics-json", str(out)]
+        assert main(argv) == 0
+        counters = load(out)["metrics"]["counters"]
+
+        def worker_sum(quantity):
+            return sum(
+                value
+                for name, value in counters.items()
+                if name.startswith("engine.worker.w") and name.endswith(quantity)
+            )
+
+        assert worker_sum(".chunks") == counters["engine.chunks"] > 0
+        assert worker_sum(".tasks") == counters["engine.tasks.executed"] == 6
 
     def test_throughput_reports_txn_instruments(self, capsys, tmp_path):
         out = tmp_path / "metrics.json"
@@ -136,26 +165,22 @@ class TestPhaseHistograms:
         assert "engine.dispatch " in text
 
     @pytest.mark.parametrize(
-        "argv",
-        [
-            ["run", "FIG1"],
-            ["all"],
-            ["boundaries"],
-            ["sweep"],
-            ["throughput"],
-            ["modelcheck"],
-            ["shard", "--shard-index", "0", "--shard-count", "1", "--log", "LOG"],
-            ["merge", "--log", "LOG"],
+        "argv, flag",
+        [pytest.param(argv, "--trace-ndjson", id=argv[0]) for argv in VERBS]
+        # The five verbs that wrote a second run document before the
+        # metrics document became the only one.
+        + [
+            pytest.param(argv, "--stats-json", id=f"{argv[0]}-stats-json")
+            for argv in VERBS[3:]
         ],
-        ids=lambda argv: argv[0],
     )
-    def test_no_verb_takes_trace_ndjson(self, capsys, tmp_path, argv):
+    def test_no_verb_takes_trace_ndjson(self, capsys, tmp_path, argv, flag):
         argv = [str(tmp_path / "log") if arg == "LOG" else arg for arg in argv]
         with pytest.raises(SystemExit) as exit_info:
-            main(argv + ["--trace-ndjson", str(tmp_path / "trace.ndjson")])
+            main(argv + [flag, str(tmp_path / "out.json")])
         assert exit_info.value.code == 2
-        assert "--trace-ndjson" in capsys.readouterr().err
-        assert not (tmp_path / "trace.ndjson").exists()
+        assert flag in capsys.readouterr().err
+        assert not (tmp_path / "out.json").exists()
 
 
 class TestProgress:
@@ -189,19 +214,6 @@ class TestReportCommand:
         assert captured.out == ""
         (line,) = captured.err.strip().splitlines()
         assert line.startswith(f"report failed: {bad} is not JSON (Expecting value")
-
-    def test_stats_document_is_exit_2(self, capsys, tmp_path):
-        stats = tmp_path / "stats.json"
-        argv = ["sweep", "--sites", "3", "--times", "1.0"]
-        argv += ["--protocol", "two-phase-commit", "--stats-json", str(stats)]
-        assert main(argv) == 0
-        capsys.readouterr()
-        assert main(["report", str(stats)]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        (line,) = captured.err.strip().splitlines()
-        assert f"report failed: {stats} is not a metrics document" in line
-        assert 'no "metrics" object' in line
 
     @pytest.mark.parametrize(
         "payload, named",
@@ -237,18 +249,23 @@ class TestStatsSchema:
         ],
         ids=["sweep", "throughput", "modelcheck"],
     )
-    def test_stats_json_carries_the_schema_version(self, capsys, tmp_path, argv):
-        stats_path = tmp_path / "stats.json"
-        assert main(argv + ["--stats-json", str(stats_path)]) == 0
-        stats = load(stats_path)
-        assert stats["schema_version"] == STATS_SCHEMA_VERSION
-        assert stats["command"] == argv[0]
+    def test_metrics_json_carries_the_schema_version(self, capsys, tmp_path, argv):
+        out = tmp_path / "metrics.json"
+        assert main(argv + ["--metrics-json", str(out)]) == 0
+        document = load(out)
+        assert document["schema_version"] == STATS_SCHEMA_VERSION
+        assert document["command"] == argv[0]
+        assert document["workers"] == 1
+        counters = document["metrics"]["counters"]
+        assert counters["engine.tasks.executed"] == document["total"] > 0
+        assert counters["engine.tasks.cache_hits"] == 0
+        assert counters["engine.chunks"] == document["total"]
 
     def test_shard_and_merge_stats_share_the_schema_version(
         self, capsys, tmp_path
     ):
         log = tmp_path / "log"
-        shard_stats = tmp_path / "shard-stats.json"
+        shard_metrics = tmp_path / "shard-metrics.json"
         assert (
             main(
                 [
@@ -263,19 +280,50 @@ class TestStatsSchema:
                     "two-phase-commit",
                     "--times",
                     "0.5",
-                    "--stats-json",
-                    str(shard_stats),
+                    "--metrics-json",
+                    str(shard_metrics),
                 ]
             )
             == 0
         )
-        merge_stats = tmp_path / "merge-stats.json"
+        merge_metrics = tmp_path / "merge-metrics.json"
         assert (
-            main(["merge", "--log", str(log), "--stats-json", str(merge_stats)]) == 0
+            main(["merge", "--log", str(log), "--metrics-json", str(merge_metrics)])
+            == 0
         )
-        assert load(shard_stats)["schema_version"] == STATS_SCHEMA_VERSION
-        assert load(merge_stats)["schema_version"] == STATS_SCHEMA_VERSION
-        assert load(merge_stats)["command"] == "merge"
+        shard = load(shard_metrics)
+        assert shard["schema_version"] == STATS_SCHEMA_VERSION
+        assert shard["command"] == "shard"
+        assert (shard["kind"], shard["shard_index"], shard["shard_count"]) == (
+            "sweep",
+            0,
+            1,
+        )
+        assert shard["total_tasks"] == shard["total"] == 3
+        counters = shard["metrics"]["counters"]
+        assert counters["resultlog.resume.skipped"] == 0
+        assert counters["resultlog.records.appended"] == 3
+        assert counters["resultlog.segments.sealed"] == 1
+        merge = load(merge_metrics)
+        assert merge["schema_version"] == STATS_SCHEMA_VERSION
+        assert merge["command"] == "merge"
+        assert (merge["shard_count"], merge["kinds"]) == (1, ["scenario"])
+        assert merge["total_tasks"] == merge["total"] == 3
+        metrics = merge["metrics"]
+        assert metrics["counters"]["merge.shards"] == 1
+        assert metrics["counters"]["resultlog.records.deduped"] == 0
+        assert metrics["histograms"]["merge.read_seconds"]["count"] == 1
+        # The run table shows every header field.
+        for document, fields in (
+            (shard_metrics, ("kind", "shard_index", "shard_count", "total_tasks")),
+            (merge_metrics, ("shard_count", "total_tasks", "kinds")),
+        ):
+            capsys.readouterr()
+            assert main(["report", str(document)]) == 0
+            run_table = capsys.readouterr().out.split("\n\n")[0]
+            assert run_table.startswith("run\n")
+            for field in fields:
+                assert field in run_table
 
     def test_experiments_run_accepts_obs_flags(self, capsys, tmp_path):
         out = tmp_path / "metrics.json"
