@@ -18,6 +18,7 @@ from repro.engine import (
     RunSummary,
     ScenarioGrid,
     SpecKind,
+    StreamStats,
     SummarySink,
     SweepEngine,
     SweepTask,
@@ -232,6 +233,30 @@ class TestSweepEngine:
         assert result.throughput > 0
         assert len(result) == 3
         assert result[0].protocol == "two-phase-commit"
+
+    def test_result_is_the_stream_stats_plus_its_summaries(self, tmp_path):
+        tasks = tasks_from_specs(
+            "two-phase-commit", [ScenarioSpec(seed=s) for s in range(3)]
+        )
+
+        def counts(stats):
+            return (
+                stats.total,
+                stats.executed,
+                stats.cache_hits,
+                stats.workers,
+                stats.chunk_count,
+            )
+
+        for expected in ((3, 3, 0, 1, 3), (3, 0, 3, 1, 0)):  # cold, then warm
+            result = SweepEngine(workers=1, cache=tmp_path / "run").run(tasks)
+            stats = StreamStats(workers=1)
+            engine = SweepEngine(workers=1, cache=tmp_path / "stream")
+            streamed = list(engine.stream(tasks, stats=stats))
+            assert isinstance(result, StreamStats)
+            assert counts(result) == counts(stats) == expected
+            assert list(result) == result.summaries == streamed
+            assert result.elapsed > 0
 
 
 # ----------------------------------------------------------------------

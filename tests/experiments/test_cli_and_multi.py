@@ -107,7 +107,7 @@ class TestShardMergeCli:
         assert counters["engine.tasks.executed"] == 0
         assert counters["engine.tasks.cache_hits"] == document["total"] == 6
 
-    def test_throughput_metrics_json_replaces_the_grep_smoke(self, capsys, tmp_path):
+    def test_throughput_stats_json_replaces_the_grep_smoke(self, capsys, tmp_path):
         # The CI warm-cache assertion: parse the executed counter, don't
         # grep stdout.
         import json

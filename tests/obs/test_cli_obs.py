@@ -249,7 +249,8 @@ class TestStatsSchema:
         ],
         ids=["sweep", "throughput", "modelcheck"],
     )
-    def test_metrics_json_carries_the_schema_version(self, capsys, tmp_path, argv):
+    def test_stats_json_carries_the_schema_version(self, capsys, tmp_path, argv):
+        # The run's statistics live in its one JSON document, --metrics-json.
         out = tmp_path / "metrics.json"
         assert main(argv + ["--metrics-json", str(out)]) == 0
         document = load(out)
