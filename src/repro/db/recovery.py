@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.db.storage import KeyValueStore
-from repro.db.wal import LogRecordKind, WriteAheadLog
+from repro.db.wal import WriteAheadLog
 
 
 @dataclass
@@ -93,12 +93,3 @@ class RecoveryManager:
         if self.wal.decision(transaction_id) != "commit":
             return False
         return not self.store.applied(transaction_id)
-
-    @staticmethod
-    def classify(record_kind: LogRecordKind) -> str:
-        """Coarse classification of a log record for reporting."""
-        if record_kind in (LogRecordKind.COMMIT, LogRecordKind.ABORT):
-            return "decision"
-        if record_kind is LogRecordKind.APPLY:
-            return "redo"
-        return "protocol"

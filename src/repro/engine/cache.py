@@ -9,11 +9,13 @@ affected points.
 
 A warm re-sweep reads every entry, so the read side is kept lean: each key
 formats one ``str`` path, :meth:`ResultCache.probe` is one ``stat`` and
-:meth:`ResultCache.get_bytes` one ``open``.  :meth:`ResultCache.get` trusts
-no entry: a record that is not JSON, not an object, misses a field or was
-stored under another ``(spec-hash, seed)`` key raises
+:meth:`ResultCache.get_bytes` one ``open``.  :meth:`ResultCache.get_record`
+(and :meth:`ResultCache.get` over it) trusts no entry: a record that is not
+JSON, not an object, misses a field, was stored under another
+``(spec-hash, seed)`` key or spans more than one line raises
 :class:`CacheEntryError` naming the file, instead of a traceback or a
-silently wrong table.
+silently wrong table.  An entry that passes is returned with its bytes,
+which the engine hands on verbatim instead of re-encoding the summary.
 """
 
 from __future__ import annotations
@@ -33,8 +35,9 @@ class CacheEntryError(ValueError):
     """A cache entry that cannot stand for its key.
 
     The message names the entry's path and the fault: not JSON, not a JSON
-    object, a missing or malformed field, or a record whose own
-    ``(spec_hash, seed)`` differs from the key its file name encodes.
+    object, a missing or malformed field, a record whose own
+    ``(spec_hash, seed)`` differs from the key its file name encodes, or a
+    line break inside the entry.
     """
 
     def __init__(self, path: str, fault: str) -> None:
@@ -121,6 +124,20 @@ class ResultCache:
         Raises :class:`CacheEntryError` when the entry does not decode to
         the record of exactly this key.
         """
+        entry = self.get_record(spec_hash, seed, record=record)
+        return None if entry is None else entry[0]
+
+    def get_record(
+        self, spec_hash: str, seed: int, *, record: bool = True
+    ) -> Optional[tuple[RunSummary, bytes]]:
+        """The cached summary together with the entry's bytes, or ``None``.
+
+        The bytes are returned only once they have decoded to the record of
+        exactly this key, so callers may write them verbatim wherever the
+        summary's canonical encoding belongs (a JSONL spill line, a log
+        segment record).  An entry holding a line break would split such a
+        line and raises :class:`CacheEntryError` like any other fault.
+        """
         data = self.get_bytes(spec_hash, seed, record=record)
         if data is None:
             return None
@@ -150,7 +167,12 @@ class ResultCache:
                 self._file(spec_hash, seed),
                 f"holds the record of key ({summary.spec_hash}, {summary.seed})",
             )
-        return summary
+        if b"\n" in data:
+            raise CacheEntryError(
+                self._file(spec_hash, seed),
+                "holds a line break (canonical JSON is one line)",
+            )
+        return summary, data
 
     def put(self, summary: RunSummary) -> pathlib.Path:
         """Store ``summary`` (atomic write; last writer wins)."""
@@ -159,10 +181,11 @@ class ResultCache:
     def put_bytes(self, spec_hash: str, seed: int, data: bytes) -> pathlib.Path:
         """Store pre-encoded canonical summary bytes (atomic write).
 
-        The engine's parallel path uses this to persist the byte frames its
-        workers already serialized, skipping a decode/re-encode round trip;
-        ``data`` must be the summary's :meth:`~RunSummary.to_json_bytes`
-        output so cache entries stay byte-identical to :meth:`put`'s.
+        The engine stores every summary through this, with the bytes a
+        worker frame already holds or that it encoded once for the cache
+        and the sinks alike; ``data`` must be the summary's
+        :meth:`~RunSummary.to_json_bytes` output so cache entries stay
+        byte-identical to :meth:`put`'s.
         """
         path = self.path(spec_hash, seed)
         metrics = _active_metrics()

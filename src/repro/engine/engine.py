@@ -68,12 +68,17 @@ _ChunkPayload = tuple[
 # the newline-joined canonical JSON bytes of their summaries, in the same
 # order.  Shipping one bytes object per chunk (instead of pickling every
 # summary's object graph) keeps the parent's IPC cost flat in the chunk size,
-# and the frames are exactly what the result cache stores.  The third element
-# is the chunk's observability meta -- worker pid, monotonic start/elapsed,
-# and the worker-side registry snapshot -- or ``None`` when metrics are off.
+# and the frames are exactly what the result cache stores and what the sinks
+# write.  The third element is the chunk's observability meta -- worker pid,
+# monotonic start/elapsed, and the worker-side registry snapshot -- or
+# ``None`` when metrics are off.
 # Riding the meta in the frame keeps it strictly out-of-band: the summary
 # bytes (element 1) are what the cache and every sink see, unchanged.
 _ChunkFrame = tuple[tuple[int, ...], bytes, Optional[dict]]
+
+# One in-order delivery: task index, summary, and the summary's canonical
+# JSON bytes when the engine holds them (``None`` otherwise).
+_Delivery = tuple[int, RunSummary, Optional[bytes]]
 
 
 def execute_task(
@@ -100,9 +105,9 @@ def _execute_chunk(payload: _ChunkPayload) -> _ChunkFrame:
 
     Summaries are serialized to their canonical JSON bytes *in the worker*
     and returned as one batched frame; the parent decodes them with
-    :func:`~repro.engine.summary.summary_from_json_bytes` (and can hand the
-    bytes straight to the cache).  Canonical JSON is single-line, so the
-    newline join is unambiguous.
+    :func:`~repro.engine.summary.summary_from_json_bytes` and hands the
+    bytes themselves to the cache and the sinks.  Canonical JSON is
+    single-line, so the newline join is unambiguous.
     """
     measures, items, collect = payload
     indices: list[int] = []
@@ -304,7 +309,7 @@ class SweepEngine:
         task_list = self._materialize(tasks)
         started = time.perf_counter()
         result = SweepResult(workers=self.workers)
-        for _, summary in self._stream_ordered(task_list, measures, result):
+        for _, summary, _ in self._stream_ordered(task_list, measures, result):
             result.summaries.append(summary)
         result.elapsed = time.perf_counter() - started
         return result
@@ -327,6 +332,11 @@ class SweepEngine:
         identical final aggregates.  Sinks are closed (even on an empty
         sweep) before the stats are returned.
 
+        Each delivery is :meth:`SummarySink.accept_record`, carrying the
+        summary's canonical bytes whenever the engine already holds them --
+        a cache entry, a worker frame, or what it just stored in the cache
+        -- so a byte-writing sink never encodes the summary again.
+
         Pass a :class:`StreamStats` to observe counters *live* (e.g. for a
         ``--progress`` sink reading ``executed``/``cache_hits`` between
         deliveries); the same object is updated in place and returned.
@@ -339,11 +349,11 @@ class SweepEngine:
         started = time.perf_counter()
         body_raised = False
         try:
-            for index, summary in self._stream_ordered(
+            for index, summary, data in self._stream_ordered(
                 self._materialize(tasks), measures, stats
             ):
                 for sink in sink_list:
-                    sink.accept(index, summary)
+                    sink.accept_record(index, summary, data)
         except BaseException:
             body_raised = True
             raise
@@ -382,7 +392,9 @@ class SweepEngine:
         if stats is None:
             stats = StreamStats(workers=self.workers)
         started = time.perf_counter()
-        for _, summary in self._stream_ordered(self._materialize(tasks), measures, stats):
+        for _, summary, _ in self._stream_ordered(
+            self._materialize(tasks), measures, stats
+        ):
             yield summary
         stats.elapsed = time.perf_counter() - started
 
@@ -427,8 +439,12 @@ class SweepEngine:
         tasks: list[SweepTask],
         measures: Sequence[str],
         stats: StreamStats,
-    ) -> Iterator[tuple[int, RunSummary]]:
-        """Yield ``(index, summary)`` strictly in task order, bounded memory.
+    ) -> Iterator[_Delivery]:
+        """Yield ``(index, summary, data)`` strictly in task order, bounded memory.
+
+        ``data`` is the summary's canonical JSON bytes when the engine holds
+        exactly those bytes (a cache entry, a worker frame, or the bytes
+        just stored in the cache), and ``None`` otherwise.
 
         Cache hits are *not* held across the scan: the scan records only the
         key of a usable hit and re-reads it from disk at delivery time, so
@@ -468,7 +484,7 @@ class SweepEngine:
         stats: StreamStats,
         metrics: Optional[MetricsRegistry],
         workers_seen: dict[int, list],
-    ) -> Iterator[tuple[int, RunSummary]]:
+    ) -> Iterator[_Delivery]:
         measure_names = resolve_measures(measures)
         stats.total = len(tasks)
         pending: list[tuple[int, SweepTask, str]] = []
@@ -503,33 +519,35 @@ class SweepEngine:
 
         def finish(
             index: int, summary: RunSummary, data: Optional[bytes] = None
-        ) -> RunSummary:
+        ) -> tuple[RunSummary, Optional[bytes]]:
+            """Fold in a partial hit's metrics and store the summary in the
+            cache; return it with its canonical bytes, or ``None`` for them
+            when there is no cache to encode them for."""
             stale = partial.pop(index, None)
             if stale is not None:
                 summary.metrics = {**stale.metrics, **summary.metrics}
+                # A worker's bytes encode the summary before this merge.
+                data = None
             if self.cache is not None:
-                if data is not None and stale is None:
-                    # A worker frame already holds the canonical bytes of this
-                    # exact summary: store them verbatim.
-                    self.cache.put_bytes(summary.spec_hash, summary.seed, data)
-                else:
-                    self.cache.put(summary)
-            return summary
+                if data is None:
+                    data = summary.to_json_bytes()
+                self.cache.put_bytes(summary.spec_hash, summary.seed, data)
+            return summary, data
 
-        buffered: dict[int, RunSummary] = {}
+        buffered: dict[int, tuple[RunSummary, Optional[bytes]]] = {}
         cursor = 0
 
-        def drain() -> Iterator[tuple[int, RunSummary]]:
+        def drain() -> Iterator[_Delivery]:
             nonlocal cursor
             while cursor < len(tasks):
                 if cursor in buffered:
                     stats.executed += 1
-                    yield cursor, buffered.pop(cursor)
+                    yield (cursor, *buffered.pop(cursor))
                 elif cursor in cached:
                     task, key = cached.pop(cursor)
                     # The scan already counted this hit; the delivery read is
                     # unrecorded so counters stay one-per-task.
-                    hit = self.cache.get(key, task.spec.seed, record=False)
+                    hit = self.cache.get_record(key, task.spec.seed, record=False)
                     if hit is None:
                         # Evicted between scan and delivery: re-execute inline.
                         hit = finish(
@@ -546,7 +564,7 @@ class SweepEngine:
                             metrics.counter("engine.tasks.executed").inc()
                     else:
                         stats.cache_hits += 1
-                    yield cursor, hit
+                    yield (cursor, *hit)
                 else:
                     return
                 cursor += 1

@@ -22,7 +22,10 @@ commit-offset pattern:
   atomically renamed into place only after the footer is fsynced, so a
   crash never leaves an ambiguous artifact: a file matching the segment
   name pattern is complete and verifiable, anything else is ignorable
-  debris.
+  debris.  A record line frames the summary's canonical bytes as the
+  engine delivered them (a cache entry, a worker frame), and the merge
+  copies them from the verified line into the merged spill, so no record
+  is encoded on the way.
 * **Producer resume.**  :func:`run_shard_log` scans the shard's sealed
   segments before executing anything and runs only the tasks with no
   sealed record yet -- a killed shard restarts from its last sealed
@@ -86,6 +89,10 @@ _FOOTER_KIND = "segment-footer"
 _CHECKPOINT_KIND = "merge-checkpoint"
 
 _SEGMENT_RE = re.compile(r"^shard-(\d{4})-seg-(\d{6})\.jsonl$")
+
+#: The head of a record line in the canonical frame; the summary's canonical
+#: bytes follow it, then ``}`` and the newline.
+_RECORD_HEAD = re.compile(rb'\{"index":(0|[1-9][0-9]*),"summary":')
 
 
 class ResultLogError(ValueError):
@@ -265,6 +272,16 @@ class SegmentFooter:
         )
 
 
+def _record_line(index: int, data: bytes) -> bytes:
+    """One record line: the canonical frame around summary bytes ``data``.
+
+    Canonical JSON sorts ``index`` before ``summary`` and nests, so this is
+    byte for byte ``canonical_json_bytes({"index": index, "summary": ...})``
+    of the summary ``data`` encodes -- segment format 1 unchanged.
+    """
+    return b'{"index":%d,"summary":%s}\n' % (index, data)
+
+
 def write_segment(
     path: Union[str, os.PathLike],
     header: SegmentHeader,
@@ -276,10 +293,20 @@ def write_segment(
     whole segment is assembled in memory and written temp-then-rename, so
     it either exists complete or not at all.
     """
-    record_lines = [
-        canonical_json_bytes({"index": index, "summary": dict(payload)}) + b"\n"
-        for index, payload in records
-    ]
+    _seal_lines(
+        path,
+        header,
+        [
+            _record_line(index, canonical_json_bytes(dict(payload)))
+            for index, payload in records
+        ],
+    )
+
+
+def _seal_lines(
+    path: Union[str, os.PathLike], header: SegmentHeader, record_lines: list[bytes]
+) -> None:
+    """Seal one segment from record lines already in the canonical frame."""
     footer = SegmentFooter(
         records=len(record_lines), content_hash=_content_hash(record_lines)
     )
@@ -300,12 +327,27 @@ def read_segment(
 
     Raises :class:`ResultLogError` on a missing header or footer (an
     unsealed or truncated file), a record-count or content-hash mismatch,
-    a duplicate task index within the segment, or out-of-range indices.
+    a duplicate task index within the segment, out-of-range indices, or a
+    record line outside the canonical ``{"index":N,"summary":{...}}`` frame.
+    """
+    header, footer, records = _read_sealed(path)
+    return header, footer, [(index, summary) for index, summary, _ in records]
+
+
+def _read_sealed(
+    path: Union[str, os.PathLike]
+) -> tuple[SegmentHeader, SegmentFooter, list[tuple[int, dict[str, Any], bytes]]]:
+    """:func:`read_segment` keeping each record's sealed summary bytes.
+
+    Every record line must be exactly ``{"index":N,"summary":`` + one JSON
+    object + ``}``: that is the line :class:`ResultLogWriter` frames, and it
+    makes the bytes between the head and the closing brace the summary's
+    sealed encoding, which the merge writes verbatim.
     """
     path = pathlib.Path(path)
     header: Optional[SegmentHeader] = None
     footer: Optional[SegmentFooter] = None
-    records: list[tuple[int, dict[str, Any]]] = []
+    records: list[tuple[int, dict[str, Any], bytes]] = []
     record_lines: list[bytes] = []
     seen: set[int] = set()
     with open(path, "rb") as handle:
@@ -315,22 +357,36 @@ def read_segment(
                 continue
             if footer is not None:
                 raise ResultLogError(f"{path}:{number}: data after the footer")
-            payload = _json_object(line, f"{path}:{number}")
             if header is None:
+                payload = _json_object(line, f"{path}:{number}")
                 header = SegmentHeader.from_json_dict(payload)
                 continue
-            if payload.get("kind") == _FOOTER_KIND:
-                footer = SegmentFooter.from_json_dict(payload)
-                continue
-            if "index" not in payload or "summary" not in payload:
+            framed = _framed_record(raw)
+            if framed is None:
+                # The footer, or a record line to name the fault of.
+                payload = _json_object(line, f"{path}:{number}")
+                if payload.get("kind") == _FOOTER_KIND:
+                    footer = SegmentFooter.from_json_dict(payload)
+                    continue
+                if "index" not in payload or "summary" not in payload:
+                    raise ResultLogError(
+                        f"{path}:{number}: record lacks index/summary keys"
+                    )
+                index = payload["index"]
+                if not isinstance(index, int):
+                    raise ResultLogError(
+                        f"{path}:{number}: task index {index!r} is not an integer"
+                    )
+                if not isinstance(payload["summary"], dict):
+                    raise ResultLogError(
+                        f"{path}:{number}: summary of task index {index} is not "
+                        f"a JSON object"
+                    )
                 raise ResultLogError(
-                    f"{path}:{number}: record lacks index/summary keys"
+                    f"{path}:{number}: record is not in the canonical "
+                    f'{{"index":N,"summary":{{...}}}} frame'
                 )
-            index = payload["index"]
-            if not isinstance(index, int):
-                raise ResultLogError(
-                    f"{path}:{number}: task index {index!r} is not an integer"
-                )
+            index, summary, data = framed
             if not 0 <= index < header.total_tasks:
                 raise ResultLogError(
                     f"{path}:{number}: task index {index} outside "
@@ -342,13 +398,8 @@ def read_segment(
                     f"one segment"
                 )
             seen.add(index)
-            if not isinstance(payload["summary"], dict):
-                raise ResultLogError(
-                    f"{path}:{number}: summary of task index {index} is not "
-                    f"a JSON object"
-                )
-            records.append((index, payload["summary"]))
-            record_lines.append(raw if raw.endswith(b"\n") else raw + b"\n")
+            records.append((index, summary, data))
+            record_lines.append(raw)
     if header is None:
         raise ResultLogError(f"{path}: empty segment (no {_HEADER_KIND} line)")
     if footer is None:
@@ -368,6 +419,27 @@ def read_segment(
             f"records hash to {actual}; corrupt segment?)"
         )
     return header, footer, records
+
+
+def _framed_record(raw: bytes) -> Optional[tuple[int, dict[str, Any], bytes]]:
+    """``(index, summary, summary bytes)`` of a canonically framed record line.
+
+    ``None`` when ``raw`` is not ``{"index":N,"summary":{...}}`` plus a
+    newline with nothing around the summary object, so the caller can name
+    the fault.  The summary bytes are parsed here; they must start and end
+    as one object, so a successful parse proves the frame holds nothing else.
+    """
+    match = _RECORD_HEAD.match(raw)
+    if match is None or not raw.endswith(b"}\n"):
+        return None
+    data = raw[match.end() : -2]
+    if data[:1] != b"{" or data[-1:] != b"}":
+        return None
+    try:
+        summary = json.loads(data.decode("utf-8"))
+    except ValueError:
+        return None
+    return int(match.group(1)), summary, data
 
 
 def discover_segments(
@@ -412,6 +484,8 @@ class ResultLogWriter(SummarySink):
     and seals each full segment atomically.  ``close()`` seals the final
     partial segment -- and, for a shard that produced nothing and has no
     prior segments, an empty segment so the merge still sees the shard.
+    Each record line frames the summary's canonical bytes as the engine
+    delivered them; the summary is encoded only when none came with it.
     """
 
     def __init__(
@@ -439,13 +513,17 @@ class ResultLogWriter(SummarySink):
         self.appended = 0
         self.segments_sealed = 0
         self._next_segment = start_segment
-        self._buffer: list[tuple[int, dict[str, Any]]] = []
+        self._buffer: list[bytes] = []
 
     def accept(self, index: int, summary) -> None:
         """Buffer one summary; seal a segment once the buffer fills."""
-        self._buffer.append(
-            (self.global_indices[index], summary.to_json_dict())
-        )
+        self.accept_record(index, summary, None)
+
+    def accept_record(self, index: int, summary, data: Optional[bytes]) -> None:
+        """Buffer one record line framing ``data`` (encoded if ``None``)."""
+        if data is None:
+            data = summary.to_json_bytes()
+        self._buffer.append(_record_line(self.global_indices[index], data))
         self.appended += 1
         if len(self._buffer) >= self.segment_records:
             self._seal()
@@ -460,7 +538,7 @@ class ResultLogWriter(SummarySink):
         path = self.log_dir / segment_name(self.shard_index, self._next_segment)
         records = self._buffer
         self._buffer = []
-        write_segment(path, header, records)
+        _seal_lines(path, header, records)
         self._next_segment += 1
         self.segments_sealed += 1
         metrics = _active_metrics()
@@ -782,8 +860,8 @@ def merge_result_log(
     # Scan: read every sealed segment, decode every record, dedup
     # exactly-once.
     first_header: Optional[SegmentHeader] = None
-    # index -> (spec hash, kind, summary)
-    merged: dict[int, tuple[Any, SpecKind, Any]] = {}
+    # index -> (spec hash, kind, summary, sealed summary bytes)
+    merged: dict[int, tuple[Any, SpecKind, Any, bytes]] = {}
     source: dict[int, tuple[int, int]] = {}  # index -> (shard, segment)
     shard_records: dict[int, int] = {}
     deduped = 0
@@ -792,7 +870,7 @@ def merge_result_log(
         shard_records[shard_index] = 0
         for segment_index, path in by_shard[shard_index]:
             before = time.perf_counter()
-            header, _, records = read_segment(path)
+            header, _, records = _read_sealed(path)
             if metrics is not None:
                 metrics.histogram("merge.read_seconds").observe(
                     time.perf_counter() - before
@@ -811,7 +889,7 @@ def merge_result_log(
                     f"total_tasks={first_header.total_tasks})"
                 )
             segment_count += 1
-            for index, payload in records:
+            for index, payload, data in records:
                 # An unknown kind or a record that does not decode fails
                 # here, before the fold has written or committed anything.
                 kind, summary = _decode_record(path, index, payload)
@@ -827,7 +905,7 @@ def merge_result_log(
                         )
                     deduped += 1
                     continue
-                merged[index] = (current, kind, summary)
+                merged[index] = (current, kind, summary, data)
                 source[index] = (shard_index, segment_index)
                 shard_records[shard_index] += 1
 
@@ -957,13 +1035,13 @@ def merge_result_log(
     fold_started = time.perf_counter()
     try:
         for position, index in enumerate(order):
-            spec_hash, kind, summary = merged[index]
+            spec_hash, kind, summary, data = merged[index]
             sink = kind_sinks.get(kind.name)
             if sink is None:
                 sink = kind_sinks[kind.name] = kind.make_sink()
-            sink.accept(index, summary)
+            sink.accept_record(index, summary, data)
             for extra_sink in extra:
-                extra_sink.accept(index, summary)
+                extra_sink.accept_record(index, summary, data)
             shard_index, segment_index = source[index]
             offsets.setdefault(str(shard_index), {})
             offsets[str(shard_index)][str(segment_index)] = (
@@ -976,7 +1054,9 @@ def merge_result_log(
                 # JSONL bytes are already on disk.
                 continue
             if handle is not None:
-                handle.write(summary.to_json_bytes() + b"\n")
+                # The sealed bytes, verbatim: the record was framed from
+                # the summary's canonical encoding and hash-verified since.
+                handle.write(data + b"\n")
             new_folds += 1
             uncommitted += 1
             if uncommitted >= batch_records:

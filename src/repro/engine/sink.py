@@ -39,12 +39,25 @@ class SummarySink:
     """Base class for streaming aggregators.
 
     Subclasses override :meth:`accept`; :meth:`close` is called once after
-    the final summary (even on an empty sweep) and may flush buffers.
+    the final summary (even on an empty sweep) and may flush buffers.  The
+    engine and the merge deliver through :meth:`accept_record`, which also
+    hands over the summary's canonical bytes when they are already at hand;
+    a sink that writes those bytes overrides it instead of re-encoding.
     """
 
     def accept(self, index: int, summary: RunSummary) -> None:
         """Fold one summary (delivered in task order) into the aggregate."""
         raise NotImplementedError
+
+    def accept_record(
+        self, index: int, summary: RunSummary, data: Optional[bytes]
+    ) -> None:
+        """Fold one summary whose canonical JSON bytes are ``data``.
+
+        ``data`` is exactly ``summary.to_json_bytes()``, or ``None`` when
+        the deliverer holds no such bytes.  The default ignores it.
+        """
+        self.accept(index, summary)
 
     def close(self) -> None:
         """Finalize the aggregate after the last summary."""
@@ -183,6 +196,8 @@ class JsonlSink(SummarySink):
     Because the engine delivers in task order, the spill file is
     byte-identical across worker counts and re-runs -- it doubles as a
     durable, diffable record of a sweep.  :func:`read_jsonl` round-trips it.
+    Bytes delivered with a record are the line as they stand; a summary
+    delivered without them is encoded here.
     """
 
     def __init__(self, path: Union[str, os.PathLike]) -> None:
@@ -201,7 +216,15 @@ class JsonlSink(SummarySink):
         return self._handle
 
     def accept(self, index: int, summary: RunSummary) -> None:
-        self._ensure_open().write(summary.to_json_bytes() + b"\n")
+        self.accept_record(index, summary, None)
+
+    def accept_record(
+        self, index: int, summary: RunSummary, data: Optional[bytes]
+    ) -> None:
+        """Write ``data`` as the line, encoding the summary only without it."""
+        if data is None:
+            data = summary.to_json_bytes()
+        self._ensure_open().write(data + b"\n")
         self.count += 1
 
     def close(self) -> None:

@@ -117,6 +117,22 @@ def test_entry_under_another_seed_is_a_key_mismatch(warm):
         cache.get(task.spec_hash, 7)
 
 
+@pytest.mark.parametrize(
+    "rewrite",
+    [lambda data: data + b"\n", lambda data: json.dumps(json.loads(data), indent=1).encode()],
+    ids=["trailing-newline", "pretty-printed"],
+)
+def test_entry_spanning_lines_is_rejected(rewrite, warm):
+    # The entry decodes to its own key, but its bytes go verbatim into spill
+    # and segment lines, where a line break would split the record.
+    cache, tasks = warm
+    path = _entry(cache, tasks[0])
+    path.write_bytes(rewrite(path.read_bytes()))
+    with pytest.raises(CacheEntryError, match="line break") as caught:
+        _get(cache, tasks[0])
+    assert caught.value.path == str(path)
+
+
 def test_cli_reports_a_copied_entry_in_one_line(capsys, tmp_path):
     cached = SWEEP + ["--cache", str(tmp_path)]
     assert main(cached) == 0

@@ -11,7 +11,9 @@ exactly once.  Segments must never exist half-written: any file matching
 the segment name pattern is complete and verifiable.
 """
 
+import hashlib
 import json
+import re
 
 import pytest
 
@@ -32,7 +34,13 @@ from repro.engine import (
     shard_tasks,
     write_segment,
 )
-from repro.engine.resultlog import CHECKPOINT_NAME, SegmentHeader, segment_name
+from repro.core.canonical import canonical_json_bytes
+from repro.engine.resultlog import (
+    CHECKPOINT_NAME,
+    SegmentFooter,
+    SegmentHeader,
+    segment_name,
+)
 from repro.engine.sink import VerdictCounterSink
 from repro.modelcheck.sink import ModelCheckSink
 from repro.modelcheck.spec import ModelCheckSpec
@@ -245,6 +253,37 @@ class TestSegmentFormat:
         path.write_bytes(b"\n".join(lines) + b"\n")
         with pytest.raises(ResultLogError, match=match):
             read_segment(path)
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            b'{"summary":{"spec_hash":"h1"},"index":1}',
+            b'{"index": 1, "summary": {"spec_hash": "h1"}}',
+            b'{"index":1,"summary":{"spec_hash":"h1"} }',
+            b'{"index":1,"summary":{"spec_hash":"h1"},"extra":0}',
+            b' {"index":1,"summary":{"spec_hash":"h1"}}',
+        ],
+        ids=["keys-swapped", "spaced", "space-before-brace", "extra-key", "indented"],
+    )
+    def test_resealed_record_outside_the_canonical_frame_is_rejected(
+        self, line, tmp_path
+    ):
+        # The footer hash matches, so only the frame check can refuse a line
+        # whose summary bytes the merge could not write verbatim.
+        path = _fake_segment(tmp_path / segment_name(0, 0), indices=[0, 1])
+        header, first, _, _ = path.read_bytes().splitlines(keepends=True)
+        records = [first, line + b"\n"]
+        footer = SegmentFooter(
+            records=2, content_hash=hashlib.sha256(b"".join(records)).hexdigest()
+        )
+        path.write_bytes(
+            b"".join([header, *records, canonical_json_bytes(footer.to_json_dict()) + b"\n"])
+        )
+        where = re.escape(f"{path}:3: ") + ".*canonical"
+        with pytest.raises(ResultLogError, match=where):
+            read_segment(path)
+        with pytest.raises(ResultLogError, match=where):
+            merge_result_log(tmp_path, require_complete=False)
 
     def test_discovery_ignores_non_segment_files(self, tmp_path):
         path = _fake_segment(tmp_path / segment_name(2, 0), indices=[0])

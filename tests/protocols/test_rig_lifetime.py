@@ -50,23 +50,10 @@ CONFIGS = {
 }
 
 
-@pytest.fixture
-def collector_off():
-    """Collect once, then keep the cyclic collector from running on its own."""
-    gc.collect()
-    was_enabled = gc.isenabled()
-    gc.disable()
-    try:
-        yield
-    finally:
-        if was_enabled:
-            gc.enable()
-
-
 @pytest.mark.parametrize("measures", [(), tuple(MEASURES)], ids=["measures-off", "measures-on"])
 @pytest.mark.parametrize("config", sorted(CONFIGS))
 @pytest.mark.parametrize("protocol", available_protocols())
-def test_a_scenario_leaves_no_cyclic_garbage(protocol, config, measures, collector_off):
+def test_a_scenario_leaves_no_cyclic_garbage(protocol, config, measures, frozen_heap):
     spec = CONFIGS[config]
     # Warm-up: per-(protocol, n) plans and first-use caches are built once
     # per process and are not garbage.

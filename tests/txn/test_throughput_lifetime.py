@@ -62,19 +62,6 @@ CONFIGS = {
 
 
 @pytest.fixture
-def collector_off():
-    """Collect once, then keep the cyclic collector from running on its own."""
-    gc.collect()
-    was_enabled = gc.isenabled()
-    gc.disable()
-    try:
-        yield
-    finally:
-        if was_enabled:
-            gc.enable()
-
-
-@pytest.fixture
 def live_at_close(monkeypatch):
     """Record, as each run's scheduler closes, its live virtual nodes and the
     ``(site, transaction)`` pairs of its commit protocols still in flight."""
@@ -103,7 +90,7 @@ def live_at_close(monkeypatch):
 @pytest.mark.parametrize("config", sorted(CONFIGS))
 @pytest.mark.parametrize("protocol", available_protocols())
 def test_a_throughput_run_leaves_no_cyclic_garbage(
-    protocol, config, collector_off, live_at_close
+    protocol, config, frozen_heap, live_at_close
 ):
     spec = CONFIGS[config]
     # Warm-up: per-(protocol, n) plans and first-use caches are built once
@@ -137,7 +124,7 @@ def test_a_throughput_run_leaves_no_cyclic_garbage(
     assert gc.collect() == 0
 
 
-def test_lock_waits_still_armed_at_the_horizon_are_freed(collector_off):
+def test_lock_waits_still_armed_at_the_horizon_are_freed(frozen_heap):
     # A lock-wait timeout longer than the drain outlives the run: its event
     # holds the waiting state, which holds the event.
     spec = ThroughputSpec(
