@@ -776,14 +776,18 @@ class MergeResult:
     checkpoint_path: Optional[pathlib.Path] = None
 
 
+def _fold_hash_line(index: int, spec_hash: str) -> bytes:
+    """What the rolling fold hash takes in for one folded record."""
+    return f"{index}:{spec_hash}\n".encode("utf-8")
+
+
 def _fold_hash_prefix(
     order: Sequence[int], merged: Mapping[int, tuple[Any, ...]], count: int
 ) -> str:
     """The rolling hash of the first ``count`` records of the fold order."""
     digest = hashlib.sha256()
     for index in order[:count]:
-        spec_hash = merged[index][0]
-        digest.update(f"{index}:{spec_hash}\n".encode("utf-8"))
+        digest.update(_fold_hash_line(index, merged[index][0]))
     return digest.hexdigest()
 
 
@@ -1013,7 +1017,9 @@ def merge_result_log(
     folded = 0
     new_folds = 0
     uncommitted = 0
-    offsets: dict[str, dict[str, int]] = {}
+    # Records folded per (shard, segment); commit() renders the checkpoint's
+    # string-keyed view.
+    offsets: dict[tuple[int, int], int] = {}
 
     def commit() -> None:
         """Outbox commit: flush+fsync the spill, then the cursor."""
@@ -1024,9 +1030,9 @@ def merge_result_log(
             cursor.jsonl_bytes = handle.tell()
         cursor.records_folded = folded
         cursor.fold_hash = digest.hexdigest()
-        cursor.offsets = {
-            shard: dict(segments) for shard, segments in offsets.items()
-        }
+        cursor.offsets = {}
+        for (shard, segment), count in offsets.items():
+            cursor.offsets.setdefault(str(shard), {})[str(segment)] = count
         cursor.save(checkpoint_path)
         uncommitted = 0
         if metrics is not None:
@@ -1042,12 +1048,9 @@ def merge_result_log(
             sink.accept_record(index, summary, data)
             for extra_sink in extra:
                 extra_sink.accept_record(index, summary, data)
-            shard_index, segment_index = source[index]
-            offsets.setdefault(str(shard_index), {})
-            offsets[str(shard_index)][str(segment_index)] = (
-                offsets[str(shard_index)].get(str(segment_index), 0) + 1
-            )
-            digest.update(f"{index}:{spec_hash}\n".encode("utf-8"))
+            shard_segment = source[index]
+            offsets[shard_segment] = offsets.get(shard_segment, 0) + 1
+            digest.update(_fold_hash_line(index, spec_hash))
             folded += 1
             if position < replay_count:
                 # Replay of the committed prefix: sink state only, the

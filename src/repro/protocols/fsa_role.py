@@ -61,7 +61,12 @@ _DECISIONS = {m.COMMIT: Decision.COMMIT, m.ABORT: Decision.ABORT}
 
 
 class FSARole:
-    """Drives one role of a protocol's compiled local-step relation."""
+    """Drives one role of a protocol's compiled local-step relation.
+
+    The runner or scheduler that builds it attaches it to ``ctx.node``
+    (:meth:`repro.sim.node.Node.attach`), which keys it, and the timers it
+    arms, by its transaction id.
+    """
 
     def __init__(self, ctx: ProtocolContext, plan: ProtocolPlan, role: str) -> None:
         self.ctx = ctx
@@ -102,7 +107,6 @@ class FSARole:
         #: concurrent-transaction scheduler uses this to track completion
         #: without polling; single-transaction runs leave it empty.
         self.decision_listeners: list[Any] = []
-        self.node.attach(self)
 
     @property
     def transaction(self) -> Transaction:
@@ -178,7 +182,9 @@ class FSARole:
             self._resolve(table.undeliverable, reason=reason)
 
     def _arm(self, timer: Timer) -> None:
-        self.node.set_timer(timer.name, getattr(self.ctx.timers, timer.duration))
+        self.node.set_timer(
+            timer.name, getattr(self.ctx.timers, timer.duration), self.transaction_id
+        )
 
     def _arm_state_timer(self) -> None:
         timer = self._tables[self.state].timer
@@ -239,7 +245,7 @@ class FSARole:
             self.db.commit(self.transaction_id, now=self.now)
         else:
             self.db.abort(self.transaction_id, now=self.now)
-        self.node.cancel_all_timers()
+        self.node.cancel_timers(self.transaction_id)
         if self._tracing:
             self.node.note(
                 "decision",
@@ -312,7 +318,7 @@ class FSARole:
         if action.target is not None:
             self.transition(action.target, reason=reason)
         for name in action.cancels:
-            self.node.cancel_timer(name)
+            self.node.cancel_timer(name, self.transaction_id)
         for timer in action.arms:
             self._arm(timer)
         if decision is not None:

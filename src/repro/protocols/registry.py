@@ -48,7 +48,8 @@ class Protocol:
         return compiled_plan(self, n_sites)
 
     def role(self, ctx: ProtocolContext) -> FSARole:
-        """Build the role of ``ctx``'s site: the master's or a slave's."""
+        """Build the role of ``ctx``'s site, the master's or a slave's, for the
+        caller to attach to ``ctx.node``."""
         role = MASTER_ROLE if ctx.node.node_id == ctx.master else SLAVE_ROLE
         return FSARole(ctx, self.plan(len(ctx.participants)), role)
 

@@ -391,8 +391,9 @@ def run_scenario(
 
         roles: dict[int, FSARole] = {}
         for site in participants:
+            node = cluster.node(site)
             ctx = ProtocolContext(
-                node=cluster.node(site),
+                node=node,
                 db=db_sites[site],
                 transaction=transaction,
                 participants=participants,
@@ -401,6 +402,7 @@ def run_scenario(
                 no_voters=frozenset(spec.no_voters),
             )
             roles[site] = protocol.role(ctx)
+            node.attach(roles[site])
 
         if spec.partition is not None:
             cluster.apply_partition_schedule(spec.partition)

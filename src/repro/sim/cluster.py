@@ -8,7 +8,7 @@ the pieces by hand.
 
 A run's rig is one web of back-references: queued events and timers hold
 actions bound to the nodes and the network, which hold the simulator; each
-node and its role point at each other; the network and its nodes, in-flight
+node and its roles point at each other; the network and its nodes, in-flight
 messages and partition listener likewise.  :meth:`Cluster.close` cuts
 those links once a run's results are read, so reference counting frees the
 whole rig instead of the cyclic garbage collector.
@@ -128,9 +128,11 @@ class Cluster:
     # execution
     # ------------------------------------------------------------------
     def start_all(self) -> None:
-        """Start every node's attached role."""
+        """Start every role attached to a node so far."""
         for site in self.site_ids():
-            self.nodes[site].start()
+            node = self.nodes[site]
+            for transaction_id in node.roles:
+                node.start(transaction_id)
 
     def run(self, until: Optional[float] = None, *, max_events: int = 1_000_000) -> float:
         """Run the simulation (see :meth:`repro.sim.kernel.Simulator.run`)."""
@@ -139,9 +141,9 @@ class Cluster:
     def close(self) -> None:
         """Cut the rig's reference cycles once the run's results are read.
 
-        Drains the event heap, detaches every node's role and timers, and
-        empties the network's node table, in-flight and retransmission
-        tables and partition listener.  Counters, ``sim.now``,
+        Drains the event heap, detaches every node's roles, listeners and
+        timers, and empties the network's node table, in-flight and
+        retransmission tables and partition listener.  Counters, ``sim.now``,
         :attr:`trace` and the nodes stay readable; the cluster cannot run
         again.  Idempotent.
         """

@@ -1,15 +1,19 @@
 """Simulated sites.
 
 A :class:`Node` is one site of the distributed database: it owns a mailbox
-(fed by the network), a set of named timers, and a crash flag.  Protocol
-logic is supplied by a *role* object attached with :meth:`Node.attach`; the
-node forwards deliveries, timeouts and crash/recovery notifications to it.
+(fed by the network), named timers, a crash flag and the protocol *roles*
+attached with :meth:`Node.attach`.  The paper runs one master/slave commit
+instance per transaction, so a site serving many transactions keeps its
+roles keyed by transaction id (the role's ``transaction_id``; ``None`` for
+a role without one) and its timers keyed by ``(transaction id, name)``.  A
+delivery goes to the role of its message's transaction id (a bounce: its
+inner message's), a fired timer to the role that armed it, and crash and
+recovery notifications to every role in transaction-id order.  A
+single-transaction run is the one-key case.
 
-Delivery and timer dispatch are on the sweep hot path, so the role's
-``on_message`` / ``on_timeout`` hooks are resolved once at :meth:`attach`
-time instead of per event, and an armed timer is just its kernel
-:class:`~repro.sim.events.Event`, which carries the timer name as its
-argument (no closure or record per (re)arm).
+An armed timer is just its kernel :class:`~repro.sim.events.Event`, which
+carries the timer's key as its argument (no closure or record per
+(re)arm).
 """
 
 from __future__ import annotations
@@ -26,18 +30,20 @@ from repro.sim.trace import Trace
 class Role(Protocol):
     """Protocol logic hosted by a node.
 
-    Roles only need to implement the hooks they care about; the node checks
-    for each method's presence before calling it.
+    A role that carries a ``transaction_id`` attribute is keyed by it; one
+    without is the node's ``None`` role.  ``on_message`` and ``on_timeout``
+    are called whenever a delivery or a timer is the role's; the other hooks
+    are optional and the node checks for them before calling.
     """
 
     def on_start(self) -> None:  # pragma: no cover - protocol definition
-        """Called once when the simulation run begins."""
+        """Called once when the role is started."""
 
     def on_message(self, payload: Any, envelope: Envelope) -> None:  # pragma: no cover
-        """Called for every delivered message (including ``Undeliverable``)."""
+        """Called for every message routed to the role (including ``Undeliverable``)."""
 
     def on_timeout(self, name: str) -> None:  # pragma: no cover
-        """Called with the timer's name when one of the node's timers fires."""
+        """Called with the timer's name when one of the role's timers fires."""
 
     def on_crash(self) -> None:  # pragma: no cover
         """Called when the node crashes."""
@@ -72,11 +78,26 @@ class Node:
         # Cached so note() / timer fires skip disabled-trace records.
         self._tracing: bool = self.trace.enabled
         self.crashed = False
-        self.role: Optional[Role] = None
-        self._on_message: Optional[Any] = None
-        self._on_timeout: Optional[Any] = None
-        self._timers: dict[str, Event] = {}
-        self._started = False
+        #: The attached roles, keyed by transaction id.
+        self.roles: dict[Optional[str], Role] = {}
+        # Per attached transaction id: the prefix its timers' trace labels
+        # carry, decided once by attach().
+        self._timer_labels: dict[Optional[str], str] = {}
+        self._timers: dict[tuple[Optional[str], str], Event] = {}
+        #: Called (with no arguments) after a crash is fanned out to the
+        #: roles; the transaction scheduler fails the lock waits that died
+        #: with the site's lock table here.
+        self.crash_listeners: list[Any] = []
+        #: Called (with no arguments) *before* a recovery is fanned out to
+        #: the roles: the scheduler replays the site's WAL here, so roles
+        #: (and re-admitted lock requests) always observe the recovered
+        #: database state, never the pre-replay one.
+        self.recover_listeners: list[Any] = []
+        #: Called as ``listener(payload, envelope)`` for every delivery
+        #: *before* it is routed; a listener returning True consumes the
+        #: message.  The scheduler's network lock transport routes its lock
+        #: request / grant traffic here.
+        self.message_listeners: list[Any] = []
         # Byzantine hook: called as interceptor(source, destination, payload)
         # before every send; it may rewrite the payload or return None to
         # silently swallow the send.  None (the default) costs one attribute
@@ -90,40 +111,51 @@ class Node:
     # ------------------------------------------------------------------
     # role wiring
     # ------------------------------------------------------------------
-    def attach(self, role: Role) -> None:
-        """Attach the protocol role driving this node.
+    def attach(self, role: Role, *, tag_timers: bool = False) -> None:
+        """Attach ``role`` under its ``transaction_id`` (``None`` without one).
 
-        The hot dispatch hooks (``on_message`` / ``on_timeout``) are resolved
-        here, once, so deliveries and timer fires skip the per-event
-        ``getattr``.
+        ``tag_timers`` traces the role's timers as ``<transaction id>::<name>``
+        rather than by bare name, as the transaction scheduler's many
+        transactions per site do.
         """
-        self.role = role
-        self._on_message = getattr(role, "on_message", None)
-        self._on_timeout = getattr(role, "on_timeout", None)
+        transaction_id = getattr(role, "transaction_id", None)
+        self.roles[transaction_id] = role
+        self._timer_labels[transaction_id] = f"{transaction_id}::" if tag_timers else ""
+
+    def retire(self, transaction_id: Optional[str]) -> None:
+        """Detach a finished transaction's role and cancel its timers.
+
+        The transaction scheduler calls this once every participant has
+        decided, so a long run holds only its in-flight roles and a finished
+        one is freed by reference counting.  The role keeps its own ``node``,
+        so a broadcast it makes after deciding still leaves through this
+        site; later deliveries for the transaction take the
+        ``unrouted-message`` path.
+        """
+        self.cancel_timers(transaction_id)
+        self.roles.pop(transaction_id, None)
+        self._timer_labels.pop(transaction_id, None)
 
     def close(self) -> None:
-        """Drop the role, its hooks and the armed timers.
+        """Drop the roles, the listeners and the armed timers.
 
-        The role points back at this node and every armed timer's event at
+        Each role points back at this node and every armed timer's event at
         :meth:`_fire_timer`, so until these links go the node is part of
         reference cycles only the cyclic garbage collector frees.  Called
         by :meth:`repro.sim.cluster.Cluster.close`; the node does not run
         again afterwards.
         """
-        self.role = self._on_message = self._on_timeout = None
-        self._timers.clear()
+        self.roles, self._timer_labels, self._timers = {}, {}, {}
+        self.crash_listeners, self.recover_listeners, self.message_listeners = [], [], []
 
-    def start(self) -> None:
-        """Schedule the role's ``on_start`` hook at the current time."""
-        if self._started:
-            return
-        self._started = True
-        self.sim.schedule(0.0, self._start_role)
+    def start(self, transaction_id: Optional[str]) -> None:
+        """Schedule the ``on_start`` of one transaction's role at the current time."""
+        self.sim.schedule(0.0, self._start_role, arg=transaction_id)
 
-    def _start_role(self) -> None:
-        if self.crashed or self.role is None:
+    def _start_role(self, transaction_id: Optional[str] = None) -> None:
+        if self.crashed or transaction_id not in self.roles:
             return
-        hook = getattr(self.role, "on_start", None)
+        hook = getattr(self.roles[transaction_id], "on_start", None)
         if hook is not None:
             hook()
 
@@ -151,23 +183,52 @@ class Node:
         return self.network.multicast(self.node_id, destinations, payload)
 
     def deliver(self, envelope: Envelope) -> None:
-        """Called by the network when a message (or bounce) arrives."""
+        """Called by the network when a message (or bounce) arrives.
+
+        The message listeners see it first; then it goes to the role of its
+        ``transaction_id`` (a bounce: its inner message's), and a payload
+        without one to the ``None`` role.  With no role for it, it is
+        dropped; a dropped payload that names a transaction is noted as
+        ``unrouted-message``.
+        """
         if self.crashed:
             return
-        handler = self._on_message
-        if handler is not None:
-            handler(envelope.payload, envelope)
+        payload = envelope.payload
+        if self.message_listeners:
+            for listener in self.message_listeners:
+                if listener(payload, envelope):
+                    return
+        inner = payload.original.payload if type(payload) is Undeliverable else payload
+        try:
+            transaction_id = inner.transaction_id
+        except AttributeError:
+            transaction_id = None
+        roles = self.roles
+        if transaction_id in roles:
+            roles[transaction_id].on_message(payload, envelope)
+        elif self._tracing and transaction_id is not None:
+            self.note(
+                "unrouted-message",
+                transaction=transaction_id,
+                payload=describe_payload(payload),
+            )
 
     # ------------------------------------------------------------------
     # timers
     # ------------------------------------------------------------------
-    def set_timer(self, name: str, delay: float) -> None:
-        """(Re)arm the named timer to fire ``delay`` from now.
+    def set_timer(
+        self, name: str, delay: float, transaction_id: Optional[str] = None
+    ) -> None:
+        """(Re)arm transaction ``transaction_id``'s timer ``name`` to fire
+        ``delay`` from now.
 
         Re-arming an existing timer cancels the previous instance, which is
         how the protocol's "reset timer 5T" steps are expressed.
         """
-        self.cancel_timer(name)
+        key = (transaction_id, name)
+        timers = self._timers
+        if key in timers:
+            timers[key].cancel()
         sim = self.sim
         if delay < 0:
             raise SimulationError(f"cannot schedule an event in the past: delay={delay}")
@@ -176,60 +237,80 @@ class Node:
         # message that arrives exactly at the 2T mark (the paper's bounds are
         # inclusive).  Inlined sim.schedule() -- timers are re-armed on every
         # protocol round, making this one of the hottest scheduling sites.
-        self._timers[name] = sim._push(sim.now + delay, self._fire_timer, 10, name)
+        timers[key] = sim._push(sim.now + delay, self._fire_timer, 10, key)
 
-    def cancel_timer(self, name: str) -> None:
-        """Cancel the named timer if it is armed."""
-        event = self._timers.pop(name, None)
+    def cancel_timer(self, name: str, transaction_id: Optional[str] = None) -> None:
+        """Cancel transaction ``transaction_id``'s timer ``name`` if it is armed."""
+        event = self._timers.pop((transaction_id, name), None)
         if event is not None:
             event.cancel()
 
+    def cancel_timers(self, transaction_id: Optional[str] = None) -> None:
+        """Cancel every armed timer of transaction ``transaction_id``."""
+        timers = self._timers
+        for key in [key for key in timers if key[0] == transaction_id]:
+            timers.pop(key).cancel()
+
     def cancel_all_timers(self) -> None:
-        """Cancel every armed timer."""
+        """Cancel every armed timer, whichever transaction armed it."""
         timers = self._timers
         if timers:
             for event in timers.values():
                 event.cancel()
             timers.clear()
 
-    def timer_armed(self, name: str) -> bool:
-        """True when the named timer is armed and has not fired."""
-        event = self._timers.get(name)
+    def timer_armed(self, name: str, transaction_id: Optional[str] = None) -> bool:
+        """True when transaction ``transaction_id``'s timer ``name`` is armed."""
+        event = self._timers.get((transaction_id, name))
         return event is not None and not event.cancelled
 
-    def _fire_timer(self, name: str) -> None:
-        event = self._timers.pop(name, None)
+    def _fire_timer(self, key: tuple[Optional[str], str]) -> None:
+        event = self._timers.pop(key, None)
         if event is None or event.cancelled or self.crashed:
             return
+        transaction_id, name = key
         if self._tracing:
-            self.trace.record(self.sim.now, "timeout", site=self.node_id, timer=name)
-        handler = self._on_timeout
-        if handler is not None:
-            handler(name)
+            label = self._timer_labels.get(transaction_id, "") + name
+            self.trace.record(self.sim.now, "timeout", site=self.node_id, timer=label)
+        if transaction_id in self.roles:
+            self.roles[transaction_id].on_timeout(name)
 
     # ------------------------------------------------------------------
     # crash / recovery
     # ------------------------------------------------------------------
     def crash(self) -> None:
-        """Crash the site: cancel timers, drop future messages until recovery."""
+        """Crash the site: cancel timers, drop future messages until recovery.
+
+        The roles hear of it in transaction-id order, then the listeners.
+        """
         if self.crashed:
             return
         self.crashed = True
         self.cancel_all_timers()
         self.trace.record(self.sim.now, "crash", site=self.node_id)
-        if self.role is not None:
-            hook = getattr(self.role, "on_crash", None)
-            if hook is not None:
-                hook()
+        self._notify_roles("on_crash")
+        for listener in list(self.crash_listeners):
+            listener()
 
     def recover(self) -> None:
-        """Recover the site and notify the role."""
+        """Recover the site: the listeners hear of it first, then the roles.
+
+        Listener-before-role ordering is load-bearing: the scheduler's
+        listener replays the WAL, and replay must complete before any role
+        (or re-admitted lock request) touches the recovered site.
+        """
         if not self.crashed:
             return
         self.crashed = False
         self.trace.record(self.sim.now, "recover", site=self.node_id)
-        if self.role is not None:
-            hook = getattr(self.role, "on_recover", None)
+        for listener in list(self.recover_listeners):
+            listener()
+        self._notify_roles("on_recover")
+
+    def _notify_roles(self, hook_name: str) -> None:
+        # Transaction-id order, the None role (if any) first.
+        for _, role in sorted(self.roles.items(), key=lambda item: item[0] or ""):
+            hook = getattr(role, hook_name, None)
             if hook is not None:
                 hook()
 
@@ -240,11 +321,6 @@ class Node:
         """Record a role-level trace entry attributed to this site."""
         if self._tracing:
             self.trace.record(self.sim.now, category, site=self.node_id, **detail)
-
-    @staticmethod
-    def describe(payload: Any) -> str:
-        """Human-readable payload description (re-exported for roles)."""
-        return describe_payload(payload)
 
 
 def is_undeliverable(payload: Any) -> bool:

@@ -5,9 +5,6 @@ indirectly (lock-hold times of one transaction); this package measures it
 directly by scheduling *many* commit-protocol instances concurrently over
 one shared cluster:
 
-* :mod:`repro.txn.multiplex` -- per-transaction virtual nodes multiplexed
-  over the shared sites (message routing by transaction id, namespaced
-  timers);
 * :mod:`repro.txn.scheduler` -- the lock-contention scheduler: strict-2PL
   execution phase through FIFO lock queues, deadlock handling, one
   coordinator role-set per in-flight transaction, crash write-offs and
@@ -40,7 +37,6 @@ from repro.txn.deadlock import (
     merge_waits_for,
     select_victim,
 )
-from repro.txn.multiplex import SiteMultiplexer, VirtualNode
 from repro.txn.retry import AbortCause, RetryPolicy
 from repro.txn.runner import ThroughputRunResult, ThroughputSpec, run_throughput_scenario
 from repro.txn.scheduler import TransactionScheduler, TransactionState, TxnPhase
@@ -51,7 +47,6 @@ __all__ = [
     "AbortCause",
     "DeadlockPolicy",
     "RetryPolicy",
-    "SiteMultiplexer",
     "ThroughputRunResult",
     "ThroughputSink",
     "ThroughputSpec",
@@ -62,7 +57,6 @@ __all__ = [
     "TransactionVerdict",
     "TxnPhase",
     "VictimPolicy",
-    "VirtualNode",
     "find_cycle",
     "merge_waits_for",
     "run_throughput_scenario",

@@ -108,8 +108,7 @@ def attempt_id(logical_id: str, attempt: int) -> str:
 
     Attempt 1 keeps the logical id (workload ids stay recognizable in
     traces and WAL records); later attempts append ``#rN``, which never
-    collides with workload ids (``workload-txn-N``) or the multiplexer's
-    ``::`` timer separator.
+    collides with workload ids (``workload-txn-N``).
     """
     if attempt < 1:
         raise ValueError(f"attempt must be >= 1, got {attempt}")

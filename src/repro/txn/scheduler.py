@@ -2,9 +2,9 @@
 
 :class:`TransactionScheduler` admits a stream of update transactions
 against one shared :class:`~repro.sim.cluster.Cluster` and runs one
-commit-protocol instance per in-flight transaction, multiplexed over the
-same sites (:mod:`repro.txn.multiplex`).  It models the paper's setting
-end-to-end:
+commit-protocol instance per in-flight transaction on the same sites: each
+site's :class:`~repro.sim.node.Node` keys its roles and timers by
+transaction id.  It models the paper's setting end-to-end:
 
 1. **Execution phase (strict 2PL growth).**  At admission a transaction
    requests its locks operation by operation -- shared for reads,
@@ -15,9 +15,12 @@ end-to-end:
    :class:`~repro.txn.deadlock.DeadlockPolicy` (waits-for cycle detection
    with youngest-victim abort, and/or lock-wait timeouts).
 2. **Commit phase.**  Once every lock is granted, the scheduler builds the
-   protocol's coordinator / participant roles on per-transaction virtual
-   nodes and starts them; messages travel the real network, so partitions
-   hit the commit protocols exactly as in the single-transaction runner.
+   protocol's coordinator / participant roles, attaches them to the
+   participants' nodes under the transaction's id and starts them;
+   messages travel the real network, so partitions hit the commit
+   protocols exactly as in the single-transaction runner.  Once every
+   participant has decided, the scheduler retires the transaction's roles
+   (:meth:`~repro.sim.node.Node.retire`).
 3. **Termination.**  Decisions release locks
    (:meth:`~repro.db.site.DatabaseSite.commit` / ``abort``), which
    promotes queued waiters and resumes their acquisition -- the chain
@@ -81,7 +84,6 @@ from repro.txn.deadlock import (
     merge_waits_for,
     select_victim,
 )
-from repro.txn.multiplex import SiteMultiplexer, VirtualNode
 from repro.txn.retry import AbortCause, RetryPolicy, attempt_id
 from repro.txn.summary import TransactionOutcome, TransactionVerdict
 
@@ -233,18 +235,16 @@ class TransactionScheduler:
         self.timers = timers or TerminationTimers(max_delay=cluster.max_delay)
         self.seed = seed
         self.lock_transport = lock_transport
-        self.multiplexers: dict[int, SiteMultiplexer] = {
-            site: SiteMultiplexer(cluster.node(site)) for site in cluster.site_ids()
-        }
-        for site, multiplexer in sorted(self.multiplexers.items()):
-            multiplexer.crash_listeners.append(
+        for site in cluster.site_ids():
+            node = cluster.node(site)
+            node.crash_listeners.append(
                 lambda _site=site: self._on_site_crashed(_site)
             )
-            multiplexer.recover_listeners.append(
+            node.recover_listeners.append(
                 lambda _site=site: self._on_site_recovered(_site)
             )
             if lock_transport == "network":
-                multiplexer.message_listeners.append(
+                node.message_listeners.append(
                     lambda payload, envelope, _site=site: self._on_lock_message(
                         _site, payload, envelope
                     )
@@ -491,7 +491,7 @@ class TransactionScheduler:
         )
 
     def _on_lock_message(self, site: int, payload: Any, envelope: Any) -> bool:
-        """Multiplexer message listener for lock traffic at ``site``.
+        """Node message listener for lock traffic at ``site``.
 
         Returns True when the delivery was lock-transport traffic (consumed
         here), False to let transaction routing proceed.
@@ -692,7 +692,7 @@ class TransactionScheduler:
     def _on_site_crashed(self, site: int) -> None:
         """Write off the execution-phase transactions that died with a site.
 
-        Invoked through the site multiplexer's crash fan-out.  The site's
+        Invoked as the site node's crash listener.  The site's
         volatile lock table is lost (:meth:`~repro.db.site.DatabaseSite
         .crash`), so every transaction still acquiring locks that touches
         the site -- whether it was queued there, already held locks there,
@@ -719,8 +719,8 @@ class TransactionScheduler:
     def _on_site_recovered(self, site: int) -> None:
         """Replay the WAL of a recovered site before re-admitting traffic.
 
-        Runs through the multiplexer's listener-before-roles recovery
-        fan-out: by the time any protocol role or re-admitted lock request
+        Runs as the site node's recovery listener, before its roles hear
+        of it: by the time any protocol role or re-admitted lock request
         observes the site, replay has restored every durable decision
         (committed writes redone idempotently, aborted ones discarded) and
         the fresh lock table is accepting requests.
@@ -852,11 +852,10 @@ class TransactionScheduler:
         self.peak_in_flight = max(self.peak_in_flight, self.running)
         transaction = state.transaction
         participants = transaction.participants
-        virtuals: list[VirtualNode] = []
         for site in participants:
-            virtual = self.multiplexers[site].virtual_node(transaction.transaction_id)
+            node = self.cluster.node(site)
             ctx = ProtocolContext(
-                node=virtual,
+                node=node,
                 db=self.db_sites[site],
                 transaction=transaction,
                 participants=participants,
@@ -864,14 +863,14 @@ class TransactionScheduler:
                 timers=self.timers,
             )
             role = self.protocol.role(ctx)
+            node.attach(role, tag_timers=True)
             role.decision_listeners.append(
                 lambda _role, decision, s=site, st=state: self._on_site_decided(
                     st, s, decision
                 )
             )
-            virtuals.append(virtual)
-        for virtual in virtuals:
-            virtual.start()
+        for site in participants:
+            self.cluster.node(site).start(transaction.transaction_id)
 
     def _on_site_decided(
         self, state: TransactionState, site: int, decision: Decision
@@ -902,10 +901,10 @@ class TransactionScheduler:
         state.finished_at = self.now
         self.running -= 1
         # Every participant has decided: retire the transaction's roles.
-        # The deciding role may still broadcast its resolution; it sends
-        # through its own virtual node, which outlives the retirement.
+        # The deciding role may still broadcast its resolution; it keeps
+        # its node, so the sends leave through the site.
         for participant in state.transaction.participants:
-            self.multiplexers[participant].retire(state.transaction_id)
+            self.cluster.node(participant).retire(state.transaction_id)
         if state.verdict is TransactionVerdict.ABORTED:
             self._maybe_retry(state)
 
@@ -928,7 +927,7 @@ class TransactionScheduler:
     def close(self) -> None:
         """Cut the run's reference cycles once its results are read.
 
-        Drops the multiplexers' listeners and the lock managers' ``on_grant``
+        Drops the nodes' listeners and the lock managers' ``on_grant``
         hooks (each leads back to this scheduler), retires the transactions
         still in flight at the horizon, and forgets every pending lock-wait
         timeout event (its argument leads back to the state that holds it).
@@ -937,8 +936,12 @@ class TransactionScheduler:
         :func:`repro.txn.runner.run_throughput_scenario` next to
         :meth:`repro.sim.cluster.Cluster.close`.  Idempotent.
         """
-        for multiplexer in self.multiplexers.values():
-            multiplexer.close()
+        for node in self.cluster.nodes.values():
+            node.crash_listeners.clear()
+            node.recover_listeners.clear()
+            node.message_listeners.clear()
+            for transaction_id in list(node.roles):
+                node.retire(transaction_id)
         for db in self.db_sites.values():
             db.locks.on_grant = None
         for state in self.states.values():

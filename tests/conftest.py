@@ -18,7 +18,7 @@ def frozen_heap():
 
     Limit: a cycle that runs through an object alive before the freeze is
     not found.  The cycles these checks were written for (a rig that
-    ``Cluster.close`` or ``SiteMultiplexer.retire`` fails to cut) are made
+    ``Cluster.close`` or ``Node.retire`` fails to cut) are made
     entirely of the run's own objects, and are still found.
     """
     gc.collect()

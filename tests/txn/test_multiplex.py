@@ -1,12 +1,13 @@
-"""Per-transaction multiplexing over shared sites: routing and timer isolation."""
+"""Many transactions on one site: the node's role and timer tables, keyed by
+transaction id, route deliveries and keep each transaction's timers apart."""
 
 from repro.core.termination import TerminationTimers
 from repro.db.site import DatabaseSite
 from repro.db.transactions import Operation, Transaction
+from repro.protocols.base import ProtocolMessage
 from repro.protocols.registry import create_protocol
 from repro.sim.cluster import Cluster
 from repro.txn import TransactionScheduler, TransactionVerdict
-from repro.txn.multiplex import SiteMultiplexer
 
 
 def build(n_sites=3, protocol="terminating-three-phase-commit", **kwargs):
@@ -25,105 +26,104 @@ def txn(txn_id, writes):
     return Transaction.create(1, operations, transaction_id=txn_id)
 
 
+class Probe:
+    """A role for one transaction that records what reaches it."""
+
+    def __init__(self, transaction_id):
+        self.transaction_id = transaction_id
+        self.messages = []
+        self.timeouts = []
+
+    def on_message(self, payload, envelope):
+        self.messages.append(payload.transaction_id)
+
+    def on_timeout(self, name):
+        self.timeouts.append(name)
+
+
+def commit_message(transaction_id):
+    return ProtocolMessage(kind="commit", transaction_id=transaction_id, sender=1)
+
+
 class TestVirtualNodes:
     def test_timers_are_namespaced_per_transaction(self):
-        cluster, _, scheduler = build()
-        mux = scheduler.multiplexers[1]
-        a = mux.virtual_node("txn-a")
-        b = mux.virtual_node("txn-b")
-        a.set_timer("phase-timeout", 5.0)
-        b.set_timer("phase-timeout", 5.0)
-        assert a.timer_armed("phase-timeout") and b.timer_armed("phase-timeout")
-        a.cancel_all_timers()
-        assert not a.timer_armed("phase-timeout")
-        assert b.timer_armed("phase-timeout")
+        node = Cluster(3).node(1)
+        node.set_timer("phase-timeout", 5.0, "txn-a")
+        node.set_timer("phase-timeout", 5.0, "txn-b")
+        assert node.timer_armed("phase-timeout", "txn-a")
+        assert node.timer_armed("phase-timeout", "txn-b")
+        node.cancel_timers("txn-a")
+        assert not node.timer_armed("phase-timeout", "txn-a")
+        assert node.timer_armed("phase-timeout", "txn-b")
 
     def test_timer_fires_back_with_the_unscoped_name(self):
-        cluster, _, scheduler = build()
-        fired = []
-
-        class Probe:
-            def on_timeout(self, name):
-                fired.append(name)
-
-        virtual = scheduler.multiplexers[2].virtual_node("txn-a")
-        virtual.attach(Probe())
-        virtual.set_timer("wait-in-w", 1.0)
+        cluster = Cluster(3)
+        probe = Probe("txn-a")
+        node = cluster.node(2)
+        node.attach(probe, tag_timers=True)
+        node.set_timer("wait-in-w", 1.0, "txn-a")
         cluster.run(until=2.0)
-        assert fired == ["wait-in-w"]
+        assert probe.timeouts == ["wait-in-w"]
+        # The trace labels the timer with its transaction.
+        assert cluster.trace.first("timeout").get("timer") == "txn-a::wait-in-w"
+
+    def test_a_transaction_id_with_colons_keeps_its_timers(self):
+        # A name-scoping scheme that splits "a::b::t" at its first "::" would
+        # fire this timer to transaction "a" as "b::t".
+        cluster = Cluster(2)
+        node = cluster.node(2)
+        outer, inner = Probe("a"), Probe("a::b")
+        node.attach(outer, tag_timers=True)
+        node.attach(inner, tag_timers=True)
+        node.set_timer("t", 1.0, "a::b")
+        cluster.run(until=2.0)
+        assert inner.timeouts == ["t"]
+        assert outer.timeouts == []
 
     def test_messages_route_by_transaction_id(self):
         cluster = Cluster(2)
-        received = {"a": [], "b": []}
-
-        class Probe:
-            def __init__(self, bucket):
-                self.bucket = bucket
-
-            def on_message(self, payload, envelope):
-                self.bucket.append(payload.transaction_id)
-
-        muxes = {site: SiteMultiplexer(cluster.node(site)) for site in (1, 2)}
-        for txn_id in ("a", "b"):
-            virtual = muxes[2].virtual_node(txn_id)
-            virtual.attach(Probe(received[txn_id]))
-
-        from repro.protocols.base import ProtocolMessage
-
-        sender = muxes[1].virtual_node("a")
-        sender.send(2, ProtocolMessage(kind="xact", transaction_id="a", sender=1))
-        sender_b = muxes[1].virtual_node("b")
-        sender_b.send(2, ProtocolMessage(kind="xact", transaction_id="b", sender=1))
+        probes = {txn_id: Probe(txn_id) for txn_id in ("a", "b")}
+        for probe in probes.values():
+            cluster.node(2).attach(probe)
+        cluster.node(1).send(2, ProtocolMessage(kind="xact", transaction_id="a", sender=1))
+        cluster.node(1).send(2, ProtocolMessage(kind="xact", transaction_id="b", sender=1))
         cluster.run(until=5.0)
-        assert received == {"a": ["a"], "b": ["b"]}
+        assert {txn_id: probe.messages for txn_id, probe in probes.items()} == {
+            "a": ["a"],
+            "b": ["b"],
+        }
 
     def test_unrouted_messages_are_ignored(self):
         cluster = Cluster(2)
-        muxes = {site: SiteMultiplexer(cluster.node(site)) for site in (1, 2)}
-        from repro.protocols.base import ProtocolMessage
-
-        sender = muxes[1].virtual_node("ghost")
-        sender.send(2, ProtocolMessage(kind="xact", transaction_id="ghost", sender=1))
+        cluster.node(1).send(2, ProtocolMessage(kind="xact", transaction_id="ghost", sender=1))
         cluster.run(until=5.0)  # must not raise
 
     def test_a_retired_transactions_delivery_is_unrouted(self):
         cluster = Cluster(2)
-        muxes = {site: SiteMultiplexer(cluster.node(site)) for site in (1, 2)}
-        received = []
-
-        class Probe:
-            def on_message(self, payload, envelope):
-                received.append(payload)
-
-        from repro.protocols.base import ProtocolMessage
-
-        receiver = muxes[2].virtual_node("done")
-        receiver.attach(Probe())
-        muxes[2].retire("done")
-        assert receiver.role is None
-        muxes[1].virtual_node("done").send(
-            2, ProtocolMessage(kind="commit", transaction_id="done", sender=1)
-        )
+        receiver = cluster.node(2)
+        probe = Probe("done")
+        receiver.attach(probe)
+        receiver.set_timer("t", 1.0, "done")
+        receiver.retire("done")
+        assert "done" not in receiver.roles
+        assert not receiver.timer_armed("t", "done")
+        cluster.node(1).send(2, commit_message("done"))
         cluster.run(until=5.0)
-        assert received == []
+        assert probe.messages == [] and probe.timeouts == []
         unrouted = cluster.trace.first("unrouted-message")
         assert unrouted is not None and unrouted.site == 2
         assert unrouted.get("transaction") == "done"
 
     def test_an_untraced_unrouted_delivery_describes_nothing(self, monkeypatch):
-        from repro.protocols.base import ProtocolMessage
+        from repro.sim import node
         from repro.sim.trace import NullTrace
-        from repro.txn import multiplex
 
         def fail(payload):
             raise AssertionError("payload described with tracing off")
 
-        monkeypatch.setattr(multiplex, "describe_payload", fail)
+        monkeypatch.setattr(node, "describe_payload", fail)
         cluster = Cluster(2, trace=NullTrace())
-        muxes = {site: SiteMultiplexer(cluster.node(site)) for site in (1, 2)}
-        muxes[1].virtual_node("ghost").send(
-            2, ProtocolMessage(kind="xact", transaction_id="ghost", sender=1)
-        )
+        cluster.node(1).send(2, ProtocolMessage(kind="xact", transaction_id="ghost", sender=1))
         cluster.run(until=5.0)
         assert cluster.network.messages_delivered == 1
 

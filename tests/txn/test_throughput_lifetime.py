@@ -1,6 +1,6 @@
 """A throughput run's rig is freed by reference counting alone.
 
-The scheduler retires a transaction's virtual nodes and roles once every
+The scheduler retires a transaction's roles from its sites' nodes once every
 participant has decided, and ``run_throughput_scenario`` closes the
 scheduler and the cluster as soon as the run ends.  A long open-loop run
 therefore never grows a heap of finished roles, and a finished run leaves
@@ -18,6 +18,7 @@ from repro.protocols.fsa_role import FSARole
 from repro.protocols.registry import available_protocols
 from repro.sim.failures import CrashSchedule
 from repro.sim.network import PESSIMISTIC
+from repro.sim.node import Node
 from repro.sim.partition import PartitionSchedule
 from repro.txn import (
     DeadlockPolicy,
@@ -27,7 +28,6 @@ from repro.txn import (
     TransactionVerdict,
     run_throughput_scenario,
 )
-from repro.txn.multiplex import SiteMultiplexer
 from repro.txn.scheduler import TxnPhase
 
 BASE = dict(
@@ -63,16 +63,16 @@ CONFIGS = {
 
 @pytest.fixture
 def live_at_close(monkeypatch):
-    """Record, as each run's scheduler closes, its live virtual nodes and the
-    ``(site, transaction)`` pairs of its commit protocols still in flight."""
+    """Record, as each run's scheduler closes, the ``(site, transaction)`` keys
+    of its nodes' role tables and of its commit protocols still in flight."""
     seen = []
     close = TransactionScheduler.close
 
     def recording_close(scheduler):
         live = {
             (site, transaction_id)
-            for site, multiplexer in scheduler.multiplexers.items()
-            for transaction_id in multiplexer._virtuals
+            for site, node in scheduler.cluster.nodes.items()
+            for transaction_id in node.roles
         }
         running = {
             (site, state.transaction_id)
@@ -103,7 +103,7 @@ def test_a_throughput_run_leaves_no_cyclic_garbage(
     # retired the ones still running.
     live, running = live_at_close[-1]
     assert live == running
-    assert not any(m._virtuals for m in result.scheduler.multiplexers.values())
+    assert not any(node.roles for node in result.cluster.nodes.values())
 
     summary = result.summary
     outcomes = result.scheduler.outcomes()
@@ -224,7 +224,7 @@ def test_late_deliveries_to_a_decided_transaction_are_inert(monkeypatch):
 
         return wrapper
 
-    monkeypatch.setattr(SiteMultiplexer, "retire", lambda multiplexer, transaction_id: None)
+    monkeypatch.setattr(Node, "retire", lambda node, transaction_id: None)
     monkeypatch.setattr(TransactionScheduler, "_on_site_decided", recording_on_site_decided)
     monkeypatch.setattr(FSARole, "on_message", recording_on_message)
     monkeypatch.setattr(FSARole, "send", counting(send, "sends"))
