@@ -5,15 +5,15 @@ A :class:`Node` is one site of the distributed database: it owns a mailbox
 attached with :meth:`Node.attach`.  The paper runs one master/slave commit
 instance per transaction, so a site serving many transactions keeps its
 roles keyed by transaction id (the role's ``transaction_id``; ``None`` for
-a role without one) and its timers keyed by ``(transaction id, name)``.  A
+a role without one) and its timers by transaction id, then by name.  A
 delivery goes to the role of its message's transaction id (a bounce: its
 inner message's), a fired timer to the role that armed it, and crash and
 recovery notifications to every role in transaction-id order.  A
 single-transaction run is the one-key case.
 
 An armed timer is just its kernel :class:`~repro.sim.events.Event`, which
-carries the timer's key as its argument (no closure or record per
-(re)arm).
+carries the ``(transaction id, name)`` pair as its argument (no closure or
+record per (re)arm).
 """
 
 from __future__ import annotations
@@ -83,7 +83,9 @@ class Node:
         # Per attached transaction id: the prefix its timers' trace labels
         # carry, decided once by attach().
         self._timer_labels: dict[Optional[str], str] = {}
-        self._timers: dict[tuple[Optional[str], str], Event] = {}
+        # Armed timers: transaction id -> timer name -> event, so one
+        # transaction's timers go with one pop however many are in flight.
+        self._timers: dict[Optional[str], dict[str, Event]] = {}
         #: Called (with no arguments) after a crash is fanned out to the
         #: roles; the transaction scheduler fails the lock waits that died
         #: with the site's lock table here.
@@ -225,10 +227,11 @@ class Node:
         Re-arming an existing timer cancels the previous instance, which is
         how the protocol's "reset timer 5T" steps are expressed.
         """
-        key = (transaction_id, name)
-        timers = self._timers
-        if key in timers:
-            timers[key].cancel()
+        timers = self._timers.get(transaction_id)
+        if timers is None:
+            timers = self._timers[transaction_id] = {}
+        elif name in timers:
+            timers[name].cancel()
         sim = self.sim
         if delay < 0:
             raise SimulationError(f"cannot schedule an event in the past: delay={delay}")
@@ -237,38 +240,45 @@ class Node:
         # message that arrives exactly at the 2T mark (the paper's bounds are
         # inclusive).  Inlined sim.schedule() -- timers are re-armed on every
         # protocol round, making this one of the hottest scheduling sites.
-        timers[key] = sim._push(sim.now + delay, self._fire_timer, 10, key)
+        timers[name] = sim._push(
+            sim.now + delay, self._fire_timer, 10, (transaction_id, name)
+        )
 
     def cancel_timer(self, name: str, transaction_id: Optional[str] = None) -> None:
         """Cancel transaction ``transaction_id``'s timer ``name`` if it is armed."""
-        event = self._timers.pop((transaction_id, name), None)
-        if event is not None:
-            event.cancel()
+        timers = self._timers.get(transaction_id)
+        if timers:
+            event = timers.pop(name, None)
+            if event is not None:
+                event.cancel()
 
     def cancel_timers(self, transaction_id: Optional[str] = None) -> None:
         """Cancel every armed timer of transaction ``transaction_id``."""
-        timers = self._timers
-        for key in [key for key in timers if key[0] == transaction_id]:
-            timers.pop(key).cancel()
+        timers = self._timers.pop(transaction_id, None)
+        if timers:
+            for event in timers.values():
+                event.cancel()
 
     def cancel_all_timers(self) -> None:
         """Cancel every armed timer, whichever transaction armed it."""
         timers = self._timers
         if timers:
-            for event in timers.values():
-                event.cancel()
+            for transaction_timers in timers.values():
+                for event in transaction_timers.values():
+                    event.cancel()
             timers.clear()
 
     def timer_armed(self, name: str, transaction_id: Optional[str] = None) -> bool:
         """True when transaction ``transaction_id``'s timer ``name`` is armed."""
-        event = self._timers.get((transaction_id, name))
+        event = self._timers.get(transaction_id, {}).get(name)
         return event is not None and not event.cancelled
 
     def _fire_timer(self, key: tuple[Optional[str], str]) -> None:
-        event = self._timers.pop(key, None)
+        transaction_id, name = key
+        timers = self._timers.get(transaction_id)
+        event = timers.pop(name, None) if timers else None
         if event is None or event.cancelled or self.crashed:
             return
-        transaction_id, name = key
         if self._tracing:
             label = self._timer_labels.get(transaction_id, "") + name
             self.trace.record(self.sim.now, "timeout", site=self.node_id, timer=label)

@@ -220,12 +220,12 @@ class TestMinimalShapes:
         network = Network(sim, latency=ConstantLatency(1.0), trace=NullTrace())
         node = Node(1, sim, network)
         assert node.set_timer("t", 2.0) is None
-        # Keyed (transaction id, name); a timer armed without an id is the
-        # None role's.
-        event = node._timers[None, "t"]
+        # Keyed by transaction id, then name; a timer armed without an id
+        # is the None role's.  The event carries the (id, name) pair.
+        event = node._timers[None]["t"]
         assert type(event) is Event
         assert event.arg == (None, "t")
         assert event.time == 2.0
         node.set_timer("t", 3.0)
         assert event.cancelled
-        assert node._timers[None, "t"].time == 3.0
+        assert node._timers[None]["t"].time == 3.0

@@ -2,8 +2,9 @@
 
 Timed pairs on a shared host cannot resolve a 10-20 % change, but the work
 a pass does is deterministic.  For each workload of ``bench/workloads.py``
-(all seven by default) this runs the workload's set-up, one warm pass, and
-then one pass under :mod:`cProfile`, and reports for that pass:
+(all seven by default) this runs the workload's set-up on its seed-0
+inputs, one warm pass, and then one pass under :mod:`cProfile`, and reports
+for that pass:
 
 * the calls it made (cProfile's ``ncalls``, builtins included), in total
   and per op, grouped by module of the ``repro`` package (``builtins`` for
@@ -109,15 +110,14 @@ def count_in_child(name: str, args: argparse.Namespace) -> dict[str, Any]:
     with tempfile.TemporaryDirectory(prefix="count-probe-") as scratch:
         out = pathlib.Path(scratch) / "counts.json"
         command = [
-            sys.executable, __file__, "--workload", name, "--seed", str(args.seed),
-            "--root", str(args.root), "--top", str(args.top), "--out", str(out),
-            *(["--smoke"] if args.smoke else []),
+            sys.executable, __file__, "--workload", name, "--root", str(args.root),
+            "--out", str(out), *(["--smoke"] if args.smoke else []),
         ]
         subprocess.run(command, check=True, env={**os.environ, "PYTHONHASHSEED": "0"})
         return json.loads(out.read_text())["workloads"][name]
 
 
-def render(name: str, counts: dict[str, Any], *, top: int) -> str:
+def render(name: str, counts: dict[str, Any]) -> str:
     """One workload's counts as a plain-text table."""
     ops = counts["ops"]
     gc_text = "/".join(str(n) for n in counts["gc_collections"])
@@ -126,7 +126,7 @@ def render(name: str, counts: dict[str, Any], *, top: int) -> str:
         f"({counts['calls_per_op']} per {counts['op']}), gc collections {gc_text}"
         + (", counted at workers=1" if counts["counted_at_workers_1"] else "")
     ]
-    for module, calls in list(counts["modules"].items())[:top]:
+    for module, calls in counts["modules"].items():
         lines.append(f"  {module:<40} {calls:>10} {calls / ops:>10.2f}")
     return "\n".join(lines)
 
@@ -137,16 +137,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "--workload", action="append", metavar="NAME",
         help="workload to count (repeatable; default: all seven)",
     )
-    parser.add_argument("--seed", type=int, default=0, help="input seed (default 0)")
     parser.add_argument("--smoke", action="store_true", help="the workloads' tiny inputs")
     parser.add_argument(
         "--root", type=pathlib.Path, default=REPO_ROOT,
         help="checkout whose src/ and bench/ are imported (default: this one)",
     )
     parser.add_argument("--out", type=pathlib.Path, help="write the counts as JSON here")
-    parser.add_argument(
-        "--top", type=int, default=12, help="modules listed per workload (default 12)"
-    )
     args = parser.parse_args(argv)
     args.root = args.root.resolve()
     workloads, package_dir = _import_checkout(args.root)
@@ -154,12 +150,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     unknown = sorted(set(names) - set(workloads.WORKLOADS))
     if unknown:
         parser.error(f"unknown workload(s): {', '.join(unknown)}")
-    report: dict[str, Any] = {"seed": args.seed, "smoke": args.smoke, "workloads": {}}
+    report: dict[str, Any] = {"smoke": args.smoke, "workloads": {}}
     if len(names) == 1 and os.environ.get("PYTHONHASHSEED") == "0":
-        workload = workloads.WORKLOADS[names[0]](args.seed, smoke=args.smoke)
+        workload = workloads.WORKLOADS[names[0]](0, smoke=args.smoke)
         counts = count_workload(workload, package_dir)
         report["workloads"][names[0]] = counts
-        print(render(names[0], counts, top=args.top), flush=True)
+        print(render(names[0], counts), flush=True)
     else:
         for name in names:
             report["workloads"][name] = count_in_child(name, args)
