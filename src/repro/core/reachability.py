@@ -47,11 +47,13 @@ order.  A global state is then a flat tuple of ints, its *packed row*::
 the network is whole (else 1 + the split's position in
 :func:`simple_splits`), and ``outstanding_mask`` has bit ``m`` set while
 message ``m`` is in flight -- so consuming is ``&~``, sending is ``|``
-and ascending-bit iteration is the canonical message order.  Protocol
-moves are memoised per (site, local state, inbox), over the move table's
-own memo, and the invariants the checker reports are evaluated as states
-and edges are discovered (:class:`ReachabilityResult` keeps the first
-witness of each).
+and ascending-bit iteration is the canonical message order.  All of this
+is fault-independent and lives in a :class:`ModelSetup`, with the memo of
+protocol moves per (site, local state, inbox) over the move table's own
+memo; a protocol plan keeps one setup per vote script, and each walk of it
+takes the fault envelope as a parameter.  The invariants the checker
+reports are evaluated as states and edges are discovered
+(:class:`ReachabilityResult` keeps the first witness of each).
 :class:`GlobalState` and :class:`GlobalTransition` are the decoded view
 types: the result builds them on request, for tests, counterexample
 traces and :func:`enumerate_successors` replay.
@@ -301,6 +303,7 @@ class ReachabilityResult:
     Attributes:
         spec: the explored protocol.
         n_sites: instantiation size (site 1 is the master).
+        walk: the setup and fault envelope the graph was explored under.
         rows: packed global states in visit order (index 0 is the initial
             state).
         depths: discovery depth per state index.
@@ -316,8 +319,6 @@ class ReachabilityResult:
             ``max_states`` budget cut off (partial results only).
         edges_explored: number of edges enumerated from expanded states.
         complete: False when a budget skipped any successor.
-        receptions: (receiver_role, receiver_state) -> set of
-            (sender_role, sender_state) pairs, for sender sets.
         same_decision_witness / commit_without_votes_witness /
         stuck_terminal_witness: index of the first state (in visit order)
             that mixes a commit with an abort / has a committed site while
@@ -331,7 +332,7 @@ class ReachabilityResult:
 
     spec: CommitProtocolSpec
     n_sites: int
-    explorer: "_ModelExplorer" = field(repr=False)
+    walk: "_Walk" = field(repr=False)
     rows: list[Row] = field(default_factory=list, repr=False)
     depths: list[int] = field(default_factory=list, repr=False)
     parent_index: list[int] = field(default_factory=list, repr=False)
@@ -341,7 +342,6 @@ class ReachabilityResult:
     unexpanded_index: list[int] = field(default_factory=list, repr=False)
     edges_explored: int = 0
     complete: bool = True
-    receptions: dict[tuple[str, str], set[tuple[str, str]]] = field(default_factory=dict)
     same_decision_witness: Optional[int] = None
     commit_without_votes_witness: Optional[int] = None
     stuck_terminal_witness: Optional[int] = None
@@ -357,7 +357,7 @@ class ReachabilityResult:
 
     def local_names(self, site: int) -> tuple[str, ...]:
         """Local-state name of each interned id of ``site``'s role."""
-        return self.explorer.names[site - 1]
+        return self.walk.setup.names[site - 1]
 
     @property
     def state_count(self) -> int:
@@ -377,7 +377,7 @@ class ReachabilityResult:
         decoded = self.__dict__.get("visit_order")  # the whole view, once built
         if decoded is not None:
             return decoded[index]
-        return self.explorer.decode(self.rows[index])
+        return self.walk.setup.decode(self.rows[index])
 
     @property
     def initial(self) -> GlobalState:
@@ -387,7 +387,7 @@ class ReachabilityResult:
     @cached_property
     def visit_order(self) -> list[GlobalState]:
         """Every state, decoded, in first-discovery order."""
-        decode = self.explorer.decode
+        decode = self.walk.setup.decode
         return [decode(row) for row in self.rows]
 
     @cached_property
@@ -401,27 +401,26 @@ class ReachabilityResult:
         return dict(zip(self.visit_order, self.depths))
 
     @cached_property
-    def parents(self) -> dict[GlobalState, GlobalTransition]:
-        """First-discovery edge per non-initial state."""
-        return {
-            self.visit_order[index]: self._parent_edge(index)
-            for index in range(1, len(self.rows))
-        }
-
-    @cached_property
     def edges(self) -> list[GlobalTransition]:
         """Every explored edge, in discovery order (re-enumerated on request)."""
-        states = self.visit_order
+        states, walk = self.visit_order, self.walk
         index = {row: position for position, row in enumerate(self.rows)}
         edges: list[GlobalTransition] = []
         for source in self.expansion_order:
-            for (site, transition), target in self.explorer.successors(self.rows[source]):
+            for (site, transition), target in walk.setup.successors(self.rows[source], walk):
                 if len(edges) == self.edges_explored:
                     return edges
                 edges.append(
                     GlobalTransition(states[source], site, transition, states[index[target]])
                 )
         return edges
+
+    @cached_property
+    def receptions(self) -> dict[tuple[str, str], set[tuple[str, str]]]:
+        """(receiver_role, receiver_state) -> set of (sender_role,
+        sender_state) pairs, for sender sets: what the protocol moves of the
+        expanded states consume (derived on first access)."""
+        return self.walk.setup.receptions([self.rows[index] for index in self.expansion_order])
 
     @cached_property
     def unexpanded(self) -> set[GlobalState]:
@@ -461,7 +460,7 @@ class ReachabilityResult:
         the checker's counterexamples minimal.
         """
         try:
-            index = self.rows.index(self.explorer.encode(state))
+            index = self.rows.index(self.walk.setup.encode(state))
         except ValueError:
             raise KeyError(f"state {state} was not discovered by this exploration") from None
         return self.path_to_index(index)
@@ -515,13 +514,18 @@ def simple_splits(n_sites: int) -> list[tuple[tuple[int, ...], tuple[int, ...]]]
 _Move = tuple
 
 
-class _ModelExplorer:
-    """One exploration setup, compiled to ints: deterministic successors of a row.
+class ModelSetup:
+    """What an exploration needs that no fault envelope changes, compiled to ints.
 
     Protocol, timeout and undeliverable-message edges enumerate the
     protocol's local-step relation, compiled from ``spec`` and the
-    (duck-typed) ``augmentation``; this class adds the network and the
-    fault envelope.  Sites are 0-based (``i = site - 1``) inside.
+    (duck-typed) ``augmentation`` -- or ``move_table``, that relation's
+    :class:`~repro.core.relation.MoveTable` for ``n_sites`` sites, when the
+    caller holds one; this class adds the network, and :meth:`explore`
+    walks it under one fault envelope.  The memo of compiled moves fills as
+    walks reach new (site, local state, inbox) triples and serves every
+    later walk, whatever its envelope.  Sites are 0-based (``i = site - 1``)
+    inside.
     """
 
     def __init__(
@@ -530,23 +534,19 @@ class _ModelExplorer:
         n_sites: int,
         *,
         augmentation: Optional[Any] = None,
-        fault: str = FAILURE_FREE,
         no_voters: Optional[frozenset[int]] = None,
+        move_table: Optional[MoveTable] = None,
     ) -> None:
         if n_sites < 2:
             raise ValueError(
                 f"a distributed transaction needs at least 2 sites, got {n_sites}"
             )
-        if fault not in ALL_FAULT_ENVELOPES:
-            raise ValueError(
-                f"unknown fault envelope {fault!r}; "
-                f"expected one of {ALL_FAULT_ENVELOPES}"
-            )
+        self.spec = spec
         self.n_sites = n_sites
-        self.fault = fault
-        relation = compile_relation(spec, augmentation)
+        if move_table is None:
+            move_table = MoveTable(compile_relation(spec, augmentation), n_sites)
+        relation = move_table.relation
         # A site's id is its sender position in the compiled moves.
-        move_table = MoveTable(relation, n_sites)
         self._relation_moves, self._peers = move_table.moves, move_table.peers
         sites = range(1, n_sites + 1)
         # The vote a slave's vote step must send: scripted by ``no_voters``,
@@ -561,13 +561,6 @@ class _ModelExplorer:
         # under an augmentation (the optimistic network of Rule (b)).
         self._bounces = augmentation is not None
         self.splits = simple_splits(n_sites)
-        # The row slot that records the envelope's one fault: fault onsets
-        # are enabled while it is still clear (0 = the envelope has none).
-        self._onset_slot = {
-            SINGLE_CRASH: n_sites + 1,
-            PARTITION: n_sites + 2,
-            LOSSY: n_sites + 3,
-        }.get(fault, 0)
 
         # Interned local states: per site, id -> name / table / class.
         role_tables = [relation.role(_role_of(site)) for site in sites]
@@ -637,14 +630,10 @@ class _ModelExplorer:
         ]
         self._bounced: dict[int, int] = {}
 
-        # Memoised protocol moves, per site and local id, keyed by inbox
-        # mask.  Only expansions create entries, and an entry's receptions
-        # are folded in when it is created, so the reception relation
-        # covers exactly the protocol edges of expanded states.
+        # Memoised protocol moves, per site and local id, keyed by inbox mask.
         self._memo: list[list[dict[int, tuple[_Move, ...]]]] = [
             [{} for _ in names] for names in self.names
         ]
-        self.receptions: dict[tuple[str, str], set[tuple[str, str]]] = {}
 
         # Rule (a)/(b) decisions per site and local id; labels of fault onsets.
         self._timeouts = [
@@ -755,21 +744,23 @@ class _ModelExplorer:
             if step.vote is None or scripted is None or step.vote == scripted
         )
 
-    def _moves(self, i: int, local: int, inbox: int, fold: bool) -> tuple[_Move, ...]:
-        """Memo miss: compile the moves; when expanding, memoise them and
-        fold their consumptions into the reception relation."""
-        moves = self._protocol_moves(i, local, inbox)
-        if not fold:
-            return moves
-        self._memo[i][local][inbox] = moves
-        receiver = (_role_of(i + 1), self.names[i][local])
-        for _, consumed, _, _, _ in moves:
-            senders = self.receptions.setdefault(receiver, set())
-            for m in _bits(consumed):
-                message = self.messages[m]
-                if message.sender_role != OPERATOR:
-                    senders.add((message.sender_role, message.sender_state))
-        return moves
+    def receptions(self, rows: list[Row]) -> dict[tuple[str, str], set[tuple[str, str]]]:
+        """Per receiver (role, state), the (role, state) tags of the senders
+        whose messages the protocol moves of ``rows`` consume (every row was
+        expanded by a walk of this setup, so its moves are memoised)."""
+        n = self.n_sites
+        receptions: dict[tuple[str, str], set[tuple[str, str]]] = {}
+        for i, (inbox_mask, memo, names) in enumerate(zip(self._inbox, self._memo, self.names)):
+            site = i + 1  # a crashed site takes no steps
+            reached = {(row[i], row[-1] & inbox_mask) for row in rows if row[n + 1] != site}
+            for local, inbox in reached:
+                for _, consumed, _, _, _ in memo[local][inbox]:
+                    senders = receptions.setdefault((_role_of(site), names[local]), set())
+                    for m in _bits(consumed):
+                        message = self.messages[m]
+                        if message.sender_role != OPERATOR:
+                            senders.add((message.sender_role, message.sender_state))
+        return receptions
 
     def _bounce(self, mask: int) -> int:
         """The undeliverable notifications of the messages in ``mask``."""
@@ -814,16 +805,15 @@ class _ModelExplorer:
     # ------------------------------------------------------------------
     # successor enumeration (deterministic order)
     # ------------------------------------------------------------------
-    def successors(self, row: Row, fold: bool = True) -> list[tuple[Label, Row]]:
-        """Every outgoing edge of ``row`` as ``(label, target_row)``.
+    def successors(self, row: Row, walk: "_Walk") -> list[tuple[Label, Row]]:
+        """Every outgoing edge of ``row`` under ``walk``'s fault envelope,
+        as ``(label, target_row)``.
 
         Order: protocol transitions (sites ascending, transitions in
         declaration order, consumption choices in sender order), then
         undeliverable-message decisions, then timeout decisions, then fault
         onsets (crashes by site, partitions by split, losses by message) --
         fixed, so the exploration is reproducible across processes.
-        ``fold=False`` enumerates without recording receptions (a budget
-        check, not an expansion).
 
         Timeouts are *last-resort* edges: a site with an enabled protocol
         transition or an enabled Rule (b) decision cannot time out in this
@@ -847,7 +837,7 @@ class _ModelExplorer:
             inbox = outstanding & inbox_mask
             moves = memo[local].get(inbox)
             if moves is None:
-                moves = self._moves(i, local, inbox, fold)
+                moves = memo[local][inbox] = self._protocol_moves(i, local, inbox)
             if moves:
                 busy |= 1 << i
                 for move in moves:
@@ -869,8 +859,8 @@ class _ModelExplorer:
                 move = self._timeouts[i][row[i]]
                 if move is not None:
                     edges.append(self._apply(row, i, move))
-        if self._onset_slot and not row[self._onset_slot]:
-            edges.extend(self._fault_onsets(row))
+        if walk.onset_slot and not row[walk.onset_slot]:
+            edges.extend(self._fault_onsets(row, walk.fault))
         return edges
 
     def _apply(self, row: Row, i: int, move: _Move) -> tuple[Label, Row]:
@@ -895,14 +885,14 @@ class _ModelExplorer:
         successor[-1] = (row[-1] & ~consumed) | sent
         return label, tuple(successor)
 
-    def _fault_onsets(self, row: Row) -> list[tuple[Label, Row]]:
+    def _fault_onsets(self, row: Row, fault: str) -> list[tuple[Label, Row]]:
         """The envelope's fault striking ``row`` (which it has not struck yet)."""
         n = self.n_sites
         crashed, partition, lost, outstanding = row[n + 1 :]
         if all(self.final[i][row[i]] for i in range(n) if i + 1 != crashed):
             return []
         edges: list[tuple[Label, Row]] = []
-        if self.fault == SINGLE_CRASH:
+        if fault == SINGLE_CRASH:
             # In-flight messages to the crashed site bounce (optimistic
             # model) when the protocol listens for bounces; returned
             # notifications and the operator's request are simply lost.
@@ -912,7 +902,7 @@ class _ModelExplorer:
                 if self._bounces:
                     kept |= self._bounce(hit & self._site_sent)
                 edges.append((self._crash_labels[i], row[: n + 1] + (i + 1, partition, lost, kept)))
-        elif self.fault == PARTITION:
+        elif fault == PARTITION:
             # Messages in flight across the cut bounce back under an
             # augmentation; cut returned notifications are lost.
             for k in range(1, len(self._cut)):
@@ -938,6 +928,143 @@ class _ModelExplorer:
                 )
         return edges
 
+    def explore(
+        self,
+        fault: str = FAILURE_FREE,
+        *,
+        max_states: int = 200_000,
+        max_depth: Optional[int] = None,
+        order: str = BFS,
+    ) -> ReachabilityResult:
+        """Walk this setup under ``fault``; see :func:`explore_model`."""
+        if order not in (BFS, DFS):
+            raise ValueError(f"unknown exploration order {order!r}")
+        walk = _Walk(self, fault)
+        n = self.n_sites
+        commit, abort, final = self.commit, self.abort, self.final
+        slaves = (1 << n) - 2
+
+        def mixed(row: Row) -> bool:
+            return any(commit[k][row[k]] for k in range(n)) and any(
+                abort[k][row[k]] for k in range(n)
+            )
+
+        def unvoted_commit(row: Row) -> bool:
+            return row[n] & slaves != slaves and any(commit[k][row[k]] for k in range(n))
+
+        def stuck(row: Row) -> bool:
+            crashed = row[n + 1]
+            return any(not final[k][row[k]] for k in range(n) if k + 1 != crashed)
+
+        initial = self.initial
+        result = ReachabilityResult(
+            spec=self.spec,
+            n_sites=n,
+            walk=walk,
+            rows=[initial],
+            depths=[0],
+            parent_index=[-1],
+            parent_label=[None],
+        )
+        rows, depths = result.rows, result.depths
+        parent_index, parent_label = result.parent_index, result.parent_label
+        expanded, terminal = result.expansion_order, result.terminal
+        same_decision = 0 if mixed(initial) else None
+        unvoted = 0 if unvoted_commit(initial) else None
+        commit_after_abort = stuck_terminal = None
+        index = {initial: 0}
+        edges = 0
+        over_budget = False
+        frontier: deque[int] = deque([0])
+        pop = frontier.popleft if order == BFS else frontier.pop
+        successors = self.successors
+        while frontier and not over_budget:
+            current = pop()
+            row = rows[current]
+            depth = depths[current]
+            if max_depth is not None and depth >= max_depth:
+                if successors(row, walk):
+                    result.unexpanded_index.append(current)
+                    result.complete = False
+                    continue
+                edge_list = []
+            else:
+                edge_list = successors(row, walk)
+                expanded.append(current)
+            if not edge_list:
+                terminal.append(current)
+                if (stuck_terminal is None or current < stuck_terminal) and stuck(row):
+                    stuck_terminal = current
+                continue
+            for label, target in edge_list:
+                successor = index.get(target)
+                site = label[0]
+                if successor is None:
+                    if len(rows) >= max_states:
+                        # The budget cuts this expansion short: the state and
+                        # the whole frontier stay unexpanded.
+                        result.unexpanded_index.extend([current, *frontier])
+                        result.complete = False
+                        over_budget = True
+                        break
+                    successor = index[target] = len(rows)
+                    rows.append(target)
+                    depths.append(depth + 1)
+                    parent_index.append(current)
+                    parent_label.append(label)
+                    frontier.append(successor)
+                    # Only the acting site's local state changed (fault onsets,
+                    # site 0 or a crash, change none), so a new violation of a
+                    # state invariant needs that site to have just decided.
+                    if site:
+                        moved = target[site - 1]
+                        if (
+                            same_decision is None
+                            and (commit[site - 1][moved] or abort[site - 1][moved])
+                            and mixed(target)
+                        ):
+                            same_decision = successor
+                        if (
+                            unvoted is None
+                            and commit[site - 1][moved]
+                            and target[n] & slaves != slaves
+                        ):
+                            unvoted = successor
+                if (
+                    site
+                    and commit_after_abort is None
+                    and commit[site - 1][target[site - 1]]
+                    and not commit[site - 1][row[site - 1]]
+                    and any(abort[k][row[k]] for k in range(n))
+                ):
+                    commit_after_abort = (current, label, successor)
+                edges += 1
+        result.edges_explored = edges
+        result.same_decision_witness = same_decision
+        result.commit_without_votes_witness = unvoted
+        result.commit_after_abort_witness = commit_after_abort
+        result.stuck_terminal_witness = stuck_terminal
+        if over_budget:
+            raise ExplorationError(
+                f"exceeded {max_states} global states exploring {self.spec.name}", partial=result
+            )
+        return result
+
+
+class _Walk:
+    """One exploration's fault envelope over a (shared) :class:`ModelSetup`."""
+
+    def __init__(self, setup: ModelSetup, fault: str) -> None:
+        if fault not in ALL_FAULT_ENVELOPES:
+            raise ValueError(
+                f"unknown fault envelope {fault!r}; "
+                f"expected one of {ALL_FAULT_ENVELOPES}"
+            )
+        self.setup, self.fault, n = setup, fault, setup.n_sites
+        # The row slot that records the envelope's one fault: fault onsets
+        # are enabled while it is still clear (0 = the envelope has none).
+        self.onset_slot = {SINGLE_CRASH: n + 1, PARTITION: n + 2, LOSSY: n + 3}.get(fault, 0)
+
 
 def enumerate_successors(
     spec: CommitProtocolSpec,
@@ -954,12 +1081,11 @@ def enumerate_successors(
     each of its edges is among the legal successors of its source state (the
     explorer property tests assert exactly this).
     """
-    explorer = _ModelExplorer(
-        spec, n_sites, augmentation=augmentation, fault=fault, no_voters=no_voters
-    )
+    setup = ModelSetup(spec, n_sites, augmentation=augmentation, no_voters=no_voters)
+    edges = setup.successors(setup.encode(state), _Walk(setup, fault))
     return [
-        GlobalTransition(state, site, transition, explorer.decode(target))
-        for (site, transition), target in explorer.successors(explorer.encode(state))
+        GlobalTransition(state, site, transition, setup.decode(target))
+        for (site, transition), target in edges
     ]
 
 
@@ -1009,121 +1135,8 @@ def explore_model(
         A :class:`ReachabilityResult`: packed rows, depths, parent
         pointers, counts and the invariants' first witnesses.
     """
-    if order not in (BFS, DFS):
-        raise ValueError(f"unknown exploration order {order!r}")
-    explorer = _ModelExplorer(
-        spec, n_sites, augmentation=augmentation, fault=fault, no_voters=no_voters
-    )
-    n = n_sites
-    commit, abort, final = explorer.commit, explorer.abort, explorer.final
-    slaves = (1 << n) - 2
-
-    def mixed(row: Row) -> bool:
-        return any(commit[k][row[k]] for k in range(n)) and any(
-            abort[k][row[k]] for k in range(n)
-        )
-
-    def unvoted_commit(row: Row) -> bool:
-        return row[n] & slaves != slaves and any(commit[k][row[k]] for k in range(n))
-
-    def stuck(row: Row) -> bool:
-        crashed = row[n + 1]
-        return any(not final[k][row[k]] for k in range(n) if k + 1 != crashed)
-
-    initial = explorer.initial
-    result = ReachabilityResult(
-        spec=spec,
-        n_sites=n,
-        explorer=explorer,
-        rows=[initial],
-        depths=[0],
-        parent_index=[-1],
-        parent_label=[None],
-        receptions=explorer.receptions,
-    )
-    rows, depths = result.rows, result.depths
-    parent_index, parent_label = result.parent_index, result.parent_label
-    expanded, terminal = result.expansion_order, result.terminal
-    same_decision = 0 if mixed(initial) else None
-    unvoted = 0 if unvoted_commit(initial) else None
-    commit_after_abort = stuck_terminal = None
-    index = {initial: 0}
-    edges = 0
-    over_budget = False
-    frontier: deque[int] = deque([0])
-    pop = frontier.popleft if order == BFS else frontier.pop
-    successors = explorer.successors
-    while frontier and not over_budget:
-        current = pop()
-        row = rows[current]
-        depth = depths[current]
-        if max_depth is not None and depth >= max_depth:
-            if successors(row, fold=False):
-                result.unexpanded_index.append(current)
-                result.complete = False
-                continue
-            edge_list = []
-        else:
-            edge_list = successors(row)
-            expanded.append(current)
-        if not edge_list:
-            terminal.append(current)
-            if (stuck_terminal is None or current < stuck_terminal) and stuck(row):
-                stuck_terminal = current
-            continue
-        for label, target in edge_list:
-            successor = index.get(target)
-            site = label[0]
-            if successor is None:
-                if len(rows) >= max_states:
-                    # The budget cuts this expansion short: the state and
-                    # the whole frontier stay unexpanded.
-                    result.unexpanded_index.extend([current, *frontier])
-                    result.complete = False
-                    over_budget = True
-                    break
-                successor = index[target] = len(rows)
-                rows.append(target)
-                depths.append(depth + 1)
-                parent_index.append(current)
-                parent_label.append(label)
-                frontier.append(successor)
-                # Only the acting site's local state changed (fault onsets,
-                # site 0 or a crash, change none), so a new violation of a
-                # state invariant needs that site to have just decided.
-                if site:
-                    moved = target[site - 1]
-                    if (
-                        same_decision is None
-                        and (commit[site - 1][moved] or abort[site - 1][moved])
-                        and mixed(target)
-                    ):
-                        same_decision = successor
-                    if (
-                        unvoted is None
-                        and commit[site - 1][moved]
-                        and target[n] & slaves != slaves
-                    ):
-                        unvoted = successor
-            if (
-                site
-                and commit_after_abort is None
-                and commit[site - 1][target[site - 1]]
-                and not commit[site - 1][row[site - 1]]
-                and any(abort[k][row[k]] for k in range(n))
-            ):
-                commit_after_abort = (current, label, successor)
-            edges += 1
-    result.edges_explored = edges
-    result.same_decision_witness = same_decision
-    result.commit_without_votes_witness = unvoted
-    result.commit_after_abort_witness = commit_after_abort
-    result.stuck_terminal_witness = stuck_terminal
-    if over_budget:
-        raise ExplorationError(
-            f"exceeded {max_states} global states exploring {spec.name}", partial=result
-        )
-    return result
+    setup = ModelSetup(spec, n_sites, augmentation=augmentation, no_voters=no_voters)
+    return setup.explore(fault, max_states=max_states, max_depth=max_depth, order=order)
 
 
 def explore(

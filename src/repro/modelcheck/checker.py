@@ -40,12 +40,8 @@ from dataclasses import dataclass, fields
 from typing import Any, Optional
 
 from repro.core.fsa import Transition
-from repro.core.reachability import (
-    GlobalTransition,
-    ReachabilityResult,
-    explore_model,
-)
-from repro.modelcheck.protocols import resolve_protocol
+from repro.core.reachability import GlobalTransition, ReachabilityResult
+from repro.modelcheck.protocols import checkable_plan
 from repro.modelcheck.spec import ModelCheckSpec
 from repro.modelcheck.summary import INVARIANTS, ModelCheckSummary
 
@@ -137,6 +133,10 @@ def counterexample_path(
 def check_model(protocol: str, spec: ModelCheckSpec) -> ModelCheckResult:
     """Explore ``protocol`` under ``spec`` and check every invariant.
 
+    The walk runs over the protocol plan's setup for ``spec.no_voters``
+    (:meth:`~repro.protocols.plan.ProtocolPlan.model_setup`), so every
+    envelope and every later check of that plan reuse its compiled tables.
+
     Args:
         protocol: a simulator-registry protocol name (see
             :func:`~repro.modelcheck.protocols.checkable_protocols`).
@@ -150,16 +150,8 @@ def check_model(protocol: str, spec: ModelCheckSpec) -> ModelCheckResult:
         ExplorationError: when the graph exceeds ``spec.max_states``.
         UncheckableProtocolError: for protocols without an FSA model.
     """
-    fsa_spec, augmentation = resolve_protocol(protocol, spec.n_sites)
-    graph = explore_model(
-        fsa_spec,
-        spec.n_sites,
-        augmentation=augmentation,
-        fault=spec.fault,
-        no_voters=spec.no_voters,
-        max_states=spec.max_states,
-        max_depth=spec.max_depth,
-    )
+    setup = checkable_plan(protocol, spec.n_sites).model_setup(spec.no_voters)
+    graph = setup.explore(spec.fault, max_states=spec.max_states, max_depth=spec.max_depth)
     paths = {name: counterexample_path(graph, name) for name, _, _ in INVARIANTS}
     return ModelCheckResult(
         protocol=protocol,

@@ -26,6 +26,7 @@ from typing import Optional
 
 from repro.core.fsa import CommitProtocolSpec
 from repro.core.rules import AugmentedProtocol
+from repro.protocols.plan import ProtocolPlan
 from repro.protocols.registry import available_protocols, create_protocol
 
 #: Checkability is a property of the relation's entries, not of n: probe
@@ -59,19 +60,20 @@ def checkable_protocols() -> list[str]:
     ]
 
 
-def resolve_protocol(
-    name: str, n_sites: int
-) -> tuple[CommitProtocolSpec, Optional[AugmentedProtocol]]:
-    """Resolve a simulator protocol name for the checker.
-
-    Returns the FSA protocol spec and, for the extended variants, the
-    Rule (a)/(b) augmentation instantiated for ``n_sites`` (``None`` for the
-    plain protocols, whose simulator roles ignore timeouts and bounces).
-    Both are the shared objects of the protocol's compiled plan.
-    """
+def checkable_plan(name: str, n_sites: int) -> ProtocolPlan:
+    """The compiled plan of a checkable simulator protocol for ``n_sites``."""
     if name not in available_protocols():
         raise UncheckableProtocolError(name, "unknown protocol")
     plan = create_protocol(name).plan(n_sites)
     if not plan.relation.untimed:
         raise UncheckableProtocolError(name, _TIMED)
+    return plan
+
+
+def resolve_protocol(
+    name: str, n_sites: int
+) -> tuple[CommitProtocolSpec, Optional[AugmentedProtocol]]:
+    """The FSA spec and, for the extended variants, the Rule (a)/(b)
+    augmentation (``None`` for the plain protocols) of :func:`checkable_plan`."""
+    plan = checkable_plan(name, n_sites)
     return plan.spec, plan.augmentation

@@ -29,6 +29,7 @@ from typing import TYPE_CHECKING, Callable, Optional
 
 from repro.core.fsa import CommitProtocolSpec
 from repro.core.generalize import TerminationPlan, derive_termination_plan
+from repro.core.reachability import ModelSetup
 from repro.core.relation import MoveTable, ProtocolRelation, compile_relation, compile_termination
 from repro.core.rules import AugmentedProtocol, augment_with_rules
 
@@ -63,7 +64,8 @@ class ProtocolPlan:
     from ``spec`` and either ``augmentation`` (the Rule (a)/(b) tables for
     ``n_sites`` sites, extended protocols only) or ``termination`` (the
     Theorem 10 ingredients, terminating protocols only).  ``moves`` is that
-    relation compiled for ``n_sites`` sites, the table the roles step by.
+    relation compiled for ``n_sites`` sites, the table the roles step by and
+    the model checker's setups walk.
     """
 
     name: str
@@ -73,9 +75,23 @@ class ProtocolPlan:
     augmentation: Optional[AugmentedProtocol] = None
     termination: Optional[TerminationPlan] = None
     moves: MoveTable = field(init=False, compare=False, repr=False)
+    setups: dict = field(init=False, default_factory=dict, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "moves", MoveTable(self.relation, self.n_sites))
+
+    def model_setup(self, no_voters: Optional[frozenset[int]] = None) -> ModelSetup:
+        """The explorer's setup over ``moves`` for one vote script, built on
+        first use and kept, with its memo, as long as the plan."""
+        if no_voters not in self.setups:
+            self.setups[no_voters] = ModelSetup(
+                self.spec,
+                self.n_sites,
+                augmentation=self.augmentation,
+                no_voters=no_voters,
+                move_table=self.moves,
+            )
+        return self.setups[no_voters]
 
 
 @functools.cache

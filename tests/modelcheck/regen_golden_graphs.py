@@ -59,26 +59,30 @@ def _sha(lines) -> str:
     return digest.hexdigest()
 
 
+def graph_digests(graph) -> dict:
+    """Counts and digests of one explored graph (a row without its verdicts)."""
+    return {
+        "states": graph.state_count,
+        "edges": len(graph.edges),
+        "frontier_depth": graph.frontier_depth,
+        "complete": graph.complete,
+        "visit_order_sha256": _sha(str(state) for state in graph.visit_order),
+        "edges_sha256": _sha(f"{edge.describe()} => {edge.target}" for edge in graph.edges),
+        "receptions_sha256": _sha(
+            f"{receiver} <- {sorted(senders)}"
+            for receiver, senders in sorted(graph.receptions.items())
+        ),
+    }
+
+
 def golden_rows() -> dict:
     """Explore the grid; one entry of counts, verdicts and digests per row."""
     rows = {}
     for row_id, (protocol, spec) in GRID.items():
         result = check_model(protocol, spec)
-        graph = result.graph
         rows[row_id] = {
-            "states": graph.state_count,
-            "edges": len(graph.edges),
-            "frontier_depth": graph.frontier_depth,
-            "complete": graph.complete,
+            **graph_digests(result.graph),
             "verdicts": dict(sorted(result.invariants.items())),
-            "visit_order_sha256": _sha(str(state) for state in graph.visit_order),
-            "edges_sha256": _sha(
-                f"{edge.describe()} => {edge.target}" for edge in graph.edges
-            ),
-            "receptions_sha256": _sha(
-                f"{receiver} <- {sorted(senders)}"
-                for receiver, senders in sorted(graph.receptions.items())
-            ),
         }
     return rows
 

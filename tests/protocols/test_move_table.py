@@ -24,9 +24,9 @@ import pytest
 from regen_golden_terminating import GRID
 from repro.core import messages as m
 from repro.core.fsa import ANY_SLAVE, EACH_SLAVE, MASTER, MASTER_ROLE, OPERATOR, SLAVE_ROLE
-from repro.core.reachability import _bits, _mask, _ModelExplorer
+from repro.core.reachability import _bits, _mask
 from repro.core.relation import ANY_SITE, N, OPERATOR_SITE, WINDOW, holds
-from repro.modelcheck.protocols import checkable_protocols, resolve_protocol
+from repro.modelcheck.protocols import checkable_plan, checkable_protocols
 from repro.protocols.fsa_role import FSARole
 from repro.protocols.registry import available_protocols, create_protocol
 from repro.protocols.runner import ScenarioSpec, run_scenario
@@ -218,8 +218,7 @@ def _reference_moves(explorer, i, local, inbox):
 @pytest.mark.parametrize("name", checkable_protocols())
 @pytest.mark.parametrize("no_voters", [None, frozenset({2})])
 def test_explorer_moves_are_the_reference_enumeration(name, n_sites, no_voters):
-    spec, augmentation = resolve_protocol(name, n_sites)
-    explorer = _ModelExplorer(spec, n_sites, augmentation=augmentation, no_voters=no_voters)
+    explorer = checkable_plan(name, n_sites).model_setup(no_voters)
     checked = 0
     for i in range(n_sites):
         for local, table in enumerate(explorer._tables[i]):

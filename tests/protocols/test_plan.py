@@ -29,8 +29,8 @@ class TestSharing:
         plan = protocol.plan(n_sites)
         assert augmentation is not None
         assert plan.augmentation is augmentation and plan.spec is spec
-        # Both roles interpret the plan's relation, and the checker's
-        # explorer compiles the same relation from the same inputs.
+        # Both roles interpret the plan's relation, and a one-off
+        # explore_model compiles the same relation from the same inputs.
         assert master.relation is plan.relation and slave.relation is plan.relation
         assert compile_relation(spec, augmentation) == plan.relation
 

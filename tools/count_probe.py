@@ -6,9 +6,13 @@ a pass does is deterministic.  For each workload of ``bench/workloads.py``
 inputs, one warm pass, and then one pass under :mod:`cProfile`, and reports
 for that pass:
 
-* the calls it made (cProfile's ``ncalls``, builtins included), in total
+* the calls it made (cProfile's call counts, builtins included), in total
   and per op, grouped by module of the ``repro`` package (``builtins`` for
-  C functions, ``other`` for the standard library and ``bench/``);
+  C functions, ``other`` for the standard library and ``bench/``), summed
+  over the profiler's raw entries, one per function: ``pstats`` keys
+  functions by (file, line, name) and keeps one of those that share a key,
+  such as the ``__init__`` methods dataclasses generate (all ``<string>``),
+  so its totals move with the order code objects happen to have;
 * the garbage collections it triggered, per generation.
 
 cProfile sees only this process, and what a parent process does while
@@ -40,7 +44,6 @@ import gc
 import json
 import os
 import pathlib
-import pstats
 import subprocess
 import sys
 import tempfile
@@ -62,11 +65,12 @@ def _import_checkout(root: pathlib.Path) -> tuple[Any, pathlib.Path]:
     return workloads, pathlib.Path(repro.__file__).resolve().parent
 
 
-def module_of(filename: str, package_dir: pathlib.Path) -> str:
-    """The group a profiled function's file belongs to."""
-    if filename == "~":
+def module_of(code: Any, package_dir: pathlib.Path) -> str:
+    """The group a profiled function (a code object, or a builtin's name)
+    belongs to."""
+    if isinstance(code, str):
         return "builtins"
-    path = pathlib.Path(filename).resolve()
+    path = pathlib.Path(code.co_filename).resolve()
     if path.is_relative_to(package_dir):
         return str(pathlib.PurePosixPath("repro", *path.relative_to(package_dir).parts))
     return "other"
@@ -89,9 +93,9 @@ def count_workload(workload: Any, package_dir: pathlib.Path) -> dict[str, Any]:
         profile.disable()
         after = [generation["collections"] for generation in gc.get_stats()]
     modules: dict[str, int] = {}
-    for (filename, _, _), (_, ncalls, _, _, _) in pstats.Stats(profile).stats.items():
-        module = module_of(filename, package_dir)
-        modules[module] = modules.get(module, 0) + ncalls
+    for entry in profile.getstats():
+        module = module_of(entry.code, package_dir)
+        modules[module] = modules.get(module, 0) + entry.callcount
     calls = sum(modules.values())
     return {
         "op": workload.op,
