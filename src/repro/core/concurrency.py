@@ -65,12 +65,17 @@ class ConcurrencyAnalysis:
         return self.committable.get((role, state), False)
 
     def has_commit_in_concurrency_set(self, role: str, state: str) -> bool:
-        """True when ``C((role, state))`` contains some commit state."""
-        return any(self.is_commit_state(other) for other in self.concurrency_set(role, state))
+        """True when ``C((role, state))`` contains some commit state.
+
+        Scans ``C`` in sorted order, so the states it checks before the
+        first hit do not depend on the hash seed.
+        """
+        return any(map(self.is_commit_state, sorted(self.concurrency.get((role, state), ()))))
 
     def has_abort_in_concurrency_set(self, role: str, state: str) -> bool:
-        """True when ``C((role, state))`` contains some abort state."""
-        return any(self.is_abort_state(other) for other in self.concurrency_set(role, state))
+        """True when ``C((role, state))`` contains some abort state (scanned
+        in sorted order, like :meth:`has_commit_in_concurrency_set`)."""
+        return any(map(self.is_abort_state, sorted(self.concurrency.get((role, state), ()))))
 
     def local_states(self) -> tuple[LocalStateId, ...]:
         """Every (role, state) of the protocol, reachable or not."""

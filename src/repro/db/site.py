@@ -19,7 +19,7 @@ Section 2 of the paper describes.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Mapping, Optional
 
 from repro.db.locks import LockConflict, LockManager, LockMode, LockRequest
@@ -36,7 +36,7 @@ class SiteState(enum.Enum):
     CRASHED = "crashed"
 
 
-@dataclass
+@dataclass(slots=True)
 class _PendingTransaction:
     """Volatile per-transaction bookkeeping held while a transaction is open."""
 

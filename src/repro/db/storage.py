@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Any, Iterable, Mapping, Optional
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Version:
     """One committed version of a key."""
 

@@ -32,7 +32,7 @@ class TransactionStatus(enum.Enum):
     BLOCKED = "blocked"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Operation:
     """One read or write against a named key at a specific site."""
 
@@ -64,7 +64,7 @@ _transaction_counter = itertools.count(1)
 _simple_update_ops: dict[tuple[Any, ...], tuple[Operation, ...]] = {}
 
 
-@dataclass
+@dataclass(slots=True)
 class Transaction:
     """A distributed transaction.
 

@@ -14,6 +14,7 @@ real 3PC implementations journal their protocol state.
 from __future__ import annotations
 
 import enum
+import types
 from typing import Any, Iterator, Mapping, Optional
 
 
@@ -28,6 +29,16 @@ class LogRecordKind(enum.Enum):
     APPLY = "apply"
 
 
+#: The payload of every record that carries none (BEGIN, ABORT, APPLY):
+#: one shared, read-only empty mapping rather than a dict per record.
+EMPTY_PAYLOAD: Mapping[str, Any] = types.MappingProxyType({})
+
+#: The payloads of VOTE records, one shared read-only mapping per vote.
+_VOTE_PAYLOADS: dict[str, Mapping[str, Any]] = {
+    vote: types.MappingProxyType({"vote": vote}) for vote in ("yes", "no")
+}
+
+
 class LogRecord:
     """One entry in a site's write-ahead log.
 
@@ -37,6 +48,8 @@ class LogRecord:
     to the same transaction's preceding record in the log that appended it
     (``None`` for the first, and for records built outside a log); it is
     the log's per-transaction index, not part of the record's value.
+    A record built without a payload, or with an empty one, holds
+    :data:`EMPTY_PAYLOAD`.
     """
 
     __slots__ = ("lsn", "kind", "transaction_id", "time", "payload", "previous")
@@ -53,7 +66,7 @@ class LogRecord:
         self.kind = kind
         self.transaction_id = transaction_id
         self.time = time
-        self.payload = {} if payload is None else payload
+        self.payload = payload or EMPTY_PAYLOAD
         self.previous: Optional[LogRecord] = None
 
     def get(self, key: str, default: Any = None) -> Any:
@@ -109,6 +122,15 @@ class WriteAheadLog:
     ) -> LogRecord:
         """Append a record and return it (the new record is durable at once)."""
         # `payload` is this call's own kwargs dict -- no defensive copy needed.
+        return self._append(kind, transaction_id, time, payload)
+
+    def _append(
+        self,
+        kind: LogRecordKind,
+        transaction_id: str,
+        time: float,
+        payload: Mapping[str, Any],
+    ) -> LogRecord:
         record = LogRecord(len(self._records) + 1, kind, transaction_id, time, payload)
         self._records.append(record)
         record.previous = self._newest.get(transaction_id)
@@ -117,35 +139,34 @@ class WriteAheadLog:
 
     def log_begin(self, transaction_id: str, *, time: float = 0.0) -> LogRecord:
         """Record that the site started working on a transaction."""
-        return self.append(LogRecordKind.BEGIN, transaction_id, time=time)
+        return self._append(LogRecordKind.BEGIN, transaction_id, time, EMPTY_PAYLOAD)
 
     def log_vote(self, transaction_id: str, vote: str, *, time: float = 0.0) -> LogRecord:
         """Record the site's yes/no vote."""
-        return self.append(LogRecordKind.VOTE, transaction_id, time=time, vote=vote)
+        payload = _VOTE_PAYLOADS[vote] if vote in _VOTE_PAYLOADS else {"vote": vote}
+        return self._append(LogRecordKind.VOTE, transaction_id, time, payload)
 
     def log_prepare(
         self, transaction_id: str, writes: Mapping[str, Any], *, time: float = 0.0
     ) -> LogRecord:
         """Record the prepared state together with the update information."""
-        return self.append(
-            LogRecordKind.PREPARE, transaction_id, time=time, writes=dict(writes)
-        )
+        payload = {"writes": dict(writes)}
+        return self._append(LogRecordKind.PREPARE, transaction_id, time, payload)
 
     def log_commit(
         self, transaction_id: str, writes: Mapping[str, Any], *, time: float = 0.0
     ) -> LogRecord:
         """The paper's "commit log": decision + update information, durable."""
-        return self.append(
-            LogRecordKind.COMMIT, transaction_id, time=time, writes=dict(writes)
-        )
+        payload = {"writes": dict(writes)}
+        return self._append(LogRecordKind.COMMIT, transaction_id, time, payload)
 
     def log_abort(self, transaction_id: str, *, time: float = 0.0) -> LogRecord:
         """Record an abort decision."""
-        return self.append(LogRecordKind.ABORT, transaction_id, time=time)
+        return self._append(LogRecordKind.ABORT, transaction_id, time, EMPTY_PAYLOAD)
 
     def log_apply(self, transaction_id: str, *, time: float = 0.0) -> LogRecord:
         """Record that the updates of a committed transaction were applied."""
-        return self.append(LogRecordKind.APPLY, transaction_id, time=time)
+        return self._append(LogRecordKind.APPLY, transaction_id, time, EMPTY_PAYLOAD)
 
     # ------------------------------------------------------------------
     # queries

@@ -137,6 +137,11 @@ class ResultCache:
         summary's canonical encoding belongs (a JSONL spill line, a log
         segment record).  An entry holding a line break would split such a
         line and raises :class:`CacheEntryError` like any other fault.
+
+        Callers that need only the bytes still pay the decode: it is the
+        entry's field validation.  A bytes-only path would hand on an
+        entry whose fields were never checked, to be sealed into a result
+        log segment whose content hash is valid.
         """
         data = self.get_bytes(spec_hash, seed, record=record)
         if data is None:

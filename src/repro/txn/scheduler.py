@@ -66,7 +66,7 @@ cannot touch lock acquisition would overstate availability.  See
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Optional
 
 from repro.core.termination import TerminationTimers
@@ -146,14 +146,25 @@ class RemoteLockWait:
         self.enqueued_at = enqueued_at
 
 
-@dataclass
+#: One lock request of a transaction's growth phase: ``(site, key, mode)``.
+LockStep = tuple[int, str, LockMode]
+#: A strict-2PL growth schedule: one step per lock request.
+LockPlan = tuple[LockStep, ...]
+
+
+@dataclass(slots=True)
 class TransactionState:
-    """Scheduler-side bookkeeping for one admitted transaction."""
+    """Scheduler-side bookkeeping for one admitted transaction.
+
+    Slotted: a run keeps every attempt's state readable after it closes.
+    """
 
     transaction: Transaction
     index: int
     admitted_at: float
-    plan: list[tuple[int, str, LockMode]]
+    #: Shared by every attempt of one logical transaction (a retry reruns
+    #: the same operations).
+    plan: LockPlan
     next_op: int = 0
     phase: TxnPhase = TxnPhase.WAITING
     #: The queued local LockRequest, or a RemoteLockWait marker while a
@@ -165,7 +176,8 @@ class TransactionState:
     all_granted_at: Optional[float] = None
     started_at: Optional[float] = None
     finished_at: Optional[float] = None
-    decisions: dict[int, Decision] = field(default_factory=dict)
+    #: Site -> local decision; ``None`` until the first site decides.
+    decisions: Optional[dict[int, Decision]] = None
     verdict: Optional[TransactionVerdict] = None
     abort_reason: str = ""
     #: :class:`~repro.txn.retry.AbortCause` value of this attempt's abort.
@@ -253,10 +265,12 @@ class TransactionScheduler:
             db.locks.on_grant = (
                 lambda request, _site=site: self._on_lock_granted(_site, request)
             )
+        #: Every attempt's state, in admission order.
         self.states: dict[str, TransactionState] = {}
-        self._order: list[str] = []
-        self._logical_order: list[str] = []
+        #: Logical id -> its attempts, in the logical transactions' admission order.
         self._attempts: dict[str, list[TransactionState]] = {}
+        #: One tuple per distinct lock-plan step, shared by every plan.
+        self._plan_steps: dict[LockStep, LockStep] = {}
         self.waiting = 0
         self.running = 0
         self.peak_waiting = 0
@@ -304,7 +318,7 @@ class TransactionScheduler:
     @property
     def admitted(self) -> int:
         """Logical transactions admitted so far (attempts collapse to one)."""
-        return len(self._logical_order)
+        return len(self._attempts)
 
     def outcomes(self) -> list[TransactionOutcome]:
         """Per-*logical*-transaction outcomes in admission order.
@@ -316,8 +330,7 @@ class TransactionScheduler:
         struck is still *in flight* -- reported stalled, not aborted.
         """
         out = []
-        for position, logical_id in enumerate(self._logical_order):
-            attempts = self._attempts[logical_id]
+        for position, (logical_id, attempts) in enumerate(self._attempts.items()):
             final = attempts[-1]
             verdict = final.verdict or TransactionVerdict.STALLED
             abort_reason = final.abort_reason
@@ -352,6 +365,7 @@ class TransactionScheduler:
         *,
         logical_id: Optional[str] = None,
         attempt: int = 1,
+        plan: Optional[LockPlan] = None,
     ) -> None:
         transaction_id = transaction.transaction_id
         if transaction_id in self.states:
@@ -359,17 +373,14 @@ class TransactionScheduler:
         logical = logical_id or transaction_id
         state = TransactionState(
             transaction=transaction,
-            index=len(self._order),
+            index=len(self.states),
             admitted_at=self.now,
-            plan=self._lock_plan(transaction),
+            plan=self._lock_plan(transaction) if plan is None else plan,
             logical_id=logical,
             attempt=attempt,
         )
         self.states[transaction_id] = state
-        self._order.append(transaction_id)
-        if attempt == 1:
-            self._logical_order.append(logical)
-        else:
+        if attempt > 1:
             # Counted at admission, not when the retry is scheduled, so
             # summary.retries == sum(attempts - 1): a re-admission the
             # horizon cut off is in-flight, not a retry that happened.
@@ -383,23 +394,25 @@ class TransactionScheduler:
         )
         self._advance(state)
 
-    @staticmethod
-    def _lock_plan(transaction: Transaction) -> list[tuple[int, str, LockMode]]:
+    def _lock_plan(self, transaction: Transaction) -> LockPlan:
         """The strict-2PL growth schedule: one request per operation, deduped.
 
         A read after a write on the same key is covered; a write after a
         read becomes an upgrade request (the lock manager handles it).
+        Plans share their ``(site, key, mode)`` steps (:attr:`_plan_steps`).
         """
-        plan: list[tuple[int, str, LockMode]] = []
+        plan: list[LockStep] = []
         held: dict[tuple[int, str], LockMode] = {}
+        steps = self._plan_steps
         for op in transaction.operations:
             mode = LockMode.EXCLUSIVE if op.kind is OpKind.WRITE else LockMode.SHARED
             current = held.get((op.site, op.key))
             if current is not None and current.covers(mode):
                 continue
-            plan.append((op.site, op.key, mode))
+            step = (op.site, op.key, mode)
+            plan.append(steps.setdefault(step, step))
             held[(op.site, op.key)] = mode
-        return plan
+        return tuple(plan)
 
     def _advance(self, state: TransactionState) -> None:
         """Request the next locks; start the commit protocol when done."""
@@ -704,8 +717,7 @@ class TransactionScheduler:
         db = self.db_sites[site]
         if db.state is not SiteState.CRASHED:
             db.crash()
-        for transaction_id in list(self._order):
-            state = self.states[transaction_id]
+        for state in list(self.states.values()):
             if (
                 state.phase is TxnPhase.WAITING
                 and site in state.transaction.participants
@@ -829,16 +841,15 @@ class TransactionScheduler:
             attempt=next_attempt,
             due=self.now + delay,
         )
-        self.cluster.sim.schedule(
-            delay, self._readmit, arg=(clone, state.logical_id, next_attempt)
-        )
+        retry = (clone, state.logical_id, next_attempt, state.plan)
+        self.cluster.sim.schedule(delay, self._readmit, arg=retry)
         self.retry_backlog += 1
         self.peak_retry_backlog = max(self.peak_retry_backlog, self.retry_backlog)
 
-    def _readmit(self, retry: tuple[Transaction, str, int]) -> None:
-        """Admit the ``(clone, logical id, attempt)`` a retry scheduled."""
-        transaction, logical_id, attempt = retry
-        self._admit(transaction, logical_id=logical_id, attempt=attempt)
+    def _readmit(self, retry: tuple[Transaction, str, int, LockPlan]) -> None:
+        """Admit the ``(clone, logical id, attempt, plan)`` a retry scheduled."""
+        transaction, logical_id, attempt, plan = retry
+        self._admit(transaction, logical_id=logical_id, attempt=attempt, plan=plan)
 
     # ------------------------------------------------------------------
     # commit phase
@@ -875,10 +886,13 @@ class TransactionScheduler:
     def _on_site_decided(
         self, state: TransactionState, site: int, decision: Decision
     ) -> None:
-        state.decisions[site] = decision
-        if len(state.decisions) < len(state.transaction.participants):
+        decisions = state.decisions
+        if decisions is None:
+            decisions = state.decisions = {}
+        decisions[site] = decision
+        if len(decisions) < len(state.transaction.participants):
             return
-        decided = set(state.decisions.values())
+        decided = set(decisions.values())
         if decided == {Decision.COMMIT}:
             state.verdict = TransactionVerdict.COMMITTED
         elif decided == {Decision.ABORT}:
@@ -913,8 +927,7 @@ class TransactionScheduler:
     # ------------------------------------------------------------------
     def finalize(self, horizon: float) -> None:
         """Classify whatever is still in flight when the run horizon ends."""
-        for transaction_id in self._order:
-            state = self.states[transaction_id]
+        for state in self.states.values():
             if state.phase is TxnPhase.WAITING:
                 state.verdict = TransactionVerdict.STALLED
                 if state.pending_request is not None:

@@ -11,6 +11,11 @@ mechanically computed sets:
 * committability matches the paper's classification.
 """
 
+import os
+import pathlib
+import subprocess
+import sys
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -191,3 +196,42 @@ class TestScalingWithSites:
         smaller = explore(two_phase_commit(), n_sites).state_count
         larger = explore(two_phase_commit(), n_sites + 1).state_count
         assert larger > smaller
+
+
+_DERIVATION_SCRIPT = """
+from repro.core.concurrency import ConcurrencyAnalysis
+from repro.protocols.plan import Extension, compiled_plan
+from repro.protocols.registry import available_protocols, create_protocol
+
+calls = []
+is_commit_state = ConcurrencyAnalysis.is_commit_state
+
+def spy(self, local):
+    calls.append(local)
+    return is_commit_state(self, local)
+
+ConcurrencyAnalysis.is_commit_state = spy
+for protocol in map(create_protocol, available_protocols()):
+    if protocol.extension is not Extension.NONE:
+        compiled_plan(protocol, 3)
+print(calls)
+"""
+
+
+def test_rule_derivation_work_is_hash_seed_independent():
+    """Concurrency sets are scanned in sorted order, so deriving every
+    extended protocol's plan asks the same ``is_commit_state`` questions,
+    in the same order, under any hash seed."""
+    src = pathlib.Path(__file__).resolve().parents[2] / "src"
+    outputs = []
+    for seed in ("5", "6"):
+        env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": str(src)}
+        proc = subprocess.run(
+            [sys.executable, "-c", _DERIVATION_SCRIPT],
+            capture_output=True,
+            env=env,
+            check=True,
+        )
+        outputs.append(proc.stdout)
+    assert outputs[0] == outputs[1]
+    assert outputs[0].startswith(b"[(")

@@ -1,8 +1,9 @@
 """Tests for the write-ahead log."""
 
+import pytest
 from hypothesis import given, strategies as st
 
-from repro.db.wal import LogRecordKind, WriteAheadLog
+from repro.db.wal import EMPTY_PAYLOAD, LogRecord, LogRecordKind, WriteAheadLog
 
 
 class TestAppends:
@@ -33,6 +34,39 @@ class TestAppends:
         assert record.get("vote") == "yes"
         assert record.get("missing", "x") == "x"
         assert record.time == 2.0
+
+
+class TestSharedPayloads:
+    def test_records_without_payload_share_one_read_only_mapping(self):
+        wal = WriteAheadLog(site=1)
+        records = [
+            wal.log_begin("t1"),
+            wal.log_abort("t1"),
+            wal.log_apply("t2"),
+            wal.append(LogRecordKind.BEGIN, "t3"),
+            LogRecord(9, LogRecordKind.ABORT, "t4"),
+        ]
+        assert all(record.payload is EMPTY_PAYLOAD for record in records)
+        with pytest.raises(TypeError):
+            records[0].payload["writes"] = {"x": 1}
+        assert EMPTY_PAYLOAD == {}
+
+    def test_record_without_payload_equals_one_built_with_an_empty_dict(self):
+        wal = WriteAheadLog(site=1)
+        record = wal.log_abort("t1", time=3.0)
+        assert record == LogRecord(1, LogRecordKind.ABORT, "t1", 3.0, payload={})
+        assert record.get("writes") is None
+        assert record.get("vote", "none") == "none"
+
+    def test_vote_records_share_a_read_only_payload_per_vote(self):
+        wal = WriteAheadLog(site=1)
+        yes_1, yes_2 = wal.log_vote("t1", "yes"), wal.log_vote("t2", "yes")
+        no = wal.log_vote("t3", "no")
+        assert yes_1.payload is yes_2.payload
+        assert (yes_1.get("vote"), no.get("vote")) == ("yes", "no")
+        with pytest.raises(TypeError):
+            yes_1.payload["vote"] = "no"
+        assert yes_1 == LogRecord(1, LogRecordKind.VOTE, "t1", payload={"vote": "yes"})
 
 
 class TestDecisions:

@@ -13,6 +13,7 @@ import pytest
 from repro.core.termination import TerminationTimers
 from repro.db.site import DatabaseSite, SiteState
 from repro.db.transactions import Operation, Transaction
+from repro.protocols.base import Decision
 from repro.protocols.registry import create_protocol
 from repro.sim.cluster import Cluster
 from repro.sim.failures import CrashSchedule
@@ -127,6 +128,35 @@ class TestVictimRetries:
         assert b.verdict is TransactionVerdict.COMMITTED
         assert (a.attempts, b.attempts) == (1, 2)
         assert b.abort_cause == ""
+
+    def test_retried_attempt_reuses_the_first_attempts_plan(self):
+        cluster, _, scheduler = build(
+            op_delay=0.3, retry=RetryPolicy(max_attempts=2, backoff=1.0, jitter=0.0)
+        )
+        cycle_pair(scheduler)
+        cluster.run(until=80.0)
+        first = scheduler.states["txn-b"]
+        retry = scheduler.states[attempt_id("txn-b", 2)]
+        assert isinstance(first.plan, tuple)
+        assert retry.plan is first.plan
+        assert retry.plan == scheduler._lock_plan(retry.transaction)
+
+    def test_decisions_start_when_the_first_site_decides(self):
+        cluster, _, scheduler = build(
+            op_delay=0.3, retry=RetryPolicy(max_attempts=2, backoff=1.0, jitter=0.0)
+        )
+        cycle_pair(scheduler)
+        cluster.run(until=0.2)
+        assert [state.decisions for state in scheduler.states.values()] == [None, None]
+        cluster.run(until=80.0)
+        scheduler.finalize(80.0)
+        # The deadlock victim aborted in its execution phase: no site decided.
+        assert scheduler.states["txn-b"].decisions is None
+        for transaction_id in ("txn-a", attempt_id("txn-b", 2)):
+            state = scheduler.states[transaction_id]
+            participants = state.transaction.participants
+            assert state.decisions == dict.fromkeys(participants, Decision.COMMIT)
+            assert state.verdict is TransactionVerdict.COMMITTED
 
     def test_outcomes_stay_per_logical_transaction(self):
         cluster, _, scheduler = build(

@@ -13,7 +13,10 @@ for that pass:
   functions by (file, line, name) and keeps one of those that share a key,
   such as the ``__init__`` methods dataclasses generate (all ``<string>``),
   so its totals move with the order code objects happen to have;
-* the garbage collections it triggered, per generation.
+* the garbage collections it triggered, per generation;
+* the peak of the memory it allocates (:mod:`tracemalloc`'s peak of the
+  traced bytes), from one more warm pass after the counted one, so that
+  tracing changes no counted call.
 
 cProfile sees only this process, and what a parent process does while
 worker processes run depends on their timing; so the passes of a workload
@@ -47,6 +50,7 @@ import pathlib
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from typing import Any, Optional, Sequence
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -77,10 +81,11 @@ def module_of(code: Any, package_dir: pathlib.Path) -> str:
 
 
 def count_workload(workload: Any, package_dir: pathlib.Path) -> dict[str, Any]:
-    """Set up ``workload``, run a warm pass, then count one pass."""
+    """Set up ``workload``, run a warm pass, count one pass, then trace the
+    memory of one more."""
     with tempfile.TemporaryDirectory(prefix="count-probe-") as scratch:
         scratch_path = pathlib.Path(scratch)
-        for name in ("setup", "warm", "counted"):
+        for name in ("setup", "warm", "counted", "peak"):
             (scratch_path / name).mkdir()
         workload.setup(scratch_path / "setup")
         in_process = {"workers": 1} if getattr(workload, "workers", 1) > 1 else {}
@@ -92,6 +97,11 @@ def count_workload(workload: Any, package_dir: pathlib.Path) -> dict[str, Any]:
         result = workload.run_pass(scratch_path / "counted", **in_process)
         profile.disable()
         after = [generation["collections"] for generation in gc.get_stats()]
+        gc.collect()
+        tracemalloc.start()
+        workload.run_pass(scratch_path / "peak", **in_process)
+        peak_bytes = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
     modules: dict[str, int] = {}
     for entry in profile.getstats():
         module = module_of(entry.code, package_dir)
@@ -104,6 +114,7 @@ def count_workload(workload: Any, package_dir: pathlib.Path) -> dict[str, Any]:
         "calls_per_pass": calls,
         "calls_per_op": round(calls / result.ops, 2),
         "gc_collections": [end - start for start, end in zip(before, after)],
+        "peak_traced_bytes": peak_bytes,
         "modules": dict(sorted(modules.items(), key=lambda item: (-item[1], item[0]))),
     }
 
@@ -127,7 +138,8 @@ def render(name: str, counts: dict[str, Any]) -> str:
     gc_text = "/".join(str(n) for n in counts["gc_collections"])
     lines = [
         f"{name}: {ops} {counts['op']}s, {counts['calls_per_pass']} calls "
-        f"({counts['calls_per_op']} per {counts['op']}), gc collections {gc_text}"
+        f"({counts['calls_per_op']} per {counts['op']}), gc collections {gc_text}, "
+        f"tracemalloc peak {counts['peak_traced_bytes']} bytes"
         + (", counted at workers=1" if counts["counted_at_workers_1"] else "")
     ]
     for module, calls in counts["modules"].items():
