@@ -9,6 +9,8 @@ commit-protocol roles need:
 * :meth:`prepare` -- journal the prepared state (3PC's ``prepare`` step);
 * :meth:`commit` / :meth:`abort` -- terminate the transaction locally,
   applying or discarding the writes and releasing locks;
+* :meth:`abort_victim` -- abort an execution-phase victim, journalling
+  nothing at a site that holds no record of it (presumed abort);
 * :meth:`crash` / :meth:`recover` -- lose volatile state and replay the log.
 
 The commit decision is *not* made here -- that is the job of the protocols in
@@ -164,6 +166,37 @@ class DatabaseSite:
         if pending is not None:
             pending.status = TransactionStatus.ABORTED
             pending.decided_at = now
+        self._decisions[transaction_id] = "abort"
+
+    def abort_victim(self, transaction_id: str, *, now: float = 0.0) -> None:
+        """Abort an execution-phase victim: journal only what the site saw.
+
+        A victim is a transaction that the scheduler wrote off while it was
+        still acquiring locks -- a lock-wait timeout, a deadlock victim or a
+        crash write-off.  A site that holds a pending record or any WAL
+        record of the transaction aborts it exactly as :meth:`abort` does.
+        A site with neither releases its locks, cancels its queued
+        requests and remembers the decision in memory, but journals
+        nothing: the participant half of presumed abort (Mohan, Lindsay &
+        Obermarck, TODS 1986).  Recovery already reads "no record" as
+        "never touched the store", so the store, and what recovery redoes
+        or leaves in doubt, are the same as with an ABORT record.
+
+        The crash argument: the decision is volatile, and recovery rebuilds
+        decisions from the WAL alone, so a site that crashes has no durable
+        trace of this abort (this model's :meth:`crash` happens to keep
+        ``_decisions``; a real site would forget it).  That is safe because
+        a victim never enters the commit protocol -- no role of this
+        attempt ever asks a site to vote, prepare or commit it -- and a
+        retry runs under a new attempt id, so nothing later can mistake the
+        forgotten attempt for a live one.  The scheduler ignores late lock
+        grants and lock messages of an attempt it has finished.
+        """
+        if transaction_id in self._pending or self.wal.mentions(transaction_id):
+            self.abort(transaction_id, now=now)
+            return
+        self._require_up()
+        self.locks.release_all(transaction_id, now=now)
         self._decisions[transaction_id] = "abort"
 
     def mark_blocked(self, transaction_id: str, *, now: float = 0.0) -> None:

@@ -177,6 +177,10 @@ class WriteAheadLog:
     def __iter__(self) -> Iterator[LogRecord]:
         return iter(self._records)
 
+    def mentions(self, transaction_id: str) -> bool:
+        """True when the log holds any record of ``transaction_id``."""
+        return transaction_id in self._newest
+
     def records(self, transaction_id: Optional[str] = None) -> tuple[LogRecord, ...]:
         """All records, optionally restricted to one transaction."""
         if transaction_id is None:

@@ -38,14 +38,11 @@ Two execution surfaces share that machinery:
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 import time
 import weakref
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Iterator, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Any, Iterable, Iterator, Optional, Sequence, Union
 
 from repro.engine.cache import ResultCache
 from repro.engine.grid import ScenarioGrid, SweepTask
@@ -55,6 +52,11 @@ from repro.engine.sink import SummarySink
 from repro.engine.summary import RunSummary, summary_from_json_bytes
 from repro.obs.metrics import MetricsRegistry, activate, get_active, set_active
 from repro.protocols.runner import ScenarioSpec
+
+if TYPE_CHECKING:
+    # ``multiprocessing`` and ``concurrent.futures`` load with the first pool
+    # (:meth:`SweepEngine._warm_pool`): a serial engine never pays for them.
+    from concurrent.futures import ProcessPoolExecutor
 
 TaskBatch = Union[ScenarioGrid, Iterable[SweepTask], Iterable[tuple[str, ScenarioSpec]]]
 
@@ -244,7 +246,7 @@ class SweepEngine:
             and pickling overhead).
         mp_context: multiprocessing start-method name or context; defaults
             to ``fork`` where available (fastest) and the platform default
-            elsewhere.
+            elsewhere.  A name is resolved when the first pool starts.
         metrics: a :class:`~repro.obs.metrics.MetricsRegistry` to record
             run metrics into, or ``None`` (the default) for zero-cost
             no-op behaviour.  While a run is in flight the registry is
@@ -275,10 +277,6 @@ class SweepEngine:
             self.cache = cache
         else:
             self.cache = ResultCache(cache)
-        if isinstance(mp_context, str):
-            mp_context = multiprocessing.get_context(mp_context)
-        elif mp_context is None and "fork" in multiprocessing.get_all_start_methods():
-            mp_context = multiprocessing.get_context("fork")
         self._mp_context = mp_context
         self._pool: Optional[ProcessPoolExecutor] = None
         # The pid that forked the pool: a pool inherited across a fork of
@@ -408,11 +406,19 @@ class SweepEngine:
             # Inherited across a fork of this process: start over.
             self.close()
         if self._pool is None:
+            import multiprocessing
+            from concurrent.futures import ProcessPoolExecutor
+
+            context = self._mp_context
+            if isinstance(context, str):
+                context = multiprocessing.get_context(context)
+            elif context is None and "fork" in multiprocessing.get_all_start_methods():
+                context = multiprocessing.get_context("fork")
             # Workers outlive the run that forked them, so they must not keep
             # recording into a copy of whatever registry was active then.
             pool = ProcessPoolExecutor(
                 max_workers=self.workers,
-                mp_context=self._mp_context,
+                mp_context=context,
                 initializer=set_active,
                 initargs=(None,),
             )
@@ -604,6 +610,9 @@ class SweepEngine:
             queue_wait_hist = metrics.histogram("engine.chunk.queue_wait_seconds")
             chunk_execute_hist = metrics.histogram("engine.chunk.execute_seconds")
             decode_hist = metrics.histogram("engine.chunk.decode_seconds")
+        from concurrent.futures import FIRST_COMPLETED, wait
+        from concurrent.futures.process import BrokenProcessPool
+
         pool = self._warm_pool()
         submitted: dict = {}  # future -> submit timestamp
         try:

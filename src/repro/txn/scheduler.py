@@ -269,8 +269,10 @@ class TransactionScheduler:
         self.states: dict[str, TransactionState] = {}
         #: Logical id -> its attempts, in the logical transactions' admission order.
         self._attempts: dict[str, list[TransactionState]] = {}
-        #: One tuple per distinct lock-plan step, shared by every plan.
-        self._plan_steps: dict[LockStep, LockStep] = {}
+        #: One tuple per distinct lock-plan step, shared by every plan; keyed
+        #: by ``(site, key, is_write)``, since hashing a ``LockMode`` is a
+        #: Python-level ``Enum.__hash__`` call.
+        self._plan_steps: dict[tuple[int, str, bool], LockStep] = {}
         self.waiting = 0
         self.running = 0
         self.peak_waiting = 0
@@ -405,12 +407,12 @@ class TransactionScheduler:
         held: dict[tuple[int, str], LockMode] = {}
         steps = self._plan_steps
         for op in transaction.operations:
-            mode = LockMode.EXCLUSIVE if op.kind is OpKind.WRITE else LockMode.SHARED
+            write = op.kind is OpKind.WRITE
+            mode = LockMode.EXCLUSIVE if write else LockMode.SHARED
             current = held.get((op.site, op.key))
             if current is not None and current.covers(mode):
                 continue
-            step = (op.site, op.key, mode)
-            plan.append(steps.setdefault(step, step))
+            plan.append(steps.setdefault((op.site, op.key, write), (op.site, op.key, mode)))
             held[(op.site, op.key)] = mode
         return tuple(plan)
 
@@ -805,13 +807,14 @@ class TransactionScheduler:
         state.abort_cause = cause.value
         state.finished_at = self.now
         self.waiting -= 1
-        # The durable abort releases held locks and cancels queued requests
-        # at every participant (WAL records stay tagged by transaction id).
-        # A crashed site's volatile lock state is already gone; skip it.
+        # The abort releases held locks and cancels queued requests at every
+        # participant; only a site that journalled the attempt journals its
+        # abort (presumed abort).  A crashed site's volatile lock state is
+        # already gone; skip it.
         for site in state.transaction.participants:
             if self.db_sites[site].state is SiteState.CRASHED:
                 continue
-            self.db_sites[site].abort(state.transaction_id, now=self.now)
+            self.db_sites[site].abort_victim(state.transaction_id, now=self.now)
         self._maybe_retry(state)
 
     # ------------------------------------------------------------------

@@ -6,6 +6,9 @@ import gc
 import math
 import multiprocessing
 import os
+import pathlib
+import subprocess
+import sys
 import time
 from dataclasses import dataclass, field
 from typing import Any, Mapping, Optional
@@ -394,6 +397,30 @@ class TestWarmPool:
         parallel = SweepEngine(workers=2)
         parallel.run(SCENARIOS[:1])
         assert child_pids() == others
+
+    def test_serial_runs_load_no_process_pool_machinery(self):
+        # ``multiprocessing`` and ``concurrent.futures`` load with the first
+        # pool: a fresh interpreter that imports the engine and runs batches
+        # that never fork imports neither package.
+        script = (
+            "import sys\n"
+            "from repro.engine import SweepEngine\n"
+            "from repro.protocols.runner import ScenarioSpec\n"
+            "task = [('two-phase-commit', ScenarioSpec(n_sites=3))]\n"
+            "SweepEngine(workers=1).run(task)\n"
+            "SweepEngine(workers=2, mp_context='spawn').run(task)\n"
+            "print(sorted(name for name in sys.modules\n"
+            "             if name.partition('.')[0] in ('multiprocessing', 'concurrent')))\n"
+        )
+        src = pathlib.Path(__file__).resolve().parents[2] / "src"
+        loaded = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": str(src)},
+            check=True,
+        ).stdout
+        assert loaded.strip() == "[]"
 
     def test_close_and_context_manager_stop_the_workers(self):
         with SweepEngine(workers=2) as engine:

@@ -2,21 +2,25 @@
 
 Covers the open-loop additions to the scheduler: aborted attempts
 re-entering with seeded backoff under a bounded budget, the per-cause
-accounting split, pluggable deadlock victim selection, and the previously
-untested recovery path -- waiters written off at a crash, WAL replay
-completing before re-admission, and post-heal transactions acquiring locks
-a crashed-site victim used to hold.
+accounting split, pluggable deadlock victim selection, presumed abort for
+victims (a site that holds no record of a victim journals nothing), and
+the previously untested recovery path -- waiters written off at a crash,
+WAL replay completing before re-admission, and post-heal transactions
+acquiring locks a crashed-site victim used to hold.
 """
 
 import pytest
 
 from repro.core.termination import TerminationTimers
+from repro.db.locks import LockMode
 from repro.db.site import DatabaseSite, SiteState
 from repro.db.transactions import Operation, Transaction
+from repro.db.wal import LogRecordKind
 from repro.protocols.base import Decision
 from repro.protocols.registry import create_protocol
 from repro.sim.cluster import Cluster
 from repro.sim.failures import CrashSchedule
+from repro.sim.latency import PerLinkLatency
 from repro.sim.partition import PartitionSchedule
 from repro.txn import (
     AbortCause,
@@ -290,6 +294,107 @@ class TestVictimPolicies:
 
     def test_cli_victim_value_round_trips(self):
         assert VictimPolicy("fewest-locks") is VictimPolicy.FEWEST_LOCKS
+
+
+class TestPresumedAbort:
+    """A victim journals its abort only at a site that journalled it."""
+
+    def test_victim_unknown_to_the_site_journals_nothing(self):
+        db = DatabaseSite(1)
+        db.request_lock("holder", "k1", LockMode.EXCLUSIVE)
+        db.request_lock("victim", "k2", LockMode.EXCLUSIVE)
+        queued = db.request_lock("victim", "k1", LockMode.EXCLUSIVE)
+        assert queued.pending
+        db.abort_victim("victim", now=2.0)
+        assert len(db.wal) == 0
+        assert not db.wal.mentions("victim")
+        assert not db.holds_locks("victim")
+        assert queued.cancelled
+        assert "victim" not in db.locks.pending_owners()
+        assert db.decision("victim") == "abort"
+        # The freed lock is grantable at once.
+        assert db.request_lock("next", "k2", LockMode.EXCLUSIVE).granted is not None
+
+    def test_victim_with_a_pending_record_journals_abort(self):
+        db = DatabaseSite(1)
+        db.execute(txn("victim", [w(1, "k")]), now=1.0)
+        db.abort_victim("victim", now=2.0)
+        assert db.wal.last_record("victim").kind is LogRecordKind.ABORT
+        assert db.wal.decision("victim") == "abort"
+        assert not db.holds_locks("victim")
+        assert db.decision("victim") == "abort"
+
+    def test_victim_with_only_a_wal_record_journals_abort(self):
+        db = DatabaseSite(1)
+        db.execute(txn("victim", [w(1, "k")]), now=1.0)
+        db.crash()
+        db.recover(now=2.0)
+        assert db.vote("victim") is None  # the pending record died
+        db.abort_victim("victim", now=3.0)
+        assert db.wal.decision("victim") == "abort"
+
+    def test_scheduler_victims_leave_no_record_where_they_journalled_none(self):
+        cluster, db_sites, scheduler = build(op_delay=0.3)
+        cycle_pair(scheduler)
+        cluster.run(until=60.0)
+        scheduler.finalize(60.0)
+        assert scheduler.deadlock_aborts == 1
+        for site, db in db_sites.items():
+            assert not db.wal.mentions("txn-b"), site
+            assert not db.holds_locks("txn-b")
+        assert db_sites[1].decision("txn-b") == "abort"
+
+    @staticmethod
+    def victim_then_late_writer(wait_timeout, crash_at=None):
+        """A remote lock request over the slow 1-2 link whose wait times out
+        before the round trip ends, then a later transaction (master 3, over
+        fast links) on the same key; optionally site 2 crashes and recovers
+        between the victim's abort and its late message."""
+        cluster = Cluster(
+            3, latency=PerLinkLatency(0.2, {(1, 2): 1.0, (2, 1): 1.0})
+        )
+        db_sites = {site: DatabaseSite(site) for site in cluster.site_ids()}
+        scheduler = TransactionScheduler(
+            cluster, create_protocol("terminating-three-phase-commit"), db_sites,
+            timers=TerminationTimers(max_delay=cluster.max_delay),
+            lock_transport="network",
+            policy=DeadlockPolicy(detect_cycles=False, wait_timeout=wait_timeout),
+        )
+        scheduler.submit(txn("victim", [w(2, "k")]), at=0.0)
+        late = Transaction.create(3, [w(3, "j"), w(2, "k")], transaction_id="late")
+        scheduler.submit(late, at=4.0)
+        if crash_at is not None:
+            cluster.sim.schedule_at(crash_at, cluster.node(2).crash)
+            cluster.sim.schedule_at(crash_at + 0.2, cluster.node(2).recover)
+        cluster.run(until=80.0)
+        scheduler.finalize(80.0)
+        verdicts = {o.transaction_id: o.verdict for o in scheduler.outcomes()}
+        return db_sites, scheduler, verdicts
+
+    @pytest.mark.parametrize(
+        "wait_timeout, crash_at",
+        # The request reaches site 2 at t=1 and its grant the master at t=2.
+        [(0.5, 0.6), (1.5, 1.6)],
+        ids=["late-lock-request", "late-lock-grant"],
+    )
+    def test_crash_between_victim_abort_and_late_message_changes_nothing(
+        self, wait_timeout, crash_at
+    ):
+        quiet_sites, _, quiet = self.victim_then_late_writer(wait_timeout)
+        db_sites, scheduler, verdicts = self.victim_then_late_writer(
+            wait_timeout, crash_at
+        )
+        assert scheduler.recoveries == 1
+        assert scheduler.timeout_aborts == 1
+        assert verdicts == quiet == {
+            "victim": TransactionVerdict.ABORTED,
+            "late": TransactionVerdict.COMMITTED,
+        }
+        for site in db_sites:
+            assert db_sites[site].store.snapshot() == quiet_sites[site].store.snapshot()
+            assert not db_sites[site].wal.mentions("victim")
+            assert not db_sites[site].holds_locks("victim")
+        assert db_sites[2].value("k") == db_sites[3].value("j") == "value"
 
 
 class TestCrashRecoveryPath:
