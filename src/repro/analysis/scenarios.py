@@ -9,10 +9,11 @@ with the vote patterns and runs them on the sweep engine.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Optional, Sequence
 
 from repro.core.reachability import simple_splits
-from repro.sim.partition import PartitionSchedule
+from repro.sim.partition import PartitionSchedule, PartitionSpec
 
 
 def default_partition_times(max_delay: float = 1.0, *, resolution: float = 0.25, horizon: float = 8.0) -> list[float]:
@@ -39,18 +40,29 @@ def simple_partition_schedules(
     re-exports it as :func:`repro.engine.grid.simple_partition_axis`
     (onset time outermost, split innermost).  With
     ``heal_after`` set the partitions are transient (Section 6); otherwise
-    they are permanent (Section 5's assumption 5).
+    they are permanent (Section 5's assumption 5).  Every schedule of one
+    split shares that split's :class:`~repro.sim.partition.PartitionSpec`
+    (:func:`simple_split_specs`).
     """
     onset_times = (
         list(times) if times is not None else default_partition_times(max_delay)
     )
     schedules = []
     for at in onset_times:
-        for g1, g2 in simple_splits(n_sites):
+        for spec in simple_split_specs(n_sites):
             if heal_after is None:
-                schedules.append(PartitionSchedule.simple(at, g1, g2))
+                schedules.append(PartitionSchedule.permanent(at, spec))
             else:
                 schedules.append(
-                    PartitionSchedule.transient(at, at + heal_after, g1, g2)
+                    PartitionSchedule.healing(at, at + heal_after, spec)
                 )
     return schedules
+
+
+@lru_cache(maxsize=None)
+def simple_split_specs(n_sites: int) -> tuple[PartitionSpec, ...]:
+    """One frozen :class:`~repro.sim.partition.PartitionSpec` per simple
+    split of ``n_sites`` (in :func:`~repro.core.reachability.simple_splits`
+    order), built once per process: specs are immutable and hash by value,
+    so every onset's schedule can share them."""
+    return tuple(PartitionSpec.simple(g1, g2) for g1, g2 in simple_splits(n_sites))

@@ -184,8 +184,8 @@ class DatabaseSite:
 
         The crash argument: the decision is volatile, and recovery rebuilds
         decisions from the WAL alone, so a site that crashes has no durable
-        trace of this abort (this model's :meth:`crash` happens to keep
-        ``_decisions``; a real site would forget it).  That is safe because
+        trace of this abort (:meth:`crash` forgets it, and after
+        :meth:`recover` :meth:`decision` reads ``None``).  That is safe because
         a victim never enters the commit protocol -- no role of this
         attempt ever asks a site to vote, prepare or commit it -- and a
         retry runs under a new attempt id, so nothing later can mistake the
@@ -210,9 +210,11 @@ class DatabaseSite:
     # crash / recovery
     # ------------------------------------------------------------------
     def crash(self) -> None:
-        """Lose all volatile state (pending transactions, locks).
+        """Lose all volatile state (pending transactions, locks, decisions).
 
-        Queued lock requests are cancelled (their waiters observe the
+        :meth:`recover` rebuilds every journalled decision from the WAL; an
+        unjournalled one (a victim's presumed abort) is forgotten.  Queued
+        lock requests are cancelled (their waiters observe the
         cancellation through :attr:`~repro.db.locks.LockRequest.cancelled`)
         and the grant callback survives onto the fresh lock table, so a
         scheduler wired via ``locks.on_grant`` keeps receiving grants after
@@ -220,6 +222,7 @@ class DatabaseSite:
         """
         self.state = SiteState.CRASHED
         self._pending.clear()
+        self._decisions.clear()
         self.locks.cancel_all_pending()
         on_grant = self.locks.on_grant
         self.locks = LockManager(self.site)

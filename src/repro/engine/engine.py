@@ -29,8 +29,10 @@ Two execution surfaces share that machinery:
 * :meth:`SweepEngine.run_streaming` / :meth:`SweepEngine.stream` deliver
   each summary exactly once, *in task order*, to composable
   :class:`~repro.engine.sink.SummarySink` aggregators and then drop it, so
-  a million-scenario sweep holds O(sinks) memory plus a reorder buffer
-  bounded by the number of in-flight chunk results (never the whole sweep).
+  a million-scenario sweep holds O(sinks) memory plus a reorder buffer of
+  at most ``WINDOW_PER_WORKER * workers`` chunks of at most
+  ``CHUNK_CEILING`` records each by default, held as bytes and decoded one
+  summary at a time as the sinks take it (never the whole sweep).
   In-order delivery makes every sink aggregate -- and a
   :class:`~repro.engine.sink.JsonlSink` spill file byte-for-byte --
   identical across worker counts.
@@ -41,11 +43,13 @@ from __future__ import annotations
 import os
 import time
 import weakref
+from collections import deque
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Iterable, Iterator, Optional, Sequence, Union
 
 from repro.engine.cache import ResultCache
 from repro.engine.grid import ScenarioGrid, SweepTask
+from repro.engine.hashing import spec_hash as hash_task
 from repro.engine.measures import resolve_measures
 from repro.engine.registry import kind_for_spec
 from repro.engine.sink import SummarySink
@@ -60,10 +64,21 @@ if TYPE_CHECKING:
 
 TaskBatch = Union[ScenarioGrid, Iterable[SweepTask], Iterable[tuple[str, ScenarioSpec]]]
 
+# The default chunk size never exceeds this many tasks, so a chunk's frame,
+# and the reorder buffer holding its records, stay the same size however
+# long the sweep is (``chunk_size=`` overrides it).
+CHUNK_CEILING = 128
+
+# At most this many chunks per worker are submitted and not yet delivered:
+# one running and one queued behind it keeps every worker busy, and the
+# parent never holds more than this window of chunk results.
+WINDOW_PER_WORKER = 2
+
 # One chunk ships as (measure names, [(index, protocol, spec, spec_hash), ...],
-# collect-metrics flag).
+# collect-metrics flag).  The spec hash is ``None`` when the engine has no
+# cache to key: the worker computes it.
 _ChunkPayload = tuple[
-    tuple[str, ...], list[tuple[int, str, ScenarioSpec, str]], bool
+    tuple[str, ...], list[tuple[int, str, ScenarioSpec, Optional[str]]], bool
 ]
 
 # One chunk result returns as a single batched frame: the task indices plus
@@ -106,19 +121,21 @@ def _execute_chunk(payload: _ChunkPayload) -> _ChunkFrame:
     """Top-level (picklable) chunk executor run inside pool workers.
 
     Summaries are serialized to their canonical JSON bytes *in the worker*
-    and returned as one batched frame; the parent decodes them with
-    :func:`~repro.engine.summary.summary_from_json_bytes` and hands the
-    bytes themselves to the cache and the sinks.  Canonical JSON is
-    single-line, so the newline join is unambiguous.
+    and returned as one batched frame; the parent hands the bytes to the
+    cache as the frame arrives and decodes each summary with
+    :func:`~repro.engine.summary.summary_from_json_bytes` only when the
+    sinks take it.  Canonical JSON is single-line, so the newline join is
+    unambiguous.  A task shipped without its spec hash (no cache to key)
+    is hashed here.
     """
     measures, items, collect = payload
     indices: list[int] = []
     frames: list[bytes] = []
     if not collect:
-        for index, protocol, spec, spec_hash in items:
-            summary = execute_task(
-                protocol, spec, spec_hash=spec_hash, measures=measures
-            )
+        for index, protocol, spec, key in items:
+            if key is None:
+                key = hash_task(protocol, spec)
+            summary = execute_task(protocol, spec, spec_hash=key, measures=measures)
             indices.append(index)
             frames.append(summary.to_json_bytes())
         return tuple(indices), b"\n".join(frames), None
@@ -132,11 +149,11 @@ def _execute_chunk(payload: _ChunkPayload) -> _ChunkFrame:
     executed = registry.counter("engine.tasks.executed")
     chunk_started = time.perf_counter()
     with activate(registry):
-        for index, protocol, spec, spec_hash in items:
+        for index, protocol, spec, key in items:
+            if key is None:
+                key = hash_task(protocol, spec)
             before = time.perf_counter()
-            summary = execute_task(
-                protocol, spec, spec_hash=spec_hash, measures=measures
-            )
+            summary = execute_task(protocol, spec, spec_hash=key, measures=measures)
             after = time.perf_counter()
             data = summary.to_json_bytes()
             encode_hist.observe(time.perf_counter() - after)
@@ -189,8 +206,10 @@ class StreamStats:
 
     ``max_buffered`` is the peak size of the in-order reorder buffer -- the
     proof that the sweep streamed: for a materializing run it would equal the
-    sweep size, for a streaming run it stays bounded by the in-flight chunk
-    results (and is 0 when every point came from the cache).
+    sweep size; a streaming run holds at most ``WINDOW_PER_WORKER * workers``
+    chunks of records (``CHUNK_CEILING`` each unless ``chunk_size`` says
+    otherwise), as bytes until each is delivered.  It is 1 for a serial
+    run and 0 when every point came from the cache.
     """
 
     total: int = 0
@@ -243,7 +262,7 @@ class SweepEngine:
             to disable caching.
         chunk_size: scenarios per worker submission (default: enough chunks
             for ~4 submissions per worker, a balance between load-balancing
-            and pickling overhead).
+            and pickling overhead, but never more than ``CHUNK_CEILING``).
         mp_context: multiprocessing start-method name or context; defaults
             to ``fork`` where available (fastest) and the platform default
             elsewhere.  A name is resolved when the first pool starts.
@@ -324,8 +343,9 @@ class SweepEngine:
 
         No summary list is materialized: each summary is handed to every
         sink exactly once and then dropped, so memory stays O(sinks) plus a
-        reorder buffer bounded by in-flight chunk results
-        (:attr:`StreamStats.max_buffered`).  Because delivery order equals
+        reorder buffer of at most ``WINDOW_PER_WORKER * workers`` chunks'
+        records, held as bytes and decoded one at a time as the sinks take
+        them (:attr:`StreamStats.max_buffered`).  Because delivery order equals
         task order, ``workers=1`` and ``workers=N`` leave every sink with
         identical final aggregates.  Sinks are closed (even on an empty
         sweep) before the stats are returned.
@@ -453,9 +473,15 @@ class SweepEngine:
         just stored in the cache), and ``None`` otherwise.
 
         Cache hits are *not* held across the scan: the scan records only the
-        key of a usable hit and re-reads it from disk at delivery time, so
-        the parent never retains more summaries than the reorder buffer of
-        out-of-order chunk results (``stats.max_buffered``).
+        key of a usable hit and re-reads it from disk at delivery time.
+        Worker results are bounded too: at most ``WINDOW_PER_WORKER *
+        workers`` chunks are submitted and not yet delivered, a chunk's
+        payload is built only when it is submitted, and its frame is split
+        into per-record bytes (and stored in the cache) as it arrives, then
+        dropped.  The reorder buffer (``stats.max_buffered``) therefore holds
+        at most that window's records, and each is decoded just before it
+        is delivered.  Without a cache the parent never hashes a task it
+        ships: the worker does.
 
         Observability (``self.metrics``): for the duration of the stream the
         engine's registry is the process-wide active one (restored
@@ -493,15 +519,18 @@ class SweepEngine:
     ) -> Iterator[_Delivery]:
         measure_names = resolve_measures(measures)
         stats.total = len(tasks)
-        pending: list[tuple[int, SweepTask, str]] = []
+        # (index, task, key); the key is ``None`` when there is no cache.
+        pending: list[tuple[int, SweepTask, Optional[str]]] = []
         cached: dict[int, tuple[SweepTask, str]] = {}
         partial: dict[int, RunSummary] = {}
         scan_started = time.perf_counter() if metrics is not None else 0.0
         for index, task in enumerate(tasks):
-            key = task.spec_hash
             if self.cache is None:
-                pending.append((index, task, key))
-            elif not measure_names:
+                # Nothing to look up: hashing waits for whoever executes.
+                pending.append((index, task, None))
+                continue
+            key = task.spec_hash
+            if not measure_names:
                 # No measures to check: a cheap existence probe suffices,
                 # deferring the single read+parse to delivery time.
                 if self.cache.probe(key, task.spec.seed):
@@ -540,7 +569,20 @@ class SweepEngine:
                 self.cache.put_bytes(summary.spec_hash, summary.seed, data)
             return summary, data
 
-        buffered: dict[int, tuple[RunSummary, Optional[bytes]]] = {}
+        def arrive(
+            index: int, task: SweepTask, key: Optional[str], data: bytes
+        ) -> tuple[Optional[RunSummary], Optional[bytes]]:
+            """File one worker record as it arrives: stored in the cache at
+            once, decoded at delivery (a partial hit decodes now, to merge)."""
+            if index in partial:
+                return finish(index, summary_from_json_bytes(data), data)
+            if self.cache is not None:
+                self.cache.put_bytes(key, task.spec.seed, data)
+            return None, data
+
+        # index -> (summary, bytes); the summary is ``None`` until delivery
+        # decodes the bytes.
+        buffered: dict[int, tuple[Optional[RunSummary], Optional[bytes]]] = {}
         cursor = 0
 
         def drain() -> Iterator[_Delivery]:
@@ -548,7 +590,10 @@ class SweepEngine:
             while cursor < len(tasks):
                 if cursor in buffered:
                     stats.executed += 1
-                    yield (cursor, *buffered.pop(cursor))
+                    summary, data = buffered.pop(cursor)
+                    if summary is None:
+                        summary = summary_from_json_bytes(data)
+                    yield cursor, summary, data
                 elif cursor in cached:
                     task, key = cached.pop(cursor)
                     # The scan already counted this hit; the delivery read is
@@ -581,7 +626,8 @@ class SweepEngine:
                 execute_hist = metrics.histogram("engine.task.execute_seconds")
                 executed_counter = metrics.counter("engine.tasks.executed")
                 acct = workers_seen.setdefault(os.getpid(), [0, 0, 0.0])
-            for index, task, key in pending:
+            for index, task, _ in pending:
+                key = task.spec_hash
                 if metrics is None:
                     summary = execute_task(
                         task.protocol, task.spec, spec_hash=key, measures=measure_names
@@ -604,53 +650,77 @@ class SweepEngine:
             yield from drain()
             return
 
-        chunks = self._chunk(pending, measure_names)
-        stats.chunk_count = len(chunks)
+        size = self._chunk_size(len(pending))
+        starts = iter(range(0, len(pending), size))
+        stats.chunk_count = -(-len(pending) // size)
+        window = WINDOW_PER_WORKER * self.workers
+        collect = metrics is not None
         if metrics is not None:
             queue_wait_hist = metrics.histogram("engine.chunk.queue_wait_seconds")
             chunk_execute_hist = metrics.histogram("engine.chunk.execute_seconds")
-            decode_hist = metrics.histogram("engine.chunk.decode_seconds")
+            fold_hist = metrics.histogram("engine.chunk.decode_seconds")
         from concurrent.futures import FIRST_COMPLETED, wait
         from concurrent.futures.process import BrokenProcessPool
 
         pool = self._warm_pool()
-        submitted: dict = {}  # future -> submit timestamp
+        # future -> (first pending position, submit timestamp) of every chunk
+        # submitted and not yet folded.
+        submitted: dict = {}
+        # The last task index of every submitted chunk not wholly delivered,
+        # in submission order, which is delivery order: the window.
+        undelivered: deque[int] = deque()
+        dispatch_seconds = 0.0
+
+        def submit_more() -> None:
+            """Refill the window, building each chunk's payload as it goes."""
+            nonlocal dispatch_seconds
+            began = time.perf_counter()
+            while undelivered and undelivered[0] < cursor:
+                undelivered.popleft()
+            while len(undelivered) < window:
+                start = next(starts, None)
+                if start is None:
+                    break
+                items = [
+                    (index, task.protocol, task.spec, key)
+                    for index, task, key in pending[start : start + size]
+                ]
+                future = pool.submit(_execute_chunk, (measure_names, items, collect))
+                submitted[future] = (start, time.perf_counter())
+                undelivered.append(items[-1][0])
+            dispatch_seconds += time.perf_counter() - began
+
+        def fold(done: Iterable) -> None:
+            """Split each finished chunk's frame into ``buffered`` and drop
+            the future, and with it the frame."""
+            for future in done:
+                start, submitted_at = submitted.pop(future)
+                indices, frame, meta = future.result()
+                if metrics is not None and meta is not None:
+                    queue_wait_hist.observe(max(0.0, meta["started"] - submitted_at))
+                    chunk_execute_hist.observe(meta["elapsed"])
+                    metrics.merge_snapshot(meta["metrics"])
+                    acct = workers_seen.setdefault(meta["pid"], [0, 0, 0.0])
+                    acct[0] += len(indices)
+                    acct[1] += 1
+                    acct[2] += meta["elapsed"]
+                fold_started = time.perf_counter() if metrics is not None else 0.0
+                for (index, task, key), data in zip(
+                    pending[start : start + size], frame.split(b"\n")
+                ):
+                    buffered[index] = arrive(index, task, key, data)
+                if metrics is not None:
+                    # Split + cache-store fold of one chunk's frame (the
+                    # summaries themselves decode at delivery).
+                    fold_hist.observe(time.perf_counter() - fold_started)
+            stats.max_buffered = max(stats.max_buffered, len(buffered))
+
         try:
-            dispatch_started = time.perf_counter() if metrics is not None else 0.0
-            for chunk in chunks:
-                submitted[pool.submit(_execute_chunk, chunk)] = time.perf_counter()
-            if metrics is not None:
-                metrics.histogram("engine.dispatch_seconds").observe(
-                    time.perf_counter() - dispatch_started
-                )
-            futures = set(submitted)
-            while futures:
-                done, futures = wait(futures, return_when=FIRST_COMPLETED)
-                for future in done:
-                    indices, frame, meta = future.result()
-                    if metrics is not None and meta is not None:
-                        worker_started = meta["started"]
-                        queue_wait_hist.observe(
-                            max(0.0, worker_started - submitted[future])
-                        )
-                        chunk_execute_hist.observe(meta["elapsed"])
-                        metrics.merge_snapshot(meta["metrics"])
-                        acct = workers_seen.setdefault(meta["pid"], [0, 0, 0.0])
-                        acct[0] += len(indices)
-                        acct[1] += 1
-                        acct[2] += meta["elapsed"]
-                    decode_started = (
-                        time.perf_counter() if metrics is not None else 0.0
-                    )
-                    for index, data in zip(indices, frame.split(b"\n")):
-                        buffered[index] = finish(
-                            index, summary_from_json_bytes(data), data
-                        )
-                    if metrics is not None:
-                        # Decode + cache-store fold of one chunk's frame.
-                        decode_hist.observe(time.perf_counter() - decode_started)
-                    stats.max_buffered = max(stats.max_buffered, len(buffered))
-                    yield from drain()
+            submit_more()
+            while submitted:
+                fold(wait(submitted, return_when=FIRST_COMPLETED).done)
+                yield from drain()
+                submit_more()
         except BrokenProcessPool as exc:
             self.close()
             raise WorkerCrashedError(len(tasks) - cursor, cursor) from exc
@@ -662,6 +732,12 @@ class SweepEngine:
             if not all(future.done() for future in submitted):
                 self.close()
             raise
+        finally:
+            if metrics is not None:
+                # One observation per run: every refill's submissions.
+                metrics.histogram("engine.dispatch_seconds").observe(
+                    dispatch_seconds
+                )
         yield from drain()
 
     def _finalize_run_metrics(
@@ -705,22 +781,10 @@ class SweepEngine:
                 min(1.0, max(0.0, share))
             )
 
-    def _chunk(
-        self,
-        pending: list[tuple[int, SweepTask, str]],
-        measure_names: tuple[str, ...],
-    ) -> list[_ChunkPayload]:
-        size = self.chunk_size
-        if size is None:
-            # ~4 chunks per worker keeps the pool busy without shipping one
-            # scenario at a time.
-            size = max(1, len(pending) // (self.workers * 4))
-        chunks: list[_ChunkPayload] = []
-        collect = self.metrics is not None
-        for start in range(0, len(pending), size):
-            items = [
-                (index, task.protocol, task.spec, key)
-                for index, task, key in pending[start : start + size]
-            ]
-            chunks.append((measure_names, items, collect))
-        return chunks
+    def _chunk_size(self, pending: int) -> int:
+        """Tasks per chunk: ``chunk_size``, or by default ~4 chunks per
+        worker (the pool stays busy without shipping one scenario at a
+        time), capped at ``CHUNK_CEILING``."""
+        if self.chunk_size is not None:
+            return self.chunk_size
+        return max(1, min(pending // (self.workers * 4), CHUNK_CEILING))

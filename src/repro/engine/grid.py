@@ -38,10 +38,11 @@ class SweepTask:
     def spec_hash(self) -> str:
         """Stable hash of this task (see :mod:`repro.engine.hashing`).
 
-        Cached: the engine consults it several times per task (cache probe,
-        cache store, result labelling) and canonicalization walks the whole
-        spec.  ``cached_property`` writes straight into ``__dict__``, which
-        a frozen dataclass permits.
+        Cached: canonicalization walks the whole spec.  The engine reads it
+        to key a result cache or to execute the task in-process; a parallel
+        run without a cache ships the task unhashed and the worker computes
+        the same value.  ``cached_property`` writes straight into
+        ``__dict__``, which a frozen dataclass permits.
         """
         return spec_hash(self.protocol, self.spec)
 

@@ -153,14 +153,16 @@ class PartitionSchedule:
         group_b: Iterable[int],
     ) -> "PartitionSchedule":
         """A simple partition at ``at`` that heals at ``heal_at`` (Section 6)."""
+        return cls.healing(at, heal_at, PartitionSpec.simple(group_a, group_b))
+
+    @classmethod
+    def healing(
+        cls, at: float, heal_at: float, spec: PartitionSpec
+    ) -> "PartitionSchedule":
+        """Partition at ``at`` and heal at ``heal_at``."""
         if heal_at <= at:
             raise PartitionError(f"heal time {heal_at} must follow partition time {at}")
-        return cls(
-            [
-                PartitionEvent(at, PartitionSpec.simple(group_a, group_b)),
-                PartitionEvent(heal_at, None),
-            ]
-        )
+        return cls([PartitionEvent(at, spec), PartitionEvent(heal_at, None)])
 
     def add(self, event: PartitionEvent) -> "PartitionSchedule":
         """Append an event, keeping the list time-ordered."""

@@ -29,6 +29,7 @@ from repro.engine import (
     spec_hash,
     tasks_from_specs,
 )
+from repro.engine.engine import WINDOW_PER_WORKER
 from repro.obs.metrics import MetricsRegistry, activate, get_active
 from repro.core.reachability import simple_splits
 from repro.protocols.runner import ScenarioSpec
@@ -500,3 +501,52 @@ class TestWarmPool:
             pooled = engine.run(probes(range(8)))
         assert os.getpid() not in {s.pid for s in pooled}
         assert not any(s.registry_active for s in pooled)
+
+
+class TestBoundedWindow:
+    """A parallel stream keeps at most the window of chunks outstanding."""
+
+    WINDOW = WINDOW_PER_WORKER * 2
+
+    def test_one_delivery_at_a_time_never_exceeds_the_window(
+        self, probe_kind, monkeypatch
+    ):
+        with SweepEngine(workers=2, chunk_size=1) as engine:
+            pool = engine._warm_pool()
+            submit = pool.submit
+            submits = []
+
+            def counting_submit(*args, **kwargs):
+                submits.append(1)
+                return submit(*args, **kwargs)
+
+            monkeypatch.setattr(pool, "submit", counting_submit)
+            ahead = []
+            for index, summary in enumerate(
+                engine.stream(probes(range(40), sleep=0.002))
+            ):
+                assert summary.value == index
+                # Chunks 0 .. index - 1 are delivered: what else was
+                # submitted is the window, at most.
+                ahead.append(len(submits) - index)
+            assert len(submits) == 40
+            assert max(ahead) == self.WINDOW
+
+    def test_an_abandoned_cached_run_keeps_every_chunk_that_arrived(
+        self, probe_kind, tmp_path
+    ):
+        # The first task is slow, so the rest of the window arrives (and is
+        # buffered) before the first delivery; the consumer then walks away.
+        tasks = probes([0], sleep=1.0) + probes(range(1, 40))
+        cache = ResultCache(tmp_path / "cache")
+        stats = StreamStats()
+        with SweepEngine(workers=2, chunk_size=1, cache=cache) as engine:
+            for summary in engine.stream(tasks, stats=stats):
+                assert summary.value == 0
+                break
+        # Every chunk folded before the first delivery is in the buffer at
+        # that moment, and in the cache: nothing waits for its delivery.
+        assert 2 <= stats.max_buffered <= self.WINDOW
+        assert len(cache) == stats.max_buffered
+        for task in tasks[: stats.max_buffered]:
+            assert cache.get(task.spec_hash, task.spec.seed).value == task.spec.value

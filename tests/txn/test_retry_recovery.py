@@ -333,6 +333,26 @@ class TestPresumedAbort:
         db.abort_victim("victim", now=3.0)
         assert db.wal.decision("victim") == "abort"
 
+    def test_crash_and_recovery_forget_an_unjournalled_victim_abort(self):
+        db = DatabaseSite(1)
+        db.request_lock("victim", "k", LockMode.EXCLUSIVE)
+        db.abort_victim("victim", now=1.0)
+        assert db.decision("victim") == "abort"
+        db.crash()
+        report = db.recover(now=2.0)
+        assert db.decision("victim") is None
+        assert len(db.wal) == 0
+        assert report.total_transactions == 0
+
+    def test_a_journalled_victim_abort_survives_crash_and_recovery(self):
+        db = DatabaseSite(1)
+        db.execute(txn("victim", [w(1, "k")]), now=1.0)
+        db.abort_victim("victim", now=2.0)
+        db.crash()
+        report = db.recover(now=3.0)
+        assert report.aborted == ["victim"]
+        assert db.decision("victim") == "abort"
+
     def test_scheduler_victims_leave_no_record_where_they_journalled_none(self):
         cluster, db_sites, scheduler = build(op_delay=0.3)
         cycle_pair(scheduler)
