@@ -353,9 +353,7 @@ def _modelcheck_tasks(args: argparse.Namespace) -> list:
     """
     from repro.experiments.modelcheck import modelcheck_tasks
     from repro.modelcheck.protocols import (
-        UncheckableProtocolError,
-        checkable_protocols,
-        resolve_protocol,
+        UncheckableProtocolError, checkable_plan, checkable_protocols,
     )
 
     check(args.sites >= 2, f"--sites must be >= 2, got {args.sites}")
@@ -369,7 +367,7 @@ def _modelcheck_tasks(args: argparse.Namespace) -> list:
         protocols = checkable_protocols()
     for protocol in protocols:
         try:
-            resolve_protocol(protocol, args.sites)
+            checkable_plan(protocol, args.sites)
         except UncheckableProtocolError as exc:
             raise UsageError(f"uncheckable protocol: {exc}") from None
     faults = modelcheck_envelopes(args)

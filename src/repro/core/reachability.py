@@ -18,20 +18,22 @@ Two exploration surfaces share one engine:
 * :func:`explore_model` -- the model checker's generalization: a *fault
   envelope* (:data:`FAILURE_FREE`, :data:`SINGLE_CRASH`,
   :data:`PARTITION`, :data:`LOSSY`, :data:`LOSSY_RETRANSMIT`) adds
-  crash / partition-onset / message-loss pseudo-transitions, and
-  an optional Rule (a)/(b) augmentation adds the timeout and
-  undeliverable-message decisions of
-  :class:`~repro.core.rules.AugmentedProtocol`.  Budgets
-  (``max_states``, ``max_depth``), deterministic visit order, parent
-  pointers and breadth-first minimal counterexample paths come with it.
+  crash / partition-onset / message-loss pseudo-transitions to the graph
+  of a spec and its optional Rule (a)/(b) augmentation, compiled into a
+  relation for this one call.  Budgets (``max_states``, ``max_depth``),
+  deterministic visit order, parent pointers and breadth-first minimal
+  counterexample paths come with it.
 
-What a site may do is not written here: protocol steps, their vote and
-sends, and the Rule (a)/(b) decisions (outcome, canonical final state, the
-master's broadcast) come from the protocol's local-step relation, compiled
-into the :class:`~repro.core.relation.MoveTable` whose first enabled move
-the simulator's :class:`~repro.protocols.fsa_role.FSARole` takes.  The
-explorer branches over *every* move and adds what belongs to the network:
-routing, bounced messages and the fault envelope.
+What a site may do is not written here.  The protocol's local-step
+relation, compiled into the :class:`~repro.core.relation.MoveTable` whose
+first enabled move the simulator's
+:class:`~repro.protocols.fsa_role.FSARole` takes, is the explorer's only
+description of the protocol: each role's initial state, each local state's
+outcome class (commit, abort or neither) and finality, the protocol steps
+with their vote and sends, the Rule (a)/(b) decisions (outcome, canonical
+final state, the master's broadcast) and whether returned messages are
+read at all.  The explorer branches over *every* move and adds what
+belongs to the network: routing, bounced messages and the fault envelope.
 
 The explorer works on a compiled, interned form of the relation.  Each
 role's local states are numbered in name order, and the *message
@@ -74,14 +76,7 @@ from itertools import combinations
 from typing import Any, Iterable, Iterator, Optional, Union
 
 from repro.core import messages as msg
-from repro.core.fsa import (
-    CommitProtocolSpec,
-    MASTER_ROLE,
-    OPERATOR,
-    RoleAutomaton,
-    SLAVE_ROLE,
-    Transition,
-)
+from repro.core.fsa import CommitProtocolSpec, MASTER_ROLE, OPERATOR, SLAVE_ROLE, Transition
 from repro.core.relation import (
     OPERATOR_SITE,
     MoveTable,
@@ -301,7 +296,6 @@ class ReachabilityResult:
     *view* decoded on first access.
 
     Attributes:
-        spec: the explored protocol.
         n_sites: instantiation size (site 1 is the master).
         walk: the setup and fault envelope the graph was explored under.
         rows: packed global states in visit order (index 0 is the initial
@@ -330,7 +324,6 @@ class ReachabilityResult:
             none.
     """
 
-    spec: CommitProtocolSpec
     n_sites: int
     walk: "_Walk" = field(repr=False)
     rows: list[Row] = field(default_factory=list, repr=False)
@@ -350,10 +343,6 @@ class ReachabilityResult:
     def role_of(self, site: int) -> str:
         """Role played by ``site`` (site 1 is the master)."""
         return _role_of(site)
-
-    def automaton_of(self, site: int) -> RoleAutomaton:
-        """The role automaton executed by ``site``."""
-        return _automaton_for(self.spec, site)
 
     def local_names(self, site: int) -> tuple[str, ...]:
         """Local-state name of each interned id of ``site``'s role."""
@@ -470,10 +459,6 @@ def _role_of(site: int) -> str:
     return MASTER_ROLE if site == 1 else SLAVE_ROLE
 
 
-def _automaton_for(spec: CommitProtocolSpec, site: int) -> RoleAutomaton:
-    return spec.master if site == 1 else spec.slave
-
-
 def _bits(mask: int) -> Iterator[int]:
     """Set bit positions of ``mask``, ascending."""
     while mask:
@@ -517,35 +502,26 @@ _Move = tuple
 class ModelSetup:
     """What an exploration needs that no fault envelope changes, compiled to ints.
 
-    Protocol, timeout and undeliverable-message edges enumerate the
-    protocol's local-step relation, compiled from ``spec`` and the
-    (duck-typed) ``augmentation`` -- or ``move_table``, that relation's
-    :class:`~repro.core.relation.MoveTable` for ``n_sites`` sites, when the
-    caller holds one; this class adds the network, and :meth:`explore`
-    walks it under one fault envelope.  The memo of compiled moves fills as
-    walks reach new (site, local state, inbox) triples and serves every
-    later walk, whatever its envelope.  Sites are 0-based (``i = site - 1``)
-    inside.
+    ``move_table`` -- a protocol's local-step relation compiled for its
+    number of sites -- is the one description of the protocol: initial
+    states, the commit / abort / final class of every local state, and the
+    protocol, timeout and undeliverable-message edges all come from its
+    relation, so a relation that renames a state is checked under the new
+    name.  This class adds the network, and :meth:`explore` walks it under
+    one fault envelope.  The memo of compiled moves fills as walks reach
+    new (site, local state, inbox) triples and serves every later walk,
+    whatever its envelope.  Sites are 0-based (``i = site - 1``) inside.
     """
 
     def __init__(
-        self,
-        spec: CommitProtocolSpec,
-        n_sites: int,
-        *,
-        augmentation: Optional[Any] = None,
-        no_voters: Optional[frozenset[int]] = None,
-        move_table: Optional[MoveTable] = None,
+        self, move_table: MoveTable, *, no_voters: Optional[frozenset[int]] = None
     ) -> None:
+        self.n_sites = n_sites = move_table.n_sites
         if n_sites < 2:
             raise ValueError(
                 f"a distributed transaction needs at least 2 sites, got {n_sites}"
             )
-        self.spec = spec
-        self.n_sites = n_sites
-        if move_table is None:
-            move_table = MoveTable(compile_relation(spec, augmentation), n_sites)
-        relation = move_table.relation
+        self.relation = relation = move_table.relation
         # A site's id is its sender position in the compiled moves.
         self._relation_moves, self._peers = move_table.moves, move_table.peers
         sites = range(1, n_sites + 1)
@@ -558,8 +534,8 @@ class ModelSetup:
             for site in sites
         ]
         # Messages to an unreachable site come back to their sender only
-        # under an augmentation (the optimistic network of Rule (b)).
-        self._bounces = augmentation is not None
+        # when the relation reads them (the optimistic network of Rule (b)).
+        self._bounces = relation.reads_returned
         self.splits = simple_splits(n_sites)
 
         # Interned local states: per site, id -> name / table / class.
@@ -567,16 +543,9 @@ class ModelSetup:
         self.names = [tuple(tables) for tables in role_tables]
         self._local_ids = [{name: i for i, name in enumerate(names)} for names in self.names]
         self._tables = [tuple(tables.values()) for tables in role_tables]
-        automata = [_automaton_for(spec, site) for site in sites]
         self.final = [tuple(table.final for table in tables) for tables in self._tables]
-        self.commit = [
-            tuple(name in automaton.commit_states for name in names)
-            for automaton, names in zip(automata, self.names)
-        ]
-        self.abort = [
-            tuple(name in automaton.abort_states for name in names)
-            for automaton, names in zip(automata, self.names)
-        ]
+        self.commit = [tuple(t.decision == msg.COMMIT for t in tables) for tables in self._tables]
+        self.abort = [tuple(t.decision == msg.ABORT for t in tables) for tables in self._tables]
 
         # The message universe, numbered in canonical order.
         request = TaggedMessage(msg.REQUEST, OPERATOR_SITE, 1, OPERATOR, OPERATOR)
@@ -601,7 +570,7 @@ class ModelSetup:
         self._inbox_bit = [inbox_bit(message) for message in self.messages]
         #: The initial row: every site initial, only the request in flight.
         self.initial = tuple(
-            ids[automaton.initial] for ids, automaton in zip(self._local_ids, automata)
+            ids[relation.initial[_role_of(site)]] for site, ids in zip(sites, self._local_ids)
         ) + (0, 0, 0, False, 1 << self._message_ids[request])
 
         def mask_of(predicate) -> int:
@@ -870,7 +839,7 @@ class ModelSetup:
         crashed, partition = row[n + 1], row[n + 2]
         if crashed or partition:
             # Messages to crashed or partition-separated receivers bounce:
-            # under an augmentation they come back as returned
+            # when the relation reads returned messages they come back as
             # notifications to the sender, otherwise they are dropped.
             unreachable = sent & (
                 (self._addressed[crashed - 1] if crashed else 0) | self._cut[partition]
@@ -903,8 +872,8 @@ class ModelSetup:
                     kept |= self._bounce(hit & self._site_sent)
                 edges.append((self._crash_labels[i], row[: n + 1] + (i + 1, partition, lost, kept)))
         elif fault == PARTITION:
-            # Messages in flight across the cut bounce back under an
-            # augmentation; cut returned notifications are lost.
+            # Messages in flight across the cut bounce back when the
+            # relation reads them; cut returned notifications are lost.
             for k in range(1, len(self._cut)):
                 hit = outstanding & self._cut[k]
                 kept = outstanding & ~hit
@@ -958,7 +927,6 @@ class ModelSetup:
 
         initial = self.initial
         result = ReachabilityResult(
-            spec=self.spec,
             n_sites=n,
             walk=walk,
             rows=[initial],
@@ -1046,7 +1014,8 @@ class ModelSetup:
         result.stuck_terminal_witness = stuck_terminal
         if over_budget:
             raise ExplorationError(
-                f"exceeded {max_states} global states exploring {self.spec.name}", partial=result
+                f"exceeded {max_states} global states exploring {self.relation.name}",
+                partial=result,
             )
         return result
 
@@ -1066,6 +1035,14 @@ class _Walk:
         self.onset_slot = {SINGLE_CRASH: n + 1, PARTITION: n + 2, LOSSY: n + 3}.get(fault, 0)
 
 
+def _one_off_setup(
+    spec: CommitProtocolSpec, n_sites: int, augmentation: Any, no_voters: Optional[frozenset[int]]
+) -> ModelSetup:
+    """A setup over ``spec`` and ``augmentation`` compiled for one call."""
+    relation = compile_relation(spec, augmentation)
+    return ModelSetup(MoveTable(relation, n_sites), no_voters=no_voters)
+
+
 def enumerate_successors(
     spec: CommitProtocolSpec,
     n_sites: int,
@@ -1081,7 +1058,7 @@ def enumerate_successors(
     each of its edges is among the legal successors of its source state (the
     explorer property tests assert exactly this).
     """
-    setup = ModelSetup(spec, n_sites, augmentation=augmentation, no_voters=no_voters)
+    setup = _one_off_setup(spec, n_sites, augmentation, no_voters)
     edges = setup.successors(setup.encode(state), _Walk(setup, fault))
     return [
         GlobalTransition(state, site, transition, setup.decode(target))
@@ -1135,7 +1112,7 @@ def explore_model(
         A :class:`ReachabilityResult`: packed rows, depths, parent
         pointers, counts and the invariants' first witnesses.
     """
-    setup = ModelSetup(spec, n_sites, augmentation=augmentation, no_voters=no_voters)
+    setup = _one_off_setup(spec, n_sites, augmentation, no_voters)
     return setup.explore(fault, max_states=max_states, max_depth=max_depth, order=order)
 
 

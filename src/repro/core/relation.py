@@ -24,8 +24,9 @@ per-site variables that guards read and writes update, named
 by an expiring timer, a bounced message's kind or an arriving message's
 kind (probe reads), reads from any site and sends to every other site.
 
-A :class:`MoveTable` compiles it for ``n`` sites, and two drivers read its
-moves and nothing else: :class:`~repro.protocols.fsa_role.FSARole` under the
+A :class:`MoveTable` compiles it for ``n`` sites, and two drivers read it
+and nothing else -- moves, each role's initial state and each state's
+outcome class: :class:`~repro.protocols.fsa_role.FSARole` under the
 simulator's clock (the first enabled move, until none is; every entry) and
 the explorer of :mod:`repro.core.reachability` (every move, as successor
 edges; steps and resolutions of an :attr:`~ProtocolRelation.untimed`
@@ -204,16 +205,19 @@ class Resolution:
 class LocalTable:
     """Everything a site in one local state may do.
 
-    ``timer`` is armed on entering the state (every non-final state of an
-    augmented or terminating role has one).  ``timeout`` / ``undeliverable``
-    are the Rule (a)/(b) decisions, ``None`` in final states and wherever
-    the augmentation assigns nothing.  ``actions`` holds the termination
+    ``decision`` is the state's outcome class: ``"commit"`` or ``"abort"``
+    for a commit or abort state, ``None`` otherwise.  ``timer`` is armed on
+    entering the state (every non-final state of an augmented or
+    terminating role has one).  ``timeout`` / ``undeliverable`` are the
+    Rule (a)/(b) decisions, ``None`` in final states and wherever the
+    augmentation assigns nothing.  ``actions`` holds the termination
     protocol's entries per ``(event, timer name or message kind)``; of each
     key's actions the first whose guard holds fires.
     """
 
     steps: tuple[Step, ...]
     final: bool
+    decision: Optional[str] = None
     timer: Optional[Timer] = None
     timeout: Optional[Resolution] = None
     undeliverable: Optional[Resolution] = None
@@ -226,21 +230,33 @@ class LocalTable:
 class ProtocolRelation:
     """The compiled relation of one protocol: per role, state -> table.
 
-    ``refusal`` is what a master that votes no does before its first step
-    (``None`` when that vote is itself a step).
+    ``name`` names the spec the relation was compiled from (messages only;
+    two relations with equal tables are equal), ``initial`` holds each
+    role's initial state, and ``refusal`` is what a master that votes no
+    does before its first step (``None`` when that vote is itself a step).
     """
 
+    name: str = field(compare=False)
     master: Mapping[str, LocalTable]
     slave: Mapping[str, LocalTable]
+    initial: Mapping[str, str]
     refusal: Optional[Resolution] = None
     #: No entry uses a named timer or a site variable: the relations the
     #: untimed explorer enumerates soundly (derived from the tables).
     untimed: bool = field(init=False, compare=False)
+    #: Some entry reads a returned message (a Rule (b) decision or an
+    #: undeliverable-keyed action), so a message to an unreachable site
+    #: comes back to its sender (derived from the tables).
+    reads_returned: bool = field(init=False, compare=False)
 
     def __post_init__(self) -> None:
         tables = (*self.master.values(), *self.slave.values())
         untimed = not any(t.actions or any(s.guard for s in t.steps) for t in tables)
         object.__setattr__(self, "untimed", untimed)
+        reads = any(
+            t.undeliverable or any(e == UNDELIVERABLE for e, _ in t.actions) for t in tables
+        )
+        object.__setattr__(self, "reads_returned", reads)
 
     def role(self, role: str) -> Mapping[str, LocalTable]:
         """The tables of ``role`` (``"master"`` or ``"slave"``)."""
@@ -290,7 +306,7 @@ class MoveTable:
     """
 
     def __init__(self, relation: ProtocolRelation, n_sites: int) -> None:
-        self.relation = relation
+        self.relation, self.n_sites = relation, n_sites
         self._width = width = n_sites + 1
         #: Per role: each read kind's inbox bit offset, and whether an entry
         #: records whom a bounce was for (the terminating master's ``UD``).
@@ -400,6 +416,7 @@ def _role_tables(
         tables[state] = LocalTable(
             steps=tuple(_step(automaton, t) for t in automaton.transitions_from(state)),
             final=final,
+            decision=_decision_at(automaton, state),
             timer=timer,
             timeout=timeout,
             undeliverable=undeliverable,
@@ -413,8 +430,12 @@ def compile_relation(
     """Compile ``spec`` (plus optional Rule (a)/(b) tables) into its relation."""
     abort = min(spec.master.abort_states)
     return ProtocolRelation(
+        name=spec.name,
         master=_role_tables(spec.master, augmentation),
         slave=_role_tables(spec.slave, augmentation),
+        initial=MappingProxyType(
+            {MASTER_ROLE: spec.master.initial, SLAVE_ROLE: spec.slave.initial}
+        ),
         refusal=Resolution(
             decision=msg.ABORT, target=abort, sends=((msg.ABORT, TO_SLAVES),), votes_yes=False
         ),
@@ -460,6 +481,7 @@ def _tables(
         state: LocalTable(
             steps=steps.get(state, table.steps),
             final=table.final,
+            decision=table.decision,
             timer=None if table.final else timer,
             actions=MappingProxyType(actions.get(state, {})),
         )
@@ -581,6 +603,8 @@ def compile_termination(
             Action(label="transient rule: 5T after probing, commit", decision=msg.COMMIT),
         )
     return ProtocolRelation(
+        name=base.name,
         master=_tables(master, master_steps, master_actions, Timer(PHASE, "master_vote_timeout")),
         slave=_tables(slave, slave_steps, slave_actions, Timer(PHASE, "slave_timeout")),
+        initial=base.initial,
     )

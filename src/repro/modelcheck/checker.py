@@ -24,10 +24,12 @@ verdict); ``no-blocking`` maps to the ``blocked`` verdict, mirroring
 :attr:`~repro.engine.summary.RunSummary.verdict`.  Which is which is one
 table, :data:`repro.modelcheck.summary.INVARIANTS`.
 
-The explorer (:func:`~repro.core.reachability.explore_model`) evaluates all
-four while it discovers states and edges and keeps each one's first
-witness in whole-graph scan order; :func:`check_model` turns those
-witnesses into the verdicts and counterexamples of one
+:func:`check_model` walks the setup its protocol plan keeps per vote script
+(:meth:`~repro.protocols.plan.ProtocolPlan.model_setup`, over the plan's
+compiled relation); the walk (:meth:`~repro.core.reachability.ModelSetup.explore`)
+evaluates all four while it discovers states and edges and keeps each
+one's first witness in whole-graph scan order, and :func:`check_model`
+turns those witnesses into the verdicts and counterexamples of one
 :class:`ModelCheckResult`.  Counterexamples are first-discovery paths through the graph --
 minimal under the default BFS exploration -- and replay step-by-step
 through :func:`~repro.core.reachability.enumerate_successors` (the

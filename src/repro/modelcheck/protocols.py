@@ -74,6 +74,8 @@ def resolve_protocol(
     name: str, n_sites: int
 ) -> tuple[CommitProtocolSpec, Optional[AugmentedProtocol]]:
     """The FSA spec and, for the extended variants, the Rule (a)/(b)
-    augmentation (``None`` for the plain protocols) of :func:`checkable_plan`."""
+    augmentation (``None`` for the plain protocols) of :func:`checkable_plan`:
+    a shim that only ``bench/probes.py`` and tests feed to the spec+augmentation
+    ``explore_model``; ROADMAP item 5(f) deletes both."""
     plan = checkable_plan(name, n_sites)
     return plan.spec, plan.augmentation

@@ -97,7 +97,7 @@ class FSARole:
         self.inbox = 0
         #: The site variables the relation's guards read and writes update.
         self.vars: dict[str, Any] = site_variables(slaves)
-        self.state = plan.spec.automaton(role).initial
+        self.state = plan.relation.initial[role]
         self.decision: Optional[Decision] = None
         self.decided_at: Optional[float] = None
         self.vote: Optional[str] = None

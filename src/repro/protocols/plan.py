@@ -12,8 +12,8 @@ milliseconds against ~0.25 ms for a whole scenario.
 (frozen protocol row, n) for the life of the process, reading the row's one
 :class:`Extension`, and :func:`termination_plan` one Theorem 10 plan per
 spec, so both terminating-3PC rows share one derivation.  Every role a row
-builds and the model checker's ``resolve_protocol`` read the *same* plan
-object.
+builds and the model checker's setups (:meth:`ProtocolPlan.model_setup`)
+read the *same* plan object.
 Forked workers inherit the memo, spawned workers rebuild each key at most
 once.  Only the small derived tables are retained, never the reachability
 graph, and the derivations themselves stay uncached pure functions: this
@@ -62,10 +62,12 @@ class ProtocolPlan:
 
     ``relation`` is the local-step relation the roles interpret, compiled
     from ``spec`` and either ``augmentation`` (the Rule (a)/(b) tables for
-    ``n_sites`` sites, extended protocols only) or ``termination`` (the
-    Theorem 10 ingredients, terminating protocols only).  ``moves`` is that
-    relation compiled for ``n_sites`` sites, the table the roles step by and
-    the model checker's setups walk.
+    ``n_sites`` sites, extended protocols only) or the spec's
+    :func:`termination_plan` (terminating protocols only).  ``moves`` is
+    that relation compiled for ``n_sites`` sites, the only table the roles
+    step by and the model checker's setups walk.  ``augmentation`` is kept
+    only for ``resolve_protocol``, the spec+augmentation shim of
+    :mod:`repro.modelcheck.protocols`.
     """
 
     name: str
@@ -73,7 +75,6 @@ class ProtocolPlan:
     spec: CommitProtocolSpec
     relation: ProtocolRelation
     augmentation: Optional[AugmentedProtocol] = None
-    termination: Optional[TerminationPlan] = None
     moves: MoveTable = field(init=False, compare=False, repr=False)
     setups: dict = field(init=False, default_factory=dict, compare=False, repr=False)
 
@@ -84,13 +85,7 @@ class ProtocolPlan:
         """The explorer's setup over ``moves`` for one vote script, built on
         first use and kept, with its memo, as long as the plan."""
         if no_voters not in self.setups:
-            self.setups[no_voters] = ModelSetup(
-                self.spec,
-                self.n_sites,
-                augmentation=self.augmentation,
-                no_voters=no_voters,
-                move_table=self.moves,
-            )
+            self.setups[no_voters] = ModelSetup(self.moves, no_voters=no_voters)
         return self.setups[no_voters]
 
 
@@ -104,21 +99,14 @@ def compiled_plan(protocol: "Protocol", n_sites: int) -> ProtocolPlan:
     spec_factory, extension = protocol.spec_factory, protocol.extension
     spec = spec_factory()
     augmentation = augment_with_rules(spec, n_sites) if extension is Extension.RULES else None
-    termination = None
     if extension in (Extension.TERMINATION, Extension.TERMINATION_PERMANENT):
-        termination = termination_plan(spec_factory)
         relation = compile_termination(
-            spec, termination, transient_rule=extension is Extension.TERMINATION
+            spec, termination_plan(spec_factory), transient_rule=extension is Extension.TERMINATION
         )
     else:
         relation = compile_relation(spec, augmentation)
     return ProtocolPlan(
-        name=protocol.name,
-        n_sites=n_sites,
-        spec=spec,
-        relation=relation,
-        augmentation=augmentation,
-        termination=termination,
+        name=protocol.name, n_sites=n_sites, spec=spec, relation=relation, augmentation=augmentation
     )
 
 

@@ -8,9 +8,11 @@ definition those checks must agree with: each walks the *decoded* graph in
 its canonical order (``visit_order`` for the state invariants, ``edges``
 for the edge invariant, ``final_states()`` for blocking), stops at the
 first violation and returns the path to it (``None`` when the invariant
-holds).  For every checkable protocol at n = 2-4, under every envelope, in
-BFS and DFS order and with ``max_depth`` truncation, the paths must be
-identical; :func:`~repro.modelcheck.checker.check_model`'s record must
+holds).  The scans classify local states by the automata of the spec that
+was explored, not by the relation the explorer reads, so they stay an
+independent reference.  For every checkable protocol at n = 2-4, under
+every envelope, in BFS and DFS order and with ``max_depth`` truncation, the
+paths must be identical; :func:`~repro.modelcheck.checker.check_model`'s record must
 carry exactly the scans' verdicts and serialized paths.
 """
 
@@ -23,12 +25,17 @@ from repro.modelcheck.spec import ModelCheckSpec
 from repro.modelcheck.summary import INVARIANTS
 
 
-def scan_same_decision(graph):
+def automaton_of(spec, site):
+    """The role automaton ``site`` executes (site 1 is the master)."""
+    return spec.master if site == 1 else spec.slave
+
+
+def scan_same_decision(graph, spec):
     """No state mixes a committed site with an aborted one."""
     for state in graph.visit_order:
         committed = aborted = False
         for site in range(1, graph.n_sites + 1):
-            automaton = graph.automaton_of(site)
+            automaton = automaton_of(spec, site)
             local = state.local(site)
             committed |= local in automaton.commit_states
             aborted |= local in automaton.abort_states
@@ -37,10 +44,10 @@ def scan_same_decision(graph):
     return None
 
 
-def scan_no_commit_after_abort(graph):
+def scan_no_commit_after_abort(graph, spec):
     """No site enters a commit state once any site occupies an abort state."""
     for edge in graph.edges:
-        automaton = graph.automaton_of(edge.site) if edge.site else None
+        automaton = automaton_of(spec, edge.site) if edge.site else None
         if automaton is None:
             continue
         entered_commit = (
@@ -50,29 +57,29 @@ def scan_no_commit_after_abort(graph):
         if not entered_commit:
             continue
         for site in range(1, graph.n_sites + 1):
-            if edge.source.local(site) in graph.automaton_of(site).abort_states:
+            if edge.source.local(site) in automaton_of(spec, site).abort_states:
                 return graph.path_to(edge.source) + [edge]
     return None
 
 
-def scan_commit_requires_votes(graph):
+def scan_commit_requires_votes(graph, spec):
     """A committed site implies every slave voted yes."""
     for state in graph.visit_order:
         for site in range(1, graph.n_sites + 1):
-            if state.local(site) in graph.automaton_of(site).commit_states:
+            if state.local(site) in automaton_of(spec, site).commit_states:
                 if not all(state.voted[s - 1] for s in range(2, graph.n_sites + 1)):
                     return graph.path_to(state)
                 break
     return None
 
 
-def scan_no_blocking(graph):
+def scan_no_blocking(graph, spec):
     """No terminal state leaves a surviving site undecided."""
     for state in graph.final_states():
         for site in range(1, graph.n_sites + 1):
             if not state.alive(site):
                 continue
-            if not graph.automaton_of(site).is_final(state.local(site)):
+            if not automaton_of(spec, site).is_final(state.local(site)):
                 return graph.path_to(state)
     return None
 
@@ -122,7 +129,7 @@ def test_on_discovery_verdicts_equal_the_graph_scans(
     )
     assert graph.final_states() == _final_states_by_definition(graph)
     for name, scan in SCANS.items():
-        assert counterexample_path(graph, name) == scan(graph), name
+        assert counterexample_path(graph, name) == scan(graph, spec), name
 
 
 @pytest.mark.parametrize("no_voters", (frozenset(), frozenset({2}), frozenset({2, 3})))
@@ -134,7 +141,8 @@ def test_on_discovery_verdicts_equal_the_scans_under_scripted_votes(
         protocol,
         ModelCheckSpec(n_sites=3, fault="partition", no_voters=no_voters or None),
     )
-    paths = {name: scan(result.graph) for name, scan in SCANS.items()}
+    spec, _ = resolve_protocol(protocol, 3)
+    paths = {name: scan(result.graph, spec) for name, scan in SCANS.items()}
     assert result.invariants == {
         name: "holds" if path is None else "violated" for name, path in paths.items()
     }

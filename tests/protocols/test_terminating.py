@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from repro.core import messages as m
 from repro.core.catalog import three_phase_commit
 from repro.core.relation import UNDELIVERABLE
-from repro.protocols.plan import Extension
+from repro.protocols.plan import Extension, termination_plan
 from repro.protocols.registry import Protocol, create_protocol
 from repro.protocols.runner import ScenarioSpec, run_scenario
 from repro.sim.latency import PerLinkLatency
@@ -238,8 +238,9 @@ class TestAblations:
 
 class TestTheorem10Quorum:
     def test_terminating_quorum_uses_pre_commit_as_promotion(self):
-        plan = create_protocol("terminating-quorum-commit").plan(3)
-        assert plan.termination.promotion_message == "pre-commit"
+        protocol = create_protocol("terminating-quorum-commit")
+        plan = protocol.plan(3)
+        assert termination_plan(protocol.spec_factory).promotion_message == "pre-commit"
         (promotion,) = [s for s in plan.relation.slave[m.WAIT].steps if s.source == "master"]
         assert promotion.kind == "pre-commit" and promotion.journals_prepare
 
