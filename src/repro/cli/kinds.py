@@ -369,7 +369,10 @@ def _modelcheck_tasks(args: argparse.Namespace) -> list:
         try:
             checkable_plan(protocol, args.sites)
         except UncheckableProtocolError as exc:
-            raise UsageError(f"uncheckable protocol: {exc}") from None
+            raise UsageError(
+                f"uncheckable protocol: {exc}; checkable protocols: "
+                f"{', '.join(checkable_protocols())}"
+            ) from None
     faults = modelcheck_envelopes(args)
     no_voter_options = resolve_no_voters(args)
     if any(1 in option for option in no_voter_options):

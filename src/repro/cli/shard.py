@@ -9,7 +9,6 @@ ordinary usage error naming the flag.
 from __future__ import annotations
 
 import argparse
-import sys
 
 from repro.cli.common import (
     UsageError,
@@ -213,13 +212,7 @@ def _run_shard(args: argparse.Namespace) -> int:
 
 
 def _run_merge(args: argparse.Namespace) -> int:
-    import os
-
-    from repro.engine.resultlog import (
-        DEFAULT_BATCH_RECORDS,
-        InjectedMergeCrash,
-        merge_result_log,
-    )
+    from repro.engine.resultlog import DEFAULT_BATCH_RECORDS, merge_result_log
     from repro.obs.report import format_table
     from repro.obs.metrics import activate
 
@@ -227,28 +220,16 @@ def _run_merge(args: argparse.Namespace) -> int:
         args.batch_records is None or args.batch_records >= 1,
         f"--batch-records must be >= 1, got {args.batch_records}",
     )
-    crash_env = os.environ.get("REPRO_MERGE_CRASH_AFTER")
-    try:
-        crash_after = int(crash_env) if crash_env else None
-    except ValueError:
-        raise UsageError(
-            f"REPRO_MERGE_CRASH_AFTER must be an integer, got {crash_env!r}"
-        ) from None
     obs_metrics = make_obs(args)
-    try:
-        with activate(obs_metrics):
-            result = merge_result_log(
-                args.log,
-                jsonl=args.jsonl,
-                checkpoint=args.checkpoint,
-                resume=args.resume,
-                require_complete=not args.allow_partial,
-                batch_records=args.batch_records or DEFAULT_BATCH_RECORDS,
-                crash_after=crash_after,
-            )
-    except InjectedMergeCrash as exc:
-        print(f"merge interrupted: {exc}", file=sys.stderr)
-        return 3
+    with activate(obs_metrics):
+        result = merge_result_log(
+            args.log,
+            jsonl=args.jsonl,
+            checkpoint=args.checkpoint,
+            resume=args.resume,
+            require_complete=not args.allow_partial,
+            batch_records=args.batch_records or DEFAULT_BATCH_RECORDS,
+        )
     for sink in result.kind_sinks.values():
         rows = sink.rows() if hasattr(sink, "rows") else []
         if rows:

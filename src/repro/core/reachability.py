@@ -80,6 +80,7 @@ from repro.core.fsa import CommitProtocolSpec, MASTER_ROLE, OPERATOR, SLAVE_ROLE
 from repro.core.relation import (
     OPERATOR_SITE,
     MoveTable,
+    ProtocolRelation,
     Resolution,
     Step,
     compile_relation,
@@ -124,6 +125,27 @@ class ExplorationError(RuntimeError):
     def __init__(self, message: str, partial: Optional["ReachabilityResult"] = None):
         super().__init__(message)
         self.partial = partial
+
+
+class UncheckableProtocolError(ValueError):
+    """Raised for a protocol whose relation the untimed explorer cannot check."""
+
+    def __init__(self, name: str, reason: str):
+        super().__init__(f"protocol {name!r} is not model-checkable: {reason}")
+        self.name = name
+
+
+def refuse_timed(relation: ProtocolRelation) -> None:
+    """Raise :class:`UncheckableProtocolError` unless ``relation`` is
+    :attr:`~repro.core.relation.ProtocolRelation.untimed`: the one rule
+    for what the untimed explorer can check."""
+    if not relation.untimed:
+        raise UncheckableProtocolError(
+            relation.name,
+            "its termination protocol is timer-driven (named timers and site "
+            "variables), which the untimed explorer cannot enumerate soundly; "
+            "checking it needs explicit time",
+        )
 
 
 @dataclass(frozen=True)
@@ -507,10 +529,13 @@ class ModelSetup:
     states, the commit / abort / final class of every local state, and the
     protocol, timeout and undeliverable-message edges all come from its
     relation, so a relation that renames a state is checked under the new
-    name.  This class adds the network, and :meth:`explore` walks it under
-    one fault envelope.  The memo of compiled moves fills as walks reach
-    new (site, local state, inbox) triples and serves every later walk,
-    whatever its envelope.  Sites are 0-based (``i = site - 1``) inside.
+    name.  A relation that is not
+    :attr:`~repro.core.relation.ProtocolRelation.untimed` is refused with
+    :class:`UncheckableProtocolError` (see :func:`refuse_timed`).  This
+    class adds the network, and :meth:`explore` walks it under one fault
+    envelope.  The memo of compiled moves fills as walks reach new (site,
+    local state, inbox) triples and serves every later walk, whatever its
+    envelope.  Sites are 0-based (``i = site - 1``) inside.
     """
 
     def __init__(
@@ -522,6 +547,7 @@ class ModelSetup:
                 f"a distributed transaction needs at least 2 sites, got {n_sites}"
             )
         self.relation = relation = move_table.relation
+        refuse_timed(relation)
         # A site's id is its sender position in the compiled moves.
         self._relation_moves, self._peers = move_table.moves, move_table.peers
         sites = range(1, n_sites + 1)

@@ -230,8 +230,9 @@ class LocalTable:
 class ProtocolRelation:
     """The compiled relation of one protocol: per role, state -> table.
 
-    ``name`` names the spec the relation was compiled from (messages only;
-    two relations with equal tables are equal), ``initial`` holds each
+    ``name`` names the spec the relation was compiled from, or the protocol
+    row a plan compiled it for (messages only; two relations with equal
+    tables are equal), ``initial`` holds each
     role's initial state, and ``refusal`` is what a master that votes no
     does before its first step (``None`` when that vote is itself a step).
     """

@@ -66,7 +66,6 @@ from repro.engine.registry import (
     registered_kinds,
 )
 from repro.engine.resultlog import (
-    InjectedMergeCrash,
     MergeCursor,
     MergeResult,
     ResultLogError,
@@ -101,7 +100,6 @@ __all__ = [
     "CacheEntryError",
     "CallbackSink",
     "DecisionTimeHistogramSink",
-    "InjectedMergeCrash",
     "JsonlSink",
     "ListSink",
     "MergeCursor",

@@ -99,14 +99,6 @@ class ResultLogError(ValueError):
     """A result-log artifact (segment, checkpoint, or set) is invalid."""
 
 
-class InjectedMergeCrash(RuntimeError):
-    """The ``crash_after`` fault-injection hook fired mid-fold.
-
-    Raised only when a crash point was explicitly requested (tests, the
-    ``REPRO_MERGE_CRASH_AFTER`` CI smoke); never during normal merges.
-    """
-
-
 def shard_of(spec_hash: str, shard_count: int) -> int:
     """The shard owning one task, derived from its stable spec hash alone.
 
@@ -820,7 +812,6 @@ def merge_result_log(
     resume: bool = False,
     require_complete: bool = True,
     batch_records: int = DEFAULT_BATCH_RECORDS,
-    crash_after: Optional[int] = None,
 ) -> MergeResult:
     """Fold a result log into single-machine-identical aggregates, resumably.
 
@@ -847,10 +838,6 @@ def merge_result_log(
     merge.  A checkpoint whose folded prefix no longer matches the log
     (e.g. a late shard inserted earlier records into an incomplete set) is
     rejected -- restart without ``resume`` for byte-identical output.
-
-    ``crash_after`` is a fault-injection hook (CLI:
-    ``REPRO_MERGE_CRASH_AFTER``): raise after that many *newly* folded
-    records, simulating a mid-fold kill for crash/resume tests.
     """
     if batch_records < 1:
         raise ValueError(f"batch_records must be >= 1, got {batch_records}")
@@ -1064,11 +1051,6 @@ def merge_result_log(
             uncommitted += 1
             if uncommitted >= batch_records:
                 commit()
-            if crash_after is not None and new_folds >= crash_after:
-                raise InjectedMergeCrash(
-                    f"injected merge crash after {new_folds} newly folded "
-                    f"record(s) (REPRO_MERGE_CRASH_AFTER)"
-                )
         if uncommitted > 0 or folded == 0 or not resume:
             commit()
     finally:

@@ -16,8 +16,9 @@ timer and no site variable.  The explorer enumerates steps and
 Rule (a)/(b) decisions over untimed global states; the terminating
 protocols' probe window, waits and transient rule are timer-driven, guarded
 actions, and enumerating them without explicit time would give unsound
-verdicts.  Asking for one raises an :class:`UncheckableProtocolError`
-saying so and naming the checkable alternatives.
+verdicts.  The one rule is :func:`~repro.core.reachability.refuse_timed`,
+which :class:`~repro.core.reachability.ModelSetup` also applies: it raises
+an :class:`UncheckableProtocolError` naming the protocol and saying why.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.core.fsa import CommitProtocolSpec
+from repro.core.reachability import UncheckableProtocolError, refuse_timed
 from repro.core.rules import AugmentedProtocol
 from repro.protocols.plan import ProtocolPlan
 from repro.protocols.registry import available_protocols, create_protocol
@@ -33,31 +35,18 @@ from repro.protocols.registry import available_protocols, create_protocol
 #: it on the instance most checks use.
 _PROBE_SITES = 3
 
-_TIMED = (
-    "its termination protocol is timer-driven (named timers and site "
-    "variables), which the untimed explorer cannot enumerate soundly; "
-    "checking it needs explicit time"
-)
 
-
-class UncheckableProtocolError(ValueError):
-    """Raised for protocols whose relation the untimed explorer cannot check."""
-
-    def __init__(self, name: str, reason: str):
-        super().__init__(
-            f"protocol {name!r} is not model-checkable: {reason}; "
-            f"checkable protocols: {', '.join(checkable_protocols())}"
-        )
-        self.name = name
+def _checkable(name: str) -> bool:
+    try:
+        refuse_timed(create_protocol(name).plan(_PROBE_SITES).relation)
+    except UncheckableProtocolError:
+        return False
+    return True
 
 
 def checkable_protocols() -> list[str]:
     """The simulator-registry names the checker accepts, sorted."""
-    return [
-        name
-        for name in available_protocols()
-        if create_protocol(name).plan(_PROBE_SITES).relation.untimed
-    ]
+    return [name for name in available_protocols() if _checkable(name)]
 
 
 def checkable_plan(name: str, n_sites: int) -> ProtocolPlan:
@@ -65,8 +54,7 @@ def checkable_plan(name: str, n_sites: int) -> ProtocolPlan:
     if name not in available_protocols():
         raise UncheckableProtocolError(name, "unknown protocol")
     plan = create_protocol(name).plan(n_sites)
-    if not plan.relation.untimed:
-        raise UncheckableProtocolError(name, _TIMED)
+    refuse_timed(plan.relation)
     return plan
 
 

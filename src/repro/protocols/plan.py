@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import enum
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Callable, Optional
 
 from repro.core.fsa import CommitProtocolSpec
@@ -105,6 +105,8 @@ def compiled_plan(protocol: "Protocol", n_sites: int) -> ProtocolPlan:
         )
     else:
         relation = compile_relation(spec, augmentation)
+    # The row's name, not the spec's: extended 2PC explores 2PC's spec.
+    relation = replace(relation, name=protocol.name)
     return ProtocolPlan(
         name=protocol.name, n_sites=n_sites, spec=spec, relation=relation, augmentation=augmentation
     )

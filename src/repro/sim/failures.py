@@ -282,21 +282,6 @@ class FaultPlan:
             seed=seed,
         )
 
-    @classmethod
-    def duplicating(cls, probability: float, *, seed: int = 0) -> "FaultPlan":
-        """Uniform message duplication on every link."""
-        return cls(links=(LinkFault(duplicate=probability),), seed=seed)
-
-    @classmethod
-    def reordering(
-        cls, probability: float, *, window: float = 1.0, seed: int = 0
-    ) -> "FaultPlan":
-        """Uniform bounded reordering on every link."""
-        return cls(
-            links=(LinkFault(reorder=probability, reorder_window=window),),
-            seed=seed,
-        )
-
     # ------------------------------------------------------------------
     # inspection
     # ------------------------------------------------------------------

@@ -192,11 +192,6 @@ class PartitionManager:
         self._history: list[tuple[float, Optional[PartitionSpec]]] = []
 
     @property
-    def current(self) -> Optional[PartitionSpec]:
-        """The partition in force right now, or ``None`` if fully connected."""
-        return self._current
-
-    @property
     def partitioned(self) -> bool:
         """True when some pair of sites is currently separated."""
         return self._current is not None and len(self._current.groups) > 1

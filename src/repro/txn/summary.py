@@ -127,11 +127,6 @@ class ThroughputSummary:
     # derived rates
     # ------------------------------------------------------------------
     @property
-    def finished(self) -> int:
-        """Transactions that terminated everywhere (committed or aborted)."""
-        return self.committed + self.aborted
-
-    @property
     def goodput(self) -> float:
         """Committed transactions per ``T`` of simulated time."""
         if self.duration <= 0:

@@ -1,8 +1,26 @@
 """Fixtures shared by every test package."""
 
 import gc
+import importlib.util
+import pathlib
+import sys
 
 import pytest
+
+REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
+
+
+@pytest.fixture(scope="session")
+def kill_points():
+    """``tools/kill_points.py``, the fork-per-kill-point crash harness."""
+    spec = importlib.util.spec_from_file_location(
+        "kill_points", REPO_ROOT / "tools" / "kill_points.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    # Registered first: its dataclasses resolve their annotations through it.
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
 
 
 @pytest.fixture(scope="module")

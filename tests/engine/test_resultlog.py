@@ -4,11 +4,12 @@ The acceptance bar of the distributed runner: ``merge_result_log`` over
 any complete log must reproduce -- byte for byte -- the JSONL spill and
 sink aggregates of a single-machine streaming run of the whole task list,
 for the sweep, throughput AND modelcheck kinds, at any worker count, with
-warm or cold caches.  And of the crash-safe pipeline: an interrupted merge
-resumed from its checkpoint must reproduce the same bytes at
-every possible interruption point, with late or re-run shards folded
-exactly once.  Segments must never exist half-written: any file matching
-the segment name pattern is complete and verifiable.
+warm or cold caches.  And of the crash-safe pipeline: a merge killed mid-way
+(by ``tools/kill_points.py``, the ``kill_points`` fixture) and resumed from
+its checkpoint must reproduce the same bytes, with late or re-run shards
+folded exactly once.  Segments must never exist half-written: any file
+matching the segment name pattern is complete and verifiable.  The sweep
+over every kill point is ``tests/engine/test_kill_points.py``.
 """
 
 import hashlib
@@ -19,7 +20,6 @@ import pytest
 
 from repro.core.reachability import FAILURE_FREE, SINGLE_CRASH
 from repro.engine import (
-    InjectedMergeCrash,
     JsonlSink,
     MergeCursor,
     ResultLogError,
@@ -434,11 +434,23 @@ class TestLogMergeByteIdentity:
         assert warm.cache_hits == len(sweep_tasks)
 
 
+def _kill_merge(kill_points, log, label, nth, **kwargs):
+    """Kill a fresh merge of ``log`` just before its ``nth`` ``label``."""
+    kill_points.kill_before(
+        lambda: merge_result_log(log, **kwargs),
+        label,
+        nth,
+        outputs=[log / CHECKPOINT_NAME, *filter(None, [kwargs.get("jsonl")])],
+    )
+
+
 class TestMergeCrashResume:
     """The acceptance criterion: kill mid-fold, resume, byte-identical."""
 
     @pytest.mark.parametrize("kind", ["sweep", "tput", "mc"])
-    def test_killed_merge_resumes_byte_identical(self, kind, tmp_path, request):
+    def test_killed_merge_resumes_byte_identical(
+        self, kind, tmp_path, request, kill_points
+    ):
         tasks = request.getfixturevalue(f"{kind}_tasks")
         single = _single_machine(tasks, tmp_path / "single.jsonl")
         log = _log_all(tasks, tmp_path / "log", segment_records=3)
@@ -448,40 +460,19 @@ class TestMergeCrashResume:
             checkpoint=tmp_path / "base.ckpt",
         )
         merged = tmp_path / "merged.jsonl"
-        crash_at = max(1, baseline.records // 2)
-        with pytest.raises(InjectedMergeCrash):
-            merge_result_log(
-                log, jsonl=merged, batch_records=1, crash_after=crash_at
-            )
+        committed = max(1, baseline.records // 2)
+        # At one record per batch, the kill before record committed + 1 is
+        # written leaves exactly the committed prefix behind.
+        _kill_merge(
+            kill_points, log, "write merged.jsonl", committed + 1,
+            jsonl=merged, batch_records=1,
+        )
+        assert MergeCursor.load(log / CHECKPOINT_NAME).records_folded == committed
         resumed = merge_result_log(log, jsonl=merged, batch_records=1, resume=True)
         assert merged.read_bytes() == single.read_bytes()
-        assert resumed.replayed == crash_at
+        assert resumed.replayed == committed
         for name, sink in resumed.kind_sinks.items():
             assert sink.rows() == baseline.kind_sinks[name].rows()
-
-    def test_every_interruption_point_resumes_exactly_once(
-        self, sweep_tasks, tmp_path
-    ):
-        # With batch_records=1, every record boundary is a commit point;
-        # crashing after each possible count and resuming must always
-        # converge to the identical spill with nothing double-folded.
-        single = _single_machine(sweep_tasks, tmp_path / "single.jsonl")
-        log = _log_all(sweep_tasks, tmp_path / "log")
-        total = len(sweep_tasks)
-        for crash_at in range(1, total + 1):
-            merged = tmp_path / f"merged-{crash_at}.jsonl"
-            checkpoint = tmp_path / f"ckpt-{crash_at}.json"
-            with pytest.raises(InjectedMergeCrash):
-                merge_result_log(
-                    log, jsonl=merged, checkpoint=checkpoint,
-                    batch_records=1, crash_after=crash_at,
-                )
-            result = merge_result_log(
-                log, jsonl=merged, checkpoint=checkpoint,
-                batch_records=1, resume=True,
-            )
-            assert result.records == total
-            assert merged.read_bytes() == single.read_bytes(), crash_at
 
     def test_rerun_shard_records_fold_exactly_once(self, sweep_tasks, tmp_path):
         single = _single_machine(sweep_tasks, tmp_path / "single.jsonl")
@@ -531,7 +522,9 @@ class TestMergeCrashResume:
         with pytest.raises(ResultLogError, match=f"index {index} re-sealed"):
             merge_result_log(log)
 
-    def test_late_shard_invalidates_the_checkpoint(self, sweep_tasks, tmp_path):
+    def test_late_shard_invalidates_the_checkpoint(
+        self, sweep_tasks, tmp_path, kill_points
+    ):
         # Crash a partial merge, then let the missing shard arrive: its
         # records sort into already-folded territory, so the committed
         # prefix no longer matches and the resume must refuse (restarting
@@ -550,12 +543,13 @@ class TestMergeCrashResume:
         assert min(
             g for g, _ in shard_tasks(sweep_tasks, 1, N_SHARDS)
         ) < partial_count
-        with pytest.raises(InjectedMergeCrash):
-            merge_result_log(
-                log, jsonl=tmp_path / "m.jsonl",
-                require_complete=False, batch_records=1,
-                crash_after=partial_count,
-            )
+        # Killed before the closing commit: every record of the partial log
+        # is committed, one batch at a time.
+        _kill_merge(
+            kill_points, log, f"replace {CHECKPOINT_NAME}", partial_count + 1,
+            jsonl=tmp_path / "m.jsonl", require_complete=False, batch_records=1,
+        )
+        assert MergeCursor.load(log / CHECKPOINT_NAME).records_folded == partial_count
         run_shard_log(
             sweep_tasks, 1, N_SHARDS, log, engine=SweepEngine(workers=1)
         )
@@ -566,25 +560,29 @@ class TestMergeCrashResume:
         merge_result_log(log, jsonl=tmp_path / "m.jsonl")
         assert (tmp_path / "m.jsonl").read_bytes() == single.read_bytes()
 
-    def test_resume_with_missing_jsonl_is_rejected(self, sweep_tasks, tmp_path):
+    def test_resume_with_missing_jsonl_is_rejected(
+        self, sweep_tasks, tmp_path, kill_points
+    ):
         log = _log_all(sweep_tasks, tmp_path / "log")
         merged = tmp_path / "merged.jsonl"
-        with pytest.raises(InjectedMergeCrash):
-            merge_result_log(log, jsonl=merged, batch_records=2, crash_after=4)
+        _kill_merge(
+            kill_points, log, "write merged.jsonl", 5, jsonl=merged, batch_records=2
+        )
         merged.unlink()
         with pytest.raises(ResultLogError, match="missing"):
             merge_result_log(log, jsonl=merged, resume=True)
 
     def test_resume_without_the_jsonl_target_is_rejected(
-        self, sweep_tasks, tmp_path
+        self, sweep_tasks, tmp_path, kill_points
     ):
         # The interrupted merge committed JSONL bytes; resuming it with no
         # JSONL target must not fold on and commit a "complete" checkpoint
         # beside the partial spill.
         log = _log_all(sweep_tasks, tmp_path / "log")
         merged = tmp_path / "merged.jsonl"
-        with pytest.raises(InjectedMergeCrash):
-            merge_result_log(log, jsonl=merged, batch_records=2, crash_after=5)
+        _kill_merge(
+            kill_points, log, "write merged.jsonl", 6, jsonl=merged, batch_records=2
+        )
         committed = (log / CHECKPOINT_NAME).read_bytes()
         with pytest.raises(ResultLogError, match="no --jsonl target"):
             merge_result_log(log, resume=True)
@@ -595,15 +593,17 @@ class TestMergeCrashResume:
         assert merged.read_bytes() == single.read_bytes()
 
     def test_resume_onto_a_new_jsonl_target_is_rejected(
-        self, sweep_tasks, tmp_path
+        self, sweep_tasks, tmp_path, kill_points
     ):
         # The mirror image: the interrupted merge had no JSONL target, so a
         # resume given one could only append the un-replayed suffix -- it
         # must refuse instead of truncating an existing file to a partial
         # spill.
         log = _log_all(sweep_tasks, tmp_path / "log")
-        with pytest.raises(InjectedMergeCrash):
-            merge_result_log(log, batch_records=2, crash_after=5)
+        _kill_merge(
+            kill_points, log, f"replace {CHECKPOINT_NAME}", 3, batch_records=2
+        )
+        assert MergeCursor.load(log / CHECKPOINT_NAME).records_folded == 4
         committed = (log / CHECKPOINT_NAME).read_bytes()
         target = tmp_path / "merged.jsonl"
         target.write_bytes(b"precious\n")
@@ -744,13 +744,14 @@ class TestMergeCursor:
         with pytest.raises(ResultLogError, match="different grid"):
             merge_result_log(log, resume=True)
 
-    def test_commits_happen_per_batch(self, sweep_tasks, tmp_path):
+    def test_commits_happen_per_batch(self, sweep_tasks, tmp_path, kill_points):
         log = _log_all(sweep_tasks, tmp_path / "log")
         merged = tmp_path / "merged.jsonl"
-        with pytest.raises(InjectedMergeCrash):
-            merge_result_log(log, jsonl=merged, batch_records=4, crash_after=10)
+        _kill_merge(
+            kill_points, log, "write merged.jsonl", 10, jsonl=merged, batch_records=4
+        )
         cursor = MergeCursor.load(log / CHECKPOINT_NAME)
-        # Two full batches committed before the crash at record 10; the
+        # Two full batches committed before the kill at record 10; the
         # committed jsonl offset points at a record boundary.
         assert cursor.records_folded == 8
         assert sum(

@@ -186,27 +186,35 @@ class TestShardMergeCli:
 class TestResultLogCli:
     SWEEP = ["--protocol", "two-phase-commit", "--times", "0.5", "1.5"]
 
+    @staticmethod
+    def _kill_merge(kill_points, log, argv, label, nth):
+        """Kill ``repro merge --log LOG ARGV`` just before its ``nth`` ``label``."""
+        jsonl = argv[argv.index("--jsonl") + 1] if "--jsonl" in argv else None
+        kill_points.kill_before(
+            lambda: main(["merge", "--log", str(log), *argv]),
+            label,
+            nth,
+            outputs=[log / "merge-checkpoint.json", *filter(None, [jsonl])],
+        )
+
     def test_interrupted_merge_resumes_byte_identical(
-        self, capsys, tmp_path, monkeypatch
+        self, capsys, tmp_path, kill_points
     ):
         import json
 
         single = tmp_path / "single.jsonl"
         assert main(["sweep", *self.SWEEP, "--jsonl", str(single)]) == 0
-        _log_shards(tmp_path / "log", self.SWEEP)
+        log = _log_shards(tmp_path / "log", self.SWEEP)
         merged = tmp_path / "merged.jsonl"
-        base = [
-            "merge", "--log", str(tmp_path / "log"),
-            "--jsonl", str(merged), "--batch-records", "2",
-        ]
-        monkeypatch.setenv("REPRO_MERGE_CRASH_AFTER", "3")
+        argv = ["--jsonl", str(merged), "--batch-records", "2"]
+        # Killed before the fourth record is written: one batch committed.
+        self._kill_merge(kill_points, log, argv, "write merged.jsonl", 4)
         capsys.readouterr()
-        assert main(base) == 3
-        assert "merge interrupted" in capsys.readouterr().err
-        monkeypatch.delenv("REPRO_MERGE_CRASH_AFTER")
         metrics = tmp_path / "metrics.json"
-        assert main(base + ["--resume", "--metrics-json", str(metrics)]) == 0
-        assert "replayed from checkpoint" in capsys.readouterr().out
+        assert main(
+            ["merge", "--log", str(log), *argv, "--resume", "--metrics-json", str(metrics)]
+        ) == 0
+        assert "2 replayed from checkpoint" in capsys.readouterr().out
         assert merged.read_bytes() == single.read_bytes()
         # The run header matches an uninterrupted merge of the same log (its
         # own checkpoint + spill), modulo wall-clock time; counters such as
@@ -318,16 +326,14 @@ class TestResultLogCli:
         assert "grids[0]" in capsys.readouterr().err
 
     def test_resume_without_the_jsonl_target_exits_2(
-        self, capsys, tmp_path, monkeypatch
+        self, capsys, tmp_path, kill_points
     ):
         log = _log_shards(tmp_path / "log", self.SWEEP)
         merged = tmp_path / "merged.jsonl"
-        monkeypatch.setenv("REPRO_MERGE_CRASH_AFTER", "3")
-        assert main(
-            ["merge", "--log", str(log), "--jsonl", str(merged),
-             "--batch-records", "2"]
-        ) == 3
-        monkeypatch.delenv("REPRO_MERGE_CRASH_AFTER")
+        self._kill_merge(
+            kill_points, log, ["--jsonl", str(merged), "--batch-records", "2"],
+            "write merged.jsonl", 4,
+        )
         capsys.readouterr()
         assert main(["merge", "--log", str(log), "--resume"]) == 2
         err = capsys.readouterr().err
@@ -335,12 +341,13 @@ class TestResultLogCli:
         assert "no --jsonl target" in err
 
     def test_resume_onto_a_new_jsonl_target_exits_2(
-        self, capsys, tmp_path, monkeypatch
+        self, capsys, tmp_path, kill_points
     ):
         log = _log_shards(tmp_path / "log", self.SWEEP)
-        monkeypatch.setenv("REPRO_MERGE_CRASH_AFTER", "3")
-        assert main(["merge", "--log", str(log), "--batch-records", "2"]) == 3
-        monkeypatch.delenv("REPRO_MERGE_CRASH_AFTER")
+        self._kill_merge(
+            kill_points, log, ["--batch-records", "2"],
+            "replace merge-checkpoint.json", 2,
+        )
         capsys.readouterr()
         merged = tmp_path / "merged.jsonl"
         assert main(
@@ -444,6 +451,19 @@ class TestFaultsCli:
         assert "failure-free" in output
         assert "lossy-retransmit" in output
         assert "single-crash" in output
+
+    @pytest.mark.parametrize(
+        "protocol",
+        ["extended-two-phase-commit", "naive-extended-three-phase-commit"],
+    )
+    def test_budget_error_names_the_protocol_checked(self, capsys, protocol):
+        # The extended rows explore their base spec's automata; the budget
+        # message names the row, not the spec.
+        assert main(
+            ["modelcheck", "--protocol", protocol, "--sites", "3", "--max-states", "50"]
+        ) == 2
+        err = capsys.readouterr().err
+        assert f"exceeded 50 global states exploring {protocol} (" in err
 
     def test_modelcheck_names_why_a_terminating_protocol_is_uncheckable(self, capsys):
         assert main(["modelcheck", "--protocol", "terminating-quorum-commit"]) == 2

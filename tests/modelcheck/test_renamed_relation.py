@@ -18,7 +18,7 @@ import pytest
 
 from repro.core import messages as m
 from repro.core.fsa import MASTER_ROLE, SLAVE_ROLE
-from repro.core.reachability import ALL_FAULT_ENVELOPES, ModelSetup
+from repro.core.reachability import ALL_FAULT_ENVELOPES, ModelSetup, UncheckableProtocolError
 from repro.core.relation import MoveTable
 from repro.modelcheck.checker import counterexample_path
 from repro.modelcheck.protocols import checkable_plan, checkable_protocols
@@ -73,9 +73,8 @@ def test_a_renamed_commit_state_keeps_every_verdict(protocol):
         assert outcome(moved, fault) == outcome(original, fault), fault
 
 
-@pytest.mark.parametrize("protocol", available_protocols())
+@pytest.mark.parametrize("protocol", checkable_protocols())
 def test_every_plan_setup_starts_in_the_relations_initial_states(protocol):
-    """Timed relations included: the setup builds for all eight plans."""
     plan = create_protocol(protocol).plan(N_SITES)
     setup = plan.model_setup()
     initial = setup.decode(setup.initial)
@@ -83,6 +82,18 @@ def test_every_plan_setup_starts_in_the_relations_initial_states(protocol):
     assert initial.locals == (master,) + (slave,) * (N_SITES - 1)
     assert [str(message) for message in initial.outstanding] == ["request[0->1]"]
     assert initial.voted == (False,) * N_SITES
+
+
+@pytest.mark.parametrize(
+    "protocol",
+    sorted(set(available_protocols()) - set(checkable_protocols())),
+)
+def test_a_timed_relation_is_refused_not_explored(protocol):
+    """Theorem 9's protocols are timer-driven: the untimed explorer must
+    refuse them, not return a graph whose verdicts ignore the timers."""
+    assert protocol.startswith("terminating-")
+    with pytest.raises(UncheckableProtocolError, match=f"'{protocol}' is not model-checkable"):
+        create_protocol(protocol).plan(3).model_setup().explore("partition")
 
 
 @pytest.mark.parametrize("n_sites", (2, 3, 4))
