@@ -47,7 +47,6 @@ from repro.engine.engine import (
 )
 from repro.engine.grid import ScenarioGrid, SweepTask, tasks_from_specs
 from repro.engine.hashing import spec_hash
-from repro.engine.measures import MEASURES
 from repro.engine.refine import (
     Boundary,
     OnsetLine,
@@ -93,7 +92,6 @@ from repro.engine.sink import (
 from repro.engine.summary import RunSummary, summary_from_json_dict
 
 __all__ = [
-    "MEASURES",
     "AtomicitySink",
     "BlockingSink",
     "Boundary",

@@ -10,9 +10,9 @@ affected points.
 A warm re-sweep reads every entry, so the read side is kept lean: each key
 formats one ``str`` path, :meth:`ResultCache.probe` is one ``stat`` and
 :meth:`ResultCache.get_bytes` one ``open``.  :meth:`ResultCache.get_record`
-(and :meth:`ResultCache.get` over it) trusts no entry: a record that is not
-JSON, not an object, misses a field, was stored under another
-``(spec-hash, seed)`` key or spans more than one line raises
+trusts no entry: a record that is not JSON, not an object, misses a
+field, was stored under another ``(spec-hash, seed)`` key or spans more
+than one line raises
 :class:`CacheEntryError` naming the file, instead of a traceback or a
 silently wrong table.  An entry that passes is returned with its bytes,
 which the engine hands on verbatim instead of re-encoding the summary.
@@ -95,8 +95,7 @@ class ResultCache:
         """Raw cached bytes, or ``None`` on a miss.
 
         ``record=False`` leaves the hit/miss counters untouched -- for
-        internal re-reads of entries already counted by :meth:`probe` or an
-        earlier :meth:`get`.
+        internal re-reads of entries already counted by :meth:`probe`.
         """
         metrics = _active_metrics()
         try:
@@ -115,17 +114,6 @@ class ResultCache:
         if metrics is not None:
             metrics.counter("engine.cache.bytes_read").inc(len(data))
         return data
-
-    def get(
-        self, spec_hash: str, seed: int, *, record: bool = True
-    ) -> Optional[RunSummary]:
-        """The cached summary, or ``None`` on a miss.
-
-        Raises :class:`CacheEntryError` when the entry does not decode to
-        the record of exactly this key.
-        """
-        entry = self.get_record(spec_hash, seed, record=record)
-        return None if entry is None else entry[0]
 
     def get_record(
         self, spec_hash: str, seed: int, *, record: bool = True

@@ -50,7 +50,6 @@ from typing import TYPE_CHECKING, Any, Iterable, Iterator, Optional, Sequence, U
 from repro.engine.cache import ResultCache
 from repro.engine.grid import ScenarioGrid, SweepTask
 from repro.engine.hashing import spec_hash as hash_task
-from repro.engine.measures import resolve_measures
 from repro.engine.registry import kind_for_spec
 from repro.engine.sink import SummarySink
 from repro.engine.summary import RunSummary, summary_from_json_bytes
@@ -74,12 +73,10 @@ CHUNK_CEILING = 128
 # parent never holds more than this window of chunk results.
 WINDOW_PER_WORKER = 2
 
-# One chunk ships as (measure names, [(index, protocol, spec, spec_hash), ...],
-# collect-metrics flag).  The spec hash is ``None`` when the engine has no
-# cache to key: the worker computes it.
-_ChunkPayload = tuple[
-    tuple[str, ...], list[tuple[int, str, ScenarioSpec, Optional[str]]], bool
-]
+# One chunk ships as ([(index, protocol, spec, spec_hash), ...], collect-metrics
+# flag).  The spec hash is ``None`` when the engine has no cache to key: the
+# worker computes it.
+_ChunkPayload = tuple[list[tuple[int, str, ScenarioSpec, Optional[str]]], bool]
 
 # One chunk result returns as a single batched frame: the task indices plus
 # the newline-joined canonical JSON bytes of their summaries, in the same
@@ -98,9 +95,7 @@ _ChunkFrame = tuple[tuple[int, ...], bytes, Optional[dict]]
 _Delivery = tuple[int, RunSummary, Optional[bytes]]
 
 
-def execute_task(
-    protocol: str, spec: ScenarioSpec, *, spec_hash: str, measures: Sequence[str] = ()
-):
+def execute_task(protocol: str, spec: ScenarioSpec, *, spec_hash: str):
     """Run one task and reduce it to a summary (used by the workers).
 
     The spec's type selects a row of the spec-kind table
@@ -114,7 +109,7 @@ def execute_task(
     engine itself never names a concrete spec type.
     """
     kind = kind_for_spec(spec)
-    return kind.execute(protocol, spec, spec_hash=spec_hash, measures=measures)
+    return kind.execute(protocol, spec, spec_hash=spec_hash)
 
 
 def _execute_chunk(payload: _ChunkPayload) -> _ChunkFrame:
@@ -128,14 +123,14 @@ def _execute_chunk(payload: _ChunkPayload) -> _ChunkFrame:
     unambiguous.  A task shipped without its spec hash (no cache to key)
     is hashed here.
     """
-    measures, items, collect = payload
+    items, collect = payload
     indices: list[int] = []
     frames: list[bytes] = []
     if not collect:
         for index, protocol, spec, key in items:
             if key is None:
                 key = hash_task(protocol, spec)
-            summary = execute_task(protocol, spec, spec_hash=key, measures=measures)
+            summary = execute_task(protocol, spec, spec_hash=key)
             indices.append(index)
             frames.append(summary.to_json_bytes())
         return tuple(indices), b"\n".join(frames), None
@@ -153,7 +148,7 @@ def _execute_chunk(payload: _ChunkPayload) -> _ChunkFrame:
             if key is None:
                 key = hash_task(protocol, spec)
             before = time.perf_counter()
-            summary = execute_task(protocol, spec, spec_hash=key, measures=measures)
+            summary = execute_task(protocol, spec, spec_hash=key)
             after = time.perf_counter()
             data = summary.to_json_bytes()
             encode_hist.observe(time.perf_counter() - after)
@@ -321,12 +316,12 @@ class SweepEngine:
     def __exit__(self, *exc_info: Any) -> None:
         self.close()
 
-    def run(self, tasks: TaskBatch, *, measures: Sequence[str] = ()) -> SweepResult:
+    def run(self, tasks: TaskBatch) -> SweepResult:
         """Execute every task and return ordered summaries plus statistics."""
         task_list = self._materialize(tasks)
         started = time.perf_counter()
         result = SweepResult(workers=self.workers)
-        for _, summary, _ in self._stream_ordered(task_list, measures, result):
+        for _, summary, _ in self._stream_ordered(task_list, result):
             result.summaries.append(summary)
         result.elapsed = time.perf_counter() - started
         return result
@@ -336,7 +331,6 @@ class SweepEngine:
         tasks: TaskBatch,
         *,
         sinks: Union[SummarySink, Sequence[SummarySink]],
-        measures: Sequence[str] = (),
         stats: Optional[StreamStats] = None,
     ) -> StreamStats:
         """Execute every task, feeding each summary to the sinks in task order.
@@ -368,7 +362,7 @@ class SweepEngine:
         body_raised = False
         try:
             for index, summary, data in self._stream_ordered(
-                self._materialize(tasks), measures, stats
+                self._materialize(tasks), stats
             ):
                 for sink in sink_list:
                     sink.accept_record(index, summary, data)
@@ -397,7 +391,6 @@ class SweepEngine:
         self,
         tasks: TaskBatch,
         *,
-        measures: Sequence[str] = (),
         stats: Optional[StreamStats] = None,
     ) -> Iterator[RunSummary]:
         """Yield summaries one at a time, in task order, without a list.
@@ -410,9 +403,7 @@ class SweepEngine:
         if stats is None:
             stats = StreamStats(workers=self.workers)
         started = time.perf_counter()
-        for _, summary, _ in self._stream_ordered(
-            self._materialize(tasks), measures, stats
-        ):
+        for _, summary, _ in self._stream_ordered(self._materialize(tasks), stats):
             yield summary
         stats.elapsed = time.perf_counter() - started
 
@@ -461,10 +452,7 @@ class SweepEngine:
         return out
 
     def _stream_ordered(
-        self,
-        tasks: list[SweepTask],
-        measures: Sequence[str],
-        stats: StreamStats,
+        self, tasks: list[SweepTask], stats: StreamStats
     ) -> Iterator[_Delivery]:
         """Yield ``(index, summary, data)`` strictly in task order, bounded memory.
 
@@ -500,7 +488,7 @@ class SweepEngine:
             set_active(metrics)
         try:
             yield from self._stream_ordered_observed(
-                tasks, measures, stats, metrics, workers_seen
+                tasks, stats, metrics, workers_seen
             )
         finally:
             if metrics is not None:
@@ -512,17 +500,14 @@ class SweepEngine:
     def _stream_ordered_observed(
         self,
         tasks: list[SweepTask],
-        measures: Sequence[str],
         stats: StreamStats,
         metrics: Optional[MetricsRegistry],
         workers_seen: dict[int, list],
     ) -> Iterator[_Delivery]:
-        measure_names = resolve_measures(measures)
         stats.total = len(tasks)
         # (index, task, key); the key is ``None`` when there is no cache.
         pending: list[tuple[int, SweepTask, Optional[str]]] = []
         cached: dict[int, tuple[SweepTask, str]] = {}
-        partial: dict[int, RunSummary] = {}
         scan_started = time.perf_counter() if metrics is not None else 0.0
         for index, task in enumerate(tasks):
             if self.cache is None:
@@ -530,55 +515,26 @@ class SweepEngine:
                 pending.append((index, task, None))
                 continue
             key = task.spec_hash
-            if not measure_names:
-                # No measures to check: a cheap existence probe suffices,
-                # deferring the single read+parse to delivery time.
-                if self.cache.probe(key, task.spec.seed):
-                    cached[index] = (task, key)
-                else:
-                    pending.append((index, task, key))
+            # A cheap existence probe: the single read+parse waits for
+            # delivery.
+            if self.cache.probe(key, task.spec.seed):
+                cached[index] = (task, key)
             else:
-                hit = self.cache.get(key, task.spec.seed)
-                if hit is not None and all(
-                    m in hit.metrics for m in measure_names
-                ):
-                    cached[index] = (task, key)
-                else:
-                    if hit is not None:
-                        partial[index] = hit
-                    pending.append((index, task, key))
+                pending.append((index, task, key))
         if metrics is not None:
             metrics.histogram("engine.cache_scan_seconds").observe(
                 time.perf_counter() - scan_started
             )
 
-        def finish(
-            index: int, summary: RunSummary, data: Optional[bytes] = None
-        ) -> tuple[RunSummary, Optional[bytes]]:
-            """Fold in a partial hit's metrics and store the summary in the
-            cache; return it with its canonical bytes, or ``None`` for them
-            when there is no cache to encode them for."""
-            stale = partial.pop(index, None)
-            if stale is not None:
-                summary.metrics = {**stale.metrics, **summary.metrics}
-                # A worker's bytes encode the summary before this merge.
-                data = None
-            if self.cache is not None:
-                if data is None:
-                    data = summary.to_json_bytes()
-                self.cache.put_bytes(summary.spec_hash, summary.seed, data)
+        def finish(summary: RunSummary) -> tuple[RunSummary, Optional[bytes]]:
+            """Store an in-process summary in the cache; return it with its
+            canonical bytes, or ``None`` for them when there is no cache to
+            encode them for."""
+            if self.cache is None:
+                return summary, None
+            data = summary.to_json_bytes()
+            self.cache.put_bytes(summary.spec_hash, summary.seed, data)
             return summary, data
-
-        def arrive(
-            index: int, task: SweepTask, key: Optional[str], data: bytes
-        ) -> tuple[Optional[RunSummary], Optional[bytes]]:
-            """File one worker record as it arrives: stored in the cache at
-            once, decoded at delivery (a partial hit decodes now, to merge)."""
-            if index in partial:
-                return finish(index, summary_from_json_bytes(data), data)
-            if self.cache is not None:
-                self.cache.put_bytes(key, task.spec.seed, data)
-            return None, data
 
         # index -> (summary, bytes); the summary is ``None`` until delivery
         # decodes the bytes.
@@ -602,13 +558,7 @@ class SweepEngine:
                     if hit is None:
                         # Evicted between scan and delivery: re-execute inline.
                         hit = finish(
-                            cursor,
-                            execute_task(
-                                task.protocol,
-                                task.spec,
-                                spec_hash=key,
-                                measures=measure_names,
-                            ),
+                            execute_task(task.protocol, task.spec, spec_hash=key)
                         )
                         stats.executed += 1
                         if metrics is not None:
@@ -629,14 +579,10 @@ class SweepEngine:
             for index, task, _ in pending:
                 key = task.spec_hash
                 if metrics is None:
-                    summary = execute_task(
-                        task.protocol, task.spec, spec_hash=key, measures=measure_names
-                    )
+                    summary = execute_task(task.protocol, task.spec, spec_hash=key)
                 else:
                     before = time.perf_counter()
-                    summary = execute_task(
-                        task.protocol, task.spec, spec_hash=key, measures=measure_names
-                    )
+                    summary = execute_task(task.protocol, task.spec, spec_hash=key)
                     task_elapsed = time.perf_counter() - before
                     execute_hist.observe(task_elapsed)
                     executed_counter.inc()
@@ -644,7 +590,7 @@ class SweepEngine:
                     acct[0] += 1
                     acct[1] += 1
                     acct[2] += task_elapsed
-                buffered[index] = finish(index, summary)
+                buffered[index] = finish(summary)
                 stats.max_buffered = max(stats.max_buffered, len(buffered))
                 yield from drain()
             yield from drain()
@@ -685,7 +631,7 @@ class SweepEngine:
                     (index, task.protocol, task.spec, key)
                     for index, task, key in pending[start : start + size]
                 ]
-                future = pool.submit(_execute_chunk, (measure_names, items, collect))
+                future = pool.submit(_execute_chunk, (items, collect))
                 submitted[future] = (start, time.perf_counter())
                 undelivered.append(items[-1][0])
             dispatch_seconds += time.perf_counter() - began
@@ -708,7 +654,10 @@ class SweepEngine:
                 for (index, task, key), data in zip(
                     pending[start : start + size], frame.split(b"\n")
                 ):
-                    buffered[index] = arrive(index, task, key, data)
+                    # Stored in the cache at once, decoded at delivery.
+                    if self.cache is not None:
+                        self.cache.put_bytes(key, task.spec.seed, data)
+                    buffered[index] = (None, data)
                 if metrics is not None:
                     # Split + cache-store fold of one chunk's frame (the
                     # summaries themselves decode at delivery).

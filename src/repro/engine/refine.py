@@ -232,15 +232,12 @@ class RefinementDriver:
         lo: float = 0.25,
         hi: float = 8.0,
         coarse_step: float = 0.25,
-        measures: Sequence[str] = (),
     ) -> RefinementResult:
         """Bracket every verdict flip of ``line`` on ``[lo, hi]``.
 
         The one-line case of :meth:`refine_lines`.
         """
-        return self.refine_lines(
-            [line], lo=lo, hi=hi, coarse_step=coarse_step, measures=measures
-        )[0]
+        return self.refine_lines([line], lo=lo, hi=hi, coarse_step=coarse_step)[0]
 
     def refine_lines(
         self,
@@ -249,7 +246,6 @@ class RefinementDriver:
         lo: float = 0.25,
         hi: float = 8.0,
         coarse_step: float = 0.25,
-        measures: Sequence[str] = (),
     ) -> list[RefinementResult]:
         """Bracket every verdict flip of every line on ``[lo, hi]``.
 
@@ -280,9 +276,7 @@ class RefinementDriver:
             {round(lo + i * coarse_step, TIME_DECIMALS) for i in range(steps)}
             | {round(hi, TIME_DECIMALS)}
         )
-        self._run_round(
-            [(result, time) for result in results for time in coarse], measures
-        )
+        self._run_round([(result, time) for result in results for time in coarse])
         for _ in range(self.max_rounds):
             pending = []
             for result in results:
@@ -297,7 +291,7 @@ class RefinementDriver:
                     pending.extend((result, time) for time in midpoints)
             if not pending:
                 break
-            self._run_round(pending, measures)
+            self._run_round(pending)
         for result in results:
             result.boundaries = [
                 Boundary(t1, t2, result.classes[t1], result.classes[t2])
@@ -343,18 +337,12 @@ class RefinementDriver:
     # ------------------------------------------------------------------
     # internals
     # ------------------------------------------------------------------
-    def _run_round(
-        self,
-        points: Sequence[tuple[RefinementResult, float]],
-        measures: Sequence[str],
-    ) -> None:
+    def _run_round(self, points: Sequence[tuple[RefinementResult, float]]) -> None:
         """Run one batch of (line, onset) points and classify them as they
         stream back, each into its own line's result."""
         stats = StreamStats()
         stream = self.engine.stream(
-            [result.line.task_at(time) for result, time in points],
-            measures=measures,
-            stats=stats,
+            [result.line.task_at(time) for result, time in points], stats=stats
         )
         hits = 0
         # ``stream`` first: zip must exhaust the generator, not abandon it.

@@ -65,7 +65,7 @@ class SpecKind:
         summary_type: the record the executor returns; must provide
             ``to_json_dict`` / ``to_json_bytes`` with canonical (sorted-key)
             JSON so cache entries and spills are byte-stable.
-        execute: ``execute(protocol, spec, *, spec_hash, measures)`` -- runs
+        execute: ``execute(protocol, spec, *, spec_hash)`` -- runs
             one task inside a worker and returns a ``summary_type`` record.
         decode: rebuilds a summary from a ``to_json_dict`` payload (the
             ``kind`` tag has already selected this kind).

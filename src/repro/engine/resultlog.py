@@ -33,9 +33,8 @@ commit-offset pattern:
 * **Consumer offsets.**  :func:`merge_result_log` folds records in global
   task order through each spec kind's default sink (the exact fold of a
   single-machine streaming run) and commits a :class:`MergeCursor`
-  checkpoint -- records folded, merged-JSONL byte offset, a rolling hash
-  of the folded prefix, and per ``(shard, segment)`` consumed offsets --
-  *after* each batch is folded and flushed, outbox-style.  A merge killed
+  checkpoint -- records folded, merged-JSONL byte offset and a rolling
+  hash of the folded prefix -- *after* each batch is folded and flushed, outbox-style.  A merge killed
   at any point resumes from the checkpoint: the already-merged JSONL bytes
   are kept (truncated back to the committed offset), sink aggregates are
   rebuilt by replaying the committed prefix from the log (a decode-only
@@ -61,7 +60,7 @@ import os
 import pathlib
 import re
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, IO, Mapping, Optional, Sequence, Union
 
 from repro.core.canonical import canonical_json_bytes
@@ -598,7 +597,6 @@ def run_shard_log(
     *,
     engine: Optional[SweepEngine] = None,
     segment_records: int = DEFAULT_SEGMENT_RECORDS,
-    measures: Sequence[str] = (),
 ) -> ShardLogResult:
     """Execute one shard, appending sealed segments to ``log_dir``.
 
@@ -646,9 +644,7 @@ def run_shard_log(
     # The engine keeps its registry active only while the stream runs; the
     # writer seals its trailing segment in close(), after that.
     with activate(metrics):
-        stats = engine.run_streaming(
-            [task for _, task in remaining], sinks=writer, measures=measures
-        )
+        stats = engine.run_streaming([task for _, task in remaining], sinks=writer)
     return ShardLogResult(
         stats=stats,
         shard_tasks=len(selected),
@@ -665,9 +661,7 @@ class MergeCursor:
 
     ``records_folded`` and ``fold_hash`` (a rolling SHA-256 over the folded
     ``index:spec_hash`` prefix) are the authoritative resume point;
-    ``jsonl_bytes`` is the merged spill's committed byte offset; ``offsets``
-    records, per shard and segment, how many of its records the folded
-    prefix consumed -- the Kafka-style consumer-offset view of progress.
+    ``jsonl_bytes`` is the merged spill's committed byte offset.
     """
 
     shard_count: int
@@ -675,7 +669,6 @@ class MergeCursor:
     records_folded: int = 0
     jsonl_bytes: int = 0
     fold_hash: str = ""
-    offsets: dict[str, dict[str, int]] = field(default_factory=dict)
     format: int = SEGMENT_FORMAT
 
     def to_json_dict(self) -> dict[str, Any]:
@@ -688,7 +681,6 @@ class MergeCursor:
             "records_folded": self.records_folded,
             "jsonl_bytes": self.jsonl_bytes,
             "fold_hash": self.fold_hash,
-            "offsets": self.offsets,
         }
 
     @classmethod
@@ -709,23 +701,12 @@ class MergeCursor:
                 raise ResultLogError(
                     f"malformed {_CHECKPOINT_KIND}: {name}={payload.get(name)!r}"
                 )
-        offsets = payload.get("offsets", {})
-        if not isinstance(offsets, dict) or not all(
-            isinstance(segments, dict) for segments in offsets.values()
-        ):
-            raise ResultLogError(
-                f"malformed {_CHECKPOINT_KIND}: offsets={offsets!r} "
-                f"(expected an object of per-shard objects)"
-            )
         return cls(
             shard_count=payload["shard_count"],
             total_tasks=payload["total_tasks"],
             records_folded=payload["records_folded"],
             jsonl_bytes=payload["jsonl_bytes"],
             fold_hash=payload.get("fold_hash", ""),
-            offsets={
-                str(shard): dict(segments) for shard, segments in offsets.items()
-            },
             format=payload["format"],
         )
 
@@ -853,13 +834,12 @@ def merge_result_log(
     first_header: Optional[SegmentHeader] = None
     # index -> (spec hash, kind, summary, sealed summary bytes)
     merged: dict[int, tuple[Any, SpecKind, Any, bytes]] = {}
-    source: dict[int, tuple[int, int]] = {}  # index -> (shard, segment)
     shard_records: dict[int, int] = {}
     deduped = 0
     segment_count = 0
     for shard_index in sorted(by_shard):
         shard_records[shard_index] = 0
-        for segment_index, path in by_shard[shard_index]:
+        for _, path in by_shard[shard_index]:
             before = time.perf_counter()
             header, _, records = _read_sealed(path)
             if metrics is not None:
@@ -897,7 +877,6 @@ def merge_result_log(
                     deduped += 1
                     continue
                 merged[index] = (current, kind, summary, data)
-                source[index] = (shard_index, segment_index)
                 shard_records[shard_index] += 1
 
     assert first_header is not None
@@ -1004,9 +983,6 @@ def merge_result_log(
     folded = 0
     new_folds = 0
     uncommitted = 0
-    # Records folded per (shard, segment); commit() renders the checkpoint's
-    # string-keyed view.
-    offsets: dict[tuple[int, int], int] = {}
 
     def commit() -> None:
         """Outbox commit: flush+fsync the spill, then the cursor."""
@@ -1017,9 +993,6 @@ def merge_result_log(
             cursor.jsonl_bytes = handle.tell()
         cursor.records_folded = folded
         cursor.fold_hash = digest.hexdigest()
-        cursor.offsets = {}
-        for (shard, segment), count in offsets.items():
-            cursor.offsets.setdefault(str(shard), {})[str(segment)] = count
         cursor.save(checkpoint_path)
         uncommitted = 0
         if metrics is not None:
@@ -1035,8 +1008,6 @@ def merge_result_log(
             sink.accept_record(index, summary, data)
             for extra_sink in extra:
                 extra_sink.accept_record(index, summary, data)
-            shard_segment = source[index]
-            offsets[shard_segment] = offsets.get(shard_segment, 0) + 1
             digest.update(_fold_hash_line(index, spec_hash))
             folded += 1
             if position < replay_count:

@@ -4,8 +4,9 @@ The original (and JSON-untagged) spec kind: one
 :class:`~repro.protocols.runner.ScenarioSpec` runs one transaction through
 one commit protocol and reduces to a
 :class:`~repro.engine.summary.RunSummary` (Theorem 9, Figs. 5-9 and
-Sec. 6).  Trace-derived measures apply to this kind only (the other kinds
-never build a per-run trace).
+Sec. 6).  The summary carries no trace: the timing experiments that read
+traces run :func:`~repro.protocols.runner.run_scenario` themselves
+(:func:`repro.experiments.harness.traced_runs`).
 
 :mod:`repro.engine.registry` imports this module on its first lookup, so
 importing the registry never drags in the protocol stack until a lookup
@@ -14,10 +15,7 @@ actually happens.
 
 from __future__ import annotations
 
-from typing import Sequence
-
 from repro.engine.grid import SweepTask
-from repro.engine.measures import apply_measures
 from repro.engine.registry import SpecKind
 from repro.engine.sink import VerdictCounterSink
 from repro.engine.summary import RunSummary
@@ -25,29 +23,17 @@ from repro.protocols.registry import create_protocol
 from repro.protocols.runner import ScenarioSpec, run_scenario
 
 
-def _execute(
-    protocol: str,
-    spec: ScenarioSpec,
-    *,
-    spec_hash: str,
-    measures: Sequence[str] = (),
-) -> RunSummary:
+def _execute(protocol: str, spec: ScenarioSpec, *, spec_hash: str) -> RunSummary:
     """Run one scenario in a worker and return its plain summary part.
 
-    The trace is collected only when a measure needs it: summaries read
-    protocol-role and database state, never the trace, so measure-free runs
-    (the common sweep case) skip per-event record construction entirely.
-    The returned record is a field copy of the result's
-    :class:`~repro.protocols.runner.RunSummary` part, so no trace or
-    database site outlives this call.
+    Summaries read protocol-role and database state, never the trace, so
+    the run skips per-event record construction entirely.  The returned
+    record is a field copy of the result's
+    :class:`~repro.protocols.runner.RunSummary` part, so no database site
+    outlives this call.
     """
-    measures = tuple(measures)
-    result = run_scenario(
-        create_protocol(protocol), spec, collect_trace=bool(measures)
-    )
-    return result.as_summary(
-        spec_hash=spec_hash, metrics=apply_measures(result, measures)
-    )
+    result = run_scenario(create_protocol(protocol), spec, collect_trace=False)
+    return result.as_summary(spec_hash=spec_hash)
 
 
 SCENARIO_KIND = SpecKind(

@@ -4,7 +4,7 @@
 :func:`~repro.protocols.runner.run_scenario`, which fills it, and is
 re-exported here for the engine's surfaces.  It carries everything the
 experiments and analyses read from a run -- decisions, votes, timing, lock
-retention, message counts and any in-worker trace measurements -- but none
+retention and message counts -- but none
 of the heavyweight state (trace, database sites, role objects), so it
 crosses process boundaries and serializes to canonical JSON for the on-disk
 cache.  It is also the only type that defines the run verdicts.

@@ -12,10 +12,10 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from repro.analysis.timing import TimingMeasurement
+from repro.analysis.timing import TimingMeasurement, measure_protocol_timeouts
 from repro.core.termination import TerminationTimers
-from repro.engine import SweepEngine, SweepTask
-from repro.experiments.harness import ExperimentReport
+from repro.engine import SweepTask
+from repro.experiments.harness import ExperimentReport, traced_runs
 from repro.protocols.runner import ScenarioSpec
 from repro.sim.latency import ConstantLatency, UniformLatency
 
@@ -41,13 +41,12 @@ def run_fig5_timeouts(site_counts: Sequence[int] = (3, 4, 6)) -> ExperimentRepor
         )
         for n_sites, _, latency in cases
     ]
-    # Streamed execution: summaries arrive in task order, one at a time, so
-    # they pair with `cases` without materializing a result list.
-    sweep = SweepEngine().stream(tasks, measures=("timeouts",))
+    # Traced runs arrive in task order, one at a time, so they pair with
+    # `cases` without materializing a result list.
     measurements: list[TimingMeasurement] = []
-    for (n_sites, label, latency), summary in zip(cases, sweep):
+    for (n_sites, label, latency), result in zip(cases, traced_runs(tasks)):
         timers = TerminationTimers(max_delay=latency.upper_bound)
-        waits = summary.metrics["timeouts"]
+        waits = measure_protocol_timeouts(result)
         master = TimingMeasurement(
             name=f"master round trip (n={n_sites}, {label})",
             measured=waits["master_round_trip"] or 0.0,

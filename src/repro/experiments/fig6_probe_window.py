@@ -11,9 +11,9 @@ from __future__ import annotations
 
 from typing import Iterable, Optional
 
-from repro.analysis.timing import TimingMeasurement
+from repro.analysis.timing import TimingMeasurement, measure_master_probe_window
 from repro.core.termination import TerminationTimers
-from repro.experiments.harness import ExperimentReport, stream_protocol
+from repro.experiments.harness import ExperimentReport, partition_grid, traced_runs
 
 
 def run_fig6_probe_window(
@@ -27,20 +27,14 @@ def run_fig6_probe_window(
         title="Master probe-collection window after an undeliverable prepare (bound 5T)",
     )
     timers = TerminationTimers(max_delay=1.0)
-    summaries = stream_protocol(
-        "terminating-three-phase-commit",
-        n_sites=n_sites,
-        times=list(times) if times is not None else None,
-        measures=("probe_window",),
-    )
+    grid = partition_grid("terminating-three-phase-commit", n_sites=n_sites, times=times)
     worst = 0.0
     windows = 0
     probes_seen = 0
-    for summary in summaries:
-        probe = summary.metrics["probe_window"]
-        if probe["window_open"]:
+    for result in traced_runs(grid):
+        if result.trace.first("probe-window-open") is not None:
             windows += 1
-        gap = probe["gap"]
+        gap = measure_master_probe_window(result)
         if gap is None:
             continue
         probes_seen += 1

@@ -13,10 +13,10 @@ from __future__ import annotations
 import math
 from typing import Iterable, Optional
 
-from repro.analysis.timing import TimingMeasurement
+from repro.analysis.timing import TimingMeasurement, measure_wait_after_timeout_in_w
 from repro.core.termination import TerminationTimers
-from repro.engine import ScenarioGrid, SweepEngine
-from repro.experiments.harness import ExperimentReport
+from repro.engine import ScenarioGrid
+from repro.experiments.harness import ExperimentReport, traced_runs
 from repro.protocols.runner import ScenarioSpec
 from repro.sim.latency import PerLinkLatency
 
@@ -42,14 +42,12 @@ def run_fig7_wait_in_w(
             protocol, n_sites, times=[3.7, 3.9, 4.1], base_spec=skewed
         ),
     ]
-    # Streamed: the fold below only ever holds one summary at a time.
-    sweep = SweepEngine().stream(tasks, measures=("wait_in_w",))
     worst = 0.0
     samples = 0
     timed_out_without_decision = 0
-    for summary in sweep:
-        unit = summary.max_delay
-        for wait in summary.metrics["wait_in_w"].values():
+    for result in traced_runs(tasks):
+        unit = result.max_delay
+        for wait in measure_wait_after_timeout_in_w(result).values():
             if math.isinf(wait):
                 timed_out_without_decision += 1
                 continue

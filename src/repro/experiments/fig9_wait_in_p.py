@@ -12,9 +12,9 @@ from __future__ import annotations
 import math
 from typing import Iterable, Optional
 
-from repro.analysis.timing import TimingMeasurement
+from repro.analysis.timing import TimingMeasurement, measure_wait_after_timeout_in_p
 from repro.core.termination import TerminationTimers
-from repro.experiments.harness import ExperimentReport, stream_protocol
+from repro.experiments.harness import ExperimentReport, partition_grid, traced_runs
 
 
 def run_fig9_wait_in_p(
@@ -34,15 +34,12 @@ def run_fig9_wait_in_p(
     # The non-transient protocol isolates the Fig. 9 bound itself: the 5T
     # fallback timer of Section 6 must never be what terminates a slave under
     # a *permanent* partition.
-    summaries = stream_protocol(
-        "terminating-three-phase-commit-no-transient",
-        n_sites=n_sites,
-        times=list(times) if times is not None else None,
-        measures=("wait_in_p",),
+    grid = partition_grid(
+        "terminating-three-phase-commit-no-transient", n_sites=n_sites, times=times
     )
-    for summary in summaries:
-        unit = summary.max_delay
-        for wait in summary.metrics["wait_in_p"].values():
+    for result in traced_runs(grid):
+        unit = result.max_delay
+        for wait in measure_wait_after_timeout_in_p(result).values():
             if math.isinf(wait):
                 blocked += 1
                 continue

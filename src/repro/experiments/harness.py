@@ -1,14 +1,13 @@
 """Shared machinery for the per-figure experiments.
 
-All sweep traffic funnels through the grid builders here and executes on
-a serial :class:`~repro.engine.SweepEngine`.  The timing experiments
-(FIG5-FIG9) and the availability harness consume their sweeps through the
-engine's *streaming* surface (:func:`stream_protocol` /
-:func:`stream_protocol_sinks`): summaries are folded one at a time, in task
-order, and never materialized into a list.
-:func:`sweep_protocol` remains for callers that want the list.  Single
-diagnostic runs (:func:`run_once`) still return the full
-:class:`~repro.protocols.runner.TransactionRunResult` with its trace.
+Summary sweeps funnel through the grid builders here and execute on a
+serial :class:`~repro.engine.SweepEngine`: FIG8 and the availability
+harness stream theirs into sinks (:func:`stream_protocol_sinks`), never
+materializing a list; :func:`sweep_protocol` is for callers that want the
+list.  The timing experiments (FIG5-FIG7, FIG9) read the paper's bounds
+from run traces, which a summary does not carry, so they fold full
+:class:`~repro.protocols.runner.TransactionRunResult` records from
+:func:`traced_runs` instead; :func:`run_once` is one such run.
 """
 
 from __future__ import annotations
@@ -16,7 +15,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Iterator, Optional, Sequence, Union
 
-from repro.engine import RunSummary, ScenarioGrid, StreamStats, SummarySink, SweepEngine
+from repro.engine import (
+    RunSummary,
+    ScenarioGrid,
+    StreamStats,
+    SummarySink,
+    SweepEngine,
+    SweepTask,
+)
 from repro.obs.report import format_table
 from repro.protocols.registry import create_protocol
 from repro.protocols.runner import ScenarioSpec, TransactionRunResult, run_scenario
@@ -79,49 +85,39 @@ def partition_grid(
     )
 
 
-def sweep_protocol(
-    protocol_name: str,
-    *,
-    measures: Sequence[str] = (),
-    **grid_kwargs: Any,
-) -> list[RunSummary]:
+def sweep_protocol(protocol_name: str, **grid_kwargs: Any) -> list[RunSummary]:
     """Run ``protocol_name`` over a grid of simple-partition scenarios.
 
-    Materializes the summary list -- use :func:`stream_protocol` or
-    :func:`stream_protocol_sinks` for sweeps that should not.
+    Materializes the summary list -- use :func:`stream_protocol_sinks` for
+    sweeps that should not.
     """
     grid = partition_grid(protocol_name, **grid_kwargs)
-    return SweepEngine().run(grid, measures=measures).summaries
-
-
-def stream_protocol(
-    protocol_name: str,
-    *,
-    measures: Sequence[str] = (),
-    stats: Optional[StreamStats] = None,
-    **grid_kwargs: Any,
-) -> Iterator[RunSummary]:
-    """Stream ``protocol_name``'s partition sweep one summary at a time.
-
-    Summaries arrive in task order and are dropped after each loop
-    iteration, so the sweep runs in constant memory regardless of grid size.
-    """
-    grid = partition_grid(protocol_name, **grid_kwargs)
-    return SweepEngine().stream(grid, measures=measures, stats=stats)
+    return SweepEngine().run(grid).summaries
 
 
 def stream_protocol_sinks(
     protocol_name: str,
     *,
     sinks: Union[SummarySink, Sequence[SummarySink]],
-    measures: Sequence[str] = (),
     **grid_kwargs: Any,
 ) -> StreamStats:
     """Stream ``protocol_name``'s partition sweep into aggregation sinks."""
     grid = partition_grid(protocol_name, **grid_kwargs)
-    return SweepEngine().run_streaming(grid, sinks=sinks, measures=measures)
+    return SweepEngine().run_streaming(grid, sinks=sinks)
 
 
 def run_once(protocol_name: str, spec: Optional[ScenarioSpec] = None, **overrides: Any) -> TransactionRunResult:
     """Run a single scenario for ``protocol_name`` (full result, with trace)."""
     return run_scenario(create_protocol(protocol_name), spec, **overrides)
+
+
+def traced_runs(tasks: Iterable[SweepTask]) -> Iterator[TransactionRunResult]:
+    """Run each task with its full trace, one at a time, in task order.
+
+    A result is built only when the caller asks for the next one and is
+    held by nothing here once yielded, so a fold over a sweep of any size
+    holds at most two runs' traces (the caller's last and the one being
+    built), never the sweep's.
+    """
+    for task in tasks:
+        yield run_once(task.protocol, task.spec)

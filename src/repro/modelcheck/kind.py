@@ -10,14 +10,11 @@ streaming sinks, JSONL spills and ``repro shard`` / ``repro merge``
 distribution with no engine changes.
 
 :mod:`repro.engine.registry` imports this module on its first lookup.
-Trace measures do not apply -- the checker enumerates all executions at
-once, so there is no single event trace to measure.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Sequence
 
 from repro.engine.grid import SweepTask
 from repro.engine.registry import SpecKind
@@ -29,11 +26,7 @@ from repro.obs.metrics import get_active as _active_metrics
 
 
 def _execute(
-    protocol: str,
-    spec: ModelCheckSpec,
-    *,
-    spec_hash: str,
-    measures: Sequence[str] = (),
+    protocol: str, spec: ModelCheckSpec, *, spec_hash: str
 ) -> ModelCheckSummary:
     """Explore + check one configuration in a worker; keep only the summary."""
     metrics = _active_metrics()

@@ -145,6 +145,8 @@ class RunSummary:
     finished_at: float = 0.0
     lock_hold_time: float = 0.0
     max_delay: float = 1.0
+    # Always ``{}``: no executor fills it, but cache entries, spills and
+    # log segments carry the field, so deleting it changes their bytes.
     metrics: dict[str, Any] = field(default_factory=dict)
 
     # ------------------------------------------------------------------
@@ -350,7 +352,7 @@ def run_scenario(
     so no per-event records are built.  Scheduling is unaffected -- the run's
     outcome (decisions, timings, message counts, lock stats) is identical --
     but ``result.trace`` stays empty, so only callers that never read the
-    trace (e.g. the sweep engine when no measure is requested) may use it.
+    trace (e.g. the sweep engine, whose summaries never read it) may use it.
 
     The summary fields are filled once, here: per-site maps over honest
     participants, the lock-hold time and the conflicting-decision total.

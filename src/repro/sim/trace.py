@@ -167,8 +167,8 @@ class Trace:
 class NullTrace(Trace):
     """A trace that records nothing.
 
-    Used by the sweep engine when no trace-derived measure was requested:
-    a :class:`~repro.engine.summary.RunSummary` is computed entirely from
+    Used by the sweep engine: a
+    :class:`~repro.engine.summary.RunSummary` is computed entirely from
     protocol-role and database state, so the per-run trace is write-only
     ballast.  Substituting a ``NullTrace`` (and having the hot writers check
     :attr:`enabled` before building record payloads) removes that cost

@@ -3,8 +3,7 @@
 One :class:`~repro.txn.runner.ThroughputSpec` offers a stream of
 transactions to one cluster under one protocol and reduces to a
 :class:`~repro.txn.summary.ThroughputSummary` (payloads tagged
-``"kind": "throughput"``).  Trace measures do not apply -- a contended run
-has no single-transaction trace to measure.  It carries the availability
+``"kind": "throughput"``).  It carries the availability
 argument of Secs. 1-2: blocking protocols hold locks that terminating ones
 release.
 
@@ -14,8 +13,6 @@ other part of :mod:`repro.engine` imports this package.
 
 from __future__ import annotations
 
-from typing import Sequence
-
 from repro.engine.grid import SweepTask
 from repro.engine.registry import SpecKind
 from repro.txn.runner import ThroughputSpec, run_throughput_scenario
@@ -24,11 +21,7 @@ from repro.txn.summary import ThroughputSummary
 
 
 def _execute(
-    protocol: str,
-    spec: ThroughputSpec,
-    *,
-    spec_hash: str,
-    measures: Sequence[str] = (),
+    protocol: str, spec: ThroughputSpec, *, spec_hash: str
 ) -> ThroughputSummary:
     """Run one contended workload in a worker and keep only its summary."""
     return run_throughput_scenario(protocol, spec, spec_hash=spec_hash).summary

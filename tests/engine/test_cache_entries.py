@@ -35,7 +35,8 @@ def _entry(cache, task):
 
 
 def _get(cache, task):
-    return cache.get(task.spec_hash, task.spec.seed)
+    entry = cache.get_record(task.spec_hash, task.spec.seed)
+    return None if entry is None else entry[0]
 
 
 def test_intact_entries_decode_to_their_own_key(warm):
@@ -114,7 +115,7 @@ def test_entry_under_another_seed_is_a_key_mismatch(warm):
     task = tasks[0]
     os.replace(_entry(cache, task), cache.path(task.spec_hash, 7))
     with pytest.raises(CacheEntryError, match=r"holds the record of key \(\w+, 0\)"):
-        cache.get(task.spec_hash, 7)
+        cache.get_record(task.spec_hash, 7)
 
 
 @pytest.mark.parametrize(

@@ -47,15 +47,12 @@ def partition_sweep_grid():
     )
 
 
-MEASURES = ("wait_in_w", "wait_in_p", "probe_window")
-
-
 class TestWorkerCountDeterminism:
     @pytest.mark.parametrize("grid_fixture", ["grid", "partition_sweep_grid"])
     def test_workers_1_and_4_yield_identical_summary_sequences(self, request, grid_fixture):
         grid = request.getfixturevalue(grid_fixture)
-        serial = SweepEngine(workers=1).run(grid, measures=MEASURES)
-        parallel = SweepEngine(workers=4).run(grid, measures=MEASURES)
+        serial = SweepEngine(workers=1).run(grid)
+        parallel = SweepEngine(workers=4).run(grid)
         assert serial.total == parallel.total == len(grid)
         # Results are reassembled in task order, so the sequences (not just
         # the multisets) must match element-for-element.
@@ -71,8 +68,8 @@ class TestChunkFrameTransport:
     """Workers return summaries as canonical-JSON frames; nothing may drift."""
 
     def test_parallel_frames_decode_to_byte_identical_summaries(self, grid):
-        serial = SweepEngine(workers=1).run(grid, measures=MEASURES)
-        parallel = SweepEngine(workers=4, chunk_size=3).run(grid, measures=MEASURES)
+        serial = SweepEngine(workers=1).run(grid)
+        parallel = SweepEngine(workers=4, chunk_size=3).run(grid)
         # Equality of the decoded summaries is necessary but not sufficient:
         # the cache stores the encoded bytes verbatim, so the serialized form
         # itself must round-trip without reordering or float drift.
@@ -82,8 +79,8 @@ class TestChunkFrameTransport:
 
     def test_parallel_populated_cache_matches_serial_populated_cache(self, grid, tmp_path):
         serial_dir, parallel_dir = tmp_path / "serial", tmp_path / "parallel"
-        SweepEngine(workers=1, cache=serial_dir).run(grid, measures=MEASURES)
-        SweepEngine(workers=4, cache=parallel_dir).run(grid, measures=MEASURES)
+        SweepEngine(workers=1, cache=serial_dir).run(grid)
+        SweepEngine(workers=4, cache=parallel_dir).run(grid)
         serial_files = {
             path.relative_to(serial_dir): path.read_bytes()
             for path in sorted(serial_dir.glob("*/*.json"))
@@ -101,7 +98,7 @@ class TestCacheDeterminism:
         cache_dir = tmp_path / "cache"
         engine = SweepEngine(workers=1, cache=ResultCache(cache_dir))
 
-        cold = engine.run(grid, measures=MEASURES)
+        cold = engine.run(grid)
         assert (cold.executed, cold.cache_hits) == (len(grid), 0)
         cold_files = {
             path.relative_to(cache_dir): path.read_bytes()
@@ -109,7 +106,7 @@ class TestCacheDeterminism:
         }
         assert len(cold_files) == len(grid)
 
-        warm = engine.run(grid, measures=MEASURES)
+        warm = engine.run(grid)
         assert (warm.executed, warm.cache_hits) == (0, len(grid))
         assert warm.summaries == cold.summaries
         warm_files = {
@@ -124,22 +121,6 @@ class TestCacheDeterminism:
         warm = SweepEngine(workers=4, cache=cache_dir).run(grid)
         assert (warm.executed, warm.cache_hits) == (0, len(grid))
         assert warm.summaries == cold.summaries
-
-    def test_cache_entry_without_requested_measures_is_a_miss(self, grid, tmp_path):
-        # A cache populated without measures must not serve summaries with
-        # empty metrics to a caller that asked for measures; re-execution
-        # merges so entries only ever gain measures.
-        engine = SweepEngine(workers=1, cache=tmp_path / "cache")
-        engine.run(grid)  # no measures
-        with_measures = engine.run(grid, measures=MEASURES)
-        assert with_measures.cache_hits == 0
-        for summary in with_measures:
-            assert set(MEASURES) <= set(summary.metrics)
-        # Now both the measured and the measure-free callers hit the cache.
-        assert engine.run(grid, measures=MEASURES).cache_hits == len(grid)
-        assert engine.run(grid).cache_hits == len(grid)
-        # And a subset of measures is served without re-execution too.
-        assert engine.run(grid, measures=("wait_in_w",)).cache_hits == len(grid)
 
     def test_changing_one_axis_invalidates_only_that_point(self, grid, tmp_path):
         engine = SweepEngine(workers=1, cache=tmp_path / "cache")
@@ -227,10 +208,8 @@ class TestObservabilityByteIdentity:
     def test_summaries_identical_with_metrics_enabled(self, grid):
         from repro.obs.metrics import MetricsRegistry
 
-        plain = SweepEngine(workers=1).run(grid, measures=MEASURES)
-        observed = SweepEngine(workers=1, metrics=MetricsRegistry()).run(
-            grid, measures=MEASURES
-        )
+        plain = SweepEngine(workers=1).run(grid)
+        observed = SweepEngine(workers=1, metrics=MetricsRegistry()).run(grid)
         assert [s.to_json_bytes() for s in plain] == [
             s.to_json_bytes() for s in observed
         ]
@@ -239,10 +218,8 @@ class TestObservabilityByteIdentity:
         from repro.obs.metrics import MetricsRegistry
 
         plain_dir, observed_dir = tmp_path / "plain", tmp_path / "observed"
-        SweepEngine(workers=4, cache=plain_dir).run(grid, measures=MEASURES)
-        SweepEngine(
-            workers=4, cache=observed_dir, metrics=MetricsRegistry()
-        ).run(grid, measures=MEASURES)
+        SweepEngine(workers=4, cache=plain_dir).run(grid)
+        SweepEngine(workers=4, cache=observed_dir, metrics=MetricsRegistry()).run(grid)
         plain_files = {
             path.relative_to(plain_dir): path.read_bytes()
             for path in sorted(plain_dir.glob("*/*.json"))

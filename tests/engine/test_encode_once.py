@@ -64,8 +64,8 @@ TASKS = {
 }
 
 
-def _cold_spill(tasks, path, *, measures=()):
-    SweepEngine(workers=1).run_streaming(tasks, sinks=JsonlSink(path), measures=measures)
+def _cold_spill(tasks, path):
+    SweepEngine(workers=1).run_streaming(tasks, sinks=JsonlSink(path))
     return path.read_bytes()
 
 
@@ -124,32 +124,3 @@ def test_parallel_jsonl_sweep_encodes_nothing_in_the_parent(monkeypatch, tmp_pat
     assert stats.executed == len(tasks) and stats.chunk_count > 1
     assert calls == []
     assert spill.read_bytes() == cold
-
-
-@pytest.mark.parametrize("workers", [1, 2])
-def test_partial_cache_hits_spill_the_merged_summary(workers, tmp_path):
-    # The cache holds "timeouts" only; the sweep asks for "probe_window"
-    # too.  The re-run's own bytes lack "timeouts", so carrying them would
-    # spill a different line than a cold run of both measures.
-    tasks = _scenario_tasks()
-    both = ("timeouts", "probe_window")
-    cold = _cold_spill(tasks, tmp_path / "cold.jsonl", measures=both)
-    cache = ResultCache(tmp_path / "cache")
-    SweepEngine(workers=1, cache=cache).run(tasks, measures=("timeouts",))
-
-    spill = tmp_path / "partial.jsonl"
-    with SweepEngine(workers=workers, cache=cache, chunk_size=2) as engine:
-        stats = engine.run_streaming(
-            tasks, sinks=JsonlSink(spill), measures=("probe_window",)
-        )
-    assert (stats.executed, stats.cache_hits) == (len(tasks), 0)
-    assert spill.read_bytes() == cold
-
-    # The merged summaries went to the cache as well: a warm re-sweep for
-    # both measures is all hits and spills the same bytes.
-    warm = tmp_path / "warm.jsonl"
-    stats = SweepEngine(workers=1, cache=cache).run_streaming(
-        tasks, sinks=JsonlSink(warm), measures=both
-    )
-    assert stats.cache_hits == len(tasks)
-    assert warm.read_bytes() == cold

@@ -4,7 +4,8 @@ From one fixed seed this module generates 240 random scenarios -- permanent
 and transient simple partitions, failure-free runs, pessimistic-model runs
 and slave crashes, over 3-6 sites with random splits, onset times, latency
 models, vote patterns and simulator seeds -- and runs *every* protocol in
-the registry over all of them through the sweep engine.
+the registry over all of them through the sweep engine, and once more with
+full traces (``traced_runs``) for the timing bounds.
 
 The assertions encode the paper's claims per protocol class:
 
@@ -30,7 +31,14 @@ import random
 
 import pytest
 
+from repro.analysis.timing import (
+    measure_master_probe_window,
+    measure_protocol_timeouts,
+    measure_wait_after_timeout_in_p,
+    measure_wait_after_timeout_in_w,
+)
 from repro.engine import SweepEngine, SweepTask, spec_hash
+from repro.experiments.harness import traced_runs
 from repro.protocols.registry import available_protocols
 from repro.protocols.runner import ScenarioSpec
 from repro.sim.failures import CrashSchedule
@@ -51,9 +59,6 @@ TRANSIENT_AWARE = (
 )
 BLOCKING = ("two-phase-commit", "three-phase-commit", "quorum-commit")
 BROKEN = ("extended-two-phase-commit", "naive-extended-three-phase-commit")
-
-MEASURES = ("timeouts", "probe_window", "wait_in_w", "wait_in_p")
-
 
 def _random_split(rng: random.Random, n_sites: int):
     slaves = list(range(2, n_sites + 1))
@@ -181,10 +186,33 @@ def verdicts(scenarios):
     out = {}
     for protocol in available_protocols():
         tasks = [SweepTask(protocol=protocol, spec=spec) for _, spec in scenarios]
-        summaries = engine.run(tasks, measures=MEASURES).summaries
+        summaries = engine.run(tasks).summaries
         out[protocol] = [
             (bucket, summary)
             for (bucket, _), summary in zip(scenarios, summaries)
+        ]
+    return out
+
+
+@pytest.fixture(scope="module")
+def timings(scenarios):
+    """``protocol -> [(bucket, T, waits), ...]``: the Figs. 5-7 and 9
+    quantities of every run, read from its full trace."""
+    out = {}
+    for protocol in available_protocols():
+        tasks = [SweepTask(protocol=protocol, spec=spec) for _, spec in scenarios]
+        out[protocol] = [
+            (
+                bucket,
+                result.max_delay,
+                {
+                    "timeouts": measure_protocol_timeouts(result),
+                    "probe_window": measure_master_probe_window(result),
+                    "wait_in_w": measure_wait_after_timeout_in_w(result),
+                    "wait_in_p": measure_wait_after_timeout_in_p(result),
+                },
+            )
+            for (bucket, _), result in zip(scenarios, traced_runs(tasks))
         ]
     return out
 
@@ -253,47 +281,42 @@ class TestNonblockingProtocols:
         assert blocked, "the Section 6 rule should be load-bearing somewhere"
         assert not violated
 
-    def test_decisions_within_paper_bounds(self, verdicts):
+    def test_decisions_within_paper_bounds(self, timings):
         # Figs. 6, 7, 9: after an UD(prepare) the master collects probes for
         # at most 5T; a slave that timed out in w decides within 6T; a slave
         # that timed out in p decides within 5T.  Finite waits only: the one
         # unbounded case (3.2.2.2) is the no-transient variant blocking on a
         # transient partition, asserted above.
         for protocol in NONBLOCKING:
-            for bucket, summary in verdicts[protocol]:
+            for bucket, bound_t, waits in timings[protocol]:
                 if bucket not in OPTIMISTIC_BUCKETS:
                     continue
-                bound_t = summary.max_delay
-                for wait in summary.metrics["wait_in_w"].values():
+                for wait in waits["wait_in_w"].values():
                     if not math.isinf(wait):
                         assert wait <= 6 * bound_t + EPS, f"{protocol}: {wait}"
-                for wait in summary.metrics["wait_in_p"].values():
+                for wait in waits["wait_in_p"].values():
                     if not math.isinf(wait):
                         assert wait <= 5 * bound_t + EPS, f"{protocol}: {wait}"
-                gap = summary.metrics["probe_window"]["gap"]
+                gap = waits["probe_window"]
                 if gap is not None:
                     assert gap <= 5 * bound_t + EPS, f"{protocol}: {gap}"
 
-    def test_nothing_blocks_after_a_timeout_on_permanent_partitions(self, verdicts):
+    def test_nothing_blocks_after_a_timeout_on_permanent_partitions(self, timings):
         for protocol in NONBLOCKING:
-            for bucket, summary in verdicts[protocol]:
+            for bucket, _, waits in timings[protocol]:
                 if bucket not in ("theorem9", "failure_free"):
                     continue
-                waits = {
-                    **summary.metrics["wait_in_w"],
-                    **summary.metrics["wait_in_p"],
-                }
-                assert not any(math.isinf(w) for w in waits.values())
+                after_timeout = {**waits["wait_in_w"], **waits["wait_in_p"]}
+                assert not any(math.isinf(w) for w in after_timeout.values())
 
 
 class TestFig5TimeoutIntervals:
-    def test_failure_free_rounds_within_2t_and_3t(self, verdicts):
-        for protocol, runs in verdicts.items():
-            for bucket, summary in runs:
+    def test_failure_free_rounds_within_2t_and_3t(self, timings):
+        for protocol, runs in timings.items():
+            for bucket, bound_t, measured in runs:
                 if bucket != "failure_free":
                     continue
-                bound_t = summary.max_delay
-                waits = summary.metrics["timeouts"]
+                waits = measured["timeouts"]
                 if waits["master_round_trip"] is not None:
                     assert waits["master_round_trip"] <= 2 * bound_t + EPS, protocol
                 if waits["slave_wait"] is not None:

@@ -1,13 +1,12 @@
-"""The engine's two fixed tables: three spec kinds and four trace measures.
+"""The engine's fixed table of three spec kinds.
 
 One row per kind pins what the engine resolves for it -- name, spec type,
-summary type, JSON ``kind`` tag and default sink -- and the measure table
-pins the four trace measures of Figs. 5, 6, 7 and 9 by name.
+summary type, JSON ``kind`` tag and default sink.
 """
 
 import pytest
 
-from repro.engine import MEASURES, kind_by_name, registered_kinds
+from repro.engine import kind_by_name, registered_kinds
 from repro.engine.sink import VerdictCounterSink
 from repro.modelcheck.sink import ModelCheckSink
 from repro.modelcheck.spec import ModelCheckSpec
@@ -44,7 +43,3 @@ def test_the_kind_table_has_exactly_three_rows():
     assert [kind.name for kind in registered_kinds()] == [
         row[0] for row in KIND_ROWS
     ]
-
-
-def test_the_measure_table_has_exactly_four_rows():
-    assert list(MEASURES) == ["timeouts", "probe_window", "wait_in_w", "wait_in_p"]

@@ -217,7 +217,7 @@ class ToySumSink(SummarySink):
         return [{"records": self.count, "total": self.total}]
 
 
-def _execute_toy(protocol, spec, *, spec_hash, measures=()):
+def _execute_toy(protocol, spec, *, spec_hash):
     return ToySummary(
         protocol=protocol,
         spec_hash=spec_hash,

@@ -711,7 +711,6 @@ class TestMergeCursor:
         cursor = MergeCursor(
             shard_count=3, total_tasks=48, records_folded=10,
             jsonl_bytes=1234, fold_hash="ab" * 32,
-            offsets={"0": {"0": 4, "1": 2}, "2": {"0": 4}},
         )
         cursor.save(tmp_path / "ckpt.json")
         loaded = MergeCursor.load(tmp_path / "ckpt.json")
@@ -726,8 +725,7 @@ class TestMergeCursor:
             ("{not json", r"not JSON"),
             ("[1]", r"ckpt\.json: expected a JSON object, got list"),
             ("3", r"ckpt\.json: expected a JSON object, got int"),
-            ({"offsets": [1]}, r"offsets=\[1\]"),
-            ({"offsets": {"0": [1]}}, r"offsets=\{'0': \[1\]\}"),
+            ({"records_folded": "8"}, r"records_folded='8'"),
         ],
     )
     def test_corrupt_checkpoint_is_rejected(self, text, match, tmp_path):
@@ -754,12 +752,42 @@ class TestMergeCursor:
         # Two full batches committed before the kill at record 10; the
         # committed jsonl offset points at a record boundary.
         assert cursor.records_folded == 8
-        assert sum(
-            count for segs in cursor.offsets.values() for count in segs.values()
-        ) == 8
         lines = merged.read_bytes()[: cursor.jsonl_bytes]
         assert lines.endswith(b"\n")
         assert lines.count(b"\n") == 8
+
+
+    def test_checkpoint_with_consumer_offsets_resumes_byte_identical(
+        self, sweep_tasks, tmp_path, kill_points
+    ):
+        # Checkpoints of format 1 used to carry an "offsets" object: per
+        # shard and segment, the records the folded prefix consumed.  A
+        # resume reads its position from the other fields and ignores it.
+        single = _single_machine(sweep_tasks, tmp_path / "single.jsonl")
+        log = _log_all(sweep_tasks, tmp_path / "log")
+        merged = tmp_path / "merged.jsonl"
+        _kill_merge(
+            kill_points, log, "write merged.jsonl", 10, jsonl=merged, batch_records=4
+        )
+        path = log / CHECKPOINT_NAME
+        payload = json.loads(path.read_bytes())
+        assert "offsets" not in payload
+        source = {
+            index: (shard, segment)
+            for shard, segments in discover_segments(log).items()
+            for segment, segment_path in segments
+            for index, _ in read_segment(segment_path)[2]
+        }
+        offsets = {}
+        for index in sorted(source)[: payload["records_folded"]]:
+            shard, segment = map(str, source[index])
+            offsets.setdefault(shard, {}).setdefault(segment, 0)
+            offsets[shard][segment] += 1
+        path.write_bytes(canonical_json_bytes({**payload, "offsets": offsets}) + b"\n")
+        resumed = merge_result_log(log, jsonl=merged, batch_records=4, resume=True)
+        assert resumed.replayed == 8
+        assert merged.read_bytes() == single.read_bytes()
+        assert "offsets" not in json.loads(path.read_bytes())
 
 
 class TestObsCounters:

@@ -127,18 +127,6 @@ class TestStreamingCacheReuse:
         SweepEngine(workers=4, cache=tmp_path).run_streaming(grid, sinks=warm_counter)
         assert cold_counter.reports == warm_counter.reports
 
-    def test_streaming_backfills_missing_measures(self, tmp_path):
-        from repro.protocols.runner import ScenarioSpec
-
-        tasks = [("terminating-three-phase-commit", ScenarioSpec(n_sites=3))]
-        engine = SweepEngine(workers=1, cache=tmp_path)
-        engine.run_streaming(tasks, sinks=ListSink())
-        sink = ListSink()
-        stats = engine.run_streaming(tasks, sinks=sink, measures=("timeouts",))
-        # The cached entry lacked the measure: re-executed, metrics merged in.
-        assert stats.executed == 1
-        assert "timeouts" in sink.summaries[0].metrics
-
     def test_sinks_are_closed_even_when_a_sink_raises(self, grid, tmp_path):
         path = tmp_path / "partial.jsonl"
         spill = JsonlSink(path)

@@ -111,6 +111,29 @@ class TestTheorem9:
 
 
 class TestTimingExperiments:
+    def test_traced_runs_are_run_scenario_in_task_order(self):
+        from repro.engine import SweepTask
+        from repro.experiments.harness import partition_grid, traced_runs
+        from repro.protocols.registry import create_protocol
+        from repro.protocols.runner import ScenarioSpec, run_scenario
+
+        tasks = [
+            *partition_grid("terminating-three-phase-commit", times=[1.5, 2.5]),
+            SweepTask("two-phase-commit", ScenarioSpec(n_sites=3)),
+        ]
+        results = list(traced_runs(tasks))
+        assert len(results) == len(tasks)
+        for task, result in zip(tasks, results):
+            assert (result.protocol, result.spec) == (task.protocol, task.spec)
+            assert len(result.trace) > 0
+            expected = run_scenario(create_protocol(task.protocol), task.spec)
+            assert result.as_summary() == expected.as_summary()
+            # Transaction ids come from a process-wide counter, so the records
+            # are compared without their details.
+            assert [(r.time, r.category, r.site) for r in result.trace] == [
+                (r.time, r.category, r.site) for r in expected.trace
+            ]
+
     def test_fig5_within_bounds(self):
         report = ex.run_fig5_timeouts(site_counts=(3, 4))
         assert all(m.within_bound for m in report.details["measurements"])

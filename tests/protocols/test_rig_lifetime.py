@@ -5,16 +5,23 @@ result is harvested, which cuts every back-reference between the event heap,
 the network, the nodes and their roles.  A sweep of thousands of scenarios
 therefore leaves the cyclic garbage collector nothing to collect; these
 tests pin that for every protocol under every fault class, with the trace
-measures off (``NullTrace``) and on (a full trace).
+off (``NullTrace``, the sweep engine's run) and on (a full trace, read by the
+timing measures as the FIG5-FIG7 and FIG9 experiments read it).
 """
 
 import gc
 
 import pytest
 
+from repro.analysis.timing import (
+    measure_master_probe_window,
+    measure_protocol_timeouts,
+    measure_wait_after_timeout_in_p,
+    measure_wait_after_timeout_in_w,
+)
 from repro.cli.faults import parse_fault_clauses
-from repro.engine import execute_task
-from repro.engine.measures import MEASURES
+from repro.engine import SweepTask, execute_task
+from repro.experiments.harness import traced_runs
 from repro.protocols.registry import available_protocols, create_protocol
 from repro.protocols.runner import ScenarioSpec, run_scenario
 from repro.sim.cluster import Cluster
@@ -50,16 +57,31 @@ CONFIGS = {
 }
 
 
-@pytest.mark.parametrize("measures", [(), tuple(MEASURES)], ids=["measures-off", "measures-on"])
+def _untraced_run(protocol, spec):
+    execute_task(protocol, spec, spec_hash="")
+
+
+def _traced_run(protocol, spec):
+    for result in traced_runs([SweepTask(protocol, spec)]):
+        measure_protocol_timeouts(result)
+        measure_master_probe_window(result)
+        measure_wait_after_timeout_in_w(result)
+        measure_wait_after_timeout_in_p(result)
+
+
+RUNS = {"trace-off": _untraced_run, "trace-on": _traced_run}
+
+
+@pytest.mark.parametrize("run", sorted(RUNS))
 @pytest.mark.parametrize("config", sorted(CONFIGS))
 @pytest.mark.parametrize("protocol", available_protocols())
-def test_a_scenario_leaves_no_cyclic_garbage(protocol, config, measures, frozen_heap):
+def test_a_scenario_leaves_no_cyclic_garbage(protocol, config, run, frozen_heap):
     spec = CONFIGS[config]
     # Warm-up: per-(protocol, n) plans and first-use caches are built once
     # per process and are not garbage.
-    execute_task(protocol, spec, spec_hash="", measures=measures)
+    RUNS[run](protocol, spec)
     gc.collect()
-    execute_task(protocol, spec, spec_hash="", measures=measures)
+    RUNS[run](protocol, spec)
     assert gc.collect() == 0
 
 
