@@ -8,6 +8,7 @@ must not encode, and check that the bytes written are still those of a
 cold single-machine run.
 """
 
+import json
 import os
 
 import pytest
@@ -124,3 +125,22 @@ def test_parallel_jsonl_sweep_encodes_nothing_in_the_parent(monkeypatch, tmp_pat
     assert stats.executed == len(tasks) and stats.chunk_count > 1
     assert calls == []
     assert spill.read_bytes() == cold
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("kind_name", sorted(TASKS))
+def test_warm_spill_is_the_cold_spill(kind_name, workers, tmp_path):
+    # A cache entry depends only on its key, so a sweep that filled the
+    # cache cannot change the bytes a later warm sweep spills; every
+    # summary's metrics field is empty on both paths.
+    tasks = TASKS[kind_name]()
+    cold = _cold_spill(tasks, tmp_path / "cold.jsonl")
+    cache = ResultCache(tmp_path / "cache")
+    SweepEngine(workers=1, cache=cache).run(tasks)
+
+    spill = tmp_path / "warm.jsonl"
+    with SweepEngine(workers=workers, cache=cache, chunk_size=2) as engine:
+        stats = engine.run_streaming(tasks, sinks=JsonlSink(spill))
+    assert (stats.executed, stats.cache_hits) == (0, len(tasks))
+    assert spill.read_bytes() == cold
+    assert [json.loads(line)["metrics"] for line in cold.splitlines()] == [{}] * len(tasks)

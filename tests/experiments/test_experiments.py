@@ -134,6 +134,20 @@ class TestTimingExperiments:
                 (r.time, r.category, r.site) for r in expected.trace
             ]
 
+    def test_traced_runs_hold_no_earlier_result(self):
+        import gc
+        import weakref
+
+        from repro.experiments.harness import partition_grid, traced_runs
+
+        runs = traced_runs(partition_grid("terminating-three-phase-commit", times=[1.5, 2.5]))
+        first = weakref.ref(next(runs))
+        second = next(runs)
+        gc.collect()
+        # Once the caller drops a result, nothing in the generator keeps it.
+        assert first() is None
+        assert len(second.trace) > 0
+
     def test_fig5_within_bounds(self):
         report = ex.run_fig5_timeouts(site_counts=(3, 4))
         assert all(m.within_bound for m in report.details["measurements"])
